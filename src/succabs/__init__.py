@@ -51,9 +51,7 @@ from .lexicon import (
 from .model_io import model_from_text, model_to_text, read_model, write_model
 from .smoothing import (
     ConditionalDistribution,
-    EleNGramModel,
     GeneralizationNode,
-    InterpolatedNGramModel,
     InterpolationWeights,
     SmoothedNGramModel,
     SQRT12,

@@ -95,12 +95,12 @@ class SignificanceQuery:
 
 def significance_threshold(q: SignificanceQuery) -> float:
     """Smallest error-rate difference counted as significant."""
-    return q.z * math.sqrt(q.p * (1.0 - q.p) / q.n)
+    return _threshold(q.p, q.n, q.z)
 
 
 def _threshold(p: float, n: int, z: float) -> float:
-    # Same formula, tolerating the degenerate rates 0 and 1 that a tiny
-    # toy evaluation can produce.
+    # Unvalidated, so that compare() can evaluate the degenerate rates 0
+    # and 1 that a tiny toy evaluation can produce.
     return z * math.sqrt(p * (1.0 - p) / n)
 
 

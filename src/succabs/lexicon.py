@@ -98,15 +98,24 @@ def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribu
     return LexicalDistribution(dist.probs.copy(), frozenset())
 
 
+def lexical_factors(dist: LexicalDistribution,
+                    unigram: ConditionalDistribution) -> np.ndarray:
+    """P(t | word) / P(t) for every tag t: zero wherever P(t | word) is zero,
+    and rejected where P(t | word) > 0 but P(t) = 0."""
+    p_lex, p_tag = dist.probs, unigram.probs
+    if p_tag.all():
+        # The usual case, and the decoder's per-word cost: no 0/0 can occur.
+        return p_lex / p_tag
+    mass = p_lex > 0.0
+    orphans = np.flatnonzero(mass & (p_tag == 0.0))
+    if orphans.size:
+        raise ValidationError(
+            f"tag index {orphans[0]} has zero unigram probability but nonzero "
+            "lexical probability; use a strictly positive root mode")
+    return np.divide(p_lex, p_tag, out=np.zeros_like(p_lex), where=mass)
+
+
 def lexical_factor(dist: LexicalDistribution, unigram: ConditionalDistribution,
                    tag: int) -> float:
     """P(tag | word) / P(tag), the word's contribution to a path score."""
-    p_lex = float(dist.probs[tag])
-    if p_lex == 0.0:
-        return 0.0
-    p_tag = float(unigram.probs[tag])
-    if p_tag <= 0.0:
-        raise ValidationError(
-            f"tag index {tag} has zero unigram probability but nonzero "
-            "lexical probability; use a strictly positive root mode")
-    return p_lex / p_tag
+    return float(lexical_factors(dist, unigram)[tag])

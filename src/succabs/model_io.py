@@ -8,7 +8,9 @@ Layout: a magic/version line, then sections, each introduced by a
     [tags] K             one tag symbol per line, index order
     [unigram] 1          K probabilities, space-separated
     [transitions] n      context TAB probabilities (or [freqs] for the
-                         interpolated variant, holding relative frequencies)
+                         interpolated variant, holding relative frequencies);
+                         contexts hold at most order-1 tags, and every
+                         estimator but half-count stores the root context
     [lexicon] n          word TAB integer tag counts
     [trie] n             depth TAB edge letter TAB integer tag counts,
                          preorder; depth 0 is the root, an empty letter at
@@ -33,12 +35,11 @@ from .errors import ModelFormatError, ValidationError
 from .lexicon import UnknownWordModel
 from .smoothing import (
     ConditionalDistribution,
-    EleNGramModel,
-    InterpolatedNGramModel,
     InterpolationWeights,
     SmoothedNGramModel,
+    interpolated_ngram_model,
 )
-from .tagger import SMOOTHING_INTERP, SMOOTHING_MODES, SMOOTHING_SA, Model, ModelMetadata
+from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, SMOOTHING_MODES, Model, ModelMetadata
 
 MAGIC = "SUCCABS"
 FORMAT_VERSION = 1
@@ -100,9 +101,9 @@ def model_to_text(model: Model) -> str:
     if meta.lambdas is not None:
         meta_rows.append(("lambdas", ",".join(_fmt(x) for x in meta.lambdas)))
 
-    if isinstance(model.transition, InterpolatedNGramModel):
+    if meta.smoothing == SMOOTHING_INTERP:
         table_section = "freqs"
-        table_rows = [(ctx, vec) for ctx, vec in model.transition.freq_tables.items()]
+        table_rows = list(model.transition.freqs.items())
     else:
         table_section = "transitions"
         table_rows = [(ctx, dist.probs) for ctx, dist in model.transition.tables.items()]
@@ -270,32 +271,33 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError("unigram: expected exactly one line")
     unigram = _distribution(_parse_probs(unigram_lines[0], k, "unigram"), "unigram")
 
+    table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
+    rows: dict[tuple[int, ...], np.ndarray] = {}
+    for line in reader.section(table_section):
+        ctx_text, vec_text = _split2(line, table_section)
+        ctx = _parse_context(ctx_text)
+        if ctx in rows:
+            raise ModelFormatError(f"{table_section}: duplicate context {ctx_text!r}")
+        if len(ctx) >= order:
+            raise ModelFormatError(
+                f"{table_section}: context {ctx_text!r} is longer than order {order} allows")
+        rows[ctx] = _parse_probs(vec_text, k, table_section)
+    # Without the root a query can fall through every stored suffix; only
+    # half-count tables, which have no back-off rows, may answer uniform then.
+    if smoothing != SMOOTHING_ELE and () not in rows:
+        raise ModelFormatError(f"{table_section}: the root context is missing")
     if smoothing == SMOOTHING_INTERP:
-        freq_tables: dict[tuple[int, ...], np.ndarray] = {}
-        for line in reader.section("freqs"):
-            ctx_text, vec_text = _split2(line, "freqs")
-            ctx = _parse_context(ctx_text)
-            if ctx in freq_tables:
-                raise ModelFormatError(f"freqs: duplicate context {ctx_text!r}")
-            freq_tables[ctx] = _parse_probs(vec_text, k, "freqs")
         try:
             weights = InterpolationWeights(lambdas)
         except ValidationError as bad:
             raise ModelFormatError(f"meta: {bad}") from None
-        transition = InterpolatedNGramModel(order, k, freq_tables, weights)
+        try:
+            transition = interpolated_ngram_model(order, k, rows, weights)
+        except ValidationError as bad:
+            raise ModelFormatError(f"freqs: {bad}") from None
     else:
-        tables: dict[tuple[int, ...], ConditionalDistribution] = {}
-        for line in reader.section("transitions"):
-            ctx_text, vec_text = _split2(line, "transitions")
-            ctx = _parse_context(ctx_text)
-            if ctx in tables:
-                raise ModelFormatError(f"transitions: duplicate context {ctx_text!r}")
-            tables[ctx] = _distribution(_parse_probs(vec_text, k, "transitions"),
-                                        "transitions")
-        if smoothing == SMOOTHING_SA:
-            transition = SmoothedNGramModel(order, k, tables, sigma_scale)
-        else:
-            transition = EleNGramModel(order, k, tables)
+        transition = SmoothedNGramModel(order, k, {
+            ctx: _distribution(vec, table_section) for ctx, vec in rows.items()})
 
     lexicon = Lexicon(num_tags=k)
     for line in reader.section("lexicon"):

@@ -392,17 +392,20 @@ def interpolation_loglik_objective(counts: NGramCountTable,
 
 @dataclass
 class SmoothedNGramModel:
-    """Back-off-smoothed conditional distributions for all observed contexts.
+    """One conditional tag distribution per stored context, for every estimator.
 
-    Queries for unobserved contexts resolve to the longest observed
-    generalization, which is exactly what a zero-count smoothing step would
-    return anyway.
+    A query keeps its last order-1 tags and resolves to their longest stored
+    suffix, which is exactly what a zero-count smoothing step, or an
+    interpolation over unseen orders, would return anyway.  Half-count
+    tables store full-length contexts only and answer uniform when nothing
+    matches.  ``freqs`` keeps the relative frequencies an interpolated table
+    was mixed from, for the model file.
     """
 
     order: int
     num_tags: int
     tables: dict[tuple[int, ...], ConditionalDistribution]
-    sigma_scale: float = 1.0
+    freqs: dict[tuple[int, ...], np.ndarray] | None = None
 
     @property
     def root(self) -> ConditionalDistribution:
@@ -410,11 +413,10 @@ class SmoothedNGramModel:
 
     def distribution(self, context: tuple[int, ...]) -> ConditionalDistribution:
         ctx = tuple(context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1):] if len(ctx) >= self.order else ctx
-        else:
-            ctx = ()
+        ctx = ctx[max(0, len(ctx) - (self.order - 1)):]
         while ctx not in self.tables:
+            if not ctx:
+                return uniform_distribution(self.num_tags)
             ctx = ctx[1:]
         return self.tables[ctx]
 
@@ -441,7 +443,7 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     """
     root = unigram_distribution(counts, root_mode)
     tables: dict[tuple[int, ...], ConditionalDistribution] = {(): root}
-    model = SmoothedNGramModel(counts.order, counts.num_tags, tables, sigma_scale)
+    model = SmoothedNGramModel(counts.order, counts.num_tags, tables)
     for length in range(1, counts.order):
         for ctx in sorted(counts.contexts_of_length(length)):
             total = counts.totals[ctx]
@@ -450,61 +452,33 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     return model
 
 
-@dataclass
-class InterpolatedNGramModel:
-    """Fixed-weight linear interpolation over per-order relative frequencies."""
+def interpolated_ngram_model(order: int, num_tags: int,
+                             freqs: dict[tuple[int, ...], np.ndarray],
+                             weights: InterpolationWeights) -> SmoothedNGramModel:
+    """Mix each stored context's suffix frequencies once, into one row each.
 
-    order: int
-    num_tags: int
-    freq_tables: dict[tuple[int, ...], np.ndarray]
-    weights: InterpolationWeights
-
-    def distribution(self, context: tuple[int, ...]) -> ConditionalDistribution:
-        ctx = tuple(context)
-        if len(ctx) >= self.order:
-            ctx = ctx[-(self.order - 1):] if self.order > 1 else ()
-        zeros = np.zeros(self.num_tags)
-        per_order = []
-        for k in range(1, self.order + 1):
-            if k - 1 > len(ctx):
-                per_order.append(zeros)
-                continue
-            sub = ctx[len(ctx) - (k - 1):] if k > 1 else ()
-            per_order.append(self.freq_tables.get(sub, zeros))
-        return interpolate(per_order, self.weights)
+    ``freqs`` maps every stored context to its relative frequencies; a
+    suffix missing from it counts as an unseen order.
+    """
+    if len(weights) != order:
+        raise ValidationError(f"{len(weights)} weights for an order-{order} model")
+    zeros = np.zeros(num_tags)
+    tables = {}
+    for ctx in freqs:
+        per_order = [freqs.get(ctx[len(ctx) - j:], zeros) if j <= len(ctx) else zeros
+                     for j in range(order)]
+        tables[ctx] = interpolate(per_order, weights)
+    return SmoothedNGramModel(order, num_tags, tables, freqs)
 
 
 def build_interpolated_ngram_model(counts: NGramCountTable,
-                                   weights: InterpolationWeights) -> InterpolatedNGramModel:
-    if len(weights) != counts.order:
-        raise ValidationError(
-            f"{len(weights)} weights for an order-{counts.order} model")
-    tables = {ctx: vec / counts.totals[ctx] for ctx, vec in counts.counts.items()}
-    return InterpolatedNGramModel(counts.order, counts.num_tags, tables, weights)
+                                   weights: InterpolationWeights) -> SmoothedNGramModel:
+    freqs = {ctx: vec / counts.totals[ctx] for ctx, vec in counts.counts.items()}
+    return interpolated_ngram_model(counts.order, counts.num_tags, freqs, weights)
 
 
-@dataclass
-class EleNGramModel:
-    """Half-count estimation applied per full-length context, no back-off."""
-
-    order: int
-    num_tags: int
-    tables: dict[tuple[int, ...], ConditionalDistribution]
-
-    def distribution(self, context: tuple[int, ...]) -> ConditionalDistribution:
-        ctx = tuple(context)
-        if len(ctx) >= self.order:
-            ctx = ctx[-(self.order - 1):] if self.order > 1 else ()
-        dist = self.tables.get(ctx)
-        if dist is None:
-            return uniform_distribution(self.num_tags)
-        return dist
-
-
-def build_ele_ngram_model(counts: NGramCountTable) -> EleNGramModel:
+def build_ele_ngram_model(counts: NGramCountTable) -> SmoothedNGramModel:
+    """Half-count estimation per full-length context, with no back-off rows."""
     tables = {ctx: ele_estimate(vec)
               for ctx, vec in counts.counts.items() if len(ctx) == counts.order - 1}
-    return EleNGramModel(counts.order, counts.num_tags, tables)
-
-
-TransitionModel = SmoothedNGramModel | InterpolatedNGramModel | EleNGramModel
+    return SmoothedNGramModel(counts.order, counts.num_tags, tables)

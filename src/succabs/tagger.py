@@ -31,21 +31,21 @@ from .counts import (
 )
 from .errors import ValidationError
 from .lexicon import (
-    LexicalDistribution,
     UnknownWordModel,
     build_unknown_word_model,
     known_word_distribution,
+    lexical_factors,
     unknown_word_distribution,
 )
 from .smoothing import (
     ROOT_MODE_ELE,
     ConditionalDistribution,
-    InterpolatedNGramModel,
     InterpolationWeights,
-    TransitionModel,
+    SmoothedNGramModel,
     build_ele_ngram_model,
     build_interpolated_ngram_model,
     build_sa_ngram_model,
+    interpolated_ngram_model,
     unigram_distribution,
 )
 
@@ -72,7 +72,7 @@ class Model:
     """Everything the decoder needs, immutable once trained."""
 
     tag_set: TagSet
-    transition: TransitionModel
+    transition: SmoothedNGramModel
     lexicon: Lexicon
     unknown_word_model: UnknownWordModel
     unigram: ConditionalDistribution
@@ -101,15 +101,16 @@ def train_model(corpus: Corpus, order: int = 3,
     if policy is None:
         policy = RareWordPolicy()
     counts = count_ngrams(corpus, order)
+    lam = None
     if smoothing == SMOOTHING_SA:
-        transition: TransitionModel = build_sa_ngram_model(counts, root_mode, sigma_scale)
+        transition = build_sa_ngram_model(counts, root_mode, sigma_scale)
     elif smoothing == SMOOTHING_ELE:
         transition = build_ele_ngram_model(counts)
     else:
         if lambdas is None:
             raise ValidationError("interpolation smoothing requires weights")
-        transition = build_interpolated_ngram_model(
-            counts, InterpolationWeights(tuple(float(x) for x in lambdas)))
+        lam = tuple(float(x) for x in lambdas)
+        transition = build_interpolated_ngram_model(counts, InterpolationWeights(lam))
     lexicon = build_lexicon(corpus)
     trie = build_suffix_trie(corpus, lexicon, policy)
     unknown = build_unknown_word_model(trie, policy, root_mode)
@@ -120,7 +121,7 @@ def train_model(corpus: Corpus, order: int = 3,
         root_mode=root_mode,
         sigma_scale=sigma_scale,
         corpus_digest=corpus_digest(corpus),
-        lambdas=tuple(transition.weights.lam) if smoothing == SMOOTHING_INTERP else None,
+        lambdas=lam,
     )
     return Model(corpus.tag_set, transition, lexicon, unknown, unigram, meta)
 
@@ -150,7 +151,7 @@ class _DecodeRuntime:
         dist = known_word_distribution(self.model.lexicon, word)
         if dist is None:
             dist = unknown_word_distribution(self.model.unknown_word_model, word)
-        factors = dist.probs / self.model.unigram.probs
+        factors = lexical_factors(dist, self.model.unigram)
         if dist.support and not self.open_lattice:
             lattice = tuple(sorted(dist.support))
         else:
@@ -269,9 +270,9 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     total = heldout.num_tokens
 
     def objective(lam: tuple[float, ...]) -> float:
-        transition = InterpolatedNGramModel(order, len(base.tag_set),
-                                            base.transition.freq_tables,
-                                            InterpolationWeights(tuple(lam)))
+        transition = interpolated_ngram_model(order, len(base.tag_set),
+                                              base.transition.freqs,
+                                              InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
         correct = 0

@@ -132,6 +132,25 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             model_from_text("\n".join(lines) + "\n")
 
+    def test_rootless_or_overlong_table_rejected(self):
+        # Back-off queries must end at the root, and no context may hold
+        # more than order-1 tags.
+        interp = train_model(small_corpus(), order=3, smoothing="interp",
+                             lambdas=(0.2, 0.3, 0.5))
+        for text, section in ((valid_text(), "[transitions]"),
+                              (model_to_text(interp), "[freqs]")):
+            lines = text.splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith(section))
+            count = int(lines[start].split()[1])
+            assert lines[start + 1].startswith("\t")  # the root sorts first
+            rootless = lines[:start] + [f"{section} {count - 1}"] + lines[start + 2:]
+            with pytest.raises(ModelFormatError):
+                model_from_text("\n".join(rootless) + "\n")
+            overlong = list(lines)
+            overlong[start + count] = "0," + overlong[start + count]
+            with pytest.raises(ModelFormatError):
+                model_from_text("\n".join(overlong) + "\n")
+
     def test_duplicate_lexicon_word_rejected(self):
         lines = valid_text().splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("[lexicon]"))

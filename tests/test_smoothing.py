@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -492,24 +493,32 @@ class TestNGramModels:
         np.testing.assert_array_equal(model.distribution((2, 2)).probs,
                                       model.distribution((2,)).probs)
 
+    def all_contexts(self):
+        """Every context of up to order-1 tags (boundary included), stored or not."""
+        for k in range(self.counts.order):
+            yield from itertools.product(range(-1, self.counts.num_tags), repeat=k)
+
     def test_interpolated_model_matches_manual_mix(self):
         weights = InterpolationWeights((0.2, 0.3, 0.5))
         model = build_interpolated_ngram_model(self.counts, weights)
-        ctx = (0, 1)  # A then B, observed
-        per_order = []
-        for sub in ((), (1,), (0, 1)):
-            total = self.counts.totals.get(sub, 0)
-            per_order.append(self.counts.counts[sub] / total if total else np.zeros(3))
-        expect = interpolate(per_order, weights)
-        np.testing.assert_allclose(model.distribution(ctx).probs, expect.probs,
-                                   atol=1e-15)
+        for ctx in self.all_contexts():
+            per_order = []
+            for j in range(self.counts.order):
+                sub = ctx[len(ctx) - j:]
+                total = self.counts.totals.get(sub, 0) if j <= len(ctx) else 0
+                per_order.append(self.counts.counts[sub] / total if total else np.zeros(3))
+            expect = interpolate(per_order, weights)
+            np.testing.assert_array_equal(model.distribution(ctx).probs, expect.probs)
 
     def test_ele_model_per_context_and_unseen_uniform(self):
         model = build_ele_ngram_model(self.counts)
-        ctx = (0, 1)
-        np.testing.assert_allclose(model.distribution(ctx).probs,
-                                   ele_estimate(self.counts.counts[ctx]).probs,
-                                   atol=1e-15)
+        uniform = uniform_distribution(3)
+        for ctx in self.all_contexts():
+            if len(ctx) == self.counts.order - 1 and ctx in self.counts.counts:
+                expect = ele_estimate(self.counts.counts[ctx])
+            else:
+                expect = uniform
+            np.testing.assert_array_equal(model.distribution(ctx).probs, expect.probs)
         np.testing.assert_allclose(model.distribution((2, 2)).probs,
                                    [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 

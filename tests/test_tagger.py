@@ -202,7 +202,7 @@ class TestViterbi:
             score_sequence(m, ["w2", "w2", "w1"], list(result.tags)), abs=1e-12)
 
 
-def random_training_corpus(rng):
+def random_training_corpus(rng, unseen_tags=()):
     num_tags = int(rng.integers(2, 5))
     tags = tuple(f"T{i}" for i in range(num_tags))
     vocab = [f"w{i}" for i in range(int(rng.integers(6, 11)))]
@@ -215,7 +215,7 @@ def random_training_corpus(rng):
                 for _ in range(n)]
         blocks.append("\n".join(sent))
         total += n
-    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=tags)
+    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=unseen_tags + tags)
 
 
 def random_test_sentence(rng, corpus):
@@ -266,6 +266,24 @@ class TestDecoderAgainstEnumeration:
                     assert got.log_score == NEG_INF
                 else:
                     assert got.log_score == pytest.approx(expect, abs=1e-9)
+
+    def test_declared_but_unseen_tag_is_impossible(self):
+        # Under a relative-frequency root a tag never seen in training has
+        # P(t) = 0, and so P(t | w) = 0 for every word: its lexical factor is
+        # zero, not 0/0.  Half-count transitions give it positive mass, so
+        # only the lexical factor keeps it out of the best path.  Every
+        # training word counts as rare, so the unknown-word root is defined.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            corpus = random_training_corpus(rng, unseen_tags=("NEVER",))
+            m = train_model(corpus, order=int(rng.integers(1, 4)), smoothing="ele",
+                            root_mode="rf", policy=RareWordPolicy(frequency_threshold=100))
+            for _ in range(3):
+                words = random_test_sentence(rng, corpus)
+                got = viterbi_tag_scored(m, words)
+                assert "NEVER" not in got.tags
+                assert got.log_score == pytest.approx(enumerate_best_score(m, words),
+                                                      abs=1e-9)
 
 
 class TestTagCorpus:
