@@ -175,6 +175,8 @@ def _parse_probs(text: str, dim: int, where: str) -> np.ndarray:
         raise ModelFormatError(f"{where}: malformed number") from None
     if vec.shape[0] != dim:
         raise ModelFormatError(f"{where}: expected {dim} values, got {vec.shape[0]}")
+    if not np.isfinite(vec).all():
+        raise ModelFormatError(f"{where}: non-finite value")
     return vec
 
 
@@ -278,9 +280,9 @@ def model_from_text(text: str) -> Model:
         ctx = _parse_context(ctx_text)
         if ctx in rows:
             raise ModelFormatError(f"{table_section}: duplicate context {ctx_text!r}")
-        if len(ctx) >= order:
-            raise ModelFormatError(
-                f"{table_section}: context {ctx_text!r} is longer than order {order} allows")
+        if len(ctx) >= order or not all(-1 <= t < k for t in ctx):
+            raise ModelFormatError(f"{table_section}: context {ctx_text!r} is longer than "
+                                   f"order {order} allows or holds a tag index outside [-1, {k})")
         rows[ctx] = _parse_probs(vec_text, k, table_section)
     # Without the root a query can fall through every stored suffix; only
     # half-count tables, which have no back-off rows, may answer uniform then.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ class ConditionalDistribution:
     @classmethod
     def from_probs(cls, probs) -> "ConditionalDistribution":
         p = _as_prob_array(probs).copy()
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):  # also false for NaN
             raise ValidationError("probabilities must lie in [0, 1]")
         total = float(p.sum())
         if abs(total - 1.0) > _SUM_TOL_STRICT:
@@ -85,6 +86,17 @@ class ConditionalDistribution:
     @property
     def dim(self) -> int:
         return self.probs.shape[0]
+
+
+def log_probs(probs) -> np.ndarray:
+    """Elementwise ln, -inf where p <= 0, taken with ``math.log``.
+
+    ``np.log`` can differ from it in the last bit, and path scores must not
+    move, or ties between paths could break differently.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    return np.array([math.log(x) if x > 0.0 else -math.inf
+                     for x in p.ravel().tolist()]).reshape(p.shape)
 
 
 def uniform_distribution(dim: int) -> ConditionalDistribution:
@@ -265,8 +277,8 @@ class InterpolationWeights:
     def __post_init__(self):
         if not self.lam:
             raise ValidationError("at least one weight is required")
-        if any(w < 0 for w in self.lam):
-            raise ValidationError("interpolation weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.lam):
+            raise ValidationError("interpolation weights must be finite and nonnegative")
         if abs(sum(self.lam) - 1.0) > _SUM_TOL_WEIGHTS:
             raise ValidationError(f"interpolation weights sum to {sum(self.lam)}, not 1")
 
@@ -410,6 +422,25 @@ class SmoothedNGramModel:
     @property
     def root(self) -> ConditionalDistribution:
         return self.tables[()]
+
+    @cached_property
+    def log_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, log_rows)`` for decoding, compiled on first access.
+
+        ``index`` has one axis of size K+1 per context tag, indexed by tag+1
+        so the boundary comes first, and holds the row of the context's
+        longest stored suffix: contexts are written shortest first, so a
+        longer one overwrites its suffixes.  Row 0 is the root, or uniform
+        in a half-count table.  Access only once ``tables`` is complete.
+        """
+        k = self.num_tags
+        rows = [self.tables[()] if () in self.tables else uniform_distribution(k)]
+        index = np.zeros((k + 1,) * (self.order - 1), dtype=np.intp)
+        for ctx in sorted(self.tables, key=len):
+            if ctx:
+                index[(...,) + tuple(t + 1 for t in ctx)] = len(rows)
+                rows.append(self.tables[ctx])
+        return index, log_probs(np.array([r.probs for r in rows]))
 
     def distribution(self, context: tuple[int, ...]) -> ConditionalDistribution:
         ctx = tuple(context)

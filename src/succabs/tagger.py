@@ -46,6 +46,7 @@ from .smoothing import (
     build_interpolated_ngram_model,
     build_sa_ngram_model,
     interpolated_ngram_model,
+    log_probs,
     unigram_distribution,
 )
 
@@ -127,54 +128,50 @@ def train_model(corpus: Corpus, order: int = 3,
 
 
 class _DecodeRuntime:
-    """Per-model caches: transition rows by context, lexical factors by word."""
+    """Per-model cache of each word's lattice and log lexical factors."""
 
     def __init__(self, model: Model, open_lattice: bool = False):
         self.model = model
         self.open_lattice = open_lattice
         self.num_tags = len(model.tag_set)
-        self._trans: dict[tuple[int, ...], np.ndarray] = {}
-        self._lex: dict[str, tuple[np.ndarray, tuple[int, ...]]] = {}
-
-    def transition_row(self, context: tuple[int, ...]) -> np.ndarray:
-        row = self._trans.get(context)
-        if row is None:
-            row = self.model.transition.distribution(context).probs
-            self._trans[context] = row
-        return row
+        self._log_lex: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def lexical(self, word: str) -> tuple[np.ndarray, tuple[int, ...]]:
         """Factor vector P(t|w)/P(t) and the lattice tag indices for a word."""
-        cached = self._lex.get(word)
-        if cached is not None:
-            return cached
         dist = known_word_distribution(self.model.lexicon, word)
         if dist is None:
             dist = unknown_word_distribution(self.model.unknown_word_model, word)
         factors = lexical_factors(dist, self.model.unigram)
         if dist.support and not self.open_lattice:
-            lattice = tuple(sorted(dist.support))
-        else:
-            lattice = tuple(range(self.num_tags))
-        result = (factors, lattice)
-        self._lex[word] = result
-        return result
+            return factors, tuple(sorted(dist.support))
+        return factors, tuple(range(self.num_tags))
+
+    def log_lexical(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """ln of ``lexical``'s factors on the lattice, and the lattice as an
+        array; computed once per word."""
+        cached = self._log_lex.get(word)
+        if cached is None:
+            factors, lattice = self.lexical(word)
+            lattice = np.array(lattice, dtype=np.intp)
+            cached = self._log_lex[word] = (log_probs(factors[lattice]), lattice)
+        return cached
 
 
 def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int],
                    runtime: _DecodeRuntime | None = None) -> float:
     rt = runtime if runtime is not None else _DecodeRuntime(model)
+    index, log_rows = model.transition.log_table
     n_ctx = model.metadata.order - 1
-    context = (BOUNDARY,) * n_ctx
+    context = (BOUNDARY + 1,) * n_ctx
     total = 0.0
     for word, t in zip(words, tag_indices):
-        trans = float(rt.transition_row(context)[t])
         factor = float(rt.lexical(word)[0][t])
-        if trans <= 0.0 or factor <= 0.0:
+        trans = float(log_rows[index[context], t])
+        if trans == NEG_INF or factor <= 0.0:
             return NEG_INF
-        total += log(trans) + log(factor)
+        total += trans + log(factor)
         if n_ctx:
-            context = (context + (t,))[-n_ctx:]
+            context = (context + (t + 1,))[-n_ctx:]
     return total
 
 
@@ -193,47 +190,36 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
                 runtime: _DecodeRuntime | None = None) -> list[str]:
     """Highest-scoring tag sequence for one sentence.
 
-    Exact search: states are the last order-1 tag indices.  Ties resolve
-    toward the candidate reached first when previous states are visited in
-    sorted order and lattice tags in ascending order, which yields the
-    smallest tag indices.
+    Exact search: states are the last order-1 tags, and ``cells`` holds
+    their scores with one axis per tag position, each over that position's
+    ascending lattice (just the boundary before the sentence).  A step adds
+    one axis for the new tag and maximizes out the oldest; ``argmax`` keeps
+    the first maximum, and the final one runs in C order, so ties resolve
+    toward the smallest tag indices.
     """
     if not words:
         raise ValidationError("cannot decode an empty sentence")
     rt = runtime if runtime is not None else _DecodeRuntime(m, open_lattice)
+    index, log_rows = m.transition.log_table
     n_ctx = m.metadata.order - 1
-    start = (BOUNDARY,) * n_ctx
-    # cells[state] = score; bp[t][state] = (previous state, tag index)
-    cells: dict[tuple[int, ...], float] = {start: 0.0}
-    bp: list[dict[tuple[int, ...], tuple[tuple[int, ...], int]]] = []
+    context = [np.zeros(1, dtype=np.intp)] * n_ctx  # state positions' lattices, tag+1
+    cells = np.zeros((1,) * n_ctx)
+    back = []  # per token: (lattice, argmax over the oldest tag)
     for word in words:
-        factors, lattice = rt.lexical(word)
-        step: dict[tuple[int, ...], float] = {}
-        back: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for state in sorted(cells):
-            base = cells[state]
-            row = rt.transition_row(state)
-            for t in lattice:
-                trans = float(row[t])
-                factor = float(factors[t])
-                if trans <= 0.0 or factor <= 0.0:
-                    score = NEG_INF
-                else:
-                    score = base + log(trans) + log(factor)
-                nxt = (state + (t,))[-n_ctx:] if n_ctx else ()
-                old = step.get(nxt)
-                if old is None or score > old:
-                    step[nxt] = score
-                    back[nxt] = (state, t)
-        cells = step
-        bp.append(back)
-    final = max(sorted(cells), key=cells.__getitem__)
-    tags_rev = []
-    state = final
-    for back in reversed(bp):
-        state, t = back[state]
-        tags_rev.append(t)
-    return [m.tag_set.tags[t] for t in reversed(tags_rev)]
+        log_factors, lattice = rt.log_lexical(word)
+        rows = index[np.ix_(*context)]
+        scores = log_rows.take(rows, axis=0)[..., lattice]
+        scores += cells[..., None]
+        scores += log_factors
+        back.append((lattice, scores.argmax(axis=0)))
+        cells = scores.max(axis=0)
+        context = (context + [lattice + 1])[1:]
+    # Walk back from the best final state, prepending the position each
+    # back-pointer array names; the first n_ctx positions are boundaries.
+    path = [int(i) for i in np.unravel_index(cells.argmax(), cells.shape)]
+    for _, bp in reversed(back):
+        path.insert(0, int(bp[tuple(path[:n_ctx])]))
+    return [m.tag_set.tags[lat[i]] for (lat, _), i in zip(back, path[n_ctx:])]
 
 
 def viterbi_tag_scored(m: Model, words: Sequence[str],
@@ -275,10 +261,9 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
                                               InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
-        correct = 0
-        for sent_words, sent_gold in zip(words, gold):
-            for predicted, actual in zip(viterbi_tag(model, sent_words), sent_gold):
-                correct += predicted == actual
+        correct = sum(predicted == actual
+                      for sent_tags, sent_gold in zip(tag_corpus(model, words), gold)
+                      for predicted, actual in zip(sent_tags, sent_gold))
         return correct / total
 
     return objective

@@ -151,6 +151,39 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError):
                 model_from_text("\n".join(overlong) + "\n")
 
+    def test_non_finite_values_rejected(self):
+        # NaN passes every range comparison, so it needs a check of its own;
+        # loaded, it would make path scores NaN.
+        interp = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
+                                           lambdas=(0.2, 0.3, 0.5)))
+        for text, section in ((valid_text(), "[transitions]"), (interp, "[freqs]"),
+                              (valid_text(), "[unigram]"),
+                              (valid_text(), "[unknown_root]")):
+            lines = text.splitlines()
+            i = next(i for i, l in enumerate(lines) if l.startswith(section)) + 1
+            ctx, sep, vec = lines[i].rpartition("\t")
+            for bad in ("nan", "inf", "-inf"):
+                lines[i] = ctx + sep + " ".join([bad] + vec.split(" ")[1:])
+                with pytest.raises(ModelFormatError):
+                    model_from_text("\n".join(lines) + "\n")
+        lines = interp.splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith("lambdas\t"))
+        for bad in ("nan,0.5,0.5", "0.5,nan,0.5"):
+            lines[i] = f"lambdas\t{bad}"
+            with pytest.raises(ModelFormatError):
+                model_from_text("\n".join(lines) + "\n")
+
+    def test_context_tag_out_of_range_rejected(self):
+        # Three tags: indices 0..2, and -1 for the sentence boundary.
+        for ctx in ("3", "-2", "0,7"):
+            lines = valid_text().splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith("[transitions]"))
+            count = int(lines[start].split()[1])
+            lines[start] = f"[transitions] {count + 1}"
+            lines.insert(start + 2, ctx + "\t" + lines[start + 1].split("\t")[1])
+            with pytest.raises(ModelFormatError):
+                model_from_text("\n".join(lines) + "\n")
+
     def test_duplicate_lexicon_word_rejected(self):
         lines = valid_text().splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("[lexicon]"))

@@ -94,6 +94,14 @@ class TestEntropy:
             assert entropy(p) == pytest.approx(oracle_entropy(p.tolist()), abs=1e-12)
 
 
+class TestConditionalDistribution:
+    def test_non_finite_probabilities_rejected(self):
+        for bad in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 0.0],
+                    [-math.inf, 1.0]):
+            with pytest.raises(ValidationError):
+                ConditionalDistribution.from_probs(bad)
+
+
 class TestSigmaInverse:
     def test_count_one_entropy_ln3(self):
         assert sigma_inverse(1, math.log(3)) == pytest.approx(SQRT12 / 3, abs=1e-12)
@@ -399,6 +407,9 @@ class TestInterpolate:
             InterpolationWeights((0.2, 0.3, 0.6))
         with pytest.raises(ValidationError):
             InterpolationWeights((-0.2, 1.2))
+        for bad in ((math.nan, 1.0), (0.5, math.nan), (math.inf, -math.inf)):
+            with pytest.raises(ValidationError):
+                InterpolationWeights(bad)
 
 
 class TestSimplexGrid:

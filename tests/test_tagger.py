@@ -286,6 +286,93 @@ class TestDecoderAgainstEnumeration:
                                                       abs=1e-9)
 
 
+def reference_viterbi_tag(m, words, open_lattice=False):
+    """The scalar dict-based decoder the array one replaced, kept verbatim as
+    the reference: transitions come from ``distribution()`` one context at a
+    time, and states are visited in sorted order."""
+    rt = _DecodeRuntime(m, open_lattice)
+    n_ctx = m.metadata.order - 1
+    start = (-1,) * n_ctx
+    cells = {start: 0.0}
+    bp = []
+    for word in words:
+        factors, lattice = rt.lexical(word)
+        step = {}
+        back = {}
+        for state in sorted(cells):
+            base = cells[state]
+            row = m.transition.distribution(state).probs
+            for t in lattice:
+                trans = float(row[t])
+                factor = float(factors[t])
+                if trans <= 0.0 or factor <= 0.0:
+                    score = NEG_INF
+                else:
+                    score = base + math.log(trans) + math.log(factor)
+                nxt = (state + (t,))[-n_ctx:] if n_ctx else ()
+                old = step.get(nxt)
+                if old is None or score > old:
+                    step[nxt] = score
+                    back[nxt] = (state, t)
+        cells = step
+        bp.append(back)
+    final = max(sorted(cells), key=cells.__getitem__)
+    tags_rev = []
+    state = final
+    for back in reversed(bp):
+        state, t = back[state]
+        tags_rev.append(t)
+    return [m.tag_set.tags[t] for t in reversed(tags_rev)]
+
+
+def reference_score(m, words, tags):
+    """Path score summed as the scalar decoder's scorer did, from ``distribution()``."""
+    rt = _DecodeRuntime(m)
+    n_ctx = m.metadata.order - 1
+    context = (-1,) * n_ctx
+    total = 0.0
+    for word, t in zip(words, (m.tag_set.index[tag] for tag in tags)):
+        trans = float(m.transition.distribution(context).probs[t])
+        factor = float(rt.lexical(word)[0][t])
+        if trans <= 0.0 or factor <= 0.0:
+            return NEG_INF
+        total += math.log(trans) + math.log(factor)
+        if n_ctx:
+            context = (context + (t,))[-n_ctx:]
+    return total
+
+
+class TestDecoderAgainstScalarReference:
+    def test_random_models_decode_identically(self):
+        # Orders 1-4, every estimator, both root modes (rf with a declared
+        # tag never seen in training), closed and open lattices, and
+        # sentences that repeat words so equal-scoring paths occur.  Tags
+        # and scores must match exactly: the tie-break depends on both.
+        rng = np.random.default_rng(31)
+        for i in range(320):
+            root_mode = ("ele", "rf")[i % 2]
+            unseen = ("NEVER",) if root_mode == "rf" else ()
+            corpus = random_training_corpus(rng, unseen_tags=unseen)
+            order = 1 + (i // 2) % 4
+            smoothing = ("sa", "ele", "interp")[(i // 8) % 3]
+            lambdas = None
+            if smoothing == "interp":
+                points = list(simplex_grid(order, 0.25))
+                lambdas = points[int(rng.integers(len(points)))]
+            m = train_model(corpus, order=order, smoothing=smoothing, lambdas=lambdas,
+                            root_mode=root_mode,
+                            policy=RareWordPolicy(frequency_threshold=100))
+            for j in range(4):
+                words = random_test_sentence(rng, corpus)
+                if j % 2:
+                    words = words + words[::-1]
+                open_lattice = j >= 2
+                got = viterbi_tag_scored(m, words, open_lattice)
+                expect = reference_viterbi_tag(m, words, open_lattice)
+                assert list(got.tags) == expect, (i, words)
+                assert got.log_score == reference_score(m, words, expect), (i, words)
+
+
 class TestTagCorpus:
     def test_matches_per_sentence_decoding(self):
         corpus = parse_corpus(
@@ -340,6 +427,23 @@ class TestTaggingAccuracyObjective:
             assert 0.0 <= v <= 1.0
         # The bigram-heavy weighting must be at least as good here.
         assert scores[(0.0, 1.0)] >= scores[(1.0, 0.0)]
+
+    def test_equals_accuracy_of_tag_corpus_output(self):
+        train = parse_corpus(
+            "\n\n".join(["a\tX\nb\tY\na\tX", "a\tX\nb\tY\nb\tY",
+                         "b\tY\na\tX\na\tX", "b\tX\nb\tX\na\tY"] * 3) + "\n")
+        heldout = parse_corpus("a\tX\nb\tY\nb\tX\n\nb\tX\nc\tY\na\tX\n\n")
+        objective = tagging_accuracy_objective(train, heldout, order=2)
+        words = [[tok.word for tok in sent] for sent in heldout.sentences]
+        scores = []
+        for lam in ((1.0, 0.0), (0.0, 1.0)):
+            model = train_model(train, order=2, smoothing="interp", lambdas=lam)
+            correct = sum(predicted == tok.tag
+                          for sent, tags in zip(heldout.sentences, tag_corpus(model, words))
+                          for tok, predicted in zip(sent, tags))
+            scores.append(objective(lam))
+            assert scores[-1] == correct / heldout.num_tokens
+        assert scores[0] != scores[1]
 
     def test_empty_heldout_rejected(self):
         train = parse_corpus("a\tX\n\n")
