@@ -66,7 +66,6 @@ from .smoothing import (
     sigma_inverse,
     simplex_grid,
     smooth_dag,
-    smooth_linear_chain,
     smooth_partial,
     smooth_step,
     uniform_distribution,

@@ -17,13 +17,7 @@ import numpy as np
 
 from .counts import Lexicon, RareWordPolicy, SuffixTrie, reversed_suffix_path
 from .errors import ValidationError
-from .smoothing import (
-    ROOT_MODE_ELE,
-    ROOT_MODES,
-    ConditionalDistribution,
-    ele_estimate,
-    smooth_linear_chain,
-)
+from .smoothing import ROOT_MODE_ELE, ConditionalDistribution, root_estimate, smooth_step
 
 
 @dataclass(frozen=True)
@@ -61,18 +55,7 @@ class UnknownWordModel:
 
 def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
                              root_mode: str = ROOT_MODE_ELE) -> UnknownWordModel:
-    if root_mode not in ROOT_MODES:
-        raise ValidationError(f"unknown root mode {root_mode!r}")
-    counts = trie.root.tag_counts
-    if root_mode == ROOT_MODE_ELE:
-        root = ele_estimate(counts)
-    else:
-        total = counts.sum()
-        if total == 0:
-            raise ValidationError(
-                "no rare tokens in training: relative-frequency root undefined")
-        root = ConditionalDistribution.from_probs(counts / total)
-    return UnknownWordModel(trie, root, policy)
+    return UnknownWordModel(trie, root_estimate(trie.root.tag_counts, root_mode), policy)
 
 
 def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribution:
@@ -84,17 +67,14 @@ def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribu
     """
     if not word:
         raise ValidationError("cannot estimate a distribution for an empty word")
-    chain = []
+    dist = m.root
     node = m.trie.root
     for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
         node = node.children.get(letter)
         if node is None:
             break
         total = node.node_total
-        chain.append((node.tag_counts / total, total))
-    if not chain:
-        return LexicalDistribution(m.root.probs.copy(), frozenset())
-    dist = smooth_linear_chain(chain, m.root)[-1]
+        dist = smooth_step(node.tag_counts / total, dist, total)
     return LexicalDistribution(dist.probs.copy(), frozenset())
 
 

@@ -49,6 +49,11 @@ def _as_prob_array(values) -> np.ndarray:
     return arr
 
 
+def _entropy(p: np.ndarray) -> float:
+    nz = p[p > 0]
+    return max(0.0, float(-(nz * np.log(nz)).sum()))
+
+
 def entropy(probs) -> float:
     """Shannon entropy -sum(p*ln(p)) in nats, with 0*ln(0) = 0."""
     p = _as_prob_array(probs)
@@ -57,8 +62,7 @@ def entropy(probs) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > _SUM_TOL_INPUT:
         raise ValidationError(f"probability vector sums to {total}, not 1")
-    nz = p[p > 0]
-    return max(0.0, float(-(nz * np.log(nz)).sum()))
+    return _entropy(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +83,7 @@ class ConditionalDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > _SUM_TOL_STRICT:
             raise ValidationError(f"probabilities sum to {total}, not 1")
-        nz = p[p > 0]
-        h = max(0.0, float(-(nz * np.log(nz)).sum()))
-        return cls(p, h)
+        return cls(p, _entropy(p))
 
     @property
     def dim(self) -> int:
@@ -144,22 +146,6 @@ def smooth_step(freqs, parent: ConditionalDistribution, context_count: int,
     return ConditionalDistribution.from_probs((s * f + parent.probs) / (s + 1.0))
 
 
-def smooth_linear_chain(chain: Sequence[tuple[np.ndarray, int]],
-                        root: ConditionalDistribution,
-                        scale: float = 1.0) -> list[ConditionalDistribution]:
-    """Fold the smoothing step along most-general-to-most-specific contexts.
-
-    ``chain[k]`` is the (frequency vector, occurrence count) pair of the
-    k-th context; element k of the result estimates its distribution.
-    """
-    out: list[ConditionalDistribution] = []
-    current = root
-    for freqs, count in chain:
-        current = smooth_step(freqs, current, count, scale)
-        out.append(current)
-    return out
-
-
 def smooth_partial(freqs, context_count: int,
                    parents: Sequence[ConditionalDistribution],
                    scale: float = 1.0) -> ConditionalDistribution:
@@ -167,20 +153,22 @@ def smooth_partial(freqs, context_count: int,
 
     The back-off term is the unweighted mean of the parent estimates; the
     weight uses the smallest parent entropy, i.e. the most reliable parent
-    decides how much the raw frequencies are trusted.
+    decides how much the raw frequencies are trusted.  With one parent it
+    equals ``smooth_step``.  ``freqs`` may be None only when the count is 0.
     """
     if not parents:
         raise ValidationError("at least one parent distribution is required")
     dim = parents[0].dim
     if any(p.dim != dim for p in parents):
         raise ValidationError("parent distributions must share one dimension")
+    if freqs is not None or context_count != 0:
+        f = _as_prob_array(freqs)
+        if f.shape[0] != dim:
+            raise ValidationError(f"dimension mismatch: frequencies {f.shape[0]}, parents {dim}")
+        _check_freq_vector(f, context_count)
     mean = np.mean([p.probs for p in parents], axis=0)
     if context_count == 0:
         return ConditionalDistribution.from_probs(mean)
-    f = _as_prob_array(freqs)
-    if f.shape[0] != dim:
-        raise ValidationError(f"dimension mismatch: frequencies {f.shape[0]}, parents {dim}")
-    _check_freq_vector(f, context_count)
     h_min = min(p.entropy_nats for p in parents)
     s = sigma_inverse(context_count, h_min, scale)
     return ConditionalDistribution.from_probs((s * f + mean) / (s + 1.0))
@@ -205,9 +193,9 @@ def smooth_dag(nodes: Iterable[GeneralizationNode],
                scale: float = 1.0) -> dict[Hashable, ConditionalDistribution]:
     """Populate every node of a generalization DAG, parents before children.
 
-    Nodes with a single parent get the plain smoothing step; nodes with
-    several get the partial variant.  The result does not depend on which
-    valid topological order is used.
+    Every node but the root gets the partial smoothing step over its
+    parents, which on a single parent is the plain step.  The result does
+    not depend on which valid topological order is used.
     """
     node_list = list(nodes)
     by_id: dict[Hashable, GeneralizationNode] = {}
@@ -240,13 +228,8 @@ def smooth_dag(nodes: Iterable[GeneralizationNode],
         if not node.parent_ids:
             dist = node.distribution
         else:
-            parents = [results[p] for p in node.parent_ids]
-            dim = parents[0].dim
-            freqs = node.freqs if node.freqs is not None else np.zeros(dim)
-            if len(parents) == 1:
-                dist = smooth_step(freqs, parents[0], node.count, scale)
-            else:
-                dist = smooth_partial(freqs, node.count, parents, scale)
+            dist = smooth_partial(node.freqs, node.count,
+                                  [results[p] for p in node.parent_ids], scale)
         node.distribution = dist
         results[node.node_id] = dist
         for child in children[node.node_id]:
@@ -266,6 +249,19 @@ def ele_estimate(counts) -> ConditionalDistribution:
     if np.any(c < 0):
         raise ValidationError("counts must be nonnegative")
     return ConditionalDistribution.from_probs((c + 0.5) / (c.sum() + 0.5 * c.size))
+
+
+def root_estimate(counts, root_mode: str) -> ConditionalDistribution:
+    """Root of a back-off chain from its count vector: half-count
+    estimation (``ele``) or relative frequencies (``rf``)."""
+    if root_mode not in ROOT_MODES:
+        raise ValidationError(f"unknown root mode {root_mode!r}")
+    if root_mode == ROOT_MODE_ELE:
+        return ele_estimate(counts)
+    total = counts.sum()
+    if total == 0:
+        raise ValidationError("relative-frequency root of zero counts is undefined")
+    return ConditionalDistribution.from_probs(counts / total)
 
 
 @dataclass(frozen=True)
@@ -454,15 +450,7 @@ class SmoothedNGramModel:
 
 def unigram_distribution(counts: NGramCountTable, root_mode: str) -> ConditionalDistribution:
     """Root of every back-off chain: the global tag distribution."""
-    if root_mode not in ROOT_MODES:
-        raise ValidationError(f"unknown root mode {root_mode!r}")
-    vec = counts.outcome_counts(())
-    if root_mode == ROOT_MODE_ELE:
-        return ele_estimate(vec)
-    total = vec.sum()
-    if total == 0:
-        raise ValidationError("cannot take relative frequencies of an empty table")
-    return ConditionalDistribution.from_probs(vec / total)
+    return root_estimate(counts.outcome_counts(()), root_mode)
 
 
 def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
@@ -470,17 +458,16 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     """Smooth every observed context against its strip-the-oldest-tag chain.
 
     Contexts are processed shortest first, so each one's parent (its suffix,
-    one tag shorter) is already estimated.
+    one tag shorter, which ``count_ngrams`` always stores) is already
+    estimated.
     """
-    root = unigram_distribution(counts, root_mode)
-    tables: dict[tuple[int, ...], ConditionalDistribution] = {(): root}
-    model = SmoothedNGramModel(counts.order, counts.num_tags, tables)
+    tables = {(): unigram_distribution(counts, root_mode)}
     for length in range(1, counts.order):
         for ctx in sorted(counts.contexts_of_length(length)):
             total = counts.totals[ctx]
-            parent = model.distribution(ctx[1:])
-            tables[ctx] = smooth_step(counts.counts[ctx] / total, parent, total, sigma_scale)
-    return model
+            tables[ctx] = smooth_step(counts.counts[ctx] / total, tables[ctx[1:]], total,
+                                      sigma_scale)
+    return SmoothedNGramModel(counts.order, counts.num_tags, tables)
 
 
 def interpolated_ngram_model(order: int, num_tags: int,

@@ -202,18 +202,18 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
     rt = runtime if runtime is not None else _DecodeRuntime(m, open_lattice)
     index, log_rows = m.transition.log_table
     n_ctx = m.metadata.order - 1
-    context = [np.zeros(1, dtype=np.intp)] * n_ctx  # state positions' lattices, tag+1
+    context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]  # tag+1
     cells = np.zeros((1,) * n_ctx)
     back = []  # per token: (lattice, argmax over the oldest tag)
     for word in words:
         log_factors, lattice = rt.log_lexical(word)
-        rows = index[np.ix_(*context)]
+        rows = index[tuple(context)]
         scores = log_rows.take(rows, axis=0)[..., lattice]
         scores += cells[..., None]
         scores += log_factors
         back.append((lattice, scores.argmax(axis=0)))
         cells = scores.max(axis=0)
-        context = (context + [lattice + 1])[1:]
+        context = ([c[..., None] for c in context] + [lattice + 1])[1:]  # as np.ix_ shapes
     # Walk back from the best final state, prepending the position each
     # back-pointer array names; the first n_ctx positions are boundaries.
     path = [int(i) for i in np.unravel_index(cells.argmax(), cells.shape)]

@@ -208,9 +208,30 @@ class TestFormatErrors:
             model_from_text("\n".join(lines) + "\n")
 
     def test_non_numeric_count_vector_rejected(self):
-        text = valid_text().replace("the\t12 0 0", "the\ttwelve 0 0", 1)
-        with pytest.raises(ModelFormatError):
-            model_from_text(text)
+        for bad in ("twelve", "99999999999999999999"):  # the second overflows int64
+            text = valid_text().replace("the\t12 0 0", f"the\t{bad} 0 0", 1)
+            with pytest.raises(ModelFormatError):
+                model_from_text(text)
+
+    def test_malformed_counts_rejected(self):
+        # Negative counts, an all-zero lexicon row or trie node, and a trie
+        # node above its parent; loaded, they would decode to NaN scores or
+        # fail only at decode.  The last trie node of ``many`` is row 1210,
+        # past the loader's first block of checked rows.
+        many = model_to_text(train_model(parse_corpus(
+            "".join(f"w{i}\t{'AB'[i % 2]}\n" for i in range(400)) + "\n")))
+        leaf, last = "4\t\t0 0 1\n[unknown_root]", "3\t\t0 1\n[unknown_root]"
+        for text, old, new in (
+                (valid_text(), "the\t12 0 0", "the\t-12 0 0"),
+                (valid_text(), "3\tb\t0 1 0\n4\t\t0 1 0", "3\tb\t0 2 0\n4\t\t-1 2 0"),
+                (valid_text(), "the\t12 0 0", "the\t0 0 0"),
+                (valid_text(), leaf, leaf.replace("0 0 1", "0 0 0")),
+                (valid_text(), leaf, leaf.replace("0 0 1", "0 0 2")),
+                (many, last, last.replace("0 1", "0 0")),
+                (many, last, last.replace("0 1", "0 2"))):
+            assert text.count(old) == 1
+            with pytest.raises(ModelFormatError):
+                model_from_text(text.replace(old, new, 1))
 
     def test_bad_trie_depth_rejected(self):
         lines = valid_text().splitlines()

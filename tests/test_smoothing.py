@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from succabs.corpus import parse_corpus
-from succabs.counts import count_ngrams
+from succabs.counts import RareWordPolicy, SuffixTrie, SuffixTrieNode, count_ngrams
 from succabs.errors import ValidationError
+from succabs.lexicon import build_unknown_word_model
 from succabs.smoothing import (
     ConditionalDistribution,
     GeneralizationNode,
@@ -23,7 +24,6 @@ from succabs.smoothing import (
     sigma_inverse,
     simplex_grid,
     smooth_dag,
-    smooth_linear_chain,
     smooth_partial,
     smooth_step,
     uniform_distribution,
@@ -92,6 +92,7 @@ class TestEntropy:
         for _ in range(100):
             p = random_distribution(rng, int(rng.integers(2, 12)))
             assert entropy(p) == pytest.approx(oracle_entropy(p.tolist()), abs=1e-12)
+            assert entropy(p) == ConditionalDistribution.from_probs(p).entropy_nats
 
 
 class TestConditionalDistribution:
@@ -192,36 +193,13 @@ class TestSmoothStep:
                 gaps = new_gaps
 
 
-class TestSmoothLinearChain:
-    def test_zero_count_chain_returns_root(self):
-        root = uniform_distribution(3)
-        out = smooth_linear_chain([(np.zeros(3), 0)], root)
-        assert out == [root]
-
-    def test_single_step_identity(self):
-        root = uniform_distribution(3)
-        f = np.array([0.5, 0.25, 0.25])
-        chain = smooth_linear_chain([(f, 8)], root)
-        np.testing.assert_array_equal(chain[0].probs, smooth_step(f, root, 8).probs)
-
-    def test_two_level_chain_against_oracle(self):
-        root = uniform_distribution(3)
-        f1, n1 = [0.5, 0.25, 0.25], 4
-        f2, n2 = [1.0, 0.0, 0.0], 1
-        level1 = oracle_step(f1, [1 / 3] * 3, n1)
-        level2 = oracle_step(f2, level1, n2)
-        out = smooth_linear_chain([(np.array(f1), n1), (np.array(f2), n2)], root)
-        np.testing.assert_allclose(out[0].probs, level1, atol=1e-12)
-        np.testing.assert_allclose(out[1].probs, level2, atol=1e-12)
-
-
 class TestSmoothPartial:
     def test_equal_parents_collapse_to_plain_step(self):
         parent = ConditionalDistribution.from_probs([0.5, 0.3, 0.2])
         f = np.array([0.25, 0.25, 0.5])
-        both = smooth_partial(f, 6, [parent, parent])
         single = smooth_step(f, parent, 6)
-        np.testing.assert_allclose(both.probs, single.probs, atol=1e-15)
+        for parents in ([parent], [parent, parent]):
+            np.testing.assert_array_equal(smooth_partial(f, 6, parents).probs, single.probs)
 
     def test_zero_count_gives_parent_mean(self):
         a = ConditionalDistribution.from_probs([0.8, 0.2])
@@ -291,15 +269,16 @@ class TestSmoothDag:
         root = uniform_distribution(3)
         f1 = np.array([0.5, 0.25, 0.25])
         f2 = np.array([1.0, 0.0, 0.0])
-        chain = smooth_linear_chain([(f1, 4), (f2, 1)], root)
+        a = smooth_step(f1, root, 4)
+        b = smooth_step(f2, a, 1)
         nodes = [
             GeneralizationNode("root", (), 100, None, root),
             GeneralizationNode("a", ("root",), 4, f1),
             GeneralizationNode("b", ("a",), 1, f2),
         ]
         result = smooth_dag(nodes)
-        np.testing.assert_allclose(result["a"].probs, chain[0].probs, atol=1e-15)
-        np.testing.assert_allclose(result["b"].probs, chain[1].probs, atol=1e-15)
+        np.testing.assert_allclose(result["a"].probs, a.probs, atol=1e-15)
+        np.testing.assert_allclose(result["b"].probs, b.probs, atol=1e-15)
 
     def test_symmetric_diamond_gives_symmetric_output(self):
         # Two outcomes mirrored through the two middle contexts.
@@ -342,6 +321,18 @@ class TestSmoothDag:
         ]
         with pytest.raises(ValidationError):
             smooth_dag(nodes)
+
+    def test_zero_count_node_with_frequencies_rejected(self):
+        # A node that never occurred cannot have observed frequencies, with
+        # one parent or with several.
+        for parent_ids in (("root",), ("root", "a")):
+            nodes = [
+                GeneralizationNode("root", (), 10, None, uniform_distribution(2)),
+                GeneralizationNode("a", ("root",), 4, np.array([0.75, 0.25])),
+                GeneralizationNode("b", parent_ids, 0, np.array([1.0, 0.0])),
+            ]
+            with pytest.raises(ValidationError):
+                smooth_dag(nodes)
 
     def test_missing_root_distribution_rejected(self):
         with pytest.raises(ValidationError):
@@ -473,6 +464,15 @@ class TestNGramModels:
         model = build_sa_ngram_model(self.counts, root_mode="ele")
         np.testing.assert_allclose(model.root.probs,
                                    [5.5 / 12.5, 4.5 / 12.5, 2.5 / 12.5], atol=1e-15)
+
+    def test_unigram_and_unknown_word_roots_share_one_rule(self):
+        vec = self.counts.outcome_counts(())
+        trie = SuffixTrie(num_tags=3, root=SuffixTrieNode(None, 3))
+        trie.root.tag_counts[:] = vec
+        for mode in ("rf", "ele"):
+            unknown = build_unknown_word_model(trie, RareWordPolicy(), mode)
+            np.testing.assert_array_equal(unigram_distribution(self.counts, mode).probs,
+                                          unknown.root.probs)
 
     def test_order_one_model_is_just_the_root(self):
         counts1 = count_ngrams(self.corpus, 1)
