@@ -13,7 +13,7 @@ from typing import IO, Sequence
 
 from .corpus import Corpus, SynthesisConfig, parse_corpus, synthesize_corpus, write_corpus
 from .counts import RareWordPolicy
-from .errors import SuccabsError
+from .errors import CorpusParseError, SuccabsError
 from .evaluation import compare, evaluate, render_comparison, render_report_kv, \
     render_report_table
 from .model_io import read_model, write_model
@@ -30,9 +30,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _read_lines(stream: IO[str]) -> list[str]:
+    """The lines of a text stream; a byte it cannot decode is a CorpusParseError."""
+    try:
+        return stream.read().split("\n")
+    except UnicodeDecodeError as bad:
+        line = bad.object.count(b"\n", 0, bad.start) + 1
+        raise CorpusParseError(f"not {bad.encoding} text", line) from None
+
+
 def _read_corpus(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus(fh)
+        return parse_corpus(_read_lines(fh))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -65,7 +74,7 @@ def cmd_train(args) -> int:
 
 def _read_sentences(stream: IO[str]) -> list[list[str]]:
     sentences = []
-    for line in stream:
+    for line in _read_lines(stream):
         words = line.split()
         if words:
             sentences.append(words)

@@ -133,10 +133,10 @@ class RareWordPolicy:
 class SuffixTrieNode:
     __slots__ = ("letter", "children", "tag_counts")
 
-    def __init__(self, letter: str | None, num_tags: int):
+    def __init__(self, letter: str | None, tag_counts: np.ndarray):
         self.letter = letter
         self.children: dict[str, SuffixTrieNode] = {}
-        self.tag_counts = np.zeros(num_tags, dtype=np.int64)
+        self.tag_counts = tag_counts
 
     @property
     def node_total(self) -> int:
@@ -177,7 +177,7 @@ def build_suffix_trie(corpus: Corpus, lexicon: Lexicon, policy: RareWordPolicy) 
     """
     m = len(corpus.tag_set)
     index = corpus.tag_set.index
-    trie = SuffixTrie(num_tags=m, root=SuffixTrieNode(None, m))
+    trie = SuffixTrie(num_tags=m, root=SuffixTrieNode(None, np.zeros(m, dtype=np.int64)))
     for sent in corpus.sentences:
         for tok in sent:
             if lexicon.total(tok.word) >= policy.frequency_threshold:
@@ -188,7 +188,7 @@ def build_suffix_trie(corpus: Corpus, lexicon: Lexicon, policy: RareWordPolicy) 
             for letter in reversed_suffix_path(tok.word, policy.max_suffix_length):
                 child = node.children.get(letter)
                 if child is None:
-                    child = SuffixTrieNode(letter, m)
+                    child = SuffixTrieNode(letter, np.zeros(m, dtype=np.int64))
                     node.children[letter] = child
                 node = child
                 node.tag_counts[tag] += 1

@@ -18,14 +18,17 @@ Layout: a magic/version line, then sections, each introduced by a
                          below the root has counts, none above its parent's
     [unknown_root] 1     K probabilities
 
-Counts are non-negative.  Contexts are comma-joined tag indices (-1 is the
-sentence boundary, the empty string the root context).  Probabilities are
-written with 17 significant digits, which round-trips doubles exactly;
-sections are sorted, so identical models serialize byte-identically.
+Counts are non-negative ASCII decimal integers; probabilities are decimal
+floats as ``%.17g`` writes them, which round-trips doubles exactly.  Contexts
+are comma-joined tag indices (-1 is the sentence boundary, the empty string
+the root context).  Sections are sorted, so identical models serialize
+byte-identically.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -44,22 +47,11 @@ from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, SMOOTHING_MODES, Model, Mod
 
 MAGIC = "SUCCABS"
 FORMAT_VERSION = 1
+_BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _fmt_vector(vec) -> str:
-    return " ".join(_fmt(x) for x in vec)
-
-
-def _fmt_int_vector(vec) -> str:
-    return " ".join(str(int(x)) for x in vec)
-
-
-def _fmt_context(ctx: tuple[int, ...]) -> str:
-    return ",".join(str(t) for t in ctx)
 
 
 def _parse_context(text: str) -> tuple[int, ...]:
@@ -79,10 +71,11 @@ def _distribution(probs: np.ndarray, where: str) -> ConditionalDistribution:
 
 
 def _trie_lines(trie: SuffixTrie) -> Iterator[str]:
+    line = "%d\t%s\t" + " ".join(["%d"] * trie.num_tags)
     stack: list[tuple[int, str, SuffixTrieNode]] = [(0, "", trie.root)]
     while stack:
         depth, letter, node = stack.pop()
-        yield f"{depth}\t{letter}\t{_fmt_int_vector(node.tag_counts)}"
+        yield line % (depth, letter, *node.tag_counts.tolist())
         for key in sorted(node.children, reverse=True):
             stack.append((depth + 1, key, node.children[key]))
 
@@ -112,22 +105,25 @@ def model_to_text(model: Model) -> str:
 
     words = sorted(model.lexicon.entries)
     trie_lines = list(_trie_lines(model.unknown_word_model.trie))
+    k = len(model.tag_set)
+    probs = " ".join(["%.17g"] * k)  # one %-format per row shape, for row.tolist()
+    keyed_probs, keyed_counts = "%s\t" + probs, "%s\t" + " ".join(["%d"] * k)
 
     out: list[str] = [f"{MAGIC} {FORMAT_VERSION}"]
     out.append(f"[meta] {len(meta_rows)}")
-    out.extend(f"{k}\t{v}" for k, v in meta_rows)
-    out.append(f"[tags] {len(model.tag_set)}")
+    out.extend(f"{key}\t{value}" for key, value in meta_rows)
+    out.append(f"[tags] {k}")
     out.extend(model.tag_set.tags)
     out.append("[unigram] 1")
-    out.append(_fmt_vector(model.unigram.probs))
+    out.append(probs % tuple(model.unigram.probs.tolist()))
     out.append(f"[{table_section}] {len(table_rows)}")
-    out.extend(f"{_fmt_context(ctx)}\t{_fmt_vector(vec)}" for ctx, vec in table_rows)
+    out.extend(keyed_probs % (",".join(map(str, ctx)), *vec.tolist()) for ctx, vec in table_rows)
     out.append(f"[lexicon] {len(words)}")
-    out.extend(f"{w}\t{_fmt_int_vector(model.lexicon.entries[w])}" for w in words)
+    out.extend(keyed_counts % (w, *model.lexicon.entries[w].tolist()) for w in words)
     out.append(f"[trie] {len(trie_lines)}")
     out.extend(trie_lines)
     out.append("[unknown_root] 1")
-    out.append(_fmt_vector(model.unknown_word_model.root.probs))
+    out.append(probs % tuple(model.unknown_word_model.root.probs.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -169,72 +165,66 @@ def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _parse_probs(text: str, dim: int, where: str) -> np.ndarray:
-    try:
-        vec = np.array([float(x) for x in text.split(" ")], dtype=np.float64)
-    except ValueError:
-        raise ModelFormatError(f"{where}: malformed number") from None
-    if vec.shape[0] != dim:
-        raise ModelFormatError(f"{where}: expected {dim} values, got {vec.shape[0]}")
-    if not np.isfinite(vec).all():
-        raise ModelFormatError(f"{where}: non-finite value")
-    return vec
-
-
-def _parse_int_vector(text: str, dim: int, where: str) -> np.ndarray:
-    try:
-        vec = np.array(text.split(" "), dtype=np.int64)  # numpy applies int() to each
-    except (ValueError, OverflowError):
-        raise ModelFormatError(f"{where}: malformed integer") from None
-    if vec.shape[0] != dim:
-        raise ModelFormatError(f"{where}: expected {dim} values, got {vec.shape[0]}")
-    if "-" in text and vec.min() < 0:  # the sign test skips a numpy call per row
-        raise ModelFormatError(f"{where}: negative count")
-    return vec
+def _parse_blocks(texts: list[str], dtype: type, width: int, where: str) -> Iterator[np.ndarray]:
+    """Rows of space-separated numbers as matrices of at most ``_BLOCK`` rows, which
+    loaded models keep row views of.  Small blocks reuse freed memory: one matrix
+    per section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs."""
+    for lo in range(0, len(texts), _BLOCK):
+        chunk = texts[lo:lo + _BLOCK]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # all-blank rows: "no data"
+                block = np.loadtxt(chunk, dtype=dtype, delimiter=" ", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            block = None
+        if block is None or block.shape != (len(chunk), width):
+            raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} is not "
+                                   f"{width} numbers")
+        if dtype is np.int64 and (block < 0).any():
+            raise ModelFormatError(f"{where}: negative count")
+        if dtype is np.float64 and not np.isfinite(block).all():
+            raise ModelFormatError(f"{where}: non-finite value")
+        yield block
 
 
 def _rebuild_trie(lines: list[str], num_tags: int) -> SuffixTrie:
-    if not lines:
-        raise ModelFormatError("trie section must at least contain the root")
-    root_parts = lines[0].split("\t")
-    if len(root_parts) != 3 or root_parts[0] != "0" or root_parts[1] != "":
-        raise ModelFormatError("trie: first line must be the depth-0 root")
-    root = SuffixTrieNode(None, num_tags)
-    root.tag_counts = _parse_int_vector(root_parts[2], num_tags, "trie root")
-    path = [root]
-    # Each node's counts and its parent's, checked in bulk at the end: numpy
-    # checks per node made loading about 40% slower.
-    below, above = [], []
-    for line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != 3:
+    if not lines or lines[0].split("\t")[:2] != ["0", ""]:
+        raise ModelFormatError("trie: the section must start with the depth-0 root")
+    path: list[SuffixTrieNode] = []
+    # A block at a time, so only one block's split lines and gathered parent
+    # rows exist at once.
+    for lo in range(0, len(lines), _BLOCK):
+        fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
+        if any(len(parts) != 3 for parts in fields):
             raise ModelFormatError("trie: expected three tab-separated fields")
-        try:
-            depth = int(parts[0])
-        except ValueError:
-            raise ModelFormatError(f"trie: malformed depth {parts[0]!r}") from None
-        letter = parts[1]
-        if len(letter) > 1:
-            raise ModelFormatError(f"trie: edge letter {letter!r} is not a single character")
-        if not 1 <= depth <= len(path):
-            raise ModelFormatError(f"trie: depth {depth} does not follow its parent")
-        node = SuffixTrieNode(letter if letter else BOW_LETTER, num_tags)
-        node.tag_counts = _parse_int_vector(parts[2], num_tags, "trie node")
-        parent = path[depth - 1]
-        if node.letter in parent.children:
-            raise ModelFormatError(f"trie: duplicate edge {letter!r}")
-        parent.children[node.letter] = node
-        below.append(node.tag_counts)
-        above.append(parent.tag_counts)
-        del path[depth:]
-        path.append(node)
-    for lo in range(0, len(below), 1024):  # in blocks, so the copies stay small
-        block, parents = np.array(below[lo:lo + 1024]), np.array(above[lo:lo + 1024])
-        if not block.any(axis=1).all():
+        block = next(_parse_blocks([f[2] for f in fields], np.int64, num_tags, "trie"))
+        above = []
+        for (depth_text, letter, _), counts in zip(fields, block):
+            if not path:  # the root
+                path.append(SuffixTrieNode(None, counts))
+                continue
+            try:
+                depth = int(depth_text)
+            except ValueError:
+                raise ModelFormatError(f"trie: malformed depth {depth_text!r}") from None
+            if len(letter) > 1:
+                raise ModelFormatError(f"trie: edge letter {letter!r} is not a single character")
+            if not 1 <= depth <= len(path):
+                raise ModelFormatError(f"trie: depth {depth} does not follow its parent")
+            node = SuffixTrieNode(letter if letter else BOW_LETTER, counts)
+            parent = path[depth - 1]
+            if node.letter in parent.children:
+                raise ModelFormatError(f"trie: duplicate edge {letter!r}")
+            parent.children[node.letter] = node
+            above.append(parent.tag_counts)
+            del path[depth:]
+            path.append(node)
+        below = block[len(block) - len(above):]  # all but the root
+        if above and not below.any(axis=1).all():
             raise ModelFormatError("trie: a node below the root has no counts")
-        if (block > parents).any():
+        if above and (below > np.array(above)).any():
             raise ModelFormatError("trie: a node counts more of a tag than its parent")
-    return SuffixTrie(num_tags=num_tags, root=root)
+    return SuffixTrie(num_tags=num_tags, root=path[0])
 
 
 def model_from_text(text: str) -> Model:
@@ -284,19 +274,21 @@ def model_from_text(text: str) -> Model:
     unigram_lines = reader.section("unigram")
     if len(unigram_lines) != 1:
         raise ModelFormatError("unigram: expected exactly one line")
-    unigram = _distribution(_parse_probs(unigram_lines[0], k, "unigram"), "unigram")
+    unigram = _distribution(next(_parse_blocks(unigram_lines, np.float64, k, "unigram"))[0],
+                            "unigram")
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
+    fields = [_split2(line, table_section) for line in reader.section(table_section)]
+    probs = chain.from_iterable(_parse_blocks([v for _, v in fields], np.float64, k, table_section))
     rows: dict[tuple[int, ...], np.ndarray] = {}
-    for line in reader.section(table_section):
-        ctx_text, vec_text = _split2(line, table_section)
+    for (ctx_text, _), vec in zip(fields, probs):
         ctx = _parse_context(ctx_text)
         if ctx in rows:
             raise ModelFormatError(f"{table_section}: duplicate context {ctx_text!r}")
         if len(ctx) >= order or not all(-1 <= t < k for t in ctx):
             raise ModelFormatError(f"{table_section}: context {ctx_text!r} is longer than "
                                    f"order {order} allows or holds a tag index outside [-1, {k})")
-        rows[ctx] = _parse_probs(vec_text, k, table_section)
+        rows[ctx] = vec
     # Without the root a query can fall through every stored suffix; only
     # half-count tables, which have no back-off rows, may answer uniform then.
     if smoothing != SMOOTHING_ELE and () not in rows:
@@ -314,23 +306,24 @@ def model_from_text(text: str) -> Model:
         transition = SmoothedNGramModel(order, k, {
             ctx: _distribution(vec, table_section) for ctx, vec in rows.items()})
 
-    lexicon = Lexicon(num_tags=k)
-    for line in reader.section("lexicon"):
-        word, vec_text = _split2(line, "lexicon")
-        if word in lexicon.entries:
-            raise ModelFormatError(f"lexicon: duplicate word {word!r}")
-        vec = _parse_int_vector(vec_text, k, "lexicon")
-        lexicon.entries[word] = vec
-        lexicon.totals[word] = int(vec.sum())
-        if lexicon.totals[word] == 0:
-            raise ModelFormatError(f"lexicon: word {word!r} has no tag counts")
+    fields = [_split2(line, "lexicon") for line in reader.section("lexicon")]
+    words = [word for word, _ in fields]
+    blocks = list(_parse_blocks([v for _, v in fields], np.int64, k, "lexicon"))
+    totals = list(chain.from_iterable(block.sum(axis=1).tolist() for block in blocks))
+    lexicon = Lexicon(k, dict(zip(words, chain.from_iterable(blocks))), dict(zip(words, totals)))
+    if len(lexicon.entries) < len(words):
+        ordered = sorted(words)
+        dup = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        raise ModelFormatError(f"lexicon: duplicate word {dup!r}")
+    if 0 in totals:
+        raise ModelFormatError(f"lexicon: word {words[totals.index(0)]!r} has no tag counts")
 
     trie = _rebuild_trie(reader.section("trie"), k)
 
     root_lines = reader.section("unknown_root")
     if len(root_lines) != 1:
         raise ModelFormatError("unknown_root: expected exactly one line")
-    unknown_root = _distribution(_parse_probs(root_lines[0], k, "unknown_root"),
+    unknown_root = _distribution(next(_parse_blocks(root_lines, np.float64, k, "unknown_root"))[0],
                                  "unknown_root")
     unknown = UnknownWordModel(trie, unknown_root, policy)
 
@@ -347,6 +340,11 @@ def write_model(model: Model, path: str) -> None:
 
 
 def read_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        raise ModelFormatError(f"line {line}: not UTF-8 text") from None
     return model_from_text(text)

@@ -257,7 +257,7 @@ def test_criterion_6_synthetic_end_to_end():
     # root alone (same model except for an empty trie).
     no_suffix = Model(
         m3.tag_set, m3.transition, m3.lexicon,
-        UnknownWordModel(SuffixTrie(num_tags=8, root=SuffixTrieNode(None, 8)),
+        UnknownWordModel(SuffixTrie(8, SuffixTrieNode(None, np.zeros(8, dtype=np.int64))),
                          m3.unknown_word_model.root, m3.unknown_word_model.policy),
         m3.unigram, m3.metadata)
     repb = evaluate(test, tag_corpus(no_suffix, words), known)

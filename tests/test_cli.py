@@ -72,6 +72,13 @@ class TestTrain:
                    "--out", str(tmp_path / "m.txt")])
         assert rc == 2
 
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes("a\tT0\n\ncaf\xe9\tT1\n\n".encode("latin-1"))
+        rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        assert "line 3: not utf-8 text" in capsys.readouterr().err
+
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
                             "--order", "2", "--rare-threshold", "3",
@@ -146,6 +153,28 @@ class TestTag:
         rc = main(["tag", "--model", str(bad), "--input", str(inp)])
         assert rc == 2
 
+    def test_non_utf8_model_is_data_error(self, tmp_path, corpus_file, capsys):
+        model = train_default(tmp_path, corpus_file)
+        with open(model, "rb") as fh:
+            data = fh.read()
+        assert data.count(b"\nb\t") == 1  # the lexicon line of "b"
+        line = data[:data.index(b"\nb\t")].count(b"\n") + 2
+        with open(model, "wb") as fh:
+            fh.write(data.replace(b"\nb\t", b"\n\xe9\t"))
+        inp = tmp_path / "input.txt"
+        inp.write_text("a\n", encoding="utf-8")
+        rc = main(["tag", "--model", model, "--input", str(inp)])
+        assert rc == 2
+        assert f"line {line}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, corpus_file, capsys):
+        model = train_default(tmp_path, corpus_file)
+        inp = tmp_path / "input.txt"
+        inp.write_bytes(b"a b\n\xff c\n")
+        rc = main(["tag", "--model", model, "--input", str(inp)])
+        assert rc == 2
+        assert "line 2: not utf-8 text" in capsys.readouterr().err
+
 
 class TestEval:
     def test_kv_format_parses(self, tmp_path, corpus_file, capsys):
@@ -166,6 +195,13 @@ class TestEval:
         out = capsys.readouterr().out
         assert "Error rate (%)" in out
         assert "Tokens" in out
+
+    def test_non_utf8_gold_is_data_error(self, tmp_path, corpus_file):
+        model = train_default(tmp_path, corpus_file)
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"a\tT0\n\xfe\tT1\n")
+        rc = main(["eval", "--model", model, "--gold", str(gold)])
+        assert rc == 2
 
     def test_bad_format_is_usage_error(self, tmp_path, corpus_file):
         model = train_default(tmp_path, corpus_file)

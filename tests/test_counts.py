@@ -205,10 +205,9 @@ class TestBuildSuffixTrie:
         assert high.root.tag_counts[at] == 12
 
     def test_node_total(self):
-        node = SuffixTrieNode("x", 3)
-        node.tag_counts[:] = [1, 2, 3]
+        node = SuffixTrieNode("x", np.array([1, 2, 3]))
         assert node.node_total == 6
 
     def test_empty_trie_iterates_root_only(self):
-        trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, 2))
+        trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64)))
         assert list(trie.iter_nodes()) == [trie.root]

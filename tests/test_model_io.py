@@ -1,7 +1,12 @@
+import contextlib
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
+from succabs.counts import Lexicon, RareWordPolicy
 from succabs.errors import ModelFormatError
 from succabs.lexicon import unknown_word_distribution
 from succabs.model_io import (
@@ -12,6 +17,7 @@ from succabs.model_io import (
     read_model,
     write_model,
 )
+from succabs.smoothing import ConditionalDistribution
 from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
 
 
@@ -216,8 +222,8 @@ class TestFormatErrors:
     def test_malformed_counts_rejected(self):
         # Negative counts, an all-zero lexicon row or trie node, and a trie
         # node above its parent; loaded, they would decode to NaN scores or
-        # fail only at decode.  The last trie node of ``many`` is row 1210,
-        # past the loader's first block of checked rows.
+        # fail only at decode.  ``TestBlockedParse`` makes the same faults
+        # past the loader's first block of rows.
         many = model_to_text(train_model(parse_corpus(
             "".join(f"w{i}\t{'AB'[i % 2]}\n" for i in range(400)) + "\n")))
         leaf, last = "4\t\t0 0 1\n[unknown_root]", "3\t\t0 1\n[unknown_root]"
@@ -268,3 +274,129 @@ class TestFormatErrors:
     def test_read_model_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_model(str(tmp_path / "missing.txt"))
+
+
+@pytest.fixture(scope="module")
+def big_text():
+    # 16 tags at order 4 and 3000 words seen twice each: [transitions],
+    # [lexicon] and [trie] each hold more than 2048 rows, so row 2100 lies
+    # past the loader's first block of rows.
+    tags = np.random.default_rng(5).integers(0, 16, size=6000)
+    lines = [f"w{i % 3000}\tT{t:02d}" + ("\n" if i % 10 == 9 else "")
+             for i, t in enumerate(tags)]
+    return model_to_text(train_model(parse_corpus("\n".join(lines) + "\n"), order=4))
+
+
+def edit_rows(text, section, rows, edit):
+    """Replace the numbers of each given 0-based row of a section by
+    ``edit(numbers)``."""
+    lines = text.split("\n")
+    start = next(i for i, l in enumerate(lines) if l.startswith(f"[{section}] "))
+    for row in rows:
+        assert row < int(lines[start].split(" ")[1])
+        key, sep, numbers = lines[start + 1 + row].rpartition("\t")
+        lines[start + 1 + row] = key + sep + edit(numbers.split(" "))
+    return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def no_warnings():
+    # Recorded, not raised: a warning turned into an error could be caught
+    # inside the loader and pass for a format error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert not caught, [str(w.message) for w in caught]
+
+
+def assert_rejected_without_warnings(text):
+    with no_warnings(), pytest.raises(ModelFormatError):
+        model_from_text(text)
+
+
+class TestBlockedParse:
+    """Every section is parsed in blocks of rows; a fault past the first
+    block must be found like one in it."""
+
+    def test_large_model_round_trips(self, big_text):
+        for section in ("transitions", "lexicon", "trie"):
+            header = next(l for l in big_text.split("\n") if l.startswith(f"[{section}] "))
+            assert int(header.split(" ")[1]) > 2100
+        with no_warnings():
+            assert model_to_text(model_from_text(big_text)) == big_text
+
+    @pytest.mark.parametrize("section", ["lexicon", "trie"])
+    def test_bad_count_row_past_first_block(self, big_text, section):
+        # In the trie, row 2100 or the first begin-of-word leaf after it, so
+        # that a node without counts has no child above it.
+        lines = big_text.split("\n")
+        start = lines.index(next(l for l in lines if l.startswith(f"[{section}] "))) + 1
+        row = next(r for r in range(2100, len(lines))
+                   if section == "lexicon" or lines[start + r].split("\t")[1] == "")
+        edits = [lambda v: " ".join(["1x"] + v[1:]),  # malformed integer
+                 lambda v: " ".join(v[:-1]),  # one number short
+                 lambda v: " ".join(v + ["0"]),  # one number too many
+                 lambda v: "",  # blank, which np.loadtxt would skip
+                 lambda v: " ".join(["-1"] + v[1:]),
+                 lambda v: " ".join(["0"] * len(v))]
+        if section == "trie":
+            edits.append(lambda v: " ".join(["1000000"] + v[1:]))  # above its parent
+        for edit in edits:
+            assert_rejected_without_warnings(edit_rows(big_text, section, [row], edit))
+
+    def test_bad_probability_row_past_first_block(self, big_text):
+        for edit in (lambda v: " ".join(["nan"] + v[1:]),
+                     lambda v: " ".join(["inf"] + v[1:]),
+                     lambda v: " ".join(["-inf"] + v[1:]),
+                     lambda v: " ".join(["0.1.2"] + v[1:]),
+                     lambda v: " ".join(v[:-1])):
+            assert_rejected_without_warnings(edit_rows(big_text, "transitions", [2100], edit))
+
+    def test_all_blank_last_block(self, big_text):
+        # A block of only blank rows makes np.loadtxt warn "no data".  Rows
+        # 2048 to the end fill whole blocks of any power-of-two size up to 2048.
+        assert_rejected_without_warnings(
+            edit_rows(big_text, "lexicon", range(2048, 3000), lambda v: ""))
+
+    def test_one_tag_model(self):
+        model = train_model(parse_corpus("a\tX\nb\tX\n\nb\tX\n\n"))
+        text = model_to_text(model)
+        assert "[unigram] 1\n1\n" in text
+        assert model_to_text(model_from_text(text)) == text
+
+    def test_empty_lexicon(self):
+        model = train_model(small_corpus())
+        text = model_to_text(dataclasses.replace(model, lexicon=Lexicon(num_tags=3)))
+        assert "[lexicon] 0\n[trie]" in text
+        assert model_to_text(model_from_text(text)) == text
+
+    def test_trie_of_only_the_root(self):
+        # No word is rarer than once, so the trie holds only its empty root.
+        model = train_model(small_corpus(), policy=RareWordPolicy(frequency_threshold=1))
+        text = model_to_text(model)
+        assert "[trie] 1\n0\t\t0 0 0\n[unknown_root]" in text
+        assert model_to_text(model_from_text(text)) == text
+
+
+class TestNumberSpellings:
+    """Counts are ASCII decimal integers and probabilities decimal floats.
+    ``int()`` and ``float()`` also took underscores and non-ASCII digits;
+    succabs never writes any of these spellings."""
+
+    def test_count_spellings_rejected(self):
+        text = valid_text()
+        assert text.count("the\t12 0 0\n") == 1
+        for bad, plain in (("1_000", "1000"), ("\u0661\u0662", "12"), ("\uff11\uff12", "12"),
+                           ("0x1", "1"), ("1e3", "1000"), ("1.0", "1")):
+            model_from_text(text.replace("the\t12 0 0", f"the\t{plain} 0 0"))
+            assert_rejected_without_warnings(text.replace("the\t12 0 0", f"the\t{bad} 0 0"))
+
+    def test_probability_spellings_rejected(self):
+        model = train_model(small_corpus())
+        quarter = ConditionalDistribution.from_probs([0.25, 0.25, 0.5])
+        text = model_to_text(dataclasses.replace(model, unigram=quarter))
+        assert text.count("[unigram] 1\n0.25 ") == 1
+        model_from_text(text)
+        for bad in ("0x1p-2", "0.2_5", "\u0660.\u0662\u0665"):
+            assert_rejected_without_warnings(
+                text.replace("[unigram] 1\n0.25 ", f"[unigram] 1\n{bad} "))

@@ -467,8 +467,7 @@ class TestNGramModels:
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
         vec = self.counts.outcome_counts(())
-        trie = SuffixTrie(num_tags=3, root=SuffixTrieNode(None, 3))
-        trie.root.tag_counts[:] = vec
+        trie = SuffixTrie(num_tags=3, root=SuffixTrieNode(None, vec.copy()))
         for mode in ("rf", "ele"):
             unknown = build_unknown_word_model(trie, RareWordPolicy(), mode)
             np.testing.assert_array_equal(unigram_distribution(self.counts, mode).probs,

@@ -46,7 +46,8 @@ def hand_built_bigram_model():
     lexicon = Lexicon(num_tags=2,
                       entries={"w1": np.array([9, 1]), "w2": np.array([2, 8])},
                       totals={"w1": 10, "w2": 10})
-    unknown = UnknownWordModel(SuffixTrie(num_tags=2, root=SuffixTrieNode(None, 2)),
+    empty_trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64)))
+    unknown = UnknownWordModel(empty_trie,
                                uniform_distribution(2), RareWordPolicy())
     meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
                          sigma_scale=1.0, corpus_digest="0" * 64)
@@ -145,7 +146,7 @@ class TestViterbi:
         lexicon = Lexicon(num_tags=2, entries={"w": np.array([5, 5])},
                           totals={"w": 10})
         unknown = UnknownWordModel(
-            SuffixTrie(num_tags=2, root=SuffixTrieNode(None, 2)),
+            SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64))),
             uniform_distribution(2), RareWordPolicy())
         meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
                              sigma_scale=1.0, corpus_digest="0" * 64)
