@@ -40,7 +40,9 @@ def _read_lines(stream: IO[str]) -> list[str]:
 
 
 def _read_corpus(path: str) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
+    # No newline translation: the parser splits at LF and drops one CR
+    # before it, so a CR anywhere else is the parse error it is in a string.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_corpus(_read_lines(fh))
 
 

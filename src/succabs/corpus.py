@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -65,37 +66,100 @@ class TaggedToken:
             raise ValidationError(f"token word {self.word!r} contains whitespace control characters")
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Immutable list of sentences over a fixed tag set."""
+    """Immutable tagged sentences over a fixed tag set, held as id columns.
 
-    sentences: tuple[tuple[TaggedToken, ...], ...]
-    tag_set: TagSet
+    ``word_ids`` and ``tag_ids`` hold one entry per token: ``vocab[word_ids[i]]``
+    is token i's word, with ``vocab`` in first-occurrence order, and
+    ``tag_set.tags[tag_ids[i]]`` its tag.  Sentence s is tokens
+    ``offsets[s]:offsets[s + 1]``.  ``sentences`` is a view of the same
+    tokens as ``TaggedToken`` tuples, built on first access unless the
+    corpus was constructed from it.
+    """
 
-    def __post_init__(self):
-        for sent in self.sentences:
+    def __init__(self, sentences: Sequence[Sequence[TaggedToken]], tag_set: TagSet):
+        sentences = tuple(map(tuple, sentences))
+        index = tag_set.index
+        vocab: dict[str, int] = {}
+        word_ids: list[int] = []
+        tag_ids: list[int] = []
+        offsets = [0]
+        for sent in sentences:
             if not sent:
                 raise ValidationError("corpus must not contain empty sentences")
             for tok in sent:
-                if tok.tag not in self.tag_set:
+                tag = index.get(tok.tag)
+                if tag is None:
                     raise ValidationError(f"tag {tok.tag!r} not in tag set")
+                tag_ids.append(tag)
+                word_ids.append(vocab.setdefault(tok.word, len(vocab)))
+            offsets.append(len(tag_ids))
+        self._set_columns(tag_set, tuple(vocab), word_ids, tag_ids, offsets)
+        self.__dict__["sentences"] = sentences
+
+    @classmethod
+    def _from_columns(cls, tag_set: TagSet, vocab: tuple[str, ...], word_ids, tag_ids,
+                      offsets) -> "Corpus":
+        """A corpus over already validated columns."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(tag_set, vocab, word_ids, tag_ids, offsets)
+        return corpus
+
+    def _set_columns(self, tag_set, vocab, word_ids, tag_ids, offsets) -> None:
+        columns = {"word_ids": word_ids, "tag_ids": tag_ids, "offsets": offsets}
+        for name, values in columns.items():
+            array = np.asarray(values, dtype=np.int64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "tag_set", tag_set)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Corpus.{name}: a corpus is immutable")
+
+    @cached_property
+    def sentences(self) -> tuple[tuple[TaggedToken, ...], ...]:
+        words = [self.vocab[i] for i in self.word_ids.tolist()]
+        tags = self.tag_set.tags
+        tokens = [TaggedToken(w, tags[t]) for w, t in zip(words, self.tag_ids.tolist())]
+        bounds = self.offsets.tolist()
+        return tuple(tuple(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def num_sentences(self) -> int:
-        return len(self.sentences)
+        return len(self.offsets) - 1
 
     @property
     def num_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return int(self.offsets[-1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.tag_set == other.tag_set and self.vocab == other.vocab
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.word_ids, other.word_ids)
+                and np.array_equal(self.tag_ids, other.tag_ids))
+
+    def __hash__(self) -> int:
+        return hash((self.tag_set, self.vocab, self.num_tokens))
+
+    def __repr__(self) -> str:
+        return (f"Corpus({self.num_sentences} sentences, {self.num_tokens} tokens, "
+                f"{len(self.tag_set)} tags)")
 
 
-def _iter_clean_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
-    lines = source.splitlines() if isinstance(source, str) else source
-    for line in lines:
-        line = line.rstrip("\n")
-        if line.endswith("\r"):
-            line = line[:-1]
-        yield line
+def _source_lines(source: str | IO[str] | Iterable[str]) -> list[str]:
+    """The source's lines: text is split at LF only, whatever holds it, and
+    an iterable gives one line per item."""
+    if isinstance(source, str):
+        return source.split("\n")
+    if hasattr(source, "read"):
+        return source.read().split("\n")
+    return list(source)
+
+
+_BLANK, _COMMENT = -1, -2
 
 
 def parse_corpus(source: str | IO[str] | Iterable[str],
@@ -104,35 +168,61 @@ def parse_corpus(source: str | IO[str] | Iterable[str],
 
     When `declared_tags` is given it is used verbatim as the tag set and
     every observed tag must belong to it; otherwise the tag set is the
-    lexicographically sorted set of observed tags.
+    lexicographically sorted set of observed tags.  A line loses one
+    trailing LF (an iterable's items may keep theirs) and then one
+    trailing CR; a CR or LF left in a word or tag is an error.
     """
     declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
-    sentences: list[tuple[TaggedToken, ...]] = []
-    current: list[TaggedToken] = []
-    observed: set[str] = set()
-
-    for lineno, line in enumerate(_iter_clean_lines(source), start=1):
+    lines = _source_lines(source)
+    # Most lines of a corpus repeat, so each distinct line is checked once.
+    distinct = dict.fromkeys(lines)
+    vocab: dict[str, int] = {}
+    tags: dict[str, int] = dict(declared.index) if declared is not None else {}
+    word_of = [_BLANK] * len(distinct)
+    tag_of = [_BLANK] * len(distinct)
+    errors: dict[int, str] = {}
+    for i, line in enumerate(distinct):
+        distinct[line] = i
+        if line.endswith("\n"):
+            line = line[:-1]
+        if line.endswith("\r"):
+            line = line[:-1]
         if line.startswith("#"):
+            word_of[i] = _COMMENT
             continue
-        if line == "":
-            if current:
-                sentences.append(tuple(current))
-                current = []
+        if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise CorpusParseError(
-                f"expected exactly two tab-separated non-empty fields, got {line!r}", lineno)
+            errors[i] = f"expected exactly two tab-separated non-empty fields, got {line!r}"
+            continue
         word, tag = fields
-        if declared is not None and tag not in declared:
-            raise CorpusParseError(f"tag {tag!r} not in declared tag set", lineno)
-        observed.add(tag)
-        current.append(TaggedToken(word, tag))
-    if current:
-        sentences.append(tuple(current))
+        if "\r" in line or "\n" in line:
+            errors[i] = f"CR or LF inside a word or tag: {line!r}"
+        elif declared is not None and tag not in declared:
+            errors[i] = f"tag {tag!r} not in declared tag set"
+        else:
+            word_of[i] = vocab.setdefault(word, len(vocab))
+            tag_of[i] = tags.setdefault(tag, len(tags))
 
-    tag_set = declared if declared is not None else TagSet(tuple(sorted(observed)))
-    return Corpus(tuple(sentences), tag_set)
+    line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
+    if errors:
+        first = np.flatnonzero(np.isin(line_ids, list(errors)))[0]
+        raise CorpusParseError(errors[int(line_ids[first])], int(first) + 1)
+    word_of = np.array(word_of, dtype=np.int64)[line_ids]
+    tag_of = np.array(tag_of, dtype=np.int64)[line_ids]
+    kept = word_of != _COMMENT  # a comment line neither holds a token nor ends a sentence
+    word_of, tag_of = word_of[kept], tag_of[kept]
+    is_token = word_of >= 0
+    starts = is_token & ~np.concatenate(([False], is_token[:-1]))
+    offsets = np.append(np.flatnonzero(starts[is_token]), np.count_nonzero(is_token))
+    tag_ids = tag_of[is_token]
+    if declared is not None:
+        tag_set = declared
+    else:
+        tag_set = TagSet(tuple(sorted(tags)))
+        tag_ids = np.array([tag_set.index[t] for t in tags], dtype=np.int64)[tag_ids]
+    return Corpus._from_columns(tag_set, tuple(vocab), word_of[is_token], tag_ids, offsets)
 
 
 def write_corpus(corpus: Corpus) -> str:
@@ -141,10 +231,20 @@ def write_corpus(corpus: Corpus) -> str:
     Re-parsing the result with the corpus's own tag set declared yields an
     equal Corpus.
     """
-    blocks = ["\n".join(f"{t.word}\t{t.tag}" for t in sent) for sent in corpus.sentences]
-    if not blocks:
+    if corpus.num_tokens == 0:
         return ""
-    return "\n\n".join(blocks) + "\n"
+    # Token i is its word's "word<TAB>" then its tag's "tag<LF>", with a
+    # second LF after the last token of every sentence but the last.
+    words = np.array([w + "\t" for w in corpus.vocab], dtype=object)
+    k = len(corpus.tag_set)
+    tags = np.array([t + "\n" for t in corpus.tag_set.tags]
+                    + [t + "\n\n" for t in corpus.tag_set.tags], dtype=object)
+    tag_cell = corpus.tag_ids.copy()
+    tag_cell[corpus.offsets[1:-1] - 1] += k
+    cells = np.empty((corpus.num_tokens, 2), dtype=object)
+    cells[:, 0] = words[corpus.word_ids]
+    cells[:, 1] = tags[tag_cell]
+    return "".join(cells.ravel().tolist())
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .counts import NGramCountTable
+from .counts import NGramCountTable, context_keys, encode_contexts
 from .corpus import Corpus
 from .errors import ValidationError
 
@@ -354,33 +354,32 @@ def interpolation_loglik_objective(counts: NGramCountTable,
                                    heldout: Corpus) -> Callable[[tuple[float, ...]], float]:
     """Held-out log-likelihood of gold tag sequences under interpolation.
 
-    The per-token per-order relative frequencies are gathered once, so each
-    weight evaluation is a cheap vectorized pass.  The held-out corpus must
+    The per-token per-order relative frequencies are gathered once, by one
+    sorted key lookup per context length, so each weight evaluation is a
+    cheap vectorized pass.  The held-out corpus must
     share the tag set the counts were gathered over.
     """
-    from .counts import BOUNDARY  # local import keeps module load order flat
-
-    order = counts.order
-    index = heldout.tag_set.index
-    freq_rows: list[np.ndarray] = []
-    depths: list[int] = []
-    for sent in heldout.sentences:
-        padded = [BOUNDARY] * (order - 1) + [index[t.tag] for t in sent]
-        for i in range(order - 1, len(padded)):
-            outcome = padded[i]
-            row = np.zeros(order)
-            depth = 0
-            for k in range(1, order + 1):
-                ctx = tuple(padded[i - k + 1:i])
-                total = counts.totals.get(ctx, 0)
-                if total == 0:
-                    break
-                depth = k
-                row[k - 1] = counts.counts[ctx][outcome] / total
-            freq_rows.append(row)
-            depths.append(depth)
-    freqs = np.array(freq_rows) if freq_rows else np.zeros((0, order))
-    depth_col = np.array(depths, dtype=np.int64) - 1
+    order, m = counts.order, counts.num_tags
+    if len(heldout.tag_set) != m:
+        raise ValidationError(f"held-out corpus has {len(heldout.tag_set)} tags, the counts {m}")
+    outcome = heldout.tag_ids
+    freqs = np.zeros((heldout.num_tokens, order))
+    depth = np.zeros(heldout.num_tokens, dtype=np.int64)
+    seen = np.ones(heldout.num_tokens, dtype=bool)  # this order and every shorter one
+    for length, keys in enumerate(context_keys(heldout, order)):
+        contexts = [ctx for ctx, total in counts.totals.items() if len(ctx) == length and total]
+        if not contexts:
+            break
+        stored = encode_contexts(contexts, length, m, order)
+        by_key = np.argsort(stored)
+        at = by_key[np.searchsorted(stored, keys, sorter=by_key).clip(max=len(contexts) - 1)]
+        seen &= stored[at] == keys
+        hit = np.flatnonzero(seen)
+        rows = np.array([counts.counts[ctx] for ctx in contexts], dtype=np.int64)
+        totals = np.array([counts.totals[ctx] for ctx in contexts], dtype=np.int64)
+        freqs[hit, length] = rows[at[hit], outcome[hit]] / totals[at[hit]]
+        depth += seen
+    depth_col = depth - 1
 
     def objective(lam: tuple[float, ...]) -> float:
         w = np.asarray(lam, dtype=np.float64)

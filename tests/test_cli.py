@@ -79,6 +79,13 @@ class TestTrain:
         assert rc == 2
         assert "line 3: not utf-8 text" in capsys.readouterr().err
 
+    def test_cr_inside_corpus_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "cr.tsv"
+        bad.write_bytes(b"a\tT0\r\n\r\nb\rc\tT1\r\n")
+        rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        assert "line 3: CR or LF inside a word or tag" in capsys.readouterr().err
+
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
                             "--order", "2", "--rare-threshold", "3",

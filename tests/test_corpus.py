@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,117 @@ class TestParseCorpus:
         import io
         corpus = parse_corpus(io.StringIO("a\tX\nb\tY\n\n"))
         assert corpus.num_tokens == 2
+
+
+def parse_or_error_line(source):
+    try:
+        return parse_corpus(source)
+    except CorpusParseError as err:
+        return err.line
+
+
+def each_source(text, tmp_path):
+    """The same text as a str, a text stream, a file read without newline
+    translation, and lists of lines with and without their LFs."""
+    path = tmp_path / "corpus.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_file = parse_or_error_line(fh)
+    return [parse_or_error_line(text), parse_or_error_line(io.StringIO(text)), from_file,
+            parse_or_error_line(text.split("\n")),
+            parse_or_error_line(io.StringIO(text).readlines())]
+
+
+class TestLineSplitting:
+    def test_every_source_splits_at_lf_only(self, tmp_path):
+        # str.splitlines() would also break at each of these characters.
+        texts = [
+            "a\u2028b\tX\nc\tY\n\n",
+            "a\x0bb\tX\n\nc\x0cd\tY\n",
+            "w\x85\tX\r\n# c\x1co\x1dm\x1e\nv\tY\r\n",
+            "a b\tX\u2028c\tY\n\n",
+            "a\tX\n\nb\tY\x0bc\tZ\n",
+        ]
+        for text in texts:
+            results = each_source(text, tmp_path)
+            assert all(r == results[0] for r in results[1:]), (text, results)
+        assert parse_corpus(texts[0]).sentences[0][0].word == "a\u2028b"
+        assert each_source(texts[3], tmp_path)[0] == 1
+        assert each_source(texts[4], tmp_path)[0] == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("a\rb\tX\n", 1),
+        ("a\tX\rY\n", 1),
+        ("a\tX\n\nb\tY\n\u2028c\rd\tX\r\n", 4),
+        ("a\tX\n# note\nb\tX\rY\r\n", 3),
+    ])
+    def test_cr_inside_word_or_tag_is_a_parse_error(self, text, line, tmp_path):
+        assert each_source(text, tmp_path) == [line] * 5
+        with pytest.raises(CorpusParseError, match="CR or LF"):
+            parse_corpus(text)
+
+    def test_crlf_and_lf_parse_alike(self):
+        assert parse_corpus("a\tX\r\nb\tY\r\n\r\nc\tX\r\n") == \
+            parse_corpus("a\tX\nb\tY\n\nc\tX\n")
+
+
+def reference_parse_corpus(source, declared_tags=None):
+    """The line-by-line parser the columnar one replaced, as it read a text
+    stream, kept as the reference; it returns (word, tag) tuples per
+    sentence and the tag set instead of a Corpus."""
+    declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
+    sentences = []
+    current = []
+    observed = set()
+    for lineno, line in enumerate(source, start=1):
+        line = line.rstrip("\n")
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line.startswith("#"):
+            continue
+        if line == "":
+            if current:
+                sentences.append(tuple(current))
+                current = []
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise CorpusParseError(
+                f"expected exactly two tab-separated non-empty fields, got {line!r}", lineno)
+        word, tag = fields
+        if declared is not None and tag not in declared:
+            raise CorpusParseError(f"tag {tag!r} not in declared tag set", lineno)
+        observed.add(tag)
+        current.append((word, tag))
+    if current:
+        sentences.append(tuple(current))
+    tag_set = declared if declared is not None else TagSet(tuple(sorted(observed)))
+    return [list(s) for s in sentences], tag_set
+
+
+class TestParseAgainstLineReference:
+    def test_random_texts_parse_or_fail_alike(self):
+        # Comments, runs of blank lines, CRLF endings, repeated lines and,
+        # now and then, a malformed or undeclared line.
+        rng = np.random.default_rng(77)
+        pool = ["a\tX", "b\tY", "a\tY", "c c\tX", "d\tZ", "", "", "# note", "#\tX",
+                "\tX", "a\t", "a", "a\tX\tY", "a\tW"]
+        for i in range(300):
+            picks = rng.integers(len(pool) - (5 if i % 3 else 0), size=int(rng.integers(0, 12)))
+            lines = [pool[j] + ("\r" if rng.random() < 0.3 else "") for j in picks]
+            text = "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+            declared = ("X", "Y", "Z") if i % 2 else None
+            try:
+                expect = reference_parse_corpus(io.StringIO(text), declared)
+            except CorpusParseError as err:
+                with pytest.raises(CorpusParseError) as got:
+                    parse_corpus(text, declared)
+                assert (got.value.line, str(got.value)) == (err.line, str(err)), text
+                continue
+            corpus = parse_corpus(text, declared)
+            assert [[(t.word, t.tag) for t in s] for s in corpus.sentences] == expect[0], text
+            assert corpus.tag_set == expect[1]
+            assert corpus.num_tokens == sum(len(s) for s in expect[0])
 
 
 class TestWriteCorpus:

@@ -1,7 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
+from succabs.corpus import (
+    Corpus,
+    SynthesisConfig,
+    TaggedToken,
+    TagSet,
+    parse_corpus,
+    synthesize_corpus,
+    write_corpus,
+)
 from succabs.counts import (
     BOUNDARY,
     BOW_LETTER,
@@ -17,6 +27,7 @@ from succabs.counts import (
     reversed_suffix_path,
 )
 from succabs.errors import ValidationError
+from succabs.tagger import corpus_digest
 
 
 class TestCountNgrams:
@@ -211,3 +222,164 @@ class TestBuildSuffixTrie:
     def test_empty_trie_iterates_root_only(self):
         trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64)))
         assert list(trie.iter_nodes()) == [trie.root]
+
+
+# The token-by-token functions the array ones replaced, kept verbatim as the
+# reference they must match cell by cell.
+def reference_count_ngrams(corpus, order):
+    if order < 1:
+        raise ValidationError("n-gram order must be at least 1")
+    if corpus.num_sentences == 0:
+        raise ValidationError("cannot count n-grams of an empty corpus")
+    m = len(corpus.tag_set)
+    index = corpus.tag_set.index
+    table = NGramCountTable(order=order, num_tags=m)
+    for sent in corpus.sentences:
+        padded = [BOUNDARY] * (order - 1) + [index[t.tag] for t in sent]
+        for i in range(order - 1, len(padded)):
+            outcome = padded[i]
+            for k in range(1, order + 1):
+                ctx = tuple(padded[i - k + 1:i])
+                vec = table.counts.get(ctx)
+                if vec is None:
+                    vec = np.zeros(m, dtype=np.int64)
+                    table.counts[ctx] = vec
+                vec[outcome] += 1
+    for ctx, vec in table.counts.items():
+        table.totals[ctx] = int(vec.sum())
+    return table
+
+
+def reference_build_lexicon(corpus):
+    m = len(corpus.tag_set)
+    index = corpus.tag_set.index
+    lex = Lexicon(num_tags=m)
+    for sent in corpus.sentences:
+        for tok in sent:
+            vec = lex.entries.get(tok.word)
+            if vec is None:
+                vec = np.zeros(m, dtype=np.int64)
+                lex.entries[tok.word] = vec
+            vec[index[tok.tag]] += 1
+    for word, vec in lex.entries.items():
+        lex.totals[word] = int(vec.sum())
+    return lex
+
+
+def reference_build_suffix_trie(corpus, lexicon, policy):
+    m = len(corpus.tag_set)
+    index = corpus.tag_set.index
+    trie = SuffixTrie(num_tags=m, root=SuffixTrieNode(None, np.zeros(m, dtype=np.int64)))
+    for sent in corpus.sentences:
+        for tok in sent:
+            if lexicon.total(tok.word) >= policy.frequency_threshold:
+                continue
+            tag = index[tok.tag]
+            node = trie.root
+            node.tag_counts[tag] += 1
+            for letter in reversed_suffix_path(tok.word, policy.max_suffix_length):
+                child = node.children.get(letter)
+                if child is None:
+                    child = SuffixTrieNode(letter, np.zeros(m, dtype=np.int64))
+                    node.children[letter] = child
+                node = child
+                node.tag_counts[tag] += 1
+    return trie
+
+
+def reference_write_corpus(corpus):
+    blocks = ["\n".join(f"{t.word}\t{t.tag}" for t in sent) for sent in corpus.sentences]
+    if not blocks:
+        return ""
+    return "\n\n".join(blocks) + "\n"
+
+
+# Letters include non-ASCII ones, a code point outside the BMP and a NUL,
+# so words are not plain byte strings.
+_LETTERS = ["a", "b", "c", "é", "ß", "\U0001f600", "\x00"]
+
+
+def random_corpus(rng, via_text):
+    """A seeded corpus of one- to six-token sentences over 2-5 tags, one of
+    them declared but never used, with words of 1 to 14 letters."""
+    num_tags = int(rng.integers(2, 6))
+    tags = [f"T{i}" for i in range(num_tags)]
+    vocab = sorted({"".join(_LETTERS[j] for j in rng.integers(len(_LETTERS),
+                                                              size=int(rng.integers(1, 15))))
+                    for _ in range(int(rng.integers(3, 30)))})
+    sentences = []
+    for _ in range(int(rng.integers(1, 25))):
+        n = int(rng.integers(1, 7))
+        sentences.append([(vocab[int(rng.integers(len(vocab)))],
+                           tags[int(rng.integers(num_tags - 1))]) for _ in range(n)])
+    tag_set = TagSet(tuple(tags))
+    if via_text:
+        text = "\n\n".join("\n".join(f"{w}\t{t}" for w, t in s) for s in sentences) + "\n"
+        return parse_corpus(text, declared_tags=tags)
+    return Corpus(tuple(tuple(TaggedToken(w, t) for w, t in s) for s in sentences), tag_set)
+
+
+def assert_same_table(got, expect):
+    assert (got.order, got.num_tags) == (expect.order, expect.num_tags)
+    assert got.counts.keys() == expect.counts.keys()
+    for ctx, vec in expect.counts.items():
+        assert got.counts[ctx].dtype == vec.dtype
+        np.testing.assert_array_equal(got.counts[ctx], vec)
+    assert got.totals == expect.totals
+
+
+def assert_same_trie_node(got, expect):
+    assert got.letter == expect.letter
+    assert got.tag_counts.dtype == expect.tag_counts.dtype
+    np.testing.assert_array_equal(got.tag_counts, expect.tag_counts)
+    assert got.children.keys() == expect.children.keys()
+    for letter, child in expect.children.items():
+        assert_same_trie_node(got.children[letter], child)
+
+
+class TestAgainstTokenReference:
+    def test_counts_lexicon_and_trie_equal_cell_by_cell(self):
+        rng = np.random.default_rng(606)
+        for i in range(120):
+            corpus = random_corpus(rng, via_text=i % 2 == 0)
+            for order in (1, 2, 3, 4):
+                assert_same_table(count_ngrams(corpus, order),
+                                  reference_count_ngrams(corpus, order))
+            lex, ref_lex = build_lexicon(corpus), reference_build_lexicon(corpus)
+            assert list(lex.entries) == list(ref_lex.entries)
+            for word, vec in ref_lex.entries.items():
+                assert lex.entries[word].dtype == vec.dtype
+                np.testing.assert_array_equal(lex.entries[word], vec)
+            assert lex.totals == ref_lex.totals
+            # Threshold 1 leaves no word rare, so the trie is its root alone;
+            # a depth of 3 cuts most words short.
+            policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
+                                    max_suffix_length=int(rng.choice([1, 3, 10])))
+            trie = build_suffix_trie(corpus, lex, policy)
+            assert_same_trie_node(trie.root,
+                                  reference_build_suffix_trie(corpus, ref_lex, policy).root)
+            if policy.frequency_threshold == 1:
+                assert list(trie.iter_nodes()) == [trie.root]
+
+    def test_orders_past_64_bit_context_keys(self):
+        rng = np.random.default_rng(7)
+        corpus = random_corpus(rng, via_text=True)
+        k = len(corpus.tag_set)
+        order = 2
+        while (k + 1) ** (order - 1) * k < 2 ** 63:
+            order += 1
+        assert_same_table(count_ngrams(corpus, order), reference_count_ngrams(corpus, order))
+
+    def test_orders_past_the_corpus_length(self):
+        corpus = parse_corpus("a\tX\nb\tY\nc\tX\n\nd\tY\n", ("X", "Y", "Z"))
+        for order in range(1, 10):
+            assert_same_table(count_ngrams(corpus, order), reference_count_ngrams(corpus, order))
+
+    def test_write_and_digest_match_and_reparse(self):
+        rng = np.random.default_rng(11)
+        for i in range(40):
+            corpus = random_corpus(rng, via_text=i % 2 == 0)
+            text = write_corpus(corpus)
+            assert text == reference_write_corpus(corpus)
+            assert corpus_digest(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert parse_corpus(text, corpus.tag_set.tags) == corpus

@@ -553,3 +553,82 @@ class TestLoglikObjective:
                     expect += math.log(model.distribution(ctx).probs[t])
                     ctx = (ctx[1], t)
             assert objective(lam) == pytest.approx(expect, abs=1e-9)
+
+
+def reference_loglik_objective(counts, heldout):
+    """The per-token objective the array one replaced, kept verbatim as the
+    reference whose values it must equal."""
+    from succabs.counts import BOUNDARY  # local import keeps module load order flat
+
+    order = counts.order
+    index = heldout.tag_set.index
+    freq_rows: list[np.ndarray] = []
+    depths: list[int] = []
+    for sent in heldout.sentences:
+        padded = [BOUNDARY] * (order - 1) + [index[t.tag] for t in sent]
+        for i in range(order - 1, len(padded)):
+            outcome = padded[i]
+            row = np.zeros(order)
+            depth = 0
+            for k in range(1, order + 1):
+                ctx = tuple(padded[i - k + 1:i])
+                total = counts.totals.get(ctx, 0)
+                if total == 0:
+                    break
+                depth = k
+                row[k - 1] = counts.counts[ctx][outcome] / total
+            freq_rows.append(row)
+            depths.append(depth)
+    freqs = np.array(freq_rows) if freq_rows else np.zeros((0, order))
+    depth_col = np.array(depths, dtype=np.int64) - 1
+
+    def objective(lam: tuple[float, ...]) -> float:
+        w = np.asarray(lam, dtype=np.float64)
+        rows = np.arange(freqs.shape[0])
+        num = np.cumsum(freqs * w, axis=1)[rows, depth_col]
+        den = np.cumsum(w)[depth_col]
+        ok = den > 0
+        p = np.where(ok, np.divide(num, den, out=np.zeros_like(num), where=ok), freqs[:, 0])
+        if np.any(p <= 0):
+            return -math.inf
+        return float(np.log(p).sum())
+
+    return objective
+
+
+def random_tagged_text(rng, tags, tokens):
+    blocks, total = [], 0
+    while total < tokens:
+        n = int(rng.integers(1, 7))
+        blocks.append("\n".join(f"w{int(rng.integers(9))}\t{tags[int(rng.integers(len(tags)))]}"
+                                for _ in range(n)))
+        total += n
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestLoglikObjectiveAgainstReference:
+    def test_equal_over_the_whole_grid(self):
+        # Little training text, so held-out contexts go unseen at every
+        # depth; in the first round the held-out text also has a tag that
+        # training never saw, which makes every weight's value -inf.
+        rng = np.random.default_rng(404)
+        declared = ("A", "B", "C", "D")
+        finite = 0
+        for i in range(8):
+            train = parse_corpus(random_tagged_text(rng, declared[:3], 40), declared)
+            heldout = parse_corpus(
+                random_tagged_text(rng, declared[:4 if i == 0 else 3], 30), declared)
+            for order in (1, 2, 3, 4):
+                counts = count_ngrams(train, order)
+                got = interpolation_loglik_objective(counts, heldout)
+                expect = reference_loglik_objective(counts, heldout)
+                for lam in simplex_grid(order, 0.05):
+                    value = expect(lam)
+                    assert got(lam) == value, (i, order, lam)
+                    finite += math.isfinite(value)
+        assert finite > 1000
+
+    def test_tag_set_mismatch_rejected(self):
+        counts = count_ngrams(parse_corpus("a\tX\n"), 2)
+        with pytest.raises(ValidationError):
+            interpolation_loglik_objective(counts, parse_corpus("a\tX\nb\tY\n"))
