@@ -24,6 +24,18 @@ BOUNDARY = -1
 # path.  The empty string can never collide with a real character.
 BOW_LETTER = ""
 
+# Letter codes on a trie path: BOW_CODE for the begin-of-word marker, else
+# code point + 1, so codes sort as the letters do.
+BOW_CODE = 0
+_LETTER_CODES = sys.maxunicode + 2
+
+
+def letter_codes(letters: list[str]) -> np.ndarray:
+    """The code of each letter, each one character or ``BOW_LETTER``."""
+    codes = np.array(letters, dtype="<U1").view(np.uint32).astype(np.int64) + 1
+    codes[np.fromiter(map(len, letters), dtype=np.int64, count=len(letters)) == 0] = BOW_CODE
+    return codes
+
 
 @dataclass
 class NGramCountTable:
@@ -157,19 +169,6 @@ class RareWordPolicy:
             raise ValidationError("rare-word policy values must be positive")
 
 
-class SuffixTrieNode:
-    __slots__ = ("letter", "children", "tag_counts")
-
-    def __init__(self, letter: str | None, tag_counts: np.ndarray):
-        self.letter = letter
-        self.children: dict[str, SuffixTrieNode] = {}
-        self.tag_counts = tag_counts
-
-    @property
-    def node_total(self) -> int:
-        return int(self.tag_counts.sum())
-
-
 @dataclass
 class SuffixTrie:
     """Tree over reversed word suffixes, each node pooling tag counts.
@@ -177,17 +176,41 @@ class SuffixTrie:
     A word contributes along root -> last letter -> ... -> first letter ->
     begin-of-word marker, truncated to the policy's maximum depth.  The root
     aggregates the whole rare-word subcorpus.
+
+    Node ids are rows in preorder, row 0 the root, with siblings in
+    ascending letter order (the begin-of-word marker first).  ``counts`` is
+    the read-only (nodes, K) matrix of tag counts; ``depths``, ``codes``
+    (the edge letter into each node, as ``letter_codes`` spells it) and
+    ``parents`` (-1 for the root) hold one entry per node.
     """
 
-    num_tags: int
-    root: SuffixTrieNode
+    counts: np.ndarray
+    depths: np.ndarray
+    codes: np.ndarray
+    parents: np.ndarray
+    # Integer keys, parent id * _LETTER_CODES + code: unlike tuples, ints are
+    # not tracked by the garbage collector, so building the map starts no
+    # collection pass over the caller's heap.
+    _children: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def iter_nodes(self) -> Iterator[SuffixTrieNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
+    def __post_init__(self):
+        self.counts.flags.writeable = False
+        self._children = dict(zip((self.parents[1:] * _LETTER_CODES + self.codes[1:]).tolist(),
+                                  range(1, len(self.codes))))
+
+    def iter_nodes(self) -> Iterator[int]:
+        """Every node id, in preorder."""
+        return iter(range(len(self.codes)))
+
+    def child(self, node: int, letter: str) -> int | None:
+        """The node below ``node`` along ``letter`` (``BOW_LETTER`` for the
+        begin-of-word marker), or None."""
+        return self._children.get(node * _LETTER_CODES
+                                  + (ord(letter) + 1 if letter else BOW_CODE))
+
+    def letters(self) -> list[str]:
+        """Each node's edge letter; the root's and the marker's are empty."""
+        return [chr(c - 1) if c != BOW_CODE else BOW_LETTER for c in self.codes.tolist()]
 
 
 def reversed_suffix_path(word: str, max_edges: int) -> list[str]:
@@ -196,9 +219,65 @@ def reversed_suffix_path(word: str, max_edges: int) -> list[str]:
     return (list(reversed(word)) + [BOW_LETTER])[:max_edges]
 
 
-# Letter codes on a trie path: the begin-of-word marker, or code point + 1.
-_BOW_CODE = 0
-_LETTER_CODES = sys.maxunicode + 2
+def _suffix_nodes(words: list[str], depth: int) -> tuple[np.ndarray, ...]:
+    """Number the trie's nodes a depth at a time from the root's 0, one per
+    distinct (parent, letter code) pair.  Returns each word's node at each
+    depth (-1 past its path), and each node's parent, letter code and depth."""
+    # One row of letter codes per word along its path; a row shorter than
+    # the depth ends with the marker, after which its codes are unused.
+    reversed_words = np.array([w[::-1][:depth] for w in words], dtype=f"<U{depth}")
+    letters = reversed_words.view(np.uint32).reshape(len(words), depth).astype(np.int64) + 1
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    letters[np.arange(depth) >= lengths[:, None]] = BOW_CODE
+    path_lengths = np.minimum(lengths + 1, depth)
+
+    word_nodes = np.full((len(words), depth + 1), -1, dtype=np.int64)
+    word_nodes[:, 0] = 0
+    parents, codes = [np.array([-1])], [np.array([BOW_CODE])]
+    size = 1
+    for d in range(depth):
+        live = np.flatnonzero(path_lengths > d)
+        if live.size == 0:
+            break
+        keys, ids = np.unique(word_nodes[live, d] * _LETTER_CODES + letters[live, d],
+                              return_inverse=True)
+        word_nodes[live, d + 1] = ids + size
+        parents.append(keys // _LETTER_CODES)
+        codes.append(keys % _LETTER_CODES)
+        size += len(keys)
+    depths = np.repeat(np.arange(len(parents)), [len(p) for p in parents])
+    return word_nodes, np.concatenate(parents), np.concatenate(codes), depths
+
+
+def _preorder(parent: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Each node's position in preorder, siblings in ascending letter order.
+
+    Ids run a depth at a time, and within a depth in (parent, letter) order,
+    so a node's position is its parent's, plus one, plus the subtree sizes
+    of its earlier siblings.
+    """
+    bounds = np.searchsorted(depths, np.arange(depths[-1] + 2)).tolist()
+    levels = list(zip(bounds[1:-1], bounds[2:]))  # the id range of each depth below the root
+    size = np.ones(len(parent), dtype=np.int64)
+    for lo, hi in reversed(levels):
+        np.add.at(size, parent[lo:hi], size[lo:hi])
+    position = np.zeros(len(parent), dtype=np.int64)
+    for lo, hi in levels:
+        level, up = size[lo:hi], parent[lo:hi]
+        before = np.cumsum(level) - level  # sizes of this depth's earlier nodes
+        position[lo:hi] = position[up] + 1 + before - before[np.searchsorted(up, up)]
+    return position
+
+
+def _pooled_counts(rows: np.ndarray, word_nodes: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Per node, the sum of the count rows of the words through it."""
+    word, tag = np.nonzero(rows)
+    nodes = word_nodes[word]
+    on = nodes >= 0
+    counts = np.zeros((len(rank), rows.shape[1]), dtype=np.int64)
+    np.add.at(counts, (rank[nodes[on]], np.broadcast_to(tag[:, None], nodes.shape)[on]),
+              np.broadcast_to(rows[word, tag][:, None], nodes.shape)[on])
+    return counts
 
 
 def build_suffix_trie(corpus: Corpus, lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
@@ -206,38 +285,17 @@ def build_suffix_trie(corpus: Corpus, lexicon: Lexicon, policy: RareWordPolicy) 
 
     Counts are of token occurrences, not word types: a node holds the sum
     of the lexicon rows of the rare words whose path passes through it, so
-    the lexicon must have been built from the same corpus.  The nodes are
-    made a depth at a time, one per distinct (parent, letter) pair.
+    the lexicon must have been built from the same corpus.
     """
     m = len(corpus.tag_set)
-    depth = policy.max_suffix_length
     rare = [w for w in lexicon.entries if lexicon.total(w) < policy.frequency_threshold]
-    rows = np.array([lexicon.entries[w] for w in rare], dtype=np.int64).reshape(len(rare), m)
-    root = SuffixTrieNode(None, rows.sum(axis=0))
-    # One row of letter codes per rare word along its path; a row shorter
-    # than the depth ends with the marker, after which its codes are unused.
-    reversed_words = np.array([w[::-1][:depth] for w in rare], dtype=f"<U{depth}")
-    letters = reversed_words.view(np.uint32).reshape(len(rare), depth).astype(np.int64) + 1
-    lengths = np.array([len(w) for w in rare], dtype=np.int64)
-    letters[np.arange(depth) >= lengths[:, None]] = _BOW_CODE
-    path_lengths = np.minimum(lengths + 1, depth)
-
-    word, tag = np.nonzero(rows)  # the nonzero cells of the rare words' rows
-    cell_counts = rows[word, tag]
-    node = np.zeros(len(rare), dtype=np.int64)  # each word's node at the current depth
-    level = [root]
-    for d in range(depth):
-        live = np.flatnonzero(path_lengths > d)
-        if live.size == 0:
-            break
-        keys, node[live] = np.unique(node[live] * _LETTER_CODES + letters[live, d],
-                                     return_inverse=True)
-        on = path_lengths[word] > d
-        counts = np.zeros(len(keys) * m, dtype=np.int64)
-        np.add.at(counts, node[word[on]] * m + tag[on], cell_counts[on])
-        above, level = level, [
-            SuffixTrieNode(chr(code - 1) if code != _BOW_CODE else BOW_LETTER, vec)
-            for code, vec in zip((keys % _LETTER_CODES).tolist(), counts.reshape(-1, m))]
-        for up, child in zip((keys // _LETTER_CODES).tolist(), level):
-            above[up].children[child.letter] = child
-    return SuffixTrie(num_tags=m, root=root)
+    word_nodes, parent, code, depths = _suffix_nodes(rare, policy.max_suffix_length)
+    rank = _preorder(parent, depths)
+    order = np.empty_like(rank)
+    order[rank] = np.arange(len(rank))
+    counts = _pooled_counts(
+        np.array([lexicon.entries[w] for w in rare], dtype=np.int64).reshape(len(rare), m),
+        word_nodes, rank)
+    parents = rank[parent[order]]
+    parents[0] = -1
+    return SuffixTrie(counts, depths[order], code[order], parents)

@@ -17,7 +17,13 @@ import numpy as np
 
 from .counts import Lexicon, RareWordPolicy, SuffixTrie, reversed_suffix_path
 from .errors import ValidationError
-from .smoothing import ROOT_MODE_ELE, ConditionalDistribution, root_estimate, smooth_step
+from .smoothing import (
+    ROOT_MODE_ELE,
+    ROOT_MODE_RF,
+    ConditionalDistribution,
+    root_estimate,
+    smooth_step,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,13 @@ class UnknownWordModel:
 
 def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
                              root_mode: str = ROOT_MODE_ELE) -> UnknownWordModel:
-    return UnknownWordModel(trie, root_estimate(trie.root.tag_counts, root_mode), policy)
+    root_counts = trie.counts[0]
+    if root_mode == ROOT_MODE_RF and not root_counts.any():
+        raise ValidationError(
+            f"no word is rarer than the rare threshold ({policy.frequency_threshold}), so the "
+            "unknown-word model has no counts for a relative-frequency root; raise "
+            "--rare-threshold or use --root-mode ele")
+    return UnknownWordModel(trie, root_estimate(root_counts, root_mode), policy)
 
 
 def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribution:
@@ -67,14 +79,16 @@ def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribu
     """
     if not word:
         raise ValidationError("cannot estimate a distribution for an empty word")
+    trie = m.trie
     dist = m.root
-    node = m.trie.root
+    node = 0
     for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
-        node = node.children.get(letter)
+        node = trie.child(node, letter)
         if node is None:
             break
-        total = node.node_total
-        dist = smooth_step(node.tag_counts / total, dist, total)
+        counts = trie.counts[node]
+        total = int(counts.sum())
+        dist = smooth_step(counts / total, dist, total)
     return LexicalDistribution(dist.probs.copy(), frozenset())
 
 

@@ -13,15 +13,19 @@ Layout: a magic/version line, then sections, each introduced by a
                          estimator but half-count stores the root context
     [lexicon] n          word TAB integer tag counts, not all zero
     [trie] n             depth TAB edge letter TAB integer tag counts,
-                         preorder; depth 0 is the root, an empty letter at
-                         depth >= 1 is the begin-of-word marker; a node
-                         below the root has counts, none above its parent's
+                         preorder with siblings in ascending letter order;
+                         depth 0 is the root, an empty letter at depth >= 1
+                         is the begin-of-word marker, which has no children;
+                         no node is deeper than max_suffix; a node below the
+                         root has counts, none above its parent's
     [unknown_root] 1     K probabilities
 
 Counts are non-negative ASCII decimal integers; probabilities are decimal
 floats as ``%.17g`` writes them, which round-trips doubles exactly.  Contexts
 are comma-joined tag indices (-1 is the sentence boundary, the empty string
-the root context).  Sections are sorted, so identical models serialize
+the root context).  Sections are sorted, and the loader requires
+strictly ascending keys (a context's length, then its tag indices; the word;
+the edge letter among siblings), so identical models serialize
 byte-identically.
 """
 
@@ -34,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import TagSet
-from .counts import BOW_LETTER, Lexicon, RareWordPolicy, SuffixTrie, SuffixTrieNode
+from .counts import BOW_CODE, Lexicon, RareWordPolicy, SuffixTrie, letter_codes
 from .errors import ModelFormatError, ValidationError
 from .lexicon import UnknownWordModel
 from .smoothing import (
@@ -70,14 +74,25 @@ def _distribution(probs: np.ndarray, where: str) -> ConditionalDistribution:
         raise ModelFormatError(f"{where}: {bad}") from None
 
 
-def _trie_lines(trie: SuffixTrie) -> Iterator[str]:
-    line = "%d\t%s\t" + " ".join(["%d"] * trie.num_tags)
-    stack: list[tuple[int, str, SuffixTrieNode]] = [(0, "", trie.root)]
-    while stack:
-        depth, letter, node = stack.pop()
-        yield line % (depth, letter, *node.tag_counts.tolist())
-        for key in sorted(node.children, reverse=True):
-            stack.append((depth + 1, key, node.children[key]))
+def _count_lines(prefixes: list[str], matrix: np.ndarray) -> list[str]:
+    """Each prefix followed by its matrix row of integer counts, as one
+    ``"%d"`` per cell would write it.  Count rows are mostly zeros, so each
+    nonzero cell is one piece holding the run of ``"0 "`` before it, and
+    the zeros after a row's last nonzero cell are one run."""
+    row, col = np.nonzero(matrix)
+    gap = col.copy()
+    same_row = row[1:] == row[:-1]
+    gap[1:][same_row] -= col[:-1][same_row] + 1
+    zeros = ["0 " * n for n in range(matrix.shape[1] + 1)]
+    pieces = [f"{zeros[g]}{v} " for g, v in zip(gap.tolist(), matrix[row, col].tolist())]
+    bounds = np.searchsorted(row, np.arange(len(prefixes) + 1))
+    last = np.full(len(prefixes), -1, dtype=np.int64)
+    filled = bounds[1:] > bounds[:-1]
+    last[filled] = col[bounds[1:][filled] - 1]
+    tails = (matrix.shape[1] - 1 - last).tolist()
+    bounds = bounds.tolist()
+    return [(prefix + "".join(pieces[lo:hi]) + zeros[tail])[:-1]
+            for prefix, lo, hi, tail in zip(prefixes, bounds, bounds[1:], tails)]
 
 
 def model_to_text(model: Model) -> str:
@@ -104,10 +119,10 @@ def model_to_text(model: Model) -> str:
     table_rows.sort(key=lambda item: (len(item[0]), item[0]))
 
     words = sorted(model.lexicon.entries)
-    trie_lines = list(_trie_lines(model.unknown_word_model.trie))
+    trie = model.unknown_word_model.trie
     k = len(model.tag_set)
     probs = " ".join(["%.17g"] * k)  # one %-format per row shape, for row.tolist()
-    keyed_probs, keyed_counts = "%s\t" + probs, "%s\t" + " ".join(["%d"] * k)
+    keyed_probs = "%s\t" + probs
 
     out: list[str] = [f"{MAGIC} {FORMAT_VERSION}"]
     out.append(f"[meta] {len(meta_rows)}")
@@ -119,9 +134,11 @@ def model_to_text(model: Model) -> str:
     out.append(f"[{table_section}] {len(table_rows)}")
     out.extend(keyed_probs % (",".join(map(str, ctx)), *vec.tolist()) for ctx, vec in table_rows)
     out.append(f"[lexicon] {len(words)}")
-    out.extend(keyed_counts % (w, *model.lexicon.entries[w].tolist()) for w in words)
-    out.append(f"[trie] {len(trie_lines)}")
-    out.extend(trie_lines)
+    out.extend(_count_lines([w + "\t" for w in words], np.array(
+        [model.lexicon.entries[w] for w in words], dtype=np.int64).reshape(len(words), k)))
+    out.append(f"[trie] {len(trie.depths)}")
+    out.extend(_count_lines([f"{d}\t{letter}\t" for d, letter in
+                             zip(trie.depths.tolist(), trie.letters())], trie.counts))
     out.append("[unknown_root] 1")
     out.append(probs % tuple(model.unknown_word_model.root.probs.tolist()))
     return "\n".join(out) + "\n"
@@ -152,7 +169,10 @@ class _SectionReader:
             raise ModelFormatError(f"line {self.pos}: bad section header {header!r}") from None
         if count < 0:
             raise ModelFormatError(f"line {self.pos}: negative section size")
-        return [self.take() for _ in range(count)]
+        if self.pos + count > len(self.lines):
+            raise ModelFormatError(f"line {len(self.lines) + 1}: unexpected end of file")
+        self.pos += count
+        return self.lines[self.pos - count:self.pos]
 
     def finished(self) -> bool:
         return self.pos == len(self.lines)
@@ -165,10 +185,12 @@ def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _parse_blocks(texts: list[str], dtype: type, width: int, where: str) -> Iterator[np.ndarray]:
+def _parse_blocks(texts: list[str], dtype: type, width: int, where: str,
+                  first_row: int = 0) -> Iterator[np.ndarray]:
     """Rows of space-separated numbers as matrices of at most ``_BLOCK`` rows, which
     loaded models keep row views of.  Small blocks reuse freed memory: one matrix
-    per section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs."""
+    per section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs.
+    Errors number the rows from ``first_row``, the section row of ``texts[0]``."""
     for lo in range(0, len(texts), _BLOCK):
         chunk = texts[lo:lo + _BLOCK]
         try:
@@ -178,7 +200,8 @@ def _parse_blocks(texts: list[str], dtype: type, width: int, where: str) -> Iter
         except (ValueError, UserWarning):
             block = None
         if block is None or block.shape != (len(chunk), width):
-            raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} is not "
+            row = first_row + lo
+            raise ModelFormatError(f"{where}: a row among {row + 1}-{row + len(chunk)} is not "
                                    f"{width} numbers")
         if dtype is np.int64 and (block < 0).any():
             raise ModelFormatError(f"{where}: negative count")
@@ -187,44 +210,59 @@ def _parse_blocks(texts: list[str], dtype: type, width: int, where: str) -> Iter
         yield block
 
 
-def _rebuild_trie(lines: list[str], num_tags: int) -> SuffixTrie:
+def _rebuild_trie(lines: list[str], num_tags: int, max_depth: int) -> SuffixTrie:
+    n = len(lines)
     if not lines or lines[0].split("\t")[:2] != ["0", ""]:
         raise ModelFormatError("trie: the section must start with the depth-0 root")
-    path: list[SuffixTrieNode] = []
-    # A block at a time, so only one block's split lines and gathered parent
-    # rows exist at once.
-    for lo in range(0, len(lines), _BLOCK):
+    counts = np.empty((n, num_tags), dtype=np.int64)
+    depths = np.empty(n, dtype=np.int64)
+    letters: list[str] = []
+    # A block at a time, so only one block's split lines exist at once.
+    for lo in range(0, n, _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
         if any(len(parts) != 3 for parts in fields):
             raise ModelFormatError("trie: expected three tab-separated fields")
-        block = next(_parse_blocks([f[2] for f in fields], np.int64, num_tags, "trie"))
-        above = []
-        for (depth_text, letter, _), counts in zip(fields, block):
-            if not path:  # the root
-                path.append(SuffixTrieNode(None, counts))
-                continue
-            try:
-                depth = int(depth_text)
-            except ValueError:
-                raise ModelFormatError(f"trie: malformed depth {depth_text!r}") from None
-            if len(letter) > 1:
-                raise ModelFormatError(f"trie: edge letter {letter!r} is not a single character")
-            if not 1 <= depth <= len(path):
-                raise ModelFormatError(f"trie: depth {depth} does not follow its parent")
-            node = SuffixTrieNode(letter if letter else BOW_LETTER, counts)
-            parent = path[depth - 1]
-            if node.letter in parent.children:
-                raise ModelFormatError(f"trie: duplicate edge {letter!r}")
-            parent.children[node.letter] = node
-            above.append(parent.tag_counts)
-            del path[depth:]
-            path.append(node)
-        below = block[len(block) - len(above):]  # all but the root
-        if above and not below.any(axis=1).all():
+        depth_texts, block_letters, count_texts = zip(*fields)
+        try:
+            depths[lo:lo + len(fields)] = [int(text) for text in depth_texts]
+        except (ValueError, OverflowError):
+            raise ModelFormatError(f"trie: malformed depth among rows {lo + 1}-"
+                                   f"{lo + len(fields)}") from None
+        letters.extend(block_letters)
+        counts[lo:lo + len(fields)] = next(_parse_blocks(list(count_texts), np.int64, num_tags,
+                                                         "trie", lo))
+
+    if (depths[1:] < 1).any() or (depths[1:] > depths[:-1] + 1).any():
+        raise ModelFormatError("trie: a node's depth does not follow its parent")
+    if depths.max() > max_depth:
+        raise ModelFormatError(f"trie: a node is deeper than max_suffix {max_depth}")
+    long_letter = next((letter for letter in letters if len(letter) > 1), None)
+    if long_letter is not None:
+        raise ModelFormatError(f"trie: edge letter {long_letter!r} is not a single character")
+    codes = letter_codes(letters)  # these order as the writer sorts siblings
+
+    # A node's parent is the last earlier node one level up.
+    parent = np.full(n, -1, dtype=np.int64)
+    for d in range(1, int(depths.max()) + 1):
+        up, at = np.flatnonzero(depths == d - 1), np.flatnonzero(depths == d)
+        parent[at] = up[np.searchsorted(up, at) - 1]
+    if ((codes[parent[1:]] == BOW_CODE) & (parent[1:] != 0)).any():
+        raise ModelFormatError("trie: a node lies below a begin-of-word marker")
+    siblings = np.argsort(parent[1:], kind="stable") + 1
+    same = parent[siblings[1:]] == parent[siblings[:-1]]
+    step = codes[siblings[1:]] - codes[siblings[:-1]]
+    if (same & (step == 0)).any():
+        raise ModelFormatError(f"trie: duplicate edge "
+                               f"{letters[siblings[1:][same & (step == 0)][0]]!r}")
+    if (same & (step < 0)).any():
+        raise ModelFormatError("trie: siblings are not in ascending letter order")
+    for lo in range(1, n, _BLOCK):
+        below = counts[lo:lo + _BLOCK]
+        if not below.any(axis=1).all():
             raise ModelFormatError("trie: a node below the root has no counts")
-        if above and (below > np.array(above)).any():
+        if (below > counts[parent[lo:lo + _BLOCK]]).any():
             raise ModelFormatError("trie: a node counts more of a tag than its parent")
-    return SuffixTrie(num_tags=num_tags, root=path[0])
+    return SuffixTrie(counts, depths, codes, parent)
 
 
 def model_from_text(text: str) -> Model:
@@ -281,10 +319,15 @@ def model_from_text(text: str) -> Model:
     fields = [_split2(line, table_section) for line in reader.section(table_section)]
     probs = chain.from_iterable(_parse_blocks([v for _, v in fields], np.float64, k, table_section))
     rows: dict[tuple[int, ...], np.ndarray] = {}
+    previous: tuple[int, tuple[int, ...]] | None = None
     for (ctx_text, _), vec in zip(fields, probs):
         ctx = _parse_context(ctx_text)
         if ctx in rows:
             raise ModelFormatError(f"{table_section}: duplicate context {ctx_text!r}")
+        if previous is not None and (len(ctx), ctx) < previous:
+            raise ModelFormatError(f"{table_section}: context {ctx_text!r} is out of order; "
+                                   "rows are sorted by length, then by tag indices")
+        previous = (len(ctx), ctx)
         if len(ctx) >= order or not all(-1 <= t < k for t in ctx):
             raise ModelFormatError(f"{table_section}: context {ctx_text!r} is longer than "
                                    f"order {order} allows or holds a tag index outside [-1, {k})")
@@ -315,10 +358,14 @@ def model_from_text(text: str) -> Model:
         ordered = sorted(words)
         dup = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
         raise ModelFormatError(f"lexicon: duplicate word {dup!r}")
+    out_of_order = next((b for a, b in zip(words, words[1:]) if b < a), None)
+    if out_of_order is not None:
+        raise ModelFormatError(f"lexicon: word {out_of_order!r} is out of order; "
+                               "rows are sorted by word")
     if 0 in totals:
         raise ModelFormatError(f"lexicon: word {words[totals.index(0)]!r} has no tag counts")
 
-    trie = _rebuild_trie(reader.section("trie"), k)
+    trie = _rebuild_trie(reader.section("trie"), k, policy.max_suffix_length)
 
     root_lines = reader.section("unknown_root")
     if len(root_lines) != 1:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
-from succabs.counts import SuffixTrie, SuffixTrieNode, count_ngrams
+from succabs.counts import SuffixTrie, count_ngrams
 from succabs.errors import ValidationError
 from succabs.evaluation import (
     SignificanceQuery,
@@ -257,7 +257,8 @@ def test_criterion_6_synthetic_end_to_end():
     # root alone (same model except for an empty trie).
     no_suffix = Model(
         m3.tag_set, m3.transition, m3.lexicon,
-        UnknownWordModel(SuffixTrie(8, SuffixTrieNode(None, np.zeros(8, dtype=np.int64))),
+        UnknownWordModel(SuffixTrie(np.zeros((1, 8), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                    np.zeros(1, dtype=np.int64), np.array([-1])),
                          m3.unknown_word_model.root, m3.unknown_word_model.policy),
         m3.unigram, m3.metadata)
     repb = evaluate(test, tag_corpus(no_suffix, words), known)

@@ -86,6 +86,17 @@ class TestTrain:
         assert rc == 2
         assert "line 3: CR or LF inside a word or tag" in capsys.readouterr().err
 
+    def test_rf_root_without_rare_words_is_data_error(self, tmp_path, capsys):
+        # Every word occurs 10 times, so none is under the default threshold.
+        corpus = tmp_path / "common.tsv"
+        corpus.write_text("a\tX\nb\tY\n\n" * 10, encoding="utf-8")
+        rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.txt"),
+                   "--root-mode", "rf"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no word is rarer than the rare threshold (10)" in err
+        assert "--rare-threshold" in err and "--root-mode ele" in err
+
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
                             "--order", "2", "--rare-threshold", "3",

@@ -19,7 +19,6 @@ from succabs.counts import (
     NGramCountTable,
     RareWordPolicy,
     SuffixTrie,
-    SuffixTrieNode,
     build_lexicon,
     build_suffix_trie,
     context_count,
@@ -157,33 +156,29 @@ class TestBuildSuffixTrie:
         trie = build_suffix_trie(corpus, lex, RareWordPolicy())
         nn = corpus.tag_set.index_of("NN")
         # Root pools every rare token.
-        assert trie.root.tag_counts[nn] == 2
+        assert trie.counts[0, nn] == 2
         # "t" and "ta" prefixes of both reversed words share counts.
-        t_node = trie.root.children["t"]
-        assert t_node.tag_counts[nn] == 2
-        ta_node = t_node.children["a"]
-        assert ta_node.tag_counts[nn] == 2
+        assert trie.counts[walk(trie, "t"), nn] == 2
+        assert trie.counts[walk(trie, "ta"), nn] == 2
         # Then the paths split on "c" vs "b".
-        assert ta_node.children["c"].tag_counts[nn] == 1
-        assert ta_node.children["b"].tag_counts[nn] == 1
+        assert trie.counts[walk(trie, "tac"), nn] == 1
+        assert trie.counts[walk(trie, "tab"), nn] == 1
 
     def test_frequent_words_excluded(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(corpus, lex, RareWordPolicy())
         at = corpus.tag_set.index_of("AT")
-        assert trie.root.tag_counts[at] == 0
-        assert "e" not in trie.root.children
+        assert trie.counts[0, at] == 0
+        assert trie.child(0, "e") is None
 
     def test_bow_marker_terminates_full_words(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(corpus, lex, RareWordPolicy())
-        node = trie.root
-        for letter in ["t", "a", "c", BOW_LETTER]:
-            node = node.children[letter]
-        assert node.tag_counts[corpus.tag_set.index_of("NN")] == 1
-        assert not node.children
+        node = walk(trie, ["t", "a", "c", BOW_LETTER])
+        assert trie.counts[node, corpus.tag_set.index_of("NN")] == 1
+        assert not child_ids(trie, node)
 
     def test_child_counts_never_exceed_parent(self):
         train = synthesize_corpus(SynthesisConfig(num_tags=4, vocab_size=120,
@@ -192,19 +187,19 @@ class TestBuildSuffixTrie:
         lex = build_lexicon(train)
         trie = build_suffix_trie(train, lex, RareWordPolicy())
         for node in trie.iter_nodes():
-            child_sum = sum(c.tag_counts for c in node.children.values())
-            if node.children:
-                assert np.all(np.asarray(child_sum) <= node.tag_counts)
+            children = child_ids(trie, node)
+            if children:
+                assert np.all(trie.counts[children].sum(axis=0) <= trie.counts[node])
 
     def test_max_suffix_limits_depth(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(corpus, lex, RareWordPolicy(max_suffix_length=2))
         def depth(node):
-            if not node.children:
+            if not child_ids(trie, node):
                 return 0
-            return 1 + max(depth(c) for c in node.children.values())
-        assert depth(trie.root) <= 2
+            return 1 + max(depth(c) for c in child_ids(trie, node))
+        assert depth(0) <= 2
 
     def test_raising_threshold_adds_words(self):
         corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["cat\tNN"]) + "\n\n")
@@ -212,16 +207,33 @@ class TestBuildSuffixTrie:
         low = build_suffix_trie(corpus, lex, RareWordPolicy(frequency_threshold=10))
         high = build_suffix_trie(corpus, lex, RareWordPolicy(frequency_threshold=20))
         at = corpus.tag_set.index_of("AT")
-        assert low.root.tag_counts[at] == 0
-        assert high.root.tag_counts[at] == 12
+        assert low.counts[0, at] == 0
+        assert high.counts[0, at] == 12
 
     def test_node_total(self):
-        node = SuffixTrieNode("x", np.array([1, 2, 3]))
-        assert node.node_total == 6
+        # A node's total, the context count of its smoothing step, is its row sum.
+        corpus = self.corpus_with_rare_words()
+        trie = build_suffix_trie(corpus, build_lexicon(corpus), RareWordPolicy())
+        assert [int(trie.counts[walk(trie, path)].sum())
+                for path in ("", "t", "ta", "tac", "tab")] == [2, 2, 2, 1, 1]
 
     def test_empty_trie_iterates_root_only(self):
-        trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64)))
-        assert list(trie.iter_nodes()) == [trie.root]
+        trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                          np.zeros(1, dtype=np.int64), np.array([-1]))
+        assert list(trie.iter_nodes()) == [0]
+
+
+def walk(trie, letters):
+    """The id of the node reached from the root along the given letters."""
+    node = 0
+    for letter in letters:
+        node = trie.child(node, letter)
+        assert node is not None
+    return node
+
+
+def child_ids(trie, node):
+    return np.flatnonzero(trie.parents == node).tolist()
 
 
 # The token-by-token functions the array ones replaced, kept verbatim as the
@@ -266,25 +278,51 @@ def reference_build_lexicon(corpus):
     return lex
 
 
+class ReferenceNode:
+    """A node of the object trie the flat arrays replaced."""
+
+    def __init__(self, letter, tag_counts):
+        self.letter = letter
+        self.children = {}
+        self.tag_counts = tag_counts
+
+
 def reference_build_suffix_trie(corpus, lexicon, policy):
+    """The object trie, built token by token; returns its root node."""
     m = len(corpus.tag_set)
     index = corpus.tag_set.index
-    trie = SuffixTrie(num_tags=m, root=SuffixTrieNode(None, np.zeros(m, dtype=np.int64)))
+    root = ReferenceNode(None, np.zeros(m, dtype=np.int64))
     for sent in corpus.sentences:
         for tok in sent:
             if lexicon.total(tok.word) >= policy.frequency_threshold:
                 continue
             tag = index[tok.tag]
-            node = trie.root
+            node = root
             node.tag_counts[tag] += 1
             for letter in reversed_suffix_path(tok.word, policy.max_suffix_length):
                 child = node.children.get(letter)
                 if child is None:
-                    child = SuffixTrieNode(letter, np.zeros(m, dtype=np.int64))
+                    child = ReferenceNode(letter, np.zeros(m, dtype=np.int64))
                     node.children[letter] = child
                 node = child
                 node.tag_counts[tag] += 1
-    return trie
+    return root
+
+
+def flatten_reference(root):
+    """The object trie's nodes in preorder, siblings in sorted letter order,
+    as the model file writes them: counts, depths, letters and parent ids."""
+    counts, depths, letters, parents = [], [], [], []
+    stack = [(root, 0, "", -1)]
+    while stack:
+        node, depth, letter, parent = stack.pop()
+        parents.append(parent)
+        stack.extend((node.children[key], depth + 1, key, len(counts))
+                     for key in sorted(node.children, reverse=True))
+        counts.append(node.tag_counts)
+        depths.append(depth)
+        letters.append(letter)
+    return np.array(counts), np.array(depths, dtype=np.int64), letters, parents
 
 
 def reference_write_corpus(corpus):
@@ -328,13 +366,17 @@ def assert_same_table(got, expect):
     assert got.totals == expect.totals
 
 
-def assert_same_trie_node(got, expect):
-    assert got.letter == expect.letter
-    assert got.tag_counts.dtype == expect.tag_counts.dtype
-    np.testing.assert_array_equal(got.tag_counts, expect.tag_counts)
-    assert got.children.keys() == expect.children.keys()
-    for letter, child in expect.children.items():
-        assert_same_trie_node(got.children[letter], child)
+def assert_same_trie(got, expect_root):
+    counts, depths, letters, parents = flatten_reference(expect_root)
+    assert got.counts.dtype == counts.dtype == np.int64
+    np.testing.assert_array_equal(got.counts, counts)
+    assert got.depths.dtype == depths.dtype
+    np.testing.assert_array_equal(got.depths, depths)
+    assert got.letters() == letters
+    assert got.parents.tolist() == parents
+    for node, (parent, letter) in enumerate(zip(parents, letters)):
+        if parent >= 0:
+            assert got.child(parent, letter) == node
 
 
 class TestAgainstTokenReference:
@@ -356,10 +398,9 @@ class TestAgainstTokenReference:
             policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
                                     max_suffix_length=int(rng.choice([1, 3, 10])))
             trie = build_suffix_trie(corpus, lex, policy)
-            assert_same_trie_node(trie.root,
-                                  reference_build_suffix_trie(corpus, ref_lex, policy).root)
+            assert_same_trie(trie, reference_build_suffix_trie(corpus, ref_lex, policy))
             if policy.frequency_threshold == 1:
-                assert list(trie.iter_nodes()) == [trie.root]
+                assert list(trie.iter_nodes()) == [0]
 
     def test_orders_past_64_bit_context_keys(self):
         rng = np.random.default_rng(7)

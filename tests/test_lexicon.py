@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import parse_corpus
-from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie
+from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie, reversed_suffix_path
 from succabs.errors import ValidationError
 from succabs.lexicon import (
     LexicalDistribution,
@@ -13,7 +13,8 @@ from succabs.lexicon import (
     lexical_factor,
     unknown_word_distribution,
 )
-from succabs.smoothing import SQRT12, ConditionalDistribution, uniform_distribution
+from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, uniform_distribution
+from test_counts import random_corpus, reference_build_suffix_trie
 
 
 def oracle_entropy(probs):
@@ -155,3 +156,38 @@ class TestSmoothingConstantsVisible:
     def test_sqrt12_used_by_chain(self):
         # Sanity anchor: the weight constant is sqrt(12) ~ 3.4641.
         assert SQRT12 == pytest.approx(math.sqrt(12.0), abs=0)
+
+
+def reference_unknown_word_distribution(root_node, root, policy, word):
+    """The walk over the object trie that the flat-array walk replaced."""
+    dist = root
+    node = root_node
+    for letter in reversed_suffix_path(word, policy.max_suffix_length):
+        node = node.children.get(letter)
+        if node is None:
+            break
+        total = int(node.tag_counts.sum())
+        dist = smooth_step(node.tag_counts / total, dist, total)
+    return dist.probs
+
+
+class TestWalkAgainstObjectTrie:
+    def test_probabilities_equal_the_object_walk(self):
+        rng = np.random.default_rng(808)
+        for i in range(120):
+            corpus = random_corpus(rng, via_text=i % 2 == 0)
+            lex = build_lexicon(corpus)
+            policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
+                                    max_suffix_length=int(rng.choice([1, 3, 10])))
+            model = build_unknown_word_model(build_suffix_trie(corpus, lex, policy), policy)
+            reference = reference_build_suffix_trie(corpus, lex, policy)
+            # Training words match through the marker; "q" and U+1F601 are
+            # letters no word has; the repeats run past every depth.
+            words = [w for s in (lex.entries, ["q", "\U0001f601", "\U0001f600\U0001f601"])
+                     for w in s]
+            words += [w + "q" for w in lex.entries] + ["q" + w for w in lex.entries]
+            words += [w * 11 for w in lex.entries] + ["\U0001f601" + w for w in lex.entries]
+            for word in words:
+                got = unknown_word_distribution(model, word).probs
+                expect = reference_unknown_word_distribution(reference, model.root, policy, word)
+                assert got.tolist() == expect.tolist()

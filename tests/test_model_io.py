@@ -12,6 +12,7 @@ from succabs.lexicon import unknown_word_distribution
 from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
+    _count_lines,
     model_from_text,
     model_to_text,
     read_model,
@@ -19,6 +20,7 @@ from succabs.model_io import (
 )
 from succabs.smoothing import ConditionalDistribution
 from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
+from test_counts import random_corpus
 
 
 def small_corpus():
@@ -61,6 +63,10 @@ class TestRoundTrip:
             for word, vec in model.lexicon.entries.items():
                 np.testing.assert_array_equal(loaded.lexicon.entries[word], vec)
                 assert loaded.lexicon.total(word) == model.lexicon.total(word)
+            for name in ("counts", "depths", "codes", "parents"):
+                got = getattr(loaded.unknown_word_model.trie, name)
+                expect = getattr(model.unknown_word_model.trie, name)
+                assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
             for word in ("cat", "mat", "zzz", "unseen"):
                 np.testing.assert_array_equal(
                     unknown_word_distribution(loaded.unknown_word_model, word).probs,
@@ -343,6 +349,9 @@ class TestBlockedParse:
             edits.append(lambda v: " ".join(["1000000"] + v[1:]))  # above its parent
         for edit in edits:
             assert_rejected_without_warnings(edit_rows(big_text, section, [row], edit))
+        lo = row // 256 * 256  # the message names the block of rows, counted in the section
+        with pytest.raises(ModelFormatError, match=f"^{section}: a row among {lo + 1}-{lo + 256} "):
+            model_from_text(edit_rows(big_text, section, [row], edits[0]))
 
     def test_bad_probability_row_past_first_block(self, big_text):
         for edit in (lambda v: " ".join(["nan"] + v[1:]),
@@ -400,3 +409,121 @@ class TestNumberSpellings:
         for bad in ("0x1p-2", "0.2_5", "\u0660.\u0662\u0665"):
             assert_rejected_without_warnings(
                 text.replace("[unigram] 1\n0.25 ", f"[unigram] 1\n{bad} "))
+
+
+def section_start(lines, section):
+    """Index of the first row of a section in the file's lines."""
+    return lines.index(next(l for l in lines if l.startswith(f"[{section}] "))) + 1
+
+
+def swap_rows(text, section, i, j):
+    lines = text.split("\n")
+    start = section_start(lines, section)
+    lines[start + i], lines[start + j] = lines[start + j], lines[start + i]
+    return "\n".join(lines)
+
+
+def insert_row(text, section, after, row):
+    """Insert a row after the given 0-based row, and count it in the header."""
+    lines = text.split("\n")
+    start = section_start(lines, section)
+    lines.insert(start + after + 1, row)
+    lines[start - 1] = f"[{section}] {int(lines[start - 1].split(' ')[1]) + 1}"
+    return "\n".join(lines)
+
+
+class TestCanonicalOrder:
+    """Rows must come in the order the writer puts them in, so a file that
+    loads writes back to the same bytes."""
+
+    def interp_text(self):
+        return model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
+                                         lambdas=(0.2, 0.3, 0.5)))
+
+    def test_reordered_rows_rejected(self):
+        # Rows 3 and 5 of the trie are the siblings "b" and "c" under "ta".
+        for text, section, i, j in ((valid_text(), "transitions", 1, 2),
+                                    (self.interp_text(), "freqs", 1, 2),
+                                    (valid_text(), "lexicon", 0, 1),
+                                    (valid_text(), "trie", 3, 5)):
+            with pytest.raises(ModelFormatError, match=f"^{section}: .*order"):
+                model_from_text(swap_rows(text, section, i, j))
+
+    def test_equal_keys_are_duplicates(self):
+        text = valid_text()
+        lines = text.split("\n")
+        row = lines[section_start(lines, "transitions") + 1]
+        for section, old, new in (("transitions", row, "\t" + row.split("\t")[1]),
+                                  ("lexicon", "cat\t", "bat\t"),
+                                  ("trie", "3\tc\t", "3\tb\t")):
+            assert text.count(old) == 1
+            with pytest.raises(ModelFormatError, match=f"^{section}: duplicate"):
+                model_from_text(text.replace(old, new))
+
+    def test_loaded_files_write_back_their_bytes(self):
+        # Any two rows of a section swapped: the file is rejected, or it
+        # loads and writes back byte for byte.
+        rng = np.random.default_rng(77)
+        loaded = 0
+        for n in range(40):
+            corpus = random_corpus(rng, via_text=True)
+            order = int(rng.integers(1, 4))
+            smoothing = ("sa", "ele", "interp")[n % 3]
+            policy = RareWordPolicy(int(rng.integers(1, 6)), int(rng.choice([1, 3, 10])))
+            text = model_to_text(train_model(
+                corpus, order=order, policy=policy, smoothing=smoothing,
+                lambdas=[1 / order] * order if smoothing == "interp" else None))
+            assert model_to_text(model_from_text(text)) == text
+            lines = text.split("\n")
+            sections = [(name, int(lines[section_start(lines, name) - 1].split(" ")[1]))
+                        for name in ("tags", "freqs" if smoothing == "interp" else "transitions",
+                                     "lexicon", "trie")]
+            sections = [(name, count) for name, count in sections if count >= 2]
+            for _ in range(10):
+                name, count = sections[int(rng.integers(len(sections)))]
+                i, j = rng.choice(count, size=2, replace=False)
+                mutant = swap_rows(text, name, int(i), int(j))
+                try:
+                    model = model_from_text(mutant)
+                except ModelFormatError:
+                    continue
+                loaded += mutant != text
+                assert model_to_text(model) == mutant
+        assert loaded > 0
+
+    def test_node_deeper_than_max_suffix_rejected(self):
+        # Lookups stop at max_suffix letters, so a deeper node is never used.
+        text = model_to_text(train_model(small_corpus(),
+                                         policy=RareWordPolicy(max_suffix_length=3)))
+        lines = text.split("\n")
+        assert lines[section_start(lines, "trie") + 4] == "3\tc\t0 1 0"
+        with pytest.raises(ModelFormatError, match="^trie: a node is deeper than max_suffix 3"):
+            model_from_text(insert_row(text, "trie", 4, "4\tx\t0 1 0"))
+
+    def test_child_of_begin_of_word_rejected(self):
+        # The marker ends every lookup path, so nothing below it is used.
+        text = valid_text()
+        lines = text.split("\n")
+        assert lines[section_start(lines, "trie") + 6] == "4\t\t0 1 0"
+        below_root = insert_row(insert_row(text, "trie", 0, "2\tx\t0 1 0"),
+                                "trie", 0, "1\t\t0 1 0")
+        for bad in (insert_row(text, "trie", 6, "5\tx\t0 1 0"), below_root):
+            with pytest.raises(ModelFormatError, match="^trie: a node lies below a begin-of-word"):
+                model_from_text(bad)
+
+
+class TestCountLines:
+    def test_equals_one_format_per_cell(self):
+        rng = np.random.default_rng(9)
+        cases = [np.zeros((0, 3), dtype=np.int64), np.zeros((4, 5), dtype=np.int64),
+                 np.array([[7], [0], [12]], dtype=np.int64), np.full((3, 6), 2 ** 62)]
+        for _ in range(300):
+            n, k = int(rng.integers(0, 12)), int(rng.integers(1, 50))
+            values = rng.integers(1, int(rng.choice([2, 100, 2 ** 62])), size=(n, k))
+            cases.append(np.where(rng.random((n, k)) < rng.choice([0.0, 0.03, 0.3, 1.0]),
+                                  values, 0))
+        for matrix in cases:
+            prefixes = [f"{i}\tw{i}\t" for i in range(len(matrix))]
+            row = "%s" + " ".join(["%d"] * matrix.shape[1])
+            assert _count_lines(prefixes, matrix) == [
+                row % (prefix, *cells.tolist()) for prefix, cells in zip(prefixes, matrix)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import parse_corpus
-from succabs.counts import RareWordPolicy, SuffixTrie, SuffixTrieNode, count_ngrams
+from succabs.counts import RareWordPolicy, SuffixTrie, count_ngrams
 from succabs.errors import ValidationError
 from succabs.lexicon import build_unknown_word_model
 from succabs.smoothing import (
@@ -467,7 +467,8 @@ class TestNGramModels:
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
         vec = self.counts.outcome_counts(())
-        trie = SuffixTrie(num_tags=3, root=SuffixTrieNode(None, vec.copy()))
+        trie = SuffixTrie(vec.copy()[None, :], np.zeros(1, dtype=np.int64),
+                          np.zeros(1, dtype=np.int64), np.array([-1]))
         for mode in ("rf", "ele"):
             unknown = build_unknown_word_model(trie, RareWordPolicy(), mode)
             np.testing.assert_array_equal(unigram_distribution(self.counts, mode).probs,

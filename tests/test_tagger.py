@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import TagSet, parse_corpus
-from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, SuffixTrieNode
+from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie
 from succabs.errors import ValidationError
 from succabs.lexicon import UnknownWordModel, known_word_distribution
 from succabs.smoothing import (
@@ -46,7 +46,8 @@ def hand_built_bigram_model():
     lexicon = Lexicon(num_tags=2,
                       entries={"w1": np.array([9, 1]), "w2": np.array([2, 8])},
                       totals={"w1": 10, "w2": 10})
-    empty_trie = SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64)))
+    empty_trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                            np.zeros(1, dtype=np.int64), np.array([-1]))
     unknown = UnknownWordModel(empty_trie,
                                uniform_distribution(2), RareWordPolicy())
     meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
@@ -146,7 +147,8 @@ class TestViterbi:
         lexicon = Lexicon(num_tags=2, entries={"w": np.array([5, 5])},
                           totals={"w": 10})
         unknown = UnknownWordModel(
-            SuffixTrie(num_tags=2, root=SuffixTrieNode(None, np.zeros(2, dtype=np.int64))),
+            SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                       np.zeros(1, dtype=np.int64), np.array([-1])),
             uniform_distribution(2), RareWordPolicy())
         meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
                              sigma_scale=1.0, corpus_digest="0" * 64)
