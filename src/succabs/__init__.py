@@ -45,7 +45,6 @@ from .lexicon import (
     UnknownWordModel,
     build_unknown_word_model,
     known_word_distribution,
-    lexical_factor,
     unknown_word_distribution,
 )
 from .model_io import model_from_text, model_to_text, read_model, write_model

@@ -70,15 +70,23 @@ def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
     return UnknownWordModel(trie, root_estimate(root_counts, root_mode), policy)
 
 
-def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribution:
+def unknown_word_distribution(m: UnknownWordModel, word: str,
+                              folds: dict[int, ConditionalDistribution] | None = None,
+                              ) -> LexicalDistribution:
     """Estimate P(tag | word) from the word's longest matched suffix chain.
 
     Walks the trie along the reversed letters (begin-of-word marker last),
     stopping at the first unmatched letter or at the policy depth, and folds
     one smoothing step per matched node starting from the rare-word root.
+
+    The fold down to a node depends only on the node, so ``folds``, when
+    given, maps nodes of ``m``'s trie to their folded distributions: the
+    walk reuses the ones it holds and adds the ones it computes.
     """
     if not word:
         raise ValidationError("cannot estimate a distribution for an empty word")
+    if folds is None:
+        folds = {}
     trie = m.trie
     dist = m.root
     node = 0
@@ -86,9 +94,12 @@ def unknown_word_distribution(m: UnknownWordModel, word: str) -> LexicalDistribu
         node = trie.child(node, letter)
         if node is None:
             break
-        counts = trie.counts[node]
-        total = int(counts.sum())
-        dist = smooth_step(counts / total, dist, total)
+        folded = folds.get(node)
+        if folded is None:
+            counts = trie.counts[node]
+            total = int(counts.sum())
+            folded = folds[node] = smooth_step(counts / total, dist, total)
+        dist = folded
     return LexicalDistribution(dist.probs.copy(), frozenset())
 
 
@@ -96,20 +107,21 @@ def lexical_factors(dist: LexicalDistribution,
                     unigram: ConditionalDistribution) -> np.ndarray:
     """P(t | word) / P(t) for every tag t: zero wherever P(t | word) is zero,
     and rejected where P(t | word) > 0 but P(t) = 0."""
-    p_lex, p_tag = dist.probs, unigram.probs
+    return lexical_factor_rows(dist.probs, unigram)
+
+
+def lexical_factor_rows(p_lex: np.ndarray, unigram: ConditionalDistribution) -> np.ndarray:
+    """``lexical_factors`` for each row of a (words, K) matrix of P(t | word),
+    with the same operations on each cell.  A rejection names the first
+    offending tag of the first offending row."""
+    p_tag = unigram.probs
     if p_tag.all():
-        # The usual case, and the decoder's per-word cost: no 0/0 can occur.
+        # The usual case: no 0/0 can occur.
         return p_lex / p_tag
     mass = p_lex > 0.0
-    orphans = np.flatnonzero(mass & (p_tag == 0.0))
+    orphans = np.argwhere(mass & (p_tag == 0.0))
     if orphans.size:
         raise ValidationError(
-            f"tag index {orphans[0]} has zero unigram probability but nonzero "
+            f"tag index {orphans[0, -1]} has zero unigram probability but nonzero "
             "lexical probability; use a strictly positive root mode")
     return np.divide(p_lex, p_tag, out=np.zeros_like(p_lex), where=mass)
-
-
-def lexical_factor(dist: LexicalDistribution, unigram: ConditionalDistribution,
-                   tag: int) -> float:
-    """P(tag | word) / P(tag), the word's contribution to a path score."""
-    return float(lexical_factors(dist, unigram)[tag])

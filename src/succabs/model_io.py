@@ -20,8 +20,10 @@ Layout: a magic/version line, then sections, each introduced by a
                          root has counts, none above its parent's
     [unknown_root] 1     K probabilities
 
-Counts are non-negative ASCII decimal integers; probabilities are decimal
-floats as ``%.17g`` writes them, which round-trips doubles exactly.  Contexts
+Counts are non-negative ASCII decimal integers; section sizes, trie depths
+and the ``[meta]`` integers are spelled as ``str`` writes them, and the
+``[meta]`` keys come in ``_META_KEYS`` order.  Probabilities are decimal floats
+as ``%.17g`` writes them, which round-trips doubles exactly.  Contexts
 are comma-joined tag indices (-1 is the sentence boundary, the empty string
 the root context).  Sections are sorted, and the loader requires
 strictly ascending keys (a context's length, then its tag indices; the word;
@@ -51,11 +53,22 @@ from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, SMOOTHING_MODES, Model, Mod
 
 MAGIC = "SUCCABS"
 FORMAT_VERSION = 1
+# [meta] keys in file order; lambdas only for interp.
+_META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold",
+              "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _decimal(text: str, where: str) -> int:
+    """A non-negative integer spelled as ``str`` writes it: ASCII digits,
+    with no sign, space or leading zero."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ModelFormatError(f"{where}: {text!r} is not a canonical decimal integer")
+    return int(text)
 
 
 def _parse_context(text: str) -> tuple[int, ...]:
@@ -98,17 +111,12 @@ def _count_lines(prefixes: list[str], matrix: np.ndarray) -> list[str]:
 def model_to_text(model: Model) -> str:
     meta = model.metadata
     policy = model.unknown_word_model.policy
-    meta_rows = [
-        ("order", str(meta.order)),
-        ("smoothing", meta.smoothing),
-        ("root_mode", meta.root_mode),
-        ("sigma_scale", _fmt(meta.sigma_scale)),
-        ("rare_threshold", str(policy.frequency_threshold)),
-        ("max_suffix", str(policy.max_suffix_length)),
-        ("digest", meta.corpus_digest),
-    ]
+    meta_values = [str(meta.order), meta.smoothing, meta.root_mode, _fmt(meta.sigma_scale),
+                   str(policy.frequency_threshold), str(policy.max_suffix_length),
+                   meta.corpus_digest]
     if meta.lambdas is not None:
-        meta_rows.append(("lambdas", ",".join(_fmt(x) for x in meta.lambdas)))
+        meta_values.append(",".join(_fmt(x) for x in meta.lambdas))
+    meta_rows = list(zip(_META_KEYS, meta_values))
 
     if meta.smoothing == SMOOTHING_INTERP:
         table_section = "freqs"
@@ -163,12 +171,7 @@ class _SectionReader:
         expected = f"[{name}] "
         if not header.startswith(expected):
             raise ModelFormatError(f"line {self.pos}: expected a [{name}] section")
-        try:
-            count = int(header[len(expected):])
-        except ValueError:
-            raise ModelFormatError(f"line {self.pos}: bad section header {header!r}") from None
-        if count < 0:
-            raise ModelFormatError(f"line {self.pos}: negative section size")
+        count = _decimal(header[len(expected):], f"line {self.pos}: [{name}] header")
         if self.pos + count > len(self.lines):
             raise ModelFormatError(f"line {len(self.lines) + 1}: unexpected end of file")
         self.pos += count
@@ -217,17 +220,16 @@ def _rebuild_trie(lines: list[str], num_tags: int, max_depth: int) -> SuffixTrie
     counts = np.empty((n, num_tags), dtype=np.int64)
     depths = np.empty(n, dtype=np.int64)
     letters: list[str] = []
+    depth_of: dict[str, int] = {}  # each distinct depth text, checked once
     # A block at a time, so only one block's split lines exist at once.
     for lo in range(0, n, _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
         if any(len(parts) != 3 for parts in fields):
             raise ModelFormatError("trie: expected three tab-separated fields")
         depth_texts, block_letters, count_texts = zip(*fields)
-        try:
-            depths[lo:lo + len(fields)] = [int(text) for text in depth_texts]
-        except (ValueError, OverflowError):
-            raise ModelFormatError(f"trie: malformed depth among rows {lo + 1}-"
-                                   f"{lo + len(fields)}") from None
+        for text in set(depth_texts).difference(depth_of):
+            depth_of[text] = _decimal(text, "trie: depth")
+        depths[lo:lo + len(fields)] = [depth_of[text] for text in depth_texts]
         letters.extend(block_letters)
         counts[lo:lo + len(fields)] = next(_parse_blocks(list(count_texts), np.int64, num_tags,
                                                          "trie", lo))
@@ -280,15 +282,19 @@ def model_from_text(text: str) -> Model:
         if key in meta:
             raise ModelFormatError(f"meta: duplicate key {key!r}")
         meta[key] = value
+    missing = next((key for key in _META_KEYS[:-1] if key not in meta), None)
+    if missing is not None:
+        raise ModelFormatError(f"meta: missing key {missing!r}")
+    if tuple(meta) != _META_KEYS[:len(meta)]:
+        raise ModelFormatError("meta: keys must come in the order " + ", ".join(_META_KEYS))
+    order = _decimal(meta["order"], "meta: order")
+    smoothing = meta["smoothing"]
+    root_mode = meta["root_mode"]
+    digest = meta["digest"]
     try:
-        order = int(meta["order"])
-        smoothing = meta["smoothing"]
-        root_mode = meta["root_mode"]
         sigma_scale = float(meta["sigma_scale"])
-        policy = RareWordPolicy(int(meta["rare_threshold"]), int(meta["max_suffix"]))
-        digest = meta["digest"]
-    except KeyError as missing:
-        raise ModelFormatError(f"meta: missing key {missing}") from None
+        policy = RareWordPolicy(_decimal(meta["rare_threshold"], "meta: rare_threshold"),
+                                _decimal(meta["max_suffix"], "meta: max_suffix"))
     except (ValueError, ValidationError):
         raise ModelFormatError("meta: malformed value") from None
     if smoothing not in SMOOTHING_MODES:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from math import log
-from typing import Callable, Sequence
+from itertools import chain, takewhile
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .errors import ValidationError
 from .lexicon import (
     UnknownWordModel,
     build_unknown_word_model,
-    known_word_distribution,
-    lexical_factors,
+    lexical_factor_rows,
     unknown_word_distribution,
 )
 from .smoothing import (
@@ -51,6 +50,9 @@ from .smoothing import (
 )
 
 NEG_INF = float("-inf")
+# Words per factor matrix when priming: ``log_probs`` holds two Python floats
+# per lattice cell at once, 6 MB for a block of 2048 open 48-tag lattices.
+_PRIME_BLOCK = 2048
 
 SMOOTHING_SA = "sa"
 SMOOTHING_INTERP = "interp"
@@ -128,48 +130,71 @@ def train_model(corpus: Corpus, order: int = 3,
 
 
 class _DecodeRuntime:
-    """Per-model cache of each word's lattice and log lexical factors."""
+    """Each word's log lexical factors and lattice, for one decoding call.
+
+    ``table`` maps a word to ln(P(t|w)/P(t)) on its lattice and the lattice,
+    the tag indices the decoder tries for it, ascending: a known word's
+    lexicon tags (every tag with ``open_lattice``), or every tag for an
+    unknown word.
+    """
 
     def __init__(self, model: Model, open_lattice: bool = False):
         self.model = model
         self.open_lattice = open_lattice
-        self.num_tags = len(model.tag_set)
-        self._log_lex: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.table: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def lexical(self, word: str) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Factor vector P(t|w)/P(t) and the lattice tag indices for a word."""
-        dist = known_word_distribution(self.model.lexicon, word)
-        if dist is None:
-            dist = unknown_word_distribution(self.model.unknown_word_model, word)
-        factors = lexical_factors(dist, self.model.unigram)
-        if dist.support and not self.open_lattice:
-            return factors, tuple(sorted(dist.support))
-        return factors, tuple(range(self.num_tags))
-
-    def log_lexical(self, word: str) -> tuple[np.ndarray, np.ndarray]:
-        """ln of ``lexical``'s factors on the lattice, and the lattice as an
-        array; computed once per word."""
-        cached = self._log_lex.get(word)
-        if cached is None:
-            factors, lattice = self.lexical(word)
-            lattice = np.array(lattice, dtype=np.intp)
-            cached = self._log_lex[word] = (log_probs(factors[lattice]), lattice)
-        return cached
+    def prime(self, words: Iterable[str]) -> None:
+        """Add the words not in ``table`` yet, in blocks of ``_PRIME_BLOCK``:
+        one factor matrix and one ``log_probs`` per block, with each cell's
+        operations those of ``known_word_distribution`` or
+        ``unknown_word_distribution`` and then ``lexical_factors``.  If words
+        are rejected, the error is the per-word one of the first of them in
+        ``words``."""
+        new = [w for w in dict.fromkeys(words) if w not in self.table]
+        m = self.model
+        entries = m.lexicon.entries
+        folds: dict[int, ConditionalDistribution] = {}  # trie node -> fold, for this call
+        for start in range(0, len(new), _PRIME_BLOCK):
+            block = new[start:start + _PRIME_BLOCK]
+            probs = np.empty((len(block), len(m.tag_set)))
+            on_lattice = np.ones(probs.shape, dtype=bool)
+            known = [i for i, w in enumerate(block) if w in entries]
+            if known:
+                rows = np.array([entries[block[i]] for i in known])
+                probs[known] = rows / rows.sum(axis=1)[:, None]
+                if not self.open_lattice:
+                    on_lattice[known] = rows > 0
+            for i, w in enumerate(block):
+                if w not in entries:
+                    try:
+                        probs[i] = unknown_word_distribution(m.unknown_word_model, w, folds).probs
+                    except ValidationError:
+                        lexical_factor_rows(probs[:i], m.unigram)  # an earlier rejection first
+                        raise
+            factors = lexical_factor_rows(probs, m.unigram)
+            word_rows, lattices = np.nonzero(on_lattice)
+            log_factors = log_probs(factors[word_rows, lattices])
+            ends = np.cumsum(on_lattice.sum(axis=1)).tolist()
+            self.table.update((w, (log_factors[lo:hi], lattices[lo:hi]))
+                              for w, lo, hi in zip(block, [0] + ends, ends))
 
 
 def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int],
                    runtime: _DecodeRuntime | None = None) -> float:
     rt = runtime if runtime is not None else _DecodeRuntime(model)
+    rt.prime(words)
     index, log_rows = model.transition.log_table
     n_ctx = model.metadata.order - 1
     context = (BOUNDARY + 1,) * n_ctx
     total = 0.0
     for word, t in zip(words, tag_indices):
-        factor = float(rt.lexical(word)[0][t])
+        log_factors, lattice = rt.table[word]
+        at = int(np.searchsorted(lattice, t))
+        lex = float(log_factors[at]) if at < len(lattice) and lattice[at] == t else NEG_INF
         trans = float(log_rows[index[context], t])
-        if trans == NEG_INF or factor <= 0.0:
+        if trans == NEG_INF or lex == NEG_INF:
             return NEG_INF
-        total += trans + log(factor)
+        total += trans + lex
         if n_ctx:
             context = (context + (t + 1,))[-n_ctx:]
     return total
@@ -199,14 +224,18 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
     """
     if not words:
         raise ValidationError("cannot decode an empty sentence")
-    rt = runtime if runtime is not None else _DecodeRuntime(m, open_lattice)
+    if runtime is None:
+        runtime = _DecodeRuntime(m, open_lattice)
+    elif runtime.model is not m or runtime.open_lattice != open_lattice:
+        raise ValidationError("the decode runtime was built for another model or lattice mode")
+    runtime.prime(words)
     index, log_rows = m.transition.log_table
     n_ctx = m.metadata.order - 1
     context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]  # tag+1
     cells = np.zeros((1,) * n_ctx)
     back = []  # per token: (lattice, argmax over the oldest tag)
     for word in words:
-        log_factors, lattice = rt.log_lexical(word)
+        log_factors, lattice = runtime.table[word]
         rows = index[tuple(context)]
         scores = log_rows.take(rows, axis=0)[..., lattice]
         scores += cells[..., None]
@@ -232,8 +261,10 @@ def viterbi_tag_scored(m: Model, words: Sequence[str],
 
 def tag_corpus(m: Model, sentences: Sequence[Sequence[str]],
                open_lattice: bool = False) -> list[list[str]]:
-    """Decode each sentence independently with shared caches."""
+    """Decode each sentence independently, with one lexical table for the call."""
     rt = _DecodeRuntime(m, open_lattice)
+    # Decoding stops at the first empty sentence, which raises.
+    rt.prime(chain.from_iterable(takewhile(len, sentences)))
     return [viterbi_tag(m, sent, open_lattice, rt) for sent in sentences]
 
 

@@ -10,7 +10,7 @@ from succabs.lexicon import (
     LexicalDistribution,
     build_unknown_word_model,
     known_word_distribution,
-    lexical_factor,
+    lexical_factors,
     unknown_word_distribution,
 )
 from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, uniform_distribution
@@ -137,19 +137,20 @@ class TestLexicalFactor:
     def test_ratio_example(self):
         dist = LexicalDistribution(np.array([0.5, 0.5]), frozenset({0, 1}))
         unigram = ConditionalDistribution.from_probs([0.25, 0.75])
-        assert lexical_factor(dist, unigram, 0) == pytest.approx(2.0, abs=1e-15)
-        assert lexical_factor(dist, unigram, 1) == pytest.approx(2 / 3, abs=1e-15)
+        factors = lexical_factors(dist, unigram)
+        assert factors[0] == pytest.approx(2.0, abs=1e-15)
+        assert factors[1] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_zero_lexical_probability_gives_zero(self):
         dist = LexicalDistribution(np.array([1.0, 0.0]), frozenset({0}))
         unigram = uniform_distribution(2)
-        assert lexical_factor(dist, unigram, 1) == 0.0
+        assert lexical_factors(dist, unigram)[1] == 0.0
 
     def test_zero_unigram_with_mass_rejected(self):
         dist = LexicalDistribution(np.array([1.0, 0.0]), frozenset({0}))
         unigram = ConditionalDistribution.from_probs([0.0, 1.0])
         with pytest.raises(ValidationError):
-            lexical_factor(dist, unigram, 0)
+            lexical_factors(dist, unigram)
 
 
 class TestSmoothingConstantsVisible:
@@ -187,7 +188,11 @@ class TestWalkAgainstObjectTrie:
                      for w in s]
             words += [w + "q" for w in lex.entries] + ["q" + w for w in lex.entries]
             words += [w * 11 for w in lex.entries] + ["\U0001f601" + w for w in lex.entries]
+            folds = {}  # shared by all the words, as one decoding call shares it
             for word in words:
                 got = unknown_word_distribution(model, word).probs
                 expect = reference_unknown_word_distribution(reference, model.root, policy, word)
                 assert got.tolist() == expect.tolist()
+                assert unknown_word_distribution(model, word, folds).probs.tolist() == got.tolist()
+            # Every node lies on a training word's path, and each walk keeps its folds.
+            assert sorted(folds) == list(range(1, len(model.trie.depths)))

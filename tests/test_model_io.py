@@ -269,8 +269,10 @@ class TestFormatErrors:
         start = next(i for i, l in enumerate(lines) if l.startswith("[meta]"))
         count = int(lines[start].split()[1])
         lines[start] = f"[meta] {count + 1}"
-        lines.insert(start + 1, "lambdas\t0.5 0.5")
-        with pytest.raises(ModelFormatError):
+        # After digest, where the writer puts lambdas, and well formed, so
+        # only the smoothing mode is wrong.
+        lines.insert(start + count + 1, "lambdas\t0.5,0.2,0.3")
+        with pytest.raises(ModelFormatError, match="lambdas present iff smoothing is interp"):
             model_from_text("\n".join(lines) + "\n")
 
     def test_empty_input_rejected(self):
@@ -409,6 +411,34 @@ class TestNumberSpellings:
         for bad in ("0x1p-2", "0.2_5", "\u0660.\u0662\u0665"):
             assert_rejected_without_warnings(
                 text.replace("[unigram] 1\n0.25 ", f"[unigram] 1\n{bad} "))
+
+
+    def test_integer_spellings_rejected(self):
+        # Trie depths, section sizes and [meta] integers must be spelled as
+        # the writer spells them, so a file that loads writes back its bytes.
+        text = valid_text()
+        assert text.count("\n1\tt\t0 2 1\n") == 1
+        assert text.count("\n[trie] 9\n") == 1
+        edits = [("\n1\tt\t", f"\n{bad}\tt\t") for bad in ("01", "+1", " 1", "1 ", "\u0661")]
+        edits += [("\n[trie] 9\n", f"\n[trie] {bad}\n") for bad in ("09", "+9", " 9", "\u0669")]
+        edits += [("\norder\t3\n", f"\norder\t{bad}\n") for bad in ("03", "+3", "3 ", "\u0663")]
+        edits += [("\nmax_suffix\t10\n", "\nmax_suffix\t010\n"),
+                  ("\nrare_threshold\t10\n", "\nrare_threshold\t+10\n")]
+        for plain, bad in edits:
+            assert text.count(plain) == 1
+            assert_rejected_without_warnings(text.replace(plain, bad))
+
+    def test_meta_keys_out_of_order_rejected(self):
+        text = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
+                                         lambdas=(0.2, 0.3, 0.5)))
+        lines = text.split("\n")
+        start = section_start(lines, "meta")
+        assert model_to_text(model_from_text(text)) == text
+        for i in range(7):
+            swapped = swap_rows(text, "meta", i, i + 1)
+            with pytest.raises(ModelFormatError, match="^meta: keys must come in the order"):
+                model_from_text(swapped)
+        assert lines[start + 7].startswith("lambdas\t")
 
 
 def section_start(lines, section):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,10 +8,17 @@ import pytest
 from succabs.corpus import TagSet, parse_corpus
 from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie
 from succabs.errors import ValidationError
-from succabs.lexicon import UnknownWordModel, known_word_distribution
+import succabs.tagger
+from succabs.lexicon import (
+    UnknownWordModel,
+    known_word_distribution,
+    lexical_factors,
+    unknown_word_distribution,
+)
 from succabs.smoothing import (
     ConditionalDistribution,
     SmoothedNGramModel,
+    log_probs,
     simplex_grid,
     uniform_distribution,
 )
@@ -185,17 +193,23 @@ class TestViterbi:
 
     def test_factor_scale_invariance_of_argmax(self):
         m = hand_built_bigram_model()
-
-        class ScaledRuntime(_DecodeRuntime):
-            def lexical(self, word):
-                factors, lattice = super().lexical(word)
-                if word == "w1":
-                    return factors * 7.3, lattice
-                return factors, lattice
-
+        scaled = _DecodeRuntime(m)
+        scaled.prime(["w1"])
+        log_factors, lattice = scaled.table["w1"]
+        scaled.table["w1"] = (log_factors + math.log(7.3), lattice)
         plain = viterbi_tag(m, ["w1", "w2", "w1"])
-        scaled = viterbi_tag(m, ["w1", "w2", "w1"], runtime=ScaledRuntime(m))
-        assert plain == scaled
+        assert viterbi_tag(m, ["w1", "w2", "w1"], runtime=scaled) == plain
+
+    def test_runtime_of_another_model_or_lattice_mode_rejected(self):
+        m = hand_built_bigram_model()
+        other = dataclasses.replace(m)
+        with pytest.raises(ValidationError, match="another model or lattice mode"):
+            viterbi_tag(m, ["w1"], runtime=_DecodeRuntime(other))
+        with pytest.raises(ValidationError, match="another model or lattice mode"):
+            viterbi_tag(m, ["w1"], open_lattice=True, runtime=_DecodeRuntime(m))
+        with pytest.raises(ValidationError, match="another model or lattice mode"):
+            viterbi_tag(m, ["w1"], runtime=_DecodeRuntime(m, open_lattice=True))
+        assert viterbi_tag(m, ["w1"], True, _DecodeRuntime(m, True)) == viterbi_tag(m, ["w1"])
 
     def test_scored_variant_is_consistent(self):
         m = hand_built_bigram_model()
@@ -289,17 +303,28 @@ class TestDecoderAgainstEnumeration:
                                                       abs=1e-9)
 
 
+def reference_lexical(m, word, open_lattice=False):
+    """The per-word lexical path the decoder's batched table replaced: the
+    factor vector P(t|w)/P(t) over every tag, and the lattice."""
+    dist = known_word_distribution(m.lexicon, word)
+    if dist is None:
+        dist = unknown_word_distribution(m.unknown_word_model, word)
+    factors = lexical_factors(dist, m.unigram)
+    if dist.support and not open_lattice:
+        return factors, tuple(sorted(dist.support))
+    return factors, tuple(range(len(m.tag_set)))
+
+
 def reference_viterbi_tag(m, words, open_lattice=False):
     """The scalar dict-based decoder the array one replaced, kept verbatim as
     the reference: transitions come from ``distribution()`` one context at a
     time, and states are visited in sorted order."""
-    rt = _DecodeRuntime(m, open_lattice)
     n_ctx = m.metadata.order - 1
     start = (-1,) * n_ctx
     cells = {start: 0.0}
     bp = []
     for word in words:
-        factors, lattice = rt.lexical(word)
+        factors, lattice = reference_lexical(m, word, open_lattice)
         step = {}
         back = {}
         for state in sorted(cells):
@@ -330,13 +355,12 @@ def reference_viterbi_tag(m, words, open_lattice=False):
 
 def reference_score(m, words, tags):
     """Path score summed as the scalar decoder's scorer did, from ``distribution()``."""
-    rt = _DecodeRuntime(m)
     n_ctx = m.metadata.order - 1
     context = (-1,) * n_ctx
     total = 0.0
     for word, t in zip(words, (m.tag_set.index[tag] for tag in tags)):
         trans = float(m.transition.distribution(context).probs[t])
-        factor = float(rt.lexical(word)[0][t])
+        factor = float(reference_lexical(m, word)[0][t])
         if trans <= 0.0 or factor <= 0.0:
             return NEG_INF
         total += math.log(trans) + math.log(factor)
@@ -374,6 +398,141 @@ class TestDecoderAgainstScalarReference:
                 expect = reference_viterbi_tag(m, words, open_lattice)
                 assert list(got.tags) == expect, (i, words)
                 assert got.log_score == reference_score(m, words, expect), (i, words)
+
+
+def lettered_corpus(rng, num_tags, unseen_tags=()):
+    """Words of 1-6 letters over a small alphabet with a non-BMP letter, so
+    unknown words made from the same letters share trie nodes with them."""
+    alphabet = ["a", "b", "c", "\U0001d51e"]
+    vocab = ["".join(rng.choice(alphabet, size=int(rng.integers(1, 7))))
+             for _ in range(int(rng.integers(6, 15)))]
+    blocks = []
+    for _ in range(int(rng.integers(6, 16))):
+        blocks.append("\n".join(f"{vocab[int(rng.integers(len(vocab)))]}\t"
+                                f"T{int(rng.integers(num_tags))}"
+                                for _ in range(int(rng.integers(1, 7)))))
+    tags = unseen_tags + tuple(f"T{i}" for i in range(num_tags))
+    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=tags), alphabet
+
+
+def lettered_sentences(rng, corpus, alphabet, max_suffix):
+    """Sentences mixing training words, new words over the same letters,
+    words longer than ``max_suffix`` and repeats of earlier words."""
+    vocab = sorted(corpus.vocab)
+    sentences = []
+    for _ in range(int(rng.integers(1, 6))):
+        sent = []
+        for _ in range(int(rng.integers(1, 7))):
+            kind = rng.random()
+            if kind < 0.4:
+                sent.append(vocab[int(rng.integers(len(vocab)))])
+            elif kind < 0.7:
+                sent.append("".join(rng.choice(alphabet, size=int(rng.integers(1, 4)))))
+            elif kind < 0.85:
+                sent.append(vocab[int(rng.integers(len(vocab)))] * (max_suffix + 1))
+            else:
+                pool = [w for s in sentences for w in s] + sent
+                sent.append(pool[int(rng.integers(len(pool)))] if pool else "a")
+        sentences.append(sent)
+    return sentences
+
+
+class TestLexicalTable:
+    def test_table_equals_the_per_word_path(self, monkeypatch):
+        # Each word's log factors and lattice, filled for a whole call at
+        # once, must equal the per-word path's bit for bit, whether the
+        # words fill one factor matrix or several.
+        rng = np.random.default_rng(909)
+        shared = 0
+        for i in range(80):
+            monkeypatch.setattr(succabs.tagger, "_PRIME_BLOCK", (2048, 1, 3)[i % 3])
+            corpus, alphabet = lettered_corpus(rng, int(rng.integers(2, 6)))
+            max_suffix = int(rng.integers(1, 5))
+            m = train_model(corpus, order=int(rng.integers(1, 4)),
+                            root_mode=("ele", "rf")[i % 2],
+                            policy=RareWordPolicy(frequency_threshold=int(rng.integers(4, 12)),
+                                                  max_suffix_length=max_suffix))
+            sentences = lettered_sentences(rng, corpus, alphabet, max_suffix)
+            words = [w for s in sentences for w in s]
+            trie = m.unknown_word_model.trie
+            firsts = [trie.child(0, w[-1]) for w in set(words) if w not in m.lexicon]
+            firsts = [node for node in firsts if node is not None]
+            shared += len(firsts) - len(set(firsts))
+            for open_lattice in (False, True):
+                rt = _DecodeRuntime(m, open_lattice)
+                rt.prime(words)
+                assert set(rt.table) == set(words)
+                for word in words:
+                    factors, lattice = reference_lexical(m, word, open_lattice)
+                    got_logs, got_lattice = rt.table[word]
+                    assert got_lattice.tolist() == list(lattice), (i, word)
+                    expect = log_probs(factors[list(lattice)])
+                    assert np.array_equal(got_logs, expect), (i, word)
+                assert tag_corpus(m, sentences, open_lattice) == [
+                    reference_viterbi_tag(m, s, open_lattice) for s in sentences]
+        assert shared > 0  # some unknown words met on a trie node
+
+    def test_zero_unigram_rejection_follows_token_order(self, monkeypatch):
+        # Unigram zeros under tags that words carry: the call raises the
+        # per-word path's error for the first such word in token order, or
+        # the empty-sentence error if an empty sentence comes first.
+        rng = np.random.default_rng(44)
+        messages = set()
+        for i in range(60):
+            monkeypatch.setattr(succabs.tagger, "_PRIME_BLOCK", (2048, 2)[i % 2])
+            num_tags = int(rng.integers(3, 6))
+            corpus, alphabet = lettered_corpus(rng, num_tags, unseen_tags=("NEVER",))
+            m = train_model(corpus, order=2, root_mode="rf",
+                            policy=RareWordPolicy(frequency_threshold=100, max_suffix_length=3))
+            probs = m.unigram.probs.copy()
+            probs[rng.choice(np.arange(1, num_tags + 1), size=2, replace=False)] = 0.0
+            m = dataclasses.replace(
+                m, unigram=ConditionalDistribution.from_probs(probs / probs.sum()))
+            sentences = lettered_sentences(rng, corpus, alphabet, 3)
+            if rng.random() < 0.3:
+                sentences.insert(int(rng.integers(len(sentences) + 1)), [])
+            if rng.random() < 0.3:  # an empty word, which the suffix walk rejects
+                sent = sentences[int(rng.integers(len(sentences)))]
+                sent.insert(int(rng.integers(len(sent) + 1)), "")
+            expect = None
+            for sent in sentences:
+                if not sent:
+                    expect = "cannot decode an empty sentence"
+                for word in sent:
+                    try:
+                        reference_lexical(m, word)
+                    except ValidationError as bad:
+                        expect = str(bad)
+                        break
+                if expect is not None:
+                    break
+            if expect is None:
+                tag_corpus(m, sentences)
+                continue
+            messages.add(expect)
+            with pytest.raises(ValidationError) as raised:
+                tag_corpus(m, sentences)
+            assert str(raised.value) == expect
+        assert len(messages) >= 4  # the first offending word decides the message
+
+    def test_unknown_words_estimated_once_per_call(self, monkeypatch):
+        # perfbench times suffix estimation through this name on
+        # succabs.tagger, and each call must build its caches afresh.
+        corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["cat\tNN", "mat\tNN"]) + "\n\n")
+        m = train_model(corpus, order=2)
+        calls = []
+        real = succabs.tagger.unknown_word_distribution
+
+        def counting(model, word, *args, **kwargs):
+            calls.append(word)
+            return real(model, word, *args, **kwargs)
+
+        monkeypatch.setattr(succabs.tagger, "unknown_word_distribution", counting)
+        sentences = [["the", "zat", "zat"], ["qat", "the", "zat"], ["qat"]]
+        first = tag_corpus(m, sentences)
+        assert sorted(calls) == ["qat", "zat"]
+        assert tag_corpus(m, sentences) == first
+        assert sorted(calls) == ["qat", "qat", "zat", "zat"]
 
 
 class TestTagCorpus:
