@@ -21,8 +21,10 @@ from .smoothing import (
     ROOT_MODE_ELE,
     ROOT_MODE_RF,
     ConditionalDistribution,
+    _blend,
+    _entropy,
     root_estimate,
-    smooth_step,
+    sigma_inverse,
 )
 
 
@@ -78,6 +80,8 @@ def unknown_word_distribution(m: UnknownWordModel, word: str,
     Walks the trie along the reversed letters (begin-of-word marker last),
     stopping at the first unmatched letter or at the policy depth, and folds
     one smoothing step per matched node starting from the rare-word root.
+    Every node below the root has counts, so each step is ``smooth_step``
+    without its input checks.
 
     The fold down to a node depends only on the node, so ``folds``, when
     given, maps nodes of ``m``'s trie to their folded distributions: the
@@ -94,12 +98,12 @@ def unknown_word_distribution(m: UnknownWordModel, word: str,
         node = trie.child(node, letter)
         if node is None:
             break
-        folded = folds.get(node)
-        if folded is None:
+        if node not in folds:
             counts = trie.counts[node]
             total = int(counts.sum())
-            folded = folds[node] = smooth_step(counts / total, dist, total)
-        dist = folded
+            p = _blend(counts / total, dist.probs, sigma_inverse(total, dist.entropy_nats))
+            folds[node] = ConditionalDistribution(p, _entropy(p))
+        dist = folds[node]
     return LexicalDistribution(dist.probs.copy(), frozenset())
 
 

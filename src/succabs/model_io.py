@@ -47,6 +47,7 @@ from .smoothing import (
     ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
+    _check_rows,
     interpolated_ngram_model,
 )
 from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, SMOOTHING_MODES, Model, ModelMetadata
@@ -80,11 +81,15 @@ def _parse_context(text: str) -> tuple[int, ...]:
         raise ModelFormatError(f"malformed context {text!r}") from None
 
 
-def _distribution(probs: np.ndarray, where: str) -> ConditionalDistribution:
+def _read_distribution(reader: _SectionReader, name: str, k: int) -> ConditionalDistribution:
+    lines = reader.section(name)
+    if len(lines) != 1:
+        raise ModelFormatError(f"{name}: expected exactly one line")
     try:
-        return ConditionalDistribution.from_probs(probs)
+        return ConditionalDistribution.from_probs(
+            next(_parse_blocks(lines, np.float64, k, name))[0])
     except ValidationError as bad:
-        raise ModelFormatError(f"{where}: {bad}") from None
+        raise ModelFormatError(f"{name}: {bad}") from None
 
 
 def _count_lines(prefixes: list[str], matrix: np.ndarray) -> list[str]:
@@ -118,13 +123,11 @@ def model_to_text(model: Model) -> str:
         meta_values.append(",".join(_fmt(x) for x in meta.lambdas))
     meta_rows = list(zip(_META_KEYS, meta_values))
 
+    transition = model.transition
     if meta.smoothing == SMOOTHING_INTERP:
-        table_section = "freqs"
-        table_rows = list(model.transition.freqs.items())
+        table_section, table = "freqs", transition.freqs
     else:
-        table_section = "transitions"
-        table_rows = [(ctx, dist.probs) for ctx, dist in model.transition.tables.items()]
-    table_rows.sort(key=lambda item: (len(item[0]), item[0]))
+        table_section, table = "transitions", transition.probs
 
     words = sorted(model.lexicon.entries)
     trie = model.unknown_word_model.trie
@@ -139,8 +142,9 @@ def model_to_text(model: Model) -> str:
     out.extend(model.tag_set.tags)
     out.append("[unigram] 1")
     out.append(probs % tuple(model.unigram.probs.tolist()))
-    out.append(f"[{table_section}] {len(table_rows)}")
-    out.extend(keyed_probs % (",".join(map(str, ctx)), *vec.tolist()) for ctx, vec in table_rows)
+    out.append(f"[{table_section}] {len(transition.contexts)}")
+    out.extend(keyed_probs % (",".join(map(str, ctx)), *row)
+               for ctx, row in zip(transition.contexts, table.tolist()))
     out.append(f"[lexicon] {len(words)}")
     out.extend(_count_lines([w + "\t" for w in words], np.array(
         [model.lexicon.entries[w] for w in words], dtype=np.int64).reshape(len(words), k)))
@@ -206,8 +210,20 @@ def _parse_blocks(texts: list[str], dtype: type, width: int, where: str,
             row = first_row + lo
             raise ModelFormatError(f"{where}: a row among {row + 1}-{row + len(chunk)} is not "
                                    f"{width} numbers")
-        if dtype is np.int64 and (block < 0).any():
-            raise ModelFormatError(f"{where}: negative count")
+        if dtype is np.int64:
+            if (block < 0).any():
+                raise ModelFormatError(f"{where}: negative count")
+            # Any spelling np.loadtxt takes but the writer's (a leading zero
+            # or sign, -0, padding) is longer: compare the text's length with
+            # the counts' digits plus one separator between each two.
+            length, power, top = 2 * block.size - len(chunk), 10, int(block.max(initial=0))
+            while power <= top:
+                length += np.count_nonzero(block >= power)
+                power *= 10
+            if sum(map(len, chunk)) != length:
+                row = first_row + lo
+                raise ModelFormatError(f"{where}: a row among {row + 1}-{row + len(chunk)} "
+                                       "spells a count other than as a plain decimal integer")
         if dtype is np.float64 and not np.isfinite(block).all():
             raise ModelFormatError(f"{where}: non-finite value")
         yield block
@@ -307,6 +323,10 @@ def model_from_text(text: str) -> Model:
             raise ModelFormatError("meta: malformed lambdas") from None
     if (smoothing == SMOOTHING_INTERP) != (lambdas is not None):
         raise ModelFormatError("meta: lambdas present iff smoothing is interp")
+    try:
+        weights = None if lambdas is None else InterpolationWeights(lambdas)
+    except ValidationError as bad:
+        raise ModelFormatError(f"meta: {bad}") from None
 
     tags = reader.section("tags")
     try:
@@ -315,45 +335,32 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"tags: {bad}") from None
     k = len(tag_set)
 
-    unigram_lines = reader.section("unigram")
-    if len(unigram_lines) != 1:
-        raise ModelFormatError("unigram: expected exactly one line")
-    unigram = _distribution(next(_parse_blocks(unigram_lines, np.float64, k, "unigram"))[0],
-                            "unigram")
+    unigram = _read_distribution(reader, "unigram", k)
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
     fields = [_split2(line, table_section) for line in reader.section(table_section)]
-    probs = chain.from_iterable(_parse_blocks([v for _, v in fields], np.float64, k, table_section))
-    rows: dict[tuple[int, ...], np.ndarray] = {}
-    previous: tuple[int, tuple[int, ...]] | None = None
-    for (ctx_text, _), vec in zip(fields, probs):
-        ctx = _parse_context(ctx_text)
-        if ctx in rows:
-            raise ModelFormatError(f"{table_section}: duplicate context {ctx_text!r}")
-        if previous is not None and (len(ctx), ctx) < previous:
-            raise ModelFormatError(f"{table_section}: context {ctx_text!r} is out of order; "
-                                   "rows are sorted by length, then by tag indices")
-        previous = (len(ctx), ctx)
+    table = np.vstack([np.empty((0, k)), *_parse_blocks([v for _, v in fields], np.float64, k,
+                                                        table_section)])
+    contexts = tuple(_parse_context(text) for text, _ in fields)
+    for i, ((text, _), ctx) in enumerate(zip(fields, contexts)):
+        if i and (len(ctx), ctx) <= (len(contexts[i - 1]), contexts[i - 1]):
+            raise ModelFormatError(
+                f"{table_section}: duplicate context {text!r}" if ctx == contexts[i - 1] else
+                f"{table_section}: context {text!r} is out of order; "
+                "rows are sorted by length, then by tag indices")
         if len(ctx) >= order or not all(-1 <= t < k for t in ctx):
-            raise ModelFormatError(f"{table_section}: context {ctx_text!r} is longer than "
+            raise ModelFormatError(f"{table_section}: context {text!r} is longer than "
                                    f"order {order} allows or holds a tag index outside [-1, {k})")
-        rows[ctx] = vec
     # Without the root a query can fall through every stored suffix; only
     # half-count tables, which have no back-off rows, may answer uniform then.
-    if smoothing != SMOOTHING_ELE and () not in rows:
+    if smoothing != SMOOTHING_ELE and (not contexts or contexts[0]):
         raise ModelFormatError(f"{table_section}: the root context is missing")
-    if smoothing == SMOOTHING_INTERP:
-        try:
-            weights = InterpolationWeights(lambdas)
-        except ValidationError as bad:
-            raise ModelFormatError(f"meta: {bad}") from None
-        try:
-            transition = interpolated_ngram_model(order, k, rows, weights)
-        except ValidationError as bad:
-            raise ModelFormatError(f"freqs: {bad}") from None
-    else:
-        transition = SmoothedNGramModel(order, k, {
-            ctx: _distribution(vec, table_section) for ctx, vec in rows.items()})
+    try:
+        _check_rows(table)
+        transition = (SmoothedNGramModel(order, k, contexts, table) if lambdas is None else
+                      interpolated_ngram_model(order, k, contexts, table, weights))
+    except ValidationError as bad:
+        raise ModelFormatError(f"{table_section}: {bad}") from None
 
     fields = [_split2(line, "lexicon") for line in reader.section("lexicon")]
     words = [word for word, _ in fields]
@@ -373,12 +380,7 @@ def model_from_text(text: str) -> Model:
 
     trie = _rebuild_trie(reader.section("trie"), k, policy.max_suffix_length)
 
-    root_lines = reader.section("unknown_root")
-    if len(root_lines) != 1:
-        raise ModelFormatError("unknown_root: expected exactly one line")
-    unknown_root = _distribution(next(_parse_blocks(root_lines, np.float64, k, "unknown_root"))[0],
-                                 "unknown_root")
-    unknown = UnknownWordModel(trie, unknown_root, policy)
+    unknown = UnknownWordModel(trie, _read_distribution(reader, "unknown_root", k), policy)
 
     if not reader.finished():
         raise ModelFormatError(f"line {reader.pos + 1}: trailing content")

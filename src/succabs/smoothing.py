@@ -19,7 +19,7 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -78,16 +78,23 @@ class ConditionalDistribution:
     @classmethod
     def from_probs(cls, probs) -> "ConditionalDistribution":
         p = _as_prob_array(probs).copy()
-        if not np.all((p >= 0) & (p <= 1)):  # also false for NaN
-            raise ValidationError("probabilities must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > _SUM_TOL_STRICT:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
+        _check_rows(p[None])
         return cls(p, _entropy(p))
 
     @property
     def dim(self) -> int:
         return self.probs.shape[0]
+
+
+def _check_rows(probs: np.ndarray) -> None:
+    """Reject a matrix unless each row lies in [0, 1] (so holds no NaN) and
+    sums to 1 within the structural tolerance."""
+    if not ((probs >= 0) & (probs <= 1)).all():
+        raise ValidationError("probabilities must lie in [0, 1]")
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > _SUM_TOL_STRICT
+    if off.any():
+        raise ValidationError(f"probabilities sum to {sums[off][0]}, not 1")
 
 
 def log_probs(probs) -> np.ndarray:
@@ -97,8 +104,11 @@ def log_probs(probs) -> np.ndarray:
     move, or ties between paths could break differently.
     """
     p = np.asarray(probs, dtype=np.float64)
-    return np.array([math.log(x) if x > 0.0 else -math.inf
-                     for x in p.ravel().tolist()]).reshape(p.shape)
+    out = np.full(p.shape, -math.inf)
+    positive = p > 0.0
+    out[positive] = np.fromiter(map(math.log, p[positive].tolist()), dtype=np.float64,
+                                count=int(positive.sum()))
+    return out
 
 
 def uniform_distribution(dim: int) -> ConditionalDistribution:
@@ -130,6 +140,12 @@ def _check_freq_vector(f: np.ndarray, context_count: int) -> None:
             raise ValidationError(f"relative frequencies sum to {total}, not 1")
     elif total != 0.0:
         raise ValidationError("zero-count context must come with a zero frequency vector")
+
+
+def _blend(freqs, parent, s):
+    """``smooth_step``'s blend on inputs known to be valid: one vector and its
+    weight, or a matrix of rows and a column of weights."""
+    return (s * freqs + parent) / (s + 1.0)
 
 
 def smooth_step(freqs, parent: ConditionalDistribution, context_count: int,
@@ -397,54 +413,62 @@ def interpolation_loglik_objective(counts: NGramCountTable,
     return objective
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SmoothedNGramModel:
     """One conditional tag distribution per stored context, for every estimator.
 
-    A query keeps its last order-1 tags and resolves to their longest stored
-    suffix, which is exactly what a zero-count smoothing step, or an
-    interpolation over unseen orders, would return anyway.  Half-count
-    tables store full-length contexts only and answer uniform when nothing
-    matches.  ``freqs`` keeps the relative frequencies an interpolated table
-    was mixed from, for the model file.
+    ``contexts`` come in file order, shortest first and then by tag indices,
+    and row i of ``probs`` is context i's distribution; ``freqs`` holds the
+    relative frequencies an interpolated table was mixed from, row for row,
+    for the model file.  A query keeps its last order-1 tags and resolves to
+    their longest stored suffix (``index``), which is exactly what a
+    zero-count smoothing step, or an interpolation over unseen orders, would
+    return anyway.  Half-count tables store full-length contexts only and
+    answer uniform when nothing matches.
     """
 
     order: int
     num_tags: int
-    tables: dict[tuple[int, ...], ConditionalDistribution]
-    freqs: dict[tuple[int, ...], np.ndarray] | None = None
+    contexts: tuple[tuple[int, ...], ...]
+    probs: np.ndarray
+    freqs: np.ndarray | None = None
 
-    @property
-    def root(self) -> ConditionalDistribution:
-        return self.tables[()]
+    def __post_init__(self):
+        self.probs.flags.writeable = False
+        if self.freqs is not None:
+            self.freqs.flags.writeable = False
 
     @cached_property
-    def log_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, log_rows)`` for decoding, compiled on first access.
+    def index(self) -> np.ndarray:
+        """Row of each query's longest stored suffix: one axis of size K+1
+        per context tag, indexed by tag+1 so the boundary comes first.  A
+        query with no stored suffix (only in a table without the root) gets
+        ``len(contexts)``, the uniform row of ``log_probs``."""
+        n = len(self.contexts)
+        index = np.full((self.num_tags + 1,) * (self.order - 1),
+                        0 if n and not self.contexts[0] else n, dtype=np.intp)
+        lengths = np.array([len(ctx) for ctx in self.contexts])
+        for length in range(1, self.order):  # a longer context overwrites its suffixes
+            rows = np.flatnonzero(lengths == length)
+            cells = np.array([self.contexts[i] for i in rows.tolist()], dtype=np.intp)
+            index[(...,) + tuple(cells.reshape(len(rows), length).T + 1)] = rows
+        return index
 
-        ``index`` has one axis of size K+1 per context tag, indexed by tag+1
-        so the boundary comes first, and holds the row of the context's
-        longest stored suffix: contexts are written shortest first, so a
-        longer one overwrites its suffixes.  Row 0 is the root, or uniform
-        in a half-count table.  Access only once ``tables`` is complete.
-        """
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """ln of ``probs`` (``log_probs``), then of the uniform row ``index``
+        gives a query with no stored suffix."""
         k = self.num_tags
-        rows = [self.tables[()] if () in self.tables else uniform_distribution(k)]
-        index = np.zeros((k + 1,) * (self.order - 1), dtype=np.intp)
-        for ctx in sorted(self.tables, key=len):
-            if ctx:
-                index[(...,) + tuple(t + 1 for t in ctx)] = len(rows)
-                rows.append(self.tables[ctx])
-        return index, log_probs(np.array([r.probs for r in rows]))
+        return log_probs(np.vstack([self.probs, np.full(k, 1.0 / k)]))
 
-    def distribution(self, context: tuple[int, ...]) -> ConditionalDistribution:
-        ctx = tuple(context)
-        ctx = ctx[max(0, len(ctx) - (self.order - 1)):]
-        while ctx not in self.tables:
-            if not ctx:
-                return uniform_distribution(self.num_tags)
-            ctx = ctx[1:]
-        return self.tables[ctx]
+    @cached_property
+    def entropies(self) -> np.ndarray:
+        """Each row's entropy, as ``ConditionalDistribution`` takes it."""
+        return np.array([_entropy(row) for row in self.probs])
+
+
+def _file_order(contexts: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(contexts, key=lambda ctx: (len(ctx), ctx)))
 
 
 def unigram_distribution(counts: NGramCountTable, root_mode: str) -> ConditionalDistribution:
@@ -452,50 +476,88 @@ def unigram_distribution(counts: NGramCountTable, root_mode: str) -> Conditional
     return root_estimate(counts.outcome_counts(()), root_mode)
 
 
+def _count_matrix(counts: NGramCountTable, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
+    return np.array([counts.counts[ctx] for ctx in contexts],
+                    dtype=np.int64).reshape(len(contexts), counts.num_tags)
+
+
 def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
                          sigma_scale: float = 1.0) -> SmoothedNGramModel:
     """Smooth every observed context against its strip-the-oldest-tag chain.
 
-    Contexts are processed shortest first, so each one's parent (its suffix,
-    one tag shorter, which ``count_ngrams`` always stores) is already
-    estimated.
+    One context length at a time, shortest first, so each context's parent
+    (its suffix, one tag shorter, which ``count_ngrams`` always stores) is
+    already estimated: the level's parent rows are gathered, ``s`` is taken
+    per row with ``sigma_inverse``, and every cell of the blend gets
+    ``smooth_step``'s operations.
     """
-    tables = {(): unigram_distribution(counts, root_mode)}
+    contexts = _file_order(counts.counts)
+    row_of = {ctx: i for i, ctx in enumerate(contexts)}
+    c = _count_matrix(counts, contexts)
+    totals = c.sum(axis=1)
+    root = unigram_distribution(counts, root_mode)
+    probs, entropies = np.empty(c.shape), np.empty(len(contexts))
+    probs[0], entropies[0] = root.probs, root.entropy_nats
+    lengths = np.array([len(ctx) for ctx in contexts])
     for length in range(1, counts.order):
-        for ctx in sorted(counts.contexts_of_length(length)):
-            total = counts.totals[ctx]
-            tables[ctx] = smooth_step(counts.counts[ctx] / total, tables[ctx[1:]], total,
-                                      sigma_scale)
-    return SmoothedNGramModel(counts.order, counts.num_tags, tables)
+        rows = np.flatnonzero(lengths == length)
+        parents = [row_of[contexts[i][1:]] for i in rows.tolist()]
+        s = np.array([sigma_inverse(total, h, sigma_scale) for total, h in
+                      zip(totals[rows].tolist(), entropies[parents].tolist())])
+        probs[rows] = _blend(c[rows] / totals[rows, None], probs[parents], s[:, None])
+        if length < counts.order - 1:  # the next level's parents
+            entropies[rows] = [_entropy(row) for row in probs[rows]]
+    return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)
 
 
-def interpolated_ngram_model(order: int, num_tags: int,
-                             freqs: dict[tuple[int, ...], np.ndarray],
-                             weights: InterpolationWeights) -> SmoothedNGramModel:
+def _mix(per_order: Sequence[np.ndarray], lam: Sequence[float]) -> np.ndarray:
+    """``interpolate`` for each row of (n, K) frequency matrices, one per
+    order, most general first: every cell gets its operations.  An all-zero
+    row is an unseen order; rows no order has seen come out all zero."""
+    n, k = per_order[0].shape
+    denom, combined, first_seen = np.zeros(n), np.zeros((n, k)), np.zeros((n, k))
+    unseen = np.ones(n, dtype=bool)  # by every order so far
+    for w, v in zip(lam, per_order):
+        seen = v.any(axis=1)
+        effective = np.where(seen, w, 0.0)
+        denom = denom + effective
+        combined = combined + effective[:, None] * v
+        first_seen[unseen & seen] = v[unseen & seen]
+        unseen &= ~seen
+    # Where no seen order carries weight, the most general seen one wins.
+    return np.divide(combined, denom[:, None], out=first_seen, where=(denom > 0.0)[:, None])
+
+
+def interpolated_ngram_model(order: int, num_tags: int, contexts: tuple[tuple[int, ...], ...],
+                             freqs: np.ndarray, weights: InterpolationWeights
+                             ) -> SmoothedNGramModel:
     """Mix each stored context's suffix frequencies once, into one row each.
 
-    ``freqs`` maps every stored context to its relative frequencies; a
-    suffix missing from it counts as an unseen order.
+    Row i of ``freqs`` holds the relative frequencies of ``contexts[i]``, a
+    probability vector; a suffix not stored counts as an unseen order.
     """
     if len(weights) != order:
         raise ValidationError(f"{len(weights)} weights for an order-{order} model")
-    zeros = np.zeros(num_tags)
-    tables = {}
-    for ctx in freqs:
-        per_order = [freqs.get(ctx[len(ctx) - j:], zeros) if j <= len(ctx) else zeros
-                     for j in range(order)]
-        tables[ctx] = interpolate(per_order, weights)
-    return SmoothedNGramModel(order, num_tags, tables, freqs)
+    n = len(contexts)
+    row_of = {ctx: i for i, ctx in enumerate(contexts)}
+    padded = np.vstack([freqs, np.zeros(num_tags)])  # row n: an unseen order
+    probs = _mix([padded[[row_of.get(ctx[len(ctx) - j:], n) if j <= len(ctx) else n
+                          for ctx in contexts]] for j in range(order)], weights.lam)
+    return SmoothedNGramModel(order, num_tags, contexts, probs, freqs)
 
 
 def build_interpolated_ngram_model(counts: NGramCountTable,
                                    weights: InterpolationWeights) -> SmoothedNGramModel:
-    freqs = {ctx: vec / counts.totals[ctx] for ctx, vec in counts.counts.items()}
-    return interpolated_ngram_model(counts.order, counts.num_tags, freqs, weights)
+    contexts = _file_order(counts.counts)
+    c = _count_matrix(counts, contexts)
+    return interpolated_ngram_model(counts.order, counts.num_tags, contexts,
+                                    c / c.sum(axis=1)[:, None], weights)
 
 
 def build_ele_ngram_model(counts: NGramCountTable) -> SmoothedNGramModel:
-    """Half-count estimation per full-length context, with no back-off rows."""
-    tables = {ctx: ele_estimate(vec)
-              for ctx, vec in counts.counts.items() if len(ctx) == counts.order - 1}
-    return SmoothedNGramModel(counts.order, counts.num_tags, tables)
+    """Half-count estimation per full-length context, with no back-off rows:
+    ``ele_estimate`` of every row at once."""
+    contexts = _file_order(ctx for ctx in counts.counts if len(ctx) == counts.order - 1)
+    c = _count_matrix(counts, contexts)
+    probs = (c + 0.5) / (c.sum(axis=1) + 0.5 * counts.num_tags)[:, None]
+    return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)

@@ -183,7 +183,7 @@ def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int
                    runtime: _DecodeRuntime | None = None) -> float:
     rt = runtime if runtime is not None else _DecodeRuntime(model)
     rt.prime(words)
-    index, log_rows = model.transition.log_table
+    index, log_rows = model.transition.index, model.transition.log_probs
     n_ctx = model.metadata.order - 1
     context = (BOUNDARY + 1,) * n_ctx
     total = 0.0
@@ -229,7 +229,7 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
     elif runtime.model is not m or runtime.open_lattice != open_lattice:
         raise ValidationError("the decode runtime was built for another model or lattice mode")
     runtime.prime(words)
-    index, log_rows = m.transition.log_table
+    index, log_rows = m.transition.index, m.transition.log_probs
     n_ctx = m.metadata.order - 1
     context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]  # tag+1
     cells = np.zeros((1,) * n_ctx)
@@ -288,7 +288,7 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
 
     def objective(lam: tuple[float, ...]) -> float:
         transition = interpolated_ngram_model(order, len(base.tag_set),
-                                              base.transition.freqs,
+                                              base.transition.contexts, base.transition.freqs,
                                               InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)

@@ -21,6 +21,7 @@ from succabs.model_io import (
 from succabs.smoothing import ConditionalDistribution
 from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
 from test_counts import random_corpus
+from transition_oracle import query
 
 
 def small_corpus():
@@ -56,9 +57,8 @@ class TestRoundTrip:
             assert loaded.metadata == model.metadata
             np.testing.assert_array_equal(loaded.unigram.probs, model.unigram.probs)
             for ctx in sample_contexts(len(model.tag_set), model.metadata.order):
-                np.testing.assert_array_equal(
-                    loaded.transition.distribution(ctx).probs,
-                    model.transition.distribution(ctx).probs)
+                np.testing.assert_array_equal(query(loaded.transition, ctx).probs,
+                                              query(model.transition, ctx).probs)
             assert set(loaded.lexicon.entries) == set(model.lexicon.entries)
             for word, vec in model.lexicon.entries.items():
                 np.testing.assert_array_equal(loaded.lexicon.entries[word], vec)
@@ -401,6 +401,24 @@ class TestNumberSpellings:
                            ("0x1", "1"), ("1e3", "1000"), ("1.0", "1")):
             model_from_text(text.replace("the\t12 0 0", f"the\t{plain} 0 0"))
             assert_rejected_without_warnings(text.replace("the\t12 0 0", f"the\t{bad} 0 0"))
+
+    def test_count_row_spellings_rejected(self):
+        # Counts inside [lexicon] and [trie] rows: np.loadtxt takes a
+        # leading zero, a sign and -0, which would write back other bytes.
+        text = valid_text()
+        assert text.count("the\t12 0 0\n") == 1
+        assert text.count("\n1\tt\t0 2 1\n") == 1
+        for bad in ("012", "+12", "0012", "12\u00a0", "\uff11\uff12"):
+            assert_rejected_without_warnings(text.replace("the\t12 0 0", f"the\t{bad} 0 0"))
+        for bad in ("0 02 1", "0 +2 1", "-0 2 1", "+0 2 1", "0 2 01", "0 2 \uff11"):
+            assert_rejected_without_warnings(text.replace("\n1\tt\t0 2 1\n", f"\n1\tt\t{bad}\n"))
+
+    def test_count_spelling_past_first_block_names_its_block(self, big_text):
+        for section in ("lexicon", "trie"):
+            bad = edit_rows(big_text, section, [2100], lambda v: " ".join(["0" + v[0]] + v[1:]))
+            with pytest.raises(ModelFormatError,
+                               match=f"^{section}: a row among 2049-2304 spells a count"):
+                model_from_text(bad)
 
     def test_probability_spellings_rejected(self):
         model = train_model(small_corpus())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from succabs.corpus import parse_corpus
+from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
 from succabs.counts import RareWordPolicy, SuffixTrie, count_ngrams
 from succabs.errors import ValidationError
 from succabs.lexicon import build_unknown_word_model
@@ -20,7 +20,9 @@ from succabs.smoothing import (
     entropy,
     grid_search_lambdas,
     interpolate,
+    interpolated_ngram_model,
     interpolation_loglik_objective,
+    log_probs,
     sigma_inverse,
     simplex_grid,
     smooth_dag,
@@ -28,6 +30,16 @@ from succabs.smoothing import (
     smooth_step,
     uniform_distribution,
     unigram_distribution,
+)
+from succabs.model_io import model_from_text, model_to_text
+from succabs.tagger import train_model
+from transition_oracle import (
+    count_freqs,
+    distribution,
+    ele_tables,
+    interpolated_tables,
+    query,
+    sa_tables,
 )
 
 
@@ -457,12 +469,14 @@ class TestNGramModels:
 
     def test_root_relative_frequency(self):
         model = build_sa_ngram_model(self.counts, root_mode="rf")
-        np.testing.assert_allclose(model.root.probs, [5 / 11, 4 / 11, 2 / 11],
+        assert model.contexts[0] == ()
+        np.testing.assert_allclose(model.probs[0], [5 / 11, 4 / 11, 2 / 11],
                                    atol=1e-15)
 
     def test_root_half_count(self):
         model = build_sa_ngram_model(self.counts, root_mode="ele")
-        np.testing.assert_allclose(model.root.probs,
+        assert model.contexts[0] == ()
+        np.testing.assert_allclose(model.probs[0],
                                    [5.5 / 12.5, 4.5 / 12.5, 2.5 / 12.5], atol=1e-15)
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
@@ -477,8 +491,9 @@ class TestNGramModels:
     def test_order_one_model_is_just_the_root(self):
         counts1 = count_ngrams(self.corpus, 1)
         model = build_sa_ngram_model(counts1, root_mode="rf")
-        np.testing.assert_allclose(model.distribution(()).probs, model.root.probs)
-        np.testing.assert_allclose(model.distribution((0, 1)).probs, model.root.probs)
+        assert model.contexts == ((),)
+        np.testing.assert_allclose(query(model, ()).probs, model.probs[0])
+        np.testing.assert_allclose(query(model, (0, 1)).probs, model.probs[0])
 
     def test_every_stored_context_matches_straight_line_recomputation(self):
         model = build_sa_ngram_model(self.counts, root_mode="rf")
@@ -495,14 +510,13 @@ class TestNGramModels:
                     continue
                 f = [c / total for c in self.counts.counts[sub]]
                 expect = oracle_step(f, expect, total)
-            np.testing.assert_allclose(model.distribution(ctx).probs, expect,
+            np.testing.assert_allclose(query(model, ctx).probs, expect,
                                        atol=1e-12)
 
     def test_unseen_context_resolves_to_longest_observed_suffix(self):
         model = build_sa_ngram_model(self.counts, root_mode="rf")
         # (2, 2) never occurs; its suffix (2,) does.
-        np.testing.assert_array_equal(model.distribution((2, 2)).probs,
-                                      model.distribution((2,)).probs)
+        np.testing.assert_array_equal(query(model, (2, 2)).probs, query(model, (2,)).probs)
 
     def all_contexts(self):
         """Every context of up to order-1 tags (boundary included), stored or not."""
@@ -519,7 +533,7 @@ class TestNGramModels:
                 total = self.counts.totals.get(sub, 0) if j <= len(ctx) else 0
                 per_order.append(self.counts.counts[sub] / total if total else np.zeros(3))
             expect = interpolate(per_order, weights)
-            np.testing.assert_array_equal(model.distribution(ctx).probs, expect.probs)
+            np.testing.assert_array_equal(query(model, ctx).probs, expect.probs)
 
     def test_ele_model_per_context_and_unseen_uniform(self):
         model = build_ele_ngram_model(self.counts)
@@ -529,8 +543,8 @@ class TestNGramModels:
                 expect = ele_estimate(self.counts.counts[ctx])
             else:
                 expect = uniform
-            np.testing.assert_array_equal(model.distribution(ctx).probs, expect.probs)
-        np.testing.assert_allclose(model.distribution((2, 2)).probs,
+            np.testing.assert_array_equal(query(model, ctx).probs, expect.probs)
+        np.testing.assert_allclose(query(model, (2, 2)).probs,
                                    [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_unigram_distribution_rejects_unknown_mode(self):
@@ -551,7 +565,7 @@ class TestLoglikObjective:
                 ctx = (-1, -1)
                 for tok in sent:
                     t = index[tok.tag]
-                    expect += math.log(model.distribution(ctx).probs[t])
+                    expect += math.log(query(model, ctx).probs[t])
                     ctx = (ctx[1], t)
             assert objective(lam) == pytest.approx(expect, abs=1e-9)
 
@@ -633,3 +647,128 @@ class TestLoglikObjectiveAgainstReference:
         counts = count_ngrams(parse_corpus("a\tX\n"), 2)
         with pytest.raises(ValidationError):
             interpolation_loglik_objective(counts, parse_corpus("a\tX\nb\tY\n"))
+
+
+class TestLogProbs:
+    def test_equals_math_log_per_cell(self):
+        rng = np.random.default_rng(8)
+        for shape in ((0,), (7,), (5, 9), (3, 4, 2)):
+            p = rng.random(shape) * rng.choice([1e-300, 1.0], size=shape)
+            p[rng.random(shape) < 0.3] = 0.0
+            expect = [math.log(x) if x > 0.0 else -math.inf for x in p.ravel().tolist()]
+            got = log_probs(p)
+            assert got.shape == p.shape and got.ravel().tolist() == expect
+
+
+def random_count_table(rng, order):
+    """``count_ngrams`` of a random corpus over 1-5 declared tags, one of
+    which may never occur."""
+    k = int(rng.integers(1, 6))
+    declared = tuple(f"T{i}" for i in range(k))
+    used = declared[:max(1, k - int(rng.integers(0, 2)))]
+    text = random_tagged_text(rng, used, int(rng.integers(1, 80)))
+    return count_ngrams(parse_corpus(text, declared), order)
+
+
+def file_order(contexts):
+    return tuple(sorted(contexts, key=lambda ctx: (len(ctx), ctx)))
+
+
+class TestArrayTablesAgainstOracle:
+    def assert_equal_tables(self, model, tables):
+        order, k = model.order, model.num_tags
+        assert model.contexts == file_order(tables)
+        for ctx, row, h in zip(model.contexts, model.probs, model.entropies):
+            assert row.tolist() == tables[ctx].probs.tolist(), ctx
+            assert h == tables[ctx].entropy_nats, ctx
+        # Every query the decoder can make: order-1 tags, boundary included.
+        for ctx in itertools.product(range(-1, k), repeat=order - 1):
+            expect = log_probs(distribution(tables, order, k, ctx).probs)
+            got = model.log_probs[model.index[tuple(t + 1 for t in ctx)]]
+            assert got.tolist() == expect.tolist(), ctx
+
+    def test_rows_and_queries_equal_the_per_context_tables(self):
+        # Orders 1-4, both root modes, sigma scales, interpolation weights
+        # on a grid that zeroes whole orders, and frequency maps with stored
+        # suffixes removed, so that unseen orders pass their weight on and,
+        # where no seen order carries weight, the most general one wins.
+        rng = np.random.default_rng(2024)
+        no_weight = 0
+        for i in range(200):
+            order = 1 + i % 4
+            root_mode = ("rf", "ele")[(i // 4) % 2]
+            counts = random_count_table(rng, order)
+            k = counts.num_tags
+            scale = float(rng.choice([1.0, 0.5, 2.5]))
+            points = list(simplex_grid(order, float(rng.choice([0.5, 0.25]))))
+            weights = InterpolationWeights(points[int(rng.integers(len(points)))])
+            freqs = {ctx: vec for ctx, vec in count_freqs(counts).items()
+                     if not ctx or rng.random() < 0.7}
+            contexts = file_order(freqs)
+            cases = [
+                (build_sa_ngram_model(counts, root_mode, scale),
+                 sa_tables(counts, root_mode, scale)),
+                (build_ele_ngram_model(counts), ele_tables(counts)),
+                (build_interpolated_ngram_model(counts, weights),
+                 interpolated_tables(order, k, count_freqs(counts), weights)),
+                (interpolated_ngram_model(
+                    order, k, contexts,
+                    np.array([freqs[ctx] for ctx in contexts]).reshape(len(contexts), k), weights),
+                 interpolated_tables(order, k, freqs, weights)),
+            ]
+            for model, tables in cases:
+                self.assert_equal_tables(model, tables)
+            no_weight += sum(
+                all(w == 0 or ctx[len(ctx) - j:] not in freqs
+                    for j, w in enumerate(weights.lam) if j <= len(ctx))
+                for ctx in freqs)
+        assert no_weight > 0
+
+
+@pytest.fixture(scope="module")
+def narrow8_counts():
+    # The criterion-6 training corpus: 8 tags, 50k tokens.
+    train = synthesize_corpus(SynthesisConfig(num_tags=8, vocab_size=500,
+                                              num_train_tokens=50000,
+                                              num_test_tokens=100, seed=42))[0]
+    return train, count_ngrams(train, 3)
+
+
+class TestIdentitiesOnTrainedModel:
+    def test_residual_at_every_stored_context(self, narrow8_counts):
+        # smoothed - f = (p - f)/(s + 1), p the parent (one tag shorter).
+        train, counts = narrow8_counts
+        model = train_model(train, order=3, root_mode="ele").transition
+        row_of = {ctx: i for i, ctx in enumerate(model.contexts)}
+        worst = 0.0
+        for ctx, smoothed in zip(model.contexts[1:], model.probs[1:]):
+            total = counts.totals[ctx]
+            f = counts.counts[ctx] / total
+            parent = model.probs[row_of[ctx[1:]]]
+            h = model.entropies[row_of[ctx[1:]]]
+            assert h == entropy(parent)
+            s = sigma_inverse(total, h)
+            worst = max(worst, float(np.abs((smoothed - f) - (parent - f) / (s + 1.0)).max()))
+        assert len(model.contexts) == len(counts.counts) > 80
+        assert worst <= 1e-12
+
+    def test_ele_rows_are_ele_estimates(self, narrow8_counts):
+        train, counts = narrow8_counts
+        model = train_model(train, order=3, smoothing="ele").transition
+        assert model.contexts == file_order(c for c in counts.counts if len(c) == 2)
+        for ctx, row in zip(model.contexts, model.probs):
+            assert row.tolist() == ele_estimate(counts.counts[ctx]).probs.tolist()
+
+    def test_loaded_tables_equal_trained_ones(self, narrow8_counts):
+        train, _ = narrow8_counts
+        for kwargs in ({}, {"root_mode": "rf", "sigma_scale": 1.5}, {"smoothing": "ele"},
+                       {"smoothing": "interp", "lambdas": (0.0, 0.95, 0.05)}, {"order": 2}):
+            trained = train_model(train, **kwargs).transition
+            loaded = model_from_text(model_to_text(train_model(train, **kwargs))).transition
+            assert loaded.contexts == trained.contexts
+            assert loaded.probs.tolist() == trained.probs.tolist()
+            assert (loaded.freqs is None) == (trained.freqs is None)
+            if trained.freqs is not None:
+                assert loaded.freqs.tolist() == trained.freqs.tolist()
+            assert np.array_equal(loaded.index, trained.index)
+            assert loaded.log_probs.tolist() == trained.log_probs.tolist()

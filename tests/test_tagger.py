@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from succabs.corpus import TagSet, parse_corpus
-from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie
+from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, reversed_suffix_path
 from succabs.errors import ValidationError
 import succabs.tagger
 from succabs.lexicon import (
+    LexicalDistribution,
     UnknownWordModel,
     known_word_distribution,
     lexical_factors,
@@ -20,6 +21,7 @@ from succabs.smoothing import (
     SmoothedNGramModel,
     log_probs,
     simplex_grid,
+    smooth_step,
     uniform_distribution,
 )
 from succabs.tagger import (
@@ -35,6 +37,7 @@ from succabs.tagger import (
     viterbi_tag,
     viterbi_tag_scored,
 )
+from transition_oracle import distribution, query, tables_of
 
 
 def hand_built_bigram_model():
@@ -44,13 +47,9 @@ def hand_built_bigram_model():
     Lexical counts: w1 -> [9,1], w2 -> [2,8]; uniform tag distribution, so
     the decoder's per-word factor vector is the tag distribution times 2.
     """
-    tables = {
-        (): uniform_distribution(2),
-        (-1,): ConditionalDistribution.from_probs([0.5, 0.5]),
-        (0,): ConditionalDistribution.from_probs([0.7, 0.3]),
-        (1,): ConditionalDistribution.from_probs([0.4, 0.6]),
-    }
-    transition = SmoothedNGramModel(order=2, num_tags=2, tables=tables)
+    transition = SmoothedNGramModel(
+        order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
+        probs=np.array([uniform_distribution(2).probs, [0.5, 0.5], [0.7, 0.3], [0.4, 0.6]]))
     lexicon = Lexicon(num_tags=2,
                       entries={"w1": np.array([9, 1]), "w2": np.array([2, 8])},
                       totals={"w1": 10, "w2": 10})
@@ -119,7 +118,7 @@ class TestScoreSequence:
             possible = True
             for w, t_sym in zip(words, tags):
                 t = corpus.tag_set.index[t_sym]
-                trans = m.transition.distribution(ctx).probs[t]
+                trans = query(m.transition, ctx).probs[t]
                 lex = known_word_distribution(m.lexicon, w).probs[t]
                 if lex == 0.0:
                     possible = False
@@ -145,13 +144,8 @@ class TestViterbi:
         assert viterbi_tag(m, ["cat"]) == ["NN"]
 
     def test_all_uniform_ties_resolve_to_first_tag(self):
-        tables = {
-            (): uniform_distribution(2),
-            (-1,): uniform_distribution(2),
-            (0,): uniform_distribution(2),
-            (1,): uniform_distribution(2),
-        }
-        transition = SmoothedNGramModel(order=2, num_tags=2, tables=tables)
+        transition = SmoothedNGramModel(order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
+                                        probs=np.array([uniform_distribution(2).probs] * 4))
         lexicon = Lexicon(num_tags=2, entries={"w": np.array([5, 5])},
                           totals={"w": 10})
         unknown = UnknownWordModel(
@@ -319,6 +313,7 @@ def reference_viterbi_tag(m, words, open_lattice=False):
     """The scalar dict-based decoder the array one replaced, kept verbatim as
     the reference: transitions come from ``distribution()`` one context at a
     time, and states are visited in sorted order."""
+    tables = tables_of(m.transition)
     n_ctx = m.metadata.order - 1
     start = (-1,) * n_ctx
     cells = {start: 0.0}
@@ -329,7 +324,7 @@ def reference_viterbi_tag(m, words, open_lattice=False):
         back = {}
         for state in sorted(cells):
             base = cells[state]
-            row = m.transition.distribution(state).probs
+            row = distribution(tables, m.transition.order, m.transition.num_tags, state).probs
             for t in lattice:
                 trans = float(row[t])
                 factor = float(factors[t])
@@ -355,11 +350,13 @@ def reference_viterbi_tag(m, words, open_lattice=False):
 
 def reference_score(m, words, tags):
     """Path score summed as the scalar decoder's scorer did, from ``distribution()``."""
+    tables = tables_of(m.transition)
     n_ctx = m.metadata.order - 1
     context = (-1,) * n_ctx
     total = 0.0
     for word, t in zip(words, (m.tag_set.index[tag] for tag in tags)):
-        trans = float(m.transition.distribution(context).probs[t])
+        trans = float(distribution(tables, m.transition.order, m.transition.num_tags,
+                                   context).probs[t])
         factor = float(reference_lexical(m, word)[0][t])
         if trans <= 0.0 or factor <= 0.0:
             return NEG_INF
@@ -435,6 +432,56 @@ def lettered_sentences(rng, corpus, alphabet, max_suffix):
                 sent.append(pool[int(rng.integers(len(pool)))] if pool else "a")
         sentences.append(sent)
     return sentences
+
+
+def smooth_step_walk(m, word, folds=None):
+    """``unknown_word_distribution`` as it folded before: the public,
+    checking ``smooth_step`` per matched trie node."""
+    if folds is None:
+        folds = {}
+    dist, node = m.root, 0
+    for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
+        node = m.trie.child(node, letter)
+        if node is None:
+            break
+        if node not in folds:
+            counts = m.trie.counts[node]
+            total = int(counts.sum())
+            folds[node] = smooth_step(counts / total, dist, total)
+        dist = folds[node]
+    return LexicalDistribution(dist.probs.copy(), frozenset())
+
+
+class TestUnknownWordFolds:
+    def test_folds_and_tags_equal_the_smooth_step_chain(self, monkeypatch):
+        rng = np.random.default_rng(4242)
+        folded = 0
+        for i in range(60):
+            corpus, alphabet = lettered_corpus(rng, int(rng.integers(2, 6)))
+            max_suffix = int(rng.integers(1, 5))
+            m = train_model(corpus, order=int(rng.integers(1, 4)),
+                            root_mode=("ele", "rf")[i % 2],
+                            policy=RareWordPolicy(frequency_threshold=int(rng.integers(10, 100)),
+                                                  max_suffix_length=max_suffix))
+            sentences = lettered_sentences(rng, corpus, alphabet, max_suffix)
+            words = [w for s in sentences for w in s] + [w + "a" for w in corpus.vocab]
+            unknown = m.unknown_word_model
+            got_folds, expect_folds = {}, {}
+            for word in words:
+                got = unknown_word_distribution(unknown, word, got_folds)
+                expect = smooth_step_walk(unknown, word, expect_folds)
+                assert got.probs.tolist() == expect.probs.tolist(), (i, word)
+            assert got_folds.keys() == expect_folds.keys()
+            for node, dist in got_folds.items():
+                assert dist.probs.tolist() == expect_folds[node].probs.tolist()
+                assert dist.entropy_nats == expect_folds[node].entropy_nats
+                assert not dist.probs.flags.writeable
+            folded += len(got_folds)
+            tagged = tag_corpus(m, sentences)
+            with monkeypatch.context() as patch:
+                patch.setattr(succabs.tagger, "unknown_word_distribution", smooth_step_walk)
+                assert tagged == tag_corpus(m, sentences)
+        assert folded > 100
 
 
 class TestLexicalTable:
