@@ -22,7 +22,6 @@ from .counts import (
     SuffixTrie,
     build_lexicon,
     build_suffix_trie,
-    context_count,
     count_ngrams,
     reversed_suffix_path,
 )

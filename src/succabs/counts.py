@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, TagSet
 from .errors import ValidationError
 
 # Pseudo-tag index padding sentence-initial contexts.  Never a valid outcome.
@@ -37,29 +37,27 @@ def letter_codes(letters: list[str]) -> np.ndarray:
     return codes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NGramCountTable:
-    """Outcome counts and occurrence totals for every observed context.
+    """Outcome counts for every observed context of every length below the
+    order; the empty context is the unigram level.
 
-    A context of length k-1 belongs to the k-gram level, so a single map
-    keyed by context tuples holds all levels at once.  The empty tuple is
-    the unigram context.
+    ``contexts`` come in model-file order, shortest first and then by tag
+    indices, so row 0 is the empty context; row i of the read-only int64
+    ``counts`` matrix is context i's outcome counts.
     """
 
     order: int
-    num_tags: int
-    counts: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
-    totals: dict[tuple[int, ...], int] = field(default_factory=dict)
+    tag_set: TagSet
+    contexts: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
 
-    def outcome_counts(self, context: tuple[int, ...]) -> np.ndarray:
-        """Counts vector for a context; all zeros if never observed."""
-        vec = self.counts.get(tuple(context))
-        if vec is None:
-            return np.zeros(self.num_tags, dtype=np.int64)
-        return vec
+    def __post_init__(self):
+        self.counts.flags.writeable = False
 
-    def contexts_of_length(self, length: int) -> Iterator[tuple[int, ...]]:
-        return (c for c in self.counts if len(c) == length)
+    @property
+    def num_tags(self) -> int:
+        return len(self.tag_set)
 
 
 def _place_values(num_tags: int, order: int, length: int) -> np.ndarray:
@@ -102,34 +100,25 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     """Count tag n-grams of all orders 1..order over the corpus.
 
     Each sentence's left edge is padded with order-1 BOUNDARY pseudo-tags.
-    Each order is one ``np.unique`` over context key times K plus outcome.
+    Each order is one ``np.unique`` over context key times K plus outcome,
+    and keys sort as their contexts do, so the rows come in file order.
     """
     if order < 1:
         raise ValidationError("n-gram order must be at least 1")
     if corpus.num_sentences == 0:
         raise ValidationError("cannot count n-grams of an empty corpus")
     m = len(corpus.tag_set)
-    table = NGramCountTable(order=order, num_tags=m)
+    contexts: list[tuple[int, ...]] = []
+    blocks = []  # one count matrix per context length
     for length, keys in enumerate(context_keys(corpus, order)):
         cells, cell_counts = np.unique(keys * m + corpus.tag_ids, return_counts=True)
-        contexts, row = np.unique(cells // m, return_inverse=True)
-        rows = np.zeros((len(contexts), m), dtype=np.int64)
+        stored, row = np.unique(cells // m, return_inverse=True)
+        rows = np.zeros((len(stored), m), dtype=np.int64)
         rows[row, (cells % m).astype(np.int64)] = cell_counts
         place = _place_values(m, order, length)
-        tuples = map(tuple, (contexts[:, None] // place % (m + 1) - 1).tolist())
-        for ctx, vec, total in zip(tuples, rows, rows.sum(axis=1).tolist()):
-            table.counts[ctx] = vec
-            table.totals[ctx] = total
-    return table
-
-
-def context_count(table: NGramCountTable, context: tuple[int, ...]) -> int:
-    """How often the context occurred in training; 0 if never."""
-    context = tuple(context)
-    if len(context) >= table.order:
-        raise ValidationError(
-            f"context length {len(context)} is not below the table order {table.order}")
-    return table.totals.get(context, 0)
+        contexts.extend(map(tuple, (stored[:, None] // place % (m + 1) - 1).tolist()))
+        blocks.append(rows)
+    return NGramCountTable(order, corpus.tag_set, tuple(contexts), np.concatenate(blocks))
 
 
 @dataclass

@@ -23,7 +23,8 @@ Layout: a magic/version line, then sections, each introduced by a
 Counts are non-negative ASCII decimal integers; section sizes, trie depths
 and the ``[meta]`` integers are spelled as ``str`` writes them, and the
 ``[meta]`` keys come in ``_META_KEYS`` order.  Probabilities are decimal floats
-as ``%.17g`` writes them, which round-trips doubles exactly.  Contexts
+as ``%.17g`` writes them, which round-trips doubles exactly (the loader
+checks that spelling except in ``[transitions]``/``[freqs]`` rows).  Contexts
 are comma-joined tag indices (-1 is the sentence boundary, the empty string
 the root context).  Sections are sorted, and the loader requires
 strictly ascending keys (a context's length, then its tag indices; the word;
@@ -72,6 +73,17 @@ def _decimal(text: str, where: str) -> int:
     return int(text)
 
 
+def _float(text: str, where: str) -> float:
+    """A float spelled as ``_fmt`` writes it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ModelFormatError(f"{where}: malformed number {text!r}") from None
+    if _fmt(value) != text:
+        raise ModelFormatError(f"{where}: {text!r} is not spelled as %.17g writes it")
+    return value
+
+
 def _parse_context(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -85,9 +97,11 @@ def _read_distribution(reader: _SectionReader, name: str, k: int) -> Conditional
     lines = reader.section(name)
     if len(lines) != 1:
         raise ModelFormatError(f"{name}: expected exactly one line")
+    row = next(_parse_blocks(lines, np.float64, k, name))[0]
+    if " ".join(map(_fmt, row.tolist())) != lines[0]:
+        raise ModelFormatError(f"{name}: a probability is not spelled as %.17g writes it")
     try:
-        return ConditionalDistribution.from_probs(
-            next(_parse_blocks(lines, np.float64, k, name))[0])
+        return ConditionalDistribution.from_probs(row)
     except ValidationError as bad:
         raise ModelFormatError(f"{name}: {bad}") from None
 
@@ -307,23 +321,18 @@ def model_from_text(text: str) -> Model:
     smoothing = meta["smoothing"]
     root_mode = meta["root_mode"]
     digest = meta["digest"]
-    try:
-        sigma_scale = float(meta["sigma_scale"])
-        policy = RareWordPolicy(_decimal(meta["rare_threshold"], "meta: rare_threshold"),
-                                _decimal(meta["max_suffix"], "meta: max_suffix"))
-    except (ValueError, ValidationError):
-        raise ModelFormatError("meta: malformed value") from None
+    sigma_scale = _float(meta["sigma_scale"], "meta: sigma_scale")
     if smoothing not in SMOOTHING_MODES:
         raise ModelFormatError(f"meta: unknown smoothing mode {smoothing!r}")
+    if (smoothing == SMOOTHING_INTERP) != ("lambdas" in meta):
+        raise ModelFormatError("meta: lambdas present iff smoothing is interp")
     lambdas: tuple[float, ...] | None = None
     if "lambdas" in meta:
-        try:
-            lambdas = tuple(float(x) for x in meta["lambdas"].split(","))
-        except ValueError:
-            raise ModelFormatError("meta: malformed lambdas") from None
-    if (smoothing == SMOOTHING_INTERP) != (lambdas is not None):
-        raise ModelFormatError("meta: lambdas present iff smoothing is interp")
+        lambdas = tuple(_float(x, "meta: lambdas") for x in meta["lambdas"].split(","))
     try:
+        policy = RareWordPolicy(_decimal(meta["rare_threshold"], "meta: rare_threshold"),
+                                _decimal(meta["max_suffix"], "meta: max_suffix"))
+        metadata = ModelMetadata(order, smoothing, root_mode, sigma_scale, digest, lambdas)
         weights = None if lambdas is None else InterpolationWeights(lambdas)
     except ValidationError as bad:
         raise ModelFormatError(f"meta: {bad}") from None
@@ -385,7 +394,6 @@ def model_from_text(text: str) -> Model:
     if not reader.finished():
         raise ModelFormatError(f"line {reader.pos + 1}: trailing content")
 
-    metadata = ModelMetadata(order, smoothing, root_mode, sigma_scale, digest, lambdas)
     return Model(tag_set, transition, lexicon, unknown, unigram, metadata)
 
 

@@ -115,6 +115,12 @@ def uniform_distribution(dim: int) -> ConditionalDistribution:
     return ConditionalDistribution.from_probs(np.full(dim, 1.0 / dim))
 
 
+def _check_sigma_scale(scale: float) -> None:
+    """Reject a scale of ``sigma_inverse`` that is not finite and nonnegative."""
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValidationError(f"sigma scale must be finite and nonnegative, not {scale!r}")
+
+
 def sigma_inverse(context_count: int, parent_entropy: float, scale: float = 1.0) -> float:
     """Inverse standard deviation weighting the relative frequencies.
 
@@ -126,6 +132,7 @@ def sigma_inverse(context_count: int, parent_entropy: float, scale: float = 1.0)
         raise ValidationError("context count must be nonnegative")
     if parent_entropy < 0:
         raise ValidationError("entropy must be nonnegative")
+    _check_sigma_scale(scale)
     if context_count == 0:
         return 0.0
     return scale * SQRT12 * math.sqrt(context_count) * math.exp(-parent_entropy)
@@ -372,28 +379,26 @@ def interpolation_loglik_objective(counts: NGramCountTable,
 
     The per-token per-order relative frequencies are gathered once, by one
     sorted key lookup per context length, so each weight evaluation is a
-    cheap vectorized pass.  The held-out corpus must
-    share the tag set the counts were gathered over.
+    cheap vectorized pass.  The held-out corpus must share the tag set the
+    counts were gathered over.
     """
     order, m = counts.order, counts.num_tags
-    if len(heldout.tag_set) != m:
-        raise ValidationError(f"held-out corpus has {len(heldout.tag_set)} tags, the counts {m}")
+    if heldout.tag_set != counts.tag_set:
+        raise ValidationError(f"held-out corpus has tags {heldout.tag_set.tags}, "
+                              f"the counts {counts.tag_set.tags}")
     outcome = heldout.tag_ids
+    totals = counts.counts.sum(axis=1)
+    lengths = np.array([len(ctx) for ctx in counts.contexts])
     freqs = np.zeros((heldout.num_tokens, order))
     depth = np.zeros(heldout.num_tokens, dtype=np.int64)
     seen = np.ones(heldout.num_tokens, dtype=bool)  # this order and every shorter one
     for length, keys in enumerate(context_keys(heldout, order)):
-        contexts = [ctx for ctx, total in counts.totals.items() if len(ctx) == length and total]
-        if not contexts:
-            break
-        stored = encode_contexts(contexts, length, m, order)
-        by_key = np.argsort(stored)
-        at = by_key[np.searchsorted(stored, keys, sorter=by_key).clip(max=len(contexts) - 1)]
+        rows = np.flatnonzero(lengths == length)
+        stored = encode_contexts([counts.contexts[i] for i in rows.tolist()], length, m, order)
+        at = np.searchsorted(stored, keys).clip(max=len(rows) - 1)
         seen &= stored[at] == keys
-        hit = np.flatnonzero(seen)
-        rows = np.array([counts.counts[ctx] for ctx in contexts], dtype=np.int64)
-        totals = np.array([counts.totals[ctx] for ctx in contexts], dtype=np.int64)
-        freqs[hit, length] = rows[at[hit], outcome[hit]] / totals[at[hit]]
+        hit = rows[at[seen]]
+        freqs[seen, length] = counts.counts[hit, outcome[seen]] / totals[hit]
         depth += seen
     depth_col = depth - 1
 
@@ -467,18 +472,9 @@ class SmoothedNGramModel:
         return np.array([_entropy(row) for row in self.probs])
 
 
-def _file_order(contexts: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(contexts, key=lambda ctx: (len(ctx), ctx)))
-
-
 def unigram_distribution(counts: NGramCountTable, root_mode: str) -> ConditionalDistribution:
     """Root of every back-off chain: the global tag distribution."""
-    return root_estimate(counts.outcome_counts(()), root_mode)
-
-
-def _count_matrix(counts: NGramCountTable, contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
-    return np.array([counts.counts[ctx] for ctx in contexts],
-                    dtype=np.int64).reshape(len(contexts), counts.num_tags)
+    return root_estimate(counts.counts[0], root_mode)
 
 
 def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
@@ -491,9 +487,8 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     per row with ``sigma_inverse``, and every cell of the blend gets
     ``smooth_step``'s operations.
     """
-    contexts = _file_order(counts.counts)
+    contexts, c = counts.contexts, counts.counts
     row_of = {ctx: i for i, ctx in enumerate(contexts)}
-    c = _count_matrix(counts, contexts)
     totals = c.sum(axis=1)
     root = unigram_distribution(counts, root_mode)
     probs, entropies = np.empty(c.shape), np.empty(len(contexts))
@@ -548,16 +543,15 @@ def interpolated_ngram_model(order: int, num_tags: int, contexts: tuple[tuple[in
 
 def build_interpolated_ngram_model(counts: NGramCountTable,
                                    weights: InterpolationWeights) -> SmoothedNGramModel:
-    contexts = _file_order(counts.counts)
-    c = _count_matrix(counts, contexts)
-    return interpolated_ngram_model(counts.order, counts.num_tags, contexts,
+    c = counts.counts
+    return interpolated_ngram_model(counts.order, counts.num_tags, counts.contexts,
                                     c / c.sum(axis=1)[:, None], weights)
 
 
 def build_ele_ngram_model(counts: NGramCountTable) -> SmoothedNGramModel:
     """Half-count estimation per full-length context, with no back-off rows:
     ``ele_estimate`` of every row at once."""
-    contexts = _file_order(ctx for ctx in counts.counts if len(ctx) == counts.order - 1)
-    c = _count_matrix(counts, contexts)
+    first = next(i for i, ctx in enumerate(counts.contexts) if len(ctx) == counts.order - 1)
+    contexts, c = counts.contexts[first:], counts.counts[first:]
     probs = (c + 0.5) / (c.sum(axis=1) + 0.5 * counts.num_tags)[:, None]
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)

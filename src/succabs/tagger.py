@@ -41,6 +41,7 @@ from .smoothing import (
     ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
+    _check_sigma_scale,
     build_ele_ngram_model,
     build_interpolated_ngram_model,
     build_sa_ngram_model,
@@ -68,6 +69,9 @@ class ModelMetadata:
     sigma_scale: float
     corpus_digest: str
     lambdas: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _check_sigma_scale(self.sigma_scale)
 
 
 @dataclass
@@ -211,9 +215,13 @@ def score_sequence(m: Model, words: Sequence[str], tags: Sequence[str]) -> float
     return _score_indices(m, words, [index[t] for t in tags])
 
 
-def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
-                runtime: _DecodeRuntime | None = None) -> list[str]:
-    """Highest-scoring tag sequence for one sentence.
+def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False) -> list[str]:
+    """Highest-scoring tag sequence for one sentence."""
+    return _viterbi(_DecodeRuntime(m, open_lattice), words)
+
+
+def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
+    """``viterbi_tag`` with the runtime's model, lattice mode and lexical table.
 
     Exact search: states are the last order-1 tags, and ``cells`` holds
     their scores with one axis per tag position, each over that position's
@@ -224,11 +232,8 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
     """
     if not words:
         raise ValidationError("cannot decode an empty sentence")
-    if runtime is None:
-        runtime = _DecodeRuntime(m, open_lattice)
-    elif runtime.model is not m or runtime.open_lattice != open_lattice:
-        raise ValidationError("the decode runtime was built for another model or lattice mode")
     runtime.prime(words)
+    m = runtime.model
     index, log_rows = m.transition.index, m.transition.log_probs
     n_ctx = m.metadata.order - 1
     context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]  # tag+1
@@ -254,7 +259,7 @@ def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False,
 def viterbi_tag_scored(m: Model, words: Sequence[str],
                        open_lattice: bool = False) -> TagSequenceScore:
     rt = _DecodeRuntime(m, open_lattice)
-    tags = viterbi_tag(m, words, open_lattice, rt)
+    tags = _viterbi(rt, words)
     score = _score_indices(m, words, [m.tag_set.index[t] for t in tags], rt)
     return TagSequenceScore(tuple(tags), score)
 
@@ -265,7 +270,7 @@ def tag_corpus(m: Model, sentences: Sequence[Sequence[str]],
     rt = _DecodeRuntime(m, open_lattice)
     # Decoding stops at the first empty sentence, which raises.
     rt.prime(chain.from_iterable(takewhile(len, sentences)))
-    return [viterbi_tag(m, sent, open_lattice, rt) for sent in sentences]
+    return [_viterbi(rt, sent) for sent in sentences]
 
 
 def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,

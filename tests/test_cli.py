@@ -97,6 +97,18 @@ class TestTrain:
         assert "no word is rarer than the rare threshold (10)" in err
         assert "--rare-threshold" in err and "--root-mode ele" in err
 
+    def test_bad_sigma_scale_is_data_error(self, tmp_path, corpus_file, capsys):
+        for bad in ("nan", "inf", "-1"):
+            out = tmp_path / f"m{bad}.txt"
+            rc = main(["train", "--corpus", corpus_file, "--out", str(out),
+                       f"--sigma-scale={bad}"])
+            assert rc == 2
+            assert "sigma scale must be finite and nonnegative" in capsys.readouterr().err
+            assert not out.exists()
+        out = train_default(tmp_path, corpus_file, "zero.txt", "--sigma-scale", "0")
+        assert "sigma_scale\t0\n" in open(out, encoding="utf-8").read()
+        assert main(["eval", "--model", out, "--gold", corpus_file]) == 0
+
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
                             "--order", "2", "--rare-threshold", "3",

@@ -16,12 +16,10 @@ from succabs.counts import (
     BOUNDARY,
     BOW_LETTER,
     Lexicon,
-    NGramCountTable,
     RareWordPolicy,
     SuffixTrie,
     build_lexicon,
     build_suffix_trie,
-    context_count,
     count_ngrams,
     reversed_suffix_path,
 )
@@ -35,20 +33,24 @@ class TestCountNgrams:
         table = count_ngrams(corpus, 2)
         assert table.order == 2
         assert table.num_tags == 2
+        assert table.tag_set == corpus.tag_set
+        rows = dict(zip(table.contexts, table.counts))
         # Contexts: sentence start, then A, then B.
-        np.testing.assert_array_equal(table.counts[(BOUNDARY,)], [1, 0])
-        np.testing.assert_array_equal(table.counts[(0,)], [0, 1])
-        np.testing.assert_array_equal(table.counts[(1,)], [1, 0])
-        # Unigram context is always present.
-        np.testing.assert_array_equal(table.counts[()], [2, 1])
-        assert table.totals[()] == 3
+        np.testing.assert_array_equal(rows[(BOUNDARY,)], [1, 0])
+        np.testing.assert_array_equal(rows[(0,)], [0, 1])
+        np.testing.assert_array_equal(rows[(1,)], [1, 0])
+        # Unigram context is always present, as row 0.
+        assert table.contexts[0] == ()
+        np.testing.assert_array_equal(table.counts[0], [2, 1])
+        assert table.counts[0].sum() == 3
 
     def test_trigram_boundary_padding(self):
         corpus = parse_corpus("x\tA\ny\tB\n\n")
         table = count_ngrams(corpus, 3)
-        np.testing.assert_array_equal(table.counts[(BOUNDARY, BOUNDARY)], [1, 0])
-        np.testing.assert_array_equal(table.counts[(BOUNDARY, 0)], [0, 1])
-        assert (0, 1) not in table.counts  # nothing follows the last token
+        rows = dict(zip(table.contexts, table.counts))
+        np.testing.assert_array_equal(rows[(BOUNDARY, BOUNDARY)], [1, 0])
+        np.testing.assert_array_equal(rows[(BOUNDARY, 0)], [0, 1])
+        assert (0, 1) not in rows  # nothing follows the last token
 
     def test_marginalization_identity(self):
         # Summing order-k counts over all observed one-step extensions of the
@@ -57,38 +59,44 @@ class TestCountNgrams:
                                                   num_train_tokens=2000,
                                                   num_test_tokens=100, seed=13))[0]
         table = count_ngrams(train, 3)
+        rows = dict(zip(table.contexts, table.counts))
         for k in (1, 2):
             shorter = {}
-            for ctx, vec in table.counts.items():
+            for ctx, vec in rows.items():
                 if len(ctx) != k:
                     continue
                 tail = ctx[1:]
                 shorter[tail] = shorter.get(tail, 0) + vec
             for tail, vec in shorter.items():
-                np.testing.assert_array_equal(vec, table.counts[tail])
+                np.testing.assert_array_equal(vec, rows[tail])
 
     def test_context_count_examples(self):
         corpus = parse_corpus("x\tA\ny\tB\nz\tA\n\n")
         table = count_ngrams(corpus, 2)
-        assert context_count(table, ()) == 3
-        assert context_count(table, (0,)) == 1
-        assert context_count(table, (1,)) == 1
-        assert context_count(table, (BOUNDARY,)) == 1
-        assert context_count(table, (5,)) == 0  # never observed
+        totals = dict(zip(table.contexts, table.counts.sum(axis=1).tolist()))
+        assert totals[()] == 3
+        assert totals[(0,)] == 1
+        assert totals[(1,)] == 1
+        assert totals[(BOUNDARY,)] == 1
+        assert (5,) not in totals  # never observed
 
     def test_totals_match_vector_sums(self):
         train = synthesize_corpus(SynthesisConfig(num_tags=3, vocab_size=30,
                                                   num_train_tokens=600,
                                                   num_test_tokens=100, seed=4))[0]
         table = count_ngrams(train, 3)
-        for ctx, vec in table.counts.items():
-            assert table.totals[ctx] == int(vec.sum())
+        # Every token has one context of each length, and only observed
+        # contexts are stored.
+        lengths = np.array([len(ctx) for ctx in table.contexts])
+        totals = table.counts.sum(axis=1)
+        assert (totals > 0).all()
+        for length in range(3):
+            assert totals[lengths == length].sum() == train.num_tokens
 
     def test_contexts_of_length(self):
         corpus = parse_corpus("x\tA\ny\tB\nz\tA\n\n")
         table = count_ngrams(corpus, 2)
-        assert set(table.contexts_of_length(0)) == {()}
-        assert set(table.contexts_of_length(1)) == {(BOUNDARY,), (0,), (1,)}
+        assert table.contexts == ((), (BOUNDARY,), (0,), (1,))
 
     def test_bad_order_rejected(self):
         corpus = parse_corpus("x\tA\n\n")
@@ -245,21 +253,19 @@ def reference_count_ngrams(corpus, order):
         raise ValidationError("cannot count n-grams of an empty corpus")
     m = len(corpus.tag_set)
     index = corpus.tag_set.index
-    table = NGramCountTable(order=order, num_tags=m)
+    counts = {}  # context -> outcome counts
     for sent in corpus.sentences:
         padded = [BOUNDARY] * (order - 1) + [index[t.tag] for t in sent]
         for i in range(order - 1, len(padded)):
             outcome = padded[i]
             for k in range(1, order + 1):
                 ctx = tuple(padded[i - k + 1:i])
-                vec = table.counts.get(ctx)
+                vec = counts.get(ctx)
                 if vec is None:
                     vec = np.zeros(m, dtype=np.int64)
-                    table.counts[ctx] = vec
+                    counts[ctx] = vec
                 vec[outcome] += 1
-    for ctx, vec in table.counts.items():
-        table.totals[ctx] = int(vec.sum())
-    return table
+    return counts
 
 
 def reference_build_lexicon(corpus):
@@ -357,13 +363,16 @@ def random_corpus(rng, via_text):
     return Corpus(tuple(tuple(TaggedToken(w, t) for w, t in s) for s in sentences), tag_set)
 
 
-def assert_same_table(got, expect):
-    assert (got.order, got.num_tags) == (expect.order, expect.num_tags)
-    assert got.counts.keys() == expect.counts.keys()
-    for ctx, vec in expect.counts.items():
-        assert got.counts[ctx].dtype == vec.dtype
-        np.testing.assert_array_equal(got.counts[ctx], vec)
-    assert got.totals == expect.totals
+def assert_same_table(corpus, order):
+    """``count_ngrams`` against the reference: the same counts, with the
+    contexts in file order (by length, then by tag indices)."""
+    got, expect = count_ngrams(corpus, order), reference_count_ngrams(corpus, order)
+    assert got.order == order and got.tag_set == corpus.tag_set
+    assert got.contexts == tuple(sorted(expect, key=lambda ctx: (len(ctx), ctx)))
+    assert got.contexts[0] == ()
+    assert got.counts.dtype == np.int64 and not got.counts.flags.writeable
+    for ctx, vec in dict(zip(got.contexts, got.counts)).items():
+        np.testing.assert_array_equal(vec, expect[ctx])
 
 
 def assert_same_trie(got, expect_root):
@@ -385,8 +394,7 @@ class TestAgainstTokenReference:
         for i in range(120):
             corpus = random_corpus(rng, via_text=i % 2 == 0)
             for order in (1, 2, 3, 4):
-                assert_same_table(count_ngrams(corpus, order),
-                                  reference_count_ngrams(corpus, order))
+                assert_same_table(corpus, order)
             lex, ref_lex = build_lexicon(corpus), reference_build_lexicon(corpus)
             assert list(lex.entries) == list(ref_lex.entries)
             for word, vec in ref_lex.entries.items():
@@ -409,12 +417,12 @@ class TestAgainstTokenReference:
         order = 2
         while (k + 1) ** (order - 1) * k < 2 ** 63:
             order += 1
-        assert_same_table(count_ngrams(corpus, order), reference_count_ngrams(corpus, order))
+        assert_same_table(corpus, order)
 
     def test_orders_past_the_corpus_length(self):
         corpus = parse_corpus("a\tX\nb\tY\nc\tX\n\nd\tY\n", ("X", "Y", "Z"))
         for order in range(1, 10):
-            assert_same_table(count_ngrams(corpus, order), reference_count_ngrams(corpus, order))
+            assert_same_table(corpus, order)
 
     def test_write_and_digest_match_and_reparse(self):
         rng = np.random.default_rng(11)

@@ -264,6 +264,15 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             model_from_text("\n".join(lines) + "\n")
 
+    def test_non_finite_or_negative_sigma_scale_rejected(self):
+        text = valid_text()
+        assert text.count("\nsigma_scale\t1\n") == 1
+        for bad in ("nan", "inf", "-inf", "-1"):
+            with pytest.raises(ModelFormatError, match="sigma scale must be finite"):
+                model_from_text(text.replace("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n"))
+        zero = text.replace("\nsigma_scale\t1\n", "\nsigma_scale\t0\n")
+        assert model_to_text(model_from_text(zero)) == zero
+
     def test_lambdas_on_non_interp_model_rejected(self):
         lines = valid_text().splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("[meta]"))
@@ -430,6 +439,26 @@ class TestNumberSpellings:
             assert_rejected_without_warnings(
                 text.replace("[unigram] 1\n0.25 ", f"[unigram] 1\n{bad} "))
 
+
+    def test_meta_and_one_line_float_spellings_rejected(self):
+        # Floats the loader re-formats cheaply must be spelled as %.17g
+        # writes them, so a file that loads writes back its bytes.
+        text = valid_text()
+        unigram = "\n[unigram] 1\n0.75757575757575757 "
+        unknown = "\n[unknown_root] 1\n0.1111111111111111 "
+        edits = [("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n")
+                 for bad in ("1.0", "+1", "1e0", "01", " 1", "1.", "NaN")]
+        edits += [(unigram, unigram.replace("0.7", bad))
+                  for bad in ("+0.7", "0.70", " 0.7")]
+        edits += [(unigram, unigram[:-1] + "0 "), (unknown, unknown[:-1] + "0 ")]
+        interp = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
+                                           lambdas=(0.2, 0.3, 0.5)))
+        lambdas = "\nlambdas\t0.20000000000000001,0.29999999999999999,0.5\n"
+        for plain, bad in edits + [(lambdas, "\nlambdas\t0.2,0.3,0.5\n"),
+                                   (lambdas, lambdas.replace(",0.5", ",+0.5"))]:
+            source = interp if plain == lambdas else text
+            assert source.count(plain) == 1
+            assert_rejected_without_warnings(source.replace(plain, bad))
 
     def test_integer_spellings_rejected(self):
         # Trie depths, section sizes and [meta] integers must be spelled as

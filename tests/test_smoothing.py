@@ -39,6 +39,7 @@ from transition_oracle import (
     ele_tables,
     interpolated_tables,
     query,
+    rows_of,
     sa_tables,
 )
 
@@ -134,6 +135,16 @@ class TestSigmaInverse:
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             sigma_inverse(-1, 0.0)
+
+    def test_non_finite_or_negative_scale_rejected(self):
+        root = uniform_distribution(3)
+        for scale in (math.nan, math.inf, -math.inf, -1.0):
+            for count in (0, 5):
+                with pytest.raises(ValidationError, match="sigma scale"):
+                    sigma_inverse(count, 0.8, scale)
+            with pytest.raises(ValidationError, match="sigma scale"):
+                smooth_step(np.array([0.5, 0.25, 0.25]), root, 4, scale)
+        assert sigma_inverse(5, 0.8, 0.0) == 0.0
 
 
 class TestSmoothStep:
@@ -466,6 +477,7 @@ class TestNGramModels:
     def setup_method(self):
         self.corpus = parse_corpus(TOY)
         self.counts = count_ngrams(self.corpus, 3)
+        self.rows = rows_of(self.counts)
 
     def test_root_relative_frequency(self):
         model = build_sa_ngram_model(self.counts, root_mode="rf")
@@ -480,7 +492,7 @@ class TestNGramModels:
                                    [5.5 / 12.5, 4.5 / 12.5, 2.5 / 12.5], atol=1e-15)
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
-        vec = self.counts.outcome_counts(())
+        vec = self.counts.counts[0]
         trie = SuffixTrie(vec.copy()[None, :], np.zeros(1, dtype=np.int64),
                           np.zeros(1, dtype=np.int64), np.array([-1]))
         for mode in ("rf", "ele"):
@@ -497,18 +509,18 @@ class TestNGramModels:
 
     def test_every_stored_context_matches_straight_line_recomputation(self):
         model = build_sa_ngram_model(self.counts, root_mode="rf")
-        root = [c / self.counts.totals[()] for c in self.counts.counts[()]]
-        for ctx, vec in self.counts.counts.items():
+        root = [c / int(self.rows[()].sum()) for c in self.rows[()]]
+        for ctx, vec in self.rows.items():
             if not ctx:
                 continue
             # Recompute the whole back-off chain independently.
             expect = root
             for start in range(len(ctx) - 1, -1, -1):
                 sub = ctx[start:]
-                total = self.counts.totals.get(sub, 0)
+                total = int(self.rows[sub].sum()) if sub in self.rows else 0
                 if total == 0:
                     continue
-                f = [c / total for c in self.counts.counts[sub]]
+                f = [c / total for c in self.rows[sub]]
                 expect = oracle_step(f, expect, total)
             np.testing.assert_allclose(query(model, ctx).probs, expect,
                                        atol=1e-12)
@@ -530,8 +542,8 @@ class TestNGramModels:
             per_order = []
             for j in range(self.counts.order):
                 sub = ctx[len(ctx) - j:]
-                total = self.counts.totals.get(sub, 0) if j <= len(ctx) else 0
-                per_order.append(self.counts.counts[sub] / total if total else np.zeros(3))
+                total = int(self.rows[sub].sum()) if j <= len(ctx) and sub in self.rows else 0
+                per_order.append(self.rows[sub] / total if total else np.zeros(3))
             expect = interpolate(per_order, weights)
             np.testing.assert_array_equal(query(model, ctx).probs, expect.probs)
 
@@ -539,8 +551,8 @@ class TestNGramModels:
         model = build_ele_ngram_model(self.counts)
         uniform = uniform_distribution(3)
         for ctx in self.all_contexts():
-            if len(ctx) == self.counts.order - 1 and ctx in self.counts.counts:
-                expect = ele_estimate(self.counts.counts[ctx])
+            if len(ctx) == self.counts.order - 1 and ctx in self.rows:
+                expect = ele_estimate(self.rows[ctx])
             else:
                 expect = uniform
             np.testing.assert_array_equal(query(model, ctx).probs, expect.probs)
@@ -576,6 +588,7 @@ def reference_loglik_objective(counts, heldout):
     from succabs.counts import BOUNDARY  # local import keeps module load order flat
 
     order = counts.order
+    rows = rows_of(counts)
     index = heldout.tag_set.index
     freq_rows: list[np.ndarray] = []
     depths: list[int] = []
@@ -587,11 +600,11 @@ def reference_loglik_objective(counts, heldout):
             depth = 0
             for k in range(1, order + 1):
                 ctx = tuple(padded[i - k + 1:i])
-                total = counts.totals.get(ctx, 0)
+                total = int(rows[ctx].sum()) if ctx in rows else 0
                 if total == 0:
                     break
                 depth = k
-                row[k - 1] = counts.counts[ctx][outcome] / total
+                row[k - 1] = rows[ctx][outcome] / total
             freq_rows.append(row)
             depths.append(depth)
     freqs = np.array(freq_rows) if freq_rows else np.zeros((0, order))
@@ -647,6 +660,10 @@ class TestLoglikObjectiveAgainstReference:
         counts = count_ngrams(parse_corpus("a\tX\n"), 2)
         with pytest.raises(ValidationError):
             interpolation_loglik_objective(counts, parse_corpus("a\tX\nb\tY\n"))
+        # As many tags, one of them another.
+        counts = count_ngrams(parse_corpus("a\tA\nb\tB\nc\tC\n"), 2)
+        with pytest.raises(ValidationError, match="held-out corpus has tags"):
+            interpolation_loglik_objective(counts, parse_corpus("a\tA\nb\tB\nd\tD\n"))
 
 
 class TestLogProbs:
@@ -739,25 +756,27 @@ class TestIdentitiesOnTrainedModel:
         # smoothed - f = (p - f)/(s + 1), p the parent (one tag shorter).
         train, counts = narrow8_counts
         model = train_model(train, order=3, root_mode="ele").transition
+        rows = rows_of(counts)
         row_of = {ctx: i for i, ctx in enumerate(model.contexts)}
         worst = 0.0
         for ctx, smoothed in zip(model.contexts[1:], model.probs[1:]):
-            total = counts.totals[ctx]
-            f = counts.counts[ctx] / total
+            total = int(rows[ctx].sum())
+            f = rows[ctx] / total
             parent = model.probs[row_of[ctx[1:]]]
             h = model.entropies[row_of[ctx[1:]]]
             assert h == entropy(parent)
             s = sigma_inverse(total, h)
             worst = max(worst, float(np.abs((smoothed - f) - (parent - f) / (s + 1.0)).max()))
-        assert len(model.contexts) == len(counts.counts) > 80
+        assert model.contexts == counts.contexts and len(model.contexts) > 80
         assert worst <= 1e-12
 
     def test_ele_rows_are_ele_estimates(self, narrow8_counts):
         train, counts = narrow8_counts
         model = train_model(train, order=3, smoothing="ele").transition
-        assert model.contexts == file_order(c for c in counts.counts if len(c) == 2)
+        rows = rows_of(counts)
+        assert model.contexts == file_order(c for c in rows if len(c) == 2)
         for ctx, row in zip(model.contexts, model.probs):
-            assert row.tolist() == ele_estimate(counts.counts[ctx]).probs.tolist()
+            assert row.tolist() == ele_estimate(rows[ctx]).probs.tolist()
 
     def test_loaded_tables_equal_trained_ones(self, narrow8_counts):
         train, _ = narrow8_counts

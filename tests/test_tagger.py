@@ -29,6 +29,7 @@ from succabs.tagger import (
     ModelMetadata,
     NEG_INF,
     _DecodeRuntime,
+    _viterbi,
     corpus_digest,
     score_sequence,
     tag_corpus,
@@ -192,18 +193,7 @@ class TestViterbi:
         log_factors, lattice = scaled.table["w1"]
         scaled.table["w1"] = (log_factors + math.log(7.3), lattice)
         plain = viterbi_tag(m, ["w1", "w2", "w1"])
-        assert viterbi_tag(m, ["w1", "w2", "w1"], runtime=scaled) == plain
-
-    def test_runtime_of_another_model_or_lattice_mode_rejected(self):
-        m = hand_built_bigram_model()
-        other = dataclasses.replace(m)
-        with pytest.raises(ValidationError, match="another model or lattice mode"):
-            viterbi_tag(m, ["w1"], runtime=_DecodeRuntime(other))
-        with pytest.raises(ValidationError, match="another model or lattice mode"):
-            viterbi_tag(m, ["w1"], open_lattice=True, runtime=_DecodeRuntime(m))
-        with pytest.raises(ValidationError, match="another model or lattice mode"):
-            viterbi_tag(m, ["w1"], runtime=_DecodeRuntime(m, open_lattice=True))
-        assert viterbi_tag(m, ["w1"], True, _DecodeRuntime(m, True)) == viterbi_tag(m, ["w1"])
+        assert _viterbi(scaled, ["w1", "w2", "w1"]) == plain
 
     def test_scored_variant_is_consistent(self):
         m = hand_built_bigram_model()
@@ -622,6 +612,18 @@ class TestTrainModel:
         corpus = parse_corpus("a\tX\n\n")
         with pytest.raises(ValidationError):
             train_model(corpus, smoothing="kneser-ney")
+
+    def test_non_finite_or_negative_sigma_scale_rejected(self):
+        # Also where no smoothing step uses the scale: it is stored either way.
+        corpus = parse_corpus("a\tX\nb\tY\n\nb\tY\na\tX\n\n")
+        for scale in (math.nan, math.inf, -1.0):
+            for kwargs in ({}, {"order": 1}, {"smoothing": "ele"},
+                           {"smoothing": "interp", "lambdas": (0.5, 0.25, 0.25)}):
+                with pytest.raises(ValidationError, match="sigma scale"):
+                    train_model(corpus, sigma_scale=scale, **kwargs)
+        m = train_model(corpus, sigma_scale=0.0)
+        assert m.metadata.sigma_scale == 0.0
+        assert tag_corpus(m, [["a", "b"]]) == [["X", "Y"]]
 
 
 class TestTaggingAccuracyObjective:

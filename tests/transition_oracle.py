@@ -4,6 +4,7 @@ replaced, kept verbatim as the reference they must equal.
 Each builder returns the old ``tables`` map, context -> validated
 ``ConditionalDistribution``, filled one context at a time through the
 public smoothing functions; ``distribution`` is the old back-off query.
+They read a count table as the old context -> counts map, ``rows_of``.
 """
 
 import numpy as np
@@ -18,14 +19,19 @@ from succabs.smoothing import (
 )
 
 
+def rows_of(counts):
+    """A count table as a context -> outcome counts map."""
+    return dict(zip(counts.contexts, counts.counts))
+
+
 def sa_tables(counts, root_mode="rf", sigma_scale=1.0):
     """The old ``build_sa_ngram_model``: a ``smooth_step`` per context."""
+    rows = rows_of(counts)
     tables = {(): unigram_distribution(counts, root_mode)}
     for length in range(1, counts.order):
-        for ctx in sorted(counts.contexts_of_length(length)):
-            total = counts.totals[ctx]
-            tables[ctx] = smooth_step(counts.counts[ctx] / total, tables[ctx[1:]], total,
-                                      sigma_scale)
+        for ctx in sorted(ctx for ctx in rows if len(ctx) == length):
+            total = int(rows[ctx].sum())
+            tables[ctx] = smooth_step(rows[ctx] / total, tables[ctx[1:]], total, sigma_scale)
     return tables
 
 
@@ -43,13 +49,13 @@ def interpolated_tables(order, num_tags, freqs, weights):
 
 def count_freqs(counts):
     """The old ``build_interpolated_ngram_model``'s frequency map."""
-    return {ctx: vec / counts.totals[ctx] for ctx, vec in counts.counts.items()}
+    return {ctx: vec / int(vec.sum()) for ctx, vec in rows_of(counts).items()}
 
 
 def ele_tables(counts):
     """The old ``build_ele_ngram_model``."""
     return {ctx: ele_estimate(vec)
-            for ctx, vec in counts.counts.items() if len(ctx) == counts.order - 1}
+            for ctx, vec in rows_of(counts).items() if len(ctx) == counts.order - 1}
 
 
 def distribution(tables, order, num_tags, context):
