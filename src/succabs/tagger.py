@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,6 +54,13 @@ NEG_INF = float("-inf")
 # Words per factor matrix when priming: ``log_probs`` holds two Python floats
 # per lattice cell at once, 6 MB for a block of 2048 open 48-tag lattices.
 _PRIME_BLOCK = 2048
+# A sentence with fewer (state, tag) cells per token than this is decoded
+# with the other such sentences of its call by ``_viterbi_batch``; a wider
+# one by ``_viterbi``, whose array steps are already large enough there.
+_BATCH_CROSSOVER = 1024
+# Cells per ``_viterbi_batch`` call, summed over its sentences' tokens: the
+# bound on its back-pointers and on the arrays of one step.
+_BATCH_CELLS = 1 << 18
 
 SMOOTHING_SA = "sa"
 SMOOTHING_INTERP = "interp"
@@ -136,25 +143,34 @@ def train_model(corpus: Corpus, order: int = 3,
 class _DecodeRuntime:
     """Each word's log lexical factors and lattice, for one decoding call.
 
-    ``table`` maps a word to ln(P(t|w)/P(t)) on its lattice and the lattice,
-    the tag indices the decoder tries for it, ascending: a known word's
-    lexicon tags (every tag with ``open_lattice``), or every tag for an
-    unknown word.
+    ``ids`` numbers the words primed so far.  Word i's lattice, the tag
+    indices the decoder tries for it, ascending, is ``lat`` at ``offsets[i]``
+    for ``sizes[i]`` entries: a known word's lexicon tags (every tag with
+    ``open_lattice``), or every tag for an unknown word.  ``lex`` holds
+    ln(P(t|w)/P(t)) at the same places.
     """
 
     def __init__(self, model: Model, open_lattice: bool = False):
         self.model = model
         self.open_lattice = open_lattice
-        self.table: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.ids: dict[str, int] = {}
+        self.lex = np.empty(0)
+        self.lat = self.offsets = self.sizes = np.empty(0, np.intp)
+
+    def entry(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """A primed word's log factors and lattice, as views."""
+        i = self.ids[word]
+        span = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
+        return self.lex[span], self.lat[span]
 
     def prime(self, words: Iterable[str]) -> None:
-        """Add the words not in ``table`` yet, in blocks of ``_PRIME_BLOCK``:
+        """Add the words not in ``ids`` yet, in blocks of ``_PRIME_BLOCK``:
         one factor matrix and one ``log_probs`` per block, with each cell's
         operations those of ``known_word_distribution`` or
         ``unknown_word_distribution`` and then ``lexical_factors``.  If words
         are rejected, the error is the per-word one of the first of them in
         ``words``."""
-        new = [w for w in dict.fromkeys(words) if w not in self.table]
+        new = [w for w in dict.fromkeys(words) if w not in self.ids]
         m = self.model
         entries = m.lexicon.entries
         folds: dict[int, ConditionalDistribution] = {}  # trie node -> fold, for this call
@@ -177,10 +193,11 @@ class _DecodeRuntime:
                         raise
             factors = lexical_factor_rows(probs, m.unigram)
             word_rows, lattices = np.nonzero(on_lattice)
-            log_factors = log_probs(factors[word_rows, lattices])
-            ends = np.cumsum(on_lattice.sum(axis=1)).tolist()
-            self.table.update((w, (log_factors[lo:hi], lattices[lo:hi]))
-                              for w, lo, hi in zip(block, [0] + ends, ends))
+            self.lex = np.concatenate((self.lex, log_probs(factors[word_rows, lattices])))
+            self.lat = np.concatenate((self.lat, lattices))
+            self.sizes = np.concatenate((self.sizes, on_lattice.sum(axis=1)))
+            self.ids.update(zip(block, range(len(self.ids), len(self.ids) + len(block))))
+            self.offsets = np.cumsum(self.sizes) - self.sizes
 
 
 def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int],
@@ -192,7 +209,7 @@ def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int
     context = (BOUNDARY + 1,) * n_ctx
     total = 0.0
     for word, t in zip(words, tag_indices):
-        log_factors, lattice = rt.table[word]
+        log_factors, lattice = rt.entry(word)
         at = int(np.searchsorted(lattice, t))
         lex = float(log_factors[at]) if at < len(lattice) and lattice[at] == t else NEG_INF
         trans = float(log_rows[index[context], t])
@@ -217,18 +234,162 @@ def score_sequence(m: Model, words: Sequence[str], tags: Sequence[str]) -> float
 
 def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False) -> list[str]:
     """Highest-scoring tag sequence for one sentence."""
-    return _viterbi(_DecodeRuntime(m, open_lattice), words)
+    return _decode(_DecodeRuntime(m, open_lattice), [words])[0]
+
+
+def _decode(runtime: _DecodeRuntime, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
+    """Tags of each sentence, with the runtime's model, lattice mode and
+    lexical arrays: the entry point of every decode.
+
+    The runtime is primed in token order up to the first empty sentence,
+    which raises.  A sentence's cells per token, the mean over its tokens of
+    the product of the lattice sizes at that token and the order-1 before
+    it, routes it: below ``_BATCH_CROSSOVER`` to ``_viterbi_batch``, longest
+    sentences first, each batch as many as fit in ``_BATCH_CELLS`` cells and
+    at least one; else to ``_viterbi``.  Both find the same tags, ties
+    included.
+    """
+    runtime.prime(chain.from_iterable(takewhile(len, sentences)))
+    if not all(len(s) for s in sentences):
+        raise ValidationError("cannot decode an empty sentence")
+    if not sentences:
+        return []
+    ids = runtime.ids
+    tokens = np.array([ids[w] for s in sentences for w in s], dtype=np.intp)
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    firsts = np.cumsum(lengths) - lengths
+    width = runtime.sizes[tokens]
+    position = np.arange(len(tokens)) - np.repeat(firsts, lengths)
+    cells = width.copy()
+    for back in range(1, min(runtime.model.metadata.order, int(lengths.max()))):
+        cells[back:] *= np.where(position[back:] >= back, width[:-back], 1)
+    cells = np.add.reduceat(cells, firsts)
+
+    names = runtime.model.tag_set.tags
+    out: list = [None] * len(sentences)
+    wide = cells >= _BATCH_CROSSOVER * lengths
+    for i in np.flatnonzero(wide).tolist():
+        out[i] = _viterbi(runtime, sentences[i])
+    narrow = np.flatnonzero(~wide)
+    narrow = narrow[np.argsort(-lengths[narrow], kind="stable")]
+    ends = np.cumsum(cells[narrow])
+    lo = 0
+    while lo < len(narrow):  # as many as fit in _BATCH_CELLS, and at least one
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - cells[narrow[lo]] + _BATCH_CELLS,
+                                             "right")))
+        batch, lo = narrow[lo:hi], hi
+        n = lengths[batch]
+        at = np.repeat(firsts[batch] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        got = iter([names[t] for t in _viterbi_batch(runtime, n, tokens[at]).tolist()])
+        for i in batch.tolist():
+            out[i] = list(islice(got, lengths[i]))
+    return out
+
+
+def _viterbi_batch(runtime: _DecodeRuntime, lengths: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """``_viterbi`` over many sentences at once: the tag indices of their
+    tokens, sentence after sentence.
+
+    ``lengths`` are descending and ``tokens`` are the runtime's word ids.
+    Step k decodes position k of the sentences longer than k, a prefix of
+    them.  Each one's states form a C-order block over its last order-1
+    lattices, the blocks one flat vector, and ``codes`` holds each state's
+    tag+1 digits in base K+1, the flat ``index`` of its transition row.  The
+    step scores every (state, tag) cell as ``_viterbi`` does, laid out by new
+    state with the oldest tag varying fastest, and maximizes each new
+    state's run of cells with ``reduceat``; the smallest index reaching the
+    maximum is the first one, and a finished sentence's final argmax runs
+    over its block in C order, so ties resolve as in ``_viterbi``.  One loop
+    over the positions walks all sentences back.
+    """
+    m, lex, lat = runtime.model, runtime.lex, runtime.lat
+    k_tags = m.transition.num_tags
+    n_ctx = m.metadata.order - 1
+    rows_of_code = m.transition.index.ravel() * k_tags
+    log_rows = m.transition.log_probs.ravel()
+    oldest = (k_tags + 1) ** max(n_ctx - 1, 0)  # weight of a code's oldest digit
+    n = len(lengths)
+    firsts = np.cumsum(lengths) - lengths
+    active = (n - np.cumsum(np.bincount(lengths))).tolist()  # sentences longer than k
+    scores, codes = np.zeros(n), np.zeros(n, np.intp)
+    block_first = np.arange(n + 1)  # where each sentence's states start
+    final = np.empty(n, np.intp)  # each sentence's best final state, in its block
+    steps = []  # per position: lattice offsets and sizes, block starts, stride, back-pointers
+    for k in range(len(active) - 1):
+        na, done = active[k], active[k + 1]
+        words = tokens[firsts[:na] + k]
+        lo, size = runtime.offsets[words], runtime.sizes[words]
+        sentence = np.arange(na)
+        if n_ctx:
+            # A new state's run is over the oldest tag's lattice (the
+            # boundary's before position n_ctx), which a state index
+            # multiplies by ``stride``.
+            run = steps[k - n_ctx][1][:na] if k >= n_ctx else np.ones(na, np.intp)
+            stride = np.diff(block_first) // run
+            new_first = np.concatenate(([0], np.cumsum(stride * size)))
+            sentence = np.repeat(sentence, stride * size)
+            rest, tag = np.divmod(np.arange(new_first[-1]) - new_first[sentence], size[sentence])
+            base = block_first[sentence] + rest  # each run's first state
+            at = lo[sentence] + tag
+            new_codes = codes[base] % oldest * (k_tags + 1) + lat[at] + 1
+            run = run[sentence]
+        else:  # the only run is over the new tag's lattice, from the one state
+            run, stride, new_first = size, np.zeros(na, np.intp), np.arange(na + 1)
+            base, new_codes = sentence, codes
+        run_first = np.concatenate(([0], np.cumsum(run)))
+        starts, step = run_first[:-1], stride[sentence]
+        jump = np.repeat(step, run)
+        jump[starts] = base - np.concatenate(([0], (base + (run - 1) * step)[:-1]))
+        state = np.cumsum(jump)  # each cell's state: base, base + stride, ...
+        if n_ctx:
+            col, lex_cell = np.repeat(lat[at], run), np.repeat(lex[at], run)
+        else:
+            at = np.arange(run_first[-1]) + np.repeat(lo - starts, run)
+            col, lex_cell = lat[at], lex[at]
+        cell = scores[state] + log_rows[rows_of_code[codes][state] + col]
+        cell += lex_cell
+        best, back = _segment_argmax(cell, run_first)
+        steps.append((lo, size, new_first, stride, back))
+        if done < na:  # sentences ending here: the first maximum of each block
+            ends = new_first[done:]
+            final[done:na] = _segment_argmax(best[ends[0]:], ends - ends[0])[1]
+        block_first = new_first[:done + 1]
+        scores, codes = best[:block_first[-1]], new_codes[:block_first[-1]]
+    tags = np.empty(len(tokens), np.intp)
+    state = final[:0]
+    for k in reversed(range(len(steps))):
+        lo, size, new_first, stride, back = steps[k]
+        na = len(lo)
+        state = np.concatenate((state, final[len(state):na]))
+        if n_ctx:
+            rest, tag = np.divmod(state, size)
+            tags[firsts[:na] + k] = lat[lo + tag]
+            state = back[new_first[:na] + state] * stride + rest
+        else:
+            tags[firsts[:na] + k] = lat[lo + back]
+    return tags
+
+
+def _segment_argmax(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum of each nonempty segment ``values[bounds[i]:bounds[i+1]]``
+    and the offset in it of its first occurrence, the tie-break of ``argmax``."""
+    starts = bounds[:-1]
+    best = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(best, np.diff(bounds)))  # one in each segment
+    return best, hits[np.searchsorted(hits, starts)] - starts
 
 
 def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
-    """``viterbi_tag`` with the runtime's model, lattice mode and lexical table.
+    """One sentence's tags, with the runtime's model, lattice mode and
+    lexical arrays.
 
     Exact search: states are the last order-1 tags, and ``cells`` holds
     their scores with one axis per tag position, each over that position's
     ascending lattice (just the boundary before the sentence).  A step adds
     one axis for the new tag and maximizes out the oldest; ``argmax`` keeps
     the first maximum, and the final one runs in C order, so ties resolve
-    toward the smallest tag indices.
+    toward the smallest tag indices.  ``_decode`` sends it the sentences
+    whose steps are large enough to be array-bound.
     """
     if not words:
         raise ValidationError("cannot decode an empty sentence")
@@ -240,7 +401,7 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     cells = np.zeros((1,) * n_ctx)
     back = []  # per token: (lattice, argmax over the oldest tag)
     for word in words:
-        log_factors, lattice = runtime.table[word]
+        log_factors, lattice = runtime.entry(word)
         rows = index[tuple(context)]
         scores = log_rows.take(rows, axis=0)[..., lattice]
         scores += cells[..., None]
@@ -259,18 +420,18 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
 def viterbi_tag_scored(m: Model, words: Sequence[str],
                        open_lattice: bool = False) -> TagSequenceScore:
     rt = _DecodeRuntime(m, open_lattice)
-    tags = _viterbi(rt, words)
+    tags = _decode(rt, [words])[0]
     score = _score_indices(m, words, [m.tag_set.index[t] for t in tags], rt)
     return TagSequenceScore(tuple(tags), score)
 
 
 def tag_corpus(m: Model, sentences: Sequence[Sequence[str]],
                open_lattice: bool = False) -> list[list[str]]:
-    """Decode each sentence independently, with one lexical table for the call."""
-    rt = _DecodeRuntime(m, open_lattice)
-    # Decoding stops at the first empty sentence, which raises.
-    rt.prime(chain.from_iterable(takewhile(len, sentences)))
-    return [_viterbi(rt, sent) for sent in sentences]
+    """Each sentence's best tags, found independently, with one lexical
+    table for the call; narrow sentences are decoded together, position by
+    position (``_decode``).  An empty sentence raises, unless a rejected word
+    comes before it."""
+    return _decode(_DecodeRuntime(m, open_lattice), sentences)
 
 
 def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,

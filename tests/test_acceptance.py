@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,11 +290,10 @@ def test_criterion_6_synthetic_end_to_end():
            "tag set); the trigram error rate is then checked against the "
            "3.9-5.3% band")
 def test_criterion_7_external_corpus_band():
-    train = parse_corpus(open(os.environ["SUCCABS_EXTERNAL_TRAIN"],
-                              encoding="utf-8").read())
+    train = parse_corpus(Path(os.environ["SUCCABS_EXTERNAL_TRAIN"]).read_text(encoding="utf-8"))
     declared = train.tag_set.tags
-    test = parse_corpus(open(os.environ["SUCCABS_EXTERNAL_TEST"],
-                             encoding="utf-8").read(), declared_tags=declared)
+    test = parse_corpus(Path(os.environ["SUCCABS_EXTERNAL_TEST"]).read_text(encoding="utf-8"),
+                        declared_tags=declared)
     known = {tok.word for sent in train.sentences for tok in sent}
     words = [[tok.word for tok in sent] for sent in test.sentences]
 

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,20 +30,21 @@ def train_default(tmp_path, corpus_file, name="model.txt", *extra):
 class TestTrain:
     def test_writes_readable_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file)
-        head = open(out, encoding="utf-8").readline()
+        with open(out, encoding="utf-8") as fh:
+            head = fh.readline()
         assert head == "SUCCABS 1\n"
 
     def test_byte_identical_across_runs(self, tmp_path, corpus_file):
         a = train_default(tmp_path, corpus_file, "a.txt")
         b = train_default(tmp_path, corpus_file, "b.txt")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_interp_smoothing_with_lambdas(self, tmp_path, corpus_file):
         out = str(tmp_path / "interp.txt")
         rc = main(["train", "--corpus", corpus_file, "--out", out,
                    "--smoothing", "interp", "--lambdas", "0.2,0.3,0.5"])
         assert rc == 0
-        assert "lambdas\t" in open(out, encoding="utf-8").read()
+        assert "lambdas\t" in Path(out).read_text(encoding="utf-8")
 
     def test_lambdas_without_interp_is_usage_error(self, tmp_path, corpus_file):
         rc = main(["train", "--corpus", corpus_file,
@@ -106,7 +108,7 @@ class TestTrain:
             assert "sigma scale must be finite and nonnegative" in capsys.readouterr().err
             assert not out.exists()
         out = train_default(tmp_path, corpus_file, "zero.txt", "--sigma-scale", "0")
-        assert "sigma_scale\t0\n" in open(out, encoding="utf-8").read()
+        assert "sigma_scale\t0\n" in Path(out).read_text(encoding="utf-8")
         assert main(["eval", "--model", out, "--gold", corpus_file]) == 0
 
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
@@ -114,7 +116,7 @@ class TestTrain:
                             "--order", "2", "--rare-threshold", "3",
                             "--max-suffix", "4", "--sigma-scale", "2.0",
                             "--root-mode", "rf")
-        text = open(out, encoding="utf-8").read()
+        text = Path(out).read_text(encoding="utf-8")
         assert "order\t2" in text
         assert "rare_threshold\t3" in text
         assert "max_suffix\t4" in text
@@ -272,18 +274,18 @@ class TestSynth:
     def test_deterministic_output_files(self, tmp_path):
         t1, s1 = self.run_synth(tmp_path, 5, "a")
         t2, s2 = self.run_synth(tmp_path, 5, "b")
-        assert open(t1, "rb").read() == open(t2, "rb").read()
-        assert open(s1, "rb").read() == open(s2, "rb").read()
+        assert Path(t1).read_bytes() == Path(t2).read_bytes()
+        assert Path(s1).read_bytes() == Path(s2).read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         t1, _ = self.run_synth(tmp_path, 5, "a")
         t2, _ = self.run_synth(tmp_path, 6, "b")
-        assert open(t1, "rb").read() != open(t2, "rb").read()
+        assert Path(t1).read_bytes() != Path(t2).read_bytes()
 
     def test_outputs_parse_and_spec_json(self, tmp_path):
         train, test = self.run_synth(tmp_path, 11, spec=True)
         for path in (train, test):
-            corpus = parse_corpus(open(path, encoding="utf-8").read())
+            corpus = parse_corpus(Path(path).read_text(encoding="utf-8"))
             assert corpus.num_tokens > 0
         spec = json.loads((tmp_path / "spec.json").read_text(encoding="utf-8"))
         assert spec["config"]["num_tags"] == 3

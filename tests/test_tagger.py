@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -29,7 +30,7 @@ from succabs.tagger import (
     ModelMetadata,
     NEG_INF,
     _DecodeRuntime,
-    _viterbi,
+    _decode,
     corpus_digest,
     score_sequence,
     tag_corpus,
@@ -39,6 +40,27 @@ from succabs.tagger import (
     viterbi_tag_scored,
 )
 from transition_oracle import distribution, query, tables_of
+
+# The ways ``_decode`` can be made to run a call: every sentence through
+# ``_viterbi``; every sentence through ``_viterbi_batch``, in batches as
+# large as allowed, of one sentence each, or of a few; and the default
+# routing by cells per token.
+ROUTES = (
+    {"_BATCH_CROSSOVER": 0},
+    {"_BATCH_CROSSOVER": 10**9, "_BATCH_CELLS": 10**12},
+    {"_BATCH_CROSSOVER": 10**9, "_BATCH_CELLS": 1},
+    {"_BATCH_CROSSOVER": 10**9, "_BATCH_CELLS": 60},
+    {},
+)
+
+
+@contextlib.contextmanager
+def routed(monkeypatch, route):
+    """Decode through one of ``ROUTES`` inside the block."""
+    with monkeypatch.context() as patch:
+        for name, value in route.items():
+            patch.setattr(succabs.tagger, name, value)
+        yield
 
 
 def hand_built_bigram_model():
@@ -186,14 +208,17 @@ class TestViterbi:
         assert tags[0] == "AT"
         assert tags[1] == "NN"  # suffix pulls the novel word toward NN
 
-    def test_factor_scale_invariance_of_argmax(self):
+    def test_factor_scale_invariance_of_argmax(self, monkeypatch):
         m = hand_built_bigram_model()
-        scaled = _DecodeRuntime(m)
-        scaled.prime(["w1"])
-        log_factors, lattice = scaled.table["w1"]
-        scaled.table["w1"] = (log_factors + math.log(7.3), lattice)
-        plain = viterbi_tag(m, ["w1", "w2", "w1"])
-        assert _viterbi(scaled, ["w1", "w2", "w1"]) == plain
+        words = ["w1", "w2", "w1"]
+        plain = viterbi_tag(m, words)
+        for route in ROUTES:
+            with routed(monkeypatch, route):
+                scaled = _DecodeRuntime(m)
+                scaled.prime(["w1"])
+                log_factors, _ = scaled.entry("w1")
+                log_factors += math.log(7.3)  # a view into the runtime's ``lex``
+                assert _decode(scaled, [words]) == [plain], route
 
     def test_scored_variant_is_consistent(self):
         m = hand_built_bigram_model()
@@ -228,6 +253,39 @@ def random_test_sentence(rng, corpus):
         else:
             words.append(vocab[int(rng.integers(len(vocab)))])
     return words
+
+
+def narrow_training_corpus(rng, unseen_tags=()):
+    """A corpus in which each word carries its own tag 85% of the time."""
+    num_tags = int(rng.integers(2, 6))
+    vocab = [f"w{i}" for i in range(int(rng.integers(8, 15)))]
+    home = rng.integers(num_tags, size=len(vocab))
+    blocks = []
+    for _ in range(int(rng.integers(12, 25))):
+        lines = []
+        for _ in range(int(rng.integers(1, 8))):
+            w = int(rng.integers(len(vocab)))
+            t = home[w] if rng.random() < 0.85 else rng.integers(num_tags)
+            lines.append(f"{vocab[w]}\tT{t}")
+        blocks.append("\n".join(lines))
+    tags = unseen_tags + tuple(f"T{i}" for i in range(num_tags))
+    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=tags)
+
+
+def narrow_test_call(rng, corpus):
+    """Sentences of 1 to 30 tokens, one of each extreme, over the training
+    words with repeats, some holding a run of one to three unknown words."""
+    vocab = sorted(corpus.vocab)
+    lengths = [1, 30] + rng.integers(1, 31, size=int(rng.integers(2, 7))).tolist()
+    sentences = []
+    for n in lengths:
+        sent = [vocab[int(rng.integers(len(vocab)))] for _ in range(n)]
+        if rng.random() < 0.6:
+            at = int(rng.integers(n))
+            run = min(int(rng.integers(1, 4)), n - at)
+            sent[at:at + run] = [f"novel{int(rng.integers(3))}" for _ in range(run)]
+        sentences.append(sent)
+    return sentences
 
 
 def enumerate_best_score(m, words):
@@ -357,11 +415,12 @@ def reference_score(m, words, tags):
 
 
 class TestDecoderAgainstScalarReference:
-    def test_random_models_decode_identically(self):
+    def test_random_models_decode_identically(self, monkeypatch):
         # Orders 1-4, every estimator, both root modes (rf with a declared
         # tag never seen in training), closed and open lattices, and
         # sentences that repeat words so equal-scoring paths occur.  Tags
-        # and scores must match exactly: the tie-break depends on both.
+        # and scores must match exactly, through every route of the
+        # decoder: the tie-break depends on both.
         rng = np.random.default_rng(31)
         for i in range(320):
             root_mode = ("ele", "rf")[i % 2]
@@ -381,10 +440,13 @@ class TestDecoderAgainstScalarReference:
                 if j % 2:
                     words = words + words[::-1]
                 open_lattice = j >= 2
-                got = viterbi_tag_scored(m, words, open_lattice)
                 expect = reference_viterbi_tag(m, words, open_lattice)
-                assert list(got.tags) == expect, (i, words)
-                assert got.log_score == reference_score(m, words, expect), (i, words)
+                score = reference_score(m, words, expect)
+                for route in ROUTES:
+                    with routed(monkeypatch, route):
+                        got = viterbi_tag_scored(m, words, open_lattice)
+                    assert list(got.tags) == expect, (i, words, route)
+                    assert got.log_score == score, (i, words, route)
 
 
 def lettered_corpus(rng, num_tags, unseen_tags=()):
@@ -498,10 +560,10 @@ class TestLexicalTable:
             for open_lattice in (False, True):
                 rt = _DecodeRuntime(m, open_lattice)
                 rt.prime(words)
-                assert set(rt.table) == set(words)
+                assert set(rt.ids) == set(words)
                 for word in words:
                     factors, lattice = reference_lexical(m, word, open_lattice)
-                    got_logs, got_lattice = rt.table[word]
+                    got_logs, got_lattice = rt.entry(word)
                     assert got_lattice.tolist() == list(lattice), (i, word)
                     expect = log_probs(factors[list(lattice)])
                     assert np.array_equal(got_logs, expect), (i, word)
@@ -589,6 +651,79 @@ class TestTagCorpus:
         forward = tag_corpus(m, sentences)
         backward = tag_corpus(m, sentences[::-1])
         assert forward == backward[::-1]
+
+    def test_random_calls_match_the_scalar_reference(self, monkeypatch):
+        # Calls of sentences 1-30 tokens long, over words mostly seen under
+        # one tag, so closed lattices are narrow, with runs of adjacent
+        # unknown words and repeated words (ties).  Orders 1-4, every
+        # estimator, both root modes, closed and open lattices; every route
+        # of the decoder, in the given and in a shuffled sentence order.
+        rng = np.random.default_rng(606)
+        for i in range(48):
+            root_mode = ("ele", "rf")[i % 2]
+            corpus = narrow_training_corpus(rng, ("NEVER",) if root_mode == "rf" else ())
+            order = 1 + (i // 2) % 4
+            smoothing = ("sa", "ele", "interp")[(i // 8) % 3]
+            lambdas = None
+            if smoothing == "interp":
+                points = list(simplex_grid(order, 0.25))
+                lambdas = points[int(rng.integers(len(points)))]
+            m = train_model(corpus, order=order, smoothing=smoothing, lambdas=lambdas,
+                            root_mode=root_mode, policy=RareWordPolicy(frequency_threshold=100))
+            sentences = narrow_test_call(rng, corpus)
+            shuffle = rng.permutation(len(sentences)).tolist()
+            for open_lattice in (False, True):
+                expect = [reference_viterbi_tag(m, s, open_lattice) for s in sentences]
+                for route in ROUTES:
+                    with routed(monkeypatch, route):
+                        assert tag_corpus(m, sentences, open_lattice) == expect, (i, route)
+                        assert (tag_corpus(m, [sentences[j] for j in shuffle], open_lattice)
+                                == [expect[j] for j in shuffle]), (i, route)
+
+    def test_routing_by_cells_per_token(self, monkeypatch):
+        # A sentence of 1,024 or more cells per token goes to ``_viterbi``;
+        # the others are batched longest first, as many as fit in
+        # ``_BATCH_CELLS`` and at least one.
+        tags = [f"T{i}" for i in range(12)]
+        corpus = parse_corpus("".join(f"k{i}\t{t}\n" + ("\n" if i % 4 == 3 else "")
+                                      for i, t in enumerate(tags)))
+        m = train_model(corpus, order=3)
+        calls = []
+        single, batch = succabs.tagger._viterbi, succabs.tagger._viterbi_batch
+        monkeypatch.setattr(succabs.tagger, "_viterbi",
+                            lambda rt, words: calls.append(list(words)) or single(rt, words))
+        monkeypatch.setattr(succabs.tagger, "_viterbi_batch",
+                            lambda rt, n, tokens: calls.append(n.tolist()) or batch(rt, n, tokens))
+        monkeypatch.setattr(succabs.tagger, "_BATCH_CELLS", 24)
+        wide = [f"u{i}" for i in range(10)]  # 12, 144, then 1,728 cells a token
+        narrow = [["k0", "k5", "k9", "k2"][:n] * 3 for n in (4, 4, 4, 4, 1)]  # 1 a token
+        sentences = [narrow[0], wide, ["k1"] * 30, *narrow[1:]]  # 30 cells: a batch alone
+        got = tag_corpus(m, sentences)
+        assert calls == [wide, [30], [12, 12], [12, 12], [3]]
+        with routed(monkeypatch, ROUTES[0]):
+            assert got == tag_corpus(m, sentences)
+
+    def test_empty_call(self, monkeypatch):
+        m = hand_built_bigram_model()
+        for route in ROUTES:
+            with routed(monkeypatch, route):
+                assert tag_corpus(m, []) == []
+
+    def test_empty_sentence_after_longer_ones_rejected(self, monkeypatch):
+        # Every route raises the first error in token order, as decoding
+        # sentence by sentence would: the empty sentence's, or that of a
+        # rejected word before it.
+        corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["cat\tNN", "mat\tNN"]) + "\n\n")
+        m = train_model(corpus, order=3)
+        for route in ROUTES:
+            with routed(monkeypatch, route):
+                with pytest.raises(ValidationError, match="^cannot decode an empty sentence$"):
+                    tag_corpus(m, [["the", "cat", "zat"], ["the"], [], ["mat", ""]])
+                with pytest.raises(ValidationError) as raised:
+                    tag_corpus(m, [["the", "cat", "zat"], ["the", ""], [], ["mat"]])
+                with pytest.raises(ValidationError) as alone:
+                    viterbi_tag(m, [""])
+                assert str(raised.value) == str(alone.value) != "cannot decode an empty sentence"
 
 
 class TestTrainModel:
