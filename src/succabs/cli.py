@@ -106,7 +106,7 @@ def _evaluate_model(model_path: str, gold: Corpus, open_lattice: bool):
     model = read_model(model_path)
     words = [[tok.word for tok in sent] for sent in gold.sentences]
     predicted = tag_corpus(model, words, open_lattice=open_lattice)
-    return evaluate(gold, predicted, set(model.lexicon.entries))
+    return evaluate(gold, predicted, model.lexicon.words)
 
 
 def cmd_eval(args) -> int:

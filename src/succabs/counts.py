@@ -9,8 +9,9 @@ over the real tag set only.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import compress
 
 import numpy as np
 
@@ -121,31 +122,45 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     return NGramCountTable(order, corpus.tag_set, tuple(contexts), np.concatenate(blocks))
 
 
-@dataclass
-class Lexicon:
-    """Per-word tag-count vectors over the training corpus."""
+@dataclass(frozen=True, eq=False)
+class Lexicon(Mapping[str, np.ndarray]):
+    """Tag counts per training word: row i of the read-only int64 (words, K)
+    ``counts`` matrix is ``words[i]``'s, with ``words`` in model-file order
+    (Python's ``sorted``) and ``index`` mapping each word to its row.  As a
+    mapping, a word's value is its row."""
 
-    num_tags: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-    totals: dict[str, int] = field(default_factory=dict)
+    words: tuple[str, ...]
+    counts: np.ndarray
+    index: dict[str, int] = field(init=False, repr=False)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
+    def __post_init__(self):
+        self.counts.flags.writeable = False
+        object.__setattr__(self, "index", dict(zip(self.words, range(len(self.words)))))
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self.counts[self.index[word]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.words)
+
+    entries = property(lambda self: self)  # the benchmark harness reads the mapping by this name
 
     def total(self, word: str) -> int:
-        return self.totals.get(word, 0)
+        return int(self[word].sum()) if word in self.index else 0
 
 
 def build_lexicon(corpus: Corpus) -> Lexicon:
-    """Tag counts per word: one ``bincount`` over word id times K plus tag."""
+    """Tag counts per word: one ``bincount`` over word id times K plus tag,
+    with the rows put in ``sorted`` word order (a numpy string sort would
+    drop trailing NULs)."""
     m = len(corpus.tag_set)
     cells = np.bincount(corpus.word_ids * m + corpus.tag_ids, minlength=len(corpus.vocab) * m)
-    rows = cells.reshape(len(corpus.vocab), m)
-    return Lexicon(m, dict(zip(corpus.vocab, rows)),
-                   dict(zip(corpus.vocab, rows.sum(axis=1).tolist())))
+    order = sorted(range(len(corpus.vocab)), key=corpus.vocab.__getitem__)
+    return Lexicon(tuple(corpus.vocab[i] for i in order),
+                   cells.reshape(len(corpus.vocab), m)[np.array(order, dtype=np.intp)])
 
 
 @dataclass(frozen=True)
@@ -269,22 +284,19 @@ def _pooled_counts(rows: np.ndarray, word_nodes: np.ndarray, rank: np.ndarray) -
     return counts
 
 
-def build_suffix_trie(corpus: Corpus, lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
+def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
     """Pool tag counts of tokens whose word falls under the rare threshold.
 
     Counts are of token occurrences, not word types: a node holds the sum
-    of the lexicon rows of the rare words whose path passes through it, so
-    the lexicon must have been built from the same corpus.
+    of the lexicon rows of the rare words whose path passes through it.
     """
-    m = len(corpus.tag_set)
-    rare = [w for w in lexicon.entries if lexicon.total(w) < policy.frequency_threshold]
-    word_nodes, parent, code, depths = _suffix_nodes(rare, policy.max_suffix_length)
+    rare = lexicon.counts.sum(axis=1) < policy.frequency_threshold
+    word_nodes, parent, code, depths = _suffix_nodes(list(compress(lexicon.words, rare)),
+                                                     policy.max_suffix_length)
     rank = _preorder(parent, depths)
     order = np.empty_like(rank)
     order[rank] = np.arange(len(rank))
-    counts = _pooled_counts(
-        np.array([lexicon.entries[w] for w in rare], dtype=np.int64).reshape(len(rare), m),
-        word_nodes, rank)
+    counts = _pooled_counts(lexicon.counts[rare], word_nodes, rank)
     parents = rank[parent[order]]
     parents[0] = -1
     return SuffixTrie(counts, depths[order], code[order], parents)

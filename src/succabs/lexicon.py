@@ -44,7 +44,7 @@ class LexicalDistribution:
 
 def known_word_distribution(lex: Lexicon, word: str) -> LexicalDistribution | None:
     """Relative tag frequencies of a training word; None if never seen."""
-    vec = lex.entries.get(word)
+    vec = lex.get(word)
     if vec is None:
         return None
     total = vec.sum()

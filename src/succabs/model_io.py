@@ -11,7 +11,8 @@ Layout: a magic/version line, then sections, each introduced by a
                          interpolated variant, holding relative frequencies);
                          contexts hold at most order-1 tags, and every
                          estimator but half-count stores the root context
-    [lexicon] n          word TAB integer tag counts, not all zero
+    [lexicon] n          word TAB integer tag counts, not all zero; no word
+                         is empty
     [trie] n             depth TAB edge letter TAB integer tag counts,
                          preorder with siblings in ascending letter order;
                          depth 0 is the root, an empty letter at depth >= 1
@@ -35,8 +36,6 @@ byte-identically.
 from __future__ import annotations
 
 import warnings
-from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -97,7 +96,7 @@ def _read_distribution(reader: _SectionReader, name: str, k: int) -> Conditional
     lines = reader.section(name)
     if len(lines) != 1:
         raise ModelFormatError(f"{name}: expected exactly one line")
-    row = next(_parse_blocks(lines, np.float64, k, name))[0]
+    row = _parse_rows(lines, 0, np.float64, k, name)[1][0]
     if " ".join(map(_fmt, row.tolist())) != lines[0]:
         raise ModelFormatError(f"{name}: a probability is not spelled as %.17g writes it")
     try:
@@ -143,7 +142,6 @@ def model_to_text(model: Model) -> str:
     else:
         table_section, table = "transitions", transition.probs
 
-    words = sorted(model.lexicon.entries)
     trie = model.unknown_word_model.trie
     k = len(model.tag_set)
     probs = " ".join(["%.17g"] * k)  # one %-format per row shape, for row.tolist()
@@ -159,9 +157,8 @@ def model_to_text(model: Model) -> str:
     out.append(f"[{table_section}] {len(transition.contexts)}")
     out.extend(keyed_probs % (",".join(map(str, ctx)), *row)
                for ctx, row in zip(transition.contexts, table.tolist()))
-    out.append(f"[lexicon] {len(words)}")
-    out.extend(_count_lines([w + "\t" for w in words], np.array(
-        [model.lexicon.entries[w] for w in words], dtype=np.int64).reshape(len(words), k)))
+    out.append(f"[lexicon] {len(model.lexicon)}")
+    out.extend(_count_lines([w + "\t" for w in model.lexicon.words], model.lexicon.counts))
     out.append(f"[trie] {len(trie.depths)}")
     out.extend(_count_lines([f"{d}\t{letter}\t" for d, letter in
                              zip(trie.depths.tolist(), trie.letters())], trie.counts))
@@ -206,14 +203,22 @@ def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _parse_blocks(texts: list[str], dtype: type, width: int, where: str,
-                  first_row: int = 0) -> Iterator[np.ndarray]:
-    """Rows of space-separated numbers as matrices of at most ``_BLOCK`` rows, which
-    loaded models keep row views of.  Small blocks reuse freed memory: one matrix
-    per section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs.
-    Errors number the rows from ``first_row``, the section row of ``texts[0]``."""
-    for lo in range(0, len(texts), _BLOCK):
-        chunk = texts[lo:lo + _BLOCK]
+def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
+                where: str) -> tuple[list[list[str]], np.ndarray]:
+    """Rows of ``keys`` tab-separated key fields and then space-separated
+    numbers: each key column, and the numbers as one (rows, width) matrix.
+    A block of ``_BLOCK`` rows at a time, so only one block's split lines
+    exist at once.  Small blocks also reuse freed memory: one parse per
+    section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs."""
+    columns: list[list[str]] = [[] for _ in range(keys)]
+    out = np.empty((len(lines), width), dtype=dtype)
+    for lo in range(0, len(lines), _BLOCK):
+        fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
+        if any(len(parts) != keys + 1 for parts in fields):
+            raise ModelFormatError(f"{where}: expected {keys + 1} tab-separated fields per row")
+        *key_texts, chunk = map(list, zip(*fields))
+        for column, texts in zip(columns, key_texts):
+            column.extend(texts)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # all-blank rows: "no data"
@@ -221,8 +226,7 @@ def _parse_blocks(texts: list[str], dtype: type, width: int, where: str,
         except (ValueError, UserWarning):
             block = None
         if block is None or block.shape != (len(chunk), width):
-            row = first_row + lo
-            raise ModelFormatError(f"{where}: a row among {row + 1}-{row + len(chunk)} is not "
+            raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} is not "
                                    f"{width} numbers")
         if dtype is np.int64:
             if (block < 0).any():
@@ -235,34 +239,21 @@ def _parse_blocks(texts: list[str], dtype: type, width: int, where: str,
                 length += np.count_nonzero(block >= power)
                 power *= 10
             if sum(map(len, chunk)) != length:
-                row = first_row + lo
-                raise ModelFormatError(f"{where}: a row among {row + 1}-{row + len(chunk)} "
+                raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} "
                                        "spells a count other than as a plain decimal integer")
         if dtype is np.float64 and not np.isfinite(block).all():
             raise ModelFormatError(f"{where}: non-finite value")
-        yield block
+        out[lo:lo + len(chunk)] = block
+    return columns, out
 
 
 def _rebuild_trie(lines: list[str], num_tags: int, max_depth: int) -> SuffixTrie:
     n = len(lines)
     if not lines or lines[0].split("\t")[:2] != ["0", ""]:
         raise ModelFormatError("trie: the section must start with the depth-0 root")
-    counts = np.empty((n, num_tags), dtype=np.int64)
-    depths = np.empty(n, dtype=np.int64)
-    letters: list[str] = []
-    depth_of: dict[str, int] = {}  # each distinct depth text, checked once
-    # A block at a time, so only one block's split lines exist at once.
-    for lo in range(0, n, _BLOCK):
-        fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
-        if any(len(parts) != 3 for parts in fields):
-            raise ModelFormatError("trie: expected three tab-separated fields")
-        depth_texts, block_letters, count_texts = zip(*fields)
-        for text in set(depth_texts).difference(depth_of):
-            depth_of[text] = _decimal(text, "trie: depth")
-        depths[lo:lo + len(fields)] = [depth_of[text] for text in depth_texts]
-        letters.extend(block_letters)
-        counts[lo:lo + len(fields)] = next(_parse_blocks(list(count_texts), np.int64, num_tags,
-                                                         "trie", lo))
+    (depth_texts, letters), counts = _parse_rows(lines, 2, np.int64, num_tags, "trie")
+    depth_of = {text: _decimal(text, "trie: depth") for text in set(depth_texts)}
+    depths = np.array([depth_of[text] for text in depth_texts], dtype=np.int64)
 
     if (depths[1:] < 1).any() or (depths[1:] > depths[:-1] + 1).any():
         raise ModelFormatError("trie: a node's depth does not follow its parent")
@@ -347,11 +338,9 @@ def model_from_text(text: str) -> Model:
     unigram = _read_distribution(reader, "unigram", k)
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
-    fields = [_split2(line, table_section) for line in reader.section(table_section)]
-    table = np.vstack([np.empty((0, k)), *_parse_blocks([v for _, v in fields], np.float64, k,
-                                                        table_section)])
-    contexts = tuple(_parse_context(text) for text, _ in fields)
-    for i, ((text, _), ctx) in enumerate(zip(fields, contexts)):
+    (texts,), table = _parse_rows(reader.section(table_section), 1, np.float64, k, table_section)
+    contexts = tuple(map(_parse_context, texts))
+    for i, (text, ctx) in enumerate(zip(texts, contexts)):
         if i and (len(ctx), ctx) <= (len(contexts[i - 1]), contexts[i - 1]):
             raise ModelFormatError(
                 f"{table_section}: duplicate context {text!r}" if ctx == contexts[i - 1] else
@@ -371,21 +360,18 @@ def model_from_text(text: str) -> Model:
     except ValidationError as bad:
         raise ModelFormatError(f"{table_section}: {bad}") from None
 
-    fields = [_split2(line, "lexicon") for line in reader.section("lexicon")]
-    words = [word for word, _ in fields]
-    blocks = list(_parse_blocks([v for _, v in fields], np.int64, k, "lexicon"))
-    totals = list(chain.from_iterable(block.sum(axis=1).tolist() for block in blocks))
-    lexicon = Lexicon(k, dict(zip(words, chain.from_iterable(blocks))), dict(zip(words, totals)))
-    if len(lexicon.entries) < len(words):
-        ordered = sorted(words)
-        dup = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-        raise ModelFormatError(f"lexicon: duplicate word {dup!r}")
-    out_of_order = next((b for a, b in zip(words, words[1:]) if b < a), None)
-    if out_of_order is not None:
-        raise ModelFormatError(f"lexicon: word {out_of_order!r} is out of order; "
-                               "rows are sorted by word")
-    if 0 in totals:
-        raise ModelFormatError(f"lexicon: word {words[totals.index(0)]!r} has no tag counts")
+    (words,), counts = _parse_rows(reader.section("lexicon"), 1, np.int64, k, "lexicon")
+    after = next((i for i in range(1, len(words)) if words[i] <= words[i - 1]), None)
+    if after is not None:
+        raise ModelFormatError(
+            f"lexicon: duplicate word {words[after]!r}" if words[after] == words[after - 1] else
+            f"lexicon: word {words[after]!r} is out of order; rows are sorted by word")
+    if words and not words[0]:  # sorted, so only the first word can be empty
+        raise ModelFormatError("lexicon: empty word, which no corpus can hold")
+    empty = np.flatnonzero(~counts.any(axis=1))
+    if empty.size:
+        raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
+    lexicon = Lexicon(tuple(words), counts)
 
     trie = _rebuild_trie(reader.section("trie"), k, policy.max_suffix_length)
 

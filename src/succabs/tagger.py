@@ -126,7 +126,7 @@ def train_model(corpus: Corpus, order: int = 3,
         lam = tuple(float(x) for x in lambdas)
         transition = build_interpolated_ngram_model(counts, InterpolationWeights(lam))
     lexicon = build_lexicon(corpus)
-    trie = build_suffix_trie(corpus, lexicon, policy)
+    trie = build_suffix_trie(lexicon, policy)
     unknown = build_unknown_word_model(trie, policy, root_mode)
     unigram = unigram_distribution(counts, root_mode)
     meta = ModelMetadata(
@@ -172,25 +172,25 @@ class _DecodeRuntime:
         ``words``."""
         new = [w for w in dict.fromkeys(words) if w not in self.ids]
         m = self.model
-        entries = m.lexicon.entries
+        index = m.lexicon.index
         folds: dict[int, ConditionalDistribution] = {}  # trie node -> fold, for this call
         for start in range(0, len(new), _PRIME_BLOCK):
             block = new[start:start + _PRIME_BLOCK]
             probs = np.empty((len(block), len(m.tag_set)))
             on_lattice = np.ones(probs.shape, dtype=bool)
-            known = [i for i, w in enumerate(block) if w in entries]
-            if known:
-                rows = np.array([entries[block[i]] for i in known])
-                probs[known] = rows / rows.sum(axis=1)[:, None]
-                if not self.open_lattice:
-                    on_lattice[known] = rows > 0
-            for i, w in enumerate(block):
-                if w not in entries:
-                    try:
-                        probs[i] = unknown_word_distribution(m.unknown_word_model, w, folds).probs
-                    except ValidationError:
-                        lexical_factor_rows(probs[:i], m.unigram)  # an earlier rejection first
-                        raise
+            at = np.array([index.get(w, -1) for w in block], dtype=np.intp)
+            known = np.flatnonzero(at >= 0)
+            counts = m.lexicon.counts[at[known]]
+            probs[known] = counts / counts.sum(axis=1)[:, None]
+            if not self.open_lattice:
+                on_lattice[known] = counts > 0
+            for i in np.flatnonzero(at < 0).tolist():
+                try:
+                    probs[i] = unknown_word_distribution(m.unknown_word_model, block[i],
+                                                         folds).probs
+                except ValidationError:
+                    lexical_factor_rows(probs[:i], m.unigram)  # an earlier rejection first
+                    raise
             factors = lexical_factor_rows(probs, m.unigram)
             word_rows, lattices = np.nonzero(on_lattice)
             self.lex = np.concatenate((self.lex, log_probs(factors[word_rows, lattices])))

@@ -15,7 +15,6 @@ from succabs.corpus import (
 from succabs.counts import (
     BOUNDARY,
     BOW_LETTER,
-    Lexicon,
     RareWordPolicy,
     SuffixTrie,
     build_lexicon,
@@ -112,13 +111,20 @@ class TestLexicon:
         assert "dog" in lex
         assert "fish" not in lex
         assert len(lex) == 2
-        np.testing.assert_array_equal(lex.entries["cat"], [2, 1])
+        np.testing.assert_array_equal(lex["cat"], [2, 1])
         assert lex.total("cat") == 3
         assert lex.total("dog") == 1
+        assert lex.total("fish") == 0
+        # The benchmark harness reads ``entries`` with get, in, iteration and len.
+        entries = lex.entries
+        assert entries.get("cat").tolist() == [2, 1] and entries.get("fish") is None
+        assert "dog" in entries and "fish" not in entries
+        assert list(entries) == ["cat", "dog"] and len(entries) == 2
 
     def test_empty_corpus_gives_empty_lexicon(self):
         lex = build_lexicon(parse_corpus(""))
         assert len(lex) == 0
+        assert lex.words == () and lex.counts.shape == (0, 0)
 
 
 class TestReversedSuffixPath:
@@ -161,7 +167,7 @@ class TestBuildSuffixTrie:
     def test_shared_suffix_pools_counts(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
-        trie = build_suffix_trie(corpus, lex, RareWordPolicy())
+        trie = build_suffix_trie(lex, RareWordPolicy())
         nn = corpus.tag_set.index_of("NN")
         # Root pools every rare token.
         assert trie.counts[0, nn] == 2
@@ -175,7 +181,7 @@ class TestBuildSuffixTrie:
     def test_frequent_words_excluded(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
-        trie = build_suffix_trie(corpus, lex, RareWordPolicy())
+        trie = build_suffix_trie(lex, RareWordPolicy())
         at = corpus.tag_set.index_of("AT")
         assert trie.counts[0, at] == 0
         assert trie.child(0, "e") is None
@@ -183,7 +189,7 @@ class TestBuildSuffixTrie:
     def test_bow_marker_terminates_full_words(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
-        trie = build_suffix_trie(corpus, lex, RareWordPolicy())
+        trie = build_suffix_trie(lex, RareWordPolicy())
         node = walk(trie, ["t", "a", "c", BOW_LETTER])
         assert trie.counts[node, corpus.tag_set.index_of("NN")] == 1
         assert not child_ids(trie, node)
@@ -193,7 +199,7 @@ class TestBuildSuffixTrie:
                                                   num_train_tokens=1500,
                                                   num_test_tokens=100, seed=8))[0]
         lex = build_lexicon(train)
-        trie = build_suffix_trie(train, lex, RareWordPolicy())
+        trie = build_suffix_trie(lex, RareWordPolicy())
         for node in trie.iter_nodes():
             children = child_ids(trie, node)
             if children:
@@ -202,7 +208,7 @@ class TestBuildSuffixTrie:
     def test_max_suffix_limits_depth(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
-        trie = build_suffix_trie(corpus, lex, RareWordPolicy(max_suffix_length=2))
+        trie = build_suffix_trie(lex, RareWordPolicy(max_suffix_length=2))
         def depth(node):
             if not child_ids(trie, node):
                 return 0
@@ -212,16 +218,16 @@ class TestBuildSuffixTrie:
     def test_raising_threshold_adds_words(self):
         corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["cat\tNN"]) + "\n\n")
         lex = build_lexicon(corpus)
-        low = build_suffix_trie(corpus, lex, RareWordPolicy(frequency_threshold=10))
-        high = build_suffix_trie(corpus, lex, RareWordPolicy(frequency_threshold=20))
         at = corpus.tag_set.index_of("AT")
-        assert low.counts[0, at] == 0
-        assert high.counts[0, at] == 12
+        # "the" occurs 12 times: rare only under a threshold above 12.
+        for threshold, count in ((10, 0), (12, 0), (13, 12), (20, 12)):
+            trie = build_suffix_trie(lex, RareWordPolicy(frequency_threshold=threshold))
+            assert trie.counts[0, at] == count
 
     def test_node_total(self):
         # A node's total, the context count of its smoothing step, is its row sum.
         corpus = self.corpus_with_rare_words()
-        trie = build_suffix_trie(corpus, build_lexicon(corpus), RareWordPolicy())
+        trie = build_suffix_trie(build_lexicon(corpus), RareWordPolicy())
         assert [int(trie.counts[walk(trie, path)].sum())
                 for path in ("", "t", "ta", "tac", "tab")] == [2, 2, 2, 1, 1]
 
@@ -269,18 +275,17 @@ def reference_count_ngrams(corpus, order):
 
 
 def reference_build_lexicon(corpus):
+    """Word -> tag counts, token by token."""
     m = len(corpus.tag_set)
     index = corpus.tag_set.index
-    lex = Lexicon(num_tags=m)
+    lex = {}
     for sent in corpus.sentences:
         for tok in sent:
-            vec = lex.entries.get(tok.word)
+            vec = lex.get(tok.word)
             if vec is None:
                 vec = np.zeros(m, dtype=np.int64)
-                lex.entries[tok.word] = vec
+                lex[tok.word] = vec
             vec[index[tok.tag]] += 1
-    for word, vec in lex.entries.items():
-        lex.totals[word] = int(vec.sum())
     return lex
 
 
@@ -294,13 +299,14 @@ class ReferenceNode:
 
 
 def reference_build_suffix_trie(corpus, lexicon, policy):
-    """The object trie, built token by token; returns its root node."""
+    """The object trie, built token by token from a word -> tag counts
+    mapping; returns its root node."""
     m = len(corpus.tag_set)
     index = corpus.tag_set.index
     root = ReferenceNode(None, np.zeros(m, dtype=np.int64))
     for sent in corpus.sentences:
         for tok in sent:
-            if lexicon.total(tok.word) >= policy.frequency_threshold:
+            if lexicon[tok.word].sum() >= policy.frequency_threshold:
                 continue
             tag = index[tok.tag]
             node = root
@@ -396,16 +402,15 @@ class TestAgainstTokenReference:
             for order in (1, 2, 3, 4):
                 assert_same_table(corpus, order)
             lex, ref_lex = build_lexicon(corpus), reference_build_lexicon(corpus)
-            assert list(lex.entries) == list(ref_lex.entries)
-            for word, vec in ref_lex.entries.items():
-                assert lex.entries[word].dtype == vec.dtype
-                np.testing.assert_array_equal(lex.entries[word], vec)
-            assert lex.totals == ref_lex.totals
+            assert lex.words == tuple(sorted(ref_lex))
+            assert lex.counts.dtype == np.int64 and not lex.counts.flags.writeable
+            for word, vec in ref_lex.items():
+                np.testing.assert_array_equal(lex[word], vec)
             # Threshold 1 leaves no word rare, so the trie is its root alone;
             # a depth of 3 cuts most words short.
             policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
                                     max_suffix_length=int(rng.choice([1, 3, 10])))
-            trie = build_suffix_trie(corpus, lex, policy)
+            trie = build_suffix_trie(lex, policy)
             assert_same_trie(trie, reference_build_suffix_trie(corpus, ref_lex, policy))
             if policy.frequency_threshold == 1:
                 assert list(trie.iter_nodes()) == [0]

@@ -56,7 +56,7 @@ class TestUnknownWordModel:
     def build(self, corpus, **policy_kwargs):
         lex = build_lexicon(corpus)
         policy = RareWordPolicy(**policy_kwargs)
-        trie = build_suffix_trie(corpus, lex, policy)
+        trie = build_suffix_trie(lex, policy)
         return build_unknown_word_model(trie, policy)
 
     def test_root_is_half_count_estimate_of_rare_tokens(self):
@@ -120,7 +120,7 @@ class TestUnknownWordModel:
         corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["dog\tNN"] * 12) + "\n\n")
         lex = build_lexicon(corpus)
         policy = RareWordPolicy()
-        trie = build_suffix_trie(corpus, lex, policy)
+        trie = build_suffix_trie(lex, policy)
         with pytest.raises(ValidationError):
             build_unknown_word_model(trie, policy, root_mode="rf")
         # Half-count root stays defined.
@@ -180,7 +180,7 @@ class TestWalkAgainstObjectTrie:
             lex = build_lexicon(corpus)
             policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
                                     max_suffix_length=int(rng.choice([1, 3, 10])))
-            model = build_unknown_word_model(build_suffix_trie(corpus, lex, policy), policy)
+            model = build_unknown_word_model(build_suffix_trie(lex, policy), policy)
             reference = reference_build_suffix_trie(corpus, lex, policy)
             # Training words match through the marker; "q" and U+1F601 are
             # letters no word has; the repeats run past every depth.

@@ -59,10 +59,10 @@ class TestRoundTrip:
             for ctx in sample_contexts(len(model.tag_set), model.metadata.order):
                 np.testing.assert_array_equal(query(loaded.transition, ctx).probs,
                                               query(model.transition, ctx).probs)
-            assert set(loaded.lexicon.entries) == set(model.lexicon.entries)
-            for word, vec in model.lexicon.entries.items():
-                np.testing.assert_array_equal(loaded.lexicon.entries[word], vec)
-                assert loaded.lexicon.total(word) == model.lexicon.total(word)
+            assert loaded.lexicon.words == model.lexicon.words
+            assert loaded.lexicon.counts.dtype == np.int64
+            assert loaded.lexicon.counts.tolist() == model.lexicon.counts.tolist()
+            assert not loaded.lexicon.counts.flags.writeable
             for name in ("counts", "depths", "codes", "parents"):
                 got = getattr(loaded.unknown_word_model.trie, name)
                 expect = getattr(model.unknown_word_model.trie, name)
@@ -83,9 +83,14 @@ class TestRoundTrip:
             assert a.log_score == b.log_score
 
     def test_reserialization_is_byte_identical(self):
-        for model in trained_models():
+        # "a\x00" comes first in the corpus, and a numpy string array would
+        # tie it with "a"; the file holds Python's order, "a" first.
+        nul = train_model(parse_corpus("a\x00\tX\na\tY\n\n"))
+        assert nul.lexicon.words == ("a", "a\x00")
+        for model in trained_models() + [nul]:
             text = model_to_text(model)
             assert model_to_text(model_from_text(text)) == text
+        assert "\n[lexicon] 2\na\t0 1\na\x00\t1 0\n" in model_to_text(nul)
 
     def test_serialization_is_deterministic(self):
         corpus = small_corpus()
@@ -204,6 +209,13 @@ class TestFormatErrors:
         lines.insert(start + 1, lines[start + 1])
         with pytest.raises(ModelFormatError):
             model_from_text("\n".join(lines) + "\n")
+
+    def test_empty_lexicon_word_rejected(self):
+        # No corpus holds an empty word, and a loaded one would tag "" where
+        # the trained model rejects it.
+        text = insert_row(valid_text(), "lexicon", -1, "\t1 0 0")
+        with pytest.raises(ModelFormatError, match="^lexicon: empty word"):
+            model_from_text(text)
 
     def test_wrong_probability_dimension_rejected(self):
         lines = valid_text().splitlines()
@@ -386,7 +398,8 @@ class TestBlockedParse:
 
     def test_empty_lexicon(self):
         model = train_model(small_corpus())
-        text = model_to_text(dataclasses.replace(model, lexicon=Lexicon(num_tags=3)))
+        empty = Lexicon((), np.zeros((0, 3), dtype=np.int64))
+        text = model_to_text(dataclasses.replace(model, lexicon=empty))
         assert "[lexicon] 0\n[trie]" in text
         assert model_to_text(model_from_text(text)) == text
 

@@ -73,9 +73,7 @@ def hand_built_bigram_model():
     transition = SmoothedNGramModel(
         order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
         probs=np.array([uniform_distribution(2).probs, [0.5, 0.5], [0.7, 0.3], [0.4, 0.6]]))
-    lexicon = Lexicon(num_tags=2,
-                      entries={"w1": np.array([9, 1]), "w2": np.array([2, 8])},
-                      totals={"w1": 10, "w2": 10})
+    lexicon = Lexicon(("w1", "w2"), np.array([[9, 1], [2, 8]]))
     empty_trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
                             np.zeros(1, dtype=np.int64), np.array([-1]))
     unknown = UnknownWordModel(empty_trie,
@@ -110,8 +108,7 @@ class TestScoreSequence:
 
     def test_zero_factor_gives_neg_inf(self):
         m = hand_built_bigram_model()
-        lexicon = Lexicon(num_tags=2, entries={"only": np.array([3, 0])},
-                          totals={"only": 3})
+        lexicon = Lexicon(("only",), np.array([[3, 0]]))
         m2 = Model(m.tag_set, m.transition, lexicon, m.unknown_word_model,
                    m.unigram, m.metadata)
         assert score_sequence(m2, ["only"], ["Y"]) == NEG_INF
@@ -169,8 +166,7 @@ class TestViterbi:
     def test_all_uniform_ties_resolve_to_first_tag(self):
         transition = SmoothedNGramModel(order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
                                         probs=np.array([uniform_distribution(2).probs] * 4))
-        lexicon = Lexicon(num_tags=2, entries={"w": np.array([5, 5])},
-                          totals={"w": 10})
+        lexicon = Lexicon(("w",), np.array([[5, 5]]))
         unknown = UnknownWordModel(
             SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
                        np.zeros(1, dtype=np.int64), np.array([-1])),
@@ -185,10 +181,7 @@ class TestViterbi:
         # "w1" was seen under both tags but "sure" only under X, so a closed
         # decode never assigns Y to "sure" even when transitions prefer it.
         m = hand_built_bigram_model()
-        lexicon = Lexicon(num_tags=2,
-                          entries={"w1": np.array([9, 1]),
-                                   "sure": np.array([1, 0])},
-                          totals={"w1": 10, "sure": 1})
+        lexicon = Lexicon(("sure", "w1"), np.array([[1, 0], [9, 1]]))
         m2 = Model(m.tag_set, m.transition, lexicon, m.unknown_word_model,
                    m.unigram, m.metadata)
         assert viterbi_tag(m2, ["w1", "sure"])[1] == "X"
