@@ -448,10 +448,16 @@ class SmoothedNGramModel:
         """Row of each query's longest stored suffix: one axis of size K+1
         per context tag, indexed by tag+1 so the boundary comes first.  A
         query with no stored suffix (only in a table without the root) gets
-        ``len(contexts)``, the uniform row of ``log_probs``."""
+        ``len(contexts)``, the uniform row of ``log_probs``.  An index too
+        large to allocate is a ``ValidationError``."""
         n = len(self.contexts)
-        index = np.full((self.num_tags + 1,) * (self.order - 1),
-                        0 if n and not self.contexts[0] else n, dtype=np.intp)
+        shape = (self.num_tags + 1,) * (self.order - 1)
+        try:
+            index = np.full(shape, 0 if n and not self.contexts[0] else n, dtype=np.intp)
+        except MemoryError:
+            raise ValidationError(
+                f"an order-{self.order} model over {self.num_tags} tags needs a transition "
+                f"index of {math.prod(shape):,} cells, more than can be allocated") from None
         lengths = np.array([len(ctx) for ctx in self.contexts])
         for length in range(1, self.order):  # a longer context overwrites its suffixes
             rows = np.flatnonzero(lengths == length)

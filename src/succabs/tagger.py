@@ -384,37 +384,52 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     lexical arrays.
 
     Exact search: states are the last order-1 tags, and ``cells`` holds
-    their scores with one axis per tag position, each over that position's
-    ascending lattice (just the boundary before the sentence).  A step adds
-    one axis for the new tag and maximizes out the oldest; ``argmax`` keeps
-    the first maximum, and the final one runs in C order, so ties resolve
-    toward the smallest tag indices.  ``_decode`` sends it the sentences
+    their scores with one axis per tag position, newest first, each over
+    that position's ascending lattice (just the boundary before the
+    sentence).  A step scores one C-contiguous block with axes (new tag,
+    newest context tag, ..., oldest) and maximizes out the oldest.  That
+    axis is last, so its ``argmax`` reads contiguous runs without a copy,
+    and the best scores are one flat gather at the back-pointers.
+    ``argmax`` keeps the first maximum, and the final one runs in C order
+    over the oldest-first transpose, so ties resolve toward the smallest
+    tag indices, oldest position first.  ``_decode`` sends it the sentences
     whose steps are large enough to be array-bound.
     """
     if not words:
         raise ValidationError("cannot decode an empty sentence")
     runtime.prime(words)
     m = runtime.model
-    index, log_rows = m.transition.index, m.transition.log_probs
+    index, log_rows = m.transition.index.transpose(), m.transition.log_probs
     n_ctx = m.metadata.order - 1
-    context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]  # tag+1
+    # tag+1 of each context position, newest first, shaped to broadcast
+    # over the state axes: position j's values run along axis j.
+    context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]
     cells = np.zeros((1,) * n_ctx)
+    new_first = (n_ctx,) + tuple(range(n_ctx))  # the lattice axis, gathered last, to the front
+    column = (-1,) + (1,) * n_ctx  # along the new tag's axis
     back = []  # per token: (lattice, argmax over the oldest tag)
     for word in words:
         log_factors, lattice = runtime.entry(word)
         rows = index[tuple(context)]
-        scores = log_rows.take(rows, axis=0)[..., lattice]
-        scores += cells[..., None]
-        scores += log_factors
-        back.append((lattice, scores.argmax(axis=0)))
-        cells = scores.max(axis=0)
-        context = ([c[..., None] for c in context] + [lattice + 1])[1:]  # as np.ix_ shapes
-    # Walk back from the best final state, prepending the position each
-    # back-pointer array names; the first n_ctx positions are boundaries.
-    path = [int(i) for i in np.unravel_index(cells.argmax(), cells.shape)]
+        scores = np.ascontiguousarray(
+            log_rows.take(rows, axis=0)[..., lattice].transpose(new_first))
+        scores += cells
+        scores += log_factors.reshape(column)
+        oldest = scores.shape[-1]
+        bp = scores.reshape(-1, oldest).argmax(axis=1)
+        cells = scores.ravel().take(bp + np.arange(0, scores.size, oldest))
+        cells = cells.reshape(scores.shape[:-1])
+        back.append((lattice, bp.reshape(cells.shape)))
+        if n_ctx:
+            context = [(lattice + 1).reshape(column[:-1])] + [c[..., 0] for c in context[:-1]]
+    # Walk back from the best final state, newest position first, appending
+    # the position each back-pointer array names; the last n_ctx positions
+    # are boundaries.
+    oldest_first = cells.transpose()
+    path = [int(i) for i in np.unravel_index(oldest_first.argmax(), oldest_first.shape)][::-1]
     for _, bp in reversed(back):
-        path.insert(0, int(bp[tuple(path[:n_ctx])]))
-    return [m.tag_set.tags[lat[i]] for (lat, _), i in zip(back, path[n_ctx:])]
+        path.append(int(bp[tuple(path[len(path) - n_ctx:])]))
+    return [m.tag_set.tags[lat[i]] for (lat, _), i in zip(back, reversed(path[:len(back)]))]
 
 
 def viterbi_tag_scored(m: Model, words: Sequence[str],

@@ -1,7 +1,9 @@
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from succabs.cli import main
@@ -198,6 +200,30 @@ class TestTag:
         rc = main(["tag", "--model", model, "--input", str(inp)])
         assert rc == 2
         assert f"line {line}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_transition_index_too_large_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # An order-7 model over 48 tags trains and loads, but its index
+        # would hold 49^6 cells; the allocation is made to fail here.
+        corpus = tmp_path / "wide.tsv"
+        corpus.write_text("".join(f"w{i % 5}\tT{i}\n" for i in range(48)) + "\n",
+                          encoding="utf-8")
+        model = str(tmp_path / "m.txt")
+        assert main(["train", "--corpus", str(corpus), "--out", model, "--order", "7"]) == 0
+        inp = tmp_path / "input.txt"
+        inp.write_text("w1 w2\n", encoding="utf-8")
+        full = np.full
+
+        def no_large_full(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 10**8:
+                raise MemoryError("Unable to allocate")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", no_large_full)
+        rc = main(["tag", "--model", model, "--input", str(inp)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: an order-7 model over 48 tags needs a transition index of "
+            "13,841,287,201 cells, more than can be allocated\n")
 
     def test_non_utf8_input_is_data_error(self, tmp_path, corpus_file, capsys):
         model = train_default(tmp_path, corpus_file)

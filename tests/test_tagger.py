@@ -442,6 +442,95 @@ class TestDecoderAgainstScalarReference:
                     assert got.log_score == score, (i, words, route)
 
 
+WIDE_TAGS = tuple(f"T{i}" for i in range(32))
+
+
+def all_tied_corpus():
+    """Single-token sentences: the words w0-w2 each once under every tag,
+    and n<t> once under tag t alone.  Every transition row is uniform, every
+    tag equally frequent and each w word's factors equal, so all paths over
+    the same lattices tie exactly."""
+    lines = [f"w{i}\t{t}" for i in range(3) for t in WIDE_TAGS]
+    lines += [f"n{i}\t{t}" for i, t in enumerate(WIDE_TAGS)]
+    return parse_corpus("\n\n".join(lines) + "\n", declared_tags=WIDE_TAGS)
+
+
+def mirrored_corpus(rng):
+    """Random sentences over wide words w0-w3 and narrow words m<i> (tags
+    2i and 2i+1), each also present with every tag index t replaced by
+    t ^ 1.  Half-count estimates are elementwise, so their models are
+    symmetric under that swap: a path and its swapped twin tie exactly."""
+    blocks = []
+    for _ in range(60):
+        tags = rng.integers(len(WIDE_TAGS), size=int(rng.integers(1, 7)))
+        words = [f"m{t // 2}" if rng.random() < 0.3 else f"w{int(rng.integers(4))}"
+                 for t in tags.tolist()]
+        for swap in (0, 1):
+            blocks.append("\n".join(f"{w}\tT{t ^ swap}" for w, t in zip(words, tags.tolist())))
+    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=WIDE_TAGS)
+
+
+def wide_sentences(rng, order, narrow):
+    """Sentences of 1-6 words, mostly wide; at order 4 no three adjacent
+    words are wide (in a closed lattice), which keeps the scalar reference
+    quick."""
+    sentences = []
+    for _ in range(3):
+        sent = []
+        for _ in range(int(rng.integers(1, 7))):
+            run = len(sent) >= 2 and all(w.startswith("w") for w in sent[-2:])
+            if rng.random() < 0.25 or (order == 4 and run):
+                sent.append(narrow[int(rng.integers(len(narrow)))])
+            else:
+                sent.append(f"w{int(rng.integers(3))}")
+        sentences.append(sent)
+    return sentences
+
+
+class TestWideLatticeTies:
+    # Through ``_viterbi`` alone, lattices of up to 32 tags, where exact
+    # ties decide the tags: the first maximum over the oldest tag at each
+    # step and the first final state in oldest-first C order must win, as
+    # in the scalar reference.
+    def assert_decodes_like_reference(self, monkeypatch, m, sentences, open_lattice):
+        with routed(monkeypatch, ROUTES[0]):
+            for words in sentences:
+                expect = reference_viterbi_tag(m, words, open_lattice)
+                got = viterbi_tag_scored(m, words, open_lattice)
+                assert list(got.tags) == expect, words
+                assert got.log_score == reference_score(m, words, expect), words
+
+    def test_all_paths_tied(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        corpus = all_tied_corpus()
+        narrow = [f"n{i}" for i in range(len(WIDE_TAGS))]
+        for order in (2, 3, 4):
+            m = train_model(corpus, order=order)
+            sentences = wide_sentences(rng, order, narrow)
+            self.assert_decodes_like_reference(monkeypatch, m, sentences, False)
+            for words in sentences:  # the largest tags tie with the smallest
+                last = [WIDE_TAGS[-1] if w[0] == "w" else WIDE_TAGS[int(w[1:])] for w in words]
+                first = viterbi_tag(m, words)
+                assert first == [WIDE_TAGS[0] if w[0] == "w" else t for w, t in zip(words, last)]
+                assert score_sequence(m, words, last) == score_sequence(m, words, first)
+
+    def test_swapped_twin_paths_tied(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for i in range(6):
+            corpus = mirrored_corpus(rng)
+            narrow = sorted(w for w in corpus.vocab if w.startswith("m"))
+            order = 2 + i % 3
+            m = train_model(corpus, order=order, smoothing="ele")
+            # An open lattice makes every word wide: too slow at order 4.
+            for open_lattice in (False, True) if order < 4 else (False,):
+                sentences = wide_sentences(rng, order, narrow)
+                self.assert_decodes_like_reference(monkeypatch, m, sentences, open_lattice)
+                for words in sentences:  # the best path's swapped twin ties with it
+                    tags = viterbi_tag(m, words, open_lattice)
+                    twin = [WIDE_TAGS[m.tag_set.index[t] ^ 1] for t in tags]
+                    assert score_sequence(m, words, twin) == score_sequence(m, words, tags)
+
+
 def lettered_corpus(rng, num_tags, unseen_tags=()):
     """Words of 1-6 letters over a small alphabet with a non-BMP letter, so
     unknown words made from the same letters share trie nodes with them."""
