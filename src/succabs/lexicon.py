@@ -12,6 +12,7 @@ training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,10 +22,8 @@ from .smoothing import (
     ROOT_MODE_ELE,
     ROOT_MODE_RF,
     ConditionalDistribution,
-    _blend,
-    _entropy,
+    _smooth_level,
     root_estimate,
-    sigma_inverse,
 )
 
 
@@ -72,39 +71,41 @@ def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
     return UnknownWordModel(trie, root_estimate(root_counts, root_mode), policy)
 
 
-def unknown_word_distribution(m: UnknownWordModel, word: str,
-                              folds: dict[int, ConditionalDistribution] | None = None,
-                              ) -> LexicalDistribution:
-    """Estimate P(tag | word) from the word's longest matched suffix chain.
+def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.ndarray:
+    """P(tag | word) of each word, as a read-only (words, K) matrix.
 
-    Walks the trie along the reversed letters (begin-of-word marker last),
-    stopping at the first unmatched letter or at the policy depth, and folds
-    one smoothing step per matched node starting from the rare-word root.
-    Every node below the root has counts, so each step is ``smooth_step``
-    without its input checks.
-
-    The fold down to a node depends only on the node, so ``folds``, when
-    given, maps nodes of ``m``'s trie to their folded distributions: the
-    walk reuses the ones it holds and adds the ones it computes.
+    A word walks the trie along its reversed letters (begin-of-word marker
+    last) up to the first unmatched letter or the policy depth, and its row
+    is the fold of one smoothing step per matched node onto the rare-word
+    root.  The union of the words' nodes is folded once, a depth at a time.
     """
-    if not word:
-        raise ValidationError("cannot estimate a distribution for an empty word")
-    if folds is None:
-        folds = {}
+    if isinstance(words, str):
+        raise ValidationError("expected a sequence of words, not one string")
     trie = m.trie
-    dist = m.root
-    node = 0
-    for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
-        node = trie.child(node, letter)
-        if node is None:
-            break
-        if node not in folds:
-            counts = trie.counts[node]
-            total = int(counts.sum())
-            p = _blend(counts / total, dist.probs, sigma_inverse(total, dist.entropy_nats))
-            folds[node] = ConditionalDistribution(p, _entropy(p))
-        dist = folds[node]
-    return LexicalDistribution(dist.probs.copy(), frozenset())
+    ends, matched = [], {0}  # each word's deepest matched node; all of them
+    for word in words:
+        if not word:
+            raise ValidationError("cannot estimate a distribution for an empty word")
+        path = [0]
+        for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
+            node = trie.child(path[-1], letter)
+            if node is None:
+                break
+            path.append(node)
+        ends.append(path[-1])
+        matched.update(path)
+    nodes = np.array(sorted(matched), dtype=np.intp)  # the root first
+    depths = trie.depths[nodes]
+    probs, entropies = np.empty((len(nodes), m.root.dim)), np.empty(len(nodes))
+    probs[0], entropies[0] = m.root.probs, m.root.entropy_nats
+    for depth in range(1, int(depths.max()) + 1):
+        rows = np.flatnonzero(depths == depth)
+        up = np.searchsorted(nodes, trie.parents[nodes[rows]])
+        probs[rows], entropies[rows] = _smooth_level(trie.counts[nodes[rows]], probs[up],
+                                                     entropies[up])
+    out = probs[np.searchsorted(nodes, ends)]
+    out.flags.writeable = False
+    return out
 
 
 def lexical_factors(dist: LexicalDistribution,

@@ -21,16 +21,16 @@ Layout: a magic/version line, then sections, each introduced by a
                          root has counts, none above its parent's
     [unknown_root] 1     K probabilities
 
-Counts are non-negative ASCII decimal integers; section sizes, trie depths
-and the ``[meta]`` integers are spelled as ``str`` writes them, and the
-``[meta]`` keys come in ``_META_KEYS`` order.  Probabilities are decimal floats
-as ``%.17g`` writes them, which round-trips doubles exactly (the loader
-checks that spelling except in ``[transitions]``/``[freqs]`` rows).  Contexts
-are comma-joined tag indices (-1 is the sentence boundary, the empty string
-the root context).  Sections are sorted, and the loader requires
-strictly ascending keys (a context's length, then its tag indices; the word;
-the edge letter among siblings), so identical models serialize
-byte-identically.
+Counts are non-negative ASCII decimal integers, each row's summing to at
+most 2^63 - 1; section sizes, trie depths and the ``[meta]`` integers are
+spelled as ``str`` writes them, and the ``[meta]`` keys come in
+``_META_KEYS`` order.  Probabilities are decimal floats as ``%.17g`` writes
+them, which round-trips doubles exactly (the loader checks that spelling
+except in ``[transitions]``/``[freqs]`` rows).  Contexts are comma-joined tag
+indices (-1 is the sentence boundary, the empty string the root context).
+Sections are sorted, and the loader requires strictly ascending keys (a
+context's length, then its tag indices; the word; the edge letter among
+siblings), so identical models serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -241,6 +241,10 @@ def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
             if sum(map(len, chunk)) != length:
                 raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} "
                                        "spells a count other than as a plain decimal integer")
+            # Row totals are int64 sums, which would wrap silently.
+            if top * width >= 2 ** 63 and max(map(sum, block.tolist())) >= 2 ** 63:
+                raise ModelFormatError(f"{where}: the counts of a row among "
+                                       f"{lo + 1}-{lo + len(chunk)} sum past 2**63 - 1")
         if dtype is np.float64 and not np.isfinite(block).all():
             raise ModelFormatError(f"{where}: non-finite value")
         out[lo:lo + len(chunk)] = block

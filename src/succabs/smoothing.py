@@ -54,6 +54,19 @@ def _entropy(p: np.ndarray) -> float:
     return max(0.0, float(-(nz * np.log(nz)).sum()))
 
 
+def _row_entropies(probs: np.ndarray) -> np.ndarray:
+    """``_entropy`` of each row, bit for bit: one ``np.log`` and row sum over
+    the rows without a zero, and ``_entropy`` itself for the others, whose
+    compressed sum groups the terms differently."""
+    full = probs.all(axis=1)
+    p = probs[full]
+    h = -(p * np.log(p)).sum(axis=1)
+    out = np.empty(len(probs))
+    out[full] = np.where(h > 0.0, h, 0.0)  # as max(0.0, -0.0) gives 0.0
+    out[~full] = [_entropy(row) for row in probs[~full]]
+    return out
+
+
 def entropy(probs) -> float:
     """Shannon entropy -sum(p*ln(p)) in nats, with 0*ln(0) = 0."""
     p = _as_prob_array(probs)
@@ -149,10 +162,16 @@ def _check_freq_vector(f: np.ndarray, context_count: int) -> None:
         raise ValidationError("zero-count context must come with a zero frequency vector")
 
 
-def _blend(freqs, parent, s):
-    """``smooth_step``'s blend on inputs known to be valid: one vector and its
-    weight, or a matrix of rows and a column of weights."""
-    return (s * freqs + parent) / (s + 1.0)
+def _smooth_level(counts: np.ndarray, parents: np.ndarray, parent_entropies: np.ndarray,
+                  scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``smooth_step``'s operations, without its checks, on each nonzero row
+    of ``counts`` against its parent row and entropy (``s`` per row with
+    ``sigma_inverse``): one level of a hierarchy.  Returns rows, entropies."""
+    totals = counts.sum(axis=1)
+    s = np.array([sigma_inverse(total, h, scale) for total, h in
+                  zip(totals.tolist(), parent_entropies.tolist())])[:, None]
+    probs = (s * (counts / totals[:, None]) + parents) / (s + 1.0)
+    return probs, _row_entropies(probs)
 
 
 def smooth_step(freqs, parent: ConditionalDistribution, context_count: int,
@@ -468,14 +487,17 @@ class SmoothedNGramModel:
     @cached_property
     def log_probs(self) -> np.ndarray:
         """ln of ``probs`` (``log_probs``), then of the uniform row ``index``
-        gives a query with no stored suffix."""
+        gives a query with no stored suffix.  Half-count and interpolated
+        tables repeat many values, so each distinct value's ln is taken once."""
         k = self.num_tags
-        return log_probs(np.vstack([self.probs, np.full(k, 1.0 / k)]))
+        table = np.vstack([self.probs, np.full(k, 1.0 / k)])
+        values, inverse = np.unique(table, return_inverse=True)
+        return log_probs(values)[inverse].reshape(table.shape)
 
     @cached_property
     def entropies(self) -> np.ndarray:
         """Each row's entropy, as ``ConditionalDistribution`` takes it."""
-        return np.array([_entropy(row) for row in self.probs])
+        return _row_entropies(self.probs)
 
 
 def unigram_distribution(counts: NGramCountTable, root_mode: str) -> ConditionalDistribution:
@@ -489,13 +511,11 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
 
     One context length at a time, shortest first, so each context's parent
     (its suffix, one tag shorter, which ``count_ngrams`` always stores) is
-    already estimated: the level's parent rows are gathered, ``s`` is taken
-    per row with ``sigma_inverse``, and every cell of the blend gets
-    ``smooth_step``'s operations.
+    already estimated: the level's parent rows are gathered and folded by
+    ``_smooth_level``.
     """
     contexts, c = counts.contexts, counts.counts
     row_of = {ctx: i for i, ctx in enumerate(contexts)}
-    totals = c.sum(axis=1)
     root = unigram_distribution(counts, root_mode)
     probs, entropies = np.empty(c.shape), np.empty(len(contexts))
     probs[0], entropies[0] = root.probs, root.entropy_nats
@@ -503,11 +523,8 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     for length in range(1, counts.order):
         rows = np.flatnonzero(lengths == length)
         parents = [row_of[contexts[i][1:]] for i in rows.tolist()]
-        s = np.array([sigma_inverse(total, h, sigma_scale) for total, h in
-                      zip(totals[rows].tolist(), entropies[parents].tolist())])
-        probs[rows] = _blend(c[rows] / totals[rows, None], probs[parents], s[:, None])
-        if length < counts.order - 1:  # the next level's parents
-            entropies[rows] = [_entropy(row) for row in probs[rows]]
+        probs[rows], entropies[rows] = _smooth_level(c[rows], probs[parents],
+                                                     entropies[parents], sigma_scale)
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)
 
 

@@ -165,17 +165,18 @@ class _DecodeRuntime:
 
     def prime(self, words: Iterable[str]) -> None:
         """Add the words not in ``ids`` yet, in blocks of ``_PRIME_BLOCK``:
-        one factor matrix and one ``log_probs`` per block, with each cell's
-        operations those of ``known_word_distribution`` or
-        ``unknown_word_distribution`` and then ``lexical_factors``.  If words
-        are rejected, the error is the per-word one of the first of them in
-        ``words``."""
+        one factor matrix, one ``unknown_word_distribution`` and one
+        ``log_probs`` per block, with each cell's operations those of
+        ``known_word_distribution`` or ``unknown_word_distribution`` and then
+        ``lexical_factors``.  If words are rejected, the error is the per-word
+        one of the first of them in ``words``."""
         new = [w for w in dict.fromkeys(words) if w not in self.ids]
         m = self.model
         index = m.lexicon.index
-        folds: dict[int, ConditionalDistribution] = {}  # trie node -> fold, for this call
-        for start in range(0, len(new), _PRIME_BLOCK):
-            block = new[start:start + _PRIME_BLOCK]
+        # The empty word, always unknown, is rejected after the words before it.
+        empty = new.index("") if "" in new else len(new)
+        for start in range(0, empty, _PRIME_BLOCK):
+            block = new[start:min(start + _PRIME_BLOCK, empty)]
             probs = np.empty((len(block), len(m.tag_set)))
             on_lattice = np.ones(probs.shape, dtype=bool)
             at = np.array([index.get(w, -1) for w in block], dtype=np.intp)
@@ -184,13 +185,9 @@ class _DecodeRuntime:
             probs[known] = counts / counts.sum(axis=1)[:, None]
             if not self.open_lattice:
                 on_lattice[known] = counts > 0
-            for i in np.flatnonzero(at < 0).tolist():
-                try:
-                    probs[i] = unknown_word_distribution(m.unknown_word_model, block[i],
-                                                         folds).probs
-                except ValidationError:
-                    lexical_factor_rows(probs[:i], m.unigram)  # an earlier rejection first
-                    raise
+            unknown = np.flatnonzero(at < 0)
+            probs[unknown] = unknown_word_distribution(m.unknown_word_model,
+                                                       [block[i] for i in unknown.tolist()])
             factors = lexical_factor_rows(probs, m.unigram)
             word_rows, lattices = np.nonzero(on_lattice)
             self.lex = np.concatenate((self.lex, log_probs(factors[word_rows, lattices])))
@@ -198,6 +195,8 @@ class _DecodeRuntime:
             self.sizes = np.concatenate((self.sizes, on_lattice.sum(axis=1)))
             self.ids.update(zip(block, range(len(self.ids), len(self.ids) + len(block))))
             self.offsets = np.cumsum(self.sizes) - self.sizes
+        if empty < len(new):
+            unknown_word_distribution(m.unknown_word_model, [""])  # raises
 
 
 def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int],

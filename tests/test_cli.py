@@ -187,6 +187,18 @@ class TestTag:
         rc = main(["tag", "--model", str(bad), "--input", str(inp)])
         assert rc == 2
 
+    def test_count_row_past_int64_is_data_error(self, tmp_path, corpus_file, capsys):
+        model = train_default(tmp_path, corpus_file)
+        text = Path(model).read_text(encoding="utf-8")
+        assert text.count("\na\t2 1\n") == 1  # the lexicon line of "a"
+        Path(model).write_text(text.replace("\na\t2 1\n", f"\na\t{2 ** 62} {2 ** 62}\n"),
+                               encoding="utf-8")
+        inp = tmp_path / "input.txt"
+        inp.write_text("a\n", encoding="utf-8")
+        rc = main(["tag", "--model", model, "--input", str(inp)])
+        assert rc == 2
+        assert "lexicon: the counts of a row among 1-3 sum past 2**63 - 1" in capsys.readouterr().err
+
     def test_non_utf8_model_is_data_error(self, tmp_path, corpus_file, capsys):
         model = train_default(tmp_path, corpus_file)
         with open(model, "rb") as fh:

@@ -26,6 +26,11 @@ def oracle_step(f, parent_probs, count):
     return [(s * fi + pi) / (s + 1.0) for fi, pi in zip(f, parent_probs)]
 
 
+def one(model, word):
+    """The estimate for a single word."""
+    return unknown_word_distribution(model, [word])[0]
+
+
 def rare_cat_corpus():
     # Two tags; "cat" occurs once (rare), "the" is frequent filler.
     lines = ["the\tAT"] * 12 + ["cat\tNN"]
@@ -66,55 +71,52 @@ class TestUnknownWordModel:
 
     def test_no_match_returns_root(self):
         model = self.build(rare_cat_corpus())
-        dist = unknown_word_distribution(model, "xyz")
-        np.testing.assert_allclose(dist.probs, model.root.probs, atol=1e-15)
-        assert dist.support == frozenset()
+        probs = unknown_word_distribution(model, ["xyz"])
+        assert probs.shape == (1, 2) and not probs.flags.writeable
+        np.testing.assert_allclose(probs[0], model.root.probs, atol=1e-15)
 
     def test_two_step_chain_for_shared_suffix(self):
         model = self.build(rare_cat_corpus())
         # "mat" reversed is t-a-m: matches the "t" and "a" nodes (counts all
         # from "cat"), then misses "m".
-        dist = unknown_word_distribution(model, "mat")
+        probs = one(model, "mat")
         level = model.root.probs.tolist()
         for _ in range(2):
             level = oracle_step([0.0, 1.0], level, 1)
-        np.testing.assert_allclose(dist.probs, level, atol=1e-12)
+        np.testing.assert_allclose(probs, level, atol=1e-12)
 
     def test_full_match_walks_through_bow_marker(self):
         model = self.build(rare_cat_corpus())
         # "cat" itself matches t, a, c, then the begin-of-word marker: four
         # smoothing steps on the same single-token counts.
-        dist = unknown_word_distribution(model, "cat")
+        probs = one(model, "cat")
         level = model.root.probs.tolist()
         for _ in range(4):
             level = oracle_step([0.0, 1.0], level, 1)
-        np.testing.assert_allclose(dist.probs, level, atol=1e-12)
+        np.testing.assert_allclose(probs, level, atol=1e-12)
 
     def test_longer_match_trusts_suffix_more(self):
         model = self.build(rare_cat_corpus())
         nn = 1
         p_root = model.root.probs[nn]
-        p_short = unknown_word_distribution(model, "it").probs[nn]   # matches "t"
-        p_mid = unknown_word_distribution(model, "mat").probs[nn]    # matches "t","a"
-        p_full = unknown_word_distribution(model, "cat").probs[nn]
+        p_short, p_mid, p_full = unknown_word_distribution(model, ["it", "mat", "cat"])[:, nn]
+        # "it" matches "t"; "mat" matches "t","a"; "cat" matches all
         assert p_root < p_short < p_mid < p_full < 1.0
 
     def test_output_strictly_positive_with_half_count_root(self):
         model = self.build(rare_cat_corpus())
-        for word in ("cat", "mat", "t", "zzz", "q"):
-            dist = unknown_word_distribution(model, word)
-            assert np.all(dist.probs > 0)
-            assert abs(dist.probs.sum() - 1.0) < 1e-9
+        probs = unknown_word_distribution(model, ["cat", "mat", "t", "zzz", "q"])
+        assert np.all(probs > 0)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_max_suffix_caps_chain_length(self):
         deep = self.build(rare_cat_corpus(), max_suffix_length=10)
         shallow = self.build(rare_cat_corpus(), max_suffix_length=1)
         # With depth 1 only the "t" node can match, so "cat" and "mat" agree.
-        a = unknown_word_distribution(shallow, "cat")
-        b = unknown_word_distribution(shallow, "mat")
-        np.testing.assert_array_equal(a.probs, b.probs)
-        c = unknown_word_distribution(deep, "cat")
-        assert not np.allclose(a.probs, c.probs)
+        a, b = unknown_word_distribution(shallow, ["cat", "mat"])
+        np.testing.assert_array_equal(a, b)
+        c = one(deep, "cat")
+        assert not np.allclose(a, c)
 
     def test_relative_frequency_root_requires_rare_tokens(self):
         corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["dog\tNN"] * 12) + "\n\n")
@@ -129,8 +131,15 @@ class TestUnknownWordModel:
 
     def test_empty_word_rejected(self):
         model = self.build(rare_cat_corpus())
-        with pytest.raises(ValidationError):
-            unknown_word_distribution(model, "")
+        with pytest.raises(ValidationError, match="empty word"):
+            unknown_word_distribution(model, ["cat", ""])
+
+    def test_words_come_as_a_sequence(self):
+        model = self.build(rare_cat_corpus())
+        with pytest.raises(ValidationError, match="sequence of words"):
+            unknown_word_distribution(model, "cat")
+        assert unknown_word_distribution(model, []).shape == (0, 2)
+        assert unknown_word_distribution(model, ()).shape == (0, 2)
 
 
 class TestLexicalFactor:
@@ -172,27 +181,52 @@ def reference_unknown_word_distribution(root_node, root, policy, word):
     return dist.probs
 
 
+# A letter no test corpus has, which ends a walk wherever it is read.
+STRANGER = "\U0001f601"
+
+
+def word_ending_at(trie, node):
+    """A word whose matched trie path ends at ``node``: its path letters
+    read back, with ``STRANGER`` before them unless the path ends at a
+    begin-of-word marker (and so goes no deeper)."""
+    letters = trie.letters()
+    path = []
+    while node > 0:
+        path.append(letters[node])
+        node = int(trie.parents[node])
+    if path and path[0] == "":  # the marker
+        return "".join(path[1:])
+    return STRANGER + "".join(path)
+
+
 class TestWalkAgainstObjectTrie:
     def test_probabilities_equal_the_object_walk(self):
+        # One call for all the words, as one decoding block makes, and one
+        # call per word, in both root modes (rf roots hold zeros, so some
+        # folded rows do too).
         rng = np.random.default_rng(808)
+        rf_rows_with_zeros = 0
         for i in range(120):
             corpus = random_corpus(rng, via_text=i % 2 == 0)
             lex = build_lexicon(corpus)
             policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
                                     max_suffix_length=int(rng.choice([1, 3, 10])))
-            model = build_unknown_word_model(build_suffix_trie(lex, policy), policy)
+            trie = build_suffix_trie(lex, policy)
+            root_mode = "rf" if i % 4 >= 2 and trie.counts[0].any() else "ele"
+            model = build_unknown_word_model(trie, policy, root_mode)
             reference = reference_build_suffix_trie(corpus, lex, policy)
             # Training words match through the marker; "q" and U+1F601 are
             # letters no word has; the repeats run past every depth.
-            words = [w for s in (lex.entries, ["q", "\U0001f601", "\U0001f600\U0001f601"])
+            words = [w for s in (lex.entries, ["q", STRANGER, "\U0001f600" + STRANGER])
                      for w in s]
             words += [w + "q" for w in lex.entries] + ["q" + w for w in lex.entries]
-            words += [w * 11 for w in lex.entries] + ["\U0001f601" + w for w in lex.entries]
-            folds = {}  # shared by all the words, as one decoding call shares it
-            for word in words:
-                got = unknown_word_distribution(model, word).probs
+            words += [w * 11 for w in lex.entries] + [STRANGER + w for w in lex.entries]
+            words += [word_ending_at(trie, node) for node in trie.iter_nodes()]
+            got = unknown_word_distribution(model, words)
+            assert got.shape == (len(words), len(corpus.tag_set))
+            for word, row in zip(words, got.tolist()):
                 expect = reference_unknown_word_distribution(reference, model.root, policy, word)
-                assert got.tolist() == expect.tolist()
-                assert unknown_word_distribution(model, word, folds).probs.tolist() == got.tolist()
-            # Every node lies on a training word's path, and each walk keeps its folds.
-            assert sorted(folds) == list(range(1, len(model.trie.depths)))
+                assert row == expect.tolist()
+                assert one(model, word).tolist() == row
+            rf_rows_with_zeros += root_mode == "rf" and not got.all()
+        assert rf_rows_with_zeros > 0

@@ -67,10 +67,10 @@ class TestRoundTrip:
                 got = getattr(loaded.unknown_word_model.trie, name)
                 expect = getattr(model.unknown_word_model.trie, name)
                 assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
-            for word in ("cat", "mat", "zzz", "unseen"):
-                np.testing.assert_array_equal(
-                    unknown_word_distribution(loaded.unknown_word_model, word).probs,
-                    unknown_word_distribution(model.unknown_word_model, word).probs)
+            words = ["cat", "mat", "zzz", "unseen"]
+            np.testing.assert_array_equal(
+                unknown_word_distribution(loaded.unknown_word_model, words),
+                unknown_word_distribution(model.unknown_word_model, words))
 
     def test_decoding_identical_after_reload(self):
         sentences = [["the", "cat"], ["sat", "zat", "the"], ["bat"]]
@@ -257,6 +257,21 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError):
                 model_from_text(text.replace(old, new, 1))
 
+    def test_counts_summing_past_int64_rejected(self):
+        # Each count fits int64, but the row's total would wrap to a
+        # negative number and decode to a -inf score without a warning.
+        half = 2 ** 62
+        text = valid_text()
+        assert "the\t12 0 0\n" in text and "\n0\t\t0 2 1\n" in text
+        for old, new in (("the\t12 0 0\n", f"the\t{half} {half} 0\n"),
+                         ("\n0\t\t0 2 1\n", f"\n0\t\t0 {half} {half}\n")):
+            section = "lexicon" if old.startswith("the") else "trie"
+            with pytest.raises(ModelFormatError, match=f"^{section}: .* sum past 2\\*\\*63 - 1"):
+                model_from_text(text.replace(old, new, 1))
+        # A total of exactly 2**63 - 1 still loads.
+        model = model_from_text(text.replace("the\t12 0 0\n", f"the\t{half} {half - 1} 0\n", 1))
+        assert model.lexicon.counts.sum(axis=1).max() == 2 ** 63 - 1
+
     def test_bad_trie_depth_rejected(self):
         lines = valid_text().splitlines()
         start = next(i for i, l in enumerate(lines) if l.startswith("[trie]"))
@@ -367,7 +382,8 @@ class TestBlockedParse:
                  lambda v: " ".join(v + ["0"]),  # one number too many
                  lambda v: "",  # blank, which np.loadtxt would skip
                  lambda v: " ".join(["-1"] + v[1:]),
-                 lambda v: " ".join(["0"] * len(v))]
+                 lambda v: " ".join(["0"] * len(v)),
+                 lambda v: " ".join([str(2 ** 62)] * 2 + v[2:])]  # sums past int64
         if section == "trie":
             edits.append(lambda v: " ".join(["1000000"] + v[1:]))  # above its parent
         for edit in edits:

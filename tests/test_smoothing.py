@@ -7,12 +7,14 @@ import pytest
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
 from succabs.counts import RareWordPolicy, SuffixTrie, count_ngrams
 from succabs.errors import ValidationError
-from succabs.lexicon import build_unknown_word_model
+from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
 from succabs.smoothing import (
     ConditionalDistribution,
     GeneralizationNode,
     InterpolationWeights,
     SQRT12,
+    _entropy,
+    _row_entropies,
     build_ele_ngram_model,
     build_interpolated_ngram_model,
     build_sa_ngram_model,
@@ -33,6 +35,7 @@ from succabs.smoothing import (
 )
 from succabs.model_io import model_from_text, model_to_text
 from succabs.tagger import train_model
+from test_lexicon import word_ending_at
 from transition_oracle import (
     count_freqs,
     distribution,
@@ -106,6 +109,23 @@ class TestEntropy:
             p = random_distribution(rng, int(rng.integers(2, 12)))
             assert entropy(p) == pytest.approx(oracle_entropy(p.tolist()), abs=1e-12)
             assert entropy(p) == ConditionalDistribution.from_probs(p).entropy_nats
+
+    def test_row_entropies_equal_entropy_per_row_bit_for_bit(self):
+        # Widths around the pairwise sum's blocks; rows with zeros, one-hot
+        # rows (whose sum is -0.0 before the clamp), uniform rows and rows
+        # with terms that underflow.
+        rng = np.random.default_rng(13)
+        for width in (1, 2, 7, 8, 9, 16, 17, 47, 48, 49, 127, 128, 129, 257):
+            rows = rng.dirichlet(np.full(width, 0.3), size=60)
+            rows[:20][rng.random((20, width)) < 0.3] = 0.0
+            rows[20] = np.eye(width)[width // 2]
+            rows[21] = 1.0 / width
+            rows[22, :] = 1e-300
+            rows[22, 0] = 1.0 - 1e-300 * (width - 1)
+            got = _row_entropies(rows)
+            expect = np.array([_entropy(row) for row in rows])
+            assert got.view(np.int64).tolist() == expect.view(np.int64).tolist(), width
+        assert _row_entropies(np.empty((0, 3))).shape == (0,)
 
 
 class TestConditionalDistribution:
@@ -769,6 +789,48 @@ class TestIdentitiesOnTrainedModel:
             worst = max(worst, float(np.abs((smoothed - f) - (parent - f) / (s + 1.0)).max()))
         assert model.contexts == counts.contexts and len(model.contexts) > 80
         assert worst <= 1e-12
+
+    def test_residual_at_every_trie_node(self, narrow8_counts):
+        # The same identity at every suffix-trie node, p the parent node's
+        # fold, with every node folded by one call, in both root modes.
+        train, _ = narrow8_counts
+        for root_mode in ("ele", "rf"):
+            unknown = train_model(train, order=1, root_mode=root_mode).unknown_word_model
+            trie = unknown.trie
+            nodes = list(trie.iter_nodes())
+            folded = unknown_word_distribution(unknown, [word_ending_at(trie, n) for n in nodes])
+            assert folded[0].tolist() == unknown.root.probs.tolist()
+            worst = 0.0
+            for node in nodes[1:]:
+                total = int(trie.counts[node].sum())
+                f = trie.counts[node] / total
+                parent = folded[trie.parents[node]]
+                s = sigma_inverse(total, entropy(parent))
+                worst = max(worst, float(np.abs((folded[node] - f)
+                                                - (parent - f) / (s + 1.0)).max()))
+            assert len(nodes) > 500
+            assert worst <= 1e-12
+
+    def test_dag_of_trained_chains_equals_the_builder(self, narrow8_counts):
+        # The strip-the-oldest-tag chains of a trained count table as one
+        # DAG, listed in shuffled orders so that ``smooth_dag`` visits it in
+        # different topological orders: each gives the builder's rows.
+        train, _ = narrow8_counts
+        rng = np.random.default_rng(55)
+        for order, root_mode, scale in ((3, "ele", 1.0), (3, "rf", 1.5), (4, "ele", 0.5)):
+            counts = count_ngrams(train, order)
+            model = build_sa_ngram_model(counts, root_mode, scale)
+            expect = dict(zip(model.contexts, model.probs.tolist()))
+            root = unigram_distribution(counts, root_mode)
+            totals = counts.counts.sum(axis=1).tolist()
+            for _ in range(3):
+                nodes = [GeneralizationNode((), (), totals[0], distribution=root)]
+                nodes += [GeneralizationNode(ctx, (ctx[1:],), total, row / total)
+                          for ctx, row, total in zip(counts.contexts[1:], counts.counts[1:],
+                                                     totals[1:])]
+                rng.shuffle(nodes)
+                got = smooth_dag(nodes, scale)
+                assert {ctx: dist.probs.tolist() for ctx, dist in got.items()} == expect
 
     def test_ele_rows_are_ele_estimates(self, narrow8_counts):
         train, counts = narrow8_counts

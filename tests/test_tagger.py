@@ -20,6 +20,7 @@ from succabs.lexicon import (
 from succabs.smoothing import (
     ConditionalDistribution,
     SmoothedNGramModel,
+    _row_entropies,
     log_probs,
     simplex_grid,
     smooth_step,
@@ -39,6 +40,7 @@ from succabs.tagger import (
     viterbi_tag,
     viterbi_tag_scored,
 )
+from test_lexicon import word_ending_at
 from transition_oracle import distribution, query, tables_of
 
 # The ways ``_decode`` can be made to run a call: every sentence through
@@ -343,7 +345,8 @@ def reference_lexical(m, word, open_lattice=False):
     factor vector P(t|w)/P(t) over every tag, and the lattice."""
     dist = known_word_distribution(m.lexicon, word)
     if dist is None:
-        dist = unknown_word_distribution(m.unknown_word_model, word)
+        dist = LexicalDistribution(unknown_word_distribution(m.unknown_word_model, [word])[0],
+                                   frozenset())
     factors = lexical_factors(dist, m.unigram)
     if dist.support and not open_lattice:
         return factors, tuple(sorted(dist.support))
@@ -568,26 +571,35 @@ def lettered_sentences(rng, corpus, alphabet, max_suffix):
     return sentences
 
 
-def smooth_step_walk(m, word, folds=None):
+def smooth_step_walk(m, words, folds=None):
     """``unknown_word_distribution`` as it folded before: the public,
-    checking ``smooth_step`` per matched trie node."""
+    checking ``smooth_step`` per matched trie node of each word in turn,
+    with ``folds`` mapping each node folded so far to its distribution."""
     if folds is None:
         folds = {}
-    dist, node = m.root, 0
-    for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
-        node = m.trie.child(node, letter)
-        if node is None:
-            break
-        if node not in folds:
-            counts = m.trie.counts[node]
-            total = int(counts.sum())
-            folds[node] = smooth_step(counts / total, dist, total)
-        dist = folds[node]
-    return LexicalDistribution(dist.probs.copy(), frozenset())
+    rows = []
+    for word in words:
+        if not word:
+            raise ValidationError("cannot estimate a distribution for an empty word")
+        dist, node = m.root, 0
+        for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
+            node = m.trie.child(node, letter)
+            if node is None:
+                break
+            if node not in folds:
+                counts = m.trie.counts[node]
+                total = int(counts.sum())
+                folds[node] = smooth_step(counts / total, dist, total)
+            dist = folds[node]
+        rows.append(dist.probs)
+    return np.array(rows).reshape(len(words), m.root.dim)
 
 
 class TestUnknownWordFolds:
     def test_folds_and_tags_equal_the_smooth_step_chain(self, monkeypatch):
+        # One call folds every node that the words match, a depth at a time;
+        # each word's row, and each node's fold and entropy, must equal the
+        # per-node chain's bit for bit, in both root modes.
         rng = np.random.default_rng(4242)
         folded = 0
         for i in range(60):
@@ -600,17 +612,19 @@ class TestUnknownWordFolds:
             sentences = lettered_sentences(rng, corpus, alphabet, max_suffix)
             words = [w for s in sentences for w in s] + [w + "a" for w in corpus.vocab]
             unknown = m.unknown_word_model
-            got_folds, expect_folds = {}, {}
-            for word in words:
-                got = unknown_word_distribution(unknown, word, got_folds)
-                expect = smooth_step_walk(unknown, word, expect_folds)
-                assert got.probs.tolist() == expect.probs.tolist(), (i, word)
-            assert got_folds.keys() == expect_folds.keys()
-            for node, dist in got_folds.items():
-                assert dist.probs.tolist() == expect_folds[node].probs.tolist()
-                assert dist.entropy_nats == expect_folds[node].entropy_nats
-                assert not dist.probs.flags.writeable
-            folded += len(got_folds)
+            folds = {}
+            expect = smooth_step_walk(unknown, words, folds)
+            got = unknown_word_distribution(unknown, words)
+            assert not got.flags.writeable
+            for word, got_row, expect_row in zip(words, got.tolist(), expect.tolist()):
+                assert got_row == expect_row, (i, word)
+            nodes = sorted(folds)
+            at_nodes = unknown_word_distribution(
+                unknown, [word_ending_at(unknown.trie, node) for node in nodes])
+            assert at_nodes.tolist() == [folds[node].probs.tolist() for node in nodes]
+            assert _row_entropies(at_nodes).tolist() == [folds[node].entropy_nats
+                                                         for node in nodes]
+            folded += len(folds)
             tagged = tag_corpus(m, sentences)
             with monkeypatch.context() as patch:
                 patch.setattr(succabs.tagger, "unknown_word_distribution", smooth_step_walk)
@@ -704,16 +718,16 @@ class TestLexicalTable:
         calls = []
         real = succabs.tagger.unknown_word_distribution
 
-        def counting(model, word, *args, **kwargs):
-            calls.append(word)
-            return real(model, word, *args, **kwargs)
+        def counting(model, words):
+            calls.append(list(words))
+            return real(model, words)
 
         monkeypatch.setattr(succabs.tagger, "unknown_word_distribution", counting)
         sentences = [["the", "zat", "zat"], ["qat", "the", "zat"], ["qat"]]
         first = tag_corpus(m, sentences)
-        assert sorted(calls) == ["qat", "zat"]
+        assert calls == [["zat", "qat"]]
         assert tag_corpus(m, sentences) == first
-        assert sorted(calls) == ["qat", "qat", "zat", "zat"]
+        assert calls == [["zat", "qat"]] * 2
 
 
 class TestTagCorpus:
