@@ -31,13 +31,6 @@ BOW_CODE = 0
 _LETTER_CODES = sys.maxunicode + 2
 
 
-def letter_codes(letters: list[str]) -> np.ndarray:
-    """The code of each letter, each one character or ``BOW_LETTER``."""
-    codes = np.array(letters, dtype="<U1").view(np.uint32).astype(np.int64) + 1
-    codes[np.fromiter(map(len, letters), dtype=np.int64, count=len(letters)) == 0] = BOW_CODE
-    return codes
-
-
 @dataclass(frozen=True, eq=False)
 class NGramCountTable:
     """Outcome counts for every observed context of every length below the
@@ -184,8 +177,8 @@ class SuffixTrie:
     Node ids are rows in preorder, row 0 the root, with siblings in
     ascending letter order (the begin-of-word marker first).  ``counts`` is
     the read-only (nodes, K) matrix of tag counts; ``depths``, ``codes``
-    (the edge letter into each node, as ``letter_codes`` spells it) and
-    ``parents`` (-1 for the root) hold one entry per node.
+    (the letter code of the edge into each node) and ``parents`` (-1 for
+    the root) hold one entry per node.
     """
 
     counts: np.ndarray
@@ -223,65 +216,18 @@ def reversed_suffix_path(word: str, max_edges: int) -> list[str]:
     return (list(reversed(word)) + [BOW_LETTER])[:max_edges]
 
 
-def _suffix_nodes(words: list[str], depth: int) -> tuple[np.ndarray, ...]:
-    """Number the trie's nodes a depth at a time from the root's 0, one per
-    distinct (parent, letter code) pair.  Returns each word's node at each
-    depth (-1 past its path), and each node's parent, letter code and depth."""
-    # One row of letter codes per word along its path; a row shorter than
-    # the depth ends with the marker, after which its codes are unused.
+def _path_letters(words: list[str], depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's trie path as a row of letter codes, its reversed letters
+    and then the begin-of-word marker, cut at the depth and padded with
+    ``BOW_CODE``; and a mask of the cells past each path."""
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    # No path is longer than the longest word and its marker; the policy's
+    # depth, which a model file sets, may be far longer.
+    depth = min(depth, int(lengths.max(initial=0)) + 1)
     reversed_words = np.array([w[::-1][:depth] for w in words], dtype=f"<U{depth}")
     letters = reversed_words.view(np.uint32).reshape(len(words), depth).astype(np.int64) + 1
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
     letters[np.arange(depth) >= lengths[:, None]] = BOW_CODE
-    path_lengths = np.minimum(lengths + 1, depth)
-
-    word_nodes = np.full((len(words), depth + 1), -1, dtype=np.int64)
-    word_nodes[:, 0] = 0
-    parents, codes = [np.array([-1])], [np.array([BOW_CODE])]
-    size = 1
-    for d in range(depth):
-        live = np.flatnonzero(path_lengths > d)
-        if live.size == 0:
-            break
-        keys, ids = np.unique(word_nodes[live, d] * _LETTER_CODES + letters[live, d],
-                              return_inverse=True)
-        word_nodes[live, d + 1] = ids + size
-        parents.append(keys // _LETTER_CODES)
-        codes.append(keys % _LETTER_CODES)
-        size += len(keys)
-    depths = np.repeat(np.arange(len(parents)), [len(p) for p in parents])
-    return word_nodes, np.concatenate(parents), np.concatenate(codes), depths
-
-
-def _preorder(parent: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """Each node's position in preorder, siblings in ascending letter order.
-
-    Ids run a depth at a time, and within a depth in (parent, letter) order,
-    so a node's position is its parent's, plus one, plus the subtree sizes
-    of its earlier siblings.
-    """
-    bounds = np.searchsorted(depths, np.arange(depths[-1] + 2)).tolist()
-    levels = list(zip(bounds[1:-1], bounds[2:]))  # the id range of each depth below the root
-    size = np.ones(len(parent), dtype=np.int64)
-    for lo, hi in reversed(levels):
-        np.add.at(size, parent[lo:hi], size[lo:hi])
-    position = np.zeros(len(parent), dtype=np.int64)
-    for lo, hi in levels:
-        level, up = size[lo:hi], parent[lo:hi]
-        before = np.cumsum(level) - level  # sizes of this depth's earlier nodes
-        position[lo:hi] = position[up] + 1 + before - before[np.searchsorted(up, up)]
-    return position
-
-
-def _pooled_counts(rows: np.ndarray, word_nodes: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Per node, the sum of the count rows of the words through it."""
-    word, tag = np.nonzero(rows)
-    nodes = word_nodes[word]
-    on = nodes >= 0
-    counts = np.zeros((len(rank), rows.shape[1]), dtype=np.int64)
-    np.add.at(counts, (rank[nodes[on]], np.broadcast_to(tag[:, None], nodes.shape)[on]),
-              np.broadcast_to(rows[word, tag][:, None], nodes.shape)[on])
-    return counts
+    return letters, np.arange(depth) >= np.minimum(lengths + 1, depth)[:, None]
 
 
 def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
@@ -289,14 +235,38 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
 
     Counts are of token occurrences, not word types: a node holds the sum
     of the lexicon rows of the rare words whose path passes through it.
+    The root pools every rare row, so their total must fit int64: the
+    pooled sums would wrap silently.
+
+    With the words sorted by their paths, the trie's preorder is row-major
+    order: each path's new nodes are its cells after the letters it shares
+    with the path before, and a column's later cells lie on the same node
+    until the next new one.
     """
-    rare = lexicon.counts.sum(axis=1) < policy.frequency_threshold
-    word_nodes, parent, code, depths = _suffix_nodes(list(compress(lexicon.words, rare)),
-                                                     policy.max_suffix_length)
-    rank = _preorder(parent, depths)
-    order = np.empty_like(rank)
-    order[rank] = np.arange(len(rank))
-    counts = _pooled_counts(lexicon.counts[rare], word_nodes, rank)
-    parents = rank[parent[order]]
-    parents[0] = -1
-    return SuffixTrie(counts, depths[order], code[order], parents)
+    totals = lexicon.counts.sum(axis=1)
+    # An int64 bound: numpy 1 compares an int64 array with 2**63 as floats.
+    rare = totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1)
+    pooled = totals[rare]
+    if int(pooled.max(initial=0)) * len(pooled) >= 2 ** 63 and sum(pooled.tolist()) >= 2 ** 63:
+        raise ValidationError("the counts of the rare words sum past 2**63 - 1")
+    letters, past = _path_letters(list(compress(lexicon.words, rare)), policy.max_suffix_length)
+    order = np.lexsort(letters.T[::-1])  # column 0 is the primary key
+    letters, past = letters[order], past[order]
+    new = ~past
+    new[1:] &= ~np.logical_and.accumulate(letters[1:] == letters[:-1], axis=1)
+    # Each path's node at each depth below the root; ids count from 1.
+    nodes = np.maximum.accumulate(np.where(new, np.cumsum(new).reshape(new.shape), 0), axis=0)
+    nodes[past] = -1
+    row, col = np.nonzero(new)
+
+    rows = lexicon.counts[np.flatnonzero(rare)[order]]
+    word, tag = np.nonzero(rows)
+    path = nodes[word]
+    on = path >= 0
+    counts = np.zeros((len(row) + 1, rows.shape[1]), dtype=np.int64)
+    counts[0] = rows.sum(axis=0)
+    np.add.at(counts, (path[on], np.broadcast_to(tag[:, None], path.shape)[on]),
+              np.broadcast_to(rows[word, tag][:, None], path.shape)[on])
+    return SuffixTrie(counts, np.concatenate([[0], col + 1]),
+                      np.concatenate([[BOW_CODE], letters[row, col]]),
+                      np.concatenate([[-1], np.where(col > 0, nodes[row, col - 1], 0)]))

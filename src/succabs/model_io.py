@@ -13,13 +13,12 @@ Layout: a magic/version line, then sections, each introduced by a
                          estimator but half-count stores the root context
     [lexicon] n          word TAB integer tag counts, not all zero; no word
                          is empty
-    [trie] n             depth TAB edge letter TAB integer tag counts,
-                         preorder with siblings in ascending letter order;
-                         depth 0 is the root, an empty letter at depth >= 1
-                         is the begin-of-word marker, which has no children;
-                         no node is deeper than max_suffix; a node below the
-                         root has counts, none above its parent's
-    [unknown_root] 1     K probabilities
+    [trie] n             depth TAB edge letter TAB integer tag counts: the
+                         suffix trie of the lexicon words seen fewer than
+                         rare_threshold times, max_suffix edges deep
+                         (``build_suffix_trie``)
+    [unknown_root] 1     K probabilities: the root_mode estimate from the
+                         trie root's counts (``build_unknown_word_model``)
 
 Counts are non-negative ASCII decimal integers, each row's summing to at
 most 2^63 - 1; section sizes, trie depths and the ``[meta]`` integers are
@@ -29,20 +28,24 @@ them, which round-trips doubles exactly (the loader checks that spelling
 except in ``[transitions]``/``[freqs]`` rows).  Contexts are comma-joined tag
 indices (-1 is the sentence boundary, the empty string the root context).
 Sections are sorted, and the loader requires strictly ascending keys (a
-context's length, then its tag indices; the word; the edge letter among
-siblings), so identical models serialize byte-identically.
+context's length, then its tag indices; the word), so identical models
+serialize byte-identically.  The loader derives ``[trie]`` and
+``[unknown_root]`` from ``[lexicon]`` and ``[meta]`` with the training
+builders, and requires each to be exactly what the writer writes for the
+result.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
 from .corpus import TagSet
-from .counts import BOW_CODE, Lexicon, RareWordPolicy, SuffixTrie, letter_codes
+from .counts import Lexicon, RareWordPolicy, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
-from .lexicon import UnknownWordModel
+from .lexicon import build_unknown_word_model
 from .smoothing import (
     ConditionalDistribution,
     InterpolationWeights,
@@ -203,22 +206,19 @@ def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
-                where: str) -> tuple[list[list[str]], np.ndarray]:
+def _row_blocks(lines: list[str], keys: int, dtype: type,
+                width: int, where: str) -> Iterator[tuple[int, list[list[str]], np.ndarray]]:
     """Rows of ``keys`` tab-separated key fields and then space-separated
-    numbers: each key column, and the numbers as one (rows, width) matrix.
-    A block of ``_BLOCK`` rows at a time, so only one block's split lines
-    exist at once.  Small blocks also reuse freed memory: one parse per
-    section, or 2048-row blocks, raised peak memory by 5-10 MB in most runs."""
-    columns: list[list[str]] = [[] for _ in range(keys)]
-    out = np.empty((len(lines), width), dtype=dtype)
+    numbers, ``_BLOCK`` rows at a time: each block's first row, its key
+    columns and its numbers as one (rows, width) matrix.  Only one block's
+    split lines exist at once, and small blocks reuse freed memory: one
+    parse per section, or 2048-row blocks, raised peak memory by 5-10 MB in
+    most runs."""
     for lo in range(0, len(lines), _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
-        if any(len(parts) != keys + 1 for parts in fields):
+        if set(map(len, fields)) != {keys + 1}:
             raise ModelFormatError(f"{where}: expected {keys + 1} tab-separated fields per row")
         *key_texts, chunk = map(list, zip(*fields))
-        for column, texts in zip(columns, key_texts):
-            column.extend(texts)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # all-blank rows: "no data"
@@ -247,49 +247,20 @@ def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
                                        f"{lo + 1}-{lo + len(chunk)} sum past 2**63 - 1")
         if dtype is np.float64 and not np.isfinite(block).all():
             raise ModelFormatError(f"{where}: non-finite value")
-        out[lo:lo + len(chunk)] = block
+        yield lo, key_texts, block
+
+
+def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
+                where: str) -> tuple[list[list[str]], np.ndarray]:
+    """The rows of ``_row_blocks`` whole: each key column, and the numbers
+    as one (rows, width) matrix."""
+    columns: list[list[str]] = [[] for _ in range(keys)]
+    out = np.empty((len(lines), width), dtype=dtype)
+    for lo, key_texts, block in _row_blocks(lines, keys, dtype, width, where):
+        for column, texts in zip(columns, key_texts):
+            column.extend(texts)
+        out[lo:lo + len(block)] = block
     return columns, out
-
-
-def _rebuild_trie(lines: list[str], num_tags: int, max_depth: int) -> SuffixTrie:
-    n = len(lines)
-    if not lines or lines[0].split("\t")[:2] != ["0", ""]:
-        raise ModelFormatError("trie: the section must start with the depth-0 root")
-    (depth_texts, letters), counts = _parse_rows(lines, 2, np.int64, num_tags, "trie")
-    depth_of = {text: _decimal(text, "trie: depth") for text in set(depth_texts)}
-    depths = np.array([depth_of[text] for text in depth_texts], dtype=np.int64)
-
-    if (depths[1:] < 1).any() or (depths[1:] > depths[:-1] + 1).any():
-        raise ModelFormatError("trie: a node's depth does not follow its parent")
-    if depths.max() > max_depth:
-        raise ModelFormatError(f"trie: a node is deeper than max_suffix {max_depth}")
-    long_letter = next((letter for letter in letters if len(letter) > 1), None)
-    if long_letter is not None:
-        raise ModelFormatError(f"trie: edge letter {long_letter!r} is not a single character")
-    codes = letter_codes(letters)  # these order as the writer sorts siblings
-
-    # A node's parent is the last earlier node one level up.
-    parent = np.full(n, -1, dtype=np.int64)
-    for d in range(1, int(depths.max()) + 1):
-        up, at = np.flatnonzero(depths == d - 1), np.flatnonzero(depths == d)
-        parent[at] = up[np.searchsorted(up, at) - 1]
-    if ((codes[parent[1:]] == BOW_CODE) & (parent[1:] != 0)).any():
-        raise ModelFormatError("trie: a node lies below a begin-of-word marker")
-    siblings = np.argsort(parent[1:], kind="stable") + 1
-    same = parent[siblings[1:]] == parent[siblings[:-1]]
-    step = codes[siblings[1:]] - codes[siblings[:-1]]
-    if (same & (step == 0)).any():
-        raise ModelFormatError(f"trie: duplicate edge "
-                               f"{letters[siblings[1:][same & (step == 0)][0]]!r}")
-    if (same & (step < 0)).any():
-        raise ModelFormatError("trie: siblings are not in ascending letter order")
-    for lo in range(1, n, _BLOCK):
-        below = counts[lo:lo + _BLOCK]
-        if not below.any(axis=1).all():
-            raise ModelFormatError("trie: a node below the root has no counts")
-        if (below > counts[parent[lo:lo + _BLOCK]]).any():
-            raise ModelFormatError("trie: a node counts more of a tag than its parent")
-    return SuffixTrie(counts, depths, codes, parent)
 
 
 def model_from_text(text: str) -> Model:
@@ -377,9 +348,31 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
     lexicon = Lexicon(tuple(words), counts)
 
-    trie = _rebuild_trie(reader.section("trie"), k, policy.max_suffix_length)
-
-    unknown = UnknownWordModel(trie, _read_distribution(reader, "unknown_root", k), policy)
+    try:
+        trie = build_suffix_trie(lexicon, policy)
+    except ValidationError as bad:
+        raise ModelFormatError(f"lexicon: {bad}") from None
+    # Compared a block at a time, so no second count matrix exists at once;
+    # a malformed row anywhere is still reported as malformed.
+    depth_names = list(map(str, range(int(trie.depths.max()) + 1)))
+    depths = list(map(depth_names.__getitem__, trie.depths.tolist()))
+    letters = trie.letters()
+    lines = reader.section("trie")
+    derived = len(lines) == len(letters)
+    for lo, (depth_texts, edge_letters), block in _row_blocks(lines, 2, np.int64, k, "trie"):
+        hi = lo + len(block)
+        derived = derived and (depth_texts == depths[lo:hi] and edge_letters == letters[lo:hi]
+                               and np.array_equal(block, trie.counts[lo:hi]))
+    if not derived:
+        raise ModelFormatError("trie: not the suffix trie of the lexicon's words under "
+                               "rare_threshold and max_suffix")
+    try:
+        unknown = build_unknown_word_model(trie, policy, root_mode)
+    except ValidationError as bad:
+        raise ModelFormatError(f"unknown_root: {bad}") from None
+    if reader.section("unknown_root") != [" ".join(map(_fmt, unknown.root.probs.tolist()))]:
+        raise ModelFormatError("unknown_root: not the root_mode estimate from the trie "
+                               "root's counts")
 
     if not reader.finished():
         raise ModelFormatError(f"line {reader.pos + 1}: trailing content")

@@ -38,6 +38,7 @@ from .lexicon import (
 )
 from .smoothing import (
     ROOT_MODE_ELE,
+    ROOT_MODES,
     ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
@@ -79,6 +80,8 @@ class ModelMetadata:
 
     def __post_init__(self):
         _check_sigma_scale(self.sigma_scale)
+        if self.root_mode not in ROOT_MODES:
+            raise ValidationError(f"unknown root mode {self.root_mode!r}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from succabs.corpus import (
 from succabs.counts import (
     BOUNDARY,
     BOW_LETTER,
+    Lexicon,
     RareWordPolicy,
     SuffixTrie,
     build_lexicon,
@@ -230,6 +231,19 @@ class TestBuildSuffixTrie:
         trie = build_suffix_trie(build_lexicon(corpus), RareWordPolicy())
         assert [int(trie.counts[walk(trie, path)].sum())
                 for path in ("", "t", "ta", "tac", "tab")] == [2, 2, 2, 1, 1]
+
+    def test_pooled_counts_past_int64_rejected(self):
+        # Each rare row fits int64, but the root's pooled sums would wrap to
+        # [2**63 - 2, 1], below its children's counts.
+        top = 2 ** 63 - 1
+        policy = RareWordPolicy(2 ** 63, 10)
+        lex = Lexicon(("a", "b", "c", "d"),
+                      np.array([[top, 0], [top, 0], [top, 0], [1, 1]], dtype=np.int64))
+        with pytest.raises(ValidationError, match="rare words sum past 2\\*\\*63 - 1"):
+            build_suffix_trie(lex, policy)
+        # A pooled total of exactly 2**63 - 1 still builds.
+        lex = Lexicon(("a", "b"), np.array([[2 ** 62, 0], [2 ** 62 - 2, 1]], dtype=np.int64))
+        assert build_suffix_trie(lex, policy).counts[0].tolist() == [top - 1, 1]
 
     def test_empty_trie_iterates_root_only(self):
         trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),

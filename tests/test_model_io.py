@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import warnings
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
-from succabs.counts import Lexicon, RareWordPolicy
-from succabs.errors import ModelFormatError
-from succabs.lexicon import unknown_word_distribution
+from succabs.counts import Lexicon, RareWordPolicy, build_suffix_trie
+from succabs.errors import ModelFormatError, ValidationError
+from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
 from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -415,8 +416,11 @@ class TestBlockedParse:
     def test_empty_lexicon(self):
         model = train_model(small_corpus())
         empty = Lexicon((), np.zeros((0, 3), dtype=np.int64))
-        text = model_to_text(dataclasses.replace(model, lexicon=empty))
-        assert "[lexicon] 0\n[trie]" in text
+        policy = model.unknown_word_model.policy
+        unknown = build_unknown_word_model(build_suffix_trie(empty, policy), policy)
+        text = model_to_text(dataclasses.replace(model, lexicon=empty,
+                                                 unknown_word_model=unknown))
+        assert "[lexicon] 0\n[trie] 1\n0\t\t0 0 0\n[unknown_root]" in text
         assert model_to_text(model_from_text(text)) == text
 
     def test_trie_of_only_the_root(self):
@@ -436,7 +440,7 @@ class TestNumberSpellings:
         text = valid_text()
         assert text.count("the\t12 0 0\n") == 1
         for bad, plain in (("1_000", "1000"), ("\u0661\u0662", "12"), ("\uff11\uff12", "12"),
-                           ("0x1", "1"), ("1e3", "1000"), ("1.0", "1")):
+                           ("0xc", "12"), ("1e3", "1000"), ("12.0", "12")):
             model_from_text(text.replace("the\t12 0 0", f"the\t{plain} 0 0"))
             assert_rejected_without_warnings(text.replace("the\t12 0 0", f"the\t{bad} 0 0"))
 
@@ -517,6 +521,10 @@ class TestNumberSpellings:
         assert lines[start + 7].startswith("lambdas\t")
 
 
+# A [trie] that is not build_suffix_trie's of the [lexicon] and [meta].
+NOT_DERIVED = "^trie: not the suffix trie of the lexicon's words"
+
+
 def section_start(lines, section):
     """Index of the first row of a section in the file's lines."""
     return lines.index(next(l for l in lines if l.startswith(f"[{section}] "))) + 1
@@ -548,22 +556,23 @@ class TestCanonicalOrder:
 
     def test_reordered_rows_rejected(self):
         # Rows 3 and 5 of the trie are the siblings "b" and "c" under "ta".
-        for text, section, i, j in ((valid_text(), "transitions", 1, 2),
-                                    (self.interp_text(), "freqs", 1, 2),
-                                    (valid_text(), "lexicon", 0, 1),
-                                    (valid_text(), "trie", 3, 5)):
-            with pytest.raises(ModelFormatError, match=f"^{section}: .*order"):
+        for text, section, i, j, message in (
+                (valid_text(), "transitions", 1, 2, "^transitions: .*order"),
+                (self.interp_text(), "freqs", 1, 2, "^freqs: .*order"),
+                (valid_text(), "lexicon", 0, 1, "^lexicon: .*order"),
+                (valid_text(), "trie", 3, 5, NOT_DERIVED)):
+            with pytest.raises(ModelFormatError, match=message):
                 model_from_text(swap_rows(text, section, i, j))
 
     def test_equal_keys_are_duplicates(self):
         text = valid_text()
         lines = text.split("\n")
         row = lines[section_start(lines, "transitions") + 1]
-        for section, old, new in (("transitions", row, "\t" + row.split("\t")[1]),
-                                  ("lexicon", "cat\t", "bat\t"),
-                                  ("trie", "3\tc\t", "3\tb\t")):
+        for old, new, message in ((row, "\t" + row.split("\t")[1], "^transitions: duplicate"),
+                                  ("cat\t", "bat\t", "^lexicon: duplicate"),
+                                  ("3\tc\t", "3\tb\t", NOT_DERIVED)):
             assert text.count(old) == 1
-            with pytest.raises(ModelFormatError, match=f"^{section}: duplicate"):
+            with pytest.raises(ModelFormatError, match=message):
                 model_from_text(text.replace(old, new))
 
     def test_loaded_files_write_back_their_bytes(self):
@@ -603,7 +612,7 @@ class TestCanonicalOrder:
                                          policy=RareWordPolicy(max_suffix_length=3)))
         lines = text.split("\n")
         assert lines[section_start(lines, "trie") + 4] == "3\tc\t0 1 0"
-        with pytest.raises(ModelFormatError, match="^trie: a node is deeper than max_suffix 3"):
+        with pytest.raises(ModelFormatError, match=NOT_DERIVED):
             model_from_text(insert_row(text, "trie", 4, "4\tx\t0 1 0"))
 
     def test_child_of_begin_of_word_rejected(self):
@@ -614,8 +623,130 @@ class TestCanonicalOrder:
         below_root = insert_row(insert_row(text, "trie", 0, "2\tx\t0 1 0"),
                                 "trie", 0, "1\t\t0 1 0")
         for bad in (insert_row(text, "trie", 6, "5\tx\t0 1 0"), below_root):
-            with pytest.raises(ModelFormatError, match="^trie: a node lies below a begin-of-word"):
+            with pytest.raises(ModelFormatError, match=NOT_DERIVED):
                 model_from_text(bad)
+
+
+class TestDerivedSections:
+    """``[trie]`` and ``[unknown_root]`` must be what ``build_suffix_trie``
+    and ``build_unknown_word_model`` make of ``[lexicon]`` and ``[meta]``."""
+
+    def test_edits_no_training_run_makes_rejected(self):
+        # A rare word's count raised, the trie root's count raised and two
+        # root probabilities swapped: well-formed files no lexicon trains to.
+        text = valid_text()
+        root = "\n[unknown_root] 1\n0.1111111111111111 0.55555555555555558 "
+        for old, new, message in (
+                ("\ncat\t0 1 0\n", "\ncat\t0 3 0\n", NOT_DERIVED),
+                ("\n0\t\t0 2 1\n", "\n0\t\t0 3 1\n", NOT_DERIVED),
+                (root, "\n[unknown_root] 1\n0.55555555555555558 0.1111111111111111 ",
+                 "^unknown_root: not the root_mode estimate")):
+            assert text.count(old) == 1
+            with pytest.raises(ModelFormatError, match=message):
+                model_from_text(text.replace(old, new))
+
+    def test_unknown_root_mode_rejected(self):
+        text = valid_text()
+        assert text.count("\nroot_mode\tele\n") == 1
+        with pytest.raises(ModelFormatError, match="^meta: .*root mode"):
+            model_from_text(text.replace("\nroot_mode\tele\n", "\nroot_mode\tbogus\n"))
+        for smoothing in ("sa", "ele"):
+            with pytest.raises(ValidationError, match="root mode"):
+                train_model(small_corpus(), smoothing=smoothing, root_mode="bogus")
+
+    def test_relative_frequency_root_without_rare_words_rejected(self):
+        # Training refuses an rf root of zero counts; so does the loader.
+        text = model_to_text(train_model(small_corpus(),
+                                         policy=RareWordPolicy(frequency_threshold=1)))
+        assert text.count("\nroot_mode\tele\n") == 1
+        with pytest.raises(ModelFormatError, match="^unknown_root: no word is rarer"):
+            model_from_text(text.replace("\nroot_mode\tele\n", "\nroot_mode\trf\n"))
+
+    def test_rare_counts_pooling_past_int64_rejected(self):
+        # Three rare rows of 2**63 - 1: the trie root's pooled counts would wrap.
+        text = model_to_text(train_model(parse_corpus("a\tX\nb\tX\nc\tX\nd\tY\n\n")))
+        top = 2 ** 63 - 1
+        edits = (("\nrare_threshold\t10\n", f"\nrare_threshold\t{2 ** 63}\n"),
+                 ("\na\t1 0\nb\t1 0\nc\t1 0\nd\t0 1\n",
+                  f"\na\t{top} 0\nb\t{top} 0\nc\t{top} 0\nd\t1 1\n"))
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        with pytest.raises(ModelFormatError,
+                           match="^lexicon: the counts of the rare words sum past 2\\*\\*63 - 1"):
+            model_from_text(text)
+
+    def test_max_suffix_past_every_word(self):
+        # The derived trie is as deep as the longest word, whatever depth
+        # the file allows.
+        text = valid_text()
+        assert text.count("\nmax_suffix\t10\n") == 1
+        deep = text.replace("\nmax_suffix\t10\n", f"\nmax_suffix\t{10 ** 15}\n")
+        assert model_to_text(model_from_text(deep)) == deep
+
+    @pytest.mark.parametrize("root_mode", ["ele", "rf"])
+    def test_mutants_rejected_or_written_back(self, root_mode):
+        # Seeded edits to the [lexicon], [trie] and [unknown_root] rows.  A
+        # mutant loads only if it is a file some lexicon would write, and
+        # never when the edit lies in a derived section.
+        train = synthesize_corpus(SynthesisConfig(num_tags=3, vocab_size=40,
+                                                  num_train_tokens=300, num_test_tokens=10,
+                                                  seed=3))[0]
+        text = model_to_text(train_model(train, order=2, root_mode=root_mode,
+                                         policy=RareWordPolicy(8, 6)))
+        rng = np.random.default_rng(15)
+        tried, loaded = collections.Counter(), 0
+        for _ in range(500):
+            section = ("lexicon", "trie", "unknown_root")[int(rng.integers(3))]
+            mutant = mutate(text, section, rng)
+            if mutant == text:  # e.g. two equal counts swapped
+                continue
+            tried[section] += 1
+            try:
+                model = model_from_text(mutant)
+            except ModelFormatError:
+                continue
+            assert section == "lexicon"
+            assert model_to_text(model) == mutant
+            loaded += 1
+        assert min(tried.values()) >= 100 and loaded > 0
+
+
+def mutate(text, section, rng):
+    """One seeded edit to a row of a section: drop, duplicate or swap rows
+    (swap two numbers of a one-row section), change a number by one (a
+    probability by one unit in the last place), or change a word's last
+    letter or an edge letter."""
+    lines = text.split("\n")
+    start = section_start(lines, section)
+    count = int(lines[start - 1].split(" ")[1])
+    i = start + int(rng.integers(count))
+    kind = ("drop", "duplicate", "swap", "number", "letter")[int(rng.integers(5))]
+    if kind in ("drop", "duplicate"):
+        lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+        lines[start - 1] = f"[{section}] {count + (1 if kind == 'duplicate' else -1)}"
+        return "\n".join(lines)
+    if kind == "swap" and count > 1:
+        j = start + int(rng.choice([r for r in range(count) if start + r != i]))
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    key, sep, numbers = lines[i].rpartition("\t")
+    values = numbers.split(" ")
+    c = int(rng.integers(len(values)))
+    if kind == "swap":
+        d = int(rng.integers(len(values)))
+        values[c], values[d] = values[d], values[c]
+    elif kind == "number" or section == "unknown_root":
+        step = int(rng.choice([-1, 1]))
+        values[c] = (format(float(np.nextafter(float(values[c]), step * np.inf)), ".17g")
+                     if section == "unknown_root" else str(int(values[c]) + step))
+    elif section == "trie":
+        depth, _ = key.split("\t")
+        key = f"{depth}\t{rng.choice(list('aeksz') + [''])}"
+    else:
+        key = key[:-1] + rng.choice(list("aeksz"))
+    lines[i] = key + sep + " ".join(values)
+    return "\n".join(lines)
 
 
 class TestCountLines:
