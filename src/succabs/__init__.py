@@ -23,7 +23,6 @@ from .counts import (
     build_lexicon,
     build_suffix_trie,
     count_ngrams,
-    reversed_suffix_path,
 )
 from .errors import CorpusParseError, ModelFormatError, SuccabsError, ValidationError
 from .evaluation import (
@@ -39,13 +38,7 @@ from .evaluation import (
     render_report_table,
     significance_threshold,
 )
-from .lexicon import (
-    LexicalDistribution,
-    UnknownWordModel,
-    build_unknown_word_model,
-    known_word_distribution,
-    unknown_word_distribution,
-)
+from .lexicon import UnknownWordModel, build_unknown_word_model, unknown_word_distribution
 from .model_io import model_from_text, model_to_text, read_model, write_model
 from .smoothing import (
     ConditionalDistribution,

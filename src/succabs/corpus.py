@@ -8,6 +8,7 @@ are compared case-sensitively and never normalized.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import CorpusParseError, ValidationError
 
 _FORBIDDEN_IN_SYMBOL = ("\t", "\n", "\r")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # code points no UTF-8 text can hold
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,8 @@ def parse_corpus(source: str | IO[str] | Iterable[str],
     every observed tag must belong to it; otherwise the tag set is the
     lexicographically sorted set of observed tags.  A line loses one
     trailing LF (an iterable's items may keep theirs) and then one
-    trailing CR; a CR or LF left in a word or tag is an error.
+    trailing CR; a CR or LF left in a word or tag is an error, and so is a
+    lone surrogate.
     """
     declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
     lines = _source_lines(source)
@@ -199,6 +202,8 @@ def parse_corpus(source: str | IO[str] | Iterable[str],
         word, tag = fields
         if "\r" in line or "\n" in line:
             errors[i] = f"CR or LF inside a word or tag: {line!r}"
+        elif not line.isascii() and _SURROGATE.search(line):
+            errors[i] = f"lone surrogate, which UTF-8 cannot hold, in a word or tag: {line!r}"
         elif declared is not None and tag not in declared:
             errors[i] = f"tag {tag!r} not in declared tag set"
         else:

@@ -9,9 +9,8 @@ over the real tag set only.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -141,9 +140,6 @@ class Lexicon(Mapping[str, np.ndarray]):
 
     entries = property(lambda self: self)  # the benchmark harness reads the mapping by this name
 
-    def total(self, word: str) -> int:
-        return int(self[word].sum()) if word in self.index else 0
-
 
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """Tag counts per word: one ``bincount`` over word id times K plus tag,
@@ -166,68 +162,68 @@ class RareWordPolicy:
             raise ValidationError("rare-word policy values must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SuffixTrie:
     """Tree over reversed word suffixes, each node pooling tag counts.
 
-    A word contributes along root -> last letter -> ... -> first letter ->
-    begin-of-word marker, truncated to the policy's maximum depth.  The root
-    aggregates the whole rare-word subcorpus.
+    A word contributes along its ``_suffix_paths`` path from the root.  The
+    root aggregates the whole rare-word subcorpus.
 
     Node ids are rows in preorder, row 0 the root, with siblings in
     ascending letter order (the begin-of-word marker first).  ``counts`` is
-    the read-only (nodes, K) matrix of tag counts; ``depths``, ``codes``
-    (the letter code of the edge into each node) and ``parents`` (-1 for
-    the root) hold one entry per node.
+    the (nodes, K) matrix of tag counts; ``depths``, ``codes`` (the letter
+    code of the edge into each node) and ``parents`` (-1 for the root) hold
+    one entry per node.  ``edge_keys`` holds each edge's parent id *
+    ``_LETTER_CODES`` + code, ascending, and ``edge_nodes`` the node each
+    leads to.  All the arrays are read-only.
     """
 
     counts: np.ndarray
     depths: np.ndarray
     codes: np.ndarray
     parents: np.ndarray
-    # Integer keys, parent id * _LETTER_CODES + code: unlike tuples, ints are
-    # not tracked by the garbage collector, so building the map starts no
-    # collection pass over the caller's heap.
-    _children: dict[int, int] = field(init=False, repr=False, compare=False)
+    edge_keys: np.ndarray = field(init=False, repr=False)
+    edge_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.counts.flags.writeable = False
-        self._children = dict(zip((self.parents[1:] * _LETTER_CODES + self.codes[1:]).tolist(),
-                                  range(1, len(self.codes))))
+        keys = self.parents[1:] * _LETTER_CODES + self.codes[1:]
+        order = np.argsort(keys, kind="stable")
+        object.__setattr__(self, "edge_keys", keys[order])
+        object.__setattr__(self, "edge_nodes", order + 1)
+        for array in (self.counts, self.depths, self.codes, self.parents, self.edge_keys,
+                      self.edge_nodes):
+            array.flags.writeable = False
 
     def iter_nodes(self) -> Iterator[int]:
         """Every node id, in preorder."""
         return iter(range(len(self.codes)))
-
-    def child(self, node: int, letter: str) -> int | None:
-        """The node below ``node`` along ``letter`` (``BOW_LETTER`` for the
-        begin-of-word marker), or None."""
-        return self._children.get(node * _LETTER_CODES
-                                  + (ord(letter) + 1 if letter else BOW_CODE))
 
     def letters(self) -> list[str]:
         """Each node's edge letter; the root's and the marker's are empty."""
         return [chr(c - 1) if c != BOW_CODE else BOW_LETTER for c in self.codes.tolist()]
 
 
-def reversed_suffix_path(word: str, max_edges: int) -> list[str]:
-    """Letters of the trie path for a word: reversed letters then the
-    begin-of-word marker, truncated to max_edges."""
-    return (list(reversed(word)) + [BOW_LETTER])[:max_edges]
-
-
-def _path_letters(words: list[str], depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each word's trie path as a row of letter codes, its reversed letters
-    and then the begin-of-word marker, cut at the depth and padded with
-    ``BOW_CODE``; and a mask of the cells past each path."""
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    # No path is longer than the longest word and its marker; the policy's
-    # depth, which a model file sets, may be far longer.
-    depth = min(depth, int(lengths.max(initial=0)) + 1)
-    reversed_words = np.array([w[::-1][:depth] for w in words], dtype=f"<U{depth}")
-    letters = reversed_words.view(np.uint32).reshape(len(words), depth).astype(np.int64) + 1
-    letters[np.arange(depth) >= lengths[:, None]] = BOW_CODE
-    return letters, np.arange(depth) >= np.minimum(lengths + 1, depth)[:, None]
+def _suffix_paths(words: Sequence[str], depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each word's trie path: its reversed letters and then the
+    begin-of-word marker, cut at ``depth`` edges, as letter codes.  Word
+    i's path is ``codes[offsets[i]:offsets[i] + lengths[i]]``, all int64,
+    with no padding; lone surrogates are letters like any other."""
+    sizes = np.fromiter(map(len, words), np.int64, len(words))
+    # No path outgrows the longest word and its marker; a depth from a
+    # model file may not fit int64.
+    depth = min(depth, int(sizes.max(initial=0)) + 1)
+    cut = np.minimum(sizes, depth)
+    ends = np.cumsum(cut)
+    # Reversing the joined words reverses each word and their order.
+    letters = np.frombuffer("".join(words)[::-1].encode("utf-32-le", "surrogatepass"),
+                            dtype="<u4")
+    starts = len(letters) - np.cumsum(sizes)  # each reversed word in ``letters``
+    at = np.repeat(starts - (ends - cut), cut) + np.arange(int(cut.sum()))
+    codes = letters[at].astype(np.int64) + 1
+    marked = cut < depth
+    codes = np.insert(codes, ends[marked], BOW_CODE)
+    lengths = cut + marked
+    return codes, np.cumsum(lengths) - lengths, lengths
 
 
 def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
@@ -239,34 +235,58 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
     pooled sums would wrap silently.
 
     With the words sorted by their paths, the trie's preorder is row-major
-    order: each path's new nodes are its cells after the letters it shares
-    with the path before, and a column's later cells lie on the same node
-    until the next new one.
+    order: each path's new nodes are its cells after the ``shared`` letters
+    it has in common with the path before, and a node's cell lies over the
+    following paths down to the next new cell at its depth.  The build goes
+    a depth at a time over the paths still that long, so it holds nothing
+    larger than the paths and the count matrix.
     """
     totals = lexicon.counts.sum(axis=1)
     # An int64 bound: numpy 1 compares an int64 array with 2**63 as floats.
-    rare = totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1)
+    rare = np.flatnonzero(totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1))
     pooled = totals[rare]
     if int(pooled.max(initial=0)) * len(pooled) >= 2 ** 63 and sum(pooled.tolist()) >= 2 ** 63:
         raise ValidationError("the counts of the rare words sum past 2**63 - 1")
-    letters, past = _path_letters(list(compress(lexicon.words, rare)), policy.max_suffix_length)
-    order = np.lexsort(letters.T[::-1])  # column 0 is the primary key
-    letters, past = letters[order], past[order]
-    new = ~past
-    new[1:] &= ~np.logical_and.accumulate(letters[1:] == letters[:-1], axis=1)
-    # Each path's node at each depth below the root; ids count from 1.
-    nodes = np.maximum.accumulate(np.where(new, np.cumsum(new).reshape(new.shape), 0), axis=0)
-    nodes[past] = -1
-    row, col = np.nonzero(new)
+    depth = policy.max_suffix_length
+    words = [lexicon.words[i] for i in rare.tolist()]
+    # Cut reversed words sort as their paths do: a path's marker, code 0,
+    # sorts first, as the end of a shorter string does.
+    order = sorted(range(len(words)), key=[w[:-depth - 1:-1] for w in words].__getitem__)
+    codes, offsets, lengths = _suffix_paths([words[i] for i in order], depth)
+    rows = rare[order]
 
-    rows = lexicon.counts[np.flatnonzero(rare)[order]]
-    word, tag = np.nonzero(rows)
-    path = nodes[word]
-    on = path >= 0
-    counts = np.zeros((len(row) + 1, rows.shape[1]), dtype=np.int64)
-    counts[0] = rows.sum(axis=0)
-    np.add.at(counts, (path[on], np.broadcast_to(tag[:, None], path.shape)[on]),
-              np.broadcast_to(rows[word, tag][:, None], path.shape)[on])
-    return SuffixTrie(counts, np.concatenate([[0], col + 1]),
-                      np.concatenate([[BOW_CODE], letters[row, col]]),
-                      np.concatenate([[-1], np.where(col > 0, nodes[row, col - 1], 0)]))
+    # The letters each path shares with the path before it: the first cell
+    # where the two differ, or the shorter one's length.
+    both = np.minimum(lengths[1:], lengths[:-1])
+    pair = np.repeat(np.arange(1, len(rows)), both)
+    at = np.arange(len(pair)) - np.repeat(np.cumsum(both) - both, both)
+    differ = np.flatnonzero(codes[offsets[pair] + at] != codes[offsets[pair - 1] + at])
+    shared = np.concatenate([np.zeros(min(len(rows), 1), dtype=np.int64), both])
+    np.minimum.at(shared, pair[differ], at[differ])
+    new = lengths - shared  # each path's new nodes, numbered in row-major order
+    first = np.cumsum(new) - new + 1  # the id of each path's first new node
+    start = first - shared  # a path's new node at a level is start + level
+    size = int(new.sum()) + 1
+    path_of = np.repeat(np.arange(len(rows)), new)
+    column = np.arange(1, size) - start[path_of]
+
+    k = lexicon.counts.shape[1]
+    count_rows, tags = np.nonzero(lexicon.counts[rows])
+    values = lexicon.counts[rows[count_rows], tags]
+    counts = np.zeros((size, k), dtype=np.int64)
+    np.add.at(counts[0], tags, values)
+    parents = np.arange(-1, size - 1, dtype=np.int64)  # but for each path's first new node
+    # The paths still as long as the level, and each path's node at the
+    # level (a level up until it is updated).
+    alive, on = np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    for level in range(int(lengths.max(initial=0))):
+        alive = alive[lengths[alive] > level]
+        opens = alive[shared[alive] == level]
+        parents[first[opens]] = on[opens]
+        on[alive] = np.maximum.accumulate(np.where(shared[alive] <= level,
+                                                   start[alive] + level, 0))
+        cells = lengths[count_rows] > level
+        count_rows, tags, values = count_rows[cells], tags[cells], values[cells]
+        np.add.at(counts.reshape(-1), on[count_rows] * k + tags, values)
+    return SuffixTrie(counts, np.concatenate([[0], column + 1]),
+                      np.concatenate([[BOW_CODE], codes[offsets[path_of] + column]]), parents)

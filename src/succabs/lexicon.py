@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counts import Lexicon, RareWordPolicy, SuffixTrie, reversed_suffix_path
+from .counts import _LETTER_CODES, RareWordPolicy, SuffixTrie, _suffix_paths
 from .errors import ValidationError
 from .smoothing import (
     ROOT_MODE_ELE,
@@ -25,30 +25,6 @@ from .smoothing import (
     _smooth_level,
     root_estimate,
 )
-
-
-@dataclass(frozen=True)
-class LexicalDistribution:
-    """P(tag | word) with the set of tag indices seen in training.
-
-    An empty support means the word is unknown and every tag stays in play.
-    """
-
-    probs: np.ndarray
-    support: frozenset[int]
-
-    def __post_init__(self):
-        self.probs.flags.writeable = False
-
-
-def known_word_distribution(lex: Lexicon, word: str) -> LexicalDistribution | None:
-    """Relative tag frequencies of a training word; None if never seen."""
-    vec = lex.get(word)
-    if vec is None:
-        return None
-    total = vec.sum()
-    support = frozenset(int(i) for i in np.nonzero(vec)[0])
-    return LexicalDistribution(vec / total, support)
 
 
 @dataclass(frozen=True)
@@ -77,48 +53,46 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
     A word walks the trie along its reversed letters (begin-of-word marker
     last) up to the first unmatched letter or the policy depth, and its row
     is the fold of one smoothing step per matched node onto the rare-word
-    root.  The union of the words' nodes is folded once, a depth at a time.
+    root.  All the words walk together a depth at a time, and the nodes
+    they reach at a depth are folded once each.
     """
     if isinstance(words, str):
         raise ValidationError("expected a sequence of words, not one string")
+    if "" in words:
+        raise ValidationError("cannot estimate a distribution for an empty word")
     trie = m.trie
-    ends, matched = [], {0}  # each word's deepest matched node; all of them
-    for word in words:
-        if not word:
-            raise ValidationError("cannot estimate a distribution for an empty word")
-        path = [0]
-        for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
-            node = trie.child(path[-1], letter)
-            if node is None:
-                break
-            path.append(node)
-        ends.append(path[-1])
-        matched.update(path)
-    nodes = np.array(sorted(matched), dtype=np.intp)  # the root first
-    depths = trie.depths[nodes]
-    probs, entropies = np.empty((len(nodes), m.root.dim)), np.empty(len(nodes))
-    probs[0], entropies[0] = m.root.probs, m.root.entropy_nats
-    for depth in range(1, int(depths.max()) + 1):
-        rows = np.flatnonzero(depths == depth)
-        up = np.searchsorted(nodes, trie.parents[nodes[rows]])
-        probs[rows], entropies[rows] = _smooth_level(trie.counts[nodes[rows]], probs[up],
-                                                     entropies[up])
-    out = probs[np.searchsorted(nodes, ends)]
+    codes, offsets, lengths = _suffix_paths(words, m.policy.max_suffix_length)
+    out = np.tile(m.root.probs, (len(words), 1))
+    # The words still matching, and each one's node at the depth before,
+    # as an index into that depth's folded ``level`` nodes.
+    alive, at = np.arange(len(words)), np.zeros(len(words), dtype=np.intp)
+    level = np.zeros(1, dtype=np.int64)
+    probs, entropies = m.root.probs[None, :], np.array([m.root.entropy_nats])
+    for depth in range(int(lengths.max(initial=0))):
+        keep = lengths[alive] > depth
+        alive, at = alive[keep], at[keep]
+        keys = level[at] * _LETTER_CODES + codes[offsets[alive] + depth]
+        edge = np.minimum(np.searchsorted(trie.edge_keys, keys), len(trie.edge_keys) - 1)
+        hit = (trie.edge_keys[edge] == keys if len(trie.edge_keys) else  # a root-only trie
+               np.zeros(len(keys), dtype=bool))
+        alive, at, edge = alive[hit], at[hit], edge[hit]
+        if not len(alive):
+            break
+        level, first, reached = np.unique(trie.edge_nodes[edge], return_index=True,
+                                          return_inverse=True)
+        probs, entropies = _smooth_level(trie.counts[level], probs[at[first]],
+                                         entropies[at[first]])
+        at = reached
+        out[alive] = probs[at]
     out.flags.writeable = False
     return out
 
 
-def lexical_factors(dist: LexicalDistribution,
-                    unigram: ConditionalDistribution) -> np.ndarray:
-    """P(t | word) / P(t) for every tag t: zero wherever P(t | word) is zero,
-    and rejected where P(t | word) > 0 but P(t) = 0."""
-    return lexical_factor_rows(dist.probs, unigram)
-
-
 def lexical_factor_rows(p_lex: np.ndarray, unigram: ConditionalDistribution) -> np.ndarray:
-    """``lexical_factors`` for each row of a (words, K) matrix of P(t | word),
-    with the same operations on each cell.  A rejection names the first
-    offending tag of the first offending row."""
+    """P(t | word) / P(t) for each row of a (words, K) matrix of P(t | word)
+    and every tag t: zero wherever P(t | word) is zero, and rejected where
+    P(t | word) > 0 but P(t) = 0.  A rejection names the first offending
+    tag of the first offending row."""
     p_tag = unigram.probs
     if p_tag.all():
         # The usual case: no 0/0 can occur.

@@ -42,7 +42,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .corpus import TagSet
+from .corpus import _SURROGATE, TagSet
 from .counts import Lexicon, RareWordPolicy, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
 from .lexicon import build_unknown_word_model
@@ -264,6 +264,10 @@ def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
 
 
 def model_from_text(text: str) -> Model:
+    bad = None if text.isascii() else _SURROGATE.search(text)
+    if bad:  # a lone surrogate, which no file holds and the writer could not write
+        line = text.count("\n", 0, bad.start()) + 1
+        raise ModelFormatError(f"line {line}: not UTF-8 text")
     reader = _SectionReader(text)
     first = reader.take()
     parts = first.split(" ")

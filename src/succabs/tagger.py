@@ -169,10 +169,10 @@ class _DecodeRuntime:
     def prime(self, words: Iterable[str]) -> None:
         """Add the words not in ``ids`` yet, in blocks of ``_PRIME_BLOCK``:
         one factor matrix, one ``unknown_word_distribution`` and one
-        ``log_probs`` per block, with each cell's operations those of
-        ``known_word_distribution`` or ``unknown_word_distribution`` and then
-        ``lexical_factors``.  If words are rejected, the error is the per-word
-        one of the first of them in ``words``."""
+        ``log_probs`` per block.  A known word's P(t | w) is its lexicon row
+        over the row's total, and ``lexical_factor_rows`` divides each row
+        by P(t).  If words are rejected, the error is the one the first of
+        them in ``words`` would raise alone."""
         new = [w for w in dict.fromkeys(words) if w not in self.ids]
         m = self.model
         index = m.lexicon.index

@@ -23,7 +23,7 @@ from succabs.evaluation import (
     render_comparison,
     significance_threshold,
 )
-from succabs.lexicon import UnknownWordModel, known_word_distribution
+from succabs.lexicon import UnknownWordModel
 from succabs.model_io import model_from_text, model_to_text
 from succabs.smoothing import (
     ConditionalDistribution,
@@ -47,6 +47,8 @@ from succabs.tagger import (
     viterbi_tag_scored,
 )
 from succabs.cli import main as cli_main
+
+from lexical_oracle import known_word_distribution
 
 
 def random_distribution(rng, dim):

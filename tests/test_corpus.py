@@ -133,6 +133,15 @@ class TestLineSplitting:
         with pytest.raises(CorpusParseError, match="CR or LF"):
             parse_corpus(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("a\ud800\tX\n", 1),
+        ("a\tX\n\nb\tT\udfff1\n", 3),
+    ])
+    def test_lone_surrogate_is_a_parse_error(self, text, line):
+        # Neither the corpus digest nor a model file could be written.
+        with pytest.raises(CorpusParseError, match=f"^line {line}: lone surrogate"):
+            parse_corpus(text)
+
     def test_crlf_and_lf_parse_alike(self):
         assert parse_corpus("a\tX\r\nb\tY\r\n\r\nc\tX\r\n") == \
             parse_corpus("a\tX\nb\tY\n\nc\tX\n")

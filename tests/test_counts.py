@@ -13,18 +13,21 @@ from succabs.corpus import (
     write_corpus,
 )
 from succabs.counts import (
+    _LETTER_CODES,
     BOUNDARY,
     BOW_LETTER,
     Lexicon,
     RareWordPolicy,
     SuffixTrie,
+    _suffix_paths,
     build_lexicon,
     build_suffix_trie,
     count_ngrams,
-    reversed_suffix_path,
 )
 from succabs.errors import ValidationError
 from succabs.tagger import corpus_digest
+
+from lexical_oracle import children, lexsort_suffix_trie, path_nodes, reversed_suffix_path
 
 
 class TestCountNgrams:
@@ -113,9 +116,10 @@ class TestLexicon:
         assert "fish" not in lex
         assert len(lex) == 2
         np.testing.assert_array_equal(lex["cat"], [2, 1])
-        assert lex.total("cat") == 3
-        assert lex.total("dog") == 1
-        assert lex.total("fish") == 0
+        total = lambda word: int(lex[word].sum()) if word in lex else 0
+        assert total("cat") == 3
+        assert total("dog") == 1
+        assert total("fish") == 0
         # The benchmark harness reads ``entries`` with get, in, iteration and len.
         entries = lex.entries
         assert entries.get("cat").tolist() == [2, 1] and entries.get("fish") is None
@@ -128,18 +132,47 @@ class TestLexicon:
         assert lex.words == () and lex.counts.shape == (0, 0)
 
 
+def assert_one_word_path(word, depth, letters):
+    """A one-word trie is the word's path, and the word walks all of it."""
+    trie = build_suffix_trie(Lexicon((word,), np.array([[1]])), RareWordPolicy(2, depth))
+    assert reversed_suffix_path(word, depth) == letters
+    assert trie.letters() == [""] + letters
+    assert trie.depths.tolist() == list(range(len(letters) + 1))
+    assert trie.parents.tolist() == list(range(-1, len(letters)))
+    assert path_nodes(trie, word, depth) == list(range(len(letters) + 1))
+    codes, offsets, lengths = _suffix_paths([word], depth)
+    assert offsets.tolist() == [0] and lengths.tolist() == [len(letters)]
+    assert codes.tolist() == trie.codes[1:].tolist()
+
+
 class TestReversedSuffixPath:
     def test_word_reversed_with_bow_marker(self):
-        assert reversed_suffix_path("cat", 10) == ["t", "a", "c", BOW_LETTER]
+        assert_one_word_path("cat", 10, ["t", "a", "c", BOW_LETTER])
 
     def test_single_letter(self):
-        assert reversed_suffix_path("a", 10) == ["a", BOW_LETTER]
+        assert_one_word_path("a", 10, ["a", BOW_LETTER])
 
     def test_truncation_to_max_edges(self):
-        assert reversed_suffix_path("abcdefghijkl", 4) == ["l", "k", "j", "i"]
+        assert_one_word_path("abcdefghijkl", 4, ["l", "k", "j", "i"])
 
     def test_exact_length_keeps_marker(self):
-        assert reversed_suffix_path("ab", 3) == ["b", "a", BOW_LETTER]
+        assert_one_word_path("ab", 3, ["b", "a", BOW_LETTER])
+
+    def test_paths_equal_the_letter_rule(self):
+        # Many words at once, lone surrogates and NULs included, and depths
+        # past any int64.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            words = [random_word(rng, int(rng.integers(0, 12)))
+                     for _ in range(int(rng.integers(0, 8)))]
+            depth = int(rng.choice([1, 2, 5, 13, 10 ** 30]))
+            codes, offsets, lengths = _suffix_paths(words, depth)
+            assert codes.dtype == offsets.dtype == lengths.dtype == np.int64
+            assert len(codes) == int(lengths.sum())
+            for word, at, length in zip(words, offsets.tolist(), lengths.tolist()):
+                assert codes[at:at + length].tolist() == [
+                    ord(letter) + 1 if letter else 0
+                    for letter in reversed_suffix_path(word, depth)]
 
 
 class TestRareWordPolicy:
@@ -185,7 +218,7 @@ class TestBuildSuffixTrie:
         trie = build_suffix_trie(lex, RareWordPolicy())
         at = corpus.tag_set.index_of("AT")
         assert trie.counts[0, at] == 0
-        assert trie.child(0, "e") is None
+        assert (0, "e") not in children(trie)
 
     def test_bow_marker_terminates_full_words(self):
         corpus = self.corpus_with_rare_words()
@@ -253,10 +286,10 @@ class TestBuildSuffixTrie:
 
 def walk(trie, letters):
     """The id of the node reached from the root along the given letters."""
+    edges = children(trie)
     node = 0
     for letter in letters:
-        node = trie.child(node, letter)
-        assert node is not None
+        node = edges[node, letter]
     return node
 
 
@@ -403,9 +436,59 @@ def assert_same_trie(got, expect_root):
     np.testing.assert_array_equal(got.depths, depths)
     assert got.letters() == letters
     assert got.parents.tolist() == parents
-    for node, (parent, letter) in enumerate(zip(parents, letters)):
-        if parent >= 0:
-            assert got.child(parent, letter) == node
+    assert_edges_found(got)
+
+
+def assert_edges_found(trie):
+    """Each node's edge key leads to it, and no two edges share a key."""
+    keys = trie.parents[1:] * _LETTER_CODES + trie.codes[1:]
+    assert trie.edge_keys.tolist() == sorted(keys.tolist())
+    assert len(set(keys.tolist())) == len(keys)
+    found = trie.edge_nodes[np.searchsorted(trie.edge_keys, keys)]
+    assert found.tolist() == list(range(1, len(trie.codes)))
+
+
+# A lone surrogate is a letter to the trie, though no corpus file holds one.
+_PATH_LETTERS = ["a", "é", "\U0001f600", "\x00", "\ud800"]
+
+
+def random_word(rng, size):
+    return "".join(_PATH_LETTERS[j] for j in rng.integers(len(_PATH_LETTERS), size=size))
+
+
+class TestAgainstLexsortBuilder:
+    def test_same_arrays_as_the_lexsort_builder(self):
+        rng = np.random.default_rng(1616)
+        for i in range(300):
+            words = sorted({random_word(rng, int(rng.integers(1, 6 if i % 2 else 40)))
+                            for _ in range(int(rng.integers(0, 40)))})
+            num_tags = int(rng.integers(1, 5))
+            counts = rng.integers(0, 4, size=(len(words), num_tags))
+            counts[np.arange(len(words)), rng.integers(num_tags, size=len(words))] += 1
+            lex = Lexicon(tuple(words), counts.astype(np.int64))
+            policy = RareWordPolicy(int(rng.integers(1, 8)), int(rng.integers(1, 101)))
+            assert_same_arrays(build_suffix_trie(lex, policy), lexsort_suffix_trie(lex, policy))
+        empty = Lexicon((), np.zeros((0, 0), dtype=np.int64))
+        assert_same_arrays(build_suffix_trie(empty, RareWordPolicy()),
+                           lexsort_suffix_trie(empty, RareWordPolicy()))
+
+    def test_arrays_are_read_only(self):
+        lex = Lexicon(("ab", "b"), np.array([[1, 0], [0, 2]], dtype=np.int64))
+        trie = build_suffix_trie(lex, RareWordPolicy())
+        for name in ("counts", "depths", "codes", "parents", "edge_keys", "edge_nodes"):
+            array = getattr(trie, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(trie, name, array.copy())
+
+
+def assert_same_arrays(got, expect):
+    for name in ("counts", "depths", "codes", "parents"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b)
+    assert_edges_found(got)
 
 
 class TestAgainstTokenReference:

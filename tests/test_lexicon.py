@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from succabs.corpus import parse_corpus
-from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie, reversed_suffix_path
+from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie
 from succabs.errors import ValidationError
-from succabs.lexicon import (
+from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
+from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, uniform_distribution
+from lexical_oracle import (
     LexicalDistribution,
-    build_unknown_word_model,
     known_word_distribution,
     lexical_factors,
-    unknown_word_distribution,
+    reversed_suffix_path,
 )
-from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, uniform_distribution
 from test_counts import random_corpus, reference_build_suffix_trie
 
 

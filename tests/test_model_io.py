@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -627,6 +628,22 @@ class TestCanonicalOrder:
                 model_from_text(bad)
 
 
+class TestLoneSurrogates:
+    def test_rejected_with_the_line(self, tmp_path):
+        # A str can hold a lone surrogate, which no UTF-8 file can: such a
+        # model would load and then fail to be written.
+        text = model_to_text(trained_models()[0])
+        lines = text.split("\n")
+        for line, old, new in ((lines.index("NN") + 1, "\nNN\n", "\nN\ud8001\n"),
+                               (lines.index("cat\t0 1 0") + 1, "\ncat\t", "\nc\udfffat\t")):
+            assert text.count(old) == 1
+            with pytest.raises(ModelFormatError, match=f"^line {line}: not UTF-8 text$"):
+                model_from_text(text.replace(old, new))
+        model = model_from_text(text)
+        write_model(model, str(tmp_path / "m.txt"))
+        assert read_model(str(tmp_path / "m.txt")).tag_set == model.tag_set
+
+
 class TestDerivedSections:
     """``[trie]`` and ``[unknown_root]`` must be what ``build_suffix_trie``
     and ``build_unknown_word_model`` make of ``[lexicon]`` and ``[meta]``."""
@@ -683,6 +700,30 @@ class TestDerivedSections:
         assert text.count("\nmax_suffix\t10\n") == 1
         deep = text.replace("\nmax_suffix\t10\n", f"\nmax_suffix\t{10 ** 15}\n")
         assert model_to_text(model_from_text(deep)) == deep
+
+    def test_long_word_load_memory_is_linear(self):
+        # The loader builds the trie of whatever [lexicon] and max_suffix a
+        # file holds: one 4,000-letter rare word among 600 must cost memory
+        # in proportion to the text, not rare words x longest word.  Nor
+        # may decoding one 100,000-letter unknown word among short ones
+        # cost more than a fixed multiple of its length.
+        rng = np.random.default_rng(16)
+        words = sorted({"".join(rng.choice(list("abcdef"), size=6)) for _ in range(1200)})
+        words = words[:599] + ["q" * 4000]
+        corpus = parse_corpus("\n".join(f"{w}\t{'XY'[i % 2]}" for i, w in enumerate(words)))
+        text = model_to_text(train_model(corpus, order=2, policy=RareWordPolicy(10, 10 ** 6)))
+        tracemalloc.start()
+        try:
+            model = model_from_text(text)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tagged = tag_corpus(model, [["z" * 10 ** 5] + [f"q{i}" for i in range(100)]])
+            decode_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model_to_text(model) == text and len(tagged[0]) == 101
+        assert load_peak < 60 * len(text), (load_peak, len(text))
+        assert decode_peak < 60 * 10 ** 5, decode_peak
 
     @pytest.mark.parametrize("root_mode", ["ele", "rf"])
     def test_mutants_rejected_or_written_back(self, root_mode):

@@ -7,16 +7,10 @@ import numpy as np
 import pytest
 
 from succabs.corpus import TagSet, parse_corpus
-from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, reversed_suffix_path
+from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, build_suffix_trie
 from succabs.errors import ValidationError
 import succabs.tagger
-from succabs.lexicon import (
-    LexicalDistribution,
-    UnknownWordModel,
-    known_word_distribution,
-    lexical_factors,
-    unknown_word_distribution,
-)
+from succabs.lexicon import UnknownWordModel, build_unknown_word_model, unknown_word_distribution
 from succabs.smoothing import (
     ConditionalDistribution,
     SmoothedNGramModel,
@@ -39,6 +33,13 @@ from succabs.tagger import (
     train_model,
     viterbi_tag,
     viterbi_tag_scored,
+)
+from lexical_oracle import (
+    LexicalDistribution,
+    children,
+    known_word_distribution,
+    lexical_factors,
+    reversed_suffix_path,
 )
 from test_lexicon import word_ending_at
 from transition_oracle import distribution, query, tables_of
@@ -577,13 +578,14 @@ def smooth_step_walk(m, words, folds=None):
     with ``folds`` mapping each node folded so far to its distribution."""
     if folds is None:
         folds = {}
+    edges = children(m.trie)
     rows = []
     for word in words:
         if not word:
             raise ValidationError("cannot estimate a distribution for an empty word")
         dist, node = m.root, 0
         for letter in reversed_suffix_path(word, m.policy.max_suffix_length):
-            node = m.trie.child(node, letter)
+            node = edges.get((node, letter))
             if node is None:
                 break
             if node not in folds:
@@ -632,6 +634,29 @@ class TestUnknownWordFolds:
         assert folded > 100
 
 
+    def test_lone_surrogates_walk_as_letters(self):
+        # An API word may hold a lone surrogate, which no corpus file can:
+        # it walks the trie as any letter does, and the sentence decodes.
+        corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["caq\tNN", "saq\tVB"]) + "\n\n")
+        m = train_model(corpus, order=2)
+        words = ["q\ud800", "\ud800q", "\udfffaq", "\ud800"]
+        got = unknown_word_distribution(m.unknown_word_model, words)
+        assert got.tolist() == smooth_step_walk(m.unknown_word_model, words).tolist()
+        assert got[1].tolist() != got[0].tolist() == m.unknown_word_model.root.probs.tolist()
+        sentences = [["the", word] for word in words]
+        assert tag_corpus(m, sentences) == [reference_viterbi_tag(m, s) for s in sentences]
+        assert tag_corpus(m, [["q\ud800"], ["the", "\ud800q"], ["\udfffaq"]]) == [
+            ["AT"], ["AT", "NN"], ["NN"]]
+        # A trie can hold one too, when a lexicon is made without a corpus.
+        policy = RareWordPolicy()
+        lex = Lexicon(("a\ud800", "b\ud800"), np.array([[2, 0], [0, 1]]))
+        unknown = build_unknown_word_model(build_suffix_trie(lex, policy), policy)
+        words = ["x\ud800", "a\ud800", "\ud800", "\udfff"]
+        got = unknown_word_distribution(unknown, words)
+        assert got.tolist() == smooth_step_walk(unknown, words).tolist()
+        assert len(set(map(tuple, got.tolist()))) == 3  # the root, the surrogate, "a\ud800"
+
+
 class TestLexicalTable:
     def test_table_equals_the_per_word_path(self, monkeypatch):
         # Each word's log factors and lattice, filled for a whole call at
@@ -649,8 +674,8 @@ class TestLexicalTable:
                                                   max_suffix_length=max_suffix))
             sentences = lettered_sentences(rng, corpus, alphabet, max_suffix)
             words = [w for s in sentences for w in s]
-            trie = m.unknown_word_model.trie
-            firsts = [trie.child(0, w[-1]) for w in set(words) if w not in m.lexicon]
+            edges = children(m.unknown_word_model.trie)
+            firsts = [edges.get((0, w[-1])) for w in set(words) if w not in m.lexicon]
             firsts = [node for node in firsts if node is not None]
             shared += len(firsts) - len(set(firsts))
             for open_lattice in (False, True):
