@@ -68,8 +68,7 @@ def cmd_train(args) -> int:
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas is not None else None
     policy = RareWordPolicy(args.rare_threshold, args.max_suffix)
     model = train_model(corpus, order=args.order, policy=policy,
-                        root_mode=args.root_mode, sigma_scale=args.sigma_scale,
-                        smoothing=args.smoothing, lambdas=lambdas)
+                        root_mode=args.root_mode, smoothing=args.smoothing, lambdas=lambdas)
     write_model(model, args.out)
     return 0
 
@@ -155,8 +154,6 @@ def build_parser() -> _Parser:
                    help="maximum suffix depth counted (default 10)")
     p.add_argument("--root-mode", choices=ROOT_MODES, default="ele",
                    help="unigram estimator: relative frequency or half-count (default ele)")
-    p.add_argument("--sigma-scale", type=float, default=1.0,
-                   help="multiplier on the back-off weighting (default 1.0)")
     p.add_argument("--smoothing", choices=SMOOTHING_MODES, default="sa",
                    help="transition estimator (default sa)")
     p.add_argument("--lambdas", default=None, metavar="A,B,C",

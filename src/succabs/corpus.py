@@ -35,6 +35,9 @@ class TagSet:
                 raise ValidationError("tag symbols must be non-empty")
             if any(c in t for c in _FORBIDDEN_IN_SYMBOL):
                 raise ValidationError(f"tag symbol {t!r} contains whitespace control characters")
+            if not t.isascii() and _SURROGATE.search(t):
+                raise ValidationError(f"tag symbol {t!r} holds a lone surrogate, which UTF-8 "
+                                      "cannot hold")
             if t in seen:
                 raise ValidationError(f"duplicate tag symbol {t!r}")
             seen[t] = i
@@ -66,6 +69,9 @@ class TaggedToken:
             raise ValidationError("token word must be non-empty")
         if any(c in self.word for c in _FORBIDDEN_IN_SYMBOL):
             raise ValidationError(f"token word {self.word!r} contains whitespace control characters")
+        if not self.word.isascii() and _SURROGATE.search(self.word):
+            raise ValidationError(f"token word {self.word!r} holds a lone surrogate, which UTF-8 "
+                                  "cannot hold")
 
 
 class Corpus:

@@ -23,7 +23,8 @@ Layout: a magic/version line, then sections, each introduced by a
 Counts are non-negative ASCII decimal integers, each row's summing to at
 most 2^63 - 1; section sizes, trie depths and the ``[meta]`` integers are
 spelled as ``str`` writes them, and the ``[meta]`` keys come in
-``_META_KEYS`` order.  Probabilities are decimal floats as ``%.17g`` writes
+``_META_KEYS`` order; ``sigma_scale`` is always ``1``, since the smoothing
+step has no scale.  Probabilities are decimal floats as ``%.17g`` writes
 them, which round-trips doubles exactly (the loader checks that spelling
 except in ``[transitions]``/``[freqs]`` rows).  Contexts are comma-joined tag
 indices (-1 is the sentence boundary, the empty string the root context).
@@ -132,7 +133,7 @@ def _count_lines(prefixes: list[str], matrix: np.ndarray) -> list[str]:
 def model_to_text(model: Model) -> str:
     meta = model.metadata
     policy = model.unknown_word_model.policy
-    meta_values = [str(meta.order), meta.smoothing, meta.root_mode, _fmt(meta.sigma_scale),
+    meta_values = [str(meta.order), meta.smoothing, meta.root_mode, "1",
                    str(policy.frequency_threshold), str(policy.max_suffix_length),
                    meta.corpus_digest]
     if meta.lambdas is not None:
@@ -291,7 +292,8 @@ def model_from_text(text: str) -> Model:
     smoothing = meta["smoothing"]
     root_mode = meta["root_mode"]
     digest = meta["digest"]
-    sigma_scale = _float(meta["sigma_scale"], "meta: sigma_scale")
+    if meta["sigma_scale"] != "1":
+        raise ModelFormatError(f"meta: sigma_scale is {meta['sigma_scale']!r}, not 1")
     if smoothing not in SMOOTHING_MODES:
         raise ModelFormatError(f"meta: unknown smoothing mode {smoothing!r}")
     if (smoothing == SMOOTHING_INTERP) != ("lambdas" in meta):
@@ -302,7 +304,7 @@ def model_from_text(text: str) -> Model:
     try:
         policy = RareWordPolicy(_decimal(meta["rare_threshold"], "meta: rare_threshold"),
                                 _decimal(meta["max_suffix"], "meta: max_suffix"))
-        metadata = ModelMetadata(order, smoothing, root_mode, sigma_scale, digest, lambdas)
+        metadata = ModelMetadata(order, smoothing, root_mode, digest, lambdas)
         weights = None if lambdas is None else InterpolationWeights(lambdas)
     except ValidationError as bad:
         raise ModelFormatError(f"meta: {bad}") from None

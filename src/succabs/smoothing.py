@@ -128,13 +128,7 @@ def uniform_distribution(dim: int) -> ConditionalDistribution:
     return ConditionalDistribution.from_probs(np.full(dim, 1.0 / dim))
 
 
-def _check_sigma_scale(scale: float) -> None:
-    """Reject a scale of ``sigma_inverse`` that is not finite and nonnegative."""
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValidationError(f"sigma scale must be finite and nonnegative, not {scale!r}")
-
-
-def sigma_inverse(context_count: int, parent_entropy: float, scale: float = 1.0) -> float:
+def sigma_inverse(context_count: int, parent_entropy: float) -> float:
     """Inverse standard deviation weighting the relative frequencies.
 
     Grows with the square root of the context's occurrence count and shrinks
@@ -145,75 +139,62 @@ def sigma_inverse(context_count: int, parent_entropy: float, scale: float = 1.0)
         raise ValidationError("context count must be nonnegative")
     if parent_entropy < 0:
         raise ValidationError("entropy must be nonnegative")
-    _check_sigma_scale(scale)
     if context_count == 0:
         return 0.0
-    return scale * SQRT12 * math.sqrt(context_count) * math.exp(-parent_entropy)
+    return SQRT12 * math.sqrt(context_count) * math.exp(-parent_entropy)
 
 
-def _check_freq_vector(f: np.ndarray, context_count: int) -> None:
-    if np.any(f < 0):
-        raise ValidationError("relative frequencies must be nonnegative")
-    total = float(f.sum())
-    if context_count > 0:
-        if abs(total - 1.0) > _SUM_TOL_INPUT:
-            raise ValidationError(f"relative frequencies sum to {total}, not 1")
-    elif total != 0.0:
-        raise ValidationError("zero-count context must come with a zero frequency vector")
+def _as_count_array(values) -> np.ndarray:
+    c = np.asarray(values, dtype=np.float64)
+    if c.ndim != 1 or c.size == 0:
+        raise ValidationError("count vector must be 1-dimensional and non-empty")
+    if not ((c >= 0) & (c < math.inf)).all():
+        raise ValidationError("counts must be finite and nonnegative")
+    return c
 
 
-def _smooth_level(counts: np.ndarray, parents: np.ndarray, parent_entropies: np.ndarray,
-                  scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _smooth_level(counts: np.ndarray, parents: np.ndarray,
+                  parent_entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``smooth_step``'s operations, without its checks, on each nonzero row
     of ``counts`` against its parent row and entropy (``s`` per row with
     ``sigma_inverse``): one level of a hierarchy.  Returns rows, entropies."""
     totals = counts.sum(axis=1)
-    s = np.array([sigma_inverse(total, h, scale) for total, h in
+    s = np.array([sigma_inverse(total, h) for total, h in
                   zip(totals.tolist(), parent_entropies.tolist())])[:, None]
     probs = (s * (counts / totals[:, None]) + parents) / (s + 1.0)
     return probs, _row_entropies(probs)
 
 
-def smooth_step(freqs, parent: ConditionalDistribution, context_count: int,
-                scale: float = 1.0) -> ConditionalDistribution:
-    """One back-off step: blend observed frequencies with the parent estimate."""
-    f = _as_prob_array(freqs)
-    if f.shape != parent.probs.shape:
-        raise ValidationError(
-            f"dimension mismatch: frequencies {f.shape[0]}, parent {parent.dim}")
-    _check_freq_vector(f, context_count)
-    if context_count == 0:
-        return parent
-    s = sigma_inverse(context_count, parent.entropy_nats, scale)
-    return ConditionalDistribution.from_probs((s * f + parent.probs) / (s + 1.0))
+def smooth_step(counts, parent: ConditionalDistribution) -> ConditionalDistribution:
+    """One back-off step: blend a context's relative frequencies, its counts
+    over their total |C|, with the parent estimate.  A context never
+    observed (all counts zero) gets the parent itself."""
+    return smooth_partial(counts, [parent])
 
 
-def smooth_partial(freqs, context_count: int,
-                   parents: Sequence[ConditionalDistribution],
-                   scale: float = 1.0) -> ConditionalDistribution:
+def smooth_partial(counts,
+                   parents: Sequence[ConditionalDistribution]) -> ConditionalDistribution:
     """Smoothing step against several one-step generalizations at once.
 
     The back-off term is the unweighted mean of the parent estimates; the
     weight uses the smallest parent entropy, i.e. the most reliable parent
     decides how much the raw frequencies are trusted.  With one parent it
-    equals ``smooth_step``.  ``freqs`` may be None only when the count is 0.
+    is ``smooth_step``.  A context never observed gets the mean.
     """
     if not parents:
         raise ValidationError("at least one parent distribution is required")
     dim = parents[0].dim
     if any(p.dim != dim for p in parents):
         raise ValidationError("parent distributions must share one dimension")
-    if freqs is not None or context_count != 0:
-        f = _as_prob_array(freqs)
-        if f.shape[0] != dim:
-            raise ValidationError(f"dimension mismatch: frequencies {f.shape[0]}, parents {dim}")
-        _check_freq_vector(f, context_count)
+    c = _as_count_array(counts)
+    if c.shape[0] != dim:
+        raise ValidationError(f"dimension mismatch: counts {c.shape[0]}, parents {dim}")
     mean = np.mean([p.probs for p in parents], axis=0)
-    if context_count == 0:
-        return ConditionalDistribution.from_probs(mean)
-    h_min = min(p.entropy_nats for p in parents)
-    s = sigma_inverse(context_count, h_min, scale)
-    return ConditionalDistribution.from_probs((s * f + mean) / (s + 1.0))
+    total = c.sum()
+    if total == 0:
+        return parents[0] if len(parents) == 1 else ConditionalDistribution.from_probs(mean)
+    s = sigma_inverse(total, min(p.entropy_nats for p in parents))
+    return ConditionalDistribution.from_probs((s * (c / total) + mean) / (s + 1.0))
 
 
 @dataclass
@@ -222,17 +203,16 @@ class GeneralizationNode:
 
     Parents are the context's one-step generalizations; only the root (the
     no-information context) has none, and its distribution must be supplied.
+    Every other node carries its outcome counts.
     """
 
     node_id: Hashable
     parent_ids: tuple[Hashable, ...]
-    count: int
-    freqs: np.ndarray | None = None
+    counts: np.ndarray | None = None
     distribution: ConditionalDistribution | None = None
 
 
-def smooth_dag(nodes: Iterable[GeneralizationNode],
-               scale: float = 1.0) -> dict[Hashable, ConditionalDistribution]:
+def smooth_dag(nodes: Iterable[GeneralizationNode]) -> dict[Hashable, ConditionalDistribution]:
     """Populate every node of a generalization DAG, parents before children.
 
     Every node but the root gets the partial smoothing step over its
@@ -270,8 +250,7 @@ def smooth_dag(nodes: Iterable[GeneralizationNode],
         if not node.parent_ids:
             dist = node.distribution
         else:
-            dist = smooth_partial(node.freqs, node.count,
-                                  [results[p] for p in node.parent_ids], scale)
+            dist = smooth_partial(node.counts, [results[p] for p in node.parent_ids])
         node.distribution = dist
         results[node.node_id] = dist
         for child in children[node.node_id]:
@@ -285,11 +264,7 @@ def smooth_dag(nodes: Iterable[GeneralizationNode],
 
 def ele_estimate(counts) -> ConditionalDistribution:
     """Half-count estimation: add 0.5 to every outcome, then normalize."""
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValidationError("count vector must be 1-dimensional and non-empty")
-    if np.any(c < 0):
-        raise ValidationError("counts must be nonnegative")
+    c = _as_count_array(counts)
     return ConditionalDistribution.from_probs((c + 0.5) / (c.sum() + 0.5 * c.size))
 
 
@@ -505,8 +480,7 @@ def unigram_distribution(counts: NGramCountTable, root_mode: str) -> Conditional
     return root_estimate(counts.counts[0], root_mode)
 
 
-def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
-                         sigma_scale: float = 1.0) -> SmoothedNGramModel:
+def build_sa_ngram_model(counts: NGramCountTable, root_mode: str) -> SmoothedNGramModel:
     """Smooth every observed context against its strip-the-oldest-tag chain.
 
     One context length at a time, shortest first, so each context's parent
@@ -523,8 +497,7 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str = ROOT_MODE_RF,
     for length in range(1, counts.order):
         rows = np.flatnonzero(lengths == length)
         parents = [row_of[contexts[i][1:]] for i in rows.tolist()]
-        probs[rows], entropies[rows] = _smooth_level(c[rows], probs[parents],
-                                                     entropies[parents], sigma_scale)
+        probs[rows], entropies[rows] = _smooth_level(c[rows], probs[parents], entropies[parents])
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)
 
 

@@ -42,7 +42,6 @@ from .smoothing import (
     ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
-    _check_sigma_scale,
     build_ele_ngram_model,
     build_interpolated_ngram_model,
     build_sa_ngram_model,
@@ -74,12 +73,10 @@ class ModelMetadata:
     order: int
     smoothing: str
     root_mode: str
-    sigma_scale: float
     corpus_digest: str
     lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_sigma_scale(self.sigma_scale)
         if self.root_mode not in ROOT_MODES:
             raise ValidationError(f"unknown root mode {self.root_mode!r}")
 
@@ -109,8 +106,7 @@ def corpus_digest(corpus: Corpus) -> str:
 
 def train_model(corpus: Corpus, order: int = 3,
                 policy: RareWordPolicy | None = None,
-                root_mode: str = ROOT_MODE_ELE, sigma_scale: float = 1.0,
-                smoothing: str = SMOOTHING_SA,
+                root_mode: str = ROOT_MODE_ELE, smoothing: str = SMOOTHING_SA,
                 lambdas: Sequence[float] | None = None) -> Model:
     """Count, smooth, and bundle a tagging model from a tagged corpus."""
     if smoothing not in SMOOTHING_MODES:
@@ -120,7 +116,7 @@ def train_model(corpus: Corpus, order: int = 3,
     counts = count_ngrams(corpus, order)
     lam = None
     if smoothing == SMOOTHING_SA:
-        transition = build_sa_ngram_model(counts, root_mode, sigma_scale)
+        transition = build_sa_ngram_model(counts, root_mode)
     elif smoothing == SMOOTHING_ELE:
         transition = build_ele_ngram_model(counts)
     else:
@@ -136,7 +132,6 @@ def train_model(corpus: Corpus, order: int = 3,
         order=order,
         smoothing=smoothing,
         root_mode=root_mode,
-        sigma_scale=sigma_scale,
         corpus_digest=corpus_digest(corpus),
         lambdas=lam,
     )
@@ -225,6 +220,8 @@ def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int
 
 def score_sequence(m: Model, words: Sequence[str], tags: Sequence[str]) -> float:
     """Log score of one tagging; the sentinel -inf when any factor is zero."""
+    if isinstance(words, str) or isinstance(tags, str):
+        raise ValidationError("expected sequences of words and tags, not strings")
     if len(words) != len(tags):
         raise ValidationError(f"{len(words)} words but {len(tags)} tags")
     index = m.tag_set.index
@@ -249,8 +246,10 @@ def _decode(runtime: _DecodeRuntime, sentences: Sequence[Sequence[str]]) -> list
     it, routes it: below ``_BATCH_CROSSOVER`` to ``_viterbi_batch``, longest
     sentences first, each batch as many as fit in ``_BATCH_CELLS`` cells and
     at least one; else to ``_viterbi``.  Both find the same tags, ties
-    included.
+    included.  A string where a sentence or the list of them belongs raises.
     """
+    if isinstance(sentences, str) or any(isinstance(s, str) for s in sentences):
+        raise ValidationError("expected sentences as sequences of words, not strings")
     runtime.prime(chain.from_iterable(takewhile(len, sentences)))
     if not all(len(s) for s in sentences):
         raise ValidationError("cannot decode an empty sentence")
@@ -395,11 +394,8 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     ``argmax`` keeps the first maximum, and the final one runs in C order
     over the oldest-first transpose, so ties resolve toward the smallest
     tag indices, oldest position first.  ``_decode`` sends it the sentences
-    whose steps are large enough to be array-bound.
+    whose steps are large enough to be array-bound, with their words primed.
     """
-    if not words:
-        raise ValidationError("cannot decode an empty sentence")
-    runtime.prime(words)
     m = runtime.model
     index, log_rows = m.transition.index.transpose(), m.transition.log_probs
     n_ctx = m.metadata.order - 1

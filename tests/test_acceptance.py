@@ -62,9 +62,9 @@ def test_criterion_1_half_count_correspondence():
     worst = 0.0
     for m in (2, 3, 10, 62):
         parent = uniform_distribution(m)
-        f = np.zeros(m)
-        f[0] = 1.0
-        out = smooth_step(f, parent, 1).probs
+        counts = np.zeros(m, dtype=np.int64)
+        counts[0] = 1
+        out = smooth_step(counts, parent).probs
         expected = np.full(m, 1.0 / (SQRT12 + m))
         expected[0] = (SQRT12 + 1.0) / (SQRT12 + m)
         worst = max(worst, float(np.abs(out - expected).max()))
@@ -80,8 +80,9 @@ def test_criterion_2_residual_identity():
         dim = int(rng.integers(2, 11))
         count = int(rng.integers(1, 10001))
         parent = ConditionalDistribution.from_probs(random_distribution(rng, dim))
-        f = rng.multinomial(count, random_distribution(rng, dim)) / count
-        out = smooth_step(f, parent, count).probs
+        counts = rng.multinomial(count, random_distribution(rng, dim))
+        f = counts / count
+        out = smooth_step(counts, parent).probs
         s = sigma_inverse(count, parent.entropy_nats)
         residual = np.abs((out - f) - (parent.probs - f) / (s + 1.0)).max()
         worst_residual = max(worst_residual, float(residual))
@@ -183,22 +184,20 @@ def test_criterion_4_decoder_matches_enumeration():
 
 
 def _random_dag(rng, dim, num_nodes):
-    nodes = [GeneralizationNode(0, (), int(rng.integers(1, 50)), None,
+    nodes = [GeneralizationNode(0, (), None,
                                 ConditionalDistribution.from_probs(
                                     random_distribution(rng, dim)))]
     for i in range(1, num_nodes):
         n_parents = int(rng.integers(1, min(i, 3) + 1))
         parents = tuple(int(p) for p in rng.choice(i, size=n_parents, replace=False))
-        count = int(rng.integers(0, 40))
-        freqs = rng.multinomial(count, random_distribution(rng, dim)) / count \
-            if count else None
-        nodes.append(GeneralizationNode(i, parents, count, freqs))
+        counts = rng.multinomial(int(rng.integers(0, 40)), random_distribution(rng, dim))
+        nodes.append(GeneralizationNode(i, parents, counts))
     return nodes
 
 
 def _copy_nodes(nodes):
-    return [GeneralizationNode(n.node_id, n.parent_ids, n.count,
-                               None if n.freqs is None else n.freqs.copy(),
+    return [GeneralizationNode(n.node_id, n.parent_ids,
+                               None if n.counts is None else n.counts.copy(),
                                n.distribution)
             for n in nodes]
 

@@ -1,12 +1,14 @@
+import argparse
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from succabs.cli import main
+from succabs.cli import build_parser, main
 from succabs.corpus import parse_corpus
 
 TRAIN_TEXT = (
@@ -101,28 +103,30 @@ class TestTrain:
         assert "no word is rarer than the rare threshold (10)" in err
         assert "--rare-threshold" in err and "--root-mode ele" in err
 
-    def test_bad_sigma_scale_is_data_error(self, tmp_path, corpus_file, capsys):
-        for bad in ("nan", "inf", "-1"):
-            out = tmp_path / f"m{bad}.txt"
-            rc = main(["train", "--corpus", corpus_file, "--out", str(out),
-                       f"--sigma-scale={bad}"])
-            assert rc == 2
-            assert "sigma scale must be finite and nonnegative" in capsys.readouterr().err
-            assert not out.exists()
-        out = train_default(tmp_path, corpus_file, "zero.txt", "--sigma-scale", "0")
-        assert "sigma_scale\t0\n" in Path(out).read_text(encoding="utf-8")
-        assert main(["eval", "--model", out, "--gold", corpus_file]) == 0
+    def test_sigma_scale_is_not_an_option(self, tmp_path, corpus_file, capsys):
+        # The smoothing step has no scale: the flag is unknown, and a model
+        # file whose sigma_scale is not 1 is a data error.
+        out = tmp_path / "m.txt"
+        rc = main(["train", "--corpus", corpus_file, "--out", str(out), "--sigma-scale", "1"])
+        assert rc == 1
+        assert "unrecognized arguments: --sigma-scale" in capsys.readouterr().err
+        assert not out.exists()
+        text = Path(train_default(tmp_path, corpus_file)).read_text(encoding="utf-8")
+        for bad in ("1.0", "+1", "0", "1.5", "nan"):
+            out.write_text(text.replace("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n"),
+                           encoding="utf-8")
+            assert main(["eval", "--model", str(out), "--gold", corpus_file]) == 2
+            assert f"meta: sigma_scale is '{bad}', not 1" in capsys.readouterr().err
 
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
                             "--order", "2", "--rare-threshold", "3",
-                            "--max-suffix", "4", "--sigma-scale", "2.0",
-                            "--root-mode", "rf")
+                            "--max-suffix", "4", "--root-mode", "rf")
         text = Path(out).read_text(encoding="utf-8")
         assert "order\t2" in text
         assert "rare_threshold\t3" in text
         assert "max_suffix\t4" in text
-        assert "sigma_scale\t2" in text
+        assert "sigma_scale\t1\n" in text
         assert "root_mode\trf" in text
 
 
@@ -355,3 +359,19 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "command" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_flag_tables_list_the_parser_flags(self):
+        # Each "### `succabs <command>`" section's table lists exactly the
+        # long flags the parser defines for that command, --help aside.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        sections = re.findall(r"^### `succabs (\w+)`\n(.*?)(?=^#)", readme, re.M | re.S)
+        documented = {command: set(re.findall(r"^\| `(--[\w-]+)", body, re.M))
+                      for command, body in sections}
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        defined = {command: {flag for action in parser._actions
+                             for flag in action.option_strings if flag.startswith("--")}
+                   - {"--help"} for command, parser in commands.items()}
+        assert documented == defined

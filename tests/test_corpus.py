@@ -14,6 +14,7 @@ from succabs.corpus import (
     write_corpus,
 )
 from succabs.errors import CorpusParseError, ValidationError
+from succabs.tagger import train_model
 
 
 class TestTagSet:
@@ -352,3 +353,18 @@ class TestCorpusValidation:
     def test_empty_word_rejected(self):
         with pytest.raises(ValidationError):
             TaggedToken("", "X")
+
+    def test_lone_surrogate_in_tag_or_word_rejected(self):
+        # A model trained from either could not be written: the tag set
+        # goes into the model file, the words into the corpus digest.
+        for tag in ("T\ud800", "\udfff", "\U0001f600\udc00x"):
+            with pytest.raises(ValidationError, match="lone surrogate"):
+                TagSet(("X", tag))
+            with pytest.raises(ValidationError, match="lone surrogate"):
+                train_model(parse_corpus("a\tX\n", declared_tags=["X", tag]))
+        for word in ("a\ud800", "\udbffz"):
+            with pytest.raises(ValidationError, match="lone surrogate"):
+                train_model(Corpus(((TaggedToken(word, "X"),),), TagSet(("X",))))
+        # A surrogate pair spelled as one code point is a letter like any other.
+        TagSet(("X", "T\U0001f600"))
+        TaggedToken("a\U0001f600", "X")

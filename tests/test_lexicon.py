@@ -176,8 +176,7 @@ def reference_unknown_word_distribution(root_node, root, policy, word):
         node = node.children.get(letter)
         if node is None:
             break
-        total = int(node.tag_counts.sum())
-        dist = smooth_step(node.tag_counts / total, dist, total)
+        dist = smooth_step(node.tag_counts, dist)
     return dist.probs
 
 

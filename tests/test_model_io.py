@@ -35,7 +35,7 @@ def trained_models():
     corpus = small_corpus()
     return [
         train_model(corpus, order=3),
-        train_model(corpus, order=2, root_mode="rf", sigma_scale=1.5),
+        train_model(corpus, order=2, root_mode="rf"),
         train_model(corpus, order=3, smoothing="ele"),
         train_model(corpus, order=3, smoothing="interp", lambdas=(0.2, 0.3, 0.5)),
         train_model(corpus, order=1),
@@ -293,14 +293,13 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             model_from_text("\n".join(lines) + "\n")
 
-    def test_non_finite_or_negative_sigma_scale_rejected(self):
+    def test_sigma_scale_other_than_1_rejected(self):
+        # The smoothing step has no scale: format 1 keeps the key, always 1.
         text = valid_text()
         assert text.count("\nsigma_scale\t1\n") == 1
-        for bad in ("nan", "inf", "-inf", "-1"):
-            with pytest.raises(ModelFormatError, match="sigma scale must be finite"):
+        for bad in ("1.0", "+1", "0", "1.5", "nan", "inf", "-1", "01", " 1", "1e0", ""):
+            with pytest.raises(ModelFormatError, match="^meta: sigma_scale is .*, not 1$"):
                 model_from_text(text.replace("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n"))
-        zero = text.replace("\nsigma_scale\t1\n", "\nsigma_scale\t0\n")
-        assert model_to_text(model_from_text(zero)) == zero
 
     def test_lambdas_on_non_interp_model_rejected(self):
         lines = valid_text().splitlines()
@@ -480,10 +479,7 @@ class TestNumberSpellings:
         text = valid_text()
         unigram = "\n[unigram] 1\n0.75757575757575757 "
         unknown = "\n[unknown_root] 1\n0.1111111111111111 "
-        edits = [("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n")
-                 for bad in ("1.0", "+1", "1e0", "01", " 1", "1.", "NaN")]
-        edits += [(unigram, unigram.replace("0.7", bad))
-                  for bad in ("+0.7", "0.70", " 0.7")]
+        edits = [(unigram, unigram.replace("0.7", bad)) for bad in ("+0.7", "0.70", " 0.7")]
         edits += [(unigram, unigram[:-1] + "0 "), (unknown, unknown[:-1] + "0 ")]
         interp = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
                                            lambdas=(0.2, 0.3, 0.5)))

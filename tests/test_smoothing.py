@@ -52,22 +52,22 @@ def oracle_entropy(probs):
     return -sum(p * math.log(p) for p in probs if p > 0)
 
 
-def oracle_step(f, parent_probs, count, scale=1.0):
+def oracle_step(f, parent_probs, count):
     """Independent evaluation of one smoothing step."""
     if count == 0:
         return list(parent_probs)
-    s = scale * math.sqrt(12.0) * math.sqrt(count) * math.exp(-oracle_entropy(parent_probs))
+    s = math.sqrt(12.0) * math.sqrt(count) * math.exp(-oracle_entropy(parent_probs))
     return [(s * fi + pi) / (s + 1.0) for fi, pi in zip(f, parent_probs)]
 
 
-def oracle_partial(f, count, parent_prob_lists, scale=1.0):
+def oracle_partial(f, count, parent_prob_lists):
     m = len(parent_prob_lists)
     mean = [sum(ps[i] for ps in parent_prob_lists) / m
             for i in range(len(parent_prob_lists[0]))]
     if count == 0:
         return mean
     h_min = min(oracle_entropy(ps) for ps in parent_prob_lists)
-    s = scale * math.sqrt(12.0) * math.sqrt(count) * math.exp(-h_min)
+    s = math.sqrt(12.0) * math.sqrt(count) * math.exp(-h_min)
     return [(s * fi + mi) / (s + 1.0) for fi, mi in zip(f, mean)]
 
 
@@ -148,39 +148,25 @@ class TestSigmaInverse:
         assert sigma_inverse(9, 0.0) == pytest.approx(3 * SQRT12, abs=1e-12)
         assert sigma_inverse(9, 0.0) == pytest.approx(10.392305, abs=1e-6)
 
-    def test_scale_is_a_plain_multiplier(self):
-        base = sigma_inverse(5, 0.8)
-        assert sigma_inverse(5, 0.8, scale=2.5) == pytest.approx(2.5 * base, rel=1e-15)
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             sigma_inverse(-1, 0.0)
-
-    def test_non_finite_or_negative_scale_rejected(self):
-        root = uniform_distribution(3)
-        for scale in (math.nan, math.inf, -math.inf, -1.0):
-            for count in (0, 5):
-                with pytest.raises(ValidationError, match="sigma scale"):
-                    sigma_inverse(count, 0.8, scale)
-            with pytest.raises(ValidationError, match="sigma scale"):
-                smooth_step(np.array([0.5, 0.25, 0.25]), root, 4, scale)
-        assert sigma_inverse(5, 0.8, 0.0) == 0.0
 
 
 class TestSmoothStep:
     def test_single_observation_against_uniform_parent(self):
         for m in (2, 3, 10, 62):
             parent = uniform_distribution(m)
-            f = np.zeros(m)
-            f[0] = 1.0
-            out = smooth_step(f, parent, 1)
+            counts = np.zeros(m, dtype=np.int64)
+            counts[0] = 1
+            out = smooth_step(counts, parent)
             assert out.probs[0] == pytest.approx((SQRT12 + 1) / (SQRT12 + m), abs=1e-12)
             for i in range(1, m):
                 assert out.probs[i] == pytest.approx(1 / (SQRT12 + m), abs=1e-12)
 
     def test_three_outcome_literal_values(self):
         parent = uniform_distribution(3)
-        out = smooth_step(np.array([1.0, 0, 0]), parent, 1)
+        out = smooth_step([1, 0, 0], parent)
         assert out.probs[0] == pytest.approx(0.690599, abs=1e-6)
         assert out.probs[1] == pytest.approx(0.154701, abs=1e-6)
 
@@ -189,20 +175,21 @@ class TestSmoothStep:
         for _ in range(20):
             p = random_distribution(rng, 4)
             parent = ConditionalDistribution.from_probs(p)
-            out = smooth_step(p, parent, int(rng.integers(1, 100)))
+            out = smooth_step(p * int(rng.integers(1, 100)), parent)
             np.testing.assert_allclose(out.probs, p, atol=1e-12)
 
     def test_zero_count_returns_parent(self):
         parent = uniform_distribution(3)
-        assert smooth_step(np.zeros(3), parent, 0) is parent
+        assert smooth_step(np.zeros(3, dtype=np.int64), parent) is parent
 
-    def test_zero_count_with_nonzero_frequencies_rejected(self):
-        with pytest.raises(ValidationError):
-            smooth_step(np.array([1.0, 0, 0]), uniform_distribution(3), 0)
+    def test_negative_or_non_finite_counts_rejected(self):
+        for bad in ([1, -1, 0], [1.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [[1, 0, 0]]):
+            with pytest.raises(ValidationError, match="count"):
+                smooth_step(bad, uniform_distribution(3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            smooth_step(np.array([1.0, 0]), uniform_distribution(3), 1)
+            smooth_step([1, 0], uniform_distribution(3))
 
     def test_matches_oracle_and_residual_identity(self):
         rng = np.random.default_rng(22)
@@ -212,7 +199,7 @@ class TestSmoothStep:
             parent = ConditionalDistribution.from_probs(random_distribution(rng, dim))
             counts = rng.multinomial(count, random_distribution(rng, dim))
             f = counts / count
-            out = smooth_step(f, parent, count)
+            out = smooth_step(counts, parent)
             np.testing.assert_allclose(
                 out.probs, oracle_step(f.tolist(), parent.probs.tolist(), count),
                 atol=1e-12)
@@ -229,7 +216,7 @@ class TestSmoothStep:
             f = random_distribution(rng, dim)
             gaps = None
             for count in (1, 4, 16, 64, 256, 4096):
-                out = smooth_step(f, parent, count)
+                out = smooth_step(f * count, parent)
                 new_gaps = np.abs(out.probs - f)
                 if gaps is not None:
                     assert np.all(new_gaps <= gaps + 1e-15)
@@ -239,15 +226,15 @@ class TestSmoothStep:
 class TestSmoothPartial:
     def test_equal_parents_collapse_to_plain_step(self):
         parent = ConditionalDistribution.from_probs([0.5, 0.3, 0.2])
-        f = np.array([0.25, 0.25, 0.5])
-        single = smooth_step(f, parent, 6)
+        counts = np.array([1, 1, 2])
+        single = smooth_step(counts, parent)
         for parents in ([parent], [parent, parent]):
-            np.testing.assert_array_equal(smooth_partial(f, 6, parents).probs, single.probs)
+            np.testing.assert_array_equal(smooth_partial(counts, parents).probs, single.probs)
 
     def test_zero_count_gives_parent_mean(self):
         a = ConditionalDistribution.from_probs([0.8, 0.2])
         b = ConditionalDistribution.from_probs([0.4, 0.6])
-        out = smooth_partial(None, 0, [a, b])
+        out = smooth_partial([0, 0], [a, b])
         np.testing.assert_allclose(out.probs, [0.6, 0.4], atol=1e-15)
 
     def test_weight_uses_smallest_parent_entropy(self):
@@ -258,14 +245,14 @@ class TestSmoothPartial:
         s = sigma_inverse(4, min(a.entropy_nats, b.entropy_nats))
         assert s == pytest.approx(SQRT12, abs=1e-12)
         assert s == pytest.approx(3.464102, abs=1e-6)
+        out = smooth_partial([4, 0, 0, 0], [a, b])
         f = np.array([1.0, 0.0, 0.0, 0.0])
-        out = smooth_partial(f, 4, [a, b])
         mean = (a.probs + b.probs) / 2
         np.testing.assert_allclose(out.probs, (s * f + mean) / (s + 1), atol=1e-12)
 
     def test_empty_parent_list_rejected(self):
         with pytest.raises(ValidationError):
-            smooth_partial(np.array([1.0]), 1, [])
+            smooth_partial([1], [])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(31)
@@ -275,34 +262,29 @@ class TestSmoothPartial:
             parents = [ConditionalDistribution.from_probs(random_distribution(rng, dim))
                        for _ in range(n_parents)]
             count = int(rng.integers(0, 500))
-            f = random_distribution(rng, dim) if count else None
-            out = smooth_partial(f, count, parents)
-            expect = oracle_partial(None if f is None else f.tolist(), count,
+            counts = rng.multinomial(count, random_distribution(rng, dim))
+            out = smooth_partial(counts, parents)
+            expect = oracle_partial((counts / max(count, 1)).tolist(), count,
                                     [p.probs.tolist() for p in parents])
             np.testing.assert_allclose(out.probs, expect, atol=1e-12)
             assert abs(out.probs.sum() - 1.0) < 1e-9
 
 
 def make_random_dag(rng, dim, num_nodes):
-    nodes = [GeneralizationNode(0, (), int(rng.integers(1, 50)), None,
+    nodes = [GeneralizationNode(0, (), None,
                                 ConditionalDistribution.from_probs(
                                     random_distribution(rng, dim)))]
     for i in range(1, num_nodes):
         n_parents = int(rng.integers(1, min(i, 3) + 1))
         parents = tuple(int(p) for p in rng.choice(i, size=n_parents, replace=False))
-        count = int(rng.integers(0, 40))
-        if count:
-            counts = rng.multinomial(count, random_distribution(rng, dim))
-            freqs = counts / count
-        else:
-            freqs = None
-        nodes.append(GeneralizationNode(i, parents, count, freqs))
+        counts = rng.multinomial(int(rng.integers(0, 40)), random_distribution(rng, dim))
+        nodes.append(GeneralizationNode(i, parents, counts))
     return nodes
 
 
 def copy_nodes(nodes):
-    return [GeneralizationNode(n.node_id, n.parent_ids, n.count,
-                               None if n.freqs is None else n.freqs.copy(),
+    return [GeneralizationNode(n.node_id, n.parent_ids,
+                               None if n.counts is None else n.counts.copy(),
                                n.distribution)
             for n in nodes]
 
@@ -310,14 +292,14 @@ def copy_nodes(nodes):
 class TestSmoothDag:
     def test_linear_chain_reduction(self):
         root = uniform_distribution(3)
-        f1 = np.array([0.5, 0.25, 0.25])
-        f2 = np.array([1.0, 0.0, 0.0])
-        a = smooth_step(f1, root, 4)
-        b = smooth_step(f2, a, 1)
+        c1 = np.array([2, 1, 1])
+        c2 = np.array([1, 0, 0])
+        a = smooth_step(c1, root)
+        b = smooth_step(c2, a)
         nodes = [
-            GeneralizationNode("root", (), 100, None, root),
-            GeneralizationNode("a", ("root",), 4, f1),
-            GeneralizationNode("b", ("a",), 1, f2),
+            GeneralizationNode("root", (), None, root),
+            GeneralizationNode("a", ("root",), c1),
+            GeneralizationNode("b", ("a",), c2),
         ]
         result = smooth_dag(nodes)
         np.testing.assert_allclose(result["a"].probs, a.probs, atol=1e-15)
@@ -327,10 +309,10 @@ class TestSmoothDag:
         # Two outcomes mirrored through the two middle contexts.
         root = uniform_distribution(2)
         nodes = [
-            GeneralizationNode("root", (), 10, None, root),
-            GeneralizationNode("left", ("root",), 6, np.array([0.75, 0.25])),
-            GeneralizationNode("right", ("root",), 6, np.array([0.25, 0.75])),
-            GeneralizationNode("join", ("left", "right"), 4, np.array([0.5, 0.5])),
+            GeneralizationNode("root", (), None, root),
+            GeneralizationNode("left", ("root",), np.array([3, 1])),
+            GeneralizationNode("right", ("root",), np.array([1, 3])),
+            GeneralizationNode("join", ("left", "right"), np.array([2, 2])),
         ]
         result = smooth_dag(nodes)
         np.testing.assert_allclose(result["join"].probs, result["join"].probs[::-1],
@@ -351,35 +333,24 @@ class TestSmoothDag:
             computed = {0: nodes[0].distribution.probs.tolist()}
             for n in sorted(nodes[1:], key=lambda n: n.node_id):
                 parent_lists = [computed[p] for p in n.parent_ids]
-                f = None if n.freqs is None else n.freqs.tolist()
-                computed[n.node_id] = oracle_partial(f, n.count, parent_lists)
+                count = int(n.counts.sum())
+                f = (n.counts / max(count, 1)).tolist()
+                computed[n.node_id] = oracle_partial(f, count, parent_lists)
                 np.testing.assert_allclose(baseline[n.node_id].probs,
                                            computed[n.node_id], atol=1e-12)
 
     def test_cycle_rejected(self):
         nodes = [
-            GeneralizationNode("root", (), 1, None, uniform_distribution(2)),
-            GeneralizationNode("a", ("b",), 1, np.array([1.0, 0.0])),
-            GeneralizationNode("b", ("a",), 1, np.array([0.0, 1.0])),
+            GeneralizationNode("root", (), None, uniform_distribution(2)),
+            GeneralizationNode("a", ("b",), np.array([1, 0])),
+            GeneralizationNode("b", ("a",), np.array([0, 1])),
         ]
         with pytest.raises(ValidationError):
             smooth_dag(nodes)
 
-    def test_zero_count_node_with_frequencies_rejected(self):
-        # A node that never occurred cannot have observed frequencies, with
-        # one parent or with several.
-        for parent_ids in (("root",), ("root", "a")):
-            nodes = [
-                GeneralizationNode("root", (), 10, None, uniform_distribution(2)),
-                GeneralizationNode("a", ("root",), 4, np.array([0.75, 0.25])),
-                GeneralizationNode("b", parent_ids, 0, np.array([1.0, 0.0])),
-            ]
-            with pytest.raises(ValidationError):
-                smooth_dag(nodes)
-
     def test_missing_root_distribution_rejected(self):
         with pytest.raises(ValidationError):
-            smooth_dag([GeneralizationNode("root", (), 1, None, None)])
+            smooth_dag([GeneralizationNode("root", (), None, None)])
 
 
 class TestEleEstimate:
@@ -510,6 +481,12 @@ class TestNGramModels:
         assert model.contexts[0] == ()
         np.testing.assert_allclose(model.probs[0],
                                    [5.5 / 12.5, 4.5 / 12.5, 2.5 / 12.5], atol=1e-15)
+
+    def test_root_mode_has_no_default(self):
+        # train_model, the CLI and the unknown-word model default to ele;
+        # the builder takes the caller's choice.
+        with pytest.raises(TypeError):
+            build_sa_ngram_model(self.counts)
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
         vec = self.counts.counts[0]
@@ -725,7 +702,7 @@ class TestArrayTablesAgainstOracle:
             assert got.tolist() == expect.tolist(), ctx
 
     def test_rows_and_queries_equal_the_per_context_tables(self):
-        # Orders 1-4, both root modes, sigma scales, interpolation weights
+        # Orders 1-4, both root modes, interpolation weights
         # on a grid that zeroes whole orders, and frequency maps with stored
         # suffixes removed, so that unseen orders pass their weight on and,
         # where no seen order carries weight, the most general one wins.
@@ -736,15 +713,13 @@ class TestArrayTablesAgainstOracle:
             root_mode = ("rf", "ele")[(i // 4) % 2]
             counts = random_count_table(rng, order)
             k = counts.num_tags
-            scale = float(rng.choice([1.0, 0.5, 2.5]))
             points = list(simplex_grid(order, float(rng.choice([0.5, 0.25]))))
             weights = InterpolationWeights(points[int(rng.integers(len(points)))])
             freqs = {ctx: vec for ctx, vec in count_freqs(counts).items()
                      if not ctx or rng.random() < 0.7}
             contexts = file_order(freqs)
             cases = [
-                (build_sa_ngram_model(counts, root_mode, scale),
-                 sa_tables(counts, root_mode, scale)),
+                (build_sa_ngram_model(counts, root_mode), sa_tables(counts, root_mode)),
                 (build_ele_ngram_model(counts), ele_tables(counts)),
                 (build_interpolated_ngram_model(counts, weights),
                  interpolated_tables(order, k, count_freqs(counts), weights)),
@@ -817,19 +792,17 @@ class TestIdentitiesOnTrainedModel:
         # different topological orders: each gives the builder's rows.
         train, _ = narrow8_counts
         rng = np.random.default_rng(55)
-        for order, root_mode, scale in ((3, "ele", 1.0), (3, "rf", 1.5), (4, "ele", 0.5)):
+        for order, root_mode in ((3, "ele"), (3, "rf"), (4, "ele")):
             counts = count_ngrams(train, order)
-            model = build_sa_ngram_model(counts, root_mode, scale)
+            model = build_sa_ngram_model(counts, root_mode)
             expect = dict(zip(model.contexts, model.probs.tolist()))
             root = unigram_distribution(counts, root_mode)
-            totals = counts.counts.sum(axis=1).tolist()
             for _ in range(3):
-                nodes = [GeneralizationNode((), (), totals[0], distribution=root)]
-                nodes += [GeneralizationNode(ctx, (ctx[1:],), total, row / total)
-                          for ctx, row, total in zip(counts.contexts[1:], counts.counts[1:],
-                                                     totals[1:])]
+                nodes = [GeneralizationNode((), (), distribution=root)]
+                nodes += [GeneralizationNode(ctx, (ctx[1:],), row)
+                          for ctx, row in zip(counts.contexts[1:], counts.counts[1:])]
                 rng.shuffle(nodes)
-                got = smooth_dag(nodes, scale)
+                got = smooth_dag(nodes)
                 assert {ctx: dist.probs.tolist() for ctx, dist in got.items()} == expect
 
     def test_ele_rows_are_ele_estimates(self, narrow8_counts):
@@ -842,7 +815,7 @@ class TestIdentitiesOnTrainedModel:
 
     def test_loaded_tables_equal_trained_ones(self, narrow8_counts):
         train, _ = narrow8_counts
-        for kwargs in ({}, {"root_mode": "rf", "sigma_scale": 1.5}, {"smoothing": "ele"},
+        for kwargs in ({}, {"root_mode": "rf"}, {"smoothing": "ele"},
                        {"smoothing": "interp", "lambdas": (0.0, 0.95, 0.05)}, {"order": 2}):
             trained = train_model(train, **kwargs).transition
             loaded = model_from_text(model_to_text(train_model(train, **kwargs))).transition

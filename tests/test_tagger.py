@@ -81,8 +81,7 @@ def hand_built_bigram_model():
                             np.zeros(1, dtype=np.int64), np.array([-1]))
     unknown = UnknownWordModel(empty_trie,
                                uniform_distribution(2), RareWordPolicy())
-    meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
-                         sigma_scale=1.0, corpus_digest="0" * 64)
+    meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele", corpus_digest="0" * 64)
     return Model(TagSet(("X", "Y")), transition, lexicon, unknown,
                  uniform_distribution(2), meta)
 
@@ -174,8 +173,7 @@ class TestViterbi:
             SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
                        np.zeros(1, dtype=np.int64), np.array([-1])),
             uniform_distribution(2), RareWordPolicy())
-        meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele",
-                             sigma_scale=1.0, corpus_digest="0" * 64)
+        meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele", corpus_digest="0" * 64)
         m = Model(TagSet(("P", "Q")), transition, lexicon, unknown,
                   uniform_distribution(2), meta)
         assert viterbi_tag(m, ["w", "w", "w"]) == ["P", "P", "P"]
@@ -589,9 +587,7 @@ def smooth_step_walk(m, words, folds=None):
             if node is None:
                 break
             if node not in folds:
-                counts = m.trie.counts[node]
-                total = int(counts.sum())
-                folds[node] = smooth_step(counts / total, dist, total)
+                folds[node] = smooth_step(m.trie.counts[node], dist)
             dist = folds[node]
         rows.append(dist.probs)
     return np.array(rows).reshape(len(words), m.root.dim)
@@ -830,6 +826,22 @@ class TestTagCorpus:
             with routed(monkeypatch, route):
                 assert tag_corpus(m, []) == []
 
+    def test_string_for_a_word_list_rejected(self):
+        # A str is a sequence of letters: it would be decoded or scored
+        # letter by letter, with a space as one more word.
+        m = train_model(parse_corpus("a\tX\nb\tY\n\n"), order=2)
+        calls = [lambda: tag_corpus(m, ["a b"]), lambda: tag_corpus(m, [["a"], "ab"]),
+                 lambda: tag_corpus(m, "ab"), lambda: viterbi_tag(m, "ab"),
+                 lambda: viterbi_tag_scored(m, "ab"),
+                 lambda: score_sequence(m, "ab", ["X", "Y"]),
+                 lambda: score_sequence(m, ["a", "b"], "XY")]
+        for call in calls:
+            with pytest.raises(ValidationError, match="not strings"):
+                call()
+        assert tag_corpus(m, [("a", "b")]) == [["X", "Y"]]
+        assert score_sequence(m, ("a", "b"), ("X", "Y")) == \
+            viterbi_tag_scored(m, ["a", "b"]).log_score
+
     def test_empty_sentence_after_longer_ones_rejected(self, monkeypatch):
         # Every route raises the first error in token order, as decoding
         # sentence by sentence would: the empty sentence's, or that of a
@@ -850,10 +862,10 @@ class TestTagCorpus:
 class TestTrainModel:
     def test_metadata_recorded(self):
         corpus = parse_corpus("a\tX\nb\tY\n\nb\tY\na\tX\n\n")
-        m = train_model(corpus, order=2, root_mode="ele", sigma_scale=1.5)
+        m = train_model(corpus, order=2, root_mode="rf")
         assert m.metadata.order == 2
         assert m.metadata.smoothing == "sa"
-        assert m.metadata.sigma_scale == 1.5
+        assert m.metadata.root_mode == "rf"
         assert m.metadata.corpus_digest == corpus_digest(corpus)
         assert m.metadata.lambdas is None
 
@@ -868,18 +880,6 @@ class TestTrainModel:
         corpus = parse_corpus("a\tX\n\n")
         with pytest.raises(ValidationError):
             train_model(corpus, smoothing="kneser-ney")
-
-    def test_non_finite_or_negative_sigma_scale_rejected(self):
-        # Also where no smoothing step uses the scale: it is stored either way.
-        corpus = parse_corpus("a\tX\nb\tY\n\nb\tY\na\tX\n\n")
-        for scale in (math.nan, math.inf, -1.0):
-            for kwargs in ({}, {"order": 1}, {"smoothing": "ele"},
-                           {"smoothing": "interp", "lambdas": (0.5, 0.25, 0.25)}):
-                with pytest.raises(ValidationError, match="sigma scale"):
-                    train_model(corpus, sigma_scale=scale, **kwargs)
-        m = train_model(corpus, sigma_scale=0.0)
-        assert m.metadata.sigma_scale == 0.0
-        assert tag_corpus(m, [["a", "b"]]) == [["X", "Y"]]
 
 
 class TestTaggingAccuracyObjective:

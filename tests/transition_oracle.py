@@ -24,14 +24,13 @@ def rows_of(counts):
     return dict(zip(counts.contexts, counts.counts))
 
 
-def sa_tables(counts, root_mode="rf", sigma_scale=1.0):
+def sa_tables(counts, root_mode):
     """The old ``build_sa_ngram_model``: a ``smooth_step`` per context."""
     rows = rows_of(counts)
     tables = {(): unigram_distribution(counts, root_mode)}
     for length in range(1, counts.order):
         for ctx in sorted(ctx for ctx in rows if len(ctx) == length):
-            total = int(rows[ctx].sum())
-            tables[ctx] = smooth_step(rows[ctx] / total, tables[ctx[1:]], total, sigma_scale)
+            tables[ctx] = smooth_step(rows[ctx], tables[ctx[1:]])
     return tables
 
 
