@@ -226,8 +226,11 @@ def _suffix_paths(words: Sequence[str], depth: int) -> tuple[np.ndarray, np.ndar
     return codes, np.cumsum(lengths) - lengths, lengths
 
 
-def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
+def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
+                      nodes: int | None = None) -> SuffixTrie | None:
     """Pool tag counts of tokens whose word falls under the rare threshold.
+    Given ``nodes``, return None, before the count matrix exists, if the
+    trie has another number of nodes.
 
     Counts are of token occurrences, not word types: a node holds the sum
     of the lexicon rows of the rare words whose path passes through it.
@@ -267,6 +270,8 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy) -> SuffixTrie:
     first = np.cumsum(new) - new + 1  # the id of each path's first new node
     start = first - shared  # a path's new node at a level is start + level
     size = int(new.sum()) + 1
+    if nodes is not None and nodes != size:
+        return None
     path_of = np.repeat(np.arange(len(rows)), new)
     column = np.arange(1, size) - start[path_of]
 

@@ -33,18 +33,20 @@ context's length, then its tag indices; the word), so identical models
 serialize byte-identically.  The loader derives ``[trie]`` and
 ``[unknown_root]`` from ``[lexicon]`` and ``[meta]`` with the training
 builders, and requires each to be exactly what the writer writes for the
-result.
+result: ``[trie]`` is compared as text, its row count first, and parsed
+only to name a malformed row.  Count rows come from byte buffers.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
+from itertools import chain, islice
 
 import numpy as np
 
 from .corpus import _SURROGATE, TagSet
-from .counts import Lexicon, RareWordPolicy, build_suffix_trie
+from .counts import Lexicon, RareWordPolicy, SuffixTrie, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
 from .lexicon import build_unknown_word_model
 from .smoothing import (
@@ -62,6 +64,8 @@ FORMAT_VERSION = 1
 _META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold",
               "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
+_RENDER = 2048  # rows per _count_lines buffer; 192 KiB of text at 48 tags
+_POWERS = 10 ** np.arange(19, dtype=np.int64)  # every power of ten in int64
 
 
 def _fmt(x: float) -> str:
@@ -109,25 +113,34 @@ def _read_distribution(reader: _SectionReader, name: str, k: int) -> Conditional
         raise ModelFormatError(f"{name}: {bad}") from None
 
 
-def _count_lines(prefixes: list[str], matrix: np.ndarray) -> list[str]:
+def _count_lines(prefixes: list[str], matrix: np.ndarray) -> Iterator[list[str]]:
     """Each prefix followed by its matrix row of integer counts, as one
-    ``"%d"`` per cell would write it.  Count rows are mostly zeros, so each
-    nonzero cell is one piece holding the run of ``"0 "`` before it, and
-    the zeros after a row's last nonzero cell are one run."""
-    row, col = np.nonzero(matrix)
-    gap = col.copy()
-    same_row = row[1:] == row[:-1]
-    gap[1:][same_row] -= col[:-1][same_row] + 1
-    zeros = ["0 " * n for n in range(matrix.shape[1] + 1)]
-    pieces = [f"{zeros[g]}{v} " for g, v in zip(gap.tolist(), matrix[row, col].tolist())]
-    bounds = np.searchsorted(row, np.arange(len(prefixes) + 1))
-    last = np.full(len(prefixes), -1, dtype=np.int64)
-    filled = bounds[1:] > bounds[:-1]
-    last[filled] = col[bounds[1:][filled] - 1]
-    tails = (matrix.shape[1] - 1 - last).tolist()
-    bounds = bounds.tolist()
-    return [(prefix + "".join(pieces[lo:hi]) + zeros[tail])[:-1]
-            for prefix, lo, hi, tail in zip(prefixes, bounds, bounds[1:], tails)]
+    ``"%d"`` per cell would write it, ``_RENDER`` rows at a time (blocks of
+    cache size were faster than one per section).  A block is one ASCII
+    buffer in which every cell starts as ``"0 "`` and every row ends in a
+    newline: a nonzero cell's leading digit overwrites its ``0``, and its
+    other digits go in with one ``np.insert``; no Python work per cell."""
+    k = matrix.shape[1]
+    for lo in range(0, len(matrix), _RENDER):
+        cells = matrix[lo:lo + _RENDER].reshape(-1)
+        text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), len(cells))
+        text[2 * k - 1::2 * k] = ord("\n")
+        nonzero = np.flatnonzero(cells != 0)  # quicker than on the int64 cells
+        values = cells[nonzero]
+        digits = np.searchsorted(_POWERS, values, side="right")
+        text[2 * nonzero] = values // _POWERS[digits - 1] + ord("0")
+        more = digits - 1
+        place = np.repeat(np.cumsum(more) - 1, more) - np.arange(int(more.sum()))
+        rest = np.repeat(values, more) // _POWERS[place] % 10 + ord("0")
+        text = np.insert(text, np.repeat(2 * nonzero + 1, more), rest.astype(np.uint8))
+        yield list(map(str.__add__, prefixes[lo:lo + _RENDER],
+                       text.tobytes().decode("ascii").split("\n")))
+
+
+def _trie_lines(trie: SuffixTrie) -> Iterator[list[str]]:
+    """The writer's ``[trie]`` rows, in ``_count_lines`` blocks."""
+    return _count_lines([f"{d}\t{letter}\t" for d, letter in
+                         zip(trie.depths.tolist(), trie.letters())], trie.counts)
 
 
 def model_to_text(model: Model) -> str:
@@ -162,10 +175,10 @@ def model_to_text(model: Model) -> str:
     out.extend(keyed_probs % (",".join(map(str, ctx)), *row)
                for ctx, row in zip(transition.contexts, table.tolist()))
     out.append(f"[lexicon] {len(model.lexicon)}")
-    out.extend(_count_lines([w + "\t" for w in model.lexicon.words], model.lexicon.counts))
+    out.extend(chain.from_iterable(_count_lines([w + "\t" for w in model.lexicon.words],
+                                                model.lexicon.counts)))
     out.append(f"[trie] {len(trie.depths)}")
-    out.extend(_count_lines([f"{d}\t{letter}\t" for d, letter in
-                             zip(trie.depths.tolist(), trie.letters())], trie.counts))
+    out.extend(chain.from_iterable(_trie_lines(trie)))
     out.append("[unknown_root] 1")
     out.append(probs % tuple(model.unknown_word_model.root.probs.tolist()))
     return "\n".join(out) + "\n"
@@ -214,7 +227,9 @@ def _row_blocks(lines: list[str], keys: int, dtype: type,
     columns and its numbers as one (rows, width) matrix.  Only one block's
     split lines exist at once, and small blocks reuse freed memory: one
     parse per section, or 2048-row blocks, raised peak memory by 5-10 MB in
-    most runs."""
+    most runs.  A file that loads has only its ``[transitions]``/``[freqs]``
+    and ``[lexicon]`` rows parsed; ``[trie]`` rows are parsed only to name
+    a malformed one."""
     for lo in range(0, len(lines), _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
         if set(map(len, fields)) != {keys + 1}:
@@ -354,22 +369,18 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
     lexicon = Lexicon(tuple(words), counts)
 
+    lines = reader.section("trie")
     try:
-        trie = build_suffix_trie(lexicon, policy)
+        trie = build_suffix_trie(lexicon, policy, nodes=len(lines))
     except ValidationError as bad:
         raise ModelFormatError(f"lexicon: {bad}") from None
-    # Compared a block at a time, so no second count matrix exists at once;
-    # a malformed row anywhere is still reported as malformed.
-    depth_names = list(map(str, range(int(trie.depths.max()) + 1)))
-    depths = list(map(depth_names.__getitem__, trie.depths.tolist()))
-    letters = trie.letters()
-    lines = reader.section("trie")
-    derived = len(lines) == len(letters)
-    for lo, (depth_texts, edge_letters), block in _row_blocks(lines, 2, np.int64, k, "trie"):
-        hi = lo + len(block)
-        derived = derived and (depth_texts == depths[lo:hi] and edge_letters == letters[lo:hi]
-                               and np.array_equal(block, trie.counts[lo:hi]))
-    if not derived:
+    # A row count other than the derived trie's is found before its counts
+    # exist; rows are compared a block at a time, and parsed only on a fault.
+    rows = iter(lines)
+    if trie is None or any(list(islice(rows, len(block))) != block
+                           for block in _trie_lines(trie)):
+        for _ in _row_blocks(lines, 2, np.int64, k, "trie"):
+            pass
         raise ModelFormatError("trie: not the suffix trie of the lexicon's words under "
                                "rare_threshold and max_suffix")
     try:

@@ -1,6 +1,8 @@
 import collections
 import contextlib
 import dataclasses
+import hashlib
+import itertools
 import tracemalloc
 import warnings
 
@@ -115,6 +117,49 @@ class TestRoundTrip:
         model = train_model(train, order=3)
         text = model_to_text(model)
         assert model_to_text(model_from_text(text)) == text
+
+
+def letters_text():
+    """A model whose rare words hold non-ASCII and astral letters and a NUL."""
+    letters = ["a", "é", "ß", "ж", "\x00", "\U0001f600", "\U0001d51e"]
+    tokens = []
+    for i in range(400):
+        j = i * 37 % 150
+        word = letters[j % 7] + letters[j // 7 % 7] * (j % 3) + letters[j // 49]
+        tokens.append(f"{word}\tT{j % 4}" + ("\n" if i % 6 == 5 else ""))
+    return model_to_text(train_model(parse_corpus("\n".join(tokens) + "\n"), order=3))
+
+
+class TestPinnedBytes:
+    """The sha256 of fixed trained models' text.  A round trip passes when
+    the writer and the loader change together; these pins fail when the
+    bytes a model file holds change at all."""
+
+    PINS = {
+        "sa3": "66ab2de2ce623ef9c06dfb6fe745ca3ed45f9a14dfe9daf8cace5e8a2902644f",
+        "sa2": "5da0fafcc857ccb53adb1f7d06212579fdaeaeef9545400e2d2473f5bc3cbe09",
+        "ele3": "0db28915228074be69289edff60aea2d2cc6068176da7c799c991ceb356d7f65",
+        "interp3": "711e0318382a06511e7e61d693de89929270bb8ee9b9f978d2edf262fa79b41f",
+        "rf3": "3606d764b7d6abfc0728b3b451465dd1bb159016df514768863f5fbed354316b",
+        "big": "b95aba1b6b2acb1a307d4bcd475fb5808877073bed6605a77ec40b2e7d049e3f",
+        "letters": "8ff4c84eb90988ad1ce20559fe71d5d46ff46df87e1fe9d22c1bc453de859b98",
+    }
+
+    def test_model_text_digests(self, big_text):
+        train = synthesize_corpus(SynthesisConfig(num_tags=8, vocab_size=500,
+                                                  num_train_tokens=50000,
+                                                  num_test_tokens=5000, seed=42))[0]
+        texts = {"sa3": model_to_text(train_model(train, order=3)),
+                 "sa2": model_to_text(train_model(train, order=2)),
+                 "ele3": model_to_text(train_model(train, order=3, smoothing="ele")),
+                 "interp3": model_to_text(train_model(train, order=3, smoothing="interp",
+                                                      lambdas=(0.1, 0.6, 0.3))),
+                 "rf3": model_to_text(train_model(train, order=3, root_mode="rf")),
+                 "big": big_text,
+                 "letters": letters_text()}
+        assert "\U0001f600" in texts["letters"] and "é" in texts["letters"]
+        assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for name, text in texts.items()} == self.PINS
 
 
 def valid_text():
@@ -392,6 +437,50 @@ class TestBlockedParse:
         lo = row // 256 * 256  # the message names the block of rows, counted in the section
         with pytest.raises(ModelFormatError, match=f"^{section}: a row among {lo + 1}-{lo + 256} "):
             model_from_text(edit_rows(big_text, section, [row], edits[0]))
+
+    def test_trie_edits_past_first_block_not_derived(self, big_text):
+        # Rows that still parse: a count moved between two tags of one row,
+        # the row's total kept, and two sibling letters swapped.
+        trie = model_from_text(big_text).unknown_word_model.trie
+        lines = big_text.split("\n")
+        start = section_start(lines, "trie")
+
+        def moved(v):
+            c = next(i for i, x in enumerate(v) if x != "0")
+            d = (c + 1) % len(v)
+            v[c], v[d] = str(int(v[c]) - 1), str(int(v[d]) + 1)
+            return " ".join(v)
+
+        parents = trie.parents.tolist()
+        i, j = next((i, j) for i in range(2100, len(parents))
+                    for j in range(i + 1, len(parents)) if parents[j] == parents[i])
+        (depth, letter, counts), (_, letter2, counts2) = (lines[start + r].split("\t")
+                                                           for r in (i, j))
+        swapped = list(lines)
+        swapped[start + i] = "\t".join([depth, letter2, counts])
+        swapped[start + j] = "\t".join([depth, letter, counts2])
+        for bad in (edit_rows(big_text, "trie", [2100], moved), "\n".join(swapped)):
+            assert bad != big_text
+            with no_warnings(), pytest.raises(ModelFormatError, match=NOT_DERIVED):
+                model_from_text(bad)
+
+    def test_trie_rows_short_or_long_not_derived_unrendered(self, big_text, monkeypatch):
+        # A row count other than the derived trie's is rejected before the
+        # derived trie's counts exist, so before its rows are written out.
+        lines = big_text.split("\n")
+        start = section_start(lines, "trie")
+        short = list(lines)
+        del short[start + 2100]
+        short[start - 1] = f"[trie] {int(lines[start - 1].split(' ')[1]) - 1}"
+        long = insert_row(big_text, "trie", 2100, lines[start + 2100])
+
+        def unrendered(trie):
+            raise AssertionError("rendered the derived trie")
+
+        monkeypatch.setattr("succabs.model_io._trie_lines", unrendered)
+        for bad in ("\n".join(short), long):
+            with pytest.raises(ModelFormatError, match=NOT_DERIVED):
+                model_from_text(bad)
 
     def test_bad_probability_row_past_first_block(self, big_text):
         for edit in (lambda v: " ".join(["nan"] + v[1:]),
@@ -721,6 +810,30 @@ class TestDerivedSections:
         assert load_peak < 60 * len(text), (load_peak, len(text))
         assert decode_peak < 60 * 10 ** 5, decode_peak
 
+    def test_trie_cut_to_its_root_load_memory_is_linear(self):
+        # 200 rare words of 500 random letters under max_suffix 10**6 make
+        # a trie of about 100,000 nodes by 100 tags; a [trie] of only the
+        # root row is rejected before that count matrix is allocated.
+        rng = np.random.default_rng(18)
+        words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=500))
+                 for _ in range(200)]
+        corpus = parse_corpus("\n".join(f"{w}\tT{i % 100:02d}" for i, w in enumerate(words)))
+        text = model_to_text(train_model(corpus, order=2, policy=RareWordPolicy(10, 1)))
+        lines = text.split("\n")
+        start = section_start(lines, "trie")
+        end = start + int(lines[start - 1].split(" ")[1])
+        assert lines[start].startswith("0\t\t") and lines.count("max_suffix\t1") == 1
+        lines[start - 1:end] = ["[trie] 1", lines[start]]
+        text = "\n".join(lines).replace("\nmax_suffix\t1\n", f"\nmax_suffix\t{10 ** 6}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=NOT_DERIVED):
+                model_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * len(text), (peak, len(text))
+
     @pytest.mark.parametrize("root_mode", ["ele", "rf"])
     def test_mutants_rejected_or_written_back(self, root_mode):
         # Seeded edits to the [lexicon], [trie] and [unknown_root] rows.  A
@@ -786,6 +899,13 @@ def mutate(text, section, rng):
     return "\n".join(lines)
 
 
+def assert_one_format_per_cell(matrix):
+    prefixes = [f"{i}\tw{i}\t" for i in range(len(matrix))]
+    row = "%s" + " ".join(["%d"] * matrix.shape[1])
+    assert list(itertools.chain.from_iterable(_count_lines(prefixes, matrix))) == [
+        row % (prefix, *cells.tolist()) for prefix, cells in zip(prefixes, matrix)]
+
+
 class TestCountLines:
     def test_equals_one_format_per_cell(self):
         rng = np.random.default_rng(9)
@@ -797,7 +917,22 @@ class TestCountLines:
             cases.append(np.where(rng.random((n, k)) < rng.choice([0.0, 0.03, 0.3, 1.0]),
                                   values, 0))
         for matrix in cases:
-            prefixes = [f"{i}\tw{i}\t" for i in range(len(matrix))]
-            row = "%s" + " ".join(["%d"] * matrix.shape[1])
-            assert _count_lines(prefixes, matrix) == [
-                row % (prefix, *cells.tolist()) for prefix, cells in zip(prefixes, matrix)]
+            assert_one_format_per_cell(matrix)
+
+    def test_digit_count_boundaries(self):
+        # A cell's first digit overwrites its "0" and the others are
+        # inserted after it, so the insert offsets move exactly where a
+        # value gains a digit, and at a row's first and last cells; rows
+        # are rendered in blocks, so a long matrix crosses their edges.
+        edges = np.array([v for j in range(1, 19) for v in (10 ** j - 1, 10 ** j)]
+                         + [2 ** 63 - 1], dtype=np.int64)
+        n = len(edges)
+        first, last = np.zeros((n, 4), dtype=np.int64), np.zeros((n, 4), dtype=np.int64)
+        first[:, 0] = edges
+        last[:, -1] = edges
+        padded = np.zeros((n + 4, 3), dtype=np.int64)  # all-zero rows at both ends
+        padded[2:-2] = np.stack([edges, np.zeros(n, dtype=np.int64), edges[::-1]], axis=1)
+        for matrix in (edges[None, :], edges[:, None], first, last, padded, np.diag(edges),
+                       np.zeros((0, 5), dtype=np.int64), np.zeros((0, 1), dtype=np.int64),
+                       np.tile(padded, (110, 1))):
+            assert_one_format_per_cell(matrix)
