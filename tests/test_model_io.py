@@ -130,6 +130,12 @@ def letters_text():
     return model_to_text(train_model(parse_corpus("\n".join(tokens) + "\n"), order=3))
 
 
+def rare_tags_text():
+    """A corpus of 12,000 tokens in which 29 of 31 tags occur once each."""
+    rare = "".join(f"w{t}\tR{t:02d}\na\tA\n\n" for t in range(29))
+    return rare + "a\tA\nb\tA\nc\tB\n\n" * 4000
+
+
 class TestPinnedBytes:
     """The sha256 of fixed trained models' text.  A round trip passes when
     the writer and the loader change together; these pins fail when the
@@ -143,6 +149,9 @@ class TestPinnedBytes:
         "rf3": "3606d764b7d6abfc0728b3b451465dd1bb159016df514768863f5fbed354316b",
         "big": "b95aba1b6b2acb1a307d4bcd475fb5808877073bed6605a77ec40b2e7d049e3f",
         "letters": "8ff4c84eb90988ad1ce20559fe71d5d46ff46df87e1fe9d22c1bc453de859b98",
+        "interp_cells": "156db434725c33b8640679d123733dcde924b23762e479aa97618100a12e5197",
+        "tiny": "4699cb836302157807aad469c82a26263619748753f7b744df701684bdc3beeb",
+        "order1": "df6a0c2040e687960de848b6d26c3dd134910ded7c3da48f0d1568f2ffc705da",
     }
 
     def test_model_text_digests(self, big_text):
@@ -156,8 +165,19 @@ class TestPinnedBytes:
                                                       lambdas=(0.1, 0.6, 0.3))),
                  "rf3": model_to_text(train_model(train, order=3, root_mode="rf")),
                  "big": big_text,
-                 "letters": letters_text()}
+                 "letters": letters_text(),
+                 # Exact 0 and 1 relative frequencies in [freqs].
+                 "interp_cells": model_to_text(train_model(small_corpus(), order=3,
+                                                           smoothing="interp",
+                                                           lambdas=(0.2, 0.3, 0.5))),
+                 # Probabilities below 1e-4, which %.17g writes with an exponent.
+                 "tiny": model_to_text(train_model(parse_corpus(rare_tags_text()), order=4)),
+                 "order1": model_to_text(train_model(train, order=1))}
         assert "\U0001f600" in texts["letters"] and "é" in texts["letters"]
+        assert "\t1 0 0\n" in texts["interp_cells"] and "\t0 0 1\n" in texts["interp_cells"]
+        assert "e-07 " in texts["tiny"]
+        for name in ("interp_cells", "tiny", "order1"):
+            assert model_to_text(model_from_text(texts[name])) == texts[name]
         assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
                 for name, text in texts.items()} == self.PINS
 
