@@ -198,10 +198,6 @@ class SuffixTrie:
         """Every node id, in preorder."""
         return iter(range(len(self.codes)))
 
-    def letters(self) -> list[str]:
-        """Each node's edge letter; the root's and the marker's are empty."""
-        return [chr(c - 1) if c != BOW_CODE else BOW_LETTER for c in self.codes.tolist()]
-
 
 def _suffix_paths(words: Sequence[str], depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each word's trie path: its reversed letters and then the

@@ -33,20 +33,25 @@ context's length, then its tag indices; the word), so identical models
 serialize byte-identically.  The loader derives ``[trie]`` and
 ``[unknown_root]`` from ``[lexicon]`` and ``[meta]`` with the training
 builders, and requires each to be exactly what the writer writes for the
-result: ``[trie]`` is compared as text, its row count first, and parsed
-only to name a malformed row.  Count rows come from byte buffers.
+result: ``[trie]`` is checked by its row count first, then by one substring
+comparison with the rendered derived trie, and is split into lines and
+parsed only to name a malformed row.
+
+Every number section is written by one exact block renderer, ``_render``:
+a few numpy passes per block of rows and no Python call per number (but
+the ``_fmt`` fallback for floats outside [1e-4, 1)), into bytes that are
+exactly what ``"%d"`` and ``"%.17g"`` write.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from itertools import chain, islice
 
 import numpy as np
 
 from .corpus import _SURROGATE, TagSet
-from .counts import Lexicon, RareWordPolicy, SuffixTrie, build_suffix_trie
+from .counts import BOW_CODE, Lexicon, RareWordPolicy, SuffixTrie, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
 from .lexicon import build_unknown_word_model
 from .smoothing import (
@@ -64,8 +69,29 @@ FORMAT_VERSION = 1
 _META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold",
               "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
-_RENDER = 2048  # rows per _count_lines buffer; 192 KiB of text at 48 tags
+_RENDER = 2048  # rows per _render buffer; 192 KiB of counts at 48 tags
 _POWERS = 10 ** np.arange(19, dtype=np.int64)  # every power of ten in int64
+_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10 ** 4)).encode("ascii"),
+                       dtype=np.uint32)  # each 4-digit ASCII group, in memory order
+_SCALES = np.array([1e20, 1e19, 1e18, 1e17])  # x * _SCALES[decade] has 17 integer digits
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for doubles
+_SLOT = 25  # bytes per _float_cells cell: the longest _fmt text (24) and a separator
+_SHORT = 4 * 18  # _SLOT_MASKS rows of the "0." texts
+
+
+def _slot_masks() -> np.ndarray:
+    """The bytes a ``_float_cells`` slot keeps: row 18 * z + d for "0.", z
+    zeros and d digits; row ``_SHORT`` + n for a text of n bytes at the
+    slot's start; each with the last byte, the separator."""
+    column = np.arange(_SLOT)
+    z, d = np.divmod(np.arange(_SHORT), 18)
+    fixed = (column < 2) | (column >= 5 - z[:, None]) & (column < 5 + d[:, None])
+    short = column < np.arange(_SLOT)[:, None]
+    return np.concatenate([fixed, short]) | (column == _SLOT - 1)
+
+
+_SLOT_MASKS = _slot_masks()
+_SLOT_SIZES = _SLOT_MASKS.sum(axis=1)
 
 
 def _fmt(x: float) -> str:
@@ -113,34 +139,168 @@ def _read_distribution(reader: _SectionReader, name: str, k: int) -> Conditional
         raise ModelFormatError(f"{name}: {bad}") from None
 
 
-def _count_lines(prefixes: list[str], matrix: np.ndarray) -> Iterator[list[str]]:
-    """Each prefix followed by its matrix row of integer counts, as one
-    ``"%d"`` per cell would write it, ``_RENDER`` rows at a time (blocks of
-    cache size were faster than one per section).  A block is one ASCII
-    buffer in which every cell starts as ``"0 "`` and every row ends in a
-    newline: a nonzero cell's leading digit overwrites its ``0``, and its
-    other digits go in with one ``np.insert``; no Python work per cell."""
-    k = matrix.shape[1]
-    for lo in range(0, len(matrix), _RENDER):
-        cells = matrix[lo:lo + _RENDER].reshape(-1)
-        text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), len(cells))
-        text[2 * k - 1::2 * k] = ord("\n")
-        nonzero = np.flatnonzero(cells != 0)  # quicker than on the int64 cells
-        values = cells[nonzero]
-        digits = np.searchsorted(_POWERS, values, side="right")
-        text[2 * nonzero] = values // _POWERS[digits - 1] + ord("0")
-        more = digits - 1
-        place = np.repeat(np.cumsum(more) - 1, more) - np.arange(int(more.sum()))
-        rest = np.repeat(values, more) // _POWERS[place] % 10 + ord("0")
-        text = np.insert(text, np.repeat(2 * nonzero + 1, more), rest.astype(np.uint8))
-        yield list(map(str.__add__, prefixes[lo:lo + _RENDER],
-                       text.tobytes().decode("ascii").split("\n")))
+def _ascii(values: np.ndarray, groups: int) -> np.ndarray:
+    """Non-negative int64 ``values`` as right-aligned ASCII decimals,
+    zero-padded to 4 * ``groups`` columns: one (n, 4 * groups) uint8 matrix,
+    filled four digits per numpy pass from a table."""
+    out = np.empty((len(values), groups), dtype=np.uint32)
+    for j in range(groups - 1, -1, -1):
+        rest = values // 10 ** 4
+        out[:, j] = _QUADS[values - rest * 10 ** 4]
+        values = rest
+    return out.view(np.uint8)
 
 
-def _trie_lines(trie: SuffixTrie) -> Iterator[list[str]]:
-    """The writer's ``[trie]`` rows, in ``_count_lines`` blocks."""
-    return _count_lines([f"{d}\t{letter}\t" for d, letter in
-                         zip(trie.depths.tolist(), trie.letters())], trie.counts)
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each double x in [1e-4, 1), the zeros z that ``%.17g`` writes
+    after "0." and the 17 digits it writes after them, as the int64 N =
+    x * 10 ** (17 + z) rounded half to even.  N is exact: the product is the
+    unevaluated sum h + l of two doubles (Dekker's, with Veltkamp's split;
+    10 ** 20 and every smaller power of ten are doubles), h is an even
+    integer above 2 ** 53, so N is h plus l rounded half to even.
+
+    Each literal 1e-3, 1e-2, 1e-1 is the double just above its power of ten,
+    so a double compares at least it exactly when it is at least the power.
+    The double below each power is more than half a 17th digit from it, so
+    N never carries to 10 ** 17."""
+    decade = (x >= 1e-3).astype(np.intp) + (x >= 1e-2) + (x >= 1e-1)
+    h = x * _SCALES[decade]
+    xh, xl = _halves(x)
+    sh, sl = _SCALE_HIGH[decade], _SCALE_LOW[decade]
+    low = ((xh * sh - h) + xh * sl + xl * sh) + xl * sl
+    return h.astype(np.int64) + np.rint(low).astype(np.int64), 3 - decade
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into a 26-bit high part and the rest."""
+    c = a * _SPLIT
+    high = c - (c - a)
+    return high, a - high
+
+
+_SCALE_HIGH, _SCALE_LOW = _halves(_SCALES)
+
+
+def _put(out: np.ndarray, at: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> None:
+    """Write ``data``, runs of the given lengths end to end, with run i at
+    ``out[at[i]:]``."""
+    out[np.repeat(at - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(data))] = data
+
+
+def _utf8_sizes(points: np.ndarray) -> np.ndarray:
+    """The UTF-8 bytes of each code point (a lone surrogate's three)."""
+    return 1 + (points >= 0x80).astype(np.int64) + (points >= 0x800) + (points >= 0x10000)
+
+
+def _heads(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The row heads key + TAB as one UTF-8 buffer, and where each ends."""
+    text = "\t".join(keys) + "\t" * bool(keys)
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)) + 1)
+    if len(data) != len(text):  # a letter past ASCII: count each letter's bytes
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        ends = np.cumsum(_utf8_sizes(points))[ends - 1]
+    return data, ends
+
+
+def _trie_heads(trie: SuffixTrie) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's row head, depth TAB edge letter TAB, as one UTF-8 buffer
+    made from ``depths`` and ``codes``, and where each ends; the root's and
+    the begin-of-word marker's letter is empty."""
+    depths, codes = trie.depths, trie.codes
+    digits = np.searchsorted(_POWERS, depths, side="right").clip(1)
+    lettered = np.flatnonzero(codes != BOW_CODE)
+    points = codes[lettered] - 1
+    letters = points.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    sizes = np.zeros(len(codes), dtype=np.int64)
+    sizes[lettered] = _utf8_sizes(points)
+    lengths = digits + sizes + 2
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.full(int(ends[-1]), ord("\t"), dtype=np.uint8)
+    chars = _ascii(depths, -(-int(digits.max()) // 4))
+    _put(out, starts, chars[np.arange(chars.shape[1]) >= chars.shape[1] - digits[:, None]], digits)
+    _put(out, starts + digits + 1,
+         np.frombuffer(letters.encode("utf-8", "surrogatepass"), dtype=np.uint8), sizes)
+    return out, ends
+
+
+def _count_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_render``'s text of a block of non-negative int64 counts.  Most
+    counts are zero: the text starts as "0 " per cell with a newline for
+    each row's last space, a nonzero count's leading digit overwrites its
+    "0", and one ``np.insert`` puts in its other digits and the heads."""
+    rows, k = block.shape
+    cells = block.reshape(-1)
+    text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), len(cells))
+    text[2 * k - 1::2 * k] = ord("\n")
+    nonzero = np.flatnonzero(cells != 0)  # quicker than on the int64 cells
+    values = cells[nonzero]
+    digits = np.searchsorted(_POWERS, values, side="right")
+    chars = _ascii(values, -(-int(digits.max(initial=0)) // 4))
+    lead = chars.shape[1] - digits  # each count's leading digit's column
+    text[2 * nonzero] = chars[np.arange(len(values)), lead]
+    at = np.concatenate([np.repeat(2 * k * np.arange(rows), sizes),
+                         np.repeat(2 * nonzero + 1, digits - 1)])
+    return np.insert(text, at, np.concatenate(
+        [heads, chars[np.arange(chars.shape[1]) > lead[:, None]]]))
+
+
+def _float_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_render``'s text of a block of float64 values.
+
+    Each cell gets a slot of ``_SLOT`` bytes: "0.", the ``_ascii`` digits of
+    its ``_significands`` N (three "0"s, then N's 17), two spare bytes and
+    the separator.  A mask row from ``_SLOT_MASKS`` keeps "0.", the zeros
+    and N's digits less its trailing zeros, and the separator; and the
+    kept bytes, in order, are the cells' text.  0.0 keeps the slot's "0",
+    1.0 a "1" written there, and every other value outside [1e-4, 1)
+    (-0.0, NaN, infinities, negative, tiny and large values) its ``_fmt``
+    text, written over the slot's start.  One ``np.insert`` puts the heads in."""
+    rows, k = block.shape
+    cells = block.reshape(-1)
+    fast = (cells >= 1e-4) & (cells < 1)
+    significands, zeros = _significands(np.where(fast, cells, 0.5))
+    chars = _ascii(significands, 5)
+    digits = 17 - np.argmax(chars[:, :2:-1] != ord("0"), axis=1)  # less trailing zeros
+    slots = np.empty((len(cells), _SLOT), dtype=np.uint8)
+    slots[:, :2] = np.frombuffer(b"0.", dtype=np.uint8)
+    slots[:, 2:22] = chars
+    slots[:, -1] = ord(" ")
+    slots[k - 1::k, -1] = ord("\n")
+    pattern = np.where(fast, 18 * zeros + digits, _SHORT + 1)
+    slots[cells == 1, 0] = ord("1")
+    other = np.flatnonzero(~(fast | (cells == 1) | (cells == 0) & ~np.signbit(cells)))
+    texts = [*map(_fmt, cells[other].tolist())]
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    _put(slots.reshape(-1), _SLOT * other,
+         np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8), lengths)
+    pattern[other] = _SHORT + lengths
+    kept = _SLOT_SIZES[pattern].reshape(rows, k).sum(axis=1)
+    return np.insert(slots[_SLOT_MASKS[pattern]], np.repeat(np.cumsum(kept) - kept, sizes),
+                     heads)
+
+
+def _render(matrix: np.ndarray, heads: np.ndarray | None = None,
+            ends: np.ndarray | None = None) -> str:
+    """Section text: row r is its head, the UTF-8 bytes
+    ``heads[ends[r - 1]:ends[r]]``, then matrix row r's numbers,
+    space-separated, and a newline; each non-negative int64 as ``"%d"``
+    writes it, each float64 as ``"%.17g"``.  ``_RENDER`` rows at a time,
+    ``_count_cells`` or ``_float_cells`` writes a block with a few numpy
+    passes and no Python work per cell or row (but for the ``_fmt``
+    fallback)."""
+    rows = len(matrix)
+    cells_text = _float_cells if matrix.dtype.kind == "f" else _count_cells
+    if heads is None:
+        heads, ends = np.zeros(0, dtype=np.uint8), np.zeros(rows, dtype=np.int64)
+    blocks = []
+    for lo in range(0, rows, _RENDER):
+        first, last = (int(ends[lo - 1]) if lo else 0), int(ends[min(lo + _RENDER, rows) - 1])
+        text = cells_text(matrix[lo:lo + _RENDER], heads[first:last],
+                          np.diff(ends[lo:lo + _RENDER], prepend=first))
+        blocks.append(text.tobytes().decode("utf-8", "surrogatepass"))
+    return "".join(blocks)
 
 
 def model_to_text(model: Model) -> str:
@@ -160,57 +320,65 @@ def model_to_text(model: Model) -> str:
         table_section, table = "transitions", transition.probs
 
     trie = model.unknown_word_model.trie
-    k = len(model.tag_set)
-    probs = " ".join(["%.17g"] * k)  # one %-format per row shape, for row.tolist()
-    keyed_probs = "%s\t" + probs
-
+    contexts = [",".join(map(str, ctx)) for ctx in transition.contexts]
     out: list[str] = [f"{MAGIC} {FORMAT_VERSION}"]
     out.append(f"[meta] {len(meta_rows)}")
     out.extend(f"{key}\t{value}" for key, value in meta_rows)
-    out.append(f"[tags] {k}")
+    out.append(f"[tags] {len(model.tag_set)}")
     out.extend(model.tag_set.tags)
     out.append("[unigram] 1")
-    out.append(probs % tuple(model.unigram.probs.tolist()))
-    out.append(f"[{table_section}] {len(transition.contexts)}")
-    out.extend(keyed_probs % (",".join(map(str, ctx)), *row)
-               for ctx, row in zip(transition.contexts, table.tolist()))
-    out.append(f"[lexicon] {len(model.lexicon)}")
-    out.extend(chain.from_iterable(_count_lines([w + "\t" for w in model.lexicon.words],
-                                                model.lexicon.counts)))
-    out.append(f"[trie] {len(trie.depths)}")
-    out.extend(chain.from_iterable(_trie_lines(trie)))
-    out.append("[unknown_root] 1")
-    out.append(probs % tuple(model.unknown_word_model.root.probs.tolist()))
-    return "\n".join(out) + "\n"
+    return "".join([
+        "\n".join(out) + "\n", _render(model.unigram.probs[None, :]),
+        f"[{table_section}] {len(contexts)}\n", _render(table, *_heads(contexts)),
+        f"[lexicon] {len(model.lexicon)}\n",
+        _render(model.lexicon.counts, *_heads(list(model.lexicon.words))),
+        f"[trie] {len(trie.depths)}\n", _render(trie.counts, *_trie_heads(trie)),
+        "[unknown_root] 1\n", _render(model.unknown_word_model.root.probs[None, :])])
 
 
 class _SectionReader:
+    """The text's lines, each found when it is read, so a section compared
+    as a whole (``skip``) is never split into lines."""
+
     def __init__(self, text: str):
-        self.lines = text.split("\n")
-        if self.lines and self.lines[-1] == "":
-            self.lines.pop()
-        self.pos = 0
+        self.text = text
+        self.at = 0  # where the next line starts
+        self.pos = 0  # lines read
 
     def take(self) -> str:
-        if self.pos >= len(self.lines):
+        if self.at >= len(self.text):
             raise ModelFormatError(f"line {self.pos + 1}: unexpected end of file")
-        line = self.lines[self.pos]
+        end = self.text.find("\n", self.at)
+        end = len(self.text) if end < 0 else end
+        line = self.text[self.at:end]
+        self.at = end + 1
         self.pos += 1
         return line
 
-    def section(self, name: str) -> list[str]:
+    def header(self, name: str) -> int:
+        """The row count on a ``[name]`` header line."""
         header = self.take()
         expected = f"[{name}] "
         if not header.startswith(expected):
             raise ModelFormatError(f"line {self.pos}: expected a [{name}] section")
-        count = _decimal(header[len(expected):], f"line {self.pos}: [{name}] header")
-        if self.pos + count > len(self.lines):
-            raise ModelFormatError(f"line {len(self.lines) + 1}: unexpected end of file")
+        return _decimal(header[len(expected):], f"line {self.pos}: [{name}] header")
+
+    def lines(self, count: int) -> list[str]:
+        return [self.take() for _ in range(count)]
+
+    def section(self, name: str) -> list[str]:
+        return self.lines(self.header(name))
+
+    def skip(self, expected: str, count: int) -> bool:
+        """Pass the next ``count`` lines if they are ``expected``, each with its newline."""
+        if not self.text.startswith(expected, self.at):
+            return False
+        self.at += len(expected)
         self.pos += count
-        return self.lines[self.pos - count:self.pos]
+        return True
 
     def finished(self) -> bool:
-        return self.pos == len(self.lines)
+        return self.at >= len(self.text)
 
 
 def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
@@ -290,7 +458,7 @@ def model_from_text(text: str) -> Model:
     if len(parts) != 2 or parts[0] != MAGIC:
         raise ModelFormatError("not a model file: bad magic line")
     if parts[1] != str(FORMAT_VERSION):
-        raise ModelFormatError(f"unsupported model format version {parts[1]}")
+        raise ModelFormatError(f"unsupported model format version {parts[1]!r}")
 
     meta: dict[str, str] = {}
     for line in reader.section("meta"):
@@ -369,17 +537,16 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
     lexicon = Lexicon(tuple(words), counts)
 
-    lines = reader.section("trie")
+    nodes = reader.header("trie")
     try:
-        trie = build_suffix_trie(lexicon, policy, nodes=len(lines))
+        trie = build_suffix_trie(lexicon, policy, nodes=nodes)
     except ValidationError as bad:
+        reader.lines(nodes)  # a short section is reported first
         raise ModelFormatError(f"lexicon: {bad}") from None
     # A row count other than the derived trie's is found before its counts
-    # exist; rows are compared a block at a time, and parsed only on a fault.
-    rows = iter(lines)
-    if trie is None or any(list(islice(rows, len(block))) != block
-                           for block in _trie_lines(trie)):
-        for _ in _row_blocks(lines, 2, np.int64, k, "trie"):
+    # exist; the rows are split out and parsed only on a fault, to name it.
+    if trie is None or not reader.skip(_render(trie.counts, *_trie_heads(trie)), nodes):
+        for _ in _row_blocks(reader.lines(nodes), 2, np.int64, k, "trie"):
             pass
         raise ModelFormatError("trie: not the suffix trie of the lexicon's words under "
                                "rare_threshold and max_suffix")

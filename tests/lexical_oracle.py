@@ -2,11 +2,11 @@
 as the reference they must equal, with the same arithmetic.
 
 ``reversed_suffix_path`` is the trie path rule one letter at a time,
-``children`` the (parent, letter) -> node map the walk used to follow,
-``lexsort_suffix_trie`` the one-pass builder over padded (rare words x
-path) matrices, and ``known_word_distribution`` / ``lexical_factors`` the
-per-word P(tag | word) and factor path that decoding's factor matrix
-replaced.
+``letters`` each trie node's edge letter, ``children`` the (parent,
+letter) -> node map the walk used to follow, ``lexsort_suffix_trie`` the
+one-pass builder over padded (rare words x path) matrices, and
+``known_word_distribution`` / ``lexical_factors`` the per-word
+P(tag | word) and factor path that decoding's factor matrix replaced.
 """
 
 from dataclasses import dataclass
@@ -25,11 +25,16 @@ def reversed_suffix_path(word, max_edges):
     return (list(reversed(word)) + [BOW_LETTER])[:max_edges]
 
 
+def letters(trie):
+    """Each node's edge letter; the root's and the marker's are empty."""
+    return [chr(c - 1) if c != BOW_CODE else BOW_LETTER for c in trie.codes.tolist()]
+
+
 def children(trie):
     """The trie's edges as a (parent id, letter) -> node id map, the
     begin-of-word marker's letter ``BOW_LETTER``."""
     return {(parent, letter): node for node, (parent, letter)
-            in enumerate(zip(trie.parents.tolist(), trie.letters())) if node}
+            in enumerate(zip(trie.parents.tolist(), letters(trie))) if node}
 
 
 def path_nodes(trie, word, max_edges):

@@ -277,6 +277,14 @@ class TestEval:
         rc = main(["eval", "--model", model, "--gold", str(gold)])
         assert rc == 2
 
+    def test_crlf_model_is_data_error_naming_the_version(self, tmp_path, corpus_file,
+                                                         capsys):
+        model = train_default(tmp_path, corpus_file)
+        Path(model).write_bytes(Path(model).read_bytes().replace(b"\n", b"\r\n"))
+        rc = main(["eval", "--model", model, "--gold", corpus_file])
+        assert rc == 2
+        assert "unsupported model format version '1\\r'" in capsys.readouterr().err
+
     def test_bad_format_is_usage_error(self, tmp_path, corpus_file):
         model = train_default(tmp_path, corpus_file)
         rc = main(["eval", "--model", model, "--gold", corpus_file,

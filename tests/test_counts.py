@@ -27,7 +27,13 @@ from succabs.counts import (
 from succabs.errors import ValidationError
 from succabs.tagger import corpus_digest
 
-from lexical_oracle import children, lexsort_suffix_trie, path_nodes, reversed_suffix_path
+from lexical_oracle import (
+    children,
+    letters,
+    lexsort_suffix_trie,
+    path_nodes,
+    reversed_suffix_path,
+)
 
 
 class TestCountNgrams:
@@ -132,16 +138,16 @@ class TestLexicon:
         assert lex.words == () and lex.counts.shape == (0, 0)
 
 
-def assert_one_word_path(word, depth, letters):
+def assert_one_word_path(word, depth, path):
     """A one-word trie is the word's path, and the word walks all of it."""
     trie = build_suffix_trie(Lexicon((word,), np.array([[1]])), RareWordPolicy(2, depth))
-    assert reversed_suffix_path(word, depth) == letters
-    assert trie.letters() == [""] + letters
-    assert trie.depths.tolist() == list(range(len(letters) + 1))
-    assert trie.parents.tolist() == list(range(-1, len(letters)))
-    assert path_nodes(trie, word, depth) == list(range(len(letters) + 1))
+    assert reversed_suffix_path(word, depth) == path
+    assert letters(trie) == [""] + path
+    assert trie.depths.tolist() == list(range(len(path) + 1))
+    assert trie.parents.tolist() == list(range(-1, len(path)))
+    assert path_nodes(trie, word, depth) == list(range(len(path) + 1))
     codes, offsets, lengths = _suffix_paths([word], depth)
-    assert offsets.tolist() == [0] and lengths.tolist() == [len(letters)]
+    assert offsets.tolist() == [0] and lengths.tolist() == [len(path)]
     assert codes.tolist() == trie.codes[1:].tolist()
 
 
@@ -429,12 +435,12 @@ def assert_same_table(corpus, order):
 
 
 def assert_same_trie(got, expect_root):
-    counts, depths, letters, parents = flatten_reference(expect_root)
+    counts, depths, edge_letters, parents = flatten_reference(expect_root)
     assert got.counts.dtype == counts.dtype == np.int64
     np.testing.assert_array_equal(got.counts, counts)
     assert got.depths.dtype == depths.dtype
     np.testing.assert_array_equal(got.depths, depths)
-    assert got.letters() == letters
+    assert letters(got) == edge_letters
     assert got.parents.tolist() == parents
     assert_edges_found(got)
 

@@ -11,6 +11,7 @@ from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, unif
 from lexical_oracle import (
     LexicalDistribution,
     known_word_distribution,
+    letters,
     lexical_factors,
     reversed_suffix_path,
 )
@@ -188,10 +189,10 @@ def word_ending_at(trie, node):
     """A word whose matched trie path ends at ``node``: its path letters
     read back, with ``STRANGER`` before them unless the path ends at a
     begin-of-word marker (and so goes no deeper)."""
-    letters = trie.letters()
+    edge_letters = letters(trie)
     path = []
     while node > 0:
-        path.append(letters[node])
+        path.append(edge_letters[node])
         node = int(trie.parents[node])
     if path and path[0] == "":  # the marker
         return "".join(path[1:])

@@ -1,8 +1,8 @@
 import collections
 import contextlib
 import dataclasses
+import fractions
 import hashlib
-import itertools
 import tracemalloc
 import warnings
 
@@ -16,7 +16,9 @@ from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
 from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
-    _count_lines,
+    _RENDER,
+    _heads,
+    _render,
     model_from_text,
     model_to_text,
     read_model,
@@ -195,6 +197,14 @@ class TestFormatErrors:
     def test_unsupported_version(self):
         text = valid_text().replace(f"{MAGIC} {FORMAT_VERSION}", f"{MAGIC} 2", 1)
         with pytest.raises(ModelFormatError):
+            model_from_text(text)
+
+    def test_crlf_file_names_the_version_it_read(self):
+        # Each line of a CRLF file ends in an invisible "\r", the magic
+        # line's too, so the message shows the version as read.
+        text = valid_text().replace("\n", "\r\n")
+        with pytest.raises(ModelFormatError,
+                           match=r"^unsupported model format version '1\\r'$"):
             model_from_text(text)
 
     def test_truncated_input(self):
@@ -494,10 +504,10 @@ class TestBlockedParse:
         short[start - 1] = f"[trie] {int(lines[start - 1].split(' ')[1]) - 1}"
         long = insert_row(big_text, "trie", 2100, lines[start + 2100])
 
-        def unrendered(trie):
+        def unrendered(*args):
             raise AssertionError("rendered the derived trie")
 
-        monkeypatch.setattr("succabs.model_io._trie_lines", unrendered)
+        monkeypatch.setattr("succabs.model_io._render", unrendered)
         for bad in ("\n".join(short), long):
             with pytest.raises(ModelFormatError, match=NOT_DERIVED):
                 model_from_text(bad)
@@ -920,10 +930,10 @@ def mutate(text, section, rng):
 
 
 def assert_one_format_per_cell(matrix):
-    prefixes = [f"{i}\tw{i}\t" for i in range(len(matrix))]
-    row = "%s" + " ".join(["%d"] * matrix.shape[1])
-    assert list(itertools.chain.from_iterable(_count_lines(prefixes, matrix))) == [
-        row % (prefix, *cells.tolist()) for prefix, cells in zip(prefixes, matrix)]
+    keys = [f"{i}\tw{i}" for i in range(len(matrix))]
+    row = "%s\t" + " ".join(["%d"] * matrix.shape[1]) + "\n"
+    assert _render(matrix, *_heads(keys)) == "".join(
+        row % (key, *cells.tolist()) for key, cells in zip(keys, matrix))
 
 
 class TestCountLines:
@@ -940,10 +950,11 @@ class TestCountLines:
             assert_one_format_per_cell(matrix)
 
     def test_digit_count_boundaries(self):
-        # A cell's first digit overwrites its "0" and the others are
-        # inserted after it, so the insert offsets move exactly where a
-        # value gains a digit, and at a row's first and last cells; rows
-        # are rendered in blocks, so a long matrix crosses their edges.
+        # A cell's digit count places its digits and the cells after it,
+        # and its digits come four to a table lookup, so the offsets move
+        # exactly where a value gains a digit, and at a row's first and last
+        # cells; rows are rendered in blocks, so a long matrix crosses their
+        # edges.
         edges = np.array([v for j in range(1, 19) for v in (10 ** j - 1, 10 ** j)]
                          + [2 ** 63 - 1], dtype=np.int64)
         n = len(edges)
@@ -956,3 +967,87 @@ class TestCountLines:
                        np.zeros((0, 5), dtype=np.int64), np.zeros((0, 1), dtype=np.int64),
                        np.tile(padded, (110, 1))):
             assert_one_format_per_cell(matrix)
+
+
+def python_rows(matrix, spell, keys):
+    """The rows one Python format per cell writes, each after its key and a tab."""
+    return "".join(f"{key}\t" + " ".join(map(spell, row)) + "\n"
+                   for key, row in zip(keys, matrix.tolist()))
+
+
+def assert_same_lines(got, expect):
+    """Equal texts, or the first line that differs: a diff of megabytes of
+    text would take pytest minutes."""
+    if got != expect:
+        pairs = zip(got.split("\n"), expect.split("\n"))
+        line, pair = next(((i, p) for i, p in enumerate(pairs) if p[0] != p[1]), (None, None))
+        raise AssertionError(f"line {line}: rendered, then Python's: {pair}")
+
+
+def assert_rendered_as_python(values, spell, width):
+    """``_render`` of the values as one row, and as a matrix of ``width``
+    columns long enough to cross a block edge, with non-ASCII row keys."""
+    padded = np.concatenate([values, np.zeros(-len(values) % width, dtype=values.dtype)])
+    matrix = padded.reshape(-1, width)
+    assert len(matrix) > _RENDER
+    keys = [f"{i}" + "é\U0001f600"[i % 3:] for i in range(len(matrix))]
+    assert_same_lines(_render(matrix, *_heads(keys)), python_rows(matrix, spell, keys))
+    row = values[:100_000][None, :]
+    assert_same_lines(_render(row), " ".join(map(spell, row[0].tolist())) + "\n")
+
+
+def float_cases(rng):
+    """About 500,000 doubles for each step of the %.17g path and its edges."""
+    finite = np.array([np.inf]).view(np.int64)[0]  # every positive double's bits lie below
+    low, one = np.array([1e-4, 1.0]).view(np.int64)
+    powers = np.array([float(f"1e{p}") for p in range(-22, 1)])
+    # x = c / 2**(p + 1) with c odd makes x * 10**p end in exactly .5; p is
+    # 17 + z for x in the decade [10**-(z + 1), 10**-z).
+    ties = []
+    for z in range(4):
+        p = 17 + z
+        c = rng.integers(2 ** (p + 1) // 10 ** (z + 1) + 1, 2 ** (p + 1) // 10 ** z, 10_000) | 1
+        ties.append(c / 2.0 ** (p + 1))
+    ties = np.concatenate(ties)
+    for x in ties[::499].tolist():
+        p = 20 - sum(x >= 10.0 ** -e for e in (3, 2, 1))
+        assert (fractions.Fraction(x) * 10 ** p).denominator == 2
+    # The doubles nearest 17-digit decimal midpoints, in each of the four decades.
+    significands = rng.integers(10 ** 16, 10 ** 17, 60_000).tolist()
+    midpoints = [float(f"{2 * n + 1}e-{18 + i % 4}") for i, n in enumerate(significands)]
+    edges = np.concatenate([low - np.arange(1, 3000), low + np.arange(3000),
+                            one - np.arange(1, 3000)]).view(np.float64)
+    special = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -0.5, 1.5, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e-5, 0.5, 0.25, 0.1]
+    anywhere = rng.integers(1, finite, 100_000).view(np.float64)  # log-uniform, subnormals too
+    return rng.permutation(np.concatenate([
+        anywhere, -anywhere[:20_000],
+        rng.integers(low, one, 200_000).view(np.float64),  # log-uniform over [1e-4, 1)
+        rng.random(100_000), np.nextafter(powers, 0), powers, np.nextafter(powers, 2),
+        ties, midpoints, edges, special * 20]))
+
+
+def count_cases(rng):
+    """About 500,000 non-negative int64 counts: half zeros, the rest with
+    uniformly 1 to 19 digits, and each power of ten and its predecessor."""
+    digits = rng.integers(1, 20, 250_000)
+    top = np.where(digits < 19, 10 ** np.minimum(digits, 18) - 1, 2 ** 63 - 1)
+    values = rng.integers(10 ** (digits - 1), top, endpoint=True)
+    edges = [v for j in range(1, 19) for v in (10 ** j - 1, 10 ** j)] + [2 ** 63 - 1]
+    return rng.permutation(np.concatenate([values, np.zeros(250_000, dtype=np.int64),
+                                           np.array(edges * 50, dtype=np.int64)]))
+
+
+class TestRender:
+    """``_render`` against one Python format per cell, on about 10**6 seeded
+    values in all."""
+
+    def test_floats_equal_format_17g(self):
+        values = float_cases(np.random.default_rng(23))
+        assert len(values) > 500_000
+        assert_rendered_as_python(values, "{:.17g}".format, 97)
+
+    def test_counts_equal_percent_d(self):
+        values = count_cases(np.random.default_rng(29))
+        assert values.dtype == np.int64 and len(values) > 500_000
+        assert_rendered_as_python(values, "%d".__mod__, 48)
