@@ -119,6 +119,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.model) < 2:
         args._parser.error("at least two --model flags are required")
+    if len(set(args.model)) < len(args.model):
+        args._parser.error("each --model may be given once")
     gold = _read_corpus(args.gold)
     reports = [(path, _evaluate_model(path, gold, args.open_lattice))
                for path in args.model]

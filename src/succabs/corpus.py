@@ -72,6 +72,9 @@ class TaggedToken:
         if not self.word.isascii() and _SURROGATE.search(self.word):
             raise ValidationError(f"token word {self.word!r} holds a lone surrogate, which UTF-8 "
                                   "cannot hold")
+        if self.word.startswith("#"):
+            raise ValidationError(f"token word {self.word!r} starts with '#', which would write "
+                                  "a comment line")
 
 
 class Corpus:

@@ -21,21 +21,24 @@ Layout: a magic/version line, then sections, each introduced by a
                          trie root's counts (``build_unknown_word_model``)
 
 Counts are non-negative ASCII decimal integers, each row's summing to at
-most 2^63 - 1; section sizes, trie depths and the ``[meta]`` integers are
-spelled as ``str`` writes them, and the ``[meta]`` keys come in
-``_META_KEYS`` order; ``sigma_scale`` is always ``1``, since the smoothing
-step has no scale.  Probabilities are decimal floats as ``%.17g`` writes
-them, which round-trips doubles exactly (the loader checks that spelling
-except in ``[transitions]``/``[freqs]`` rows).  Contexts are comma-joined tag
-indices (-1 is the sentence boundary, the empty string the root context).
+most 2^63 - 1; probabilities are decimal floats as ``%.17g`` writes them,
+which round-trips doubles exactly.  Contexts are comma-joined tag indices
+(-1 is the sentence boundary, the empty string the root context).
 Sections are sorted, and the loader requires strictly ascending keys (a
 context's length, then its tag indices; the word), so identical models
-serialize byte-identically.  The loader derives ``[trie]`` and
-``[unknown_root]`` from ``[lexicon]`` and ``[meta]`` with the training
-builders, and requires each to be exactly what the writer writes for the
-result: ``[trie]`` is checked by its row count first, then by one substring
-comparison with the rendered derived trie, and is split into lines and
-parsed only to name a malformed row.
+serialize byte-identically.
+
+One rule makes a file that loads write back its own bytes.  The loader
+builds what each section holds, parsed (the ``[meta]`` values,
+``[unigram]``, the context keys, ``[lexicon]``) or derived with the
+training builders from ``[lexicon]`` and ``[meta]`` (``[trie]``,
+``[unknown_root]``), renders it with the writer's own code and compares
+that text, header included, with the file's; lines are split only to name
+the first row that differs.  ``[tags]`` rows are their own text.  The one
+exception is the float cells of ``[transitions]``/``[freqs]``, which are
+parsed but not compared: rendering them would cost a large share of a
+load.  ``[trie]`` is checked by its row count first, before the derived
+trie's count matrix exists.
 
 Every number section is written by one exact block renderer, ``_render``:
 a few numpy passes per block of rows and no Python call per number (but
@@ -46,7 +49,7 @@ exactly what ``"%d"`` and ``"%.17g"`` write.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from .smoothing import (
     _check_rows,
     interpolated_ngram_model,
 )
-from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, SMOOTHING_MODES, Model, ModelMetadata
+from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, Model, ModelMetadata
 
 MAGIC = "SUCCABS"
 FORMAT_VERSION = 1
@@ -104,39 +107,6 @@ def _decimal(text: str, where: str) -> int:
     if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
         raise ModelFormatError(f"{where}: {text!r} is not a canonical decimal integer")
     return int(text)
-
-
-def _float(text: str, where: str) -> float:
-    """A float spelled as ``_fmt`` writes it."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ModelFormatError(f"{where}: malformed number {text!r}") from None
-    if _fmt(value) != text:
-        raise ModelFormatError(f"{where}: {text!r} is not spelled as %.17g writes it")
-    return value
-
-
-def _parse_context(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ModelFormatError(f"malformed context {text!r}") from None
-
-
-def _read_distribution(reader: _SectionReader, name: str, k: int) -> ConditionalDistribution:
-    lines = reader.section(name)
-    if len(lines) != 1:
-        raise ModelFormatError(f"{name}: expected exactly one line")
-    row = _parse_rows(lines, 0, np.float64, k, name)[1][0]
-    if " ".join(map(_fmt, row.tolist())) != lines[0]:
-        raise ModelFormatError(f"{name}: a probability is not spelled as %.17g writes it")
-    try:
-        return ConditionalDistribution.from_probs(row)
-    except ValidationError as bad:
-        raise ModelFormatError(f"{name}: {bad}") from None
 
 
 def _ascii(values: np.ndarray, groups: int) -> np.ndarray:
@@ -303,65 +273,83 @@ def _render(matrix: np.ndarray, heads: np.ndarray | None = None,
     return "".join(blocks)
 
 
-def model_to_text(model: Model) -> str:
-    meta = model.metadata
-    policy = model.unknown_word_model.policy
-    meta_values = [str(meta.order), meta.smoothing, meta.root_mode, "1",
-                   str(policy.frequency_threshold), str(policy.max_suffix_length),
-                   meta.corpus_digest]
-    if meta.lambdas is not None:
-        meta_values.append(",".join(_fmt(x) for x in meta.lambdas))
-    meta_rows = list(zip(_META_KEYS, meta_values))
+def _section(name: str, rows: int, text: str) -> str:
+    """A section as the writer writes it: the header, then the rows' text."""
+    return f"[{name}] {rows}\n{text}"
 
-    transition = model.transition
-    if meta.smoothing == SMOOTHING_INTERP:
+
+def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> str:
+    """The ``[meta]`` section: rows of key TAB value, in ``_META_KEYS``
+    order; ``sigma_scale`` is always 1, since the smoothing step has no
+    scale."""
+    values = [str(metadata.order), metadata.smoothing, metadata.root_mode, "1",
+              str(policy.frequency_threshold), str(policy.max_suffix_length),
+              metadata.corpus_digest]
+    if metadata.lambdas is not None:
+        values.append(",".join(map(_fmt, metadata.lambdas)))
+    return _section("meta", len(values),
+                    "".join(f"{key}\t{value}\n" for key, value in zip(_META_KEYS, values)))
+
+
+def _context_keys(contexts: Sequence[tuple[int, ...]]) -> list[str]:
+    return [",".join(map(str, ctx)) for ctx in contexts]
+
+
+def model_to_text(model: Model) -> str:
+    unknown = model.unknown_word_model
+    transition, trie = model.transition, unknown.trie
+    if model.metadata.smoothing == SMOOTHING_INTERP:
         table_section, table = "freqs", transition.freqs
     else:
         table_section, table = "transitions", transition.probs
-
-    trie = model.unknown_word_model.trie
-    contexts = [",".join(map(str, ctx)) for ctx in transition.contexts]
-    out: list[str] = [f"{MAGIC} {FORMAT_VERSION}"]
-    out.append(f"[meta] {len(meta_rows)}")
-    out.extend(f"{key}\t{value}" for key, value in meta_rows)
-    out.append(f"[tags] {len(model.tag_set)}")
-    out.extend(model.tag_set.tags)
-    out.append("[unigram] 1")
+    contexts = _context_keys(transition.contexts)
     return "".join([
-        "\n".join(out) + "\n", _render(model.unigram.probs[None, :]),
-        f"[{table_section}] {len(contexts)}\n", _render(table, *_heads(contexts)),
-        f"[lexicon] {len(model.lexicon)}\n",
-        _render(model.lexicon.counts, *_heads(list(model.lexicon.words))),
-        f"[trie] {len(trie.depths)}\n", _render(trie.counts, *_trie_heads(trie)),
-        "[unknown_root] 1\n", _render(model.unknown_word_model.root.probs[None, :])])
+        f"{MAGIC} {FORMAT_VERSION}\n", _meta_lines(model.metadata, unknown.policy),
+        _section("tags", len(model.tag_set), "".join(f"{tag}\n" for tag in model.tag_set.tags)),
+        _section("unigram", 1, _render(model.unigram.probs[None, :])),
+        _section(table_section, len(contexts), _render(table, *_heads(contexts))),
+        _section("lexicon", len(model.lexicon),
+                 _render(model.lexicon.counts, *_heads(list(model.lexicon.words)))),
+        _section("trie", len(trie.depths), _render(trie.counts, *_trie_heads(trie))),
+        _section("unknown_root", 1, _render(unknown.root.probs[None, :]))])
+
+
+def _mismatch(where: str, row: int, read: str, written: str) -> ModelFormatError:
+    """The error for a section's row, 1-based (0 is the header), that is not
+    the row the writer writes."""
+    label = "the header" if row == 0 else f"row {row}"
+    return ModelFormatError(f"{where}: {label} reads {read!r}, but the writer writes {written!r}")
 
 
 class _SectionReader:
     """The text's lines, each found when it is read, so a section compared
-    as a whole (``skip``) is never split into lines."""
+    as a whole (``expect``) is never split into lines."""
 
     def __init__(self, text: str):
         self.text = text
         self.at = 0  # where the next line starts
-        self.pos = 0  # lines read
+
+    def line(self) -> int:
+        """The next line's 1-based number."""
+        return self.text.count("\n", 0, self.at) + 1
 
     def take(self) -> str:
         if self.at >= len(self.text):
-            raise ModelFormatError(f"line {self.pos + 1}: unexpected end of file")
+            raise ModelFormatError(f"line {self.line()}: unexpected end of file")
         end = self.text.find("\n", self.at)
         end = len(self.text) if end < 0 else end
         line = self.text[self.at:end]
         self.at = end + 1
-        self.pos += 1
         return line
 
     def header(self, name: str) -> int:
         """The row count on a ``[name]`` header line."""
+        where = f"line {self.line()}"
         header = self.take()
         expected = f"[{name}] "
         if not header.startswith(expected):
-            raise ModelFormatError(f"line {self.pos}: expected a [{name}] section")
-        return _decimal(header[len(expected):], f"line {self.pos}: [{name}] header")
+            raise ModelFormatError(f"{where}: expected a [{name}] section")
+        return _decimal(header[len(expected):], f"{where}: [{name}] header")
 
     def lines(self, count: int) -> list[str]:
         return [self.take() for _ in range(count)]
@@ -369,40 +357,43 @@ class _SectionReader:
     def section(self, name: str) -> list[str]:
         return self.lines(self.header(name))
 
-    def skip(self, expected: str, count: int) -> bool:
-        """Pass the next ``count`` lines if they are ``expected``, each with its newline."""
-        if not self.text.startswith(expected, self.at):
-            return False
-        self.at += len(expected)
-        self.pos += count
-        return True
+    def lines_at(self, start: int, count: int) -> list[str]:
+        """The ``count`` lines from ``start`` on, fewer where the text ends:
+        split out only to name a row in an error."""
+        return self.text[start:].split("\n", count)[:count]
+
+    def expect(self, start: int, written: str, where: str) -> None:
+        """Read past the section whose header starts at ``start`` if its
+        text is ``written``, what the writer writes for it; else raise the
+        ``_mismatch`` of its first row that differs."""
+        if not self.text.startswith(written, start):
+            rows = written.split("\n")[:-1]
+            read = self.lines_at(start, len(rows))
+            row = next((r for r, pair in enumerate(zip(read, rows)) if pair[0] != pair[1]), None)
+            if row is None:  # each row read is the writer's, but the file ends
+                raise ModelFormatError(f"{where}: the file ends before the section does")
+            raise _mismatch(where, row, read[row], rows[row])
+        self.at = start + len(written)
 
     def finished(self) -> bool:
         return self.at >= len(self.text)
 
 
-def _split2(line: str, lineno_hint: str) -> tuple[str, str]:
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise ModelFormatError(f"{lineno_hint}: expected two tab-separated fields")
-    return parts[0], parts[1]
-
-
-def _row_blocks(lines: list[str], keys: int, dtype: type,
-                width: int, where: str) -> Iterator[tuple[int, list[list[str]], np.ndarray]]:
-    """Rows of ``keys`` tab-separated key fields and then space-separated
-    numbers, ``_BLOCK`` rows at a time: each block's first row, its key
-    columns and its numbers as one (rows, width) matrix.  Only one block's
-    split lines exist at once, and small blocks reuse freed memory: one
-    parse per section, or 2048-row blocks, raised peak memory by 5-10 MB in
-    most runs.  A file that loads has only its ``[transitions]``/``[freqs]``
-    and ``[lexicon]`` rows parsed; ``[trie]`` rows are parsed only to name
-    a malformed one."""
+def _parse_rows(lines: list[str], dtype: type, width: int,
+                where: str) -> tuple[list[str], np.ndarray]:
+    """Rows of a key, a TAB and space-separated numbers: the keys, and the
+    numbers as one (rows, width) matrix.  Rows are split and parsed
+    ``_BLOCK`` at a time, so only one block's split lines exist at once,
+    and small blocks reuse freed memory: one parse per section, or
+    2048-row blocks, raised peak memory by 5-10 MB in most runs."""
+    keys: list[str] = []
+    out = np.empty((len(lines), width), dtype=dtype)
     for lo in range(0, len(lines), _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
-        if set(map(len, fields)) != {keys + 1}:
-            raise ModelFormatError(f"{where}: expected {keys + 1} tab-separated fields per row")
-        *key_texts, chunk = map(list, zip(*fields))
+        if set(map(len, fields)) != {2}:
+            raise ModelFormatError(f"{where}: expected two tab-separated fields per row")
+        block_keys, chunk = zip(*fields)
+        keys.extend(block_keys)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # all-blank rows: "no data"
@@ -415,36 +406,15 @@ def _row_blocks(lines: list[str], keys: int, dtype: type,
         if dtype is np.int64:
             if (block < 0).any():
                 raise ModelFormatError(f"{where}: negative count")
-            # Any spelling np.loadtxt takes but the writer's (a leading zero
-            # or sign, -0, padding) is longer: compare the text's length with
-            # the counts' digits plus one separator between each two.
-            length, power, top = 2 * block.size - len(chunk), 10, int(block.max(initial=0))
-            while power <= top:
-                length += np.count_nonzero(block >= power)
-                power *= 10
-            if sum(map(len, chunk)) != length:
-                raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} "
-                                       "spells a count other than as a plain decimal integer")
             # Row totals are int64 sums, which would wrap silently.
-            if top * width >= 2 ** 63 and max(map(sum, block.tolist())) >= 2 ** 63:
+            if (int(block.max(initial=0)) * width >= 2 ** 63
+                    and max(map(sum, block.tolist())) >= 2 ** 63):
                 raise ModelFormatError(f"{where}: the counts of a row among "
                                        f"{lo + 1}-{lo + len(chunk)} sum past 2**63 - 1")
         if dtype is np.float64 and not np.isfinite(block).all():
             raise ModelFormatError(f"{where}: non-finite value")
-        yield lo, key_texts, block
-
-
-def _parse_rows(lines: list[str], keys: int, dtype: type, width: int,
-                where: str) -> tuple[list[list[str]], np.ndarray]:
-    """The rows of ``_row_blocks`` whole: each key column, and the numbers
-    as one (rows, width) matrix."""
-    columns: list[list[str]] = [[] for _ in range(keys)]
-    out = np.empty((len(lines), width), dtype=dtype)
-    for lo, key_texts, block in _row_blocks(lines, keys, dtype, width, where):
-        for column, texts in zip(columns, key_texts):
-            column.extend(texts)
         out[lo:lo + len(block)] = block
-    return columns, out
+    return keys, out
 
 
 def model_from_text(text: str) -> Model:
@@ -460,38 +430,24 @@ def model_from_text(text: str) -> Model:
     if parts[1] != str(FORMAT_VERSION):
         raise ModelFormatError(f"unsupported model format version {parts[1]!r}")
 
-    meta: dict[str, str] = {}
-    for line in reader.section("meta"):
-        key, value = _split2(line, "meta")
-        if key in meta:
-            raise ModelFormatError(f"meta: duplicate key {key!r}")
-        meta[key] = value
+    start = reader.at
+    meta = dict(line.partition("\t")[::2] for line in reader.section("meta"))  # key: value
     missing = next((key for key in _META_KEYS[:-1] if key not in meta), None)
     if missing is not None:
         raise ModelFormatError(f"meta: missing key {missing!r}")
-    if tuple(meta) != _META_KEYS[:len(meta)]:
-        raise ModelFormatError("meta: keys must come in the order " + ", ".join(_META_KEYS))
-    order = _decimal(meta["order"], "meta: order")
-    smoothing = meta["smoothing"]
-    root_mode = meta["root_mode"]
-    digest = meta["digest"]
-    if meta["sigma_scale"] != "1":
-        raise ModelFormatError(f"meta: sigma_scale is {meta['sigma_scale']!r}, not 1")
-    if smoothing not in SMOOTHING_MODES:
-        raise ModelFormatError(f"meta: unknown smoothing mode {smoothing!r}")
-    if (smoothing == SMOOTHING_INTERP) != ("lambdas" in meta):
-        raise ModelFormatError("meta: lambdas present iff smoothing is interp")
-    lambdas: tuple[float, ...] | None = None
-    if "lambdas" in meta:
-        lambdas = tuple(_float(x, "meta: lambdas") for x in meta["lambdas"].split(","))
     try:
-        policy = RareWordPolicy(_decimal(meta["rare_threshold"], "meta: rare_threshold"),
-                                _decimal(meta["max_suffix"], "meta: max_suffix"))
-        metadata = ModelMetadata(order, smoothing, root_mode, digest, lambdas)
+        lambdas = (None if "lambdas" not in meta else
+                   tuple(map(float, meta["lambdas"].split(","))))
+        metadata = ModelMetadata(int(meta["order"]), meta["smoothing"], meta["root_mode"],
+                                 meta["digest"], lambdas)
+        policy = RareWordPolicy(int(meta["rare_threshold"]), int(meta["max_suffix"]))
         weights = None if lambdas is None else InterpolationWeights(lambdas)
-    except ValidationError as bad:
+    except (ValueError, ValidationError) as bad:
         raise ModelFormatError(f"meta: {bad}") from None
+    reader.expect(start, _meta_lines(metadata, policy), "meta")
+    order, smoothing = metadata.order, metadata.smoothing
 
+    # The rows are the tags' own text, so they are what the writer writes.
     tags = reader.section("tags")
     try:
         tag_set = TagSet(tuple(tags))
@@ -499,11 +455,32 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"tags: {bad}") from None
     k = len(tag_set)
 
-    unigram = _read_distribution(reader, "unigram", k)
+    start = reader.at
+    reader.header("unigram")  # compared with the writer's header below
+    try:
+        unigram = ConditionalDistribution.from_probs([float(x) for x in reader.take().split(" ")])
+    except (ValueError, ValidationError) as bad:
+        raise ModelFormatError(f"unigram: {bad}") from None
+    if unigram.dim != k:
+        raise ModelFormatError(f"unigram: expected {k} probabilities")
+    reader.expect(start, _section("unigram", 1, _render(unigram.probs[None, :])), "unigram")
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
-    (texts,), table = _parse_rows(reader.section(table_section), 1, np.float64, k, table_section)
-    contexts = tuple(map(_parse_context, texts))
+    start = reader.at
+    texts, table = _parse_rows(reader.section(table_section), np.float64, k, table_section)
+    contexts = []
+    for row, text in enumerate(texts, 1):
+        try:
+            contexts.append(tuple(map(int, text.split(","))) if text else ())
+        except ValueError:
+            raise ModelFormatError(f"{table_section}: row {row} holds a malformed context "
+                                   f"{text!r}") from None
+    # The float cells are not compared: rendering them costs a large share of a load.
+    keys = _context_keys(contexts)
+    if keys != texts:
+        row = next(r for r, pair in enumerate(zip(keys, texts)) if pair[0] != pair[1])
+        raise _mismatch(table_section, row + 1, reader.lines_at(start, row + 2)[-1],
+                        _render(table[row:row + 1], *_heads(keys[row:row + 1]))[:-1])
     for i, (text, ctx) in enumerate(zip(texts, contexts)):
         if i and (len(ctx), ctx) <= (len(contexts[i - 1]), contexts[i - 1]):
             raise ModelFormatError(
@@ -519,12 +496,13 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"{table_section}: the root context is missing")
     try:
         _check_rows(table)
-        transition = (SmoothedNGramModel(order, k, contexts, table) if lambdas is None else
-                      interpolated_ngram_model(order, k, contexts, table, weights))
+        transition = (SmoothedNGramModel(order, k, tuple(contexts), table) if lambdas is None
+                      else interpolated_ngram_model(order, k, tuple(contexts), table, weights))
     except ValidationError as bad:
         raise ModelFormatError(f"{table_section}: {bad}") from None
 
-    (words,), counts = _parse_rows(reader.section("lexicon"), 1, np.int64, k, "lexicon")
+    start = reader.at
+    words, counts = _parse_rows(reader.section("lexicon"), np.int64, k, "lexicon")
     after = next((i for i in range(1, len(words)) if words[i] <= words[i - 1]), None)
     if after is not None:
         raise ModelFormatError(
@@ -535,31 +513,33 @@ def model_from_text(text: str) -> Model:
     empty = np.flatnonzero(~counts.any(axis=1))
     if empty.size:
         raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
+    reader.expect(start, _section("lexicon", len(words), _render(counts, *_heads(words))),
+                  "lexicon")
     lexicon = Lexicon(tuple(words), counts)
 
+    start = reader.at
     nodes = reader.header("trie")
     try:
         trie = build_suffix_trie(lexicon, policy, nodes=nodes)
     except ValidationError as bad:
         reader.lines(nodes)  # a short section is reported first
         raise ModelFormatError(f"lexicon: {bad}") from None
-    # A row count other than the derived trie's is found before its counts
-    # exist; the rows are split out and parsed only on a fault, to name it.
-    if trie is None or not reader.skip(_render(trie.counts, *_trie_heads(trie)), nodes):
-        for _ in _row_blocks(reader.lines(nodes), 2, np.int64, k, "trie"):
-            pass
-        raise ModelFormatError("trie: not the suffix trie of the lexicon's words under "
-                               "rare_threshold and max_suffix")
+    not_derived = ("trie: not the suffix trie of the lexicon's words under rare_threshold "
+                   "and max_suffix")
+    if trie is None:  # found before the derived trie's counts exist
+        raise ModelFormatError(f"{not_derived}: the header reads {f'[trie] {nodes}'!r}, "
+                               "but that trie has another number of rows")
+    reader.expect(start, _section("trie", nodes, _render(trie.counts, *_trie_heads(trie))),
+                  not_derived)
     try:
-        unknown = build_unknown_word_model(trie, policy, root_mode)
+        unknown = build_unknown_word_model(trie, policy, metadata.root_mode)
     except ValidationError as bad:
         raise ModelFormatError(f"unknown_root: {bad}") from None
-    if reader.section("unknown_root") != [" ".join(map(_fmt, unknown.root.probs.tolist()))]:
-        raise ModelFormatError("unknown_root: not the root_mode estimate from the trie "
-                               "root's counts")
+    reader.expect(reader.at, _section("unknown_root", 1, _render(unknown.root.probs[None, :])),
+                  "unknown_root: not the root_mode estimate from the trie root's counts")
 
     if not reader.finished():
-        raise ModelFormatError(f"line {reader.pos + 1}: trailing content")
+        raise ModelFormatError(f"line {reader.line()}: trailing content")
 
     return Model(tag_set, transition, lexicon, unknown, unigram, metadata)
 

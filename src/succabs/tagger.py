@@ -77,6 +77,10 @@ class ModelMetadata:
     lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.smoothing not in SMOOTHING_MODES:
+            raise ValidationError(f"unknown smoothing mode {self.smoothing!r}")
+        if (self.smoothing == SMOOTHING_INTERP) != (self.lambdas is not None):
+            raise ValidationError("lambdas present iff smoothing is interp")
         if self.root_mode not in ROOT_MODES:
             raise ValidationError(f"unknown root mode {self.root_mode!r}")
 
@@ -109,32 +113,21 @@ def train_model(corpus: Corpus, order: int = 3,
                 root_mode: str = ROOT_MODE_ELE, smoothing: str = SMOOTHING_SA,
                 lambdas: Sequence[float] | None = None) -> Model:
     """Count, smooth, and bundle a tagging model from a tagged corpus."""
-    if smoothing not in SMOOTHING_MODES:
-        raise ValidationError(f"unknown smoothing mode {smoothing!r}")
+    meta = ModelMetadata(order, smoothing, root_mode, corpus_digest(corpus),
+                         None if lambdas is None else tuple(float(x) for x in lambdas))
     if policy is None:
         policy = RareWordPolicy()
     counts = count_ngrams(corpus, order)
-    lam = None
     if smoothing == SMOOTHING_SA:
         transition = build_sa_ngram_model(counts, root_mode)
     elif smoothing == SMOOTHING_ELE:
         transition = build_ele_ngram_model(counts)
     else:
-        if lambdas is None:
-            raise ValidationError("interpolation smoothing requires weights")
-        lam = tuple(float(x) for x in lambdas)
-        transition = build_interpolated_ngram_model(counts, InterpolationWeights(lam))
+        transition = build_interpolated_ngram_model(counts, InterpolationWeights(meta.lambdas))
     lexicon = build_lexicon(corpus)
     trie = build_suffix_trie(lexicon, policy)
     unknown = build_unknown_word_model(trie, policy, root_mode)
     unigram = unigram_distribution(counts, root_mode)
-    meta = ModelMetadata(
-        order=order,
-        smoothing=smoothing,
-        root_mode=root_mode,
-        corpus_digest=corpus_digest(corpus),
-        lambdas=lam,
-    )
     return Model(corpus.tag_set, transition, lexicon, unknown, unigram, meta)
 
 

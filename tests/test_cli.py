@@ -116,7 +116,9 @@ class TestTrain:
             out.write_text(text.replace("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n"),
                            encoding="utf-8")
             assert main(["eval", "--model", str(out), "--gold", corpus_file]) == 2
-            assert f"meta: sigma_scale is '{bad}', not 1" in capsys.readouterr().err
+            read = repr("sigma_scale\t" + bad)
+            assert (f"meta: row 4 reads {read}, but the writer writes 'sigma_scale\\t1'"
+                    in capsys.readouterr().err)
 
     def test_flag_options_reach_the_model(self, tmp_path, corpus_file):
         out = train_default(tmp_path, corpus_file, "m.txt",
@@ -307,6 +309,14 @@ class TestCompare:
         m1 = train_default(tmp_path, corpus_file, "m1.txt")
         rc = main(["compare", "--model", m1, "--gold", corpus_file])
         assert rc == 1
+
+    def test_repeated_model_is_usage_error(self, tmp_path, corpus_file, capsys):
+        # Found before any file is read: the gold path does not exist.
+        m1 = train_default(tmp_path, corpus_file, "m1.txt")
+        missing = str(tmp_path / "missing.tsv")
+        rc = main(["compare", "--model", m1, "--model", m1, "--gold", missing])
+        assert rc == 1
+        assert "each --model may be given once" in capsys.readouterr().err
 
 
 class TestSynth:

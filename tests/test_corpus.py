@@ -368,3 +368,14 @@ class TestCorpusValidation:
         # A surrogate pair spelled as one code point is a letter like any other.
         TagSet(("X", "T\U0001f600"))
         TaggedToken("a\U0001f600", "X")
+
+    def test_word_starting_with_hash_rejected(self):
+        # The parser reads such a line as a comment, so the written corpus
+        # would not parse back to its tokens.
+        for word in ("#1", "#", "# note"):
+            with pytest.raises(ValidationError, match="starts with '#'"):
+                Corpus([[TaggedToken(word, "NN"), TaggedToken("a", "AT")]], TagSet(("AT", "NN")))
+        corpus = Corpus([[TaggedToken("a#1", "NN"), TaggedToken("a", "AT")]], TagSet(("AT", "NN")))
+        assert write_corpus(corpus) == "a#1\tNN\na\tAT\n"
+        assert parse_corpus(write_corpus(corpus)).sentences == corpus.sentences
+

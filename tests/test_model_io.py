@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import fractions
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -340,10 +341,11 @@ class TestFormatErrors:
         half = 2 ** 62
         text = valid_text()
         assert "the\t12 0 0\n" in text and "\n0\t\t0 2 1\n" in text
-        for old, new in (("the\t12 0 0\n", f"the\t{half} {half} 0\n"),
-                         ("\n0\t\t0 2 1\n", f"\n0\t\t0 {half} {half}\n")):
-            section = "lexicon" if old.startswith("the") else "trie"
-            with pytest.raises(ModelFormatError, match=f"^{section}: .* sum past 2\\*\\*63 - 1"):
+        # The trie is derived, so a trie row of such counts is not the writer's.
+        for old, new, message in (
+                ("the\t12 0 0\n", f"the\t{half} {half} 0\n", "^lexicon: .* sum past 2\\*\\*63 - 1"),
+                ("\n0\t\t0 2 1\n", f"\n0\t\t0 {half} {half}\n", NOT_DERIVED + ".*: row 1 reads")):
+            with pytest.raises(ModelFormatError, match=message):
                 model_from_text(text.replace(old, new, 1))
         # A total of exactly 2**63 - 1 still loads.
         model = model_from_text(text.replace("the\t12 0 0\n", f"the\t{half} {half - 1} 0\n", 1))
@@ -373,7 +375,9 @@ class TestFormatErrors:
         text = valid_text()
         assert text.count("\nsigma_scale\t1\n") == 1
         for bad in ("1.0", "+1", "0", "1.5", "nan", "inf", "-1", "01", " 1", "1e0", ""):
-            with pytest.raises(ModelFormatError, match="^meta: sigma_scale is .*, not 1$"):
+            read = repr("sigma_scale\t" + bad)
+            with pytest.raises(ModelFormatError, match=f"^meta: row 4 reads {re.escape(read)}, "
+                               "but the writer writes 'sigma_scale\\\\t1'$"):
                 model_from_text(text.replace("\nsigma_scale\t1\n", f"\nsigma_scale\t{bad}\n"))
 
     def test_lambdas_on_non_interp_model_rejected(self):
@@ -464,8 +468,12 @@ class TestBlockedParse:
             edits.append(lambda v: " ".join(["1000000"] + v[1:]))  # above its parent
         for edit in edits:
             assert_rejected_without_warnings(edit_rows(big_text, section, [row], edit))
-        lo = row // 256 * 256  # the message names the block of rows, counted in the section
-        with pytest.raises(ModelFormatError, match=f"^{section}: a row among {lo + 1}-{lo + 256} "):
+        # A [lexicon] message names the block of rows, counted in the section;
+        # a derived [trie]'s names the row.
+        lo = row // 256 * 256
+        message = (f"^lexicon: a row among {lo + 1}-{lo + 256} " if section == "lexicon" else
+                   f"{NOT_DERIVED}.*: row {row + 1} reads '")
+        with pytest.raises(ModelFormatError, match=message):
             model_from_text(edit_rows(big_text, section, [row], edits[0]))
 
     def test_trie_edits_past_first_block_not_derived(self, big_text):
@@ -507,7 +515,7 @@ class TestBlockedParse:
         def unrendered(*args):
             raise AssertionError("rendered the derived trie")
 
-        monkeypatch.setattr("succabs.model_io._render", unrendered)
+        monkeypatch.setattr("succabs.model_io._trie_heads", unrendered)
         for bad in ("\n".join(short), long):
             with pytest.raises(ModelFormatError, match=NOT_DERIVED):
                 model_from_text(bad)
@@ -575,11 +583,30 @@ class TestNumberSpellings:
             assert_rejected_without_warnings(text.replace("\n1\tt\t0 2 1\n", f"\n1\tt\t{bad}\n"))
 
     def test_count_spelling_past_first_block_names_its_block(self, big_text):
-        for section in ("lexicon", "trie"):
+        # Each message names the row, counted in the section, as read and as written.
+        for section, prefix in (("lexicon", "^lexicon"), ("trie", NOT_DERIVED + ".*")):
             bad = edit_rows(big_text, section, [2100], lambda v: " ".join(["0" + v[0]] + v[1:]))
-            with pytest.raises(ModelFormatError,
-                               match=f"^{section}: a row among 2049-2304 spells a count"):
+            line = section_start(big_text.split("\n"), section) + 2100
+            read, written = (repr(text.split("\n")[line]) for text in (bad, big_text))
+            message = (f"{prefix}: row 2101 reads {re.escape(read)}, "
+                       f"but the writer writes {re.escape(written)}$")
+            with pytest.raises(ModelFormatError, match=message):
                 model_from_text(bad)
+
+    def test_context_key_spellings_rejected(self):
+        # int() takes each of these keys as the context 0,1; the writer
+        # spells it "0,1".
+        interp = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",
+                                           lambdas=(0.2, 0.3, 0.5)))
+        for text, section in ((valid_text(), "transitions"), (interp, "freqs")):
+            lines = text.split("\n")
+            start = section_start(lines, section)
+            assert text.count("\n0,1\t") == 1
+            row = lines.index(next(l for l in lines if l.startswith("0,1\t"))) - start + 1
+            for bad in ("0,01", "0,+1", "0, 1", "00,1", "0,1 ", "0,\u0661"):
+                read = re.escape(repr(bad + "\t")[:-1])  # the row as read, less its cells
+                with pytest.raises(ModelFormatError, match=f"^{section}: row {row} reads {read}"):
+                    model_from_text(text.replace("\n0,1\t", f"\n{bad}\t"))
 
     def test_probability_spellings_rejected(self):
         model = train_model(small_corpus())
@@ -632,7 +659,7 @@ class TestNumberSpellings:
         assert model_to_text(model_from_text(text)) == text
         for i in range(7):
             swapped = swap_rows(text, "meta", i, i + 1)
-            with pytest.raises(ModelFormatError, match="^meta: keys must come in the order"):
+            with pytest.raises(ModelFormatError, match=f"^meta: row {i + 1} reads "):
                 model_from_text(swapped)
         assert lines[start + 7].startswith("lambdas\t")
 
@@ -660,6 +687,56 @@ def insert_row(text, section, after, row):
     lines.insert(start + after + 1, row)
     lines[start - 1] = f"[{section}] {int(lines[start - 1].split(' ')[1]) + 1}"
     return "\n".join(lines)
+
+
+def loads(mutant, cell_edit=False):
+    """Whether a mutant loads.  One that loads must write back its own
+    bytes, unless ``cell_edit``: the edit lies in the float cells of
+    ``[transitions]``/``[freqs]``, the only text the loader does not compare
+    with the writer's."""
+    try:
+        model = model_from_text(mutant)
+    except ModelFormatError:
+        return False
+    assert cell_edit or model_to_text(model) == mutant
+    return True
+
+
+# Characters a one-line edit inserts: digits, separators, signs, number
+# and key letters, a newline and a non-ASCII letter.
+EDIT_CHARS = "019 \t\n,.-+e_aé"
+
+
+def one_line_edit(text, rng):
+    """A seeded edit to one line of a model text: insert a character, delete
+    one, swap the line with the next, or bump a digit.  The line is drawn
+    from the magic line or a section, each as likely, the header included;
+    a character edit lies in one of its tab-separated fields, each as
+    likely, or at the field's end.  Returns the mutant and whether the edit
+    lies in the float cells of ``[transitions]``/``[freqs]``."""
+    lines = text.split("\n")[:-1]
+    table = "freqs" if "\n[freqs] " in text else "transitions"
+    names = ("meta", "tags", "unigram", table, "lexicon", "trie", "unknown_root")
+    bounds = [0] + [section_start(lines, name) - 1 for name in names] + [len(lines)]
+    part = int(rng.integers(len(bounds) - 1))
+    i = int(rng.integers(bounds[part], bounds[part + 1]))
+    line, kind = lines[i], int(rng.integers(4))
+    tabs = [p for p, c in enumerate(line) if c == "\t"]
+    field = int(rng.integers(len(tabs) + 1))
+    lo, hi = ([0] + [p + 1 for p in tabs])[field], (tabs + [len(line)])[field]
+    at = int(rng.integers(lo, hi + 1))  # hi is the field's tab, or the line's end
+    digits = [p for p in range(lo, hi) if line[p] in "0123456789"]
+    if kind == 0:
+        lines[i] = line[:at] + rng.choice(list(EDIT_CHARS)) + line[at:]
+    elif kind == 1:
+        lines[i] = line[:at] + line[at + 1:]
+    elif kind == 2 and i + 1 < len(lines):
+        lines[i], lines[i + 1], at = lines[i + 1], line, -1
+    elif kind == 3 and digits:
+        at = int(rng.choice(digits))
+        lines[i] = line[:at] + str((int(line[at]) + 1) % 10) + line[at + 1:]
+    cell = part > 0 and names[part - 1] == table and i > bounds[part] and at > line.find("\t")
+    return "\n".join(lines) + "\n", cell
 
 
 class TestCanonicalOrder:
@@ -714,13 +791,29 @@ class TestCanonicalOrder:
                 name, count = sections[int(rng.integers(len(sections)))]
                 i, j = rng.choice(count, size=2, replace=False)
                 mutant = swap_rows(text, name, int(i), int(j))
-                try:
-                    model = model_from_text(mutant)
-                except ModelFormatError:
-                    continue
-                loaded += mutant != text
-                assert model_to_text(model) == mutant
+                loaded += loads(mutant) and mutant != text
         assert loaded > 0
+
+    def test_one_line_edits_rejected_or_written_back(self):
+        # Every section, headers and the magic line included: a mutant is
+        # rejected or writes back its own bytes, but for an edit to a float
+        # cell of [transitions]/[freqs].
+        train = synthesize_corpus(SynthesisConfig(num_tags=3, vocab_size=40,
+                                                  num_train_tokens=300, num_test_tokens=10,
+                                                  seed=3))[0]
+        rng = np.random.default_rng(20)
+        outcomes = collections.Counter()
+        for order in (2, 3):
+            for smoothing in ("sa", "interp", "ele"):
+                text = model_to_text(train_model(
+                    train, order=order, smoothing=smoothing, policy=RareWordPolicy(8, 6),
+                    lambdas=[1 / order] * order if smoothing == "interp" else None))
+                for _ in range(200):
+                    mutant, cell = one_line_edit(text, rng)
+                    if mutant != text:
+                        outcomes[cell, loads(mutant, cell)] += 1
+        assert outcomes[False, False] > 500 and outcomes[False, True] > 50
+        assert outcomes[True, False] > 0 and outcomes[True, True] > 0
 
     def test_node_deeper_than_max_suffix_rejected(self):
         # Lookups stop at max_suffix letters, so a deeper node is never used.
@@ -882,13 +975,9 @@ class TestDerivedSections:
             if mutant == text:  # e.g. two equal counts swapped
                 continue
             tried[section] += 1
-            try:
-                model = model_from_text(mutant)
-            except ModelFormatError:
-                continue
-            assert section == "lexicon"
-            assert model_to_text(model) == mutant
-            loaded += 1
+            if loads(mutant):
+                assert section == "lexicon"
+                loaded += 1
         assert min(tried.values()) >= 100 and loaded > 0
 
 
