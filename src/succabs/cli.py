@@ -96,21 +96,21 @@ def cmd_tag(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             sentences = _read_sentences(fh)
-    tagged = tag_corpus(model, sentences, open_lattice=args.open_lattice)
+    tagged = tag_corpus(model, sentences)
     _write_text(args.output, _render_tagged(sentences, tagged))
     return 0
 
 
-def _evaluate_model(model_path: str, gold: Corpus, open_lattice: bool):
+def _evaluate_model(model_path: str, gold: Corpus):
     model = read_model(model_path)
     words = [[tok.word for tok in sent] for sent in gold.sentences]
-    predicted = tag_corpus(model, words, open_lattice=open_lattice)
+    predicted = tag_corpus(model, words)
     return evaluate(gold, predicted, model.lexicon.words)
 
 
 def cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
-    report = _evaluate_model(args.model, gold, args.open_lattice)
+    report = _evaluate_model(args.model, gold)
     render = render_report_kv if args.format == "kv" else render_report_table
     sys.stdout.write(render(report))
     return 0
@@ -122,8 +122,7 @@ def cmd_compare(args) -> int:
     if len(set(args.model)) < len(args.model):
         args._parser.error("each --model may be given once")
     gold = _read_corpus(args.gold)
-    reports = [(path, _evaluate_model(path, gold, args.open_lattice))
-               for path in args.model]
+    reports = [(path, _evaluate_model(path, gold)) for path in args.model]
     sys.stdout.write(render_comparison(compare(reports)))
     return 0
 
@@ -168,22 +167,18 @@ def build_parser() -> _Parser:
     p.add_argument("--input", default=None,
                    help="one sentence per line, space-separated (default stdin)")
     p.add_argument("--output", default=None, help="default stdout")
-    p.add_argument("--open-lattice", action="store_true",
-                   help="let known words range over the whole tag set")
     p.set_defaults(func=cmd_tag, _parser=p)
 
     p = sub.add_parser("eval", help="tag a gold corpus and report error rates")
     p.add_argument("--model", required=True)
     p.add_argument("--gold", required=True, help="tagged reference corpus")
     p.add_argument("--format", choices=("table", "kv"), default="table")
-    p.add_argument("--open-lattice", action="store_true")
     p.set_defaults(func=cmd_eval, _parser=p)
 
     p = sub.add_parser("compare", help="evaluate several models on one gold corpus")
     p.add_argument("--model", action="append", default=[], required=True,
                    help="model file; repeat for each system")
     p.add_argument("--gold", required=True)
-    p.add_argument("--open-lattice", action="store_true")
     p.set_defaults(func=cmd_compare, _parser=p)
 
     p = sub.add_parser("synth", help="synthesize train and test corpora")

@@ -52,7 +52,7 @@ from .smoothing import (
 
 NEG_INF = float("-inf")
 # Words per factor matrix when priming: ``log_probs`` holds two Python floats
-# per lattice cell at once, 6 MB for a block of 2048 open 48-tag lattices.
+# per lattice cell at once, 6 MB for a block of 2048 unknown words of 48 tags.
 _PRIME_BLOCK = 2048
 # A sentence with fewer (state, tag) cells per token than this is decoded
 # with the other such sentences of its call by ``_viterbi_batch``; a wider
@@ -77,6 +77,8 @@ class ModelMetadata:
     lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValidationError(f"model order must be at least 1, not {self.order}")
         if self.smoothing not in SMOOTHING_MODES:
             raise ValidationError(f"unknown smoothing mode {self.smoothing!r}")
         if (self.smoothing == SMOOTHING_INTERP) != (self.lambdas is not None):
@@ -139,14 +141,12 @@ class _DecodeRuntime:
 
     ``ids`` numbers the words primed so far.  Word i's lattice, the tag
     indices the decoder tries for it, ascending, is ``lat`` at ``offsets[i]``
-    for ``sizes[i]`` entries: a known word's lexicon tags (every tag with
-    ``open_lattice``), or every tag for an unknown word.  ``lex`` holds
-    ln(P(t|w)/P(t)) at the same places.
+    for ``sizes[i]`` entries: a known word's lexicon tags, or every tag for
+    an unknown word.  ``lex`` holds ln(P(t|w)/P(t)) at the same places.
     """
 
-    def __init__(self, model: Model, open_lattice: bool = False):
+    def __init__(self, model: Model):
         self.model = model
-        self.open_lattice = open_lattice
         self.ids: dict[str, int] = {}
         self.lex = np.empty(0)
         self.lat = self.offsets = self.sizes = np.empty(0, np.intp)
@@ -177,8 +177,7 @@ class _DecodeRuntime:
             known = np.flatnonzero(at >= 0)
             counts = m.lexicon.counts[at[known]]
             probs[known] = counts / counts.sum(axis=1)[:, None]
-            if not self.open_lattice:
-                on_lattice[known] = counts > 0
+            on_lattice[known] = counts > 0
             unknown = np.flatnonzero(at < 0)
             probs[unknown] = unknown_word_distribution(m.unknown_word_model,
                                                        [block[i] for i in unknown.tolist()])
@@ -227,14 +226,14 @@ def score_sequence(m: Model, words: Sequence[str], tags: Sequence[str]) -> float
     return _score_indices(m, words, [index[t] for t in tags])
 
 
-def viterbi_tag(m: Model, words: Sequence[str], open_lattice: bool = False) -> list[str]:
+def viterbi_tag(m: Model, words: Sequence[str]) -> list[str]:
     """Highest-scoring tag sequence for one sentence."""
-    return _decode(_DecodeRuntime(m, open_lattice), [words])[0]
+    return _decode(_DecodeRuntime(m), [words])[0]
 
 
 def _decode(runtime: _DecodeRuntime, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
-    """Tags of each sentence, with the runtime's model, lattice mode and
-    lexical arrays: the entry point of every decode.
+    """Tags of each sentence, with the runtime's model, lattices and
+    lexical factors: the entry point of every decode.
 
     The runtime is primed in token order up to the first empty sentence,
     which raises.  A sentence's cells per token, the mean over its tokens of
@@ -377,8 +376,8 @@ def _segment_argmax(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray,
 
 
 def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
-    """One sentence's tags, with the runtime's model, lattice mode and
-    lexical arrays.
+    """One sentence's tags, with the runtime's model, lattices and
+    lexical factors.
 
     Exact search: states are the last order-1 tags, and ``cells`` holds
     their scores with one axis per tag position, newest first, each over
@@ -426,21 +425,20 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     return [m.tag_set.tags[lat[i]] for (lat, _), i in zip(back, reversed(path[:len(back)]))]
 
 
-def viterbi_tag_scored(m: Model, words: Sequence[str],
-                       open_lattice: bool = False) -> TagSequenceScore:
-    rt = _DecodeRuntime(m, open_lattice)
+def viterbi_tag_scored(m: Model, words: Sequence[str]) -> TagSequenceScore:
+    """``viterbi_tag``'s tags with their log score, -inf when every tagging has a zero factor."""
+    rt = _DecodeRuntime(m)
     tags = _decode(rt, [words])[0]
     score = _score_indices(m, words, [m.tag_set.index[t] for t in tags], rt)
     return TagSequenceScore(tuple(tags), score)
 
 
-def tag_corpus(m: Model, sentences: Sequence[Sequence[str]],
-               open_lattice: bool = False) -> list[list[str]]:
+def tag_corpus(m: Model, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
     """Each sentence's best tags, found independently, with one lexical
     table for the call; narrow sentences are decoded together, position by
     position (``_decode``).  An empty sentence raises, unless a rejected word
     comes before it."""
-    return _decode(_DecodeRuntime(m, open_lattice), sentences)
+    return _decode(_DecodeRuntime(m), sentences)
 
 
 def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,

@@ -176,15 +176,6 @@ class TestTag:
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("quux\tT")
 
-    def test_open_lattice_flag_accepted(self, tmp_path, corpus_file, capsys):
-        model = train_default(tmp_path, corpus_file)
-        inp = tmp_path / "input.txt"
-        inp.write_text("a b\n", encoding="utf-8")
-        rc = main(["tag", "--model", model, "--input", str(inp),
-                   "--open-lattice"])
-        assert rc == 0
-        assert capsys.readouterr().out.count("\t") == 2
-
     def test_corrupt_model_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("garbage\n", encoding="utf-8")

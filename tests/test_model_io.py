@@ -650,6 +650,14 @@ class TestNumberSpellings:
         for plain, bad in edits:
             assert text.count(plain) == 1
             assert_rejected_without_warnings(text.replace(plain, bad))
+        # Spelled as the writer spells them, but no model has an order below
+        # 1: the loader rejects it at [meta], and training before it counts.
+        for bad in (0, -1):
+            message = f"model order must be at least 1, not {bad}$"
+            with pytest.raises(ModelFormatError, match="^meta: " + message):
+                model_from_text(text.replace("\norder\t3\n", f"\norder\t{bad}\n"))
+            with pytest.raises(ValidationError, match="^" + message):
+                train_model(small_corpus(), order=bad)
 
     def test_meta_keys_out_of_order_rejected(self):
         text = model_to_text(train_model(small_corpus(), order=3, smoothing="interp",

@@ -179,20 +179,13 @@ class TestViterbi:
         assert viterbi_tag(m, ["w", "w", "w"]) == ["P", "P", "P"]
 
     def test_closed_lattice_respects_observed_tags(self):
-        # "w1" was seen under both tags but "sure" only under X, so a closed
-        # decode never assigns Y to "sure" even when transitions prefer it.
+        # "w1" was seen under both tags but "sure" only under X, so the
+        # decoder never assigns Y to "sure" even when transitions prefer it.
         m = hand_built_bigram_model()
         lexicon = Lexicon(("sure", "w1"), np.array([[1, 0], [9, 1]]))
         m2 = Model(m.tag_set, m.transition, lexicon, m.unknown_word_model,
                    m.unigram, m.metadata)
         assert viterbi_tag(m2, ["w1", "sure"])[1] == "X"
-
-    def test_open_lattice_can_override_lexicon_support(self):
-        m = hand_built_bigram_model()
-        tags_closed = viterbi_tag(m, ["w1", "w2"])
-        tags_open = viterbi_tag(m, ["w1", "w2"], open_lattice=True)
-        # Both words were seen under both tags, so open changes nothing here.
-        assert tags_closed == tags_open
 
     def test_unknown_word_decoded_over_full_tag_set(self):
         corpus = parse_corpus(
@@ -238,11 +231,12 @@ def random_training_corpus(rng, unseen_tags=()):
     return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=unseen_tags + tags)
 
 
-def random_test_sentence(rng, corpus):
+def random_test_sentence(rng, corpus, novel=0.2):
+    """1-5 words, each unknown with chance ``novel``, else a training word."""
     vocab = sorted({tok.word for sent in corpus.sentences for tok in sent})
     words = []
     for j in range(int(rng.integers(1, 6))):
-        if rng.random() < 0.2:
+        if rng.random() < novel:
             words.append(f"novel{j}")
         else:
             words.append(vocab[int(rng.integers(len(vocab)))])
@@ -266,14 +260,17 @@ def narrow_training_corpus(rng, unseen_tags=()):
     return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=tags)
 
 
-def narrow_test_call(rng, corpus):
+def narrow_test_call(rng, corpus, novel=0.0):
     """Sentences of 1 to 30 tokens, one of each extreme, over the training
-    words with repeats, some holding a run of one to three unknown words."""
+    words with repeats, some holding a run of one to three unknown words;
+    with ``novel``, any word is also unknown with that chance."""
     vocab = sorted(corpus.vocab)
     lengths = [1, 30] + rng.integers(1, 31, size=int(rng.integers(2, 7))).tolist()
     sentences = []
     for n in lengths:
         sent = [vocab[int(rng.integers(len(vocab)))] for _ in range(n)]
+        if novel:
+            sent = [f"novel{int(rng.integers(3))}" if rng.random() < novel else w for w in sent]
         if rng.random() < 0.6:
             at = int(rng.integers(n))
             run = min(int(rng.integers(1, 4)), n - at)
@@ -339,20 +336,21 @@ class TestDecoderAgainstEnumeration:
                                                       abs=1e-9)
 
 
-def reference_lexical(m, word, open_lattice=False):
+def reference_lexical(m, word):
     """The per-word lexical path the decoder's batched table replaced: the
-    factor vector P(t|w)/P(t) over every tag, and the lattice."""
+    factor vector P(t|w)/P(t) over every tag, and the lattice, a known word's
+    lexicon tags or every tag for an unknown word."""
     dist = known_word_distribution(m.lexicon, word)
     if dist is None:
         dist = LexicalDistribution(unknown_word_distribution(m.unknown_word_model, [word])[0],
                                    frozenset())
     factors = lexical_factors(dist, m.unigram)
-    if dist.support and not open_lattice:
+    if dist.support:
         return factors, tuple(sorted(dist.support))
     return factors, tuple(range(len(m.tag_set)))
 
 
-def reference_viterbi_tag(m, words, open_lattice=False):
+def reference_viterbi_tag(m, words):
     """The scalar dict-based decoder the array one replaced, kept verbatim as
     the reference: transitions come from ``distribution()`` one context at a
     time, and states are visited in sorted order."""
@@ -362,7 +360,7 @@ def reference_viterbi_tag(m, words, open_lattice=False):
     cells = {start: 0.0}
     bp = []
     for word in words:
-        factors, lattice = reference_lexical(m, word, open_lattice)
+        factors, lattice = reference_lexical(m, word)
         step = {}
         back = {}
         for state in sorted(cells):
@@ -409,14 +407,25 @@ def reference_score(m, words, tags):
     return total
 
 
+def holed_unknown_lattices(m, words):
+    """How many of the tokens are unknown words whose lattice, every tag,
+    holds a -inf cell: a tag with P(t | w) = 0, whose factor is zero."""
+    unknown = [w for w in words if w not in m.lexicon]
+    rows = unknown_word_distribution(m.unknown_word_model, unknown)
+    return int((rows.min(axis=1, initial=1.0) == 0.0).sum())
+
+
 class TestDecoderAgainstScalarReference:
     def test_random_models_decode_identically(self, monkeypatch):
         # Orders 1-4, every estimator, both root modes (rf with a declared
-        # tag never seen in training), closed and open lattices, and
-        # sentences that repeat words so equal-scoring paths occur.  Tags
-        # and scores must match exactly, through every route of the
-        # decoder: the tie-break depends on both.
+        # tag never seen in training), sentences that repeat words so
+        # equal-scoring paths occur, and sentences in which each word is
+        # unknown at even odds: an unknown word's lattice holds every tag,
+        # with NEVER's cell at -inf under rf.  Tags and scores must match
+        # exactly, through every route of the decoder: the tie-break
+        # depends on both.
         rng = np.random.default_rng(31)
+        holed = 0
         for i in range(320):
             root_mode = ("ele", "rf")[i % 2]
             unseen = ("NEVER",) if root_mode == "rf" else ()
@@ -431,17 +440,18 @@ class TestDecoderAgainstScalarReference:
                             root_mode=root_mode,
                             policy=RareWordPolicy(frequency_threshold=100))
             for j in range(4):
-                words = random_test_sentence(rng, corpus)
+                words = random_test_sentence(rng, corpus, 0.5 if j >= 2 else 0.2)
                 if j % 2:
                     words = words + words[::-1]
-                open_lattice = j >= 2
-                expect = reference_viterbi_tag(m, words, open_lattice)
+                expect = reference_viterbi_tag(m, words)
                 score = reference_score(m, words, expect)
+                holed += holed_unknown_lattices(m, words)
                 for route in ROUTES:
                     with routed(monkeypatch, route):
-                        got = viterbi_tag_scored(m, words, open_lattice)
+                        got = viterbi_tag_scored(m, words)
                     assert list(got.tags) == expect, (i, words, route)
                     assert got.log_score == score, (i, words, route)
+        assert holed > 0  # unknown-word lattices with a -inf cell
 
 
 WIDE_TAGS = tuple(f"T{i}" for i in range(32))
@@ -457,11 +467,13 @@ def all_tied_corpus():
     return parse_corpus("\n\n".join(lines) + "\n", declared_tags=WIDE_TAGS)
 
 
-def mirrored_corpus(rng):
+def mirrored_corpus(rng, unseen_tags=()):
     """Random sentences over wide words w0-w3 and narrow words m<i> (tags
     2i and 2i+1), each also present with every tag index t replaced by
-    t ^ 1.  Half-count estimates are elementwise, so their models are
-    symmetric under that swap: a path and its swapped twin tie exactly."""
+    t ^ 1.  Half-count estimates are elementwise, and the rare m words'
+    suffix counts are symmetric too, so the models are symmetric under that
+    swap, for unknown words as well: a path and its swapped twin tie
+    exactly.  ``unseen_tags``, declared first, must come in pairs."""
     blocks = []
     for _ in range(60):
         tags = rng.integers(len(WIDE_TAGS), size=int(rng.integers(1, 7)))
@@ -469,20 +481,23 @@ def mirrored_corpus(rng):
                  for t in tags.tolist()]
         for swap in (0, 1):
             blocks.append("\n".join(f"{w}\tT{t ^ swap}" for w, t in zip(words, tags.tolist())))
-    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=WIDE_TAGS)
+    return parse_corpus("\n\n".join(blocks) + "\n", declared_tags=unseen_tags + WIDE_TAGS)
 
 
-def wide_sentences(rng, order, narrow):
+def wide_sentences(rng, order, narrow, novel=0.0):
     """Sentences of 1-6 words, mostly wide; at order 4 no three adjacent
-    words are wide (in a closed lattice), which keeps the scalar reference
-    quick."""
+    words are wide, which keeps the scalar reference quick.  With ``novel``,
+    that share of the wide words are unknown: a narrow word after an "x",
+    so that they meet the narrow words' trie nodes."""
     sentences = []
     for _ in range(3):
         sent = []
         for _ in range(int(rng.integers(1, 7))):
-            run = len(sent) >= 2 and all(w.startswith("w") for w in sent[-2:])
+            run = len(sent) >= 2 and all(w[0] in "wx" for w in sent[-2:])
             if rng.random() < 0.25 or (order == 4 and run):
                 sent.append(narrow[int(rng.integers(len(narrow)))])
+            elif novel and rng.random() < novel:
+                sent.append("x" + narrow[int(rng.integers(len(narrow)))])
             else:
                 sent.append(f"w{int(rng.integers(3))}")
         sentences.append(sent)
@@ -494,11 +509,11 @@ class TestWideLatticeTies:
     # ties decide the tags: the first maximum over the oldest tag at each
     # step and the first final state in oldest-first C order must win, as
     # in the scalar reference.
-    def assert_decodes_like_reference(self, monkeypatch, m, sentences, open_lattice):
+    def assert_decodes_like_reference(self, monkeypatch, m, sentences):
         with routed(monkeypatch, ROUTES[0]):
             for words in sentences:
-                expect = reference_viterbi_tag(m, words, open_lattice)
-                got = viterbi_tag_scored(m, words, open_lattice)
+                expect = reference_viterbi_tag(m, words)
+                got = viterbi_tag_scored(m, words)
                 assert list(got.tags) == expect, words
                 assert got.log_score == reference_score(m, words, expect), words
 
@@ -509,7 +524,7 @@ class TestWideLatticeTies:
         for order in (2, 3, 4):
             m = train_model(corpus, order=order)
             sentences = wide_sentences(rng, order, narrow)
-            self.assert_decodes_like_reference(monkeypatch, m, sentences, False)
+            self.assert_decodes_like_reference(monkeypatch, m, sentences)
             for words in sentences:  # the largest tags tie with the smallest
                 last = [WIDE_TAGS[-1] if w[0] == "w" else WIDE_TAGS[int(w[1:])] for w in words]
                 first = viterbi_tag(m, words)
@@ -517,20 +532,26 @@ class TestWideLatticeTies:
                 assert score_sequence(m, words, last) == score_sequence(m, words, first)
 
     def test_swapped_twin_paths_tied(self, monkeypatch):
+        # Under rf, a declared pair of unseen tags puts -inf cells in each
+        # unknown word's lattice.
         rng = np.random.default_rng(11)
+        holed = 0
         for i in range(6):
-            corpus = mirrored_corpus(rng)
+            root_mode = ("ele", "rf")[i % 2]
+            corpus = mirrored_corpus(rng, ("N0", "N1") if root_mode == "rf" else ())
             narrow = sorted(w for w in corpus.vocab if w.startswith("m"))
             order = 2 + i % 3
-            m = train_model(corpus, order=order, smoothing="ele")
-            # An open lattice makes every word wide: too slow at order 4.
-            for open_lattice in (False, True) if order < 4 else (False,):
-                sentences = wide_sentences(rng, order, narrow)
-                self.assert_decodes_like_reference(monkeypatch, m, sentences, open_lattice)
+            m = train_model(corpus, order=order, smoothing="ele", root_mode=root_mode)
+            # Unknown words are wide too, so order 4 keeps to known words.
+            for novel in (0.0, 0.7) if order < 4 else (0.0,):
+                sentences = wide_sentences(rng, order, narrow, novel)
+                self.assert_decodes_like_reference(monkeypatch, m, sentences)
                 for words in sentences:  # the best path's swapped twin ties with it
-                    tags = viterbi_tag(m, words, open_lattice)
-                    twin = [WIDE_TAGS[m.tag_set.index[t] ^ 1] for t in tags]
+                    tags = viterbi_tag(m, words)
+                    twin = [m.tag_set.tags[m.tag_set.index[t] ^ 1] for t in tags]
                     assert score_sequence(m, words, twin) == score_sequence(m, words, tags)
+                    holed += holed_unknown_lattices(m, words)
+        assert holed > 0  # unknown-word lattices with a -inf cell
 
 
 def lettered_corpus(rng, num_tags, unseen_tags=()):
@@ -657,12 +678,14 @@ class TestLexicalTable:
     def test_table_equals_the_per_word_path(self, monkeypatch):
         # Each word's log factors and lattice, filled for a whole call at
         # once, must equal the per-word path's bit for bit, whether the
-        # words fill one factor matrix or several.
+        # words fill one factor matrix or several.  Under rf, a declared
+        # tag never seen in training is a -inf cell of every unknown word.
         rng = np.random.default_rng(909)
-        shared = 0
+        shared = holed = 0
         for i in range(80):
             monkeypatch.setattr(succabs.tagger, "_PRIME_BLOCK", (2048, 1, 3)[i % 3])
-            corpus, alphabet = lettered_corpus(rng, int(rng.integers(2, 6)))
+            corpus, alphabet = lettered_corpus(rng, int(rng.integers(2, 6)),
+                                               ("NEVER",) if i % 2 else ())
             max_suffix = int(rng.integers(1, 5))
             m = train_model(corpus, order=int(rng.integers(1, 4)),
                             root_mode=("ele", "rf")[i % 2],
@@ -674,19 +697,19 @@ class TestLexicalTable:
             firsts = [edges.get((0, w[-1])) for w in set(words) if w not in m.lexicon]
             firsts = [node for node in firsts if node is not None]
             shared += len(firsts) - len(set(firsts))
-            for open_lattice in (False, True):
-                rt = _DecodeRuntime(m, open_lattice)
-                rt.prime(words)
-                assert set(rt.ids) == set(words)
-                for word in words:
-                    factors, lattice = reference_lexical(m, word, open_lattice)
-                    got_logs, got_lattice = rt.entry(word)
-                    assert got_lattice.tolist() == list(lattice), (i, word)
-                    expect = log_probs(factors[list(lattice)])
-                    assert np.array_equal(got_logs, expect), (i, word)
-                assert tag_corpus(m, sentences, open_lattice) == [
-                    reference_viterbi_tag(m, s, open_lattice) for s in sentences]
+            rt = _DecodeRuntime(m)
+            rt.prime(words)
+            assert set(rt.ids) == set(words)
+            for word in words:
+                factors, lattice = reference_lexical(m, word)
+                got_logs, got_lattice = rt.entry(word)
+                assert got_lattice.tolist() == list(lattice), (i, word)
+                expect = log_probs(factors[list(lattice)])
+                assert np.array_equal(got_logs, expect), (i, word)
+            holed += holed_unknown_lattices(m, words)
+            assert tag_corpus(m, sentences) == [reference_viterbi_tag(m, s) for s in sentences]
         assert shared > 0  # some unknown words met on a trie node
+        assert holed > 0  # unknown-word lattices with a -inf cell
 
     def test_zero_unigram_rejection_follows_token_order(self, monkeypatch):
         # Unigram zeros under tags that words carry: the call raises the
@@ -771,11 +794,15 @@ class TestTagCorpus:
 
     def test_random_calls_match_the_scalar_reference(self, monkeypatch):
         # Calls of sentences 1-30 tokens long, over words mostly seen under
-        # one tag, so closed lattices are narrow, with runs of adjacent
-        # unknown words and repeated words (ties).  Orders 1-4, every
-        # estimator, both root modes, closed and open lattices; every route
-        # of the decoder, in the given and in a shuffled sentence order.
+        # one tag, so known words' lattices are narrow, with runs of adjacent
+        # unknown words and repeated words (ties); then a call in which any
+        # word may be unknown, so wide lattices, every tag with NEVER's cell
+        # at -inf under rf, are often adjacent.  Orders 1-4, every
+        # estimator, both root modes; every route of the decoder, in the
+        # given and in a shuffled sentence order.  Some sentences score -inf
+        # on every tagging, so the tie-break among -inf paths is pinned too.
         rng = np.random.default_rng(606)
+        dead = holed = 0
         for i in range(48):
             root_mode = ("ele", "rf")[i % 2]
             corpus = narrow_training_corpus(rng, ("NEVER",) if root_mode == "rf" else ())
@@ -787,15 +814,22 @@ class TestTagCorpus:
                 lambdas = points[int(rng.integers(len(points)))]
             m = train_model(corpus, order=order, smoothing=smoothing, lambdas=lambdas,
                             root_mode=root_mode, policy=RareWordPolicy(frequency_threshold=100))
-            sentences = narrow_test_call(rng, corpus)
-            shuffle = rng.permutation(len(sentences)).tolist()
-            for open_lattice in (False, True):
-                expect = [reference_viterbi_tag(m, s, open_lattice) for s in sentences]
+            for novel in (0.0, 0.3):
+                sentences = narrow_test_call(rng, corpus, novel)
+                shuffle = rng.permutation(len(sentences)).tolist()
+                expect = [reference_viterbi_tag(m, s) for s in sentences]
+                holed += sum(holed_unknown_lattices(m, s) for s in sentences)
                 for route in ROUTES:
                     with routed(monkeypatch, route):
-                        assert tag_corpus(m, sentences, open_lattice) == expect, (i, route)
-                        assert (tag_corpus(m, [sentences[j] for j in shuffle], open_lattice)
+                        assert tag_corpus(m, sentences) == expect, (i, route)
+                        assert (tag_corpus(m, [sentences[j] for j in shuffle])
                                 == [expect[j] for j in shuffle]), (i, route)
+                for words, tags in zip(sentences, expect):
+                    if reference_score(m, words, tags) == NEG_INF:
+                        dead += 1
+                        assert viterbi_tag_scored(m, words).log_score == NEG_INF
+        assert dead > 0  # sentences whose every tagging scores -inf
+        assert holed > 0  # unknown-word lattices with a -inf cell
 
     def test_routing_by_cells_per_token(self, monkeypatch):
         # A sentence of 1,024 or more cells per token goes to ``_viterbi``;
