@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,6 +41,11 @@ ROOT_MODES = (ROOT_MODE_RF, ROOT_MODE_ELE)
 _SUM_TOL_STRICT = 1e-9
 _SUM_TOL_INPUT = 1e-6
 _SUM_TOL_WEIGHTS = 1e-12
+
+# numpy's limit on an array's axes (64 from numpy 2.0, 32 before), and the
+# most cells an intp array's byte size can count.
+_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+_MAX_INDEX_CELLS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
 
 def _as_prob_array(values) -> np.ndarray:
@@ -234,31 +240,16 @@ def smooth_dag(nodes: Iterable[GeneralizationNode]) -> dict[Hashable, Conditiona
         for p in n.parent_ids:
             if p not in by_id:
                 raise ValidationError(f"node {n.node_id!r} references unknown parent {p!r}")
-
-    children: dict[Hashable, list[GeneralizationNode]] = {n.node_id: [] for n in node_list}
-    indegree = {n.node_id: len(n.parent_ids) for n in node_list}
-    for n in node_list:
-        for p in n.parent_ids:
-            children[p].append(n)
+    try:
+        visit = list(TopologicalSorter({n.node_id: n.parent_ids for n in node_list}).static_order())
+    except CycleError:
+        raise ValidationError("generalization graph contains a cycle") from None
 
     results: dict[Hashable, ConditionalDistribution] = {}
-    ready = [n for n in node_list if indegree[n.node_id] == 0]
-    done = 0
-    while ready:
-        node = ready.pop(0)
-        done += 1
-        if not node.parent_ids:
-            dist = node.distribution
-        else:
-            dist = smooth_partial(node.counts, [results[p] for p in node.parent_ids])
-        node.distribution = dist
-        results[node.node_id] = dist
-        for child in children[node.node_id]:
-            indegree[child.node_id] -= 1
-            if indegree[child.node_id] == 0:
-                ready.append(child)
-    if done != len(node_list):
-        raise ValidationError("generalization graph contains a cycle")
+    for node in map(by_id.__getitem__, visit):
+        if node.parent_ids:
+            node.distribution = smooth_partial(node.counts, [results[p] for p in node.parent_ids])
+        results[node.node_id] = node.distribution
     return results
 
 
@@ -334,7 +325,7 @@ def simplex_grid(num_orders: int, step: float) -> Iterator[tuple[float, ...]]:
     """
     if num_orders < 1:
         raise ValidationError("need at least one order")
-    n = round(1.0 / step)
+    n = round(1.0 / step) if 0 < step < math.inf else 0  # 1 / 0 and round(NaN) raise untyped
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValidationError(f"step {step} does not divide 1")
 
@@ -352,19 +343,14 @@ def simplex_grid(num_orders: int, step: float) -> Iterator[tuple[float, ...]]:
 
 def grid_search_lambdas(objective: Callable[[tuple[float, ...]], float],
                         num_orders: int, step: float) -> InterpolationWeights:
-    """Exhaustively maximize the objective over the simplex grid.
+    """Exhaustively maximize the objective over the simplex grid, calling it
+    once per grid point.
 
-    Ties go to the lexicographically largest weight vector.
+    The higher score wins; ties go to the lexicographically largest weight
+    vector.
     """
-    best_lam: tuple[float, ...] | None = None
-    best_score = -math.inf
-    for lam in simplex_grid(num_orders, step):
-        score = objective(lam)
-        if best_lam is None or score > best_score or (score == best_score and lam > best_lam):
-            best_lam = lam
-            best_score = score
-    assert best_lam is not None
-    return InterpolationWeights(best_lam)
+    return InterpolationWeights(max(simplex_grid(num_orders, step),
+                                    key=lambda lam: (objective(lam), lam)))
 
 
 def interpolation_loglik_objective(counts: NGramCountTable,
@@ -412,6 +398,24 @@ def interpolation_loglik_objective(counts: NGramCountTable,
     return objective
 
 
+def transition_index_shape(order: int, num_tags: int) -> tuple[int, ...]:
+    """Shape of ``SmoothedNGramModel.index``: one axis of size K+1 per
+    context tag.  A ``ValidationError`` if no numpy array can have it: more
+    axes than numpy supports (checked first, so an absurd order builds no
+    shape) or more bytes than an array size can count."""
+    axes = order - 1
+    if axes > _MAX_AXES:
+        raise ValidationError(f"an order-{order} model needs a transition index of "
+                              f"{axes} axes, more than numpy's {_MAX_AXES}")
+    shape = (num_tags + 1,) * axes
+    cells = math.prod(shape)
+    if cells > _MAX_INDEX_CELLS:
+        raise ValidationError(
+            f"an order-{order} model over {num_tags} tags needs a transition index of "
+            f"{cells:,} cells, more than an array can hold")
+    return shape
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothedNGramModel:
     """One conditional tag distribution per stored context, for every estimator.
@@ -443,9 +447,10 @@ class SmoothedNGramModel:
         per context tag, indexed by tag+1 so the boundary comes first.  A
         query with no stored suffix (only in a table without the root) gets
         ``len(contexts)``, the uniform row of ``log_probs``.  An index too
-        large to allocate is a ``ValidationError``."""
+        large to build (``transition_index_shape``) or to allocate is a
+        ``ValidationError``."""
         n = len(self.contexts)
-        shape = (self.num_tags + 1,) * (self.order - 1)
+        shape = transition_index_shape(self.order, self.num_tags)
         try:
             index = np.full(shape, 0 if n and not self.contexts[0] else n, dtype=np.intp)
         except MemoryError:

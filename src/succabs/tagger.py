@@ -47,6 +47,7 @@ from .smoothing import (
     build_sa_ngram_model,
     interpolated_ngram_model,
     log_probs,
+    transition_index_shape,
     unigram_distribution,
 )
 
@@ -119,6 +120,7 @@ def train_model(corpus: Corpus, order: int = 3,
     # raised the benchmark's peak RSS by ~4 MB on wide40 and poslike48.
     meta = ModelMetadata(order, smoothing, root_mode, "",
                          None if lambdas is None else tuple(float(x) for x in lambdas))
+    transition_index_shape(order, len(corpus.tag_set))
     if policy is None:
         policy = RareWordPolicy()
     counts = count_ngrams(corpus, order)

@@ -234,6 +234,23 @@ class TestTag:
             "error: an order-7 model over 48 tags needs a transition index of "
             "13,841,287,201 cells, more than can be allocated\n")
 
+    @pytest.mark.parametrize("order", [66, 70])
+    def test_order_beyond_numpys_axes_is_data_error(self, tmp_path, corpus_file, capsys, order):
+        # The file loads, but its transition index would need order-1 axes.
+        model = train_default(tmp_path, corpus_file)
+        with open(model, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count("\norder\t3\n") == 1
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("\norder\t3\n", f"\norder\t{order}\n"))
+        inp = tmp_path / "input.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        rc = main(["tag", "--model", model, "--input", str(inp)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: an order-{order} model needs a transition index of "
+                              f"{order - 1} axes, more than numpy's ")
+
     def test_non_utf8_input_is_data_error(self, tmp_path, corpus_file, capsys):
         model = train_default(tmp_path, corpus_file)
         inp = tmp_path / "input.txt"

@@ -352,6 +352,35 @@ class TestSmoothDag:
         with pytest.raises(ValidationError):
             smooth_dag([GeneralizationNode("root", (), None, None)])
 
+    @pytest.mark.parametrize("nodes", [
+        [GeneralizationNode("root", (), None, uniform_distribution(2)),
+         GeneralizationNode("root", (), None, uniform_distribution(2))],
+        [GeneralizationNode("root", (), None, uniform_distribution(2)),
+         GeneralizationNode("a", ("elsewhere",), np.array([1, 0]))],
+        [GeneralizationNode("root", (), None, uniform_distribution(2)),
+         GeneralizationNode("other", (), None, uniform_distribution(2))],
+        [GeneralizationNode("root", (), None, uniform_distribution(2)),
+         GeneralizationNode("a", ("a",), np.array([1, 0]))],
+    ], ids=["duplicate id", "unknown parent", "two roots", "self-loop"])
+    def test_malformed_graph_rejected(self, nodes):
+        with pytest.raises(ValidationError):
+            smooth_dag(nodes)
+
+    def test_parent_listed_twice_counts_twice(self):
+        root = uniform_distribution(3)
+        p = smooth_step(np.array([3, 1, 0]), root)
+        q = smooth_step(np.array([0, 1, 1]), root)
+        counts = np.array([1, 0, 2])
+        result = smooth_dag([
+            GeneralizationNode("root", (), None, root),
+            GeneralizationNode("p", ("root",), np.array([3, 1, 0])),
+            GeneralizationNode("q", ("root",), np.array([0, 1, 1])),
+            GeneralizationNode("ppq", ("p", "p", "q"), counts),
+        ])
+        expected = smooth_partial(counts, [p, p, q])
+        assert result["ppq"].probs.tolist() == expected.probs.tolist()
+        assert result["ppq"].probs.tolist() != smooth_partial(counts, [p, q]).probs.tolist()
+
 
 class TestEleEstimate:
     def test_all_zero_counts(self):
@@ -431,6 +460,13 @@ class TestSimplexGrid:
         with pytest.raises(ValidationError):
             list(simplex_grid(2, 0.3))
 
+    @pytest.mark.parametrize("step", [0, 0.0, -0.5, math.nan, math.inf])
+    def test_step_not_finite_and_positive_rejected(self, step):
+        with pytest.raises(ValidationError, match="does not divide 1"):
+            list(simplex_grid(3, step))
+        with pytest.raises(ValidationError, match="does not divide 1"):
+            grid_search_lambdas(lambda lam: 0.0, 3, step)
+
     def test_count_for_step_005_three_orders(self):
         assert len(list(simplex_grid(3, 0.05))) == 231
 
@@ -445,6 +481,29 @@ class TestGridSearch:
     def test_tie_broken_toward_lexicographically_largest(self):
         best = grid_search_lambdas(lambda lam: 0.0, 3, 0.5)
         assert best.lam == (1.0, 0.0, 0.0)
+
+    def test_interior_tie_broken_toward_lexicographically_largest(self):
+        peaks = {(0.25, 0.5, 0.25), (0.5, 0.25, 0.25)}
+        calls = []
+
+        def objective(lam):
+            calls.append(lam)
+            return 1.0 if lam in peaks else -float(len(calls))
+
+        best = grid_search_lambdas(objective, 3, 0.25)
+        assert best.lam == (0.5, 0.25, 0.25)
+        assert calls == list(simplex_grid(3, 0.25))  # once per grid point
+
+    def test_nan_and_minus_inf_scores(self):
+        # NaN never beats the point it is compared with, nor is beaten, so
+        # a NaN first point stands and a later one never wins.
+        first = next(simplex_grid(3, 0.5))
+        assert grid_search_lambdas(lambda lam: math.nan, 3, 0.5).lam == first
+        assert grid_search_lambdas(lambda lam: math.nan if lam != first else -1.0,
+                                   3, 0.5).lam == first
+        assert grid_search_lambdas(lambda lam: -math.inf, 3, 0.5).lam == first
+        assert grid_search_lambdas(lambda lam: -math.inf if lam[2] < 1 else -5.0,
+                                   3, 0.5).lam == (0.0, 0.0, 1.0)
 
 
 TOY = """\

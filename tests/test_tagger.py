@@ -915,6 +915,23 @@ class TestTrainModel:
         with pytest.raises(ValidationError):
             train_model(corpus, smoothing="kneser-ney")
 
+    def test_order_beyond_the_transition_index_rejected_before_counting(self, monkeypatch):
+        corpus = parse_corpus("a\tX\nb\tY\n\nb\tY\na\tX\n")
+
+        def no_counting(*args):
+            raise AssertionError("counted an order no index can hold")
+
+        monkeypatch.setattr(succabs.tagger, "count_ngrams", no_counting)
+        with pytest.raises(ValidationError, match="69 axes"):
+            train_model(corpus, order=70)
+        # 8**21 eight-byte cells over 21 axes: past the cell bound, within
+        # the axis bound of numpy 1.x (32) as of 2.x (64).
+        seven = parse_corpus("".join(f"w{t}\tT{t}\n" for t in range(7)))
+        with pytest.raises(ValidationError, match="cells, more than an array can hold"):
+            train_model(seven, order=22)
+        with pytest.raises(ValidationError, match="999999 axes"):
+            train_model(corpus, order=10**6)
+
 
 class TestTaggingAccuracyObjective:
     def test_scores_lambda_choices_by_heldout_accuracy(self):
