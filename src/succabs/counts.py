@@ -8,6 +8,8 @@ over the real tag set only.
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -28,6 +30,11 @@ BOW_LETTER = ""
 # code point + 1, so codes sort as the letters do.
 BOW_CODE = 0
 _LETTER_CODES = sys.maxunicode + 2
+
+# numpy's limit on an array's axes (64 from numpy 2.0, 32 before), and the
+# most cells an intp array's byte size can count.
+_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+_MAX_INDEX_CELLS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,40 +60,64 @@ class NGramCountTable:
         return len(self.tag_set)
 
 
-def _place_values(num_tags: int, order: int, length: int) -> np.ndarray:
+def _integer_order(order) -> int:
+    """``order`` as an int, numpy integers and bools included."""
+    try:
+        return operator.index(order)
+    except TypeError:
+        raise ValidationError(f"order must be an integer, not {order!r}") from None
+
+
+def transition_index_shape(order: int, num_tags: int) -> tuple[int, ...]:
+    """Shape of ``SmoothedNGramModel.index``, one axis of size K+1 per
+    context tag, and the bound on every order.  A ``ValidationError`` if the
+    order is not an integer, if no numpy array can have the shape (more axes
+    than numpy supports, checked first so an absurd order builds no shape,
+    or more bytes than an array size can count), or if a ``count_ngrams``
+    key, a cell times K plus an outcome, could pass int64."""
+    order = _integer_order(order)
+    axes = order - 1
+    if axes > _MAX_AXES:
+        raise ValidationError(f"an order-{order} model needs a transition index of "
+                              f"{axes} axes, more than numpy's {_MAX_AXES}")
+    shape = (num_tags + 1,) * axes
+    cells = math.prod(shape)
+    needs = (f"an order-{order} model over {num_tags} tags needs a transition index of "
+             f"{cells:,} cells")
+    if cells > _MAX_INDEX_CELLS:
+        raise ValidationError(f"{needs}, more than an array can hold")
+    if cells * num_tags > 2 ** 63 - 1:
+        raise ValidationError(f"{needs}, whose count keys (cells times tags) pass 2**63 - 1")
+    return shape
+
+
+def _place_values(num_tags: int, length: int) -> np.ndarray:
     """What each tag of a context of the given length, oldest first, weighs
-    in its ``context_keys`` key: int64 while every key of the order fits,
-    else Python ints."""
-    fits = (num_tags + 1) ** (order - 1) * num_tags < 2 ** 63
-    return np.array([(num_tags + 1) ** p for p in range(length - 1, -1, -1)],
-                    dtype=np.int64 if fits else object)
+    in its ``context_keys`` key."""
+    return np.array([(num_tags + 1) ** p for p in range(length - 1, -1, -1)], dtype=np.int64)
 
 
 def context_keys(corpus: Corpus, order: int) -> Iterator[np.ndarray]:
-    """For each context length 0..order-1, one key per token for the tags
-    before it: each tag is a digit tag+1 in base K+1, where a position
+    """For each context length 0..order-1, one int64 key per token for the
+    tags before it: each tag is a digit tag+1 in base K+1, where a position
     before the sentence start is the boundary digit 0, and the oldest tag
-    is the most significant.  Keys sort as their context tuples do."""
-    place = _place_values(len(corpus.tag_set), order, order - 1)[::-1]
+    is the most significant.  Keys sort as their context tuples do, and a
+    full-length key is the context's flat position in
+    ``SmoothedNGramModel.index``.  An order past ``transition_index_shape``
+    raises before any key is computed."""
+    transition_index_shape(order, len(corpus.tag_set))
+    place = _place_values(len(corpus.tag_set), order - 1)[::-1]
     n = corpus.num_tokens
     position = np.arange(n) - np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
-    digits = (corpus.tag_ids + 1).astype(place.dtype)
-    keys = np.zeros(n, dtype=place.dtype)
+    digits = corpus.tag_ids + 1
+    keys = np.zeros(n, dtype=np.int64)
     yield keys
     for length in range(1, order):
-        previous = np.zeros(n, dtype=place.dtype)
+        previous = np.zeros(n, dtype=np.int64)
         previous[length:] = digits[:max(n - length, 0)]
         previous[position < length] = 0
         keys = keys + previous * place[length - 1]
         yield keys
-
-
-def encode_contexts(contexts: list[tuple[int, ...]], length: int, num_tags: int,
-                    order: int) -> np.ndarray:
-    """The ``context_keys`` key of each context tuple of the given length."""
-    place = _place_values(num_tags, order, length)
-    digits = np.array(contexts, dtype=np.int64).reshape(len(contexts), length) + 1
-    return (digits.astype(place.dtype) * place).sum(axis=1, dtype=place.dtype)
 
 
 def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
@@ -96,6 +127,7 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     Each order is one ``np.unique`` over context key times K plus outcome,
     and keys sort as their contexts do, so the rows come in file order.
     """
+    order = _integer_order(order)
     if order < 1:
         raise ValidationError("n-gram order must be at least 1")
     if corpus.num_sentences == 0:
@@ -107,8 +139,8 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
         cells, cell_counts = np.unique(keys * m + corpus.tag_ids, return_counts=True)
         stored, row = np.unique(cells // m, return_inverse=True)
         rows = np.zeros((len(stored), m), dtype=np.int64)
-        rows[row, (cells % m).astype(np.int64)] = cell_counts
-        place = _place_values(m, order, length)
+        rows[row, cells % m] = cell_counts
+        place = _place_values(m, length)
         contexts.extend(map(tuple, (stored[:, None] // place % (m + 1) - 1).tolist()))
         blocks.append(rows)
     return NGramCountTable(order, corpus.tag_set, tuple(contexts), np.concatenate(blocks))

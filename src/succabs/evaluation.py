@@ -129,7 +129,7 @@ class Comparison:
     pairs: tuple[PairwiseComparison, ...]
 
 
-def compare(reports: Sequence[tuple[str, EvalReport]], n: int | None = None) -> Comparison:
+def compare(reports: Sequence[tuple[str, EvalReport]]) -> Comparison:
     """All pairwise error-rate differences with significance flags.
 
     Every report must cover the same test set; thresholds are evaluated at
@@ -145,8 +145,6 @@ def compare(reports: Sequence[tuple[str, EvalReport]], n: int | None = None) -> 
     if len(totals) != 1:
         raise ValidationError(f"reports cover different test sets: sizes {sorted(totals)}")
     size = totals.pop()
-    if n is not None and n != size:
-        raise ValidationError(f"sample size {n} does not match the reports' {size} tokens")
     if size < 1:
         raise ValidationError("cannot compare empty test sets")
     pairs = []

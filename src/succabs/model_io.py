@@ -508,8 +508,17 @@ def model_from_text(text: str) -> Model:
                                    f"order {order} allows or holds a tag index outside [-1, {k})")
     # Without the root a query can fall through every stored suffix; only
     # half-count tables, which have no back-off rows, may answer uniform then.
-    if smoothing != SMOOTHING_ELE and (not contexts or contexts[0]):
-        raise ModelFormatError(f"{table_section}: the root context is missing")
+    if smoothing != SMOOTHING_ELE:
+        if not contexts or contexts[0]:
+            raise ModelFormatError(f"{table_section}: the root context is missing")
+        # Training stores each context's suffix one tag shorter, so by
+        # induction from the root every suffix of every stored context.
+        stored = set(contexts)
+        orphan = next((i for i, ctx in enumerate(contexts) if ctx[1:] not in stored), None)
+        if orphan is not None:
+            raise ModelFormatError(
+                f"{table_section}: context {texts[orphan]!r} is stored, but its suffix "
+                f"{texts[orphan].partition(',')[2]!r} is not")
     try:
         _check_rows(table)
         transition = (SmoothedNGramModel(order, k, tuple(contexts), table) if lambdas is None

@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .counts import NGramCountTable, context_keys, encode_contexts
+from .counts import NGramCountTable, context_keys, transition_index_shape
 from .corpus import Corpus
 from .errors import ValidationError
 
@@ -41,11 +41,6 @@ ROOT_MODES = (ROOT_MODE_RF, ROOT_MODE_ELE)
 _SUM_TOL_STRICT = 1e-9
 _SUM_TOL_INPUT = 1e-6
 _SUM_TOL_WEIGHTS = 1e-12
-
-# numpy's limit on an array's axes (64 from numpy 2.0, 32 before), and the
-# most cells an intp array's byte size can count.
-_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
-_MAX_INDEX_CELLS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
 
 def _as_prob_array(values) -> np.ndarray:
@@ -357,30 +352,24 @@ def interpolation_loglik_objective(counts: NGramCountTable,
                                    heldout: Corpus) -> Callable[[tuple[float, ...]], float]:
     """Held-out log-likelihood of gold tag sequences under interpolation.
 
-    The per-token per-order relative frequencies are gathered once, by one
-    sorted key lookup per context length, so each weight evaluation is a
-    cheap vectorized pass.  The held-out corpus must share the tag set the
-    counts were gathered over.
+    Each token's longest stored context suffix is its full-length key's
+    cell of the relative frequencies' ``index``, and the frequencies of that
+    row's suffixes are gathered once, so each weight evaluation is a cheap
+    vectorized pass.  The held-out corpus must share the tag set the counts
+    were gathered over.
     """
-    order, m = counts.order, counts.num_tags
     if heldout.tag_set != counts.tag_set:
         raise ValidationError(f"held-out corpus has tags {heldout.tag_set.tags}, "
                               f"the counts {counts.tag_set.tags}")
-    outcome = heldout.tag_ids
-    totals = counts.counts.sum(axis=1)
-    lengths = np.array([len(ctx) for ctx in counts.contexts])
-    freqs = np.zeros((heldout.num_tokens, order))
-    depth = np.zeros(heldout.num_tokens, dtype=np.int64)
-    seen = np.ones(heldout.num_tokens, dtype=bool)  # this order and every shorter one
-    for length, keys in enumerate(context_keys(heldout, order)):
-        rows = np.flatnonzero(lengths == length)
-        stored = encode_contexts([counts.contexts[i] for i in rows.tolist()], length, m, order)
-        at = np.searchsorted(stored, keys).clip(max=len(rows) - 1)
-        seen &= stored[at] == keys
-        hit = rows[at[seen]]
-        freqs[seen, length] = counts.counts[hit, outcome[seen]] / totals[hit]
-        depth += seen
-    depth_col = depth - 1
+    *_, keys = context_keys(heldout, counts.order)
+    c = counts.counts
+    rf = SmoothedNGramModel(counts.order, counts.num_tags, counts.contexts,
+                            c / c.sum(axis=1)[:, None])
+    longest = rf.index.ravel()[keys]
+    padded = np.vstack([rf.probs, np.zeros(counts.num_tags)])  # row n: an unseen order
+    freqs = np.column_stack([padded[np.array(rows)[longest], heldout.tag_ids]
+                             for rows in _suffix_rows(counts.contexts, counts.order)])
+    depth_col = np.array([len(ctx) for ctx in counts.contexts])[longest]
 
     def objective(lam: tuple[float, ...]) -> float:
         w = np.asarray(lam, dtype=np.float64)
@@ -396,24 +385,6 @@ def interpolation_loglik_objective(counts: NGramCountTable,
         return float(np.log(p).sum())
 
     return objective
-
-
-def transition_index_shape(order: int, num_tags: int) -> tuple[int, ...]:
-    """Shape of ``SmoothedNGramModel.index``: one axis of size K+1 per
-    context tag.  A ``ValidationError`` if no numpy array can have it: more
-    axes than numpy supports (checked first, so an absurd order builds no
-    shape) or more bytes than an array size can count."""
-    axes = order - 1
-    if axes > _MAX_AXES:
-        raise ValidationError(f"an order-{order} model needs a transition index of "
-                              f"{axes} axes, more than numpy's {_MAX_AXES}")
-    shape = (num_tags + 1,) * axes
-    cells = math.prod(shape)
-    if cells > _MAX_INDEX_CELLS:
-        raise ValidationError(
-            f"an order-{order} model over {num_tags} tags needs a transition index of "
-            f"{cells:,} cells, more than an array can hold")
-    return shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,6 +477,16 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str) -> SmoothedNGr
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)
 
 
+def _suffix_rows(contexts: Sequence[tuple[int, ...]], order: int) -> list[list[int]]:
+    """For each suffix length j < order, the row of each context's suffix of
+    that length, or ``len(contexts)`` where the context is shorter or the
+    suffix is not stored."""
+    n = len(contexts)
+    row_of = {ctx: i for i, ctx in enumerate(contexts)}
+    return [[row_of.get(ctx[len(ctx) - j:], n) if j <= len(ctx) else n for ctx in contexts]
+            for j in range(order)]
+
+
 def _mix(per_order: Sequence[np.ndarray], lam: Sequence[float]) -> np.ndarray:
     """``interpolate`` for each row of (n, K) frequency matrices, one per
     order, most general first: every cell gets its operations.  An all-zero
@@ -534,11 +515,8 @@ def interpolated_ngram_model(order: int, num_tags: int, contexts: tuple[tuple[in
     """
     if len(weights) != order:
         raise ValidationError(f"{len(weights)} weights for an order-{order} model")
-    n = len(contexts)
-    row_of = {ctx: i for i, ctx in enumerate(contexts)}
     padded = np.vstack([freqs, np.zeros(num_tags)])  # row n: an unseen order
-    probs = _mix([padded[[row_of.get(ctx[len(ctx) - j:], n) if j <= len(ctx) else n
-                          for ctx in contexts]] for j in range(order)], weights.lam)
+    probs = _mix([padded[rows] for rows in _suffix_rows(contexts, order)], weights.lam)
     return SmoothedNGramModel(order, num_tags, contexts, probs, freqs)
 
 

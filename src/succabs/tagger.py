@@ -25,6 +25,7 @@ from .counts import (
     BOUNDARY,
     Lexicon,
     RareWordPolicy,
+    _integer_order,
     build_lexicon,
     build_suffix_trie,
     count_ngrams,
@@ -47,7 +48,6 @@ from .smoothing import (
     build_sa_ngram_model,
     interpolated_ngram_model,
     log_probs,
-    transition_index_shape,
     unigram_distribution,
 )
 
@@ -78,6 +78,7 @@ class ModelMetadata:
     lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _integer_order(self.order))
         if self.order < 1:
             raise ValidationError(f"model order must be at least 1, not {self.order}")
         if self.smoothing not in SMOOTHING_MODES:
@@ -120,7 +121,6 @@ def train_model(corpus: Corpus, order: int = 3,
     # raised the benchmark's peak RSS by ~4 MB on wide40 and poslike48.
     meta = ModelMetadata(order, smoothing, root_mode, "",
                          None if lambdas is None else tuple(float(x) for x in lambdas))
-    transition_index_shape(order, len(corpus.tag_set))
     if policy is None:
         policy = RareWordPolicy()
     counts = count_ngrams(corpus, order)
@@ -454,7 +454,7 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     """
     if heldout.num_tokens == 0:
         raise ValidationError("held-out corpus has no tokens")
-    placeholder = (1.0,) + (0.0,) * (order - 1)
+    placeholder = (1.0,) + (0.0,) * (_integer_order(order) - 1)
     base = train_model(train, order=order, policy=policy, root_mode=root_mode,
                        smoothing=SMOOTHING_INTERP, lambdas=placeholder)
     words = [[tok.word for tok in sent] for sent in heldout.sentences]

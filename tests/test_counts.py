@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import succabs.counts
 from succabs.corpus import (
     Corpus,
     SynthesisConfig,
@@ -17,6 +18,7 @@ from succabs.counts import (
     BOUNDARY,
     BOW_LETTER,
     Lexicon,
+    NGramCountTable,
     RareWordPolicy,
     SuffixTrie,
     _suffix_paths,
@@ -25,6 +27,7 @@ from succabs.counts import (
     count_ngrams,
 )
 from succabs.errors import ValidationError
+from succabs.smoothing import interpolation_loglik_objective
 from succabs.tagger import corpus_digest
 
 from lexical_oracle import (
@@ -111,6 +114,16 @@ class TestCountNgrams:
         corpus = parse_corpus("x\tA\n\n")
         with pytest.raises(ValidationError):
             count_ngrams(corpus, 0)
+
+    def test_non_integer_order_rejected(self):
+        corpus = parse_corpus("a\tX\nb\tY\n\n")
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValidationError, match=f"^order must be an integer, not {bad!r}$"):
+                count_ngrams(corpus, bad)
+        for order, plain in ((np.int64(2), 2), (np.uint8(3), 3), (True, 1)):
+            table = count_ngrams(corpus, order)
+            assert type(table.order) is int and table.order == plain
+            assert table.contexts == count_ngrams(corpus, plain).contexts
 
 
 class TestLexicon:
@@ -434,6 +447,14 @@ def assert_same_table(corpus, order):
         np.testing.assert_array_equal(vec, expect[ctx])
 
 
+def reference_table(corpus, order):
+    """The reference counts as an ``NGramCountTable``, at any order."""
+    counts = reference_count_ngrams(corpus, order)
+    contexts = tuple(sorted(counts, key=lambda ctx: (len(ctx), ctx)))
+    return NGramCountTable(order, corpus.tag_set, contexts,
+                           np.array([counts[ctx] for ctx in contexts]))
+
+
 def assert_same_trie(got, expect_root):
     counts, depths, edge_letters, parents = flatten_reference(expect_root)
     assert got.counts.dtype == counts.dtype == np.int64
@@ -518,14 +539,45 @@ class TestAgainstTokenReference:
             if policy.frequency_threshold == 1:
                 assert list(trie.iter_nodes()) == [0]
 
-    def test_orders_past_64_bit_context_keys(self):
+    def test_orders_past_64_bit_context_keys(self, monkeypatch):
+        # Keys are int64: the first order whose keys would pass it is
+        # rejected by counting and by the objective, and the largest order
+        # the bound accepts still counts exactly.
         rng = np.random.default_rng(7)
         corpus = random_corpus(rng, via_text=True)
         k = len(corpus.tag_set)
         order = 2
         while (k + 1) ** (order - 1) * k < 2 ** 63:
             order += 1
-        assert_same_table(corpus, order)
+        for max_axes in (32, 64):  # numpy's axis limit before 2.0 and from it
+            monkeypatch.setattr(succabs.counts, "_MAX_AXES", max_axes)
+            with pytest.raises(ValidationError):
+                count_ngrams(corpus, order)
+            with pytest.raises(ValidationError):
+                interpolation_loglik_objective(reference_table(corpus, order), corpus)
+
+            def fits(n):  # the index's axes, its bytes and the count keys
+                cells = (k + 1) ** (n - 1)
+                return (n - 1 <= max_axes and cells * 8 <= np.iinfo(np.intp).max
+                        and cells * k < 2 ** 63)
+
+            largest = max(n for n in range(1, order) if fits(n))
+            assert_same_table(corpus, largest)
+            with pytest.raises(ValidationError):
+                count_ngrams(corpus, largest + 1)
+
+    def test_orders_no_index_can_hold_rejected_on_a_short_corpus(self, monkeypatch):
+        # Four tokens hold few contexts even at these orders, but no model
+        # of them could be decoded.
+        corpus = parse_corpus("a\tX\nb\tY\n\nb\tY\na\tX\n")
+        for max_axes in (32, 64):  # numpy's axis limit before 2.0 and from it
+            monkeypatch.setattr(succabs.counts, "_MAX_AXES", max_axes)
+            for order in (66, 70):
+                message = f"^an order-{order} model needs a transition index of {order - 1} axes"
+                with pytest.raises(ValidationError, match=message):
+                    count_ngrams(corpus, order)
+                with pytest.raises(ValidationError, match=message):
+                    interpolation_loglik_objective(reference_table(corpus, order), corpus)
 
     def test_orders_past_the_corpus_length(self):
         corpus = parse_corpus("a\tX\nb\tY\nc\tX\n\nd\tY\n", ("X", "Y", "Z"))

@@ -169,13 +169,6 @@ class TestCompare:
             compare([("a", report_with_errors(1000, 5)),
                      ("b", report_with_errors(999, 5))])
 
-    def test_wrong_explicit_sample_size_rejected(self):
-        reports = [("a", report_with_errors(1000, 5)),
-                   ("b", report_with_errors(1000, 7))]
-        with pytest.raises(ValidationError):
-            compare(reports, n=500)
-        assert compare(reports, n=1000).sample_size == 1000
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError):
             compare([("a", report_with_errors(10, 1)),

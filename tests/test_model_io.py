@@ -246,6 +246,24 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError):
                 model_from_text("\n".join(overlong) + "\n")
 
+    def test_table_missing_a_stored_contexts_suffix_rejected(self):
+        # Trained back-off tables are suffix-closed.  Without row -1 an
+        # interpolated row -1,-1 would mix an unseen order in its place.
+        train = synthesize_corpus(SynthesisConfig(8, 300, 3000, 200, 42))[0]
+        for smoothing, section in (("sa", "transitions"), ("interp", "freqs")):
+            lines = model_to_text(train_model(
+                train, order=3, smoothing=smoothing,
+                lambdas=(0.2, 0.3, 0.5) if smoothing == "interp" else None)).split("\n")
+            start = section_start(lines, section)
+            assert lines[start + 1].startswith("-1\t") and lines[start + 2].startswith("0\t")
+            assert sum(line.startswith("-1,-1\t") for line in lines[start:]) == 1
+            count = int(lines[start - 1].split(" ")[1])
+            lines[start - 1] = f"[{section}] {count - 1}"
+            del lines[start + 1]
+            message = f"^{section}: context '-1,-1' is stored, but its suffix '-1' is not$"
+            with pytest.raises(ModelFormatError, match=message):
+                model_from_text("\n".join(lines))
+
     def test_non_finite_values_rejected(self):
         # NaN passes every range comparison, so it needs a check of its own;
         # loaded, it would make path scores NaN.
@@ -697,17 +715,17 @@ def insert_row(text, section, after, row):
     return "\n".join(lines)
 
 
-def loads(mutant, cell_edit=False):
-    """Whether a mutant loads.  One that loads must write back its own
-    bytes, unless ``cell_edit``: the edit lies in the float cells of
-    ``[transitions]``/``[freqs]``, the only text the loader does not compare
-    with the writer's."""
+def load_error(mutant, cell_edit=False):
+    """The ``ModelFormatError`` a mutant raises, or None if it loads.  One
+    that loads must write back its own bytes, unless ``cell_edit``: the edit
+    lies in the float cells of ``[transitions]``/``[freqs]``, the only text
+    the loader does not compare with the writer's."""
     try:
         model = model_from_text(mutant)
-    except ModelFormatError:
-        return False
+    except ModelFormatError as bad:
+        return bad
     assert cell_edit or model_to_text(model) == mutant
-    return True
+    return None
 
 
 # Characters a one-line edit inserts: digits, separators, signs, number
@@ -717,7 +735,8 @@ EDIT_CHARS = "019 \t\n,.-+e_aé"
 
 def one_line_edit(text, rng):
     """A seeded edit to one line of a model text: insert a character, delete
-    one, swap the line with the next, or bump a digit.  The line is drawn
+    one, swap the line with the next, bump a digit, or delete the line if
+    it is a section's row and count it out of the header.  The line is drawn
     from the magic line or a section, each as likely, the header included;
     a character edit lies in one of its tab-separated fields, each as
     likely, or at the field's end.  Returns the mutant and whether the edit
@@ -728,7 +747,7 @@ def one_line_edit(text, rng):
     bounds = [0] + [section_start(lines, name) - 1 for name in names] + [len(lines)]
     part = int(rng.integers(len(bounds) - 1))
     i = int(rng.integers(bounds[part], bounds[part + 1]))
-    line, kind = lines[i], int(rng.integers(4))
+    line, kind = lines[i], int(rng.integers(5))
     tabs = [p for p, c in enumerate(line) if c == "\t"]
     field = int(rng.integers(len(tabs) + 1))
     lo, hi = ([0] + [p + 1 for p in tabs])[field], (tabs + [len(line)])[field]
@@ -743,6 +762,10 @@ def one_line_edit(text, rng):
     elif kind == 3 and digits:
         at = int(rng.choice(digits))
         lines[i] = line[:at] + str((int(line[at]) + 1) % 10) + line[at + 1:]
+    elif kind == 4 and i > bounds[part]:
+        name, count = lines[bounds[part]].split(" ")
+        lines[bounds[part]], at = f"{name} {int(count) - 1}", -1
+        del lines[i]
     cell = part > 0 and names[part - 1] == table and i > bounds[part] and at > line.find("\t")
     return "\n".join(lines) + "\n", cell
 
@@ -799,7 +822,7 @@ class TestCanonicalOrder:
                 name, count = sections[int(rng.integers(len(sections)))]
                 i, j = rng.choice(count, size=2, replace=False)
                 mutant = swap_rows(text, name, int(i), int(j))
-                loaded += loads(mutant) and mutant != text
+                loaded += load_error(mutant) is None and mutant != text
         assert loaded > 0
 
     def test_one_line_edits_rejected_or_written_back(self):
@@ -819,9 +842,13 @@ class TestCanonicalOrder:
                 for _ in range(200):
                     mutant, cell = one_line_edit(text, rng)
                     if mutant != text:
-                        outcomes[cell, loads(mutant, cell)] += 1
+                        bad = load_error(mutant, cell)
+                        outcomes[cell, bad is None] += 1
+                        # A context row deleted while a longer one stays.
+                        outcomes["orphan"] += "is stored, but its suffix" in str(bad)
         assert outcomes[False, False] > 500 and outcomes[False, True] > 50
         assert outcomes[True, False] > 0 and outcomes[True, True] > 0
+        assert outcomes["orphan"] > 0
 
     def test_node_deeper_than_max_suffix_rejected(self):
         # Lookups stop at max_suffix letters, so a deeper node is never used.
@@ -983,7 +1010,7 @@ class TestDerivedSections:
             if mutant == text:  # e.g. two equal counts swapped
                 continue
             tried[section] += 1
-            if loads(mutant):
+            if load_error(mutant) is None:
                 assert section == "lexicon"
                 loaded += 1
         assert min(tried.values()) >= 100 and loaded > 0

@@ -9,6 +9,7 @@ import pytest
 from succabs.corpus import TagSet, parse_corpus
 from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, build_suffix_trie
 from succabs.errors import ValidationError
+import succabs.counts
 import succabs.tagger
 from succabs.lexicon import UnknownWordModel, build_unknown_word_model, unknown_word_distribution
 from succabs.smoothing import (
@@ -921,16 +922,35 @@ class TestTrainModel:
         def no_counting(*args):
             raise AssertionError("counted an order no index can hold")
 
-        monkeypatch.setattr(succabs.tagger, "count_ngrams", no_counting)
-        with pytest.raises(ValidationError, match="69 axes"):
-            train_model(corpus, order=70)
-        # 8**21 eight-byte cells over 21 axes: past the cell bound, within
-        # the axis bound of numpy 1.x (32) as of 2.x (64).
+        # What counting runs first after the bound.
+        monkeypatch.setattr(succabs.counts, "_place_values", no_counting)
         seven = parse_corpus("".join(f"w{t}\tT{t}\n" for t in range(7)))
-        with pytest.raises(ValidationError, match="cells, more than an array can hold"):
-            train_model(seven, order=22)
-        with pytest.raises(ValidationError, match="999999 axes"):
-            train_model(corpus, order=10**6)
+        forty = parse_corpus("".join(f"w{t}\tT{t}\n" for t in range(40)))
+        for max_axes in (32, 64):  # numpy's axis limit before 2.0 and from it
+            monkeypatch.setattr(succabs.counts, "_MAX_AXES", max_axes)
+            with pytest.raises(ValidationError, match="69 axes"):
+                train_model(corpus, order=70)
+            # 8**21 eight-byte cells over 21 axes: past the cell bound, within
+            # the axis bound of numpy 1.x (32) as of 2.x (64).
+            with pytest.raises(ValidationError, match="cells, more than an array can hold"):
+                train_model(seven, order=22)
+            # 41**11 cells fit an array, but 40 times as many count keys pass int64.
+            with pytest.raises(ValidationError, match="count keys .* pass 2\\*\\*63 - 1"):
+                train_model(forty, order=12)
+            with pytest.raises(ValidationError, match="999999 axes"):
+                train_model(corpus, order=10**6)
+
+    def test_non_integer_order_rejected(self):
+        corpus = parse_corpus("a\tX\nb\tY\n\n")
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValidationError, match=f"^order must be an integer, not {bad!r}$"):
+                train_model(corpus, order=bad)
+            with pytest.raises(ValidationError, match=f"^order must be an integer, not {bad!r}$"):
+                tagging_accuracy_objective(corpus, corpus, order=bad)
+        # numpy integers and bools are integers; the metadata holds an int.
+        for order, plain in ((np.int64(2), 2), (np.uint8(3), 3), (True, 1)):
+            meta = train_model(corpus, order=order).metadata
+            assert type(meta.order) is int and meta.order == plain
 
 
 class TestTaggingAccuracyObjective:
