@@ -36,6 +36,11 @@ _LETTER_CODES = sys.maxunicode + 2
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 _MAX_INDEX_CELLS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
+# ``build_suffix_trie`` sums its levels' counts a batch at a time, once a
+# batch holds this many (1 MiB of int64 keys and counts): a small trie in
+# one pass, a large one in batches of about this size or one level.
+_POOL = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class NGramCountTable:
@@ -202,15 +207,21 @@ class SuffixTrie:
     root aggregates the whole rare-word subcorpus.
 
     Node ids are rows in preorder, row 0 the root, with siblings in
-    ascending letter order (the begin-of-word marker first).  ``counts`` is
-    the (nodes, K) matrix of tag counts; ``depths``, ``codes`` (the letter
-    code of the edge into each node) and ``parents`` (-1 for the root) hold
-    one entry per node.  ``edge_keys`` holds each edge's parent id *
-    ``_LETTER_CODES`` + code, ascending, and ``edge_nodes`` the node each
-    leads to.  All the arrays are read-only.
+    ascending letter order (the begin-of-word marker first).  The tag
+    counts are sparse rows over ``num_tags`` tags: node i's nonzero counts
+    are ``values[indptr[i]:indptr[i + 1]]``, positive int64, of the tags
+    ``tags[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` gathers dense
+    rows.  ``depths``, ``codes`` (the letter code of the edge into each
+    node) and ``parents`` (-1 for the root) hold one entry per node.
+    ``edge_keys`` holds each edge's parent id * ``_LETTER_CODES`` + code,
+    ascending, and ``edge_nodes`` the node each leads to.  All the arrays
+    are read-only.
     """
 
-    counts: np.ndarray
+    indptr: np.ndarray
+    tags: np.ndarray
+    values: np.ndarray
+    num_tags: int
     depths: np.ndarray
     codes: np.ndarray
     parents: np.ndarray
@@ -218,13 +229,53 @@ class SuffixTrie:
     edge_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._check()
         keys = self.parents[1:] * _LETTER_CODES + self.codes[1:]
         order = np.argsort(keys, kind="stable")
         object.__setattr__(self, "edge_keys", keys[order])
         object.__setattr__(self, "edge_nodes", order + 1)
-        for array in (self.counts, self.depths, self.codes, self.parents, self.edge_keys,
-                      self.edge_nodes):
+        for array in (self.indptr, self.tags, self.values, self.depths, self.codes,
+                      self.parents, self.edge_keys, self.edge_nodes):
             array.flags.writeable = False
+
+    def _check(self) -> None:
+        """A ``ValidationError`` unless the arrays describe one trie, in
+        O(nodes + counts)."""
+        indptr, tags, values = self.indptr, self.tags, self.values
+        arrays = (indptr, tags, values, self.depths, self.codes, self.parents)
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays):
+            raise ValidationError("a suffix trie's arrays must be one-dimensional integers")
+        nodes = len(indptr) - 1
+        if nodes < 1:
+            raise ValidationError("a suffix trie needs a root: indptr holds nodes + 1 entries")
+        for name in ("depths", "codes", "parents"):
+            if len(getattr(self, name)) != nodes:
+                raise ValidationError(f"a suffix trie's {name} holds "
+                                      f"{len(getattr(self, name))} entries for {nodes} nodes")
+        if len(values) != len(tags):
+            raise ValidationError(f"a suffix trie holds {len(tags)} tags but "
+                                  f"{len(values)} values")
+        if indptr[0] != 0 or indptr[-1] != len(tags) or (indptr[1:] < indptr[:-1]).any():
+            raise ValidationError("a suffix trie's indptr must start at 0, never decrease and "
+                                  f"end at its {len(tags)} counts")
+        if len(tags) and not (tags.min() >= 0 and tags.max() < self.num_tags):
+            raise ValidationError(f"a suffix trie's tags must lie in [0, {self.num_tags})")
+        rising = tags[1:] > tags[:-1]
+        rising[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < len(tags))] - 1] = True
+        if not rising.all():
+            raise ValidationError("a suffix trie's tags must ascend within each node")
+        if (values <= 0).any():
+            raise ValidationError("a suffix trie's counts must be positive")
+
+    def rows(self, nodes) -> np.ndarray:
+        """The given nodes' tag counts, as a dense int64 (nodes, K) matrix."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        starts = self.indptr[nodes]
+        sizes = self.indptr[nodes + 1] - starts
+        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
+        out = np.zeros((len(nodes), self.num_tags), dtype=np.int64)
+        out[np.repeat(np.arange(len(nodes)), sizes), self.tags[at]] = self.values[at]
+        return out
 
     def iter_nodes(self) -> Iterator[int]:
         """Every node id, in preorder."""
@@ -257,8 +308,8 @@ def _suffix_paths(words: Sequence[str], depth: int) -> tuple[np.ndarray, np.ndar
 def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
                       nodes: int | None = None) -> SuffixTrie | None:
     """Pool tag counts of tokens whose word falls under the rare threshold.
-    Given ``nodes``, return None, before the count matrix exists, if the
-    trie has another number of nodes.
+    Given ``nodes``, return None, before any count is pooled, if the trie
+    has another number of nodes.
 
     Counts are of token occurrences, not word types: a node holds the sum
     of the lexicon rows of the rare words whose path passes through it.
@@ -269,8 +320,10 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
     order: each path's new nodes are its cells after the ``shared`` letters
     it has in common with the path before, and a node's cell lies over the
     following paths down to the next new cell at its depth.  The build goes
-    a depth at a time over the paths still that long, so it holds nothing
-    larger than the paths and the count matrix.
+    a depth at a time over the paths still that long, and sums their rows'
+    nonzero counts by node and tag a batch of depths at a time, so it holds
+    nothing larger than the paths and the nonzero counts: no (nodes, K)
+    matrix.
     """
     totals = lexicon.counts.sum(axis=1)
     # An int64 bound: numpy 1 compares an int64 array with 2**63 as floats.
@@ -304,22 +357,45 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
     column = np.arange(1, size) - start[path_of]
 
     k = lexicon.counts.shape[1]
-    count_rows, tags = np.nonzero(lexicon.counts[rows])
+    # The paths' nonzero counts by tag, then path: a node's paths are a run,
+    # so at every level each node and tag's counts, keyed node * K + tag,
+    # are a run too, and no key recurs at another level.
+    tags, count_rows = np.nonzero(lexicon.counts[rows].T)
     values = lexicon.counts[rows[count_rows], tags]
-    counts = np.zeros((size, k), dtype=np.int64)
-    np.add.at(counts[0], tags, values)
+    batch, cells, pending = [(tags, values)], [], len(tags)  # the root's keys are its tags
     parents = np.arange(-1, size - 1, dtype=np.int64)  # but for each path's first new node
     # The paths still as long as the level, and each path's node at the
     # level (a level up until it is updated).
     alive, on = np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64)
     for level in range(int(lengths.max(initial=0))):
+        if pending >= _POOL:
+            cells.append(_run_sums(batch))
+            batch, pending = [], 0
         alive = alive[lengths[alive] > level]
         opens = alive[shared[alive] == level]
         parents[first[opens]] = on[opens]
         on[alive] = np.maximum.accumulate(np.where(shared[alive] <= level,
                                                    start[alive] + level, 0))
-        cells = lengths[count_rows] > level
-        count_rows, tags, values = count_rows[cells], tags[cells], values[cells]
-        np.add.at(counts.reshape(-1), on[count_rows] * k + tags, values)
-    return SuffixTrie(counts, np.concatenate([[0], column + 1]),
+        deep = lengths[count_rows] > level
+        count_rows, tags, values = count_rows[deep], tags[deep], values[deep]
+        batch.append((on[count_rows] * k + tags, values))
+        pending += len(values)
+    cells.append(_run_sums(batch))
+    keys, values = map(np.concatenate, zip(*cells))
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    # With no tags there are no counts, and no key to divide.
+    return SuffixTrie(np.searchsorted(keys, np.arange(size + 1) * k), keys % max(k, 1), values,
+                      k, np.concatenate([[0], column + 1]),
                       np.concatenate([[BOW_CODE], codes[offsets[path_of] + column]]), parents)
+
+
+def _run_sums(batch: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of levels' keys and counts joined, with each run of equal
+    non-negative keys once and its counts summed: exact int64 sums, where
+    ``bincount`` would add in floats."""
+    keys, values = map(np.concatenate, zip(*batch))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(values, first)

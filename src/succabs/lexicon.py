@@ -38,7 +38,7 @@ class UnknownWordModel:
 
 def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
                              root_mode: str = ROOT_MODE_ELE) -> UnknownWordModel:
-    root_counts = trie.counts[0]
+    root_counts = trie.rows([0])[0]
     if root_mode == ROOT_MODE_RF and not root_counts.any():
         raise ValidationError(
             f"no word is rarer than the rare threshold ({policy.frequency_threshold}), so the "
@@ -54,7 +54,8 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
     last) up to the first unmatched letter or the policy depth, and its row
     is the fold of one smoothing step per matched node onto the rare-word
     root.  All the words walk together a depth at a time, and the nodes
-    they reach at a depth are folded once each.
+    they reach at a depth are folded once each, from their gathered rows
+    alone.
     """
     if isinstance(words, str):
         raise ValidationError("expected a sequence of words, not one string")
@@ -80,7 +81,7 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
             break
         level, first, reached = np.unique(trie.edge_nodes[edge], return_index=True,
                                           return_inverse=True)
-        probs, entropies = _smooth_level(trie.counts[level], probs[at[first]],
+        probs, entropies = _smooth_level(trie.rows(level), probs[at[first]],
                                          entropies[at[first]])
         at = reached
         out[alive] = probs[at]

@@ -37,8 +37,8 @@ that text, header included, with the file's; lines are split only to name
 the first row that differs.  ``[tags]`` rows are their own text.  The one
 exception is the float cells of ``[transitions]``/``[freqs]``, which are
 parsed but not compared: rendering them would cost a large share of a
-load.  ``[trie]`` is checked by its row count first, before the derived
-trie's count matrix exists.
+load.  ``[trie]`` is checked by its row count first, before any of the
+derived trie's counts are pooled.
 
 Every number section of many rows is written by one exact block renderer,
 ``_render``: a few numpy passes per block of rows and no Python call per
@@ -195,17 +195,29 @@ def _trie_heads(trie: SuffixTrie) -> tuple[np.ndarray, np.ndarray]:
     return out, ends
 
 
-def _count_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_render``'s text of a block of non-negative int64 counts.  Most
-    counts are zero: the text starts as "0 " per cell with a newline for
-    each row's last space, a nonzero count's leading digit overwrites its
-    "0", and one ``np.insert`` puts in its other digits and the heads."""
-    rows, k = block.shape
-    cells = block.reshape(-1)
-    text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), len(cells))
-    text[2 * k - 1::2 * k] = ord("\n")
+def _nonzero_cells(table, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero counts in rows lo..hi of a count table, a (rows, K)
+    int64 matrix or a ``SuffixTrie``: their flat positions in the block,
+    ascending, and their values.  A trie's are a slice of its sparse rows,
+    with no dense block made."""
+    if isinstance(table, SuffixTrie):
+        first, last = table.indptr[lo], table.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(table.indptr[lo:hi + 1]))
+        return rows * table.num_tags + table.tags[first:last], table.values[first:last]
+    cells = table[lo:hi].reshape(-1)
     nonzero = np.flatnonzero(cells != 0)  # quicker than on the int64 cells
-    values = cells[nonzero]
+    return nonzero, cells[nonzero]
+
+
+def _count_cells(rows: int, k: int, nonzero: np.ndarray, values: np.ndarray,
+                 heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_render``'s text of a block of rows of K non-negative int64
+    counts, given its ``_nonzero_cells``.  The text starts as "0 " per cell
+    with a newline for each row's last space, a nonzero count's leading
+    digit overwrites its "0", and one ``np.insert`` puts in its other
+    digits and the heads."""
+    text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), rows * k)
+    text[2 * k - 1::2 * k] = ord("\n")
     digits = np.searchsorted(_POWERS, values, side="right")
     chars = _ascii(values, -(-int(digits.max(initial=0)) // 4))
     lead = chars.shape[1] - digits  # each count's leading digit's column
@@ -251,24 +263,27 @@ def _float_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.
                      heads)
 
 
-def _render(matrix: np.ndarray, heads: np.ndarray | None = None,
-            ends: np.ndarray | None = None) -> str:
+def _render(table, heads: np.ndarray | None = None, ends: np.ndarray | None = None) -> str:
     """Section text: row r is its head, the UTF-8 bytes
-    ``heads[ends[r - 1]:ends[r]]``, then matrix row r's numbers,
-    space-separated, and a newline; each non-negative int64 as ``"%d"``
-    writes it, each float64 as ``"%.17g"``.  ``_RENDER`` rows at a time,
-    ``_count_cells`` or ``_float_cells`` writes a block with a few numpy
-    passes and no Python work per cell or row (but for the ``_fmt``
-    fallback)."""
-    rows = len(matrix)
-    cells_text = _float_cells if matrix.dtype.kind == "f" else _count_cells
+    ``heads[ends[r - 1]:ends[r]]``, then table row r's numbers,
+    space-separated, and a newline.  The table is a float64 matrix, each
+    number as ``"%.17g"`` writes it, or a count table, a non-negative
+    int64 matrix or a ``SuffixTrie``, each as ``"%d"`` writes it.
+    ``_RENDER`` rows at a time, ``_count_cells`` or ``_float_cells`` writes
+    a block with a few numpy passes and no Python work per cell or row (but
+    for the ``_fmt`` fallback)."""
+    trie = isinstance(table, SuffixTrie)
+    rows, k = (len(table.depths), table.num_tags) if trie else table.shape
+    floats = not trie and table.dtype.kind == "f"
     if heads is None:
         heads, ends = np.zeros(0, dtype=np.uint8), np.zeros(rows, dtype=np.int64)
     blocks = []
     for lo in range(0, rows, _RENDER):
-        first, last = (int(ends[lo - 1]) if lo else 0), int(ends[min(lo + _RENDER, rows) - 1])
-        text = cells_text(matrix[lo:lo + _RENDER], heads[first:last],
-                          np.diff(ends[lo:lo + _RENDER], prepend=first))
+        hi = min(lo + _RENDER, rows)
+        first, last = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
+        block_heads, sizes = heads[first:last], np.diff(ends[lo:hi], prepend=first)
+        text = (_float_cells(table[lo:hi], block_heads, sizes) if floats else
+                _count_cells(hi - lo, k, *_nonzero_cells(table, lo, hi), block_heads, sizes))
         blocks.append(text.tobytes().decode("utf-8", "surrogatepass"))
     return "".join(blocks)
 
@@ -326,7 +341,7 @@ def model_to_text(model: Model) -> str:
         *_section(table_section, len(contexts), _render(table, *_heads(contexts))),
         *_section("lexicon", len(model.lexicon),
                   _render(model.lexicon.counts, *_heads(list(model.lexicon.words)))),
-        *_section("trie", len(trie.depths), _render(trie.counts, *_trie_heads(trie))),
+        *_section("trie", len(trie.depths), _render(trie, *_trie_heads(trie))),
         *_section("unknown_root", 1, _row(unknown.root.probs))])
 
 
@@ -551,10 +566,10 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"lexicon: {bad}") from None
     not_derived = ("trie: not the suffix trie of the lexicon's words under rare_threshold "
                    "and max_suffix")
-    if trie is None:  # found before the derived trie's counts exist
+    if trie is None:  # found before any of the derived trie's counts are pooled
         raise ModelFormatError(f"{not_derived}: the header reads {f'[trie] {nodes}'!r}, "
                                "but that trie has another number of rows")
-    reader.expect(start, _section("trie", nodes, _render(trie.counts, *_trie_heads(trie))),
+    reader.expect(start, _section("trie", nodes, _render(trie, *_trie_heads(trie))),
                   not_derived)
     try:
         unknown = build_unknown_word_model(trie, policy, metadata.root_mode)

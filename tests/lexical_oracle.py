@@ -4,13 +4,15 @@ as the reference they must equal, with the same arithmetic.
 ``reversed_suffix_path`` is the trie path rule one letter at a time,
 ``letters`` each trie node's edge letter, ``children`` the (parent,
 letter) -> node map the walk used to follow, ``lexsort_suffix_trie`` the
-one-pass builder over padded (rare words x path) matrices, and
+one-pass builder over padded (rare words x path) matrices into a dense
+count matrix, ``sparse_trie`` a trie of a dense matrix, and
 ``known_word_distribution`` / ``lexical_factors`` the per-word
 P(tag | word) and factor path that decoding's factor matrix replaced.
 """
 
 from dataclasses import dataclass
 from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,9 +60,18 @@ def _path_letters(words, depth):
     return letters, np.arange(depth) >= np.minimum(lengths + 1, depth)[:, None]
 
 
+def sparse_trie(counts, depths, codes, parents):
+    """The ``SuffixTrie`` whose tag counts are a dense (nodes, K) matrix's."""
+    node, tag = np.nonzero(counts)
+    return SuffixTrie(np.searchsorted(node, np.arange(len(counts) + 1)), tag, counts[node, tag],
+                      counts.shape[1], depths, codes, parents)
+
+
 def lexsort_suffix_trie(lexicon, policy):
     """The one-pass builder: the rare words' padded path rows sorted with
-    one ``np.lexsort``, whose row-major order is the trie's preorder."""
+    one ``np.lexsort``, whose row-major order is the trie's preorder.  The
+    trie's (nodes, K) ``counts`` matrix, ``depths``, ``codes`` and
+    ``parents``, as a namespace."""
     totals = lexicon.counts.sum(axis=1)
     rare = totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1)
     pooled = totals[rare]
@@ -83,9 +94,10 @@ def lexsort_suffix_trie(lexicon, policy):
     counts[0] = rows.sum(axis=0)
     np.add.at(counts, (path[on], np.broadcast_to(tag[:, None], path.shape)[on]),
               np.broadcast_to(rows[word, tag][:, None], path.shape)[on])
-    return SuffixTrie(counts, np.concatenate([[0], col + 1]),
-                      np.concatenate([[BOW_CODE], letters[row, col]]),
-                      np.concatenate([[-1], np.where(col > 0, nodes[row, col - 1], 0)]))
+    return SimpleNamespace(
+        counts=counts, depths=np.concatenate([[0], col + 1]),
+        codes=np.concatenate([[BOW_CODE], letters[row, col]]),
+        parents=np.concatenate([[-1], np.where(col > 0, nodes[row, col - 1], 0)]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
-from succabs.counts import SuffixTrie, count_ngrams
+from succabs.counts import count_ngrams
 from succabs.errors import ValidationError
 from succabs.evaluation import (
     SignificanceQuery,
@@ -48,7 +48,7 @@ from succabs.tagger import (
 )
 from succabs.cli import main as cli_main
 
-from lexical_oracle import known_word_distribution
+from lexical_oracle import known_word_distribution, sparse_trie
 
 
 def random_distribution(rng, dim):
@@ -259,8 +259,8 @@ def test_criterion_6_synthetic_end_to_end():
     # root alone (same model except for an empty trie).
     no_suffix = Model(
         m3.tag_set, m3.transition, m3.lexicon,
-        UnknownWordModel(SuffixTrie(np.zeros((1, 8), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                                    np.zeros(1, dtype=np.int64), np.array([-1])),
+        UnknownWordModel(sparse_trie(np.zeros((1, 8), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                     np.zeros(1, dtype=np.int64), np.array([-1])),
                          m3.unknown_word_model.root, m3.unknown_word_model.policy),
         m3.unigram, m3.metadata)
     repb = evaluate(test, tag_corpus(no_suffix, words), known)

@@ -223,20 +223,20 @@ class TestBuildSuffixTrie:
         trie = build_suffix_trie(lex, RareWordPolicy())
         nn = corpus.tag_set.index_of("NN")
         # Root pools every rare token.
-        assert trie.counts[0, nn] == 2
+        assert trie.rows([0])[0, nn] == 2
         # "t" and "ta" prefixes of both reversed words share counts.
-        assert trie.counts[walk(trie, "t"), nn] == 2
-        assert trie.counts[walk(trie, "ta"), nn] == 2
+        assert trie.rows([walk(trie, "t")])[0, nn] == 2
+        assert trie.rows([walk(trie, "ta")])[0, nn] == 2
         # Then the paths split on "c" vs "b".
-        assert trie.counts[walk(trie, "tac"), nn] == 1
-        assert trie.counts[walk(trie, "tab"), nn] == 1
+        assert trie.rows([walk(trie, "tac")])[0, nn] == 1
+        assert trie.rows([walk(trie, "tab")])[0, nn] == 1
 
     def test_frequent_words_excluded(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
         at = corpus.tag_set.index_of("AT")
-        assert trie.counts[0, at] == 0
+        assert trie.rows([0])[0, at] == 0
         assert (0, "e") not in children(trie)
 
     def test_bow_marker_terminates_full_words(self):
@@ -244,7 +244,7 @@ class TestBuildSuffixTrie:
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
         node = walk(trie, ["t", "a", "c", BOW_LETTER])
-        assert trie.counts[node, corpus.tag_set.index_of("NN")] == 1
+        assert trie.rows([node])[0, corpus.tag_set.index_of("NN")] == 1
         assert not child_ids(trie, node)
 
     def test_child_counts_never_exceed_parent(self):
@@ -256,7 +256,7 @@ class TestBuildSuffixTrie:
         for node in trie.iter_nodes():
             children = child_ids(trie, node)
             if children:
-                assert np.all(trie.counts[children].sum(axis=0) <= trie.counts[node])
+                assert np.all(trie.rows(children).sum(axis=0) <= trie.rows([node])[0])
 
     def test_max_suffix_limits_depth(self):
         corpus = self.corpus_with_rare_words()
@@ -275,13 +275,13 @@ class TestBuildSuffixTrie:
         # "the" occurs 12 times: rare only under a threshold above 12.
         for threshold, count in ((10, 0), (12, 0), (13, 12), (20, 12)):
             trie = build_suffix_trie(lex, RareWordPolicy(frequency_threshold=threshold))
-            assert trie.counts[0, at] == count
+            assert trie.rows([0])[0, at] == count
 
     def test_node_total(self):
         # A node's total, the context count of its smoothing step, is its row sum.
         corpus = self.corpus_with_rare_words()
         trie = build_suffix_trie(build_lexicon(corpus), RareWordPolicy())
-        assert [int(trie.counts[walk(trie, path)].sum())
+        assert [int(trie.rows([walk(trie, path)]).sum())
                 for path in ("", "t", "ta", "tac", "tab")] == [2, 2, 2, 1, 1]
 
     def test_pooled_counts_past_int64_rejected(self):
@@ -295,10 +295,11 @@ class TestBuildSuffixTrie:
             build_suffix_trie(lex, policy)
         # A pooled total of exactly 2**63 - 1 still builds.
         lex = Lexicon(("a", "b"), np.array([[2 ** 62, 0], [2 ** 62 - 2, 1]], dtype=np.int64))
-        assert build_suffix_trie(lex, policy).counts[0].tolist() == [top - 1, 1]
+        assert build_suffix_trie(lex, policy).rows([0])[0].tolist() == [top - 1, 1]
 
     def test_empty_trie_iterates_root_only(self):
-        trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+        trie = SuffixTrie(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), 2, np.zeros(1, dtype=np.int64),
                           np.zeros(1, dtype=np.int64), np.array([-1]))
         assert list(trie.iter_nodes()) == [0]
 
@@ -457,8 +458,10 @@ def reference_table(corpus, order):
 
 def assert_same_trie(got, expect_root):
     counts, depths, edge_letters, parents = flatten_reference(expect_root)
-    assert got.counts.dtype == counts.dtype == np.int64
-    np.testing.assert_array_equal(got.counts, counts)
+    assert_sparse_rows(got)
+    got_counts = got.rows(np.arange(len(got.depths)))
+    assert got_counts.dtype == counts.dtype == np.int64
+    np.testing.assert_array_equal(got_counts, counts)
     assert got.depths.dtype == depths.dtype
     np.testing.assert_array_equal(got.depths, depths)
     assert letters(got) == edge_letters
@@ -502,7 +505,9 @@ class TestAgainstLexsortBuilder:
     def test_arrays_are_read_only(self):
         lex = Lexicon(("ab", "b"), np.array([[1, 0], [0, 2]], dtype=np.int64))
         trie = build_suffix_trie(lex, RareWordPolicy())
-        for name in ("counts", "depths", "codes", "parents", "edge_keys", "edge_nodes"):
+        assert not hasattr(trie, "counts")  # no dense matrix behind the sparse rows
+        for name in ("indptr", "tags", "values", "depths", "codes", "parents", "edge_keys",
+                     "edge_nodes"):
             array = getattr(trie, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -510,12 +515,94 @@ class TestAgainstLexsortBuilder:
                 setattr(trie, name, array.copy())
 
 
+class TestSuffixTrieChecks:
+    def trie(self):
+        # Seven nodes with 12 nonzero counts, rows of three, two and one
+        # tags, so every rule has a cell to break.
+        lex = Lexicon(("ab", "b", "cb"), np.array([[1, 0, 0], [2, 1, 0], [0, 0, 1]],
+                                                  dtype=np.int64))
+        return build_suffix_trie(lex, RareWordPolicy())
+
+    def with_arrays(self, **arrays):
+        trie = self.trie()
+        fields = {name: getattr(trie, name).copy() for name in
+                  ("indptr", "tags", "values", "depths", "codes", "parents")}
+        return SuffixTrie(**{**fields, "num_tags": trie.num_tags, **arrays})
+
+    def test_built_trie_holds_the_invariants(self):
+        trie = self.trie()
+        assert_sparse_rows(trie)
+        assert trie.rows([0]).tolist() == [[3, 1, 1]]
+        assert len(set(np.diff(trie.indptr).tolist())) > 1  # rows of different sizes
+
+    def test_arrays_that_disagree_rejected(self):
+        trie = self.trie()
+        indptr, tags, values = trie.indptr, trie.tags, trie.values
+        two = int(np.flatnonzero(np.diff(indptr) == 2)[0])  # a node with two tags
+        swapped = tags.copy()
+        swapped[indptr[two]:indptr[two] + 2] = swapped[indptr[two]:indptr[two] + 2][::-1]
+        repeated = tags.copy()
+        repeated[indptr[two] + 1] = repeated[indptr[two]]
+        dipping = indptr.copy()
+        dipping[1], dipping[2] = indptr[2], indptr[1] - 1
+        cases = {
+            "a suffix trie needs a root": dict(indptr=np.zeros(1, dtype=np.int64)),
+            "depths holds 3 entries for 7 nodes": dict(depths=trie.depths[:3]),
+            "codes holds": dict(codes=np.append(trie.codes, 1)),
+            "parents holds": dict(parents=trie.parents[1:]),
+            "holds 12 tags but 11 values": dict(values=values[1:]),
+            "indptr must start at 0": dict(indptr=indptr + 1),
+            "end at its 12 counts": dict(indptr=np.append(indptr[:-1], 11)),
+            "never decrease": dict(indptr=dipping),
+            "tags must lie in \\[0, 3\\)": dict(tags=np.where(tags == 2, 3, tags)),
+            "must lie in \\[0, 2\\)": dict(num_tags=2),
+            "must lie": dict(tags=np.where(tags == 0, -1, tags)),
+            "ascend within each node": dict(tags=swapped),
+            "ascend within": dict(tags=repeated),
+            "counts must be positive": dict(values=np.where(values == 2, 0, values)),
+            "must be positive": dict(values=-values),
+            "one-dimensional integers": dict(values=values.astype(float)),
+        }
+        for message, arrays in cases.items():
+            with pytest.raises(ValidationError, match=message):
+                self.with_arrays(**arrays)
+        assert_sparse_rows(self.with_arrays())
+
+    def test_narrow_count_rows_rejected_before_decoding(self):
+        # A trie over fewer tags than the model's: rejected where it is made.
+        train = parse_corpus("cat\tNN\nran\tVB\nthe\tDT\n\n")
+        trie = build_suffix_trie(build_lexicon(train), RareWordPolicy())
+        assert trie.num_tags == 3 and trie.tags.max() == 2
+        with pytest.raises(ValidationError, match="must lie in \\[0, 2\\)"):
+            SuffixTrie(trie.indptr, trie.tags, trie.values, 2, trie.depths, trie.codes,
+                       trie.parents)
+
+
 def assert_same_arrays(got, expect):
-    for name in ("counts", "depths", "codes", "parents"):
+    """A built trie against the lexsort builder's dense counts and arrays."""
+    assert_sparse_rows(got)
+    counts = got.rows(np.arange(len(got.depths)))
+    assert counts.dtype == expect.counts.dtype and counts.shape == expect.counts.shape
+    np.testing.assert_array_equal(counts, expect.counts)
+    for name in ("depths", "codes", "parents"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         np.testing.assert_array_equal(a, b)
     assert_edges_found(got)
+
+
+def assert_sparse_rows(trie):
+    """``indptr`` starts at 0, never decreases and ends at ``len(tags)``;
+    tags ascend within each node and lie in [0, K); values are positive
+    int64."""
+    indptr, tags, values = trie.indptr, trie.tags, trie.values
+    assert len(indptr) == len(trie.depths) + 1
+    assert indptr[0] == 0 and indptr[-1] == len(tags) == len(values)
+    assert (np.diff(indptr) >= 0).all()
+    assert ((tags >= 0) & (tags < trie.num_tags)).all()
+    node = np.repeat(np.arange(len(trie.depths)), np.diff(indptr))
+    assert (np.diff(node * trie.num_tags + tags) > 0).all()
+    assert values.dtype == np.int64 and (values > 0).all()
 
 
 class TestAgainstTokenReference:

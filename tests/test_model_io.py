@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
-from succabs.counts import Lexicon, RareWordPolicy, build_suffix_trie
+from succabs.counts import Lexicon, RareWordPolicy, build_lexicon, build_suffix_trie
 from succabs.errors import ModelFormatError, ValidationError
 from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
 from succabs.model_io import (
@@ -20,6 +20,7 @@ from succabs.model_io import (
     _RENDER,
     _heads,
     _render,
+    _trie_heads,
     model_from_text,
     model_to_text,
     read_model,
@@ -70,7 +71,8 @@ class TestRoundTrip:
             assert loaded.lexicon.counts.dtype == np.int64
             assert loaded.lexicon.counts.tolist() == model.lexicon.counts.tolist()
             assert not loaded.lexicon.counts.flags.writeable
-            for name in ("counts", "depths", "codes", "parents"):
+            assert loaded.unknown_word_model.trie.num_tags == len(model.tag_set)
+            for name in ("indptr", "tags", "values", "depths", "codes", "parents"):
                 got = getattr(loaded.unknown_word_model.trie, name)
                 expect = getattr(model.unknown_word_model.trie, name)
                 assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
@@ -970,8 +972,8 @@ class TestDerivedSections:
 
     def test_trie_cut_to_its_root_load_memory_is_linear(self):
         # 200 rare words of 500 random letters under max_suffix 10**6 make
-        # a trie of about 100,000 nodes by 100 tags; a [trie] of only the
-        # root row is rejected before that count matrix is allocated.
+        # a trie of about 100,000 nodes over 100 tags; a [trie] of only the
+        # root row is rejected before any of that trie's counts are pooled.
         rng = np.random.default_rng(18)
         words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=500))
                  for _ in range(200)]
@@ -991,6 +993,43 @@ class TestDerivedSections:
         finally:
             tracemalloc.stop()
         assert peak < 60 * len(text), (peak, len(text))
+
+    def test_trie_memory_follows_its_nonzero_counts(self):
+        # 300 rare words of 120 random letters over 100 tags make a trie of
+        # about 36,000 nodes, nearly all on one word's path with one nonzero
+        # count: 29 MB as a dense (nodes, K) int64 matrix.  Building it and
+        # tagging unknown words that walk it cost memory in proportion to
+        # its nodes and nonzero counts.  The file holds two bytes a cell, so
+        # writing and loading may hold the text twice over, but no eight
+        # bytes a cell besides.
+        rng = np.random.default_rng(24)
+        words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=120))
+                 for _ in range(300)]
+        corpus = parse_corpus("\n".join(f"{w}\tT{i % 100:02d}" for i, w in enumerate(words)))
+        policy = RareWordPolicy(10, 10 ** 6)
+        lexicon = build_lexicon(corpus)
+        model = train_model(corpus, order=2, policy=policy)
+        unknown = ["x" + w for w in words[:100]]  # each walks a whole word's path
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        trie, build_peak = peak(lambda: build_suffix_trie(lexicon, policy))
+        text, write_peak = peak(lambda: model_to_text(model))
+        loaded, load_peak = peak(lambda: model_from_text(text))
+        tagged, tag_peak = peak(lambda: tag_corpus(loaded, [unknown]))
+        nodes, nonzero = len(trie.depths), len(trie.values)
+        assert 8 * nodes * trie.num_tags > 20 * 2 ** 20 and nonzero < 2 * nodes
+        sparse = 150 * (nodes + nonzero)
+        assert build_peak < sparse, (build_peak, sparse)
+        assert tag_peak < sparse and len(tagged[0]) == 100, (tag_peak, sparse)
+        assert write_peak < 2 * len(text) + sparse, (write_peak, len(text), sparse)
+        assert load_peak < 2 * len(text) + sparse, (load_peak, len(text), sparse)
+        assert model_to_text(loaded) == text
 
     @pytest.mark.parametrize("root_mode", ["ele", "rf"])
     def test_mutants_rejected_or_written_back(self, root_mode):
@@ -1091,6 +1130,23 @@ class TestCountLines:
                        np.zeros((0, 5), dtype=np.int64), np.zeros((0, 1), dtype=np.int64),
                        np.tile(padded, (110, 1))):
             assert_one_format_per_cell(matrix)
+
+    def test_trie_renders_as_its_dense_rows(self):
+        # A trie's rows come from its sparse arrays: the same text as its
+        # dense rows, across block edges, with rows of no, one and many
+        # counts and counts of many digits.
+        rng = np.random.default_rng(24)
+        words = sorted({"".join(rng.choice(list("abcdé"), size=int(rng.integers(1, 30))))
+                        for _ in range(400)})
+        counts = np.where(rng.random((len(words), 7)) < 0.3,
+                          rng.integers(1, 10 ** rng.integers(1, 15, size=(len(words), 7))), 0)
+        counts[np.arange(len(words)), rng.integers(7, size=len(words))] += 1
+        counts[:, 3] = 0  # a tag no word has
+        trie = build_suffix_trie(Lexicon(tuple(words), counts), RareWordPolicy(2 ** 62, 40))
+        assert len(trie.depths) > 2 * _RENDER
+        heads = _trie_heads(trie)
+        assert_same_lines(_render(trie, *heads),
+                          _render(trie.rows(np.arange(len(trie.depths))), *heads))
 
 
 def python_rows(matrix, spell, keys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
-from succabs.counts import RareWordPolicy, SuffixTrie, count_ngrams
+from succabs.counts import RareWordPolicy, count_ngrams
 from succabs.errors import ValidationError
 from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
 from succabs.smoothing import (
@@ -35,6 +35,7 @@ from succabs.smoothing import (
 )
 from succabs.model_io import model_from_text, model_to_text
 from succabs.tagger import train_model
+from lexical_oracle import sparse_trie
 from test_lexicon import word_ending_at
 from transition_oracle import (
     count_freqs,
@@ -549,8 +550,8 @@ class TestNGramModels:
 
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
         vec = self.counts.counts[0]
-        trie = SuffixTrie(vec.copy()[None, :], np.zeros(1, dtype=np.int64),
-                          np.zeros(1, dtype=np.int64), np.array([-1]))
+        trie = sparse_trie(vec.copy()[None, :], np.zeros(1, dtype=np.int64),
+                           np.zeros(1, dtype=np.int64), np.array([-1]))
         for mode in ("rf", "ele"):
             unknown = build_unknown_word_model(trie, RareWordPolicy(), mode)
             np.testing.assert_array_equal(unigram_distribution(self.counts, mode).probs,
@@ -836,8 +837,9 @@ class TestIdentitiesOnTrainedModel:
             assert folded[0].tolist() == unknown.root.probs.tolist()
             worst = 0.0
             for node in nodes[1:]:
-                total = int(trie.counts[node].sum())
-                f = trie.counts[node] / total
+                counts = trie.rows([node])[0]
+                total = int(counts.sum())
+                f = counts / total
                 parent = folded[trie.parents[node]]
                 s = sigma_inverse(total, entropy(parent))
                 worst = max(worst, float(np.abs((folded[node] - f)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from succabs.corpus import TagSet, parse_corpus
-from succabs.counts import RareWordPolicy, Lexicon, SuffixTrie, build_suffix_trie
+from succabs.counts import RareWordPolicy, Lexicon, build_suffix_trie
 from succabs.errors import ValidationError
 import succabs.counts
 import succabs.tagger
@@ -41,6 +41,7 @@ from lexical_oracle import (
     known_word_distribution,
     lexical_factors,
     reversed_suffix_path,
+    sparse_trie,
 )
 from test_lexicon import word_ending_at
 from transition_oracle import distribution, query, tables_of
@@ -78,8 +79,8 @@ def hand_built_bigram_model():
         order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
         probs=np.array([uniform_distribution(2).probs, [0.5, 0.5], [0.7, 0.3], [0.4, 0.6]]))
     lexicon = Lexicon(("w1", "w2"), np.array([[9, 1], [2, 8]]))
-    empty_trie = SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                            np.zeros(1, dtype=np.int64), np.array([-1]))
+    empty_trie = sparse_trie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                             np.zeros(1, dtype=np.int64), np.array([-1]))
     unknown = UnknownWordModel(empty_trie,
                                uniform_distribution(2), RareWordPolicy())
     meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele", corpus_digest="0" * 64)
@@ -171,8 +172,8 @@ class TestViterbi:
                                         probs=np.array([uniform_distribution(2).probs] * 4))
         lexicon = Lexicon(("w",), np.array([[5, 5]]))
         unknown = UnknownWordModel(
-            SuffixTrie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                       np.zeros(1, dtype=np.int64), np.array([-1])),
+            sparse_trie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                        np.zeros(1, dtype=np.int64), np.array([-1])),
             uniform_distribution(2), RareWordPolicy())
         meta = ModelMetadata(order=2, smoothing="sa", root_mode="ele", corpus_digest="0" * 64)
         m = Model(TagSet(("P", "Q")), transition, lexicon, unknown,
@@ -609,7 +610,7 @@ def smooth_step_walk(m, words, folds=None):
             if node is None:
                 break
             if node not in folds:
-                folds[node] = smooth_step(m.trie.counts[node], dist)
+                folds[node] = smooth_step(m.trie.rows([node])[0], dist)
             dist = folds[node]
         rows.append(dist.probs)
     return np.array(rows).reshape(len(words), m.root.dim)
