@@ -51,7 +51,7 @@ per number, which is quicker for one row.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -75,6 +75,9 @@ _META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold"
               "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
 _RENDER = 2048  # rows per _render buffer; 192 KiB of counts at 48 tags
+# Characters _SectionReader.lines splits first: a small section's lines
+# without a copy of the rest of the text.
+_WINDOW = 1 << 16
 _POWERS = 10 ** np.arange(19, dtype=np.int64)  # every power of ten in int64
 _QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10 ** 4)).encode("ascii"),
                        dtype=np.uint32)  # each 4-digit ASCII group, in memory order
@@ -264,35 +267,43 @@ def _float_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.
 
 
 def _render(table, heads: np.ndarray | None = None, ends: np.ndarray | None = None) -> str:
-    """Section text: row r is its head, the UTF-8 bytes
-    ``heads[ends[r - 1]:ends[r]]``, then table row r's numbers,
+    """``_render_blocks``'s blocks joined: one section's text."""
+    return "".join(_render_blocks(table, heads, ends))
+
+
+def _render_blocks(table, heads: np.ndarray | None = None,
+                   ends: np.ndarray | None = None) -> Iterator[str]:
+    """Section text, ``_RENDER`` rows at a time: row r is its head, the
+    UTF-8 bytes ``heads[ends[r - 1]:ends[r]]``, then table row r's numbers,
     space-separated, and a newline.  The table is a float64 matrix, each
     number as ``"%.17g"`` writes it, or a count table, a non-negative
     int64 matrix or a ``SuffixTrie``, each as ``"%d"`` writes it.
-    ``_RENDER`` rows at a time, ``_count_cells`` or ``_float_cells`` writes
-    a block with a few numpy passes and no Python work per cell or row (but
-    for the ``_fmt`` fallback)."""
+    ``_count_cells`` or ``_float_cells`` writes a block with a few numpy
+    passes and no Python work per cell or row (but for the ``_fmt``
+    fallback)."""
     trie = isinstance(table, SuffixTrie)
     rows, k = (len(table.depths), table.num_tags) if trie else table.shape
     floats = not trie and table.dtype.kind == "f"
     if heads is None:
         heads, ends = np.zeros(0, dtype=np.uint8), np.zeros(rows, dtype=np.int64)
-    blocks = []
     for lo in range(0, rows, _RENDER):
         hi = min(lo + _RENDER, rows)
         first, last = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
         block_heads, sizes = heads[first:last], np.diff(ends[lo:hi], prepend=first)
         text = (_float_cells(table[lo:hi], block_heads, sizes) if floats else
                 _count_cells(hi - lo, k, *_nonzero_cells(table, lo, hi), block_heads, sizes))
-        blocks.append(text.tobytes().decode("utf-8", "surrogatepass"))
-    return "".join(blocks)
+        yield text.tobytes().decode("utf-8", "surrogatepass")
+
+
+def _header(name: str, rows: int) -> str:
+    return f"[{name}] {rows}\n"
 
 
 def _section(name: str, rows: int, text: str) -> tuple[str, str]:
     """A section as the writer writes it: the header line, then the rows'
     text, kept apart so that no section's text is copied to join them (a
     3 MB trie copy raised the loader's peak RSS by 3 MB)."""
-    return f"[{name}] {rows}\n", text
+    return _header(name, rows), text
 
 
 def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> tuple[str, str]:
@@ -327,6 +338,13 @@ def _context_keys(contexts: Sequence[tuple[int, ...]]) -> list[str]:
 
 
 def model_to_text(model: Model) -> str:
+    return "".join(_model_pieces(model))
+
+
+def _model_pieces(model: Model) -> Iterator[str]:
+    """The model file's text in order, a piece at a time: the magic line,
+    each section's header and its rows, a rendered section's ``_RENDER``
+    rows at a time, so the writer holds one block, not the file."""
     unknown = model.unknown_word_model
     transition, trie = model.transition, unknown.trie
     if model.metadata.smoothing == SMOOTHING_INTERP:
@@ -334,15 +352,18 @@ def model_to_text(model: Model) -> str:
     else:
         table_section, table = "transitions", transition.probs
     contexts = _context_keys(transition.contexts)
-    return "".join([
-        f"{MAGIC} {FORMAT_VERSION}\n", *_meta_lines(model.metadata, unknown.policy),
-        *_section("tags", len(model.tag_set), "".join(f"{tag}\n" for tag in model.tag_set.tags)),
-        *_section("unigram", 1, _row(model.unigram.probs)),
-        *_section(table_section, len(contexts), _render(table, *_heads(contexts))),
-        *_section("lexicon", len(model.lexicon),
-                  _render(model.lexicon.counts, *_heads(list(model.lexicon.words)))),
-        *_section("trie", len(trie.depths), _render(trie, *_trie_heads(trie))),
-        *_section("unknown_root", 1, _row(unknown.root.probs))])
+    yield f"{MAGIC} {FORMAT_VERSION}\n"
+    yield from _meta_lines(model.metadata, unknown.policy)
+    yield from _section("tags", len(model.tag_set),
+                        "".join(f"{tag}\n" for tag in model.tag_set.tags))
+    yield from _section("unigram", 1, _row(model.unigram.probs))
+    yield _header(table_section, len(contexts))
+    yield from _render_blocks(table, *_heads(contexts))
+    yield _header("lexicon", len(model.lexicon))
+    yield from _render_blocks(model.lexicon.counts, *_heads(list(model.lexicon.words)))
+    yield _header("trie", len(trie.depths))
+    yield from _render_blocks(trie, *_trie_heads(trie))
+    yield from _section("unknown_root", 1, _row(unknown.root.probs))
 
 
 def _mismatch(where: str, row: int, read: str, written: str) -> ModelFormatError:
@@ -387,6 +408,16 @@ class _SectionReader:
         return int(count)
 
     def lines(self, count: int) -> list[str]:
+        """The next ``count`` lines, in one ``str.split`` of the next
+        ``_WINDOW`` characters if they hold them, else of the rest of the
+        text.  Where the text ends first, they are read line by line, for
+        ``take``'s error."""
+        for end in (self.at + _WINDOW, len(self.text)):
+            lines = self.text[self.at:end].split("\n", count)
+            if len(lines) > count:
+                del lines[count:]
+                self.at += sum(map(len, lines)) + count
+                return lines
         return [self.take() for _ in range(count)]
 
     def section(self, name: str) -> list[str]:
@@ -586,7 +617,7 @@ def model_from_text(text: str) -> Model:
 
 def write_model(model: Model, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_text(model))
+        fh.writelines(_model_pieces(model))
 
 
 def read_model(path: str) -> Model:

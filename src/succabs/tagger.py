@@ -378,53 +378,53 @@ def _segment_argmax(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray,
 
 
 def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
-    """One sentence's tags, with the runtime's model, lattices and
-    lexical factors.
+    """One sentence's tags, with the runtime's model, lattices and lexical
+    factors: exact search over states of the last order-1 tags.
 
-    Exact search: states are the last order-1 tags, and ``cells`` holds
-    their scores with one axis per tag position, newest first, each over
-    that position's ascending lattice (just the boundary before the
-    sentence).  A step scores one C-contiguous block with axes (new tag,
-    newest context tag, ..., oldest) and maximizes out the oldest.  That
-    axis is last, so its ``argmax`` reads contiguous runs without a copy,
-    and the best scores are one flat gather at the back-pointers.
-    ``argmax`` keeps the first maximum, and the final one runs in C order
-    over the oldest-first transpose, so ties resolve toward the smallest
-    tag indices, oldest position first.  ``_decode`` sends it the sentences
-    whose steps are large enough to be array-bound, with their words primed.
+    ``cells`` holds the states' scores, one axis per tag position, oldest
+    first as in ``index``, each over its ascending lattice (the boundary
+    before the sentence).  A step adds each state's score to its K-wide
+    transition row T, maximizes out the oldest tag, then takes the lattice's
+    columns and adds their lexical factors ``lex``: L^(order-1) additions,
+    not L^order.  ``fl(x + lex)`` is monotone in x, so the cells equal bit
+    for bit those of adding ``lex`` first, as order 1 (no state axis) does.
+    No back-pointers are kept: from the first best final state in C order,
+    the walk back recomputes the chosen state's ``(T + cells) + lex`` over
+    its oldest tag and takes the first maximum, so ties, even ``fl(x1 + lex)
+    == fl(x2 + lex)`` with x1 < x2, go to the smallest tag indices, oldest
+    position first.  ``_decode`` sends it the array-bound sentences, primed.
     """
     m = runtime.model
-    index, log_rows = m.transition.index.transpose(), m.transition.log_probs
+    index, log_rows = m.transition.index, m.transition.log_probs
     n_ctx = m.metadata.order - 1
-    # tag+1 of each context position, newest first, shaped to broadcast
+    # tag+1 of each context position, oldest first, shaped to broadcast
     # over the state axes: position j's values run along axis j.
     context = [np.zeros((1,) * (n_ctx - j), np.intp) for j in range(n_ctx)]
     cells = np.zeros((1,) * n_ctx)
-    new_first = (n_ctx,) + tuple(range(n_ctx))  # the lattice axis, gathered last, to the front
-    column = (-1,) + (1,) * n_ctx  # along the new tag's axis
-    back = []  # per token: (lattice, argmax over the oldest tag)
+    steps = []  # per token: lattice, log factors, transition rows, incoming cells
     for word in words:
         log_factors, lattice = runtime.entry(word)
         rows = index[tuple(context)]
-        scores = np.ascontiguousarray(
-            log_rows.take(rows, axis=0)[..., lattice].transpose(new_first))
-        scores += cells
-        scores += log_factors.reshape(column)
-        oldest = scores.shape[-1]
-        bp = scores.reshape(-1, oldest).argmax(axis=1)
-        cells = scores.ravel().take(bp + np.arange(0, scores.size, oldest))
-        cells = cells.reshape(scores.shape[:-1])
-        back.append((lattice, bp.reshape(cells.shape)))
+        steps.append((lattice, log_factors, rows, cells))
+        scores = log_rows.take(rows, axis=0)
+        scores += cells[..., None]
         if n_ctx:
-            context = [(lattice + 1).reshape(column[:-1])] + [c[..., 0] for c in context[:-1]]
-    # Walk back from the best final state, newest position first, appending
-    # the position each back-pointer array names; the last n_ctx positions
-    # are boundaries.
-    oldest_first = cells.transpose()
-    path = [int(i) for i in np.unravel_index(oldest_first.argmax(), oldest_first.shape)][::-1]
-    for _, bp in reversed(back):
-        path.append(int(bp[tuple(path[len(path) - n_ctx:])]))
-    return [m.tag_set.tags[lat[i]] for (lat, _), i in zip(back, reversed(path[:len(back)]))]
+            cells = scores.max(axis=0)[..., lattice]
+            cells += log_factors
+            context = [c[..., None] for c in context[1:]] + [lattice + 1]
+        else:
+            cells = (scores[lattice] + log_factors).max()
+    # A chosen state ends with its new tag; the first maximum shifts in its oldest.
+    state = list(np.unravel_index(cells.argmax(), cells.shape))
+    tags = []
+    for lattice, log_factors, rows, cells in reversed(steps):
+        new, at = (state[-1], (slice(None), *state[:-1])) if n_ctx else (slice(None), ())
+        scores = log_rows[rows[at], lattice[new]] + cells[at]
+        scores += log_factors[new]
+        first = scores.argmax()
+        tags.append(lattice[new] if n_ctx else lattice[first])
+        state = [first, *state][:n_ctx]
+    return [m.tag_set.tags[t] for t in reversed(tags)]
 
 
 def viterbi_tag_scored(m: Model, words: Sequence[str]) -> TagSequenceScore:

@@ -216,6 +216,26 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError):
                 model_from_text(text[:cut])
 
+    def test_section_cut_short_names_the_line_after_the_last_newline(self, big_text):
+        # A file ending inside a section read by lines, after a row's
+        # newline or one letter into a row before its last, ends before the
+        # line after its last newline: in a small file, and in sections of
+        # a large one longer than the reader's first split.
+        for text, sections, rows in (
+                (valid_text(), ("meta", "tags", "transitions", "lexicon"), None),
+                (big_text, ("transitions", "lexicon"), (0, 1, 2100, -2, -1))):
+            lines = text.split("\n")
+            for section in sections:
+                start = section_start(lines, section)
+                count = int(lines[start - 1].split(" ")[1])
+                for row in range(count) if rows is None else [r % count for r in rows]:
+                    cut = len("\n".join(lines[:start + row])) + 1  # the rows left
+                    for end in (cut, cut + 1) if row + 1 < count else (cut,):
+                        line = text.count("\n", 0, end) + 1
+                        with pytest.raises(ModelFormatError,
+                                           match=f"^line {line}: unexpected end of file$"):
+                            model_from_text(text[:end])
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             model_from_text(valid_text() + "leftover\n")
@@ -994,14 +1014,15 @@ class TestDerivedSections:
             tracemalloc.stop()
         assert peak < 60 * len(text), (peak, len(text))
 
-    def test_trie_memory_follows_its_nonzero_counts(self):
+    def test_trie_memory_follows_its_nonzero_counts(self, tmp_path):
         # 300 rare words of 120 random letters over 100 tags make a trie of
         # about 36,000 nodes, nearly all on one word's path with one nonzero
         # count: 29 MB as a dense (nodes, K) int64 matrix.  Building it and
         # tagging unknown words that walk it cost memory in proportion to
         # its nodes and nonzero counts.  The file holds two bytes a cell, so
-        # writing and loading may hold the text twice over, but no eight
-        # bytes a cell besides.
+        # ``model_to_text`` and loading may hold the text twice over, but no
+        # eight bytes a cell besides; ``write_model``, which writes a block
+        # of rows at a time, holds less than the text once.
         rng = np.random.default_rng(24)
         words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=120))
                  for _ in range(300)]
@@ -1020,6 +1041,7 @@ class TestDerivedSections:
 
         trie, build_peak = peak(lambda: build_suffix_trie(lexicon, policy))
         text, write_peak = peak(lambda: model_to_text(model))
+        _, file_peak = peak(lambda: write_model(model, str(tmp_path / "model.txt")))
         loaded, load_peak = peak(lambda: model_from_text(text))
         tagged, tag_peak = peak(lambda: tag_corpus(loaded, [unknown]))
         nodes, nonzero = len(trie.depths), len(trie.values)
@@ -1028,6 +1050,8 @@ class TestDerivedSections:
         assert build_peak < sparse, (build_peak, sparse)
         assert tag_peak < sparse and len(tagged[0]) == 100, (tag_peak, sparse)
         assert write_peak < 2 * len(text) + sparse, (write_peak, len(text), sparse)
+        assert file_peak < len(text), (file_peak, len(text))
+        assert (tmp_path / "model.txt").read_bytes() == text.encode("utf-8")
         assert load_peak < 2 * len(text) + sparse, (load_peak, len(text), sparse)
         assert model_to_text(loaded) == text
 

@@ -27,6 +27,7 @@ from succabs.tagger import (
     NEG_INF,
     _DecodeRuntime,
     _decode,
+    _score_indices,
     corpus_digest,
     score_sequence,
     tag_corpus,
@@ -554,6 +555,38 @@ class TestWideLatticeTies:
                     assert score_sequence(m, words, twin) == score_sequence(m, words, tags)
                     holed += holed_unknown_lattices(m, words)
         assert holed > 0  # unknown-word lattices with a -inf cell
+
+
+class TestRoundingCollision:
+    def test_first_predecessor_wins_after_the_lexical_term(self, monkeypatch):
+        # The first word opens X and Y at scores x1 = 1 < x2 = 1 + 2**-52,
+        # every later transition is 0, and the last word's lexical term 3
+        # rounds both to 4.0.  Scoring each (state, tag) before its max
+        # ties them, so the first, X, must be the oldest tag on every
+        # route; a back-pointer taken before the lexical term picks Y.
+        base = hand_built_bigram_model()
+        for order in (2, 3, 4):
+            n_ctx = order - 1
+            transition = SmoothedNGramModel(order=order, num_tags=2,
+                                            contexts=((), (-1,) * n_ctx),
+                                            probs=np.full((2, 2), 0.5))
+            transition.log_probs[:] = 0.0
+            transition.log_probs[1] = [1.0, 1.0 + 2.0 ** -52]  # after the boundary alone
+            m = dataclasses.replace(base, transition=transition,
+                                    metadata=dataclasses.replace(base.metadata, order=order))
+            words = ["w1"] * n_ctx + ["w2"]
+            for route in ROUTES:
+                with routed(monkeypatch, route):
+                    rt = _DecodeRuntime(m)
+                    rt.prime(words)
+                    for word, lex in (("w1", 0.0), ("w2", 3.0)):
+                        rt.entry(word)[0][:] = lex  # views into the runtime's ``lex``
+                    assert _decode(rt, [words]) == [["X"] * order], (order, route)
+                    first = [0] * order
+                    assert _score_indices(m, words[:-1], first[:-1], rt) == 1.0
+                    assert _score_indices(m, words[:-1], [1] + first[2:], rt) == 1.0 + 2.0 ** -52
+                    assert _score_indices(m, words, first, rt) == 4.0
+                    assert _score_indices(m, words, [1] + first[1:], rt) == 4.0
 
 
 def lettered_corpus(rng, num_tags, unseen_tags=()):
