@@ -74,9 +74,12 @@ def cmd_train(args) -> int:
 
 
 def _read_sentences(stream: IO[str]) -> list[list[str]]:
+    """Each nonblank line's words.  ASCII space and tab alone separate them,
+    so a word may hold any other character a corpus word may, such as NBSP,
+    U+2028 or U+001F, at which ``str.split`` would cut it."""
     sentences = []
     for line in _read_lines(stream):
-        words = line.split()
+        words = [word for word in line.replace("\t", " ").split(" ") if word]
         if words:
             sentences.append(words)
     return sentences

@@ -59,9 +59,12 @@ _PRIME_BLOCK = 2048
 # with the other such sentences of its call by ``_viterbi_batch``; a wider
 # one by ``_viterbi``, whose array steps are already large enough there.
 _BATCH_CROSSOVER = 1024
-# Cells per ``_viterbi_batch`` call, summed over its sentences' tokens: the
-# bound on its back-pointers and on the arrays of one step.
-_BATCH_CELLS = 1 << 18
+# Cells per ``_viterbi_batch`` call, summed over its sentences' tokens.  It
+# bounds what a call holds at once, since a state has at least one cell:
+# 16 bytes per state of every step (its score and transition row, kept for
+# the walk back) and up to 16 more per state in the walk back; and one
+# step's temporaries, 32 bytes per cell and 72 per new state.
+_BATCH_CELLS = 1 << 19
 
 SMOOTHING_SA = "sa"
 SMOOTHING_INTERP = "interp"
@@ -242,8 +245,10 @@ def _decode(runtime: _DecodeRuntime, sentences: Sequence[Sequence[str]]) -> list
     the product of the lattice sizes at that token and the order-1 before
     it, routes it: below ``_BATCH_CROSSOVER`` to ``_viterbi_batch``, longest
     sentences first, each batch as many as fit in ``_BATCH_CELLS`` cells and
-    at least one; else to ``_viterbi``.  Both find the same tags, ties
-    included.  A string where a sentence or the list of them belongs raises.
+    at least one; else to ``_viterbi``.  Both keep only maxima in the
+    forward pass and recompute the chosen path's runs on the walk back, so
+    they find the same tags by one tie rule.  A string where a sentence or
+    the list of them belongs raises.
     """
     if isinstance(sentences, str) or any(isinstance(s, str) for s in sentences):
         raise ValidationError("expected sentences as sequences of words, not strings")
@@ -292,13 +297,14 @@ def _viterbi_batch(runtime: _DecodeRuntime, lengths: np.ndarray, tokens: np.ndar
     Step k decodes position k of the sentences longer than k, a prefix of
     them.  Each one's states form a C-order block over its last order-1
     lattices, the blocks one flat vector, and ``codes`` holds each state's
-    tag+1 digits in base K+1, the flat ``index`` of its transition row.  The
-    step scores every (state, tag) cell as ``_viterbi`` does, laid out by new
-    state with the oldest tag varying fastest, and maximizes each new
-    state's run of cells with ``reduceat``; the smallest index reaching the
-    maximum is the first one, and a finished sentence's final argmax runs
-    over its block in C order, so ties resolve as in ``_viterbi``.  One loop
-    over the positions walks all sentences back.
+    tag+1 digits in base K+1, the flat ``index`` of its transition row.  A
+    new state's run of cells, one per oldest tag (``stride`` states apart),
+    are state scores plus transitions T; the step keeps each run's maximum
+    (``reduceat``), then adds the lexical term, exact as in ``_viterbi``
+    (order 1 adds it first), and keeps its incoming scores and rows.  The
+    walk back recomputes each chosen state's run as ``(scores + T) + lex``
+    and takes its first maximum: ties, rounding collisions included, go as
+    in ``_viterbi``.
     """
     m, lex, lat = runtime.model, runtime.lex, runtime.lat
     k_tags = m.transition.num_tags
@@ -309,72 +315,71 @@ def _viterbi_batch(runtime: _DecodeRuntime, lengths: np.ndarray, tokens: np.ndar
     n = len(lengths)
     firsts = np.cumsum(lengths) - lengths
     active = (n - np.cumsum(np.bincount(lengths))).tolist()  # sentences longer than k
+    # Step k's tokens, the k-th of each sentence longer than k: by_step[p[k]:p[k + 1]].
+    by_step = np.argsort(np.arange(len(tokens)) - np.repeat(firsts, lengths), kind="stable")
+    p = np.cumsum([0] + active[:-1]).tolist()
+    los, sizes = runtime.offsets[tokens[by_step]], runtime.sizes[tokens[by_step]]
     scores, codes = np.zeros(n), np.zeros(n, np.intp)
     block_first = np.arange(n + 1)  # where each sentence's states start
-    final = np.empty(n, np.intp)  # each sentence's best final state, in its block
-    steps = []  # per position: lattice offsets and sizes, block starts, stride, back-pointers
+    steps = []  # per position: incoming scores and rows; runs, strides and blocks by sentence
+    finals = []  # the blocks of the sentences ending at each position, and their sizes
     for k in range(len(active) - 1):
         na, done = active[k], active[k + 1]
-        words = tokens[firsts[:na] + k]
-        lo, size = runtime.offsets[words], runtime.sizes[words]
-        sentence = np.arange(na)
-        if n_ctx:
-            # A new state's run is over the oldest tag's lattice (the
-            # boundary's before position n_ctx), which a state index
-            # multiplies by ``stride``.
-            run = steps[k - n_ctx][1][:na] if k >= n_ctx else np.ones(na, np.intp)
+        lo, size = los[p[k]:p[k + 1]], sizes[p[k]:p[k + 1]]
+        if n_ctx:  # runs over the oldest lattice, the boundary's before position n_ctx
+            run = sizes[p[k - n_ctx]:p[k - n_ctx] + na] if k >= n_ctx else np.ones(na, np.intp)
             stride = np.diff(block_first) // run
             new_first = np.concatenate(([0], np.cumsum(stride * size)))
-            sentence = np.repeat(sentence, stride * size)
+            sentence = np.repeat(np.arange(na), np.diff(new_first))
             rest, tag = np.divmod(np.arange(new_first[-1]) - new_first[sentence], size[sentence])
             base = block_first[sentence] + rest  # each run's first state
             at = lo[sentence] + tag
             new_codes = codes[base] % oldest * (k_tags + 1) + lat[at] + 1
-            run = run[sentence]
+            step, cells = stride[sentence], run[sentence]
         else:  # the only run is over the new tag's lattice, from the one state
             run, stride, new_first = size, np.zeros(na, np.intp), np.arange(na + 1)
-            base, new_codes = sentence, codes
-        run_first = np.concatenate(([0], np.cumsum(run)))
-        starts, step = run_first[:-1], stride[sentence]
-        jump = np.repeat(step, run)
-        jump[starts] = base - np.concatenate(([0], (base + (run - 1) * step)[:-1]))
-        state = np.cumsum(jump)  # each cell's state: base, base + stride, ...
-        if n_ctx:
-            col, lex_cell = np.repeat(lat[at], run), np.repeat(lex[at], run)
-        else:
-            at = np.arange(run_first[-1]) + np.repeat(lo - starts, run)
-            col, lex_cell = lat[at], lex[at]
-        cell = scores[state] + log_rows[rows_of_code[codes][state] + col]
-        cell += lex_cell
-        best, back = _segment_argmax(cell, run_first)
-        steps.append((lo, size, new_first, stride, back))
-        if done < na:  # sentences ending here: the first maximum of each block
-            ends = new_first[done:]
-            final[done:na] = _segment_argmax(best[ends[0]:], ends - ends[0])[1]
+            base, new_codes, step, cells = new_first[:-1], codes, stride, size
+            at = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        col = np.repeat(lat[at], cells) if n_ctx else lat[at]
+        starts = np.cumsum(cells) - cells
+        prev = np.repeat(step, cells)
+        prev[starts] = base - np.concatenate(([0], (base + (cells - 1) * step)[:-1]))
+        prev = np.cumsum(prev, out=prev)  # each cell's state: base, base + stride, ...
+        rows = rows_of_code[codes]
+        col += rows[prev]
+        cell = log_rows[col]
+        cell += scores[prev]
+        best = np.maximum.reduceat(cell if n_ctx else cell + lex[at], starts)
+        del prev, col, cell  # before the next step's
+        best += lex[at] if n_ctx else 0
+        steps.append((scores, rows, run, stride, block_first[:na]))
+        finals.append((best[new_first[done]:], np.diff(new_first[done:])))
         block_first = new_first[:done + 1]
         scores, codes = best[:block_first[-1]], new_codes[:block_first[-1]]
+    # Each sentence's best final state: the first maximum of its block.
+    top, ends = (np.concatenate(x[::-1]) for x in zip(*finals))
+    ends = np.concatenate(([0], np.cumsum(ends)))
+    hits = np.flatnonzero(top == np.repeat(np.maximum.reduceat(top, ends[:-1]), np.diff(ends)))
+    state = hits[np.searchsorted(hits, ends[:-1])] - ends[:-1]
+    run, stride, first = map(np.concatenate, list(zip(*steps))[2:])  # by token, by step
+    bounds = np.concatenate(([0], np.cumsum(run)))
+    j = np.arange(bounds[-1]) - np.repeat(bounds[:-1], run)
+    off = np.repeat(first, run) + j * np.repeat(stride, run)  # each run's states, rest 0
+    starts = bounds[:-1] - np.repeat(bounds[p[:-1]], active[:-1])  # in the step's runs
     tags = np.empty(len(tokens), np.intp)
-    state = final[:0]
-    for k in reversed(range(len(steps))):
-        lo, size, new_first, stride, back = steps[k]
-        na = len(lo)
-        state = np.concatenate((state, final[len(state):na]))
-        if n_ctx:
-            rest, tag = np.divmod(state, size)
-            tags[firsts[:na] + k] = lat[lo + tag]
-            state = back[new_first[:na] + state] * stride + rest
-        else:
-            tags[firsts[:na] + k] = lat[lo + back]
+    for k, (scores, rows, *_) in reversed(list(enumerate(steps))):  # chosen states back
+        a, b = p[k], p[k + 1]
+        rest, tag = np.divmod(state[:b - a], sizes[a:b])
+        r, c = run[a:b], slice(bounds[a], bounds[b])
+        prev = off[c] + np.repeat(rest, r)
+        at = np.repeat(los[a:b] + tag, r) + (0 if n_ctx else j[c])
+        cell = scores[prev] + log_rows[rows[prev] + lat[at]]
+        cell += lex[at]
+        top = np.repeat(np.maximum.reduceat(cell, starts[a:b]), r)
+        first_j = np.minimum.reduceat(np.where(cell == top, j[c], k_tags), starts[a:b])
+        tags[by_step[a:b]] = lat[at[starts[a:b] + first_j]]
+        state[:b - a] = first_j * stride[a:b] + rest
     return tags
-
-
-def _segment_argmax(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maximum of each nonempty segment ``values[bounds[i]:bounds[i+1]]``
-    and the offset in it of its first occurrence, the tie-break of ``argmax``."""
-    starts = bounds[:-1]
-    best = np.maximum.reduceat(values, starts)
-    hits = np.flatnonzero(values == np.repeat(best, np.diff(bounds)))  # one in each segment
-    return best, hits[np.searchsorted(hits, starts)] - starts
 
 
 def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:

@@ -155,6 +155,19 @@ class TestTag:
         assert [[t.word for t in s] for s in corpus.sentences] == \
             [["a", "b"], ["b", "c", "a"]]
 
+    def test_words_split_only_at_space_and_tab(self, tmp_path, capsys, monkeypatch):
+        # Corpus words may hold whitespace other than tab, LF and CR, and
+        # the model knows these, so each must come back as one word with
+        # its only tag, X: split at every Unicode whitespace, they would be
+        # unknown fragments.
+        odd = ["a\xa0b", "d\u2028e", "f\x85g", "h\u3000i", "j\x1ck\x1fl", "m\x0bn\x0co"]
+        corpus = tmp_path / "train.tsv"
+        corpus.write_text("".join(f"{w}\tX\n" for w in odd) + "c\tY\n\n", encoding="utf-8")
+        model = train_default(tmp_path, str(corpus))
+        monkeypatch.setattr("sys.stdin", io.StringIO(" \t".join(odd) + "  c\t\n"))
+        assert main(["tag", "--model", model]) == 0
+        assert capsys.readouterr().out == "".join(f"{w}\tX\n" for w in odd) + "c\tY\n"
+
     def test_output_file_and_reparseability(self, tmp_path, corpus_file):
         model = train_default(tmp_path, corpus_file)
         inp = tmp_path / "input.txt"

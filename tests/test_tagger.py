@@ -2,11 +2,12 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from succabs.corpus import TagSet, parse_corpus
+from succabs.corpus import SynthesisConfig, TagSet, parse_corpus, synthesize_corpus
 from succabs.counts import RareWordPolicy, Lexicon, build_suffix_trie
 from succabs.errors import ValidationError
 import succabs.counts
@@ -588,6 +589,45 @@ class TestRoundingCollision:
                     assert _score_indices(m, words, first, rt) == 4.0
                     assert _score_indices(m, words, [1] + first[1:], rt) == 4.0
 
+    def test_collision_among_sentences_of_other_widths(self, monkeypatch):
+        # The colliding sentence, its first word opening X below Y and its
+        # first "w2" rounding both to 4.0, is decoded in one call with a
+        # longer and a shorter sentence, one of 1-wide lattices ("z", all
+        # X) and one of K-wide lattices ("u", all Y), either way round,
+        # which share its batch steps and shift its states and runs, or
+        # theirs, in them.  Every order, order 1 (no state, the lexical
+        # term added before the max) included, must give each sentence its
+        # own tags on every route; a back-pointer taken before the lexical
+        # term, or a run read at another sentence's offset, does not.
+        base = hand_built_bigram_model()
+        lexicon = Lexicon(("w1", "w2", "z"), np.array([[9, 1], [2, 8], [5, 0]]))
+        for order in (1, 2, 3, 4):
+            n_ctx = order - 1
+            contexts = ((),) if order == 1 else ((), (-1,) * n_ctx)
+            transition = SmoothedNGramModel(order=order, num_tags=2, contexts=contexts,
+                                            probs=np.full((len(contexts), 2), 0.5))
+            transition.log_probs[:] = 0.0
+            transition.log_probs[len(contexts) - 1] = [1.0, 1.0 + 2.0 ** -52]
+            m = dataclasses.replace(base, transition=transition, lexicon=lexicon,
+                                    metadata=dataclasses.replace(base.metadata, order=order))
+            collide = ["w1"] * n_ctx + ["w2", "w2"]
+            best = {"z": "X", "u": "Y"}
+            for longer, shorter in (("z", "u"), ("u", "z")):
+                sentences = [[longer] * (n_ctx + 4), collide, [shorter] * (n_ctx + 1)]
+                expect = [[best[longer]] * (n_ctx + 4), ["X"] * (n_ctx + 2),
+                          [best[shorter]] * (n_ctx + 1)]
+                for route in ROUTES:
+                    with routed(monkeypatch, route):
+                        rt = _DecodeRuntime(m)
+                        rt.prime(["w1", *itertools.chain(*sentences)])
+                        for word, lex in (("w1", 0.0), ("w2", 3.0), ("u", [0.0, 0.25]),
+                                          ("z", 0.5)):
+                            rt.entry(word)[0][:] = lex
+                        assert _decode(rt, sentences) == expect, (order, longer, route)
+                        tied = [1] + [0] * (n_ctx + 1)
+                        assert (_score_indices(m, collide, tied, rt)
+                                == _score_indices(m, collide, [0] * (n_ctx + 2), rt))
+
 
 def lettered_corpus(rng, num_tags, unseen_tags=()):
     """Words of 1-6 letters over a small alphabet with a non-BMP letter, so
@@ -888,6 +928,36 @@ class TestTagCorpus:
         assert calls == [wide, [30], [12, 12], [12, 12], [3]]
         with routed(monkeypatch, ROUTES[0]):
             assert got == tag_corpus(m, sentences)
+
+    def test_memory_of_a_call_of_two_batches(self):
+        # ``_BATCH_CELLS`` bounds what a batch holds (its comment): 16 bytes
+        # per state of every step, and up to 16 more in the walk back; one
+        # step's temporaries, 32 bytes per cell and 72 per new state.  Every
+        # token here is an unknown word of K = 4 tags, in sentences of 20,
+        # so each state has K cells and a batch of the constant's 2**19
+        # cells 2**17 states, over steps of K**3 cells per sentence.  The
+        # call's per-token arrays and tag lists take under 64 bytes a token.
+        # A call of two batches stays under the sum; it would not with the
+        # constant doubled, or with a step that kept its cells.
+        k, length, batch_cells = 4, 20, 1 << 19
+        train, _, _ = synthesize_corpus(SynthesisConfig(
+            num_tags=k, vocab_size=50, num_train_tokens=2000, num_test_tokens=10, seed=3))
+        m = train_model(train)
+        cells = k + k ** 2 + (length - 2) * k ** 3  # per sentence
+        n = -(-2 * succabs.tagger._BATCH_CELLS // cells)
+        sentences = [[f"zz{(i * length + j) % 7}q" for j in range(length)] for i in range(n)]
+        assert not any(w in m.lexicon.index for s in sentences for w in s)
+        per_batch = batch_cells // cells
+        bound = (32 * batch_cells // k + (32 * k ** 3 + 72 * k ** 2) * per_batch
+                 + 64 * n * length)
+        tag_corpus(m, sentences[:1])  # builds the model's lazy tables before measuring
+        tracemalloc.start()
+        try:
+            tagged = tag_corpus(m, sentences)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tagged) == n and peak < bound, (peak, bound)
 
     def test_empty_call(self, monkeypatch):
         m = hand_built_bigram_model()
