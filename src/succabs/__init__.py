@@ -19,6 +19,7 @@ from .counts import (
     Lexicon,
     NGramCountTable,
     RareWordPolicy,
+    SparseRows,
     SuffixTrie,
     build_lexicon,
     build_suffix_trie,

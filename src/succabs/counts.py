@@ -152,22 +152,94 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
 
 
 @dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Rows of int64 counts over ``num_tags`` tags, only the nonzero ones
+    held: row i's are ``values[indptr[i]:indptr[i + 1]]``, positive, of the
+    tags ``tags[indptr[i]:indptr[i + 1]]``, ascending.  The arrays are
+    read-only, and checked where they are made in O(rows + counts)."""
+
+    indptr: np.ndarray
+    tags: np.ndarray
+    values: np.ndarray
+    num_tags: int
+
+    def __post_init__(self):
+        indptr, tags, values = self.indptr, self.tags, self.values
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in (indptr, tags, values)):
+            raise ValidationError("sparse rows' arrays must be one-dimensional integers")
+        if len(values) != len(tags):
+            raise ValidationError(f"sparse rows hold {len(tags)} tags but {len(values)} values")
+        if (not len(indptr) or indptr[0] != 0 or indptr[-1] != len(tags)
+                or (indptr[1:] < indptr[:-1]).any()):
+            raise ValidationError("sparse rows' indptr must start at 0, never decrease and "
+                                  f"end at its {len(tags)} counts")
+        if len(tags) and not (tags.min() >= 0 and tags.max() < self.num_tags):
+            raise ValidationError(f"sparse rows' tags must lie in [0, {self.num_tags})")
+        rising = tags[1:] > tags[:-1]
+        rising[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < len(tags))] - 1] = True
+        if not rising.all():
+            raise ValidationError("sparse rows' tags must ascend within each row")
+        if (values <= 0).any():
+            raise ValidationError("sparse rows' counts must be positive")
+        for array in (indptr, tags, values):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def cells(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The given rows' nonzero counts, row after row: how many each row
+        holds, and their tags and values."""
+        ids = np.asarray(ids, dtype=np.intp)
+        starts = self.indptr[ids]
+        sizes = self.indptr[ids + 1] - starts
+        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
+        return sizes, self.tags[at], self.values[at]
+
+    def rows(self, ids) -> np.ndarray:
+        """The given rows, as a dense int64 (rows, K) matrix."""
+        sizes, tags, values = self.cells(ids)
+        out = np.zeros((len(sizes), self.num_tags), dtype=np.int64)
+        out[np.repeat(np.arange(len(sizes)), sizes), tags] = values
+        return out
+
+    def totals(self) -> np.ndarray:
+        """Each row's total: exact wherever it fits int64, since the running
+        sum wraps but the difference of two is right modulo 2**64."""
+        sums = np.zeros(len(self.values) + 1, dtype=np.int64)
+        np.cumsum(self.values, out=sums[1:])
+        return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
+
+
+@dataclass(frozen=True, eq=False)
 class Lexicon(Mapping[str, np.ndarray]):
-    """Tag counts per training word: row i of the read-only int64 (words, K)
-    ``counts`` matrix is ``words[i]``'s, with ``words`` in model-file order
-    (Python's ``sorted``) and ``index`` mapping each word to its row.  As a
-    mapping, a word's value is its row."""
+    """Tag counts per training word: row i of the sparse ``counts`` is
+    ``words[i]``'s, with ``words`` strictly ascending in model-file order
+    (Python's ``sorted``) and ``index`` mapping each word to its row.  A
+    ``ValidationError`` if the words and rows differ in number, a word does
+    not follow the one before, or a row holds no counts.  As a mapping, a
+    word's value is its dense row, built from the sparse one."""
 
     words: tuple[str, ...]
-    counts: np.ndarray
+    counts: SparseRows
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.counts.flags.writeable = False
-        object.__setattr__(self, "index", dict(zip(self.words, range(len(self.words)))))
+        words = self.words
+        if len(words) != len(self.counts):
+            raise ValidationError(f"{len(words)} words but {len(self.counts)} count rows")
+        after = next((i for i in range(1, len(words)) if words[i] <= words[i - 1]), None)
+        if after is not None:
+            raise ValidationError(
+                f"duplicate word {words[after]!r}" if words[after] == words[after - 1] else
+                f"word {words[after]!r} is out of order; rows are sorted by word")
+        empty = np.flatnonzero(self.counts.indptr[1:] == self.counts.indptr[:-1])
+        if empty.size:
+            raise ValidationError(f"word {words[empty[0]]!r} has no tag counts")
+        object.__setattr__(self, "index", dict(zip(words, range(len(words)))))
 
     def __getitem__(self, word: str) -> np.ndarray:
-        return self.counts[self.index[word]]
+        return self.counts.rows([self.index[word]])[0]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
@@ -179,14 +251,17 @@ class Lexicon(Mapping[str, np.ndarray]):
 
 
 def build_lexicon(corpus: Corpus) -> Lexicon:
-    """Tag counts per word: one ``bincount`` over word id times K plus tag,
-    with the rows put in ``sorted`` word order (a numpy string sort would
-    drop trailing NULs)."""
+    """Tag counts per word: one ``np.unique`` over word rank times K plus
+    tag, with the words ranked in ``sorted`` order (a numpy string sort
+    would drop trailing NULs), so its cells come as the sparse rows hold
+    them."""
     m = len(corpus.tag_set)
-    cells = np.bincount(corpus.word_ids * m + corpus.tag_ids, minlength=len(corpus.vocab) * m)
     order = sorted(range(len(corpus.vocab)), key=corpus.vocab.__getitem__)
+    rank = np.argsort(np.array(order, dtype=np.int64))  # each word id's place in ``order``
+    cells, values = np.unique(rank[corpus.word_ids] * m + corpus.tag_ids, return_counts=True)
+    indptr = np.searchsorted(cells, np.arange(len(order) + 1) * m)
     return Lexicon(tuple(corpus.vocab[i] for i in order),
-                   cells.reshape(len(corpus.vocab), m)[np.array(order, dtype=np.intp)])
+                   SparseRows(indptr, cells % max(m, 1), values.astype(np.int64, copy=False), m))
 
 
 @dataclass(frozen=True)
@@ -207,21 +282,16 @@ class SuffixTrie:
     root aggregates the whole rare-word subcorpus.
 
     Node ids are rows in preorder, row 0 the root, with siblings in
-    ascending letter order (the begin-of-word marker first).  The tag
-    counts are sparse rows over ``num_tags`` tags: node i's nonzero counts
-    are ``values[indptr[i]:indptr[i + 1]]``, positive int64, of the tags
-    ``tags[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` gathers dense
-    rows.  ``depths``, ``codes`` (the letter code of the edge into each
-    node) and ``parents`` (-1 for the root) hold one entry per node.
-    ``edge_keys`` holds each edge's parent id * ``_LETTER_CODES`` + code,
-    ascending, and ``edge_nodes`` the node each leads to.  All the arrays
-    are read-only.
+    ascending letter order (the begin-of-word marker first).  ``counts``
+    holds node i's tag counts as its row i.  ``depths``, ``codes`` (the
+    letter code of the edge into each node) and ``parents`` (-1 for the
+    root) hold one entry per node.  ``edge_keys`` holds each edge's parent
+    id * ``_LETTER_CODES`` + code, ascending, and ``edge_nodes`` the node
+    each leads to.  All the arrays are read-only, and a ``ValidationError``
+    where the trie is made rejects per-node arrays of another length.
     """
 
-    indptr: np.ndarray
-    tags: np.ndarray
-    values: np.ndarray
-    num_tags: int
+    counts: SparseRows
     depths: np.ndarray
     codes: np.ndarray
     parents: np.ndarray
@@ -229,53 +299,22 @@ class SuffixTrie:
     edge_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._check()
+        nodes = len(self.counts)
+        if nodes < 1:
+            raise ValidationError("a suffix trie needs a root: its counts hold a row per node")
+        arrays = (self.depths, self.codes, self.parents)
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays):
+            raise ValidationError("a suffix trie's arrays must be one-dimensional integers")
+        for name, array in zip(("depths", "codes", "parents"), arrays):
+            if len(array) != nodes:
+                raise ValidationError(f"a suffix trie's {name} holds {len(array)} entries for "
+                                      f"{nodes} nodes")
         keys = self.parents[1:] * _LETTER_CODES + self.codes[1:]
         order = np.argsort(keys, kind="stable")
         object.__setattr__(self, "edge_keys", keys[order])
         object.__setattr__(self, "edge_nodes", order + 1)
-        for array in (self.indptr, self.tags, self.values, self.depths, self.codes,
-                      self.parents, self.edge_keys, self.edge_nodes):
+        for array in (*arrays, self.edge_keys, self.edge_nodes):
             array.flags.writeable = False
-
-    def _check(self) -> None:
-        """A ``ValidationError`` unless the arrays describe one trie, in
-        O(nodes + counts)."""
-        indptr, tags, values = self.indptr, self.tags, self.values
-        arrays = (indptr, tags, values, self.depths, self.codes, self.parents)
-        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays):
-            raise ValidationError("a suffix trie's arrays must be one-dimensional integers")
-        nodes = len(indptr) - 1
-        if nodes < 1:
-            raise ValidationError("a suffix trie needs a root: indptr holds nodes + 1 entries")
-        for name in ("depths", "codes", "parents"):
-            if len(getattr(self, name)) != nodes:
-                raise ValidationError(f"a suffix trie's {name} holds "
-                                      f"{len(getattr(self, name))} entries for {nodes} nodes")
-        if len(values) != len(tags):
-            raise ValidationError(f"a suffix trie holds {len(tags)} tags but "
-                                  f"{len(values)} values")
-        if indptr[0] != 0 or indptr[-1] != len(tags) or (indptr[1:] < indptr[:-1]).any():
-            raise ValidationError("a suffix trie's indptr must start at 0, never decrease and "
-                                  f"end at its {len(tags)} counts")
-        if len(tags) and not (tags.min() >= 0 and tags.max() < self.num_tags):
-            raise ValidationError(f"a suffix trie's tags must lie in [0, {self.num_tags})")
-        rising = tags[1:] > tags[:-1]
-        rising[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < len(tags))] - 1] = True
-        if not rising.all():
-            raise ValidationError("a suffix trie's tags must ascend within each node")
-        if (values <= 0).any():
-            raise ValidationError("a suffix trie's counts must be positive")
-
-    def rows(self, nodes) -> np.ndarray:
-        """The given nodes' tag counts, as a dense int64 (nodes, K) matrix."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        starts = self.indptr[nodes]
-        sizes = self.indptr[nodes + 1] - starts
-        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
-        out = np.zeros((len(nodes), self.num_tags), dtype=np.int64)
-        out[np.repeat(np.arange(len(nodes)), sizes), self.tags[at]] = self.values[at]
-        return out
 
     def iter_nodes(self) -> Iterator[int]:
         """Every node id, in preorder."""
@@ -322,10 +361,10 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
     following paths down to the next new cell at its depth.  The build goes
     a depth at a time over the paths still that long, and sums their rows'
     nonzero counts by node and tag a batch of depths at a time, so it holds
-    nothing larger than the paths and the nonzero counts: no (nodes, K)
-    matrix.
+    nothing larger than the paths and the nonzero counts (the rare words'
+    sparse cells and the nodes'): no dense count matrix.
     """
-    totals = lexicon.counts.sum(axis=1)
+    counts, totals = lexicon.counts, lexicon.counts.totals()
     # An int64 bound: numpy 1 compares an int64 array with 2**63 as floats.
     rare = np.flatnonzero(totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1))
     pooled = totals[rare]
@@ -356,12 +395,14 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
     path_of = np.repeat(np.arange(len(rows)), new)
     column = np.arange(1, size) - start[path_of]
 
-    k = lexicon.counts.shape[1]
+    k = counts.num_tags
     # The paths' nonzero counts by tag, then path: a node's paths are a run,
     # so at every level each node and tag's counts, keyed node * K + tag,
     # are a run too, and no key recurs at another level.
-    tags, count_rows = np.nonzero(lexicon.counts[rows].T)
-    values = lexicon.counts[rows[count_rows], tags]
+    sizes, tags, values = counts.cells(rows)
+    by_tag = np.argsort(tags, kind="stable")
+    count_rows = np.repeat(np.arange(len(rows)), sizes)[by_tag]
+    tags, values = tags[by_tag], values[by_tag]
     batch, cells, pending = [(tags, values)], [], len(tags)  # the root's keys are its tags
     parents = np.arange(-1, size - 1, dtype=np.int64)  # but for each path's first new node
     # The paths still as long as the level, and each path's node at the
@@ -385,8 +426,8 @@ def build_suffix_trie(lexicon: Lexicon, policy: RareWordPolicy,
     order = np.argsort(keys)
     keys, values = keys[order], values[order]
     # With no tags there are no counts, and no key to divide.
-    return SuffixTrie(np.searchsorted(keys, np.arange(size + 1) * k), keys % max(k, 1), values,
-                      k, np.concatenate([[0], column + 1]),
+    return SuffixTrie(SparseRows(np.searchsorted(keys, np.arange(size + 1) * k),
+                                 keys % max(k, 1), values, k), np.concatenate([[0], column + 1]),
                       np.concatenate([[BOW_CODE], codes[offsets[path_of] + column]]), parents)
 
 

@@ -38,7 +38,7 @@ class UnknownWordModel:
 
 def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
                              root_mode: str = ROOT_MODE_ELE) -> UnknownWordModel:
-    root_counts = trie.rows([0])[0]
+    root_counts = trie.counts.rows([0])[0]
     if root_mode == ROOT_MODE_RF and not root_counts.any():
         raise ValidationError(
             f"no word is rarer than the rare threshold ({policy.frequency_threshold}), so the "
@@ -81,7 +81,7 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
             break
         level, first, reached = np.unique(trie.edge_nodes[edge], return_index=True,
                                           return_inverse=True)
-        probs, entropies = _smooth_level(trie.rows(level), probs[at[first]],
+        probs, entropies = _smooth_level(trie.counts.rows(level), probs[at[first]],
                                          entropies[at[first]])
         at = reached
         out[alive] = probs[at]
@@ -89,19 +89,16 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
     return out
 
 
-def lexical_factor_rows(p_lex: np.ndarray, unigram: ConditionalDistribution) -> np.ndarray:
-    """P(t | word) / P(t) for each row of a (words, K) matrix of P(t | word)
-    and every tag t: zero wherever P(t | word) is zero, and rejected where
-    P(t | word) > 0 but P(t) = 0.  A rejection names the first offending
-    tag of the first offending row."""
-    p_tag = unigram.probs
-    if p_tag.all():
-        # The usual case: no 0/0 can occur.
-        return p_lex / p_tag
+def lexical_factors(p_lex: np.ndarray, tags: np.ndarray,
+                    unigram: ConditionalDistribution) -> np.ndarray:
+    """P(t | word) / P(t) for cells of P(t | word) and their tags t: zero
+    wherever P(t | word) is zero, and rejected where P(t | word) > 0 but
+    P(t) = 0.  A rejection names the first offending cell's tag."""
+    p_tag = unigram.probs[tags]
     mass = p_lex > 0.0
-    orphans = np.argwhere(mass & (p_tag == 0.0))
+    orphans = np.flatnonzero(mass & (p_tag == 0.0))
     if orphans.size:
         raise ValidationError(
-            f"tag index {orphans[0, -1]} has zero unigram probability but nonzero "
+            f"tag index {tags[orphans[0]]} has zero unigram probability but nonzero "
             "lexical probability; use a strictly positive root mode")
     return np.divide(p_lex, p_tag, out=np.zeros_like(p_lex), where=mass)

@@ -30,20 +30,23 @@ serialize byte-identically.
 
 One rule makes a file that loads write back its own bytes.  The loader
 builds what each section holds, parsed (the ``[meta]`` values,
-``[unigram]``, the context keys, ``[lexicon]``) or derived with the
-training builders from ``[lexicon]`` and ``[meta]`` (``[trie]``,
-``[unknown_root]``), renders it with the writer's own code and compares
-that text, header included, with the file's; lines are split only to name
-the first row that differs.  ``[tags]`` rows are their own text.  The one
-exception is the float cells of ``[transitions]``/``[freqs]``, which are
-parsed but not compared: rendering them would cost a large share of a
-load.  ``[trie]`` is checked by its row count first, before any of the
-derived trie's counts are pooled.
+``[unigram]``, the context keys, ``[lexicon]``, whose rows are cut to
+sparse rows a parsed block at a time) or derived with the training
+builders from ``[lexicon]`` and ``[meta]`` (``[trie]``, ``[unknown_root]``),
+renders it with the writer's own code and compares that text, header
+included, with the file's in place, a rendered block at a time; lines are
+split only to name the first row that differs.  ``[tags]`` rows are their
+own text.  The one exception is the float cells of
+``[transitions]``/``[freqs]``, which are parsed but not compared:
+rendering them would cost a large share of a load.  ``[trie]`` is checked
+by its row count first, before any of the derived trie's counts are
+pooled.
 
 Every number section of many rows is written by one exact block renderer,
 ``_render``: a few numpy passes per block of rows and no Python call per
 number (but the ``_fmt`` fallback for floats outside [1e-4, 1)), into
-bytes that are exactly what ``"%d"`` and ``"%.17g"`` write.  The one-row
+bytes that are exactly what ``"%d"`` and ``"%.17g"`` write; counts come
+from the nonzero cells of sparse rows, with no dense block.  The one-row
 ``[unigram]`` and ``[unknown_root]`` are written by ``_row``, one ``_fmt``
 per number, which is quicker for one row.
 """
@@ -51,12 +54,12 @@ per number, which is quicker for one row.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import _SURROGATE, TagSet
-from .counts import BOW_CODE, Lexicon, RareWordPolicy, SuffixTrie, build_suffix_trie
+from .counts import BOW_CODE, Lexicon, RareWordPolicy, SparseRows, SuffixTrie, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
 from .lexicon import build_unknown_word_model
 from .smoothing import (
@@ -198,27 +201,16 @@ def _trie_heads(trie: SuffixTrie) -> tuple[np.ndarray, np.ndarray]:
     return out, ends
 
 
-def _nonzero_cells(table, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero counts in rows lo..hi of a count table, a (rows, K)
-    int64 matrix or a ``SuffixTrie``: their flat positions in the block,
-    ascending, and their values.  A trie's are a slice of its sparse rows,
-    with no dense block made."""
-    if isinstance(table, SuffixTrie):
-        first, last = table.indptr[lo], table.indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), np.diff(table.indptr[lo:hi + 1]))
-        return rows * table.num_tags + table.tags[first:last], table.values[first:last]
-    cells = table[lo:hi].reshape(-1)
-    nonzero = np.flatnonzero(cells != 0)  # quicker than on the int64 cells
-    return nonzero, cells[nonzero]
-
-
-def _count_cells(rows: int, k: int, nonzero: np.ndarray, values: np.ndarray,
-                 heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_render``'s text of a block of rows of K non-negative int64
-    counts, given its ``_nonzero_cells``.  The text starts as "0 " per cell
-    with a newline for each row's last space, a nonzero count's leading
-    digit overwrites its "0", and one ``np.insert`` puts in its other
-    digits and the heads."""
+def _count_cells(counts: SparseRows, lo: int, hi: int, heads: np.ndarray,
+                 sizes: np.ndarray) -> np.ndarray:
+    """``_render``'s text of rows lo..hi of sparse count rows, from their
+    ``cells``, with no dense block made.  The text starts as "0 " per
+    cell with a newline for each row's last space, a nonzero count's
+    leading digit overwrites its "0", and one ``np.insert`` puts in its
+    other digits and the heads."""
+    rows, k = hi - lo, counts.num_tags
+    cells, tags, values = counts.cells(np.arange(lo, hi))
+    nonzero = np.repeat(np.arange(rows), cells) * k + tags
     text = np.tile(np.frombuffer(b"0 ", dtype=np.uint8), rows * k)
     text[2 * k - 1::2 * k] = ord("\n")
     digits = np.searchsorted(_POWERS, values, side="right")
@@ -276,14 +268,11 @@ def _render_blocks(table, heads: np.ndarray | None = None,
     """Section text, ``_RENDER`` rows at a time: row r is its head, the
     UTF-8 bytes ``heads[ends[r - 1]:ends[r]]``, then table row r's numbers,
     space-separated, and a newline.  The table is a float64 matrix, each
-    number as ``"%.17g"`` writes it, or a count table, a non-negative
-    int64 matrix or a ``SuffixTrie``, each as ``"%d"`` writes it.
-    ``_count_cells`` or ``_float_cells`` writes a block with a few numpy
-    passes and no Python work per cell or row (but for the ``_fmt``
-    fallback)."""
-    trie = isinstance(table, SuffixTrie)
-    rows, k = (len(table.depths), table.num_tags) if trie else table.shape
-    floats = not trie and table.dtype.kind == "f"
+    number as ``"%.17g"`` writes it, or ``SparseRows`` of counts, each as
+    ``"%d"`` writes it, zeros included.  ``_count_cells`` or
+    ``_float_cells`` writes a block with a few numpy passes and no Python
+    work per cell or row (but for the ``_fmt`` fallback)."""
+    rows, floats = len(table), isinstance(table, np.ndarray)
     if heads is None:
         heads, ends = np.zeros(0, dtype=np.uint8), np.zeros(rows, dtype=np.int64)
     for lo in range(0, rows, _RENDER):
@@ -291,7 +280,7 @@ def _render_blocks(table, heads: np.ndarray | None = None,
         first, last = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
         block_heads, sizes = heads[first:last], np.diff(ends[lo:hi], prepend=first)
         text = (_float_cells(table[lo:hi], block_heads, sizes) if floats else
-                _count_cells(hi - lo, k, *_nonzero_cells(table, lo, hi), block_heads, sizes))
+                _count_cells(table, lo, hi, block_heads, sizes))
         yield text.tobytes().decode("utf-8", "surrogatepass")
 
 
@@ -299,14 +288,16 @@ def _header(name: str, rows: int) -> str:
     return f"[{name}] {rows}\n"
 
 
-def _section(name: str, rows: int, text: str) -> tuple[str, str]:
-    """A section as the writer writes it: the header line, then the rows'
-    text, kept apart so that no section's text is copied to join them (a
-    3 MB trie copy raised the loader's peak RSS by 3 MB)."""
-    return _header(name, rows), text
+def _section(name: str, rows: int, pieces: Iterable[str]) -> Iterator[str]:
+    """A section as the writer writes it, a piece at a time: the header
+    line, then the rows' text or its rendered blocks, never joined, so that
+    neither the writer nor the loader's comparison holds a rendered section
+    whole (a 3 MB trie copy raised the loader's peak RSS by 3 MB)."""
+    yield _header(name, rows)
+    yield from pieces
 
 
-def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> tuple[str, str]:
+def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> Iterator[str]:
     """The ``[meta]`` section: rows of key TAB value, in ``_META_KEYS``
     order; ``sigma_scale`` is always 1, since the smoothing step has no
     scale."""
@@ -316,7 +307,7 @@ def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> tuple[str, s
     if metadata.lambdas is not None:
         values.append(",".join(map(_fmt, metadata.lambdas)))
     return _section("meta", len(values),
-                    "".join(f"{key}\t{value}\n" for key, value in zip(_META_KEYS, values)))
+                    ["".join(f"{key}\t{value}\n" for key, value in zip(_META_KEYS, values))])
 
 
 def _row(probs: np.ndarray) -> str:
@@ -351,19 +342,17 @@ def _model_pieces(model: Model) -> Iterator[str]:
         table_section, table = "freqs", transition.freqs
     else:
         table_section, table = "transitions", transition.probs
-    contexts = _context_keys(transition.contexts)
+    contexts, words = _context_keys(transition.contexts), list(model.lexicon.words)
     yield f"{MAGIC} {FORMAT_VERSION}\n"
     yield from _meta_lines(model.metadata, unknown.policy)
     yield from _section("tags", len(model.tag_set),
-                        "".join(f"{tag}\n" for tag in model.tag_set.tags))
-    yield from _section("unigram", 1, _row(model.unigram.probs))
-    yield _header(table_section, len(contexts))
-    yield from _render_blocks(table, *_heads(contexts))
-    yield _header("lexicon", len(model.lexicon))
-    yield from _render_blocks(model.lexicon.counts, *_heads(list(model.lexicon.words)))
-    yield _header("trie", len(trie.depths))
-    yield from _render_blocks(trie, *_trie_heads(trie))
-    yield from _section("unknown_root", 1, _row(unknown.root.probs))
+                        ["".join(f"{tag}\n" for tag in model.tag_set.tags)])
+    yield from _section("unigram", 1, [_row(model.unigram.probs)])
+    yield from _section(table_section, len(contexts), _render_blocks(table, *_heads(contexts)))
+    yield from _section("lexicon", len(words),
+                        _render_blocks(model.lexicon.counts, *_heads(words)))
+    yield from _section("trie", len(trie.depths), _render_blocks(trie.counts, *_trie_heads(trie)))
+    yield from _section("unknown_root", 1, [_row(unknown.root.probs)])
 
 
 def _mismatch(where: str, row: int, read: str, written: str) -> ModelFormatError:
@@ -428,34 +417,42 @@ class _SectionReader:
         split out only to name a row in an error."""
         return self.text[start:].split("\n", count)[:count]
 
-    def expect(self, start: int, section: tuple[str, str], where: str) -> None:
+    def expect(self, start: int, section: Iterable[str], where: str) -> None:
         """Read past the section whose header starts at ``start`` if it is
-        ``section``, what the writer writes for it (``_section``); else raise
-        the ``_mismatch`` of its first row that differs."""
-        header, body = section
-        if not (self.text.startswith(header, start)
-                and self.text.startswith(body, start + len(header))):
-            rows = (header + body).split("\n")[:-1]
-            read = self.lines_at(start, len(rows))
-            row = next((r for r, pair in enumerate(zip(read, rows)) if pair[0] != pair[1]), None)
-            if row is None:  # each row read is the writer's, but the file ends
-                raise ModelFormatError(f"{where}: the file ends before the section does")
-            raise _mismatch(where, row, read[row], rows[row])
-        self.at = start + len(header) + len(body)
+        ``section``, what the writer writes for it (``_section``), compared
+        in place a piece at a time; else raise the ``_mismatch`` of its
+        first row that differs."""
+        at, row = start, 0
+        for piece in section:
+            if not self.text.startswith(piece, at):
+                rows = piece.split("\n")[:-1]
+                read = self.lines_at(at, len(rows))
+                bad = next((r for r, pair in enumerate(zip(read, rows)) if pair[0] != pair[1]),
+                           None)
+                if bad is None:  # each row read is the writer's, but the file ends
+                    raise ModelFormatError(f"{where}: the file ends before the section does")
+                raise _mismatch(where, row + bad, read[bad], rows[bad])
+            at, row = at + len(piece), row + piece.count("\n")
+        self.at = at
 
     def finished(self) -> bool:
         return self.at >= len(self.text)
 
 
 def _parse_rows(lines: list[str], dtype: type, width: int,
-                where: str) -> tuple[list[str], np.ndarray]:
+                where: str) -> tuple[list[str], np.ndarray | SparseRows]:
     """Rows of a key, a TAB and space-separated numbers: the keys, and the
-    numbers as one (rows, width) matrix.  Rows are split and parsed
-    ``_BLOCK`` at a time, so only one block's split lines exist at once,
-    and small blocks reuse freed memory: one parse per section, or
-    2048-row blocks, raised peak memory by 5-10 MB in most runs."""
+    numbers, floats as one (rows, width) matrix and counts as
+    ``SparseRows``.  Rows are split and parsed ``_BLOCK`` at a time, and a
+    block of counts is cut to its nonzero cells as it is parsed, so only
+    one block's split lines and dense numbers exist at once, and small
+    blocks reuse freed memory: one parse per section, or 2048-row blocks,
+    raised peak memory by 5-10 MB in most runs."""
     keys: list[str] = []
-    out = np.empty((len(lines), width), dtype=dtype)
+    floats = dtype is np.float64
+    out = np.empty((len(lines) if floats else 0, width), dtype=dtype)
+    # Each block's nonzero counts per row (after indptr's 0), tags and values.
+    cells = [(np.zeros(1, np.int64), np.zeros(0, np.intp), np.zeros(0, np.int64))]
     for lo in range(0, len(lines), _BLOCK):
         fields = [line.split("\t") for line in lines[lo:lo + _BLOCK]]
         if set(map(len, fields)) != {2}:
@@ -471,18 +468,22 @@ def _parse_rows(lines: list[str], dtype: type, width: int,
         if block is None or block.shape != (len(chunk), width):
             raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} is not "
                                    f"{width} numbers")
-        if dtype is np.int64:
-            if (block < 0).any():
-                raise ModelFormatError(f"{where}: negative count")
-            # Row totals are int64 sums, which would wrap silently.
-            if (int(block.max(initial=0)) * width >= 2 ** 63
-                    and max(map(sum, block.tolist())) >= 2 ** 63):
-                raise ModelFormatError(f"{where}: the counts of a row among "
-                                       f"{lo + 1}-{lo + len(chunk)} sum past 2**63 - 1")
-        if dtype is np.float64 and not np.isfinite(block).all():
-            raise ModelFormatError(f"{where}: non-finite value")
-        out[lo:lo + len(block)] = block
-    return keys, out
+        if floats:
+            if not np.isfinite(block).all():
+                raise ModelFormatError(f"{where}: non-finite value")
+            out[lo:lo + len(block)] = block
+            continue
+        if (block < 0).any():
+            raise ModelFormatError(f"{where}: negative count")
+        # Row totals are int64 sums, which would wrap silently.
+        if (int(block.max(initial=0)) * width >= 2 ** 63
+                and max(map(sum, block.tolist())) >= 2 ** 63):
+            raise ModelFormatError(f"{where}: the counts of a row among "
+                                   f"{lo + 1}-{lo + len(chunk)} sum past 2**63 - 1")
+        rows, tags = np.nonzero(block)
+        cells.append((np.count_nonzero(block, axis=1), tags, block[rows, tags]))
+    sizes, tags, values = map(np.concatenate, zip(*cells))
+    return keys, out if floats else SparseRows(np.cumsum(sizes), tags, values, width)
 
 
 def model_from_text(text: str) -> Model:
@@ -531,7 +532,7 @@ def model_from_text(text: str) -> Model:
         raise ModelFormatError(f"unigram: {bad}") from None
     if unigram.dim != k:
         raise ModelFormatError(f"unigram: expected {k} probabilities")
-    reader.expect(start, _section("unigram", 1, _row(unigram.probs)), "unigram")
+    reader.expect(start, _section("unigram", 1, [_row(unigram.probs)]), "unigram")
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
     start = reader.at
@@ -574,19 +575,14 @@ def model_from_text(text: str) -> Model:
 
     start = reader.at
     words, counts = _parse_rows(reader.section("lexicon"), np.int64, k, "lexicon")
-    after = next((i for i in range(1, len(words)) if words[i] <= words[i - 1]), None)
-    if after is not None:
-        raise ModelFormatError(
-            f"lexicon: duplicate word {words[after]!r}" if words[after] == words[after - 1] else
-            f"lexicon: word {words[after]!r} is out of order; rows are sorted by word")
+    try:
+        lexicon = Lexicon(tuple(words), counts)
+    except ValidationError as bad:
+        raise ModelFormatError(f"lexicon: {bad}") from None
     if words and not words[0]:  # sorted, so only the first word can be empty
         raise ModelFormatError("lexicon: empty word, which no corpus can hold")
-    empty = np.flatnonzero(~counts.any(axis=1))
-    if empty.size:
-        raise ModelFormatError(f"lexicon: word {words[empty[0]]!r} has no tag counts")
-    reader.expect(start, _section("lexicon", len(words), _render(counts, *_heads(words))),
+    reader.expect(start, _section("lexicon", len(words), _render_blocks(counts, *_heads(words))),
                   "lexicon")
-    lexicon = Lexicon(tuple(words), counts)
 
     start = reader.at
     nodes = reader.header("trie")
@@ -600,13 +596,13 @@ def model_from_text(text: str) -> Model:
     if trie is None:  # found before any of the derived trie's counts are pooled
         raise ModelFormatError(f"{not_derived}: the header reads {f'[trie] {nodes}'!r}, "
                                "but that trie has another number of rows")
-    reader.expect(start, _section("trie", nodes, _render(trie, *_trie_heads(trie))),
+    reader.expect(start, _section("trie", nodes, _render_blocks(trie.counts, *_trie_heads(trie))),
                   not_derived)
     try:
         unknown = build_unknown_word_model(trie, policy, metadata.root_mode)
     except ValidationError as bad:
         raise ModelFormatError(f"unknown_root: {bad}") from None
-    reader.expect(reader.at, _section("unknown_root", 1, _row(unknown.root.probs)),
+    reader.expect(reader.at, _section("unknown_root", 1, [_row(unknown.root.probs)]),
                   "unknown_root: not the root_mode estimate from the trie root's counts")
 
     if not reader.finished():

@@ -354,9 +354,10 @@ def interpolation_loglik_objective(counts: NGramCountTable,
 
     Each token's longest stored context suffix is its full-length key's
     cell of the relative frequencies' ``index``, and the frequencies of that
-    row's suffixes are gathered once, so each weight evaluation is a cheap
-    vectorized pass.  The held-out corpus must share the tag set the counts
-    were gathered over.
+    row's suffixes are gathered once, so each weight evaluation adds one
+    order's weighted column at a time, most general first, where the token's
+    suffix is that long.  The held-out corpus must share the tag set the
+    counts were gathered over.
     """
     if heldout.tag_set != counts.tag_set:
         raise ValidationError(f"held-out corpus has tags {heldout.tag_set.tags}, "
@@ -370,11 +371,14 @@ def interpolation_loglik_objective(counts: NGramCountTable,
     freqs = np.column_stack([padded[np.array(rows)[longest], heldout.tag_ids]
                              for rows in _suffix_rows(counts.contexts, counts.order)])
     depth_col = np.array([len(ctx) for ctx in counts.contexts])[longest]
+    deeper = [(at, freqs[at, j]) for j in range(1, counts.order)
+              for at in [np.flatnonzero(depth_col >= j)]]
 
     def objective(lam: tuple[float, ...]) -> float:
         w = np.asarray(lam, dtype=np.float64)
-        rows = np.arange(freqs.shape[0])
-        num = np.cumsum(freqs * w, axis=1)[rows, depth_col]
+        num = freqs[:, 0] * w[0]
+        for j, (at, column) in enumerate(deeper, 1):
+            num[at] += column * w[j]
         den = np.cumsum(w)[depth_col]
         ok = den > 0
         # Where every seen order has zero weight, the most general seen

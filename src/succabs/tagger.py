@@ -34,7 +34,7 @@ from .errors import ValidationError
 from .lexicon import (
     UnknownWordModel,
     build_unknown_word_model,
-    lexical_factor_rows,
+    lexical_factors,
     unknown_word_distribution,
 )
 from .smoothing import (
@@ -52,7 +52,7 @@ from .smoothing import (
 )
 
 NEG_INF = float("-inf")
-# Words per factor matrix when priming: ``log_probs`` holds two Python floats
+# Words per block when priming: ``log_probs`` holds two Python floats
 # per lattice cell at once, 6 MB for a block of 2048 unknown words of 48 tags.
 _PRIME_BLOCK = 2048
 # A sentence with fewer (state, tag) cells per token than this is decoded
@@ -164,33 +164,35 @@ class _DecodeRuntime:
 
     def prime(self, words: Iterable[str]) -> None:
         """Add the words not in ``ids`` yet, in blocks of ``_PRIME_BLOCK``:
-        one factor matrix, one ``unknown_word_distribution`` and one
-        ``log_probs`` per block.  A known word's P(t | w) is its lexicon row
-        over the row's total, and ``lexical_factor_rows`` divides each row
-        by P(t).  If words are rejected, the error is the one the first of
-        them in ``words`` would raise alone."""
+        one ``unknown_word_distribution``, ``lexical_factors`` and
+        ``log_probs`` per block, over its lattice cells in word order.  A
+        known word's lattice and P(t | w) are its sparse lexicon row's
+        ``tags`` and ``values`` over their total; an unknown word's lattice
+        is every tag.  If words are rejected, the error is the one the first
+        of them in ``words`` would raise alone."""
         new = [w for w in dict.fromkeys(words) if w not in self.ids]
         m = self.model
-        index = m.lexicon.index
+        index, counts, k = m.lexicon.index, m.lexicon.counts, len(m.tag_set)
         # The empty word, always unknown, is rejected after the words before it.
         empty = new.index("") if "" in new else len(new)
         for start in range(0, empty, _PRIME_BLOCK):
             block = new[start:min(start + _PRIME_BLOCK, empty)]
-            probs = np.empty((len(block), len(m.tag_set)))
-            on_lattice = np.ones(probs.shape, dtype=bool)
             at = np.array([index.get(w, -1) for w in block], dtype=np.intp)
-            known = np.flatnonzero(at >= 0)
-            counts = m.lexicon.counts[at[known]]
-            probs[known] = counts / counts.sum(axis=1)[:, None]
-            on_lattice[known] = counts > 0
-            unknown = np.flatnonzero(at < 0)
-            probs[unknown] = unknown_word_distribution(m.unknown_word_model,
-                                                       [block[i] for i in unknown.tolist()])
-            factors = lexical_factor_rows(probs, m.unigram)
-            word_rows, lattices = np.nonzero(on_lattice)
-            self.lex = np.concatenate((self.lex, log_probs(factors[word_rows, lattices])))
+            known, unknown = np.flatnonzero(at >= 0), np.flatnonzero(at < 0)
+            sizes, tags, values = counts.cells(at[known])
+            probs = unknown_word_distribution(m.unknown_word_model,
+                                              [block[i] for i in unknown.tolist()])
+            # Each cell's word, known words' cells first; a stable sort puts
+            # them in word order, each word's tags still ascending.
+            word = np.concatenate((np.repeat(known, sizes), np.repeat(unknown, k)))
+            order = np.argsort(word, kind="stable")
+            lattices = np.concatenate((tags, np.tile(np.arange(k), len(unknown))))[order]
+            p_lex = np.concatenate((values / np.repeat(counts.totals()[at[known]], sizes),
+                                    probs.reshape(-1)))[order]
+            factors = lexical_factors(p_lex, lattices, m.unigram)
+            self.lex = np.concatenate((self.lex, log_probs(factors)))
             self.lat = np.concatenate((self.lat, lattices))
-            self.sizes = np.concatenate((self.sizes, on_lattice.sum(axis=1)))
+            self.sizes = np.concatenate((self.sizes, np.bincount(word, minlength=len(block))))
             self.ids.update(zip(block, range(len(self.ids), len(self.ids) + len(block))))
             self.offsets = np.cumsum(self.sizes) - self.sizes
         if empty < len(new):

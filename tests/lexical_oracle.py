@@ -5,7 +5,9 @@ as the reference they must equal, with the same arithmetic.
 ``letters`` each trie node's edge letter, ``children`` the (parent,
 letter) -> node map the walk used to follow, ``lexsort_suffix_trie`` the
 one-pass builder over padded (rare words x path) matrices into a dense
-count matrix, ``sparse_trie`` a trie of a dense matrix, and
+count matrix, ``sparse_rows`` the ``SparseRows`` of a dense count matrix
+(how tests make a ``Lexicon`` from one), ``sparse_trie`` a trie of a
+dense matrix, and
 ``known_word_distribution`` / ``lexical_factors`` the per-word
 P(tag | word) and factor path that decoding's factor matrix replaced.
 """
@@ -16,9 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from succabs.counts import BOW_CODE, BOW_LETTER, SuffixTrie
+from succabs.counts import BOW_CODE, BOW_LETTER, SparseRows, SuffixTrie
 from succabs.errors import ValidationError
-from succabs.lexicon import lexical_factor_rows
+from succabs.lexicon import lexical_factors as lexical_factor_cells
 
 
 def reversed_suffix_path(word, max_edges):
@@ -60,11 +62,17 @@ def _path_letters(words, depth):
     return letters, np.arange(depth) >= np.minimum(lengths + 1, depth)[:, None]
 
 
+def sparse_rows(counts):
+    """The ``SparseRows`` of a dense (rows, K) count matrix."""
+    counts = np.asarray(counts)
+    row, tag = np.nonzero(counts)
+    return SparseRows(np.searchsorted(row, np.arange(len(counts) + 1)), tag, counts[row, tag],
+                      counts.shape[1])
+
+
 def sparse_trie(counts, depths, codes, parents):
     """The ``SuffixTrie`` whose tag counts are a dense (nodes, K) matrix's."""
-    node, tag = np.nonzero(counts)
-    return SuffixTrie(np.searchsorted(node, np.arange(len(counts) + 1)), tag, counts[node, tag],
-                      counts.shape[1], depths, codes, parents)
+    return SuffixTrie(sparse_rows(counts), depths, codes, parents)
 
 
 def lexsort_suffix_trie(lexicon, policy):
@@ -72,7 +80,8 @@ def lexsort_suffix_trie(lexicon, policy):
     one ``np.lexsort``, whose row-major order is the trie's preorder.  The
     trie's (nodes, K) ``counts`` matrix, ``depths``, ``codes`` and
     ``parents``, as a namespace."""
-    totals = lexicon.counts.sum(axis=1)
+    dense = lexicon.counts.rows(np.arange(len(lexicon)))
+    totals = dense.sum(axis=1)
     rare = totals <= min(policy.frequency_threshold - 1, 2 ** 63 - 1)
     pooled = totals[rare]
     if int(pooled.max(initial=0)) * len(pooled) >= 2 ** 63 and sum(pooled.tolist()) >= 2 ** 63:
@@ -86,7 +95,7 @@ def lexsort_suffix_trie(lexicon, policy):
     nodes[past] = -1
     row, col = np.nonzero(new)
 
-    rows = lexicon.counts[np.flatnonzero(rare)[order]]
+    rows = dense[np.flatnonzero(rare)[order]]
     word, tag = np.nonzero(rows)
     path = nodes[word]
     on = path >= 0
@@ -113,10 +122,11 @@ class LexicalDistribution:
 
 
 def known_word_distribution(lex, word):
-    """Relative tag frequencies of a training word; None if never seen."""
-    vec = lex.get(word)
-    if vec is None:
+    """Relative tag frequencies of a training word, from its dense row
+    through ``rows``; None if never seen."""
+    if word not in lex.index:
         return None
+    vec = lex.counts.rows([lex.index[word]])[0]
     total = vec.sum()
     support = frozenset(int(i) for i in np.nonzero(vec)[0])
     return LexicalDistribution(vec / total, support)
@@ -125,4 +135,4 @@ def known_word_distribution(lex, word):
 def lexical_factors(dist, unigram):
     """P(t | word) / P(t) for every tag t: zero wherever P(t | word) is zero,
     and rejected where P(t | word) > 0 but P(t) = 0."""
-    return lexical_factor_rows(dist.probs, unigram)
+    return lexical_factor_cells(dist.probs, np.arange(len(dist.probs)), unigram)

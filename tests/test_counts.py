@@ -20,6 +20,7 @@ from succabs.counts import (
     Lexicon,
     NGramCountTable,
     RareWordPolicy,
+    SparseRows,
     SuffixTrie,
     _suffix_paths,
     build_lexicon,
@@ -36,6 +37,7 @@ from lexical_oracle import (
     lexsort_suffix_trie,
     path_nodes,
     reversed_suffix_path,
+    sparse_rows,
 )
 
 
@@ -148,12 +150,12 @@ class TestLexicon:
     def test_empty_corpus_gives_empty_lexicon(self):
         lex = build_lexicon(parse_corpus(""))
         assert len(lex) == 0
-        assert lex.words == () and lex.counts.shape == (0, 0)
+        assert lex.words == () and len(lex.counts) == 0 and lex.counts.num_tags == 0
 
 
 def assert_one_word_path(word, depth, path):
     """A one-word trie is the word's path, and the word walks all of it."""
-    trie = build_suffix_trie(Lexicon((word,), np.array([[1]])), RareWordPolicy(2, depth))
+    trie = build_suffix_trie(Lexicon((word,), sparse_rows([[1]])), RareWordPolicy(2, depth))
     assert reversed_suffix_path(word, depth) == path
     assert letters(trie) == [""] + path
     assert trie.depths.tolist() == list(range(len(path) + 1))
@@ -223,20 +225,20 @@ class TestBuildSuffixTrie:
         trie = build_suffix_trie(lex, RareWordPolicy())
         nn = corpus.tag_set.index_of("NN")
         # Root pools every rare token.
-        assert trie.rows([0])[0, nn] == 2
+        assert trie.counts.rows([0])[0, nn] == 2
         # "t" and "ta" prefixes of both reversed words share counts.
-        assert trie.rows([walk(trie, "t")])[0, nn] == 2
-        assert trie.rows([walk(trie, "ta")])[0, nn] == 2
+        assert trie.counts.rows([walk(trie, "t")])[0, nn] == 2
+        assert trie.counts.rows([walk(trie, "ta")])[0, nn] == 2
         # Then the paths split on "c" vs "b".
-        assert trie.rows([walk(trie, "tac")])[0, nn] == 1
-        assert trie.rows([walk(trie, "tab")])[0, nn] == 1
+        assert trie.counts.rows([walk(trie, "tac")])[0, nn] == 1
+        assert trie.counts.rows([walk(trie, "tab")])[0, nn] == 1
 
     def test_frequent_words_excluded(self):
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
         at = corpus.tag_set.index_of("AT")
-        assert trie.rows([0])[0, at] == 0
+        assert trie.counts.rows([0])[0, at] == 0
         assert (0, "e") not in children(trie)
 
     def test_bow_marker_terminates_full_words(self):
@@ -244,7 +246,7 @@ class TestBuildSuffixTrie:
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
         node = walk(trie, ["t", "a", "c", BOW_LETTER])
-        assert trie.rows([node])[0, corpus.tag_set.index_of("NN")] == 1
+        assert trie.counts.rows([node])[0, corpus.tag_set.index_of("NN")] == 1
         assert not child_ids(trie, node)
 
     def test_child_counts_never_exceed_parent(self):
@@ -256,7 +258,8 @@ class TestBuildSuffixTrie:
         for node in trie.iter_nodes():
             children = child_ids(trie, node)
             if children:
-                assert np.all(trie.rows(children).sum(axis=0) <= trie.rows([node])[0])
+                assert np.all(trie.counts.rows(children).sum(axis=0)
+                              <= trie.counts.rows([node])[0])
 
     def test_max_suffix_limits_depth(self):
         corpus = self.corpus_with_rare_words()
@@ -275,13 +278,13 @@ class TestBuildSuffixTrie:
         # "the" occurs 12 times: rare only under a threshold above 12.
         for threshold, count in ((10, 0), (12, 0), (13, 12), (20, 12)):
             trie = build_suffix_trie(lex, RareWordPolicy(frequency_threshold=threshold))
-            assert trie.rows([0])[0, at] == count
+            assert trie.counts.rows([0])[0, at] == count
 
     def test_node_total(self):
         # A node's total, the context count of its smoothing step, is its row sum.
         corpus = self.corpus_with_rare_words()
         trie = build_suffix_trie(build_lexicon(corpus), RareWordPolicy())
-        assert [int(trie.rows([walk(trie, path)]).sum())
+        assert [int(trie.counts.rows([walk(trie, path)]).sum())
                 for path in ("", "t", "ta", "tac", "tab")] == [2, 2, 2, 1, 1]
 
     def test_pooled_counts_past_int64_rejected(self):
@@ -290,17 +293,17 @@ class TestBuildSuffixTrie:
         top = 2 ** 63 - 1
         policy = RareWordPolicy(2 ** 63, 10)
         lex = Lexicon(("a", "b", "c", "d"),
-                      np.array([[top, 0], [top, 0], [top, 0], [1, 1]], dtype=np.int64))
+                      sparse_rows(np.array([[top, 0], [top, 0], [top, 0], [1, 1]], dtype=np.int64)))
         with pytest.raises(ValidationError, match="rare words sum past 2\\*\\*63 - 1"):
             build_suffix_trie(lex, policy)
         # A pooled total of exactly 2**63 - 1 still builds.
-        lex = Lexicon(("a", "b"), np.array([[2 ** 62, 0], [2 ** 62 - 2, 1]], dtype=np.int64))
-        assert build_suffix_trie(lex, policy).rows([0])[0].tolist() == [top - 1, 1]
+        lex = Lexicon(("a", "b"),
+                      sparse_rows(np.array([[2 ** 62, 0], [2 ** 62 - 2, 1]], dtype=np.int64)))
+        assert build_suffix_trie(lex, policy).counts.rows([0])[0].tolist() == [top - 1, 1]
 
     def test_empty_trie_iterates_root_only(self):
-        trie = SuffixTrie(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                          np.zeros(0, dtype=np.int64), 2, np.zeros(1, dtype=np.int64),
-                          np.zeros(1, dtype=np.int64), np.array([-1]))
+        trie = SuffixTrie(sparse_rows(np.zeros((1, 2), dtype=np.int64)),
+                          np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([-1]))
         assert list(trie.iter_nodes()) == [0]
 
 
@@ -458,8 +461,8 @@ def reference_table(corpus, order):
 
 def assert_same_trie(got, expect_root):
     counts, depths, edge_letters, parents = flatten_reference(expect_root)
-    assert_sparse_rows(got)
-    got_counts = got.rows(np.arange(len(got.depths)))
+    assert_sparse_rows(got.counts, len(got.depths))
+    got_counts = got.counts.rows(np.arange(len(got.depths)))
     assert got_counts.dtype == counts.dtype == np.int64
     np.testing.assert_array_equal(got_counts, counts)
     assert got.depths.dtype == depths.dtype
@@ -495,93 +498,122 @@ class TestAgainstLexsortBuilder:
             num_tags = int(rng.integers(1, 5))
             counts = rng.integers(0, 4, size=(len(words), num_tags))
             counts[np.arange(len(words)), rng.integers(num_tags, size=len(words))] += 1
-            lex = Lexicon(tuple(words), counts.astype(np.int64))
+            lex = Lexicon(tuple(words), sparse_rows(counts.astype(np.int64)))
             policy = RareWordPolicy(int(rng.integers(1, 8)), int(rng.integers(1, 101)))
             assert_same_arrays(build_suffix_trie(lex, policy), lexsort_suffix_trie(lex, policy))
-        empty = Lexicon((), np.zeros((0, 0), dtype=np.int64))
+        empty = Lexicon((), sparse_rows(np.zeros((0, 0), dtype=np.int64)))
         assert_same_arrays(build_suffix_trie(empty, RareWordPolicy()),
                            lexsort_suffix_trie(empty, RareWordPolicy()))
 
     def test_arrays_are_read_only(self):
-        lex = Lexicon(("ab", "b"), np.array([[1, 0], [0, 2]], dtype=np.int64))
+        lex = Lexicon(("ab", "b"), sparse_rows(np.array([[1, 0], [0, 2]], dtype=np.int64)))
         trie = build_suffix_trie(lex, RareWordPolicy())
-        assert not hasattr(trie, "counts")  # no dense matrix behind the sparse rows
-        for name in ("indptr", "tags", "values", "depths", "codes", "parents", "edge_keys",
-                     "edge_nodes"):
-            array = getattr(trie, name)
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-            with pytest.raises(AttributeError):
-                setattr(trie, name, array.copy())
+        # No dense matrix behind either one's sparse rows.
+        assert type(trie.counts) is type(lex.counts) is SparseRows
+        owners = [(trie, ("depths", "codes", "parents", "edge_keys", "edge_nodes"))]
+        owners += [(rows, ("indptr", "tags", "values")) for rows in (trie.counts, lex.counts)]
+        for owner, names in owners:
+            for name in names:
+                array = getattr(owner, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+                with pytest.raises(AttributeError):
+                    setattr(owner, name, array.copy())
+
+
+def sparse_row_cases(rows):
+    """Each way to break a set of sparse rows with a row of two tags, by the
+    ``ValidationError`` message it must raise: message -> the changed
+    ``SparseRows`` fields."""
+    indptr, tags, values = rows.indptr, rows.tags, rows.values
+    n, k = len(tags), rows.num_tags
+    two = int(np.flatnonzero(np.diff(indptr) == 2)[0])  # a row with two tags
+    swapped = tags.copy()
+    swapped[indptr[two]:indptr[two] + 2] = swapped[indptr[two]:indptr[two] + 2][::-1]
+    repeated = tags.copy()
+    repeated[indptr[two] + 1] = repeated[indptr[two]]
+    dipping = indptr.copy()
+    dipping[1], dipping[2] = indptr[2], indptr[1] - 1
+    return {
+        "indptr must start at 0, never": dict(indptr=np.zeros(0, dtype=np.int64)),
+        f"hold {n} tags but {n - 1} values": dict(values=values[1:]),
+        "indptr must start at 0": dict(indptr=indptr + 1),
+        f"end at its {n} counts": dict(indptr=np.append(indptr[:-1], n - 1)),
+        "never decrease": dict(indptr=dipping),
+        f"tags must lie in \\[0, {k}\\)": dict(tags=np.where(tags == k - 1, k, tags)),
+        f"must lie in \\[0, {k - 1}\\)": dict(num_tags=k - 1),
+        "must lie": dict(tags=np.where(tags == 0, -1, tags)),
+        "ascend within each row": dict(tags=swapped),
+        "ascend within": dict(tags=repeated),
+        "counts must be positive": dict(values=np.where(values == values.max(), 0, values)),
+        "must be positive": dict(values=-values),
+        "one-dimensional integers": dict(values=values.astype(float)),
+        "arrays must be one": dict(tags=tags[None, :]),
+    }
+
+
+def with_fields(rows, **fields):
+    """``SparseRows`` of copies of the rows' arrays, but for the given fields."""
+    arrays = {name: getattr(rows, name).copy() for name in ("indptr", "tags", "values")}
+    return SparseRows(**{**arrays, "num_tags": rows.num_tags, **fields})
 
 
 class TestSuffixTrieChecks:
     def trie(self):
         # Seven nodes with 12 nonzero counts, rows of three, two and one
         # tags, so every rule has a cell to break.
-        lex = Lexicon(("ab", "b", "cb"), np.array([[1, 0, 0], [2, 1, 0], [0, 0, 1]],
-                                                  dtype=np.int64))
+        lex = Lexicon(("ab", "b", "cb"), sparse_rows(np.array([[1, 0, 0], [2, 1, 0], [0, 0, 1]],
+                                                              dtype=np.int64)))
         return build_suffix_trie(lex, RareWordPolicy())
 
-    def with_arrays(self, **arrays):
+    def with_arrays(self, counts=None, **arrays):
         trie = self.trie()
-        fields = {name: getattr(trie, name).copy() for name in
-                  ("indptr", "tags", "values", "depths", "codes", "parents")}
-        return SuffixTrie(**{**fields, "num_tags": trie.num_tags, **arrays})
+        fields = {name: getattr(trie, name).copy() for name in ("depths", "codes", "parents")}
+        return SuffixTrie(with_fields(trie.counts) if counts is None else counts,
+                          **{**fields, **arrays})
 
     def test_built_trie_holds_the_invariants(self):
         trie = self.trie()
-        assert_sparse_rows(trie)
-        assert trie.rows([0]).tolist() == [[3, 1, 1]]
-        assert len(set(np.diff(trie.indptr).tolist())) > 1  # rows of different sizes
+        assert_sparse_rows(trie.counts, len(trie.depths))
+        assert trie.counts.rows([0]).tolist() == [[3, 1, 1]]
+        assert len(set(np.diff(trie.counts.indptr).tolist())) > 1  # rows of different sizes
 
     def test_arrays_that_disagree_rejected(self):
         trie = self.trie()
-        indptr, tags, values = trie.indptr, trie.tags, trie.values
-        two = int(np.flatnonzero(np.diff(indptr) == 2)[0])  # a node with two tags
-        swapped = tags.copy()
-        swapped[indptr[two]:indptr[two] + 2] = swapped[indptr[two]:indptr[two] + 2][::-1]
-        repeated = tags.copy()
-        repeated[indptr[two] + 1] = repeated[indptr[two]]
-        dipping = indptr.copy()
-        dipping[1], dipping[2] = indptr[2], indptr[1] - 1
+        assert len(trie.counts.tags) == 12
+        empty = with_fields(trie.counts, indptr=np.zeros(1, dtype=np.int64),
+                            tags=trie.counts.tags[:0], values=trie.counts.values[:0])
         cases = {
-            "a suffix trie needs a root": dict(indptr=np.zeros(1, dtype=np.int64)),
+            "a suffix trie needs a root": dict(counts=empty),
             "depths holds 3 entries for 7 nodes": dict(depths=trie.depths[:3]),
             "codes holds": dict(codes=np.append(trie.codes, 1)),
             "parents holds": dict(parents=trie.parents[1:]),
-            "holds 12 tags but 11 values": dict(values=values[1:]),
-            "indptr must start at 0": dict(indptr=indptr + 1),
-            "end at its 12 counts": dict(indptr=np.append(indptr[:-1], 11)),
-            "never decrease": dict(indptr=dipping),
-            "tags must lie in \\[0, 3\\)": dict(tags=np.where(tags == 2, 3, tags)),
-            "must lie in \\[0, 2\\)": dict(num_tags=2),
-            "must lie": dict(tags=np.where(tags == 0, -1, tags)),
-            "ascend within each node": dict(tags=swapped),
-            "ascend within": dict(tags=repeated),
-            "counts must be positive": dict(values=np.where(values == 2, 0, values)),
-            "must be positive": dict(values=-values),
-            "one-dimensional integers": dict(values=values.astype(float)),
+            "a suffix trie's arrays must be one-dimensional": dict(depths=trie.depths[None, :]),
+            "must be one-dimensional integers": dict(codes=trie.codes.astype(float)),
         }
         for message, arrays in cases.items():
             with pytest.raises(ValidationError, match=message):
                 self.with_arrays(**arrays)
-        assert_sparse_rows(self.with_arrays())
+        # The count rows' own rules, checked where the trie's rows are made.
+        for message, fields in sparse_row_cases(trie.counts).items():
+            with pytest.raises(ValidationError, match=f"^sparse rows.*{message}"):
+                self.with_arrays(counts=with_fields(trie.counts, **fields))
+        assert_sparse_rows(self.with_arrays().counts, len(trie.depths))
 
     def test_narrow_count_rows_rejected_before_decoding(self):
         # A trie over fewer tags than the model's: rejected where it is made.
         train = parse_corpus("cat\tNN\nran\tVB\nthe\tDT\n\n")
         trie = build_suffix_trie(build_lexicon(train), RareWordPolicy())
-        assert trie.num_tags == 3 and trie.tags.max() == 2
+        assert trie.counts.num_tags == 3 and trie.counts.tags.max() == 2
         with pytest.raises(ValidationError, match="must lie in \\[0, 2\\)"):
-            SuffixTrie(trie.indptr, trie.tags, trie.values, 2, trie.depths, trie.codes,
+            SuffixTrie(with_fields(trie.counts, num_tags=2), trie.depths, trie.codes,
                        trie.parents)
 
 
 def assert_same_arrays(got, expect):
     """A built trie against the lexsort builder's dense counts and arrays."""
-    assert_sparse_rows(got)
-    counts = got.rows(np.arange(len(got.depths)))
+    assert_sparse_rows(got.counts, len(got.depths))
+    counts = got.counts.rows(np.arange(len(got.depths)))
     assert counts.dtype == expect.counts.dtype and counts.shape == expect.counts.shape
     np.testing.assert_array_equal(counts, expect.counts)
     for name in ("depths", "codes", "parents"):
@@ -591,18 +623,54 @@ def assert_same_arrays(got, expect):
     assert_edges_found(got)
 
 
-def assert_sparse_rows(trie):
-    """``indptr`` starts at 0, never decreases and ends at ``len(tags)``;
-    tags ascend within each node and lie in [0, K); values are positive
-    int64."""
-    indptr, tags, values = trie.indptr, trie.tags, trie.values
-    assert len(indptr) == len(trie.depths) + 1
+def assert_sparse_rows(rows, count):
+    """``count`` rows: ``indptr`` starts at 0, never decreases and ends at
+    ``len(tags)``; tags ascend within each row and lie in [0, K); values are
+    positive int64."""
+    indptr, tags, values = rows.indptr, rows.tags, rows.values
+    assert len(rows) == count and len(indptr) == count + 1
     assert indptr[0] == 0 and indptr[-1] == len(tags) == len(values)
     assert (np.diff(indptr) >= 0).all()
-    assert ((tags >= 0) & (tags < trie.num_tags)).all()
-    node = np.repeat(np.arange(len(trie.depths)), np.diff(indptr))
-    assert (np.diff(node * trie.num_tags + tags) > 0).all()
+    assert ((tags >= 0) & (tags < rows.num_tags)).all()
+    row = np.repeat(np.arange(count), np.diff(indptr))
+    assert (np.diff(row * rows.num_tags + tags) > 0).all()
     assert values.dtype == np.int64 and (values > 0).all()
+
+
+class TestLexiconChecks:
+    def lexicon(self):
+        # Rows of one and two tags.
+        return build_lexicon(parse_corpus("b\tX\na\tX\na\tY\nc\tZ\na\tX\n\n"))
+
+    def test_built_lexicon_holds_the_invariants(self):
+        lex = self.lexicon()
+        assert lex.words == ("a", "b", "c")
+        assert_sparse_rows(lex.counts, 3)
+        assert lex.counts.rows([0, 1, 2]).tolist() == [[2, 1, 0], [1, 0, 0], [0, 0, 1]]
+
+    def test_sparse_row_rules_hold_for_the_lexicon(self):
+        # The same rules as the trie's rows, raised by the same type.
+        lex = self.lexicon()
+        for message, fields in sparse_row_cases(lex.counts).items():
+            with pytest.raises(ValidationError, match=f"^sparse rows.*{message}"):
+                Lexicon(lex.words, with_fields(lex.counts, **fields))
+        assert Lexicon(lex.words, with_fields(lex.counts)).words == lex.words
+
+    def test_words_that_do_not_match_the_rows_rejected(self):
+        two = sparse_rows([[1, 0], [0, 2]])
+        for words, message in ((("a", "b", "c"), "^3 words but 2 count rows$"),
+                               (("a",), "^1 words but 2 count rows$"),
+                               (("a", "a"), "^duplicate word 'a'$"),
+                               (("b", "a"), "^word 'a' is out of order")):
+            with pytest.raises(ValidationError, match=message):
+                Lexicon(words, two)
+        with pytest.raises(ValidationError, match="^2 words but 1 count rows$"):
+            Lexicon(("a", "b"), sparse_rows([[1, 0]]))
+
+    def test_row_without_counts_rejected(self):
+        with pytest.raises(ValidationError, match="^word 'b' has no tag counts$"):
+            Lexicon(("a", "b", "c"), sparse_rows([[1, 0], [0, 0], [0, 3]]))
+        assert Lexicon((), sparse_rows(np.zeros((0, 2), dtype=np.int64))).index == {}
 
 
 class TestAgainstTokenReference:
@@ -614,7 +682,10 @@ class TestAgainstTokenReference:
                 assert_same_table(corpus, order)
             lex, ref_lex = build_lexicon(corpus), reference_build_lexicon(corpus)
             assert lex.words == tuple(sorted(ref_lex))
-            assert lex.counts.dtype == np.int64 and not lex.counts.flags.writeable
+            assert_sparse_rows(lex.counts, len(ref_lex))
+            got = lex.counts.rows(np.arange(len(lex)))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, [ref_lex[word] for word in lex.words])
             for word, vec in ref_lex.items():
                 np.testing.assert_array_equal(lex[word], vec)
             # Threshold 1 leaves no word rare, so the trie is its root alone;

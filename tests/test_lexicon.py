@@ -212,7 +212,7 @@ class TestWalkAgainstObjectTrie:
             policy = RareWordPolicy(frequency_threshold=int(rng.integers(1, 6)),
                                     max_suffix_length=int(rng.choice([1, 3, 10])))
             trie = build_suffix_trie(lex, policy)
-            root_mode = "rf" if i % 4 >= 2 and trie.rows([0]).any() else "ele"
+            root_mode = "rf" if i % 4 >= 2 and trie.counts.rows([0]).any() else "ele"
             model = build_unknown_word_model(trie, policy, root_mode)
             reference = reference_build_suffix_trie(corpus, lex, policy)
             # Training words match through the marker; "q" and U+1F601 are

@@ -28,6 +28,7 @@ from succabs.model_io import (
 )
 from succabs.smoothing import ConditionalDistribution
 from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
+from lexical_oracle import letters, sparse_rows
 from test_counts import random_corpus
 from transition_oracle import query
 
@@ -68,14 +69,17 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(query(loaded.transition, ctx).probs,
                                               query(model.transition, ctx).probs)
             assert loaded.lexicon.words == model.lexicon.words
-            assert loaded.lexicon.counts.dtype == np.int64
-            assert loaded.lexicon.counts.tolist() == model.lexicon.counts.tolist()
-            assert not loaded.lexicon.counts.flags.writeable
-            assert loaded.unknown_word_model.trie.num_tags == len(model.tag_set)
-            for name in ("indptr", "tags", "values", "depths", "codes", "parents"):
-                got = getattr(loaded.unknown_word_model.trie, name)
-                expect = getattr(model.unknown_word_model.trie, name)
-                assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+            loaded_trie, trie = loaded.unknown_word_model.trie, model.unknown_word_model.trie
+            model_k = len(model.tag_set)
+            assert loaded_trie.counts.num_tags == loaded.lexicon.counts.num_tags == model_k
+            sparse = ("indptr", "tags", "values")
+            for got, expect, names in ((loaded.lexicon.counts, model.lexicon.counts, sparse),
+                                       (loaded_trie.counts, trie.counts, sparse),
+                                       (loaded_trie, trie, ("depths", "codes", "parents"))):
+                for name in names:
+                    a, b = getattr(got, name), getattr(expect, name)
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+                    assert not a.flags.writeable
             words = ["cat", "mat", "zzz", "unseen"]
             np.testing.assert_array_equal(
                 unknown_word_distribution(loaded.unknown_word_model, words),
@@ -389,7 +393,8 @@ class TestFormatErrors:
                 model_from_text(text.replace(old, new, 1))
         # A total of exactly 2**63 - 1 still loads.
         model = model_from_text(text.replace("the\t12 0 0\n", f"the\t{half} {half - 1} 0\n", 1))
-        assert model.lexicon.counts.sum(axis=1).max() == 2 ** 63 - 1
+        assert model.lexicon.counts.totals().max() == 2 ** 63 - 1
+        assert model.lexicon["the"].sum() == 2 ** 63 - 1
 
     def test_bad_trie_depth_rejected(self):
         lines = valid_text().splitlines()
@@ -582,7 +587,7 @@ class TestBlockedParse:
 
     def test_empty_lexicon(self):
         model = train_model(small_corpus())
-        empty = Lexicon((), np.zeros((0, 3), dtype=np.int64))
+        empty = Lexicon((), sparse_rows(np.zeros((0, 3), dtype=np.int64)))
         policy = model.unknown_word_model.policy
         unknown = build_unknown_word_model(build_suffix_trie(empty, policy), policy)
         text = model_to_text(dataclasses.replace(model, lexicon=empty,
@@ -1044,14 +1049,53 @@ class TestDerivedSections:
         _, file_peak = peak(lambda: write_model(model, str(tmp_path / "model.txt")))
         loaded, load_peak = peak(lambda: model_from_text(text))
         tagged, tag_peak = peak(lambda: tag_corpus(loaded, [unknown]))
-        nodes, nonzero = len(trie.depths), len(trie.values)
-        assert 8 * nodes * trie.num_tags > 20 * 2 ** 20 and nonzero < 2 * nodes
+        nodes, nonzero = len(trie.depths), len(trie.counts.values)
+        assert 8 * nodes * trie.counts.num_tags > 20 * 2 ** 20 and nonzero < 2 * nodes
         sparse = 150 * (nodes + nonzero)
         assert build_peak < sparse, (build_peak, sparse)
         assert tag_peak < sparse and len(tagged[0]) == 100, (tag_peak, sparse)
         assert write_peak < 2 * len(text) + sparse, (write_peak, len(text), sparse)
         assert file_peak < len(text), (file_peak, len(text))
         assert (tmp_path / "model.txt").read_bytes() == text.encode("utf-8")
+        assert load_peak < 2 * len(text) + sparse, (load_peak, len(text), sparse)
+        assert model_to_text(loaded) == text
+
+    def test_lexicon_memory_follows_its_nonzero_counts(self):
+        # 20,000 words over 200 tags, each seen with one or two of them:
+        # about 30,000 nonzero counts, 32 MB as a dense (words, K) int64
+        # matrix.  Counting them, training on them and loading them cost
+        # memory in proportion to the words and nonzero counts, well below
+        # that; the file holds two bytes a cell, so loading may hold the
+        # text twice over, but no eight bytes a cell besides.
+        rng = np.random.default_rng(27)
+        words, k = [f"w{i:05d}" for i in range(20_000)], 200
+        first = rng.integers(k, size=len(words))
+        second = np.where(rng.random(len(words)) < 0.5,
+                          (first + 1 + rng.integers(k - 1, size=len(words))) % k, -1)
+        lines = [f"{w}\tT{t:03d}" for w, t in zip(words, first.tolist())]
+        lines += [f"{w}\tT{t:03d}" for w, t in zip(words, second.tolist()) if t >= 0]
+        order = rng.permutation(len(lines)).tolist()
+        corpus = parse_corpus("\n\n".join("\n".join(lines[i] for i in order[at:at + 10])
+                                          for at in range(0, len(order), 10)))
+        policy = RareWordPolicy(frequency_threshold=1)  # no word is rare: the lexicon alone
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lexicon, build_peak = peak(lambda: build_lexicon(corpus))
+        model, train_peak = peak(lambda: train_model(corpus, order=1, policy=policy))
+        text = model_to_text(model)
+        loaded, load_peak = peak(lambda: model_from_text(text))
+        nonzero, dense = len(lexicon.counts.values), 8 * len(words) * k
+        assert nonzero == len(lines) and len(model.lexicon) == len(words)
+        sparse = 150 * (len(words) + nonzero)
+        assert sparse < dense / 4 and 2 * len(text) < dense
+        assert build_peak < sparse, (build_peak, sparse)
+        assert train_peak < sparse, (train_peak, sparse)
         assert load_peak < 2 * len(text) + sparse, (load_peak, len(text), sparse)
         assert model_to_text(loaded) == text
 
@@ -1119,7 +1163,7 @@ def mutate(text, section, rng):
 def assert_one_format_per_cell(matrix):
     keys = [f"{i}\tw{i}" for i in range(len(matrix))]
     row = "%s\t" + " ".join(["%d"] * matrix.shape[1]) + "\n"
-    assert _render(matrix, *_heads(keys)) == "".join(
+    assert _render(sparse_rows(matrix), *_heads(keys)) == "".join(
         row % (key, *cells.tolist()) for key, cells in zip(keys, matrix))
 
 
@@ -1156,9 +1200,9 @@ class TestCountLines:
             assert_one_format_per_cell(matrix)
 
     def test_trie_renders_as_its_dense_rows(self):
-        # A trie's rows come from its sparse arrays: the same text as its
-        # dense rows, across block edges, with rows of no, one and many
-        # counts and counts of many digits.
+        # A trie's rows come from its sparse arrays: the same text as one
+        # Python format per cell of its dense rows, across block edges, with
+        # rows of one and many counts and counts of many digits.
         rng = np.random.default_rng(24)
         words = sorted({"".join(rng.choice(list("abcdé"), size=int(rng.integers(1, 30))))
                         for _ in range(400)})
@@ -1166,11 +1210,13 @@ class TestCountLines:
                           rng.integers(1, 10 ** rng.integers(1, 15, size=(len(words), 7))), 0)
         counts[np.arange(len(words)), rng.integers(7, size=len(words))] += 1
         counts[:, 3] = 0  # a tag no word has
-        trie = build_suffix_trie(Lexicon(tuple(words), counts), RareWordPolicy(2 ** 62, 40))
+        counts[~counts.any(axis=1), 0] = 1  # but every word a tag
+        trie = build_suffix_trie(Lexicon(tuple(words), sparse_rows(counts)),
+                                 RareWordPolicy(2 ** 62, 40))
         assert len(trie.depths) > 2 * _RENDER
-        heads = _trie_heads(trie)
-        assert_same_lines(_render(trie, *heads),
-                          _render(trie.rows(np.arange(len(trie.depths))), *heads))
+        keys = [f"{depth}\t{letter}" for depth, letter in zip(trie.depths.tolist(), letters(trie))]
+        assert_same_lines(_render(trie.counts, *_trie_heads(trie)),
+                          python_rows(trie.counts.rows(np.arange(len(keys))), "%d".__mod__, keys))
 
 
 def python_rows(matrix, spell, keys):
@@ -1190,14 +1236,16 @@ def assert_same_lines(got, expect):
 
 def assert_rendered_as_python(values, spell, width):
     """``_render`` of the values as one row, and as a matrix of ``width``
-    columns long enough to cross a block edge, with non-ASCII row keys."""
+    columns long enough to cross a block edge, with non-ASCII row keys;
+    counts as their ``SparseRows``."""
+    table = (lambda m: m) if values.dtype.kind == "f" else sparse_rows
     padded = np.concatenate([values, np.zeros(-len(values) % width, dtype=values.dtype)])
     matrix = padded.reshape(-1, width)
     assert len(matrix) > _RENDER
     keys = [f"{i}" + "é\U0001f600"[i % 3:] for i in range(len(matrix))]
-    assert_same_lines(_render(matrix, *_heads(keys)), python_rows(matrix, spell, keys))
+    assert_same_lines(_render(table(matrix), *_heads(keys)), python_rows(matrix, spell, keys))
     row = values[:100_000][None, :]
-    assert_same_lines(_render(row), " ".join(map(spell, row[0].tolist())) + "\n")
+    assert_same_lines(_render(table(row)), " ".join(map(spell, row[0].tolist())) + "\n")
 
 
 def float_cases(rng):

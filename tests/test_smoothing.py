@@ -837,7 +837,7 @@ class TestIdentitiesOnTrainedModel:
             assert folded[0].tolist() == unknown.root.probs.tolist()
             worst = 0.0
             for node in nodes[1:]:
-                counts = trie.rows([node])[0]
+                counts = trie.counts.rows([node])[0]
                 total = int(counts.sum())
                 f = counts / total
                 parent = folded[trie.parents[node]]

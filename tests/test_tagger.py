@@ -43,6 +43,7 @@ from lexical_oracle import (
     known_word_distribution,
     lexical_factors,
     reversed_suffix_path,
+    sparse_rows,
     sparse_trie,
 )
 from test_lexicon import word_ending_at
@@ -80,7 +81,7 @@ def hand_built_bigram_model():
     transition = SmoothedNGramModel(
         order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
         probs=np.array([uniform_distribution(2).probs, [0.5, 0.5], [0.7, 0.3], [0.4, 0.6]]))
-    lexicon = Lexicon(("w1", "w2"), np.array([[9, 1], [2, 8]]))
+    lexicon = Lexicon(("w1", "w2"), sparse_rows([[9, 1], [2, 8]]))
     empty_trie = sparse_trie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
                              np.zeros(1, dtype=np.int64), np.array([-1]))
     unknown = UnknownWordModel(empty_trie,
@@ -114,7 +115,7 @@ class TestScoreSequence:
 
     def test_zero_factor_gives_neg_inf(self):
         m = hand_built_bigram_model()
-        lexicon = Lexicon(("only",), np.array([[3, 0]]))
+        lexicon = Lexicon(("only",), sparse_rows([[3, 0]]))
         m2 = Model(m.tag_set, m.transition, lexicon, m.unknown_word_model,
                    m.unigram, m.metadata)
         assert score_sequence(m2, ["only"], ["Y"]) == NEG_INF
@@ -172,7 +173,7 @@ class TestViterbi:
     def test_all_uniform_ties_resolve_to_first_tag(self):
         transition = SmoothedNGramModel(order=2, num_tags=2, contexts=((), (-1,), (0,), (1,)),
                                         probs=np.array([uniform_distribution(2).probs] * 4))
-        lexicon = Lexicon(("w",), np.array([[5, 5]]))
+        lexicon = Lexicon(("w",), sparse_rows([[5, 5]]))
         unknown = UnknownWordModel(
             sparse_trie(np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
                         np.zeros(1, dtype=np.int64), np.array([-1])),
@@ -186,7 +187,7 @@ class TestViterbi:
         # "w1" was seen under both tags but "sure" only under X, so the
         # decoder never assigns Y to "sure" even when transitions prefer it.
         m = hand_built_bigram_model()
-        lexicon = Lexicon(("sure", "w1"), np.array([[1, 0], [9, 1]]))
+        lexicon = Lexicon(("sure", "w1"), sparse_rows([[1, 0], [9, 1]]))
         m2 = Model(m.tag_set, m.transition, lexicon, m.unknown_word_model,
                    m.unigram, m.metadata)
         assert viterbi_tag(m2, ["w1", "sure"])[1] == "X"
@@ -600,7 +601,7 @@ class TestRoundingCollision:
         # own tags on every route; a back-pointer taken before the lexical
         # term, or a run read at another sentence's offset, does not.
         base = hand_built_bigram_model()
-        lexicon = Lexicon(("w1", "w2", "z"), np.array([[9, 1], [2, 8], [5, 0]]))
+        lexicon = Lexicon(("w1", "w2", "z"), sparse_rows([[9, 1], [2, 8], [5, 0]]))
         for order in (1, 2, 3, 4):
             n_ctx = order - 1
             contexts = ((),) if order == 1 else ((), (-1,) * n_ctx)
@@ -683,7 +684,7 @@ def smooth_step_walk(m, words, folds=None):
             if node is None:
                 break
             if node not in folds:
-                folds[node] = smooth_step(m.trie.rows([node])[0], dist)
+                folds[node] = smooth_step(m.trie.counts.rows([node])[0], dist)
             dist = folds[node]
         rows.append(dist.probs)
     return np.array(rows).reshape(len(words), m.root.dim)
@@ -741,7 +742,7 @@ class TestUnknownWordFolds:
             ["AT"], ["AT", "NN"], ["NN"]]
         # A trie can hold one too, when a lexicon is made without a corpus.
         policy = RareWordPolicy()
-        lex = Lexicon(("a\ud800", "b\ud800"), np.array([[2, 0], [0, 1]]))
+        lex = Lexicon(("a\ud800", "b\ud800"), sparse_rows([[2, 0], [0, 1]]))
         unknown = build_unknown_word_model(build_suffix_trie(lex, policy), policy)
         words = ["x\ud800", "a\ud800", "\ud800", "\udfff"]
         got = unknown_word_distribution(unknown, words)
