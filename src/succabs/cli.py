@@ -30,10 +30,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_lines(stream: IO[str]) -> list[str]:
-    """The lines of a text stream; a byte it cannot decode is a CorpusParseError."""
+def _read_text(stream: IO[str]) -> str:
+    """The text of a stream; a byte it cannot decode is a CorpusParseError."""
     try:
-        return stream.read().split("\n")
+        return stream.read()
     except UnicodeDecodeError as bad:
         line = bad.object.count(b"\n", 0, bad.start) + 1
         raise CorpusParseError(f"not {bad.encoding} text", line) from None
@@ -42,8 +42,9 @@ def _read_lines(stream: IO[str]) -> list[str]:
 def _read_corpus(path: str) -> Corpus:
     # No newline translation: the parser splits at LF and drops one CR
     # before it, so a CR anywhere else is the parse error it is in a string.
+    # The parser splits the text a block at a time.
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_corpus(_read_lines(fh))
+        return parse_corpus(_read_text(fh))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -78,7 +79,7 @@ def _read_sentences(stream: IO[str]) -> list[list[str]]:
     so a word may hold any other character a corpus word may, such as NBSP,
     U+2028 or U+001F, at which ``str.split`` would cut it."""
     sentences = []
-    for line in _read_lines(stream):
+    for line in _read_text(stream).split("\n"):
         words = [word for word in line.replace("\t", " ").split(" ") if word]
         if words:
             sentences.append(words)

@@ -11,7 +11,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from itertools import islice
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +20,15 @@ from .errors import CorpusParseError, ValidationError
 
 _FORBIDDEN_IN_SYMBOL = ("\t", "\n", "\r")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # code points no UTF-8 text can hold
+
+# ``parse_corpus`` splits about this many characters of text at a time, or
+# takes this many items of an iterable, so it never holds all the lines.
+# On a 300k-token corpus, 256 KiB blocks parse as fast as 1 MiB ones and
+# hold a quarter of the line strings.
+_PARSE_CHARS = 1 << 18
+_PARSE_ITEMS = 1 << 15
+# ``write_corpus`` joins this many tokens into one piece at a time.
+_WRITE_TOKENS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,11 @@ class TagSet:
         return self.tags[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedToken:
+    """One word and its tag.  Slotted: a corpus's ``sentences`` hold one
+    per token."""
+
     word: str
     tag: str
 
@@ -160,17 +173,100 @@ class Corpus:
                 f"{len(self.tag_set)} tags)")
 
 
-def _source_lines(source: str | IO[str] | Iterable[str]) -> list[str]:
-    """The source's lines: text is split at LF only, whatever holds it, and
-    an iterable gives one line per item."""
+def _text_blocks(text: str) -> Iterator[list[str]]:
+    """The text's lines, split at LF, a block at a time: a block runs to
+    the first LF at or past its ``_PARSE_CHARS``-th character."""
+    start = 0
+    while (cut := text.find("\n", start + _PARSE_CHARS - 1)) >= 0:
+        yield text[start:cut].split("\n")
+        start = cut + 1
+    yield text[start:].split("\n")
+
+
+def _stream_blocks(stream: IO[str]) -> Iterator[list[str]]:
+    """The stream's lines, split at LF, a block at a time: a block is read
+    ``_PARSE_CHARS`` characters at a time until one holds an LF, and the
+    line cut at the read's end goes on into the next block."""
+    parts: list[str] = []
+    while chunk := stream.read(_PARSE_CHARS):
+        cut = chunk.rfind("\n")
+        if cut < 0:
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        yield "".join(parts).split("\n")
+        parts = [chunk[cut + 1:]]
+    yield "".join(parts).split("\n")
+
+
+def _source_blocks(source: str | IO[str] | Iterable[str]) -> Iterator[list[str]]:
+    """The source's lines, a block at a time: text is split at LF only,
+    whatever holds it, and an iterable gives one line per item."""
     if isinstance(source, str):
-        return source.split("\n")
+        return _text_blocks(source)
     if hasattr(source, "read"):
-        return source.read().split("\n")
-    return list(source)
+        return _stream_blocks(source)
+    items = iter(source)
+    return iter(lambda: list(islice(items, _PARSE_ITEMS)), [])
 
 
 _BLANK, _COMMENT = -1, -2
+
+
+def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | None,
+                    vocab: dict[str, int], tags: dict[str, int]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each line's id among the distinct lines, and each id's word and tag
+    ids (or _BLANK, or _COMMENT as its word) in ``vocab`` and ``tags``,
+    first seen first; or the first bad line's CorpusParseError.
+
+    Most lines of a corpus repeat, so each distinct line is checked once,
+    in the first block that holds it; a block keeps only its lines' ids.
+    """
+    distinct: dict[str, int] = {}
+    word_of: list[int] = []
+    tag_of: list[int] = []
+    blocks = [np.empty(0, dtype=np.int64)]  # an empty iterable has no block
+    before = 0  # the lines of the blocks before
+    for lines in _source_blocks(source):
+        errors: dict[int, str] = {}
+        for line in dict.fromkeys(lines):
+            if line in distinct:
+                continue
+            i = distinct[line] = len(word_of)
+            word_of.append(_BLANK)
+            tag_of.append(_BLANK)
+            if line.endswith("\n"):
+                line = line[:-1]
+            if line.endswith("\r"):
+                line = line[:-1]
+            if line.startswith("#"):
+                word_of[i] = _COMMENT
+                continue
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                errors[i] = f"expected exactly two tab-separated non-empty fields, got {line!r}"
+                continue
+            word, tag = fields
+            if "\r" in line or "\n" in line:
+                errors[i] = f"CR or LF inside a word or tag: {line!r}"
+            elif not line.isascii() and _SURROGATE.search(line):
+                errors[i] = f"lone surrogate, which UTF-8 cannot hold, in a word or tag: {line!r}"
+            elif declared is not None and tag not in declared:
+                errors[i] = f"tag {tag!r} not in declared tag set"
+            else:
+                word_of[i] = vocab.setdefault(word, len(vocab))
+                tag_of[i] = tags.setdefault(tag, len(tags))
+        line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
+        if errors:
+            first = np.flatnonzero(np.isin(line_ids, list(errors)))[0]
+            raise CorpusParseError(errors[int(line_ids[first])], before + int(first) + 1)
+        blocks.append(line_ids)
+        before += len(lines)
+    return (np.concatenate(blocks), np.array(word_of, dtype=np.int64),
+            np.array(tag_of, dtype=np.int64))
 
 
 def parse_corpus(source: str | IO[str] | Iterable[str],
@@ -183,69 +279,40 @@ def parse_corpus(source: str | IO[str] | Iterable[str],
     trailing LF (an iterable's items may keep theirs) and then one
     trailing CR; a CR or LF left in a word or tag is an error, and so is a
     lone surrogate.
+
+    The source is read a block of lines at a time, about ``_PARSE_CHARS``
+    characters of a string or stream or ``_PARSE_ITEMS`` items of an
+    iterable, so its lines are never all held at once.  The first bad line
+    raises from its block, with its line number in the whole source.
     """
     declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
-    lines = _source_lines(source)
-    # Most lines of a corpus repeat, so each distinct line is checked once.
-    distinct = dict.fromkeys(lines)
     vocab: dict[str, int] = {}
     tags: dict[str, int] = dict(declared.index) if declared is not None else {}
-    word_of = [_BLANK] * len(distinct)
-    tag_of = [_BLANK] * len(distinct)
-    errors: dict[int, str] = {}
-    for i, line in enumerate(distinct):
-        distinct[line] = i
-        if line.endswith("\n"):
-            line = line[:-1]
-        if line.endswith("\r"):
-            line = line[:-1]
-        if line.startswith("#"):
-            word_of[i] = _COMMENT
-            continue
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            errors[i] = f"expected exactly two tab-separated non-empty fields, got {line!r}"
-            continue
-        word, tag = fields
-        if "\r" in line or "\n" in line:
-            errors[i] = f"CR or LF inside a word or tag: {line!r}"
-        elif not line.isascii() and _SURROGATE.search(line):
-            errors[i] = f"lone surrogate, which UTF-8 cannot hold, in a word or tag: {line!r}"
-        elif declared is not None and tag not in declared:
-            errors[i] = f"tag {tag!r} not in declared tag set"
-        else:
-            word_of[i] = vocab.setdefault(word, len(vocab))
-            tag_of[i] = tags.setdefault(tag, len(tags))
-
-    line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
-    if errors:
-        first = np.flatnonzero(np.isin(line_ids, list(errors)))[0]
-        raise CorpusParseError(errors[int(line_ids[first])], int(first) + 1)
-    word_of = np.array(word_of, dtype=np.int64)[line_ids]
-    tag_of = np.array(tag_of, dtype=np.int64)[line_ids]
-    kept = word_of != _COMMENT  # a comment line neither holds a token nor ends a sentence
-    word_of, tag_of = word_of[kept], tag_of[kept]
-    is_token = word_of >= 0
+    line_ids, word_of, tag_of = _classify_lines(source, declared, vocab, tags)
+    # A comment line neither holds a token nor ends a sentence.
+    line_ids = line_ids[word_of[line_ids] != _COMMENT]
+    is_token = word_of[line_ids] >= 0
     starts = is_token & ~np.concatenate(([False], is_token[:-1]))
     offsets = np.append(np.flatnonzero(starts[is_token]), np.count_nonzero(is_token))
-    tag_ids = tag_of[is_token]
+    line_ids = line_ids[is_token]
+    tag_ids = tag_of[line_ids]
     if declared is not None:
         tag_set = declared
     else:
         tag_set = TagSet(tuple(sorted(tags)))
         tag_ids = np.array([tag_set.index[t] for t in tags], dtype=np.int64)[tag_ids]
-    return Corpus._from_columns(tag_set, tuple(vocab), word_of[is_token], tag_ids, offsets)
+    return Corpus._from_columns(tag_set, tuple(vocab), word_of[line_ids], tag_ids, offsets)
 
 
 def write_corpus(corpus: Corpus) -> str:
     """Serialize to the token-per-line format (LF line endings).
 
     Re-parsing the result with the corpus's own tag set declared yields an
-    equal Corpus.
+    equal Corpus.  The text is joined from pieces of ``_WRITE_TOKENS``
+    tokens, so besides it and its pieces nothing is held per token.
     """
-    if corpus.num_tokens == 0:
+    n = corpus.num_tokens
+    if n == 0:
         return ""
     # Token i is its word's "word<TAB>" then its tag's "tag<LF>", with a
     # second LF after the last token of every sentence but the last.
@@ -253,12 +320,18 @@ def write_corpus(corpus: Corpus) -> str:
     k = len(corpus.tag_set)
     tags = np.array([t + "\n" for t in corpus.tag_set.tags]
                     + [t + "\n\n" for t in corpus.tag_set.tags], dtype=object)
-    tag_cell = corpus.tag_ids.copy()
-    tag_cell[corpus.offsets[1:-1] - 1] += k
-    cells = np.empty((corpus.num_tokens, 2), dtype=object)
-    cells[:, 0] = words[corpus.word_ids]
-    cells[:, 1] = tags[tag_cell]
-    return "".join(cells.ravel().tolist())
+    last = corpus.offsets[1:-1] - 1  # each sentence's last token, but the last sentence's
+    cells = np.empty((min(n, _WRITE_TOKENS), 2), dtype=object)
+    pieces = []
+    for lo in range(0, n, _WRITE_TOKENS):
+        hi = min(lo + _WRITE_TOKENS, n)
+        tag_cell = corpus.tag_ids[lo:hi].copy()
+        tag_cell[last[np.searchsorted(last, lo):np.searchsorted(last, hi)] - lo] += k
+        block = cells[:hi - lo]
+        block[:, 0] = words[corpus.word_ids[lo:hi]]
+        block[:, 1] = tags[tag_cell]
+        pieces.append("".join(block.ravel().tolist()))
+    return "".join(pieces)
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

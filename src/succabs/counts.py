@@ -109,19 +109,24 @@ def context_keys(corpus: Corpus, order: int) -> Iterator[np.ndarray]:
     is the most significant.  Keys sort as their context tuples do, and a
     full-length key is the context's flat position in
     ``SmoothedNGramModel.index``.  An order past ``transition_index_shape``
-    raises before any key is computed."""
+    raises before any key is computed.  Each length's keys are a new
+    array; one scratch array holds each length's weighted digits."""
     transition_index_shape(order, len(corpus.tag_set))
     place = _place_values(len(corpus.tag_set), order - 1)[::-1]
     n = corpus.num_tokens
-    position = np.arange(n) - np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
-    digits = corpus.tag_ids + 1
+    starts, sizes = corpus.offsets[:-1], np.diff(corpus.offsets)
     keys = np.zeros(n, dtype=np.int64)
     yield keys
+    previous = np.empty(n, dtype=np.int64)
     for length in range(1, order):
-        previous = np.zeros(n, dtype=np.int64)
-        previous[length:] = digits[:max(n - length, 0)]
-        previous[position < length] = 0
-        keys = keys + previous * place[length - 1]
+        previous[length:] = corpus.tag_ids[:max(n - length, 0)]
+        previous[length:] += 1
+        previous *= place[length - 1]
+        # The boundary digit wherever the tag lies before the sentence:
+        # the first ``length`` tokens of each, those of the corpus included.
+        for at in range(length):
+            previous[starts[sizes > at] + at] = 0
+        keys = keys + previous
         yield keys
 
 
@@ -129,8 +134,9 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     """Count tag n-grams of all orders 1..order over the corpus.
 
     Each sentence's left edge is padded with order-1 BOUNDARY pseudo-tags.
-    Each order is one ``np.unique`` over context key times K plus outcome,
-    and keys sort as their contexts do, so the rows come in file order.
+    Each order sorts one array of context key times K plus outcome in
+    place, reused from order to order, and counts its runs; keys sort as
+    their contexts do, so the rows come in file order.
     """
     order = _integer_order(order)
     if order < 1:
@@ -140,11 +146,17 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     m = len(corpus.tag_set)
     contexts: list[tuple[int, ...]] = []
     blocks = []  # one count matrix per context length
+    cells = np.empty(corpus.num_tokens, dtype=np.int64)
     for length, keys in enumerate(context_keys(corpus, order)):
-        cells, cell_counts = np.unique(keys * m + corpus.tag_ids, return_counts=True)
-        stored, row = np.unique(cells // m, return_inverse=True)
+        np.multiply(keys, m, out=cells)
+        cells += corpus.tag_ids
+        cells.sort()
+        first = _run_starts(cells)
+        cell_counts = np.diff(first, append=len(cells))
+        observed = cells[first]
+        stored, row = np.unique(observed // m, return_inverse=True)
         rows = np.zeros((len(stored), m), dtype=np.int64)
-        rows[row, cells % m] = cell_counts
+        rows[row, observed % m] = cell_counts
         place = _place_values(m, length)
         contexts.extend(map(tuple, (stored[:, None] // place % (m + 1) - 1).tolist()))
         blocks.append(rows)
@@ -436,7 +448,12 @@ def _run_sums(batch: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     non-negative keys once and its counts summed: exact int64 sums, where
     ``bincount`` would add in floats."""
     keys, values = map(np.concatenate, zip(*batch))
+    first = _run_starts(keys)
+    return keys[first], np.add.reduceat(values, first)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys starts."""
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(values, first)
+    return np.flatnonzero(first)

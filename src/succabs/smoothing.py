@@ -371,6 +371,7 @@ def interpolation_loglik_objective(counts: NGramCountTable,
     freqs = np.column_stack([padded[np.array(rows)[longest], heldout.tag_ids]
                              for rows in _suffix_rows(counts.contexts, counts.order)])
     depth_col = np.array([len(ctx) for ctx in counts.contexts])[longest]
+    depths = np.unique(depth_col)
     deeper = [(at, freqs[at, j]) for j in range(1, counts.order)
               for at in [np.flatnonzero(depth_col >= j)]]
 
@@ -379,11 +380,16 @@ def interpolation_loglik_objective(counts: NGramCountTable,
         num = freqs[:, 0] * w[0]
         for j, (at, column) in enumerate(deeper, 1):
             num[at] += column * w[j]
-        den = np.cumsum(w)[depth_col]
-        ok = den > 0
-        # Where every seen order has zero weight, the most general seen
-        # order (the unigram) wins outright.
-        p = np.where(ok, np.divide(num, den, out=np.zeros_like(num), where=ok), freqs[:, 0])
+        total = np.cumsum(w)
+        den = total[depth_col]
+        if (total[depths] > 0).all():
+            p = np.divide(num, den, out=num)
+        else:
+            # Where every seen order has zero weight, the most general seen
+            # order (the unigram) wins outright.
+            ok = den > 0
+            p = np.where(ok, np.divide(num, den, out=np.zeros_like(num), where=ok),
+                         freqs[:, 0])
         if np.any(p <= 0):
             return -math.inf
         return float(np.log(p).sum())

@@ -66,6 +66,9 @@ _BATCH_CROSSOVER = 1024
 # step's temporaries, 32 bytes per cell and 72 per new state.
 _BATCH_CELLS = 1 << 19
 
+# Characters per slice ``corpus_digest`` encodes: at most 1 MiB of UTF-8.
+_DIGEST_CHARS = 1 << 18
+
 SMOOTHING_SA = "sa"
 SMOOTHING_INTERP = "interp"
 SMOOTHING_ELE = "ele"
@@ -111,8 +114,14 @@ class TagSequenceScore:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """Hash of the canonical serialization, stored as training provenance."""
-    return hashlib.sha256(write_corpus(corpus).encode("utf-8")).hexdigest()
+    """Hash of the canonical serialization, stored as training provenance:
+    the text is encoded a slice of ``_DIGEST_CHARS`` characters at a time,
+    so no encoded copy of the whole of it is held."""
+    text = write_corpus(corpus)
+    digest = hashlib.sha256()
+    for at in range(0, len(text), _DIGEST_CHARS):
+        digest.update(text[at:at + _DIGEST_CHARS].encode("utf-8"))
+    return digest.hexdigest()
 
 
 def train_model(corpus: Corpus, order: int = 3,

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import succabs.cli
 from succabs.cli import build_parser, main
-from succabs.corpus import parse_corpus
+from succabs.corpus import _PARSE_CHARS, parse_corpus
 
 TRAIN_TEXT = (
     "a\tT0\na\tT0\nc\tT0\nb\tT1\n\n"
@@ -91,6 +92,36 @@ class TestTrain:
         rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.txt")])
         assert rc == 2
         assert "line 3: CR or LF inside a word or tag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_line_past_the_first_parse_block_names_its_line(self, tmp_path, corpus_file,
+                                                                 capsys, command):
+        # The parser splits the file's text a block at a time; a bad line
+        # in a later block is still reported by its line in the file.
+        good = "a\tT0\nb\tT1\n\n" * (2 * _PARSE_CHARS // 11)
+        line = good.count("\n") + 2
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(good + "c\tT0\nno tab here\n\n", encoding="utf-8")
+        args = (["train", "--corpus", str(bad), "--out", str(tmp_path / "m.txt")]
+                if command == "train" else
+                ["eval", "--model", train_default(tmp_path, corpus_file), "--gold", str(bad)])
+        assert main(args) == 2
+        assert (f"line {line}: expected exactly two tab-separated non-empty fields, "
+                "got 'no tab here'") in capsys.readouterr().err
+
+    def test_corpus_reaches_the_parser_as_text(self, tmp_path, corpus_file, monkeypatch):
+        sources = []
+
+        def parse(source, *args):
+            sources.append(source)
+            return parse_corpus(source, *args)
+
+        monkeypatch.setattr(succabs.cli, "parse_corpus", parse)
+        models = [train_default(tmp_path, corpus_file, name) for name in ("a.txt", "b.txt")]
+        assert main(["eval", "--model", models[0], "--gold", corpus_file]) == 0
+        assert main(["compare", "--model", models[0], "--model", models[1],
+                     "--gold", corpus_file]) == 0
+        assert sources == [TRAIN_TEXT] * 4
 
     def test_rf_root_without_rare_words_is_data_error(self, tmp_path, capsys):
         # Every word occurs 10 times, so none is under the default threshold.

@@ -1,8 +1,15 @@
+import copy
+import dataclasses
+import hashlib
 import io
+import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import succabs.corpus as corpus_module
 from succabs.corpus import (
     Corpus,
     SynthesisConfig,
@@ -13,8 +20,9 @@ from succabs.corpus import (
     synthesize_corpus,
     write_corpus,
 )
+from succabs.counts import count_ngrams
 from succabs.errors import CorpusParseError, ValidationError
-from succabs.tagger import train_model
+from succabs.tagger import corpus_digest, train_model
 
 
 class TestTagSet:
@@ -207,6 +215,155 @@ class TestParseAgainstLineReference:
             assert corpus.num_tokens == sum(len(s) for s in expect[0])
 
 
+def parsed(source, declared=None):
+    """The source's Corpus, or its CorpusParseError's message and line."""
+    try:
+        return parse_corpus(source, declared)
+    except CorpusParseError as err:
+        return str(err), err.line
+
+
+class TestBlockBoundaries:
+    """The parser reads its source a block of lines at a time.  Wherever
+    the blocks are cut, it must give the Corpus that one block gives, or
+    fail at the same first bad line with the same message."""
+
+    BAD = ("lonely", "\tX", "a\rb\tX", "a\ud800\tX", "a\tW")  # W is not declared
+
+    @staticmethod
+    def cases():
+        # Seeded corpora with comments, runs of blank lines, leading and
+        # trailing blanks and some CRLF endings, half with a declared tag
+        # set; each clean, and with each bad line at every position, so
+        # before, on and after every cut of every block size, and a second
+        # bad line after it.
+        rng = np.random.default_rng(28)
+        pool = ["a\tX", "b\tY", "a\tY", "c c\tZ", "d\u2028e\tX", "# note", "#\tX", "", "", ""]
+        for case in range(12):
+            lines = ([""] * int(rng.integers(0, 3))
+                     + [pool[j] for j in rng.integers(len(pool), size=int(rng.integers(1, 20)))]
+                     + [""] * int(rng.integers(0, 3)))
+            declared = ("X", "Y", "Z") if case % 2 else None
+            variants = [lines] + [lines[:at] + [bad] + lines[at:] + ["x\ty\tz"]
+                                  for bad in TestBlockBoundaries.BAD
+                                  for at in range(len(lines) + 1)]
+            for variant in variants:
+                ends = ["\r\n" if rng.random() < 0.3 else "\n" for _ in variant]
+                text = "".join(line + end for line, end in zip(variant, ends))
+                yield (text if rng.random() < 0.5 else text[:-len(ends[-1])]), declared
+
+    @staticmethod
+    def sources(text, path):
+        """The text as a str, a text stream, a file read without newline
+        translation, and a list of its lines that keep their LFs."""
+        yield text
+        yield io.StringIO(text)
+        with open(path, encoding="utf-8", errors="surrogatepass", newline="") as fh:
+            yield fh
+        yield io.StringIO(text).readlines()
+
+    def test_every_block_size_parses_as_one_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.tsv"
+        results = 0
+        for text, declared in self.cases():
+            expected = parsed(text, declared)
+            results += isinstance(expected, Corpus)
+            path.write_text(text, encoding="utf-8", errors="surrogatepass", newline="")
+            for size in (1, 2, 7, 64):
+                monkeypatch.setattr(corpus_module, "_PARSE_CHARS", size)
+                monkeypatch.setattr(corpus_module, "_PARSE_ITEMS", size)
+                for source in self.sources(text, path):
+                    got = parsed(source, declared)
+                    assert got == expected, (text, size, source)
+                    if isinstance(got, Corpus):
+                        assert got.vocab == expected.vocab
+                        assert got.tag_set.tags == expected.tag_set.tags
+            monkeypatch.undo()
+        assert results >= 12  # the clean corpora, and bad lines that are not bad undeclared
+
+    def test_default_blocks_of_a_large_text(self):
+        # Several default-sized blocks, a bad line in the last, and a text
+        # stream read a block at a time.
+        line = "word\tX\r\n"
+        count = 3 * corpus_module._PARSE_CHARS // len(line)
+        text = line * count + "\n"
+        corpus = parse_corpus(text)
+        assert corpus.num_tokens == count and corpus.num_sentences == 1
+        assert parse_corpus(io.StringIO(text)) == corpus
+        assert parsed(text + "bad line\n") == (
+            f"line {count + 2}: expected exactly two tab-separated non-empty fields, "
+            "got 'bad line'", count + 2)
+
+
+class TestTaggedToken:
+    def test_slotted(self):
+        token = TaggedToken("word", "TAG")
+        assert not hasattr(token, "__dict__")
+        assert sys.getsizeof(token) <= 48
+
+    def test_frozen(self):
+        token = TaggedToken("word", "TAG")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.word = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del token.tag
+
+    def test_round_trips(self):
+        token = TaggedToken("w\u2028ord", "TAG")
+        assert pickle.loads(pickle.dumps(token)) == token
+        assert copy.deepcopy(token) == token
+        assert copy.copy(token) == token
+        assert dataclasses.replace(token, tag="OTHER") == TaggedToken("w\u2028ord", "OTHER")
+        with pytest.raises(ValidationError, match="starts with '#'"):
+            dataclasses.replace(token, word="#1")
+
+
+@pytest.fixture(scope="module")
+def large_corpus():
+    """100k training tokens over 20 tags, and their text (about 1.1 MB)."""
+    corpus = synthesize_corpus(SynthesisConfig(num_tags=20, vocab_size=5000,
+                                               num_train_tokens=100_000,
+                                               num_test_tokens=10, seed=5))[0]
+    return corpus, write_corpus(corpus)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingPathMemory:
+    """What the training path holds besides the corpus grows with a block
+    of it, not with a copy per line or token of the whole of it."""
+
+    def test_parse_holds_no_list_of_every_line(self, large_corpus):
+        # About 10.5 times the text when every line was split out at once;
+        # the corpus parsed takes 1.7 of that.
+        corpus, text = large_corpus
+        parsed_corpus, peak = traced_peak(lambda: parse_corpus(text))
+        assert parsed_corpus == parse_corpus(text, corpus.tag_set.tags)
+        assert peak < 6 * len(text), peak / len(text)
+
+    def test_digest_holds_the_text_and_its_pieces(self, large_corpus):
+        # About 4.7 times the text with a (tokens, 2) object array, its
+        # list of pieces and a whole encoded copy.
+        corpus, text = large_corpus
+        digest, peak = traced_peak(lambda: corpus_digest(corpus))
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert peak < 3.5 * len(text), peak / len(text)
+
+    def test_count_ngrams_sorts_one_key_array(self, large_corpus):
+        # About 51 bytes a token with np.unique's copies and a new digit
+        # array per context length.
+        corpus, _ = large_corpus
+        counts, peak = traced_peak(lambda: count_ngrams(corpus, 3))
+        assert int(counts.counts[0].sum()) == corpus.num_tokens
+        assert peak < 42 * corpus.num_tokens, peak / corpus.num_tokens
+
+
 class TestWriteCorpus:
     def test_canonical_form_has_no_trailing_blank(self):
         corpus = parse_corpus("the\tAT\ncat\tNN\n\nsat\tVB\n\n")
@@ -220,6 +377,19 @@ class TestWriteCorpus:
         again = parse_corpus(text)
         assert again.sentences == corpus.sentences
         assert write_corpus(again) == text
+
+    def test_pieces_join_to_the_token_by_token_text(self, monkeypatch):
+        # The text is joined from pieces of _WRITE_TOKENS tokens; wherever
+        # they are cut, sentence ends included, it is the same text.
+        corpus = synthesize_corpus(SynthesisConfig(num_tags=4, vocab_size=60,
+                                                   num_train_tokens=400,
+                                                   num_test_tokens=10, seed=9))[0]
+        text = "\n".join("".join(f"{t.word}\t{t.tag}\n" for t in sentence)
+                         for sentence in corpus.sentences)
+        assert write_corpus(corpus) == text
+        for size in (1, 2, 7, 64):
+            monkeypatch.setattr(corpus_module, "_WRITE_TOKENS", size)
+            assert write_corpus(corpus) == text
 
     def test_empty_corpus_writes_empty_string(self):
         assert write_corpus(parse_corpus("")) == ""

@@ -18,6 +18,8 @@ from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
     _RENDER,
+    _WINDOW,
+    _SectionReader,
     _heads,
     _render,
     _trie_heads,
@@ -31,6 +33,15 @@ from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
 from lexical_oracle import letters, sparse_rows
 from test_counts import random_corpus
 from transition_oracle import query
+
+
+def traced_peak(call):
+    """The call's result, and the most memory tracemalloc saw allocated in it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_corpus():
@@ -493,6 +504,23 @@ class TestBlockedParse:
             assert int(header.split(" ")[1]) > 2100
         with no_warnings():
             assert model_to_text(model_from_text(big_text)) == big_text
+
+    def test_section_read_copies_no_more_than_twice_itself(self):
+        # A section several times the reader's first split, then a text 16
+        # times as long: splitting out the section's lines copies at most
+        # about twice the section, never the text after it.
+        count = 8 * _WINDOW // 10
+        rows = "".join(f"w{i:07d}\n" for i in range(count))
+
+        def read(tail):
+            reader = _SectionReader(f"[lexicon] {count}\n{rows}{tail}")
+            lines, peak = traced_peak(lambda: reader.section("lexicon"))
+            assert lines == rows.split("\n")[:-1]
+            assert reader.text.startswith(tail, reader.at)
+            return peak
+
+        alone = read("")
+        assert read("[trie] 0\n" + 16 * rows) < alone + 2 * len(rows)
 
     @pytest.mark.parametrize("section", ["lexicon", "trie"])
     def test_bad_count_row_past_first_block(self, big_text, section):
@@ -1037,18 +1065,11 @@ class TestDerivedSections:
         model = train_model(corpus, order=2, policy=policy)
         unknown = ["x" + w for w in words[:100]]  # each walks a whole word's path
 
-        def peak(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        trie, build_peak = peak(lambda: build_suffix_trie(lexicon, policy))
-        text, write_peak = peak(lambda: model_to_text(model))
-        _, file_peak = peak(lambda: write_model(model, str(tmp_path / "model.txt")))
-        loaded, load_peak = peak(lambda: model_from_text(text))
-        tagged, tag_peak = peak(lambda: tag_corpus(loaded, [unknown]))
+        trie, build_peak = traced_peak(lambda: build_suffix_trie(lexicon, policy))
+        text, write_peak = traced_peak(lambda: model_to_text(model))
+        _, file_peak = traced_peak(lambda: write_model(model, str(tmp_path / "model.txt")))
+        loaded, load_peak = traced_peak(lambda: model_from_text(text))
+        tagged, tag_peak = traced_peak(lambda: tag_corpus(loaded, [unknown]))
         nodes, nonzero = len(trie.depths), len(trie.counts.values)
         assert 8 * nodes * trie.counts.num_tags > 20 * 2 ** 20 and nonzero < 2 * nodes
         sparse = 150 * (nodes + nonzero)
@@ -1079,17 +1100,10 @@ class TestDerivedSections:
                                           for at in range(0, len(order), 10)))
         policy = RareWordPolicy(frequency_threshold=1)  # no word is rare: the lexicon alone
 
-        def peak(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        lexicon, build_peak = peak(lambda: build_lexicon(corpus))
-        model, train_peak = peak(lambda: train_model(corpus, order=1, policy=policy))
+        lexicon, build_peak = traced_peak(lambda: build_lexicon(corpus))
+        model, train_peak = traced_peak(lambda: train_model(corpus, order=1, policy=policy))
         text = model_to_text(model)
-        loaded, load_peak = peak(lambda: model_from_text(text))
+        loaded, load_peak = traced_peak(lambda: model_from_text(text))
         nonzero, dense = len(lexicon.counts.values), 8 * len(words) * k
         assert nonzero == len(lines) and len(model.lexicon) == len(words)
         sparse = 150 * (len(words) + nonzero)
