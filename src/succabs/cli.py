@@ -107,8 +107,7 @@ def cmd_tag(args) -> int:
 
 def _evaluate_model(model_path: str, gold: Corpus):
     model = read_model(model_path)
-    words = [[tok.word for tok in sent] for sent in gold.sentences]
-    predicted = tag_corpus(model, words)
+    predicted = tag_corpus(model, gold.sentence_words())
     return evaluate(gold, predicted, model.lexicon.words)
 
 

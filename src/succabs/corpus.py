@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import count, islice
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,8 +73,8 @@ class TagSet:
 
 @dataclass(frozen=True, slots=True)
 class TaggedToken:
-    """One word and its tag.  Slotted: a corpus's ``sentences`` hold one
-    per token."""
+    """One word and its tag.  Slotted and frozen: a corpus's ``sentences``
+    share one per distinct (word, tag) pair."""
 
     word: str
     tag: str
@@ -98,7 +100,7 @@ class Corpus:
     ``tag_set.tags[tag_ids[i]]`` its tag.  Sentence s is tokens
     ``offsets[s]:offsets[s + 1]``.  ``sentences`` is a view of the same
     tokens as ``TaggedToken`` tuples, built on first access unless the
-    corpus was constructed from it.
+    corpus was constructed from it; nothing else reads it.
     """
 
     def __init__(self, sentences: Sequence[Sequence[TaggedToken]], tag_set: TagSet):
@@ -143,11 +145,24 @@ class Corpus:
 
     @cached_property
     def sentences(self) -> tuple[tuple[TaggedToken, ...], ...]:
-        words = [self.vocab[i] for i in self.word_ids.tolist()]
-        tags = self.tag_set.tags
-        tokens = [TaggedToken(w, tags[t]) for w, t in zip(words, self.tag_ids.tolist())]
+        """The tokens as tuples, one ``TaggedToken`` per distinct (word, tag)
+        pair, shared by every token of that pair."""
+        k = len(self.tag_set)
+        pairs, pair_of = np.unique(self.word_ids * k + self.tag_ids, return_inverse=True)
+        vocab, tags = self.vocab, self.tag_set.tags
+        shared = np.empty(len(pairs), dtype=object)
+        shared[:] = [TaggedToken(vocab[p // k], tags[p % k]) for p in pairs.tolist()]
+        tokens = shared[pair_of]
         bounds = self.offsets.tolist()
         return tuple(tuple(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    def sentence_words(self) -> list[list[str]]:
+        """Each sentence's words, read from the columns."""
+        vocab = np.empty(len(self.vocab), dtype=object)
+        vocab[:] = self.vocab
+        words = vocab[self.word_ids]
+        bounds = self.offsets.tolist()
+        return [words[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
 
     @property
     def num_sentences(self) -> int:
@@ -220,20 +235,25 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
     ids (or _BLANK, or _COMMENT as its word) in ``vocab`` and ``tags``,
     first seen first; or the first bad line's CorpusParseError.
 
-    Most lines of a corpus repeat, so each distinct line is checked once,
-    in the first block that holds it; a block keeps only its lines' ids.
+    Most lines of a corpus repeat, so each line is looked up once, a new
+    one taking the next id, and only the distinct lines new to a block are
+    checked, in the order first seen; a block keeps only its lines' ids.
     """
-    distinct: dict[str, int] = {}
+    distinct: defaultdict[str, int] = defaultdict(count().__next__)
     word_of: list[int] = []
     tag_of: list[int] = []
     blocks = [np.empty(0, dtype=np.int64)]  # an empty iterable has no block
     before = 0  # the lines of the blocks before
     for lines in _source_blocks(source):
+        seen = len(distinct)
+        line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
+        # A new line's id is above every id before it in the block, and above
+        # the ids of the blocks before.
+        highest = np.maximum.accumulate(np.concatenate(([seen - 1], line_ids)))
+        firsts = np.flatnonzero(line_ids > highest[:-1])
         errors: dict[int, str] = {}
-        for line in dict.fromkeys(lines):
-            if line in distinct:
-                continue
-            i = distinct[line] = len(word_of)
+        for i, at in enumerate(firsts.tolist(), seen):
+            line = lines[at]
             word_of.append(_BLANK)
             tag_of.append(_BLANK)
             if line.endswith("\n"):
@@ -259,10 +279,9 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
             else:
                 word_of[i] = vocab.setdefault(word, len(vocab))
                 tag_of[i] = tags.setdefault(tag, len(tags))
-        line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
-        if errors:
-            first = np.flatnonzero(np.isin(line_ids, list(errors)))[0]
-            raise CorpusParseError(errors[int(line_ids[first])], before + int(first) + 1)
+        if errors:  # the first bad line is the first of the lowest bad id
+            first = min(errors)
+            raise CorpusParseError(errors[first], before + int(firsts[first - seen]) + 1)
         blocks.append(line_ids)
         before += len(lines)
     return (np.concatenate(blocks), np.array(word_of, dtype=np.int64),
@@ -304,16 +323,9 @@ def parse_corpus(source: str | IO[str] | Iterable[str],
     return Corpus._from_columns(tag_set, tuple(vocab), word_of[line_ids], tag_ids, offsets)
 
 
-def write_corpus(corpus: Corpus) -> str:
-    """Serialize to the token-per-line format (LF line endings).
-
-    Re-parsing the result with the corpus's own tag set declared yields an
-    equal Corpus.  The text is joined from pieces of ``_WRITE_TOKENS``
-    tokens, so besides it and its pieces nothing is held per token.
-    """
+def _written_pieces(corpus: Corpus) -> Iterator[str]:
+    """The token-per-line text, in pieces of ``_WRITE_TOKENS`` tokens."""
     n = corpus.num_tokens
-    if n == 0:
-        return ""
     # Token i is its word's "word<TAB>" then its tag's "tag<LF>", with a
     # second LF after the last token of every sentence but the last.
     words = np.array([w + "\t" for w in corpus.vocab], dtype=object)
@@ -322,7 +334,6 @@ def write_corpus(corpus: Corpus) -> str:
                     + [t + "\n\n" for t in corpus.tag_set.tags], dtype=object)
     last = corpus.offsets[1:-1] - 1  # each sentence's last token, but the last sentence's
     cells = np.empty((min(n, _WRITE_TOKENS), 2), dtype=object)
-    pieces = []
     for lo in range(0, n, _WRITE_TOKENS):
         hi = min(lo + _WRITE_TOKENS, n)
         tag_cell = corpus.tag_ids[lo:hi].copy()
@@ -330,12 +341,50 @@ def write_corpus(corpus: Corpus) -> str:
         block = cells[:hi - lo]
         block[:, 0] = words[corpus.word_ids[lo:hi]]
         block[:, 1] = tags[tag_cell]
-        pieces.append("".join(block.ravel().tolist()))
-    return "".join(pieces)
+        yield "".join(block.ravel().tolist())
+
+
+def write_corpus(corpus: Corpus, sink: Callable[[str], object] | None = None) -> str | None:
+    """Serialize to the token-per-line format (LF line endings).
+
+    Re-parsing the result with the corpus's own tag set declared yields an
+    equal Corpus.  The text is joined from pieces of ``_WRITE_TOKENS``
+    tokens, so besides it and its pieces nothing is held per token.  With
+    ``sink``, each piece is passed to it in turn instead, nothing is joined
+    and None is returned.
+    """
+    if sink is None:
+        return "".join(_written_pieces(corpus))
+    for piece in _written_pieces(corpus):
+        sink(piece)
+    return None
+
+
+def _first_seen(ids: np.ndarray, names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names ``ids`` use, in first-occurrence order, and ``ids``
+    renumbered into them."""
+    used, first = np.unique(ids, return_index=True)
+    order = used[np.argsort(first)]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return tuple(names[i] for i in order.tolist()), rank[ids]
+
+
+def _take_sentences(corpus: Corpus, chosen: Sequence[int]) -> Corpus:
+    """The chosen sentences, in the order given, as a corpus of their own."""
+    chosen = np.asarray(chosen, dtype=np.intp)
+    starts = corpus.offsets[chosen]
+    lengths = corpus.offsets[chosen + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    tokens = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    vocab, word_ids = _first_seen(corpus.word_ids[tokens], corpus.vocab)
+    return Corpus._from_columns(corpus.tag_set, vocab, word_ids, corpus.tag_ids[tokens],
+                                offsets)
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Deterministic sentence-level split into (train, test)."""
+    """Deterministic sentence-level split into (train, test), sliced from
+    the id columns."""
     n = corpus.num_sentences
     if n < 2:
         raise ValidationError("need at least 2 sentences to split")
@@ -344,11 +393,8 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     n_train = min(max(round(n * train_fraction), 1), n - 1)
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    train_idx = sorted(order[:n_train])
-    test_idx = sorted(order[n_train:])
-    train = Corpus(tuple(corpus.sentences[i] for i in train_idx), corpus.tag_set)
-    test = Corpus(tuple(corpus.sentences[i] for i in test_idx), corpus.tag_set)
-    return train, test
+    return (_take_sentences(corpus, sorted(order[:n_train])),
+            _take_sentences(corpus, sorted(order[n_train:])))
 
 
 @dataclass(frozen=True)
@@ -415,10 +461,6 @@ _SECONDARY_WEIGHT = 0.5
 _SENTENCE_LEN_RANGE = (5, 25)
 
 
-def _sample_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(cumulative, rng.random(), side="right"))
-
-
 def _make_vocabulary(cfg: SynthesisConfig, rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
     # One 3-letter suffix per tag; distinct, hence never a suffix of another.
     suffixes: list[str] = []
@@ -472,29 +514,37 @@ def synthesize_corpus(cfg: SynthesisConfig) -> tuple[Corpus, Corpus, GeneratorSp
     emission = zipf * weight
     emission /= emission.sum(axis=1, keepdims=True)
 
-    initial_cum = np.cumsum(initial)
-    transition_cum = np.cumsum(transition, axis=1)
+    initial_cum = np.cumsum(initial).tolist()
+    transition_cum = np.cumsum(transition, axis=1).tolist()
     emission_cum = np.cumsum(emission, axis=1)
 
-    def draw(total_tokens: int) -> tuple[tuple[TaggedToken, ...], ...]:
-        sentences = []
-        remaining = total_tokens
+    def draw(total_tokens: int) -> Corpus:
+        # Per sentence, its length, then one uniform draw per tag and per
+        # word, alternately; each picks the first index whose cumulative
+        # probability exceeds it.
+        uniform = np.empty((total_tokens, 2))  # each token's tag and word draws
+        tag_ids = np.empty(total_tokens, dtype=np.int64)
+        offsets = [0]
         lo, hi = _SENTENCE_LEN_RANGE
-        while remaining > 0:
-            length = min(int(rng.integers(lo, hi + 1)), remaining)
-            toks = []
-            tag = _sample_index(initial_cum, rng)
-            for pos in range(length):
-                if pos > 0:
-                    tag = _sample_index(transition_cum[tag], rng)
-                word = words[_sample_index(emission_cum[tag], rng)]
-                toks.append(TaggedToken(word, tag_set.symbol(tag)))
-            sentences.append(tuple(toks))
-            remaining -= length
-        return tuple(sentences)
+        while (start := offsets[-1]) < total_tokens:
+            end = min(start + int(rng.integers(lo, hi + 1)), total_tokens)
+            rng.random(out=uniform[start:end])
+            first, *rest = uniform[start:end, 0].tolist()
+            tags = [bisect_right(initial_cum, first)]
+            for u in rest:
+                tags.append(bisect_right(transition_cum[tags[-1]], u))
+            tag_ids[start:end] = tags
+            offsets.append(end)
+        generated = np.empty(total_tokens, dtype=np.int64)
+        for t in np.flatnonzero(np.bincount(tag_ids)).tolist():
+            at = np.flatnonzero(tag_ids == t)
+            generated[at] = np.searchsorted(emission_cum[t], uniform[at, 1], side="right")
+        del uniform
+        vocab, word_ids = _first_seen(generated, words)
+        return Corpus._from_columns(tag_set, vocab, word_ids, tag_ids, offsets)
 
-    train = Corpus(draw(cfg.num_train_tokens), tag_set)
-    test = Corpus(draw(cfg.num_test_tokens), tag_set)
+    train = draw(cfg.num_train_tokens)
+    test = draw(cfg.num_test_tokens)
     spec = GeneratorSpec(tag_set, initial, transition, tuple(words), preferred,
                          secondary, ambiguous, emission, cfg)
     return train, test, spec

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import ValidationError
@@ -55,27 +58,36 @@ class EvalReport:
 
 def evaluate(gold: Corpus, predicted: Sequence[Sequence[str]],
              known_words: Iterable[str]) -> EvalReport:
-    """Exact-match accuracy; a token is unknown iff its word is not known."""
+    """Exact-match accuracy; a token is unknown iff its word is not known.
+
+    Gold words and tags are read from the corpus's id columns.  Predicted
+    tags get ids in a copy of the tag set's index, any other tag the next
+    free id, so a prediction is right iff its id is the gold tag's.
+    """
     if len(predicted) != gold.num_sentences:
         raise ValidationError(
             f"{len(predicted)} predictions for {gold.num_sentences} gold sentences")
+    for pred, length in zip(predicted, np.diff(gold.offsets).tolist()):
+        if len(pred) != length:
+            raise ValidationError(f"{len(pred)} predicted tags for a {length}-token sentence")
     known = known_words if isinstance(known_words, (set, frozenset)) else set(known_words)
-    total = errors = unk = unk_errors = 0
-    confusion: dict[tuple[str, str], int] = {}
-    for sent, pred in zip(gold.sentences, predicted):
-        if len(pred) != len(sent):
-            raise ValidationError(
-                f"{len(pred)} predicted tags for a {len(sent)}-token sentence")
-        for tok, tag in zip(sent, pred):
-            total += 1
-            wrong = tag != tok.tag
-            errors += wrong
-            if tok.word not in known:
-                unk += 1
-                unk_errors += wrong
-            key = (tok.tag, tag)
-            confusion[key] = confusion.get(key, 0) + 1
-    return EvalReport(total, errors, unk, unk_errors, confusion)
+    names = dict(gold.tag_set.index)
+    guessed = np.fromiter((names.setdefault(tag, len(names))
+                           for tag in chain.from_iterable(predicted)),
+                          np.int64, count=gold.num_tokens)
+    wrong = guessed != gold.tag_ids
+    unknown = np.fromiter((w not in known for w in gold.vocab), bool,
+                          count=len(gold.vocab))[gold.word_ids]
+    # Each (gold, predicted) pair's count, in the order first seen.
+    pairs, first, counts = np.unique(gold.tag_ids * len(names) + guessed,
+                                     return_index=True, return_counts=True)
+    seen = np.argsort(first)
+    symbols = list(names)
+    confusion = {(symbols[p // len(names)], symbols[p % len(names)]): c
+                 for p, c in zip(pairs[seen].tolist(), counts[seen].tolist())}
+    return EvalReport(gold.num_tokens, int(np.count_nonzero(wrong)),
+                      int(np.count_nonzero(unknown)),
+                      int(np.count_nonzero(wrong & unknown)), confusion)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ _BATCH_CROSSOVER = 1024
 # step's temporaries, 32 bytes per cell and 72 per new state.
 _BATCH_CELLS = 1 << 19
 
-# Characters per slice ``corpus_digest`` encodes: at most 1 MiB of UTF-8.
-_DIGEST_CHARS = 1 << 18
-
 SMOOTHING_SA = "sa"
 SMOOTHING_INTERP = "interp"
 SMOOTHING_ELE = "ele"
@@ -115,12 +112,10 @@ class TagSequenceScore:
 
 def corpus_digest(corpus: Corpus) -> str:
     """Hash of the canonical serialization, stored as training provenance:
-    the text is encoded a slice of ``_DIGEST_CHARS`` characters at a time,
-    so no encoded copy of the whole of it is held."""
-    text = write_corpus(corpus)
+    each of ``write_corpus``'s pieces is hashed as it is made, so neither
+    the text nor an encoded copy of it is held."""
     digest = hashlib.sha256()
-    for at in range(0, len(text), _DIGEST_CHARS):
-        digest.update(text[at:at + _DIGEST_CHARS].encode("utf-8"))
+    write_corpus(corpus, lambda piece: digest.update(piece.encode("utf-8")))
     return digest.hexdigest()
 
 
@@ -473,9 +468,10 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     placeholder = (1.0,) + (0.0,) * (_integer_order(order) - 1)
     base = train_model(train, order=order, policy=policy, root_mode=root_mode,
                        smoothing=SMOOTHING_INTERP, lambdas=placeholder)
-    words = [[tok.word for tok in sent] for sent in heldout.sentences]
-    gold = [[tok.tag for tok in sent] for sent in heldout.sentences]
+    words = heldout.sentence_words()
     total = heldout.num_tokens
+    # Each model tag's id in the held-out tag set, -1 where it has none.
+    gold_id = {t: heldout.tag_set.index.get(t, -1) for t in base.tag_set.tags}
 
     def objective(lam: tuple[float, ...]) -> float:
         transition = interpolated_ngram_model(order, len(base.tag_set),
@@ -483,9 +479,8 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
                                               InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
-        correct = sum(predicted == actual
-                      for sent_tags, sent_gold in zip(tag_corpus(model, words), gold)
-                      for predicted, actual in zip(sent_tags, sent_gold))
-        return correct / total
+        predicted = np.fromiter(map(gold_id.__getitem__, chain.from_iterable(
+            tag_corpus(model, words))), np.int64, count=total)
+        return np.count_nonzero(predicted == heldout.tag_ids) / total
 
     return objective

@@ -40,6 +40,8 @@ from succabs.smoothing import (
 from succabs.tagger import (
     Model,
     NEG_INF,
+    _DecodeRuntime,
+    _score_indices,
     corpus_digest,
     score_sequence,
     tag_corpus,
@@ -144,10 +146,17 @@ def _enumerate_best(m, words):
             lattices.append(tuple(range(len(m.tag_set))))
         else:
             lattices.append(tuple(sorted(dist.support)))
-    best = NEG_INF
+    # Every combination is scored through one primed runtime; the best is
+    # then checked once through the public scorer.
+    runtime = _DecodeRuntime(m)
+    runtime.prime(words)
+    best, best_combo = NEG_INF, None
     for combo in itertools.product(*lattices):
-        tags = [m.tag_set.tags[t] for t in combo]
-        best = max(best, score_sequence(m, words, tags))
+        score = _score_indices(m, words, combo, runtime)
+        if score > best:
+            best, best_combo = score, combo
+    if best_combo is not None:
+        assert score_sequence(m, words, [m.tag_set.tags[t] for t in best_combo]) == best
     return best
 
 

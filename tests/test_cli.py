@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import succabs.cli
+import succabs.corpus
 from succabs.cli import build_parser, main
 from succabs.corpus import _PARSE_CHARS, parse_corpus
 
@@ -323,6 +324,27 @@ class TestEval:
         out = capsys.readouterr().out
         assert "Error rate (%)" in out
         assert "Tokens" in out
+
+    def test_gold_is_read_from_its_columns(self, tmp_path, corpus_file, capsys,
+                                           monkeypatch):
+        # Neither eval nor compare builds a gold corpus's sentences view.
+        m1 = train_default(tmp_path, corpus_file, "m1.txt", "--order", "1")
+        m2 = train_default(tmp_path, corpus_file, "m2.txt")
+        commands = (["eval", "--model", m2, "--gold", corpus_file, "--format", "kv"],
+                    ["eval", "--model", m1, "--gold", corpus_file],
+                    ["compare", "--model", m1, "--model", m2, "--gold", corpus_file])
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+
+        def no_view(corpus):
+            raise AssertionError("the sentences view was built")
+
+        monkeypatch.setattr(succabs.corpus.Corpus, "sentences", property(no_view))
+        for argv, out in zip(commands, outputs):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
     def test_non_utf8_gold_is_data_error(self, tmp_path, corpus_file):
         model = train_default(tmp_path, corpus_file)

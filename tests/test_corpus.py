@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import pickle
+import random
 import sys
 import tracemalloc
 
@@ -318,6 +319,58 @@ class TestTaggedToken:
             dataclasses.replace(token, word="#1")
 
 
+def random_corpus(rng, declared=None):
+    """A parsed corpus of 2 to 40 sentences over a few words and tags, most
+    words repeated, some under more than one tag."""
+    words = [f"w{i}" for i in range(int(rng.integers(1, 12)))]
+    tags = declared or ("A", "B", "C")
+    sentences = ["".join(f"{words[int(rng.integers(len(words)))]}\t"
+                         f"{tags[int(rng.integers(len(tags)))]}\n"
+                         for _ in range(int(rng.integers(1, 9))))
+                 for _ in range(int(rng.integers(2, 41)))]
+    return parse_corpus("\n".join(sentences), declared)
+
+
+class TestSentencesView:
+    def test_one_token_object_per_word_tag_pair(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            corpus = random_corpus(rng)
+            tokens = [tok for sentence in corpus.sentences for tok in sentence]
+            by_pair = {}
+            for tok in tokens:
+                assert by_pair.setdefault((tok.word, tok.tag), tok) is tok
+            assert len({id(tok) for tok in tokens}) == len(by_pair)
+            assert [(tok.word, tok.tag) for tok in tokens] == [
+                (corpus.vocab[w], corpus.tag_set.tags[t])
+                for w, t in zip(corpus.word_ids.tolist(), corpus.tag_ids.tolist())]
+            assert [len(s) for s in corpus.sentences] == np.diff(corpus.offsets).tolist()
+
+    def test_view_holds_its_pairs_and_a_pointer_per_token(self, large_corpus):
+        # One token object per token held about 59 bytes a token; shared,
+        # the view holds a pointer a token, its tuples and one token a pair.
+        corpus = parse_corpus(large_corpus[1])
+        pairs = len(np.unique(corpus.word_ids * len(corpus.tag_set) + corpus.tag_ids))
+        tracemalloc.start()
+        try:
+            view = corpus.sentences
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(view) == corpus.num_sentences
+        bound = 10 * corpus.num_tokens + 64 * corpus.num_sentences + 64 * pairs
+        assert held < bound, (held, bound)
+
+    def test_sentence_words_read_the_columns(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            corpus = random_corpus(rng)
+            words = corpus.sentence_words()
+            assert "sentences" not in corpus.__dict__
+            assert words == [[tok.word for tok in s] for s in corpus.sentences]
+        assert parse_corpus("").sentence_words() == []
+
+
 @pytest.fixture(scope="module")
 def large_corpus():
     """100k training tokens over 20 tags, and their text (about 1.1 MB)."""
@@ -354,6 +407,16 @@ class TestTrainingPathMemory:
         digest, peak = traced_peak(lambda: corpus_digest(corpus))
         assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert peak < 3.5 * len(text), peak / len(text)
+
+    def test_digest_holds_no_copy_of_the_text(self, large_corpus, monkeypatch):
+        # With pieces of 2^12 tokens: about 2.2 times the text when the
+        # joined text was hashed a slice at a time, and 0.4 hashed a piece
+        # at a time, most of it the vocabulary's "word<TAB>" strings.
+        corpus, text = large_corpus
+        monkeypatch.setattr(corpus_module, "_WRITE_TOKENS", 1 << 12)
+        digest, peak = traced_peak(lambda: corpus_digest(corpus))
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert peak < 0.6 * len(text), peak / len(text)
 
     def test_count_ngrams_sorts_one_key_array(self, large_corpus):
         # About 51 bytes a token with np.unique's copies and a new digit
@@ -394,6 +457,20 @@ class TestWriteCorpus:
     def test_empty_corpus_writes_empty_string(self):
         assert write_corpus(parse_corpus("")) == ""
 
+    def test_sink_gets_the_pieces_of_the_text(self, monkeypatch):
+        corpus = synthesize_corpus(SynthesisConfig(num_tags=4, vocab_size=60,
+                                                   num_train_tokens=400,
+                                                   num_test_tokens=10, seed=9))[0]
+        text = write_corpus(corpus)
+        monkeypatch.setattr(corpus_module, "_WRITE_TOKENS", 64)
+        pieces = []
+        assert write_corpus(corpus, pieces.append) is None
+        assert len(pieces) == -(-corpus.num_tokens // 64)
+        assert "".join(pieces) == text
+        pieces.clear()
+        write_corpus(parse_corpus(""), pieces.append)
+        assert pieces == []
+
 
 class TestSplitCorpus:
     def test_partition_preserves_all_sentences(self):
@@ -416,6 +493,27 @@ class TestSplitCorpus:
         assert a[0].sentences == b[0].sentences
         assert a[1].sentences == b[1].sentences
 
+    def test_parts_equal_corpora_built_from_their_sentences(self):
+        # The parts are sliced from the id columns, each with its own vocab
+        # in first-occurrence order; built from the sentences' tokens, a
+        # part must come out the same.
+        rng = np.random.default_rng(31)
+        for case in range(30):
+            corpus = random_corpus(rng, ("C", "A", "B") if case % 2 else None)
+            fraction, seed = float(rng.uniform(0.05, 0.95)), int(rng.integers(1000))
+            train, test = split_corpus(corpus, fraction, seed)
+            assert "sentences" not in corpus.__dict__
+            n = corpus.num_sentences
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            n_train = min(max(round(n * fraction), 1), n - 1)
+            for part, chosen in ((train, order[:n_train]), (test, order[n_train:])):
+                expected = Corpus(tuple(corpus.sentences[i] for i in sorted(chosen)),
+                                  corpus.tag_set)
+                assert part == expected
+                assert part.vocab == expected.vocab
+                assert part.tag_set is corpus.tag_set
+
     def test_bad_fraction_rejected(self):
         corpus = parse_corpus("a\tX\n\nb\tX\n\n")
         with pytest.raises(ValidationError):
@@ -428,7 +526,60 @@ class TestSplitCorpus:
             split_corpus(parse_corpus("a\tX\n\n"), 0.5, seed=1)
 
 
+def reference_synthesize(cfg):
+    """The token-by-token sampler the columnar one replaced: one uniform
+    draw per tag and per word, alternately, after each sentence's length,
+    each mapped with a scalar searchsorted; the corpora are built from
+    tokens."""
+    rng = np.random.default_rng(cfg.seed)
+    k = cfg.num_tags
+    rng.dirichlet(np.ones(k))
+    for _ in range(k):
+        rng.dirichlet(np.ones(k))
+    corpus_module._make_vocabulary(cfg, rng)
+    rng.random(cfg.vocab_size)
+    rng.integers(0, k - 1, size=cfg.vocab_size)
+    _, _, spec = synthesize_corpus(cfg)
+    initial_cum = np.cumsum(spec.initial)
+    transition_cum = np.cumsum(spec.transition, axis=1)
+    emission_cum = np.cumsum(spec.emission, axis=1)
+
+    def sample(cumulative):
+        return int(np.searchsorted(cumulative, rng.random(), side="right"))
+
+    def draw(total):
+        sentences = []
+        while total > 0:
+            length = min(int(rng.integers(5, 26)), total)
+            tokens = []
+            tag = sample(initial_cum)
+            for position in range(length):
+                if position:
+                    tag = sample(transition_cum[tag])
+                word = spec.words[sample(emission_cum[tag])]
+                tokens.append(TaggedToken(word, spec.tag_set.symbol(tag)))
+            sentences.append(tuple(tokens))
+            total -= length
+        return Corpus(sentences, spec.tag_set)
+
+    return draw(cfg.num_train_tokens), draw(cfg.num_test_tokens)
+
+
 class TestSynthesizeCorpus:
+    @pytest.mark.parametrize("cfg", [
+        SynthesisConfig(num_tags=8, vocab_size=500, num_train_tokens=50000,
+                        num_test_tokens=5000, seed=42),  # criterion 6
+        SynthesisConfig(num_tags=13, vocab_size=90, num_train_tokens=3001,
+                        num_test_tokens=7, seed=3, zipf_exponent=1.1),
+    ])
+    def test_equals_the_token_by_token_sampler(self, cfg):
+        train, test, _ = synthesize_corpus(cfg)
+        for got, expected in zip((train, test), reference_synthesize(cfg)):
+            assert got == expected
+            assert got.vocab == expected.vocab
+            assert got.tag_set == expected.tag_set
+            assert "sentences" not in got.__dict__
+
     def test_deterministic_for_seed(self):
         cfg = SynthesisConfig(num_tags=5, vocab_size=100, num_train_tokens=2000,
                               num_test_tokens=500, seed=17)

@@ -63,6 +63,67 @@ class TestEvaluate:
             evaluate(gold, [["AT"], ["VB", "VB"]], known_words=set())
 
 
+def reference_evaluate(gold, predicted, known):
+    """The token-by-token tally the columnar one replaced, over the
+    sentences view; its errors are the report's length errors."""
+    if len(predicted) != gold.num_sentences:
+        raise ValidationError(
+            f"{len(predicted)} predictions for {gold.num_sentences} gold sentences")
+    total = errors = unk = unk_errors = 0
+    confusion = {}
+    for sent, pred in zip(gold.sentences, predicted):
+        if len(pred) != len(sent):
+            raise ValidationError(f"{len(pred)} predicted tags for a {len(sent)}-token sentence")
+        for tok, tag in zip(sent, pred):
+            total += 1
+            wrong = tag != tok.tag
+            errors += wrong
+            if tok.word not in known:
+                unk += 1
+                unk_errors += wrong
+            confusion[tok.tag, tag] = confusion.get((tok.tag, tag), 0) + 1
+    return EvalReport(total, errors, unk, unk_errors, confusion)
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValidationError as err:
+        return str(err)
+
+
+class TestEvaluateAgainstTokenReference:
+    def test_random_golds_and_predictions(self):
+        rng = np.random.default_rng(29)
+        guesses = ("A", "B", "C", "D", "")  # D and the empty tag are in no gold tag set
+        reports = 0
+        for case in range(60):
+            words = [f"w{i}" for i in range(int(rng.integers(1, 10)))]
+            tags = ("A", "B", "C")[:int(rng.integers(1, 4))]
+            text = "\n".join("".join(f"{words[int(rng.integers(len(words)))]}\t"
+                                      f"{tags[int(rng.integers(len(tags)))]}\n"
+                                      for _ in range(int(rng.integers(1, 7))))
+                             for _ in range(int(rng.integers(0, 8))))
+            gold = parse_corpus(text, ("C", "B", "A") if case % 2 else None)
+            known = {w for w in words if rng.random() < 0.5}
+            lengths = np.diff(gold.offsets).tolist()
+            if case % 5 == 4 and lengths:  # one sentence one tag short or long
+                at = int(rng.integers(len(lengths)))
+                lengths[at] += 1 if rng.random() < 0.5 or lengths[at] == 0 else -1
+            if case % 7 == 6:
+                lengths.append(1)
+            predicted = [[guesses[int(rng.integers(len(guesses)))] for _ in range(n)]
+                         for n in lengths]
+            got = outcome(lambda: evaluate(gold, predicted, known))
+            assert "sentences" not in gold.__dict__
+            expected = outcome(lambda: reference_evaluate(gold, predicted, known))
+            assert got == expected
+            if isinstance(got, EvalReport):
+                assert list(got.confusion) == list(expected.confusion)
+            reports += isinstance(got, EvalReport)
+        assert reports >= 30
+
+
 class TestEvalReport:
     def test_zero_tokens_gives_zero_rates(self):
         report = EvalReport(0, 0, 0, 0)

@@ -1088,6 +1088,24 @@ class TestTaggingAccuracyObjective:
             assert scores[-1] == correct / heldout.num_tokens
         assert scores[0] != scores[1]
 
+    def test_heldout_tag_set_of_its_own(self):
+        # Gold tags are read as ids of the held-out tag set, which may order
+        # the tags otherwise and hold tags the model never predicts.
+        train = parse_corpus(
+            "\n\n".join(["a\tX\nb\tY\na\tX", "a\tX\nb\tY\nb\tY",
+                         "b\tY\na\tX\na\tX", "b\tX\nb\tX\na\tY"] * 3) + "\n")
+        heldout = parse_corpus("a\tX\nb\tY\nb\tZ\n\nb\tX\nc\tY\na\tZ\n\n",
+                               declared_tags=("Z", "Y", "X"))
+        objective = tagging_accuracy_objective(train, heldout, order=2)
+        assert "sentences" not in heldout.__dict__
+        words = [[tok.word for tok in sent] for sent in heldout.sentences]
+        for lam in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+            model = train_model(train, order=2, smoothing="interp", lambdas=lam)
+            correct = sum(predicted == tok.tag
+                          for sent, tags in zip(heldout.sentences, tag_corpus(model, words))
+                          for tok, predicted in zip(sent, tags))
+            assert objective(lam) == correct / heldout.num_tokens
+
     def test_empty_heldout_rejected(self):
         train = parse_corpus("a\tX\n\n")
         with pytest.raises(ValidationError):
