@@ -7,14 +7,16 @@ are compared case-sensitively and never normalized.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, islice
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from itertools import count
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,24 +25,33 @@ from .errors import CorpusParseError, ValidationError
 _FORBIDDEN_IN_SYMBOL = ("\t", "\n", "\r")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # code points no UTF-8 text can hold
 
-# ``parse_corpus`` splits about this many characters of text at a time, or
-# takes this many items of an iterable, so it never holds all the lines.
-# On a 300k-token corpus, 256 KiB blocks parse as fast as 1 MiB ones and
-# hold a quarter of the line strings.
+# ``parse_corpus`` splits about this many characters of text at a time, so
+# it never holds all the lines.  On a 300k-token corpus, 256 KiB blocks
+# parse as fast as 1 MiB ones and hold a quarter of the line strings.
 _PARSE_CHARS = 1 << 18
-_PARSE_ITEMS = 1 << 15
 # ``write_corpus`` joins this many tokens into one piece at a time.
 _WRITE_TOKENS = 1 << 15
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, numpy integers and bools included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TagSet:
-    """Ordered, finite tag inventory with stable 0-based indices."""
+    """Ordered, finite tag inventory with stable 0-based indices, held as a tuple."""
 
     tags: tuple[str, ...]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.tags, str):
+            raise ValidationError(f"tags must be a sequence of symbols, not the str {self.tags!r}")
+        object.__setattr__(self, "tags", tuple(self.tags))
         seen = {}
         for i, t in enumerate(self.tags):
             if not t:
@@ -198,37 +209,10 @@ def _text_blocks(text: str) -> Iterator[list[str]]:
     yield text[start:].split("\n")
 
 
-def _stream_blocks(stream: IO[str]) -> Iterator[list[str]]:
-    """The stream's lines, split at LF, a block at a time: a block is read
-    ``_PARSE_CHARS`` characters at a time until one holds an LF, and the
-    line cut at the read's end goes on into the next block."""
-    parts: list[str] = []
-    while chunk := stream.read(_PARSE_CHARS):
-        cut = chunk.rfind("\n")
-        if cut < 0:
-            parts.append(chunk)
-            continue
-        parts.append(chunk[:cut])
-        yield "".join(parts).split("\n")
-        parts = [chunk[cut + 1:]]
-    yield "".join(parts).split("\n")
-
-
-def _source_blocks(source: str | IO[str] | Iterable[str]) -> Iterator[list[str]]:
-    """The source's lines, a block at a time: text is split at LF only,
-    whatever holds it, and an iterable gives one line per item."""
-    if isinstance(source, str):
-        return _text_blocks(source)
-    if hasattr(source, "read"):
-        return _stream_blocks(source)
-    items = iter(source)
-    return iter(lambda: list(islice(items, _PARSE_ITEMS)), [])
-
-
 _BLANK, _COMMENT = -1, -2
 
 
-def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | None,
+def _classify_lines(text: str, declared: TagSet | None,
                     vocab: dict[str, int], tags: dict[str, int]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each line's id among the distinct lines, and each id's word and tag
@@ -242,9 +226,9 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
     distinct: defaultdict[str, int] = defaultdict(count().__next__)
     word_of: list[int] = []
     tag_of: list[int] = []
-    blocks = [np.empty(0, dtype=np.int64)]  # an empty iterable has no block
+    blocks = []
     before = 0  # the lines of the blocks before
-    for lines in _source_blocks(source):
+    for lines in _text_blocks(text):
         seen = len(distinct)
         line_ids = np.fromiter(map(distinct.__getitem__, lines), np.int64, count=len(lines))
         # A new line's id is above every id before it in the block, and above
@@ -256,8 +240,6 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
             line = lines[at]
             word_of.append(_BLANK)
             tag_of.append(_BLANK)
-            if line.endswith("\n"):
-                line = line[:-1]
             if line.endswith("\r"):
                 line = line[:-1]
             if line.startswith("#"):
@@ -270,7 +252,7 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
                 errors[i] = f"expected exactly two tab-separated non-empty fields, got {line!r}"
                 continue
             word, tag = fields
-            if "\r" in line or "\n" in line:
+            if "\r" in line:
                 errors[i] = f"CR or LF inside a word or tag: {line!r}"
             elif not line.isascii() and _SURROGATE.search(line):
                 errors[i] = f"lone surrogate, which UTF-8 cannot hold, in a word or tag: {line!r}"
@@ -288,26 +270,25 @@ def _classify_lines(source: str | IO[str] | Iterable[str], declared: TagSet | No
             np.array(tag_of, dtype=np.int64))
 
 
-def parse_corpus(source: str | IO[str] | Iterable[str],
-                 declared_tags: Sequence[str] | None = None) -> Corpus:
-    """Parse token-per-line text into a Corpus.
+def parse_corpus(text: str, declared_tags: Sequence[str] | None = None) -> Corpus:
+    """Parse token-per-line text, a ``str``, into a Corpus.
 
     When `declared_tags` is given it is used verbatim as the tag set and
     every observed tag must belong to it; otherwise the tag set is the
-    lexicographically sorted set of observed tags.  A line loses one
-    trailing LF (an iterable's items may keep theirs) and then one
-    trailing CR; a CR or LF left in a word or tag is an error, and so is a
-    lone surrogate.
+    lexicographically sorted set of observed tags.  Lines end at LF, and
+    a line loses one trailing CR; a CR left in a word or tag is an error,
+    and so is a lone surrogate.
 
-    The source is read a block of lines at a time, about ``_PARSE_CHARS``
-    characters of a string or stream or ``_PARSE_ITEMS`` items of an
-    iterable, so its lines are never all held at once.  The first bad line
-    raises from its block, with its line number in the whole source.
+    The text is split a block of about ``_PARSE_CHARS`` characters at a
+    time, so its lines are never all held at once.  The first bad line
+    raises from its block, with its line number in the whole text.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"parse_corpus takes the text as a str, not {type(text).__name__}")
     declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
     vocab: dict[str, int] = {}
     tags: dict[str, int] = dict(declared.index) if declared is not None else {}
-    line_ids, word_of, tag_of = _classify_lines(source, declared, vocab, tags)
+    line_ids, word_of, tag_of = _classify_lines(text, declared, vocab, tags)
     # A comment line neither holds a token nor ends a sentence.
     line_ids = line_ids[word_of[line_ids] != _COMMENT]
     is_token = word_of[line_ids] >= 0
@@ -407,14 +388,16 @@ class SynthesisConfig:
     zipf_exponent: float = 1.9
 
     def __post_init__(self):
+        for name in ("num_tags", "vocab_size", "num_train_tokens", "num_test_tokens", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.num_tags < 2:
             raise ValidationError("num_tags must be at least 2")
         if self.vocab_size < self.num_tags:
             raise ValidationError("vocab_size must be at least num_tags")
         if self.num_train_tokens < 1 or self.num_test_tokens < 1:
             raise ValidationError("token counts must be positive")
-        if self.zipf_exponent <= 0:
-            raise ValidationError("zipf_exponent must be positive")
+        if not 0 < self.zipf_exponent < math.inf:  # NaN fails both comparisons
+            raise ValidationError("zipf_exponent must be finite and positive")
 
 
 @dataclass(frozen=True)

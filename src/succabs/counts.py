@@ -9,14 +9,13 @@ over the real tag set only.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TagSet
+from .corpus import Corpus, TagSet, _integer
 from .errors import ValidationError
 
 # Pseudo-tag index padding sentence-initial contexts.  Never a valid outcome.
@@ -65,14 +64,6 @@ class NGramCountTable:
         return len(self.tag_set)
 
 
-def _integer_order(order) -> int:
-    """``order`` as an int, numpy integers and bools included."""
-    try:
-        return operator.index(order)
-    except TypeError:
-        raise ValidationError(f"order must be an integer, not {order!r}") from None
-
-
 def transition_index_shape(order: int, num_tags: int) -> tuple[int, ...]:
     """Shape of ``SmoothedNGramModel.index``, one axis of size K+1 per
     context tag, and the bound on every order.  A ``ValidationError`` if the
@@ -80,7 +71,7 @@ def transition_index_shape(order: int, num_tags: int) -> tuple[int, ...]:
     than numpy supports, checked first so an absurd order builds no shape,
     or more bytes than an array size can count), or if a ``count_ngrams``
     key, a cell times K plus an outcome, could pass int64."""
-    order = _integer_order(order)
+    order = _integer(order, "order")
     axes = order - 1
     if axes > _MAX_AXES:
         raise ValidationError(f"an order-{order} model needs a transition index of "
@@ -138,7 +129,7 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     place, reused from order to order, and counts its runs; keys sort as
     their contexts do, so the rows come in file order.
     """
-    order = _integer_order(order)
+    order = _integer(order, "order")
     if order < 1:
         raise ValidationError("n-gram order must be at least 1")
     if corpus.num_sentences == 0:
@@ -278,10 +269,14 @@ def build_lexicon(corpus: Corpus) -> Lexicon:
 
 @dataclass(frozen=True)
 class RareWordPolicy:
+    """Both values are stored as ints, so a model writes what its loader reads."""
+
     frequency_threshold: int = 10
     max_suffix_length: int = 10
 
     def __post_init__(self):
+        for name in ("frequency_threshold", "max_suffix_length"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.frequency_threshold < 1 or self.max_suffix_length < 1:
             raise ValidationError("rare-word policy values must be positive")
 

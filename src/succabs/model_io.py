@@ -78,9 +78,6 @@ _META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold"
               "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
 _RENDER = 2048  # rows per _render buffer; 192 KiB of counts at 48 tags
-# Characters _SectionReader.lines splits first, doubled until they hold the
-# section: a section's lines without a copy of the rest of the text.
-_WINDOW = 1 << 16
 _POWERS = 10 ** np.arange(19, dtype=np.int64)  # every power of ten in int64
 _QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10 ** 4)).encode("ascii"),
                        dtype=np.uint32)  # each 4-digit ASCII group, in memory order
@@ -397,22 +394,7 @@ class _SectionReader:
         return int(count)
 
     def lines(self, count: int) -> list[str]:
-        """The next ``count`` lines, in one ``str.split`` of the next
-        ``_WINDOW`` characters, doubled until they hold ``count`` line ends
-        or the text ends, so the copy split is at most about twice the
-        lines.  Where the text ends first, they are read line by line, for
-        ``take``'s error."""
-        text, at = self.text, self.at
-        end, ends = at, 0
-        while ends < count and end < len(text):
-            wider = min(end + max(end - at, _WINDOW), len(text))
-            ends += text.count("\n", end, wider)
-            end = wider
-        if ends >= count:
-            lines = text[at:end].split("\n", count)
-            del lines[count:]
-            self.at += sum(map(len, lines)) + count
-            return lines
+        """The next ``count`` lines, each found by ``take``."""
         return [self.take() for _ in range(count)]
 
     def section(self, name: str) -> list[str]:

@@ -20,12 +20,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TagSet, write_corpus
+from .corpus import Corpus, TagSet, _integer, write_corpus
 from .counts import (
     BOUNDARY,
     Lexicon,
     RareWordPolicy,
-    _integer_order,
     build_lexicon,
     build_suffix_trie,
     count_ngrams,
@@ -81,7 +80,7 @@ class ModelMetadata:
     lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _integer_order(self.order))
+        object.__setattr__(self, "order", _integer(self.order, "order"))
         if self.order < 1:
             raise ValidationError(f"model order must be at least 1, not {self.order}")
         if self.smoothing not in SMOOTHING_MODES:
@@ -465,7 +464,7 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     """
     if heldout.num_tokens == 0:
         raise ValidationError("held-out corpus has no tokens")
-    placeholder = (1.0,) + (0.0,) * (_integer_order(order) - 1)
+    placeholder = (1.0,) + (0.0,) * (_integer(order, "order") - 1)
     base = train_model(train, order=order, policy=policy, root_mode=root_mode,
                        smoothing=SMOOTHING_INTERP, lambdas=placeholder)
     words = heldout.sentence_words()

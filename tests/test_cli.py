@@ -11,7 +11,14 @@ import pytest
 import succabs.cli
 import succabs.corpus
 from succabs.cli import build_parser, main
-from succabs.corpus import _PARSE_CHARS, parse_corpus
+from succabs.corpus import (
+    _PARSE_CHARS,
+    SynthesisConfig,
+    parse_corpus,
+    split_corpus,
+    synthesize_corpus,
+    write_corpus,
+)
 
 TRAIN_TEXT = (
     "a\tT0\na\tT0\nc\tT0\nb\tT1\n\n"
@@ -432,6 +439,16 @@ class TestSynth:
                    "--test-out", str(tmp_path / "s.tsv")])
         assert rc == 2
 
+    def test_nan_zipf_exponent_is_data_error(self, tmp_path, capsys):
+        # NaN passes a "<= 0" check, and its weights draw a corpus of one word.
+        rc = main(["synth", "--tags", "3", "--vocab", "30", "--zipf-exponent", "nan",
+                   "--train-tokens", "300", "--test-tokens", "60",
+                   "--seed", "1", "--train-out", str(tmp_path / "t.tsv"),
+                   "--test-out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert "zipf_exponent must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "t.tsv").exists()
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -453,11 +470,32 @@ class TestUsageErrors:
         assert "command" in capsys.readouterr().out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestReadme:
+    def test_library_use_blocks_run(self, tmp_path, monkeypatch, capsys):
+        # Each Python block of "## Library use" runs on its own, in a
+        # directory holding small synthesized train, test and held-out files.
+        readme = README.read_text(encoding="utf-8")
+        section = re.search(r"^## Library use\n(.*?)(?=^## )", readme, re.M | re.S).group(1)
+        blocks = re.findall(r"^```python\n(.*?)^```", section, re.M | re.S)
+        assert len(blocks) == 3
+        assert all("train.tsv" in block for block in blocks[:2])
+        train, test, _ = synthesize_corpus(SynthesisConfig(
+            num_tags=4, vocab_size=60, num_train_tokens=1500, num_test_tokens=300, seed=4))
+        heldout, _ = split_corpus(test, 0.5, 4)
+        for name, corpus in (("train", train), ("test", test), ("heldout", heldout)):
+            (tmp_path / f"{name}.tsv").write_text(write_corpus(corpus), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.count("\n") == 2  # the tags, then the two rates
+
     def test_flag_tables_list_the_parser_flags(self):
         # Each "### `succabs <command>`" section's table lists exactly the
         # long flags the parser defines for that command, --help aside.
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         sections = re.findall(r"^### `succabs (\w+)`\n(.*?)(?=^#)", readme, re.M | re.S)
         documented = {command: set(re.findall(r"^\| `(--[\w-]+)", body, re.M))
                       for command, body in sections}

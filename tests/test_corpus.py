@@ -45,6 +45,19 @@ class TestTagSet:
         with pytest.raises(ValidationError):
             TagSet(("NN",)).index_of("VB")
 
+    def test_bare_str_rejected(self):
+        # A str is a sequence of letters: "AB" would be the tags 'A' and 'B'.
+        with pytest.raises(ValidationError, match="not the str 'AB'"):
+            TagSet("AB")
+
+    def test_tags_stored_as_a_tuple(self):
+        listed = TagSet(["A", "B"])
+        assert listed.tags == ("A", "B")
+        assert listed == TagSet(("A", "B"))
+        assert hash(listed) == hash(TagSet(("A", "B")))
+        corpus = Corpus([[TaggedToken("a", "A")]], listed)
+        assert hash(corpus) == hash(Corpus([[TaggedToken("a", "A")]], TagSet(("A", "B"))))
+
 
 class TestParseCorpus:
     def test_two_token_sentence(self):
@@ -90,10 +103,19 @@ class TestParseCorpus:
         with pytest.raises(CorpusParseError):
             parse_corpus("a\tZ\n\n", declared_tags=("X", "Y"))
 
-    def test_file_like_source(self):
-        import io
-        corpus = parse_corpus(io.StringIO("a\tX\nb\tY\n\n"))
-        assert corpus.num_tokens == 2
+    def test_non_text_sources_rejected(self, tmp_path):
+        # The parser takes the corpus text; a stream, a file, lines or bytes
+        # are each a ValidationError, not an AttributeError from inside.
+        text = "a\tX\nb\tY\n\n"
+        path = tmp_path / "corpus.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            sources = {"StringIO": io.StringIO(text), "TextIOWrapper": fh,
+                       "list": text.split("\n"), "bytes": text.encode("utf-8")}
+            for kind, source in sources.items():
+                with pytest.raises(ValidationError,
+                                   match=f"^parse_corpus takes the text as a str, not {kind}$"):
+                    parse_corpus(source)
 
 
 def parse_or_error_line(source):
@@ -103,16 +125,18 @@ def parse_or_error_line(source):
         return err.line
 
 
+def file_text(text, path):
+    """The text written to a file and read back without newline
+    translation, as ``succabs train`` reads a corpus."""
+    path.write_text(text, encoding="utf-8", errors="surrogatepass", newline="")
+    with open(path, encoding="utf-8", errors="surrogatepass", newline="") as fh:
+        return fh.read()
+
+
 def each_source(text, tmp_path):
-    """The same text as a str, a text stream, a file read without newline
-    translation, and lists of lines with and without their LFs."""
-    path = tmp_path / "corpus.tsv"
-    path.write_text(text, encoding="utf-8", newline="")
-    with open(path, encoding="utf-8", newline="") as fh:
-        from_file = parse_or_error_line(fh)
-    return [parse_or_error_line(text), parse_or_error_line(io.StringIO(text)), from_file,
-            parse_or_error_line(text.split("\n")),
-            parse_or_error_line(io.StringIO(text).readlines())]
+    """The parse of the text as a str and as a file's text."""
+    return [parse_or_error_line(text),
+            parse_or_error_line(file_text(text, tmp_path / "corpus.tsv"))]
 
 
 class TestLineSplitting:
@@ -139,7 +163,7 @@ class TestLineSplitting:
         ("a\tX\n# note\nb\tX\rY\r\n", 3),
     ])
     def test_cr_inside_word_or_tag_is_a_parse_error(self, text, line, tmp_path):
-        assert each_source(text, tmp_path) == [line] * 5
+        assert each_source(text, tmp_path) == [line] * 2
         with pytest.raises(CorpusParseError, match="CR or LF"):
             parse_corpus(text)
 
@@ -253,27 +277,16 @@ class TestBlockBoundaries:
                 text = "".join(line + end for line, end in zip(variant, ends))
                 yield (text if rng.random() < 0.5 else text[:-len(ends[-1])]), declared
 
-    @staticmethod
-    def sources(text, path):
-        """The text as a str, a text stream, a file read without newline
-        translation, and a list of its lines that keep their LFs."""
-        yield text
-        yield io.StringIO(text)
-        with open(path, encoding="utf-8", errors="surrogatepass", newline="") as fh:
-            yield fh
-        yield io.StringIO(text).readlines()
-
     def test_every_block_size_parses_as_one_block(self, tmp_path, monkeypatch):
         path = tmp_path / "corpus.tsv"
         results = 0
         for text, declared in self.cases():
             expected = parsed(text, declared)
             results += isinstance(expected, Corpus)
-            path.write_text(text, encoding="utf-8", errors="surrogatepass", newline="")
+            sources = (text, file_text(text, path))
             for size in (1, 2, 7, 64):
                 monkeypatch.setattr(corpus_module, "_PARSE_CHARS", size)
-                monkeypatch.setattr(corpus_module, "_PARSE_ITEMS", size)
-                for source in self.sources(text, path):
+                for source in sources:
                     got = parsed(source, declared)
                     assert got == expected, (text, size, source)
                     if isinstance(got, Corpus):
@@ -283,14 +296,12 @@ class TestBlockBoundaries:
         assert results >= 12  # the clean corpora, and bad lines that are not bad undeclared
 
     def test_default_blocks_of_a_large_text(self):
-        # Several default-sized blocks, a bad line in the last, and a text
-        # stream read a block at a time.
+        # Several default-sized blocks, and a bad line in the last.
         line = "word\tX\r\n"
         count = 3 * corpus_module._PARSE_CHARS // len(line)
         text = line * count + "\n"
         corpus = parse_corpus(text)
         assert corpus.num_tokens == count and corpus.num_sentences == 1
-        assert parse_corpus(io.StringIO(text)) == corpus
         assert parsed(text + "bad line\n") == (
             f"line {count + 2}: expected exactly two tab-separated non-empty fields, "
             "got 'bad line'", count + 2)
@@ -660,6 +671,17 @@ class TestSynthesizeCorpus:
         with pytest.raises(ValidationError):
             SynthesisConfig(num_tags=3, vocab_size=2, num_train_tokens=100,
                             num_test_tokens=100, seed=1)
+
+    def test_exponent_finite_and_counts_integers(self):
+        base = dict(num_tags=3, vocab_size=30, num_train_tokens=100, num_test_tokens=10, seed=1)
+        for exponent in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValidationError, match="zipf_exponent must be finite and positive"):
+                SynthesisConfig(**base, zipf_exponent=exponent)
+        for name in ("num_tags", "vocab_size", "num_train_tokens", "num_test_tokens", "seed"):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer, not 3.0$"):
+                SynthesisConfig(**{**base, name: 3.0})
+        cfg = SynthesisConfig(**{**base, "num_tags": np.int64(3), "seed": True})
+        assert (cfg.num_tags, cfg.seed) == (3, 1) and type(cfg.num_tags) is int
 
 
 class TestCorpusValidation:

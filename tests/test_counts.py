@@ -208,6 +208,14 @@ class TestRareWordPolicy:
         with pytest.raises(ValidationError):
             RareWordPolicy(max_suffix_length=0)
 
+    def test_values_must_be_integers(self):
+        for values in [(2.5, 3), (10, 2.0), ("3", 3), (None, 3)]:
+            with pytest.raises(ValidationError, match="must be an integer, not "):
+                RareWordPolicy(*values)
+        policy = RareWordPolicy(True, np.int64(3))
+        assert (policy.frequency_threshold, policy.max_suffix_length) == (1, 3)
+        assert type(policy.frequency_threshold) is int is type(policy.max_suffix_length)
+
 
 class TestBuildSuffixTrie:
     def corpus_with_rare_words(self):

@@ -18,7 +18,6 @@ from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
     _RENDER,
-    _WINDOW,
     _SectionReader,
     _heads,
     _render,
@@ -121,6 +120,17 @@ class TestRoundTrip:
         a = model_to_text(train_model(corpus, order=3))
         b = model_to_text(train_model(corpus, order=3))
         assert a == b
+
+    def test_policy_given_as_bool_or_numpy_integer_round_trips(self):
+        # Stored as ints, the policy writes "1", never "True", so the
+        # loader reads back what the model holds.
+        for policy in (RareWordPolicy(True, 3), RareWordPolicy(np.int64(2), np.int32(4))):
+            model = train_model(small_corpus(), policy=policy)
+            text = model_to_text(model)
+            assert "\nrare_threshold\tTrue\n" not in text
+            loaded = model_from_text(text)
+            assert loaded.unknown_word_model.policy == policy
+            assert model_to_text(loaded) == text
 
     def test_file_round_trip(self, tmp_path):
         model = trained_models()[0]
@@ -506,10 +516,10 @@ class TestBlockedParse:
             assert model_to_text(model_from_text(big_text)) == big_text
 
     def test_section_read_copies_no_more_than_twice_itself(self):
-        # A section several times the reader's first split, then a text 16
-        # times as long: splitting out the section's lines copies at most
-        # about twice the section, never the text after it.
-        count = 8 * _WINDOW // 10
+        # A section of 0.47 MB, then a text 16 times as long: reading the
+        # section's lines copies at most about twice the section, never the
+        # text after it.
+        count = 52_428
         rows = "".join(f"w{i:07d}\n" for i in range(count))
 
         def read(tail):
