@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _integer
 from .errors import ValidationError
 
 Z_10_PERCENT = 1.645
@@ -92,6 +92,8 @@ def evaluate(gold: Corpus, predicted: Sequence[Sequence[str]],
 
 @dataclass(frozen=True)
 class SignificanceQuery:
+    """Error rate in (0, 1), sample size an int >= 1, critical value in (0, inf)."""
+
     p: float
     n: int
     z: float
@@ -99,10 +101,11 @@ class SignificanceQuery:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValidationError("error rate must lie strictly between 0 and 1")
+        object.__setattr__(self, "n", _integer(self.n, "sample size"))
         if self.n < 1:
             raise ValidationError("sample size must be positive")
-        if self.z <= 0.0:
-            raise ValidationError("critical value must be positive")
+        if not 0.0 < self.z < math.inf:
+            raise ValidationError("critical value must be positive and finite")
 
 
 def significance_threshold(q: SignificanceQuery) -> float:

@@ -38,9 +38,8 @@ included, with the file's in place, a rendered block at a time; lines are
 split only to name the first row that differs.  ``[tags]`` rows are their
 own text.  The one exception is the float cells of
 ``[transitions]``/``[freqs]``, which are parsed but not compared:
-rendering them would cost a large share of a load.  ``[trie]`` is checked
-by its row count first, before any of the derived trie's counts are
-pooled.
+rendering them would cost a large share of a load.  A ``[trie]`` header
+that differs is found before any row of the derived trie is rendered.
 
 Every number section of many rows is written by one exact block renderer,
 ``_render``: a few numpy passes per block of rows and no Python call per
@@ -67,6 +66,7 @@ from .smoothing import (
     InterpolationWeights,
     SmoothedNGramModel,
     _check_rows,
+    _suffix_rows,
     interpolated_ngram_model,
 )
 from .tagger import SMOOTHING_ELE, SMOOTHING_INTERP, Model, ModelMetadata
@@ -294,6 +294,12 @@ def _section(name: str, rows: int, pieces: Iterable[str]) -> Iterator[str]:
     yield from pieces
 
 
+def _trie_section(trie: SuffixTrie) -> Iterator[str]:
+    """The ``[trie]`` section; a header that differs costs the loader no rendering."""
+    yield _header("trie", len(trie.depths))
+    yield from _render_blocks(trie.counts, *_trie_heads(trie))
+
+
 def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> Iterator[str]:
     """The ``[meta]`` section: rows of key TAB value, in ``_META_KEYS``
     order; ``sigma_scale`` is always 1, since the smoothing step has no
@@ -348,7 +354,7 @@ def _model_pieces(model: Model) -> Iterator[str]:
     yield from _section(table_section, len(contexts), _render_blocks(table, *_heads(contexts)))
     yield from _section("lexicon", len(words),
                         _render_blocks(model.lexicon.counts, *_heads(words)))
-    yield from _section("trie", len(trie.depths), _render_blocks(trie.counts, *_trie_heads(trie)))
+    yield from _trie_section(trie)
     yield from _section("unknown_root", 1, [_row(unknown.root.probs)])
 
 
@@ -393,12 +399,8 @@ class _SectionReader:
                                    "a canonical decimal integer")
         return int(count)
 
-    def lines(self, count: int) -> list[str]:
-        """The next ``count`` lines, each found by ``take``."""
-        return [self.take() for _ in range(count)]
-
     def section(self, name: str) -> list[str]:
-        return self.lines(self.header(name))
+        return [self.take() for _ in range(self.header(name))]
 
     def lines_at(self, start: int, count: int) -> list[str]:
         """The ``count`` lines from ``start`` on, fewer where the text ends:
@@ -532,32 +534,15 @@ def model_from_text(text: str) -> Model:
         row = next(r for r, pair in enumerate(zip(keys, texts)) if pair[0] != pair[1])
         raise _mismatch(table_section, row + 1, reader.lines_at(start, row + 2)[-1],
                         _render(table[row:row + 1], *_heads(keys[row:row + 1]))[:-1])
-    for i, (text, ctx) in enumerate(zip(texts, contexts)):
-        if i and (len(ctx), ctx) <= (len(contexts[i - 1]), contexts[i - 1]):
-            raise ModelFormatError(
-                f"{table_section}: duplicate context {text!r}" if ctx == contexts[i - 1] else
-                f"{table_section}: context {text!r} is out of order; "
-                "rows are sorted by length, then by tag indices")
-        if len(ctx) >= order or not all(-1 <= t < k for t in ctx):
-            raise ModelFormatError(f"{table_section}: context {text!r} is longer than "
-                                   f"order {order} allows or holds a tag index outside [-1, {k})")
-    # Without the root a query can fall through every stored suffix; only
-    # half-count tables, which have no back-off rows, may answer uniform then.
-    if smoothing != SMOOTHING_ELE:
-        if not contexts or contexts[0]:
-            raise ModelFormatError(f"{table_section}: the root context is missing")
-        # Training stores each context's suffix one tag shorter, so by
-        # induction from the root every suffix of every stored context.
-        stored = set(contexts)
-        orphan = next((i for i, ctx in enumerate(contexts) if ctx[1:] not in stored), None)
-        if orphan is not None:
-            raise ModelFormatError(
-                f"{table_section}: context {texts[orphan]!r} is stored, but its suffix "
-                f"{texts[orphan].partition(',')[2]!r} is not")
+    # Only half-count tables, which have no back-off rows, may lack the root
+    # or a suffix of a stored context, and answer uniform where none is stored.
     try:
+        transition = SmoothedNGramModel(order, k, tuple(contexts), table)
         _check_rows(table)
-        transition = (SmoothedNGramModel(order, k, tuple(contexts), table) if lambdas is None
-                      else interpolated_ngram_model(order, k, tuple(contexts), table, weights))
+        if weights is not None:
+            transition = interpolated_ngram_model(transition, weights)
+        elif smoothing != SMOOTHING_ELE:
+            _suffix_rows(contexts, order)
     except ValidationError as bad:
         raise ModelFormatError(f"{table_section}: {bad}") from None
 
@@ -572,20 +557,12 @@ def model_from_text(text: str) -> Model:
     reader.expect(start, _section("lexicon", len(words), _render_blocks(counts, *_heads(words))),
                   "lexicon")
 
-    start = reader.at
-    nodes = reader.header("trie")
     try:
-        trie = build_suffix_trie(lexicon, policy, nodes=nodes)
+        trie = build_suffix_trie(lexicon, policy)
     except ValidationError as bad:
-        reader.lines(nodes)  # a short section is reported first
         raise ModelFormatError(f"lexicon: {bad}") from None
-    not_derived = ("trie: not the suffix trie of the lexicon's words under rare_threshold "
-                   "and max_suffix")
-    if trie is None:  # found before any of the derived trie's counts are pooled
-        raise ModelFormatError(f"{not_derived}: the header reads {f'[trie] {nodes}'!r}, "
-                               "but that trie has another number of rows")
-    reader.expect(start, _section("trie", nodes, _render_blocks(trie.counts, *_trie_heads(trie))),
-                  not_derived)
+    reader.expect(reader.at, _trie_section(trie), "trie: not the suffix trie of the lexicon's "
+                  "words under rare_threshold and max_suffix")
     try:
         unknown = build_unknown_word_model(trie, policy, metadata.root_mode)
     except ValidationError as bad:

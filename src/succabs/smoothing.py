@@ -19,9 +19,10 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -354,42 +355,21 @@ def interpolation_loglik_objective(counts: NGramCountTable,
 
     Each token's longest stored context suffix is its full-length key's
     cell of the relative frequencies' ``index``, and the frequencies of that
-    row's suffixes are gathered once, so each weight evaluation adds one
-    order's weighted column at a time, most general first, where the token's
-    suffix is that long.  The held-out corpus must share the tag set the
-    counts were gathered over.
+    row's suffixes at the token's tag are gathered once, so each weight
+    evaluation is one ``mix`` (``_mixer``) over one column per order.  The
+    held-out corpus must share the tag set the counts were gathered over.
     """
     if heldout.tag_set != counts.tag_set:
         raise ValidationError(f"held-out corpus has tags {heldout.tag_set.tags}, "
                               f"the counts {counts.tag_set.tags}")
     *_, keys = context_keys(heldout, counts.order)
-    c = counts.counts
-    rf = SmoothedNGramModel(counts.order, counts.num_tags, counts.contexts,
-                            c / c.sum(axis=1)[:, None])
+    rf = _relative_frequencies(counts)
     longest = rf.index.ravel()[keys]
-    padded = np.vstack([rf.probs, np.zeros(counts.num_tags)])  # row n: an unseen order
-    freqs = np.column_stack([padded[np.array(rows)[longest], heldout.tag_ids]
-                             for rows in _suffix_rows(counts.contexts, counts.order)])
-    depth_col = np.array([len(ctx) for ctx in counts.contexts])[longest]
-    depths = np.unique(depth_col)
-    deeper = [(at, freqs[at, j]) for j in range(1, counts.order)
-              for at in [np.flatnonzero(depth_col >= j)]]
+    mix = _mixer([rf.probs[rows[longest], heldout.tag_ids]
+                  for rows in _suffix_rows(rf.contexts, rf.order)], rf.depth[longest])
 
     def objective(lam: tuple[float, ...]) -> float:
-        w = np.asarray(lam, dtype=np.float64)
-        num = freqs[:, 0] * w[0]
-        for j, (at, column) in enumerate(deeper, 1):
-            num[at] += column * w[j]
-        total = np.cumsum(w)
-        den = total[depth_col]
-        if (total[depths] > 0).all():
-            p = np.divide(num, den, out=num)
-        else:
-            # Where every seen order has zero weight, the most general seen
-            # order (the unigram) wins outright.
-            ok = den > 0
-            p = np.where(ok, np.divide(num, den, out=np.zeros_like(num), where=ok),
-                         freqs[:, 0])
+        p = mix(lam)
         if np.any(p <= 0):
             return -math.inf
         return float(np.log(p).sum())
@@ -402,9 +382,10 @@ class SmoothedNGramModel:
     """One conditional tag distribution per stored context, for every estimator.
 
     ``contexts`` come in file order, shortest first and then by tag indices,
-    and row i of ``probs`` is context i's distribution; ``freqs`` holds the
-    relative frequencies an interpolated table was mixed from, row for row,
-    for the model file.  A query keeps its last order-1 tags and resolves to
+    each of fewer than ``order`` tags in [-1, K) (else a ``ValidationError``),
+    with their lengths in ``depth``; row i of ``probs`` is context i's
+    distribution, and of ``freqs`` the relative frequencies an interpolated
+    row was mixed from.  A query keeps its last order-1 tags and resolves to
     their longest stored suffix (``index``), which is exactly what a
     zero-count smoothing step, or an interpolation over unseen orders, would
     return anyway.  Half-count tables store full-length contexts only and
@@ -416,11 +397,28 @@ class SmoothedNGramModel:
     contexts: tuple[tuple[int, ...], ...]
     probs: np.ndarray
     freqs: np.ndarray | None = None
+    depth: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.probs.flags.writeable = False
-        if self.freqs is not None:
-            self.freqs.flags.writeable = False
+        contexts, k, depth = self.contexts, self.num_tags, _depths(self.contexts)
+        step = np.diff(depth, prepend=0)
+        unordered = (step < 0) | (step == 0) & np.array(  # as (length, tags) keys
+            [False] + [a >= b for a, b in zip(contexts, contexts[1:])], dtype=bool)
+        bad = unordered | (depth >= self.order)
+        tags = np.fromiter(chain.from_iterable(contexts), np.int64, int(depth.sum()))
+        bad[np.repeat(np.arange(len(depth)), depth)[(tags < -1) | (tags >= k)]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            text = ",".join(map(str, contexts[i]))
+            raise ValidationError(
+                f"context {text!r} is longer than order {self.order} allows or holds a tag "
+                f"index outside [-1, {k})" if not unordered[i] else
+                f"duplicate context {text!r}" if contexts[i] == contexts[i - 1] else
+                f"context {text!r} is out of order; rows are sorted by length, then by tag indices")
+        object.__setattr__(self, "depth", depth)
+        for array in (depth, self.probs, self.freqs):
+            if array is not None:
+                array.flags.writeable = False
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -438,9 +436,8 @@ class SmoothedNGramModel:
             raise ValidationError(
                 f"an order-{self.order} model over {self.num_tags} tags needs a transition "
                 f"index of {math.prod(shape):,} cells, more than can be allocated") from None
-        lengths = np.array([len(ctx) for ctx in self.contexts])
         for length in range(1, self.order):  # a longer context overwrites its suffixes
-            rows = np.flatnonzero(lengths == length)
+            rows = np.flatnonzero(self.depth == length)
             cells = np.array([self.contexts[i] for i in rows.tolist()], dtype=np.intp)
             index[(...,) + tuple(cells.reshape(len(rows), length).T + 1)] = rows
         return index
@@ -466,6 +463,33 @@ def unigram_distribution(counts: NGramCountTable, root_mode: str) -> Conditional
     return root_estimate(counts.counts[0], root_mode)
 
 
+def _depths(contexts: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Each context's length, as ``SmoothedNGramModel.depth`` holds it."""
+    return np.fromiter(map(len, contexts), np.intp, len(contexts))
+
+
+def _suffix_rows(contexts: Sequence[tuple[int, ...]], order: int) -> np.ndarray:
+    """An (order, n) matrix: in row j, the row of each context's suffix of
+    length j, or of the context itself where it is shorter.  Every suffix
+    must be stored, the root's included, as in count tables; else a
+    ``ValidationError`` names the first context that misses one (its parent)."""
+    if not contexts or contexts[0]:
+        raise ValidationError("the root context is missing")
+    n, depth = len(contexts), _depths(contexts)
+    row_of = dict(zip(contexts, range(n)))
+    rows = np.tile(np.arange(n), (order, 1))
+    rows[0] = 0
+    for j in range(1, order - 1):  # the root and a context's own row need no lookup
+        at = np.flatnonzero(depth > j).tolist()
+        rows[j, at] = [row_of.get(contexts[i][-j:], n) for i in at]
+    missing = np.flatnonzero((rows == n).any(axis=0))
+    if missing.size:
+        text = ",".join(map(str, contexts[missing[0]]))
+        raise ValidationError(f"context {text!r} is stored, but its suffix "
+                              f"{text.partition(',')[2]!r} is not")
+    return rows
+
+
 def build_sa_ngram_model(counts: NGramCountTable, root_mode: str) -> SmoothedNGramModel:
     """Smooth every observed context against its strip-the-oldest-tag chain.
 
@@ -475,72 +499,69 @@ def build_sa_ngram_model(counts: NGramCountTable, root_mode: str) -> SmoothedNGr
     ``_smooth_level``.
     """
     contexts, c = counts.contexts, counts.counts
-    row_of = {ctx: i for i, ctx in enumerate(contexts)}
+    depth = _depths(contexts)
+    suffixes = _suffix_rows(contexts, counts.order)
     root = unigram_distribution(counts, root_mode)
     probs, entropies = np.empty(c.shape), np.empty(len(contexts))
     probs[0], entropies[0] = root.probs, root.entropy_nats
-    lengths = np.array([len(ctx) for ctx in contexts])
     for length in range(1, counts.order):
-        rows = np.flatnonzero(lengths == length)
-        parents = [row_of[contexts[i][1:]] for i in rows.tolist()]
+        rows = np.flatnonzero(depth == length)
+        parents = suffixes[length - 1, rows]
         probs[rows], entropies[rows] = _smooth_level(c[rows], probs[parents], entropies[parents])
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)
 
 
-def _suffix_rows(contexts: Sequence[tuple[int, ...]], order: int) -> list[list[int]]:
-    """For each suffix length j < order, the row of each context's suffix of
-    that length, or ``len(contexts)`` where the context is shorter or the
-    suffix is not stored."""
-    n = len(contexts)
-    row_of = {ctx: i for i, ctx in enumerate(contexts)}
-    return [[row_of.get(ctx[len(ctx) - j:], n) if j <= len(ctx) else n for ctx in contexts]
-            for j in range(order)]
+def _mixer(orders: Sequence[np.ndarray], depth: np.ndarray) -> Callable[..., np.ndarray]:
+    """``interpolate``'s arithmetic for each row at once, as ``mix(lam)``:
+    ``orders[j]`` holds each row's suffix frequencies of length j, (n, K)
+    or (n,), seen up to the row's ``depth``, as in a suffix-closed table.
+    ``mix`` adds each order on the rows it reaches, found once, and divides
+    by the seen orders' weight; where that is 0, order 0 wins outright."""
+    reach = [(at, orders[j][at]) for j in range(1, len(orders))
+             for at in [np.flatnonzero(depth >= j)]]
+    depths = np.unique(depth)
+
+    def mix(lam: Sequence[float]) -> np.ndarray:
+        w = np.asarray(lam, dtype=np.float64)
+        num = orders[0] * w[0]
+        for j, (at, f) in enumerate(reach, 1):
+            num[at] += f * w[j]
+        total = np.cumsum(w)
+        den = total[depth].reshape((-1,) + (1,) * (num.ndim - 1))
+        if (total[depths] > 0).all():
+            return np.divide(num, den, out=num)
+        ok = den > 0
+        return np.where(ok, np.divide(num, den, out=np.zeros_like(num), where=ok), orders[0])
+
+    return mix
 
 
-def _mix(per_order: Sequence[np.ndarray], lam: Sequence[float]) -> np.ndarray:
-    """``interpolate`` for each row of (n, K) frequency matrices, one per
-    order, most general first: every cell gets its operations.  An all-zero
-    row is an unseen order; rows no order has seen come out all zero."""
-    n, k = per_order[0].shape
-    denom, combined, first_seen = np.zeros(n), np.zeros((n, k)), np.zeros((n, k))
-    unseen = np.ones(n, dtype=bool)  # by every order so far
-    for w, v in zip(lam, per_order):
-        seen = v.any(axis=1)
-        effective = np.where(seen, w, 0.0)
-        denom = denom + effective
-        combined = combined + effective[:, None] * v
-        first_seen[unseen & seen] = v[unseen & seen]
-        unseen &= ~seen
-    # Where no seen order carries weight, the most general seen one wins.
-    return np.divide(combined, denom[:, None], out=first_seen, where=(denom > 0.0)[:, None])
+def interpolated_ngram_model(rf: SmoothedNGramModel,
+                             weights: InterpolationWeights) -> SmoothedNGramModel:
+    """Mix each stored context's suffix frequencies once, into one row each,
+    from a suffix-closed table of relative frequencies (``_suffix_rows``),
+    kept as the result's ``freqs``."""
+    if len(weights) != rf.order:
+        raise ValidationError(f"{len(weights)} weights for an order-{rf.order} model")
+    mix = _mixer([rf.probs[rows] for rows in _suffix_rows(rf.contexts, rf.order)], rf.depth)
+    return SmoothedNGramModel(rf.order, rf.num_tags, rf.contexts, mix(weights.lam), rf.probs)
 
 
-def interpolated_ngram_model(order: int, num_tags: int, contexts: tuple[tuple[int, ...], ...],
-                             freqs: np.ndarray, weights: InterpolationWeights
-                             ) -> SmoothedNGramModel:
-    """Mix each stored context's suffix frequencies once, into one row each.
-
-    Row i of ``freqs`` holds the relative frequencies of ``contexts[i]``, a
-    probability vector; a suffix not stored counts as an unseen order.
-    """
-    if len(weights) != order:
-        raise ValidationError(f"{len(weights)} weights for an order-{order} model")
-    padded = np.vstack([freqs, np.zeros(num_tags)])  # row n: an unseen order
-    probs = _mix([padded[rows] for rows in _suffix_rows(contexts, order)], weights.lam)
-    return SmoothedNGramModel(order, num_tags, contexts, probs, freqs)
+def _relative_frequencies(counts: NGramCountTable) -> SmoothedNGramModel:
+    """Each stored context's counts over their total, as a table."""
+    return SmoothedNGramModel(counts.order, counts.num_tags, counts.contexts,
+                              counts.counts / counts.counts.sum(axis=1)[:, None])
 
 
 def build_interpolated_ngram_model(counts: NGramCountTable,
                                    weights: InterpolationWeights) -> SmoothedNGramModel:
-    c = counts.counts
-    return interpolated_ngram_model(counts.order, counts.num_tags, counts.contexts,
-                                    c / c.sum(axis=1)[:, None], weights)
+    return interpolated_ngram_model(_relative_frequencies(counts), weights)
 
 
 def build_ele_ngram_model(counts: NGramCountTable) -> SmoothedNGramModel:
     """Half-count estimation per full-length context, with no back-off rows:
     ``ele_estimate`` of every row at once."""
-    first = next(i for i, ctx in enumerate(counts.contexts) if len(ctx) == counts.order - 1)
+    first = int(np.searchsorted(_depths(counts.contexts), counts.order - 1))
     contexts, c = counts.contexts[first:], counts.counts[first:]
     probs = (c + 0.5) / (c.sum(axis=1) + 0.5 * counts.num_tags)[:, None]
     return SmoothedNGramModel(counts.order, counts.num_tags, contexts, probs)

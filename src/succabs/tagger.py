@@ -471,11 +471,11 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     total = heldout.num_tokens
     # Each model tag's id in the held-out tag set, -1 where it has none.
     gold_id = {t: heldout.tag_set.index.get(t, -1) for t in base.tag_set.tags}
+    table = base.transition
+    rf = SmoothedNGramModel(table.order, table.num_tags, table.contexts, table.freqs)
 
     def objective(lam: tuple[float, ...]) -> float:
-        transition = interpolated_ngram_model(order, len(base.tag_set),
-                                              base.transition.contexts, base.transition.freqs,
-                                              InterpolationWeights(tuple(lam)))
+        transition = interpolated_ngram_model(rf, InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
         predicted = np.fromiter(map(gold_id.__getitem__, chain.from_iterable(

@@ -675,6 +675,14 @@ class TestLexiconChecks:
         with pytest.raises(ValidationError, match="^2 words but 1 count rows$"):
             Lexicon(("a", "b"), sparse_rows([[1, 0]]))
 
+    def test_equal_only_to_itself(self):
+        # The Mapping comparison of dense rows raised numpy's ValueError for
+        # rows of more than one tag, and a Mapping has no hash.
+        lex = self.lexicon()
+        assert lex == lex and lex != self.lexicon() and lex != dict(lex)
+        assert hash(lex) == hash(lex) and len({lex, lex, self.lexicon()}) == 2
+        assert set(lex.entries) == {"a", "b", "c"} and lex.entries.get("d") is None
+
     def test_row_without_counts_rejected(self):
         with pytest.raises(ValidationError, match="^word 'b' has no tag counts$"):
             Lexicon(("a", "b", "c"), sparse_rows([[1, 0], [0, 0], [0, 3]]))

@@ -178,6 +178,17 @@ class TestSignificanceThreshold:
         with pytest.raises(ValidationError):
             SignificanceQuery(0.5, 0, 1.96)
 
+    def test_critical_value_finite_and_size_an_integer(self):
+        # A NaN critical value gave a NaN threshold.
+        for z in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValidationError, match="^critical value must be positive"):
+                SignificanceQuery(0.1, 100, z)
+        with pytest.raises(ValidationError, match="^sample size must be an integer"):
+            SignificanceQuery(0.1, 10.5, 1.96)
+        for n in (True, np.int64(1)):
+            q = SignificanceQuery(0.1, n, 1.96)
+            assert type(q.n) is int and q.n == 1
+
 
 def report_with_errors(total, errors):
     return EvalReport(total, errors, 0, 0)

@@ -293,6 +293,20 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError):
                 model_from_text("\n".join(overlong) + "\n")
 
+    def test_context_rows_rejected_with_the_tables_message(self):
+        # SmoothedNGramModel checks the rows; the loader names the section.
+        text = valid_text()
+        row = text.split("\n")[section_start(text.split("\n"), "transitions") + 1]
+        assert row.startswith("-1\t")
+        for bad, message in ((swap_rows(text, "transitions", 1, 2), "context '-1' is out of order; "
+                              "rows are sorted by length, then by tag indices"),
+                             (insert_row(text, "transitions", 1, row), "duplicate context '-1'"),
+                             (insert_row(text, "transitions", 3, "3" + row[2:]),
+                              "context '3' is longer than order 3 allows or holds a tag index "
+                              "outside \\[-1, 3\\)")):
+            with pytest.raises(ModelFormatError, match=f"^transitions: {message}$"):
+                model_from_text(bad)
+
     def test_table_missing_a_stored_contexts_suffix_rejected(self):
         # Trained back-off tables are suffix-closed.  Without row -1 an
         # interpolated row -1,-1 would mix an unseen order in its place.

@@ -12,6 +12,7 @@ from succabs.smoothing import (
     ConditionalDistribution,
     GeneralizationNode,
     InterpolationWeights,
+    SmoothedNGramModel,
     SQRT12,
     _entropy,
     _row_entropies,
@@ -548,6 +549,35 @@ class TestNGramModels:
         with pytest.raises(TypeError):
             build_sa_ngram_model(self.counts)
 
+    def test_contexts_checked(self):
+        # Each context below the order, with tags in [-1, K), in file order
+        # once: a tag past K used to raise a raw IndexError from ``index``,
+        # and a context as long as the order was a row no query reaches.
+        rows = np.full((3, 2), 0.5)
+        for contexts, message in (
+                (((), (5,)), "context '5' is longer than order 2 allows or holds a tag "
+                             "index outside \\[-1, 2\\)"),
+                (((), (-2,)), "context '-2' is longer"),
+                (((), (0, 1)), "context '0,1' is longer"),
+                (((), (1,), (0,)), "context '0' is out of order; rows are sorted by length, "
+                                   "then by tag indices"),
+                (((0,), ()), "context '' is out of order"),
+                (((), (0,), (0,)), "duplicate context '0'")):
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                SmoothedNGramModel(2, 2, contexts, rows[:len(contexts)])
+        model = SmoothedNGramModel(2, 2, ((), (-1,), (1,)), rows)
+        assert model.depth.tolist() == [0, 1, 1] and not model.depth.flags.writeable
+
+    def test_interpolated_table_must_be_suffix_closed(self):
+        # A row missing its suffix would mix an unseen order in its place.
+        weights = InterpolationWeights((0.2, 0.3, 0.5))
+        for contexts, message in ((((), (0,), (0, 1)), "^context '0,1' is stored, but its "
+                                                        "suffix '1' is not$"),
+                                  (((0,), (0, 1)), "^the root context is missing$")):
+            rf = SmoothedNGramModel(3, 2, contexts, np.full((len(contexts), 2), 0.5))
+            with pytest.raises(ValidationError, match=message):
+                interpolated_ngram_model(rf, weights)
+
     def test_unigram_and_unknown_word_roots_share_one_rule(self):
         vec = self.counts.counts[0]
         trie = sparse_trie(vec.copy()[None, :], np.zeros(1, dtype=np.int64),
@@ -762,10 +792,10 @@ class TestArrayTablesAgainstOracle:
             assert got.tolist() == expect.tolist(), ctx
 
     def test_rows_and_queries_equal_the_per_context_tables(self):
-        # Orders 1-4, both root modes, interpolation weights
-        # on a grid that zeroes whole orders, and frequency maps with stored
-        # suffixes removed, so that unseen orders pass their weight on and,
-        # where no seen order carries weight, the most general one wins.
+        # Orders 1-4, both root modes, interpolation weights on a grid that
+        # zeroes whole orders, and suffix-closed frequency maps with stored
+        # contexts removed together with their extensions, so that, where
+        # no seen order carries weight, the most general one wins.
         rng = np.random.default_rng(2024)
         no_weight = 0
         for i in range(200):
@@ -775,17 +805,18 @@ class TestArrayTablesAgainstOracle:
             k = counts.num_tags
             points = list(simplex_grid(order, float(rng.choice([0.5, 0.25]))))
             weights = InterpolationWeights(points[int(rng.integers(len(points)))])
-            freqs = {ctx: vec for ctx, vec in count_freqs(counts).items()
-                     if not ctx or rng.random() < 0.7}
+            freqs = {}
+            for ctx, vec in count_freqs(counts).items():  # in file order, suffixes first
+                if not ctx or ctx[1:] in freqs and rng.random() < 0.7:
+                    freqs[ctx] = vec
             contexts = file_order(freqs)
+            rf = SmoothedNGramModel(order, k, contexts, np.array([freqs[ctx] for ctx in contexts]))
             cases = [
                 (build_sa_ngram_model(counts, root_mode), sa_tables(counts, root_mode)),
                 (build_ele_ngram_model(counts), ele_tables(counts)),
                 (build_interpolated_ngram_model(counts, weights),
                  interpolated_tables(order, k, count_freqs(counts), weights)),
-                (interpolated_ngram_model(
-                    order, k, contexts,
-                    np.array([freqs[ctx] for ctx in contexts]).reshape(len(contexts), k), weights),
+                (interpolated_ngram_model(rf, weights),
                  interpolated_tables(order, k, freqs, weights)),
             ]
             for model, tables in cases:

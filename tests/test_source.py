@@ -40,6 +40,41 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Each top-level function and class the module defines, and its line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names the module reads, and those it imports from another
+    module, so that a re-export counts as a read."""
+    return used_names(tree) | {alias.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unread_names(trees: dict[str, ast.Module]) -> set[str]:
+    """``path:line name`` of each top-level function and class that no
+    module reads."""
+    read = set().union(*map(read_names, trees.values()))
+    return {f"{path}:{line} {name}" for path, tree in trees.items()
+            for name, line in defined_names(tree).items() if name not in read}
+
+
+def test_every_top_level_function_and_class_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), p.name)
+             for p in sorted(PACKAGE.glob("*.py"))}
+    unread = unread_names(trees)
+    assert not unread, f"defined under src/succabs but never read: {sorted(unread)}"
+
+
+def test_the_read_check_counts_calls_and_re_exports():
+    trees = {"a.py": ast.parse("def f():\n    pass\ndef g():\n    f()\nclass C:\n    pass\n"
+                               "def h():\n    pass\n"),
+             "__init__.py": ast.parse("from .a import h\n")}
+    assert unread_names(trees) == {"a.py:3 g", "a.py:5 C"}
+
+
 # The package's __init__ imports only to re-export.
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py"))
