@@ -13,7 +13,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, Sequence
@@ -91,15 +91,29 @@ class TaggedToken:
     tag: str
 
     def __post_init__(self):
-        if not self.word:
-            raise ValidationError("token word must be non-empty")
-        if any(c in self.word for c in _FORBIDDEN_IN_SYMBOL):
-            raise ValidationError(f"token word {self.word!r} contains whitespace control characters")
-        if not self.word.isascii() and _SURROGATE.search(self.word):
-            raise ValidationError(f"token word {self.word!r} holds a lone surrogate, which UTF-8 "
+        _check_words((self.word,))
+
+
+def _check_words(words: Sequence[str]) -> None:
+    """The rule for a corpus word, over many at once: not empty, no TAB, LF
+    or CR (which end a field or line), no lone surrogate (which UTF-8 cannot
+    hold), no "#" first (a comment line).  A few passes over the words joined
+    at LF; only if they fail is each word read, to name the first that does."""
+    text = "\n".join(("", *words, ""))
+    if (text.count("\n") == len(words) + 1 and "\n\n" not in text and "\n#" not in text
+            and "\t" not in text and "\r" not in text
+            and (text.isascii() or not _SURROGATE.search(text))):
+        return
+    for word in words:
+        if not word:
+            raise ValidationError("empty word, which no corpus can hold")
+        if any(c in word for c in _FORBIDDEN_IN_SYMBOL):
+            raise ValidationError(f"token word {word!r} contains whitespace control characters")
+        if _SURROGATE.search(word):
+            raise ValidationError(f"token word {word!r} holds a lone surrogate, which UTF-8 "
                                   "cannot hold")
-        if self.word.startswith("#"):
-            raise ValidationError(f"token word {self.word!r} starts with '#', which would write "
+        if word.startswith("#"):
+            raise ValidationError(f"token word {word!r} starts with '#', which would write "
                                   "a comment line")
 
 
@@ -415,24 +429,12 @@ class GeneratorSpec:
     config: SynthesisConfig
 
     def to_jsonable(self) -> dict:
-        return {
-            "tags": list(self.tag_set.tags),
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "words": list(self.words),
-            "preferred_tags": self.preferred_tags.tolist(),
-            "secondary_tags": self.secondary_tags.tolist(),
-            "ambiguous": self.ambiguous.tolist(),
-            "emission": self.emission.tolist(),
-            "config": {
-                "num_tags": self.config.num_tags,
-                "vocab_size": self.config.vocab_size,
-                "num_train_tokens": self.config.num_train_tokens,
-                "num_test_tokens": self.config.num_test_tokens,
-                "seed": self.config.seed,
-                "zipf_exponent": self.config.zipf_exponent,
-            },
-        }
+        """The fields as values ``json`` writes: ``tag_set`` as ``tags``, arrays as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["tags"] = out.pop("tag_set").tags
+        out["config"] = asdict(self.config)
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in out.items()}
 
 
 _STEM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -445,27 +447,19 @@ _SENTENCE_LEN_RANGE = (5, 25)
 
 
 def _make_vocabulary(cfg: SynthesisConfig, rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
+    def letters(n: int) -> str:  # the draws of rng.choice(list(_STEM_LETTERS), size=n)
+        return "".join(map(_STEM_LETTERS.__getitem__,
+                           rng.integers(0, len(_STEM_LETTERS), size=n).tolist()))
+
     # One 3-letter suffix per tag; distinct, hence never a suffix of another.
-    suffixes: list[str] = []
+    # Each dict is a set that keeps the order drawn.
+    suffixes: dict[str, None] = {}
     while len(suffixes) < cfg.num_tags:
-        s = "".join(rng.choice(list(_STEM_LETTERS), size=3))
-        if s not in suffixes:
-            suffixes.append(s)
-    words: list[str] = []
-    used: set[str] = set()
-    preferred = np.empty(cfg.vocab_size, dtype=np.int64)
-    for i in range(cfg.vocab_size):
-        tag = i % cfg.num_tags
-        while True:
-            stem_len = int(rng.integers(2, 6))
-            stem = "".join(rng.choice(list(_STEM_LETTERS), size=stem_len))
-            word = stem + suffixes[tag]
-            if word not in used:
-                break
-        used.add(word)
-        words.append(word)
-        preferred[i] = tag
-    return words, preferred
+        suffixes.setdefault(letters(3))
+    ends, words = list(suffixes), {}
+    while len(words) < cfg.vocab_size:
+        words.setdefault(letters(int(rng.integers(2, 6))) + ends[len(words) % cfg.num_tags])
+    return list(words), np.arange(cfg.vocab_size, dtype=np.int64) % cfg.num_tags
 
 
 def synthesize_corpus(cfg: SynthesisConfig) -> tuple[Corpus, Corpus, GeneratorSpec]:

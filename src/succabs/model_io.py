@@ -11,8 +11,8 @@ Layout: a magic/version line, then sections, each introduced by a
                          interpolated variant, holding relative frequencies);
                          contexts hold at most order-1 tags, and every
                          estimator but half-count stores the root context
-    [lexicon] n          word TAB integer tag counts, not all zero; no word
-                         is empty
+    [lexicon] n          word TAB integer tag counts, not all zero; each word
+                         one a corpus can hold (``corpus._check_words``)
     [trie] n             depth TAB edge letter TAB integer tag counts: the
                          suffix trie of the lexicon words seen fewer than
                          rare_threshold times, max_suffix edges deep
@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
-from .corpus import _SURROGATE, TagSet
+from .corpus import _SURROGATE, TagSet, _check_words
 from .counts import BOW_CODE, Lexicon, RareWordPolicy, SparseRows, SuffixTrie, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
 from .lexicon import build_unknown_word_model
@@ -65,7 +66,6 @@ from .smoothing import (
     ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
-    _check_rows,
     _suffix_rows,
     interpolated_ngram_model,
 )
@@ -425,9 +425,6 @@ class _SectionReader:
             at, row = at + len(piece), row + piece.count("\n")
         self.at = at
 
-    def finished(self) -> bool:
-        return self.at >= len(self.text)
-
 
 def _parse_rows(lines: list[str], dtype: type, width: int,
                 where: str) -> tuple[list[str], np.ndarray | SparseRows]:
@@ -459,12 +456,8 @@ def _parse_rows(lines: list[str], dtype: type, width: int,
             raise ModelFormatError(f"{where}: a row among {lo + 1}-{lo + len(chunk)} is not "
                                    f"{width} numbers")
         if floats:
-            if not np.isfinite(block).all():
-                raise ModelFormatError(f"{where}: non-finite value")
             out[lo:lo + len(block)] = block
             continue
-        if (block < 0).any():
-            raise ModelFormatError(f"{where}: negative count")
         # Row totals are int64 sums, which would wrap silently.
         if (int(block.max(initial=0)) * width >= 2 ** 63
                 and max(map(sum, block.tolist())) >= 2 ** 63):
@@ -474,6 +467,16 @@ def _parse_rows(lines: list[str], dtype: type, width: int,
         cells.append((np.count_nonzero(block, axis=1), tags, block[rows, tags]))
     sizes, tags, values = map(np.concatenate, zip(*cells))
     return keys, out if floats else SparseRows(np.cumsum(sizes), tags, values, width)
+
+
+@contextmanager
+def _section_errors(section: str, *also: type[Exception]) -> Iterator[None]:
+    """Report a ``ValidationError`` of what a section's rows make, or an
+    error of ``also`` (a number conversion's ``ValueError``), as ``{section}: …``."""
+    try:
+        yield
+    except (ValidationError, *also) as bad:
+        raise ModelFormatError(f"{section}: {bad}") from None
 
 
 def model_from_text(text: str) -> Model:
@@ -494,32 +497,25 @@ def model_from_text(text: str) -> Model:
     missing = next((key for key in _META_KEYS[:-1] if key not in meta), None)
     if missing is not None:
         raise ModelFormatError(f"meta: missing key {missing!r}")
-    try:
+    with _section_errors("meta", ValueError):
         lambdas = (None if "lambdas" not in meta else
                    tuple(map(float, meta["lambdas"].split(","))))
         metadata = ModelMetadata(int(meta["order"]), meta["smoothing"], meta["root_mode"],
                                  meta["digest"], lambdas)
         policy = RareWordPolicy(int(meta["rare_threshold"]), int(meta["max_suffix"]))
         weights = None if lambdas is None else InterpolationWeights(lambdas)
-    except (ValueError, ValidationError) as bad:
-        raise ModelFormatError(f"meta: {bad}") from None
     reader.expect(start, _meta_lines(metadata, policy), "meta")
     order, smoothing = metadata.order, metadata.smoothing
 
     # The rows are the tags' own text, so they are what the writer writes.
-    tags = reader.section("tags")
-    try:
-        tag_set = TagSet(tuple(tags))
-    except ValidationError as bad:
-        raise ModelFormatError(f"tags: {bad}") from None
+    with _section_errors("tags"):
+        tag_set = TagSet(tuple(reader.section("tags")))
     k = len(tag_set)
 
     start = reader.at
     reader.header("unigram")  # compared with the writer's header below
-    try:
+    with _section_errors("unigram", ValueError):
         unigram = ConditionalDistribution.from_probs([float(x) for x in reader.take().split(" ")])
-    except (ValueError, ValidationError) as bad:
-        raise ModelFormatError(f"unigram: {bad}") from None
     if unigram.dim != k:
         raise ModelFormatError(f"unigram: expected {k} probabilities")
     reader.expect(start, _section("unigram", 1, [_row(unigram.probs)]), "unigram")
@@ -536,41 +532,31 @@ def model_from_text(text: str) -> Model:
                         _render(table[row:row + 1], *_heads(keys[row:row + 1]))[:-1])
     # Only half-count tables, which have no back-off rows, may lack the root
     # or a suffix of a stored context, and answer uniform where none is stored.
-    try:
+    with _section_errors(table_section):
         transition = SmoothedNGramModel(order, k, tuple(contexts), table)
-        _check_rows(table)
         if weights is not None:
             transition = interpolated_ngram_model(transition, weights)
         elif smoothing != SMOOTHING_ELE:
             _suffix_rows(contexts, order)
-    except ValidationError as bad:
-        raise ModelFormatError(f"{table_section}: {bad}") from None
 
     start = reader.at
-    words, counts = _parse_rows(reader.section("lexicon"), np.int64, k, "lexicon")
-    try:
+    with _section_errors("lexicon"):
+        words, counts = _parse_rows(reader.section("lexicon"), np.int64, k, "lexicon")
         lexicon = Lexicon(tuple(words), counts)
-    except ValidationError as bad:
-        raise ModelFormatError(f"lexicon: {bad}") from None
-    if words and not words[0]:  # sorted, so only the first word can be empty
-        raise ModelFormatError("lexicon: empty word, which no corpus can hold")
+        _check_words(words)
     reader.expect(start, _section("lexicon", len(words), _render_blocks(counts, *_heads(words))),
                   "lexicon")
 
-    try:
+    with _section_errors("lexicon"):
         trie = build_suffix_trie(lexicon, policy)
-    except ValidationError as bad:
-        raise ModelFormatError(f"lexicon: {bad}") from None
     reader.expect(reader.at, _trie_section(trie), "trie: not the suffix trie of the lexicon's "
                   "words under rare_threshold and max_suffix")
-    try:
+    with _section_errors("unknown_root"):
         unknown = build_unknown_word_model(trie, policy, metadata.root_mode)
-    except ValidationError as bad:
-        raise ModelFormatError(f"unknown_root: {bad}") from None
     reader.expect(reader.at, _section("unknown_root", 1, [_row(unknown.root.probs)]),
                   "unknown_root: not the root_mode estimate from the trie root's counts")
 
-    if not reader.finished():
+    if reader.at < len(text):
         raise ModelFormatError(f"line {reader.line(reader.at)}: trailing content")
 
     return Model(tag_set, transition, lexicon, unknown, unigram, metadata)

@@ -382,10 +382,12 @@ class SmoothedNGramModel:
     """One conditional tag distribution per stored context, for every estimator.
 
     ``contexts`` come in file order, shortest first and then by tag indices,
-    each of fewer than ``order`` tags in [-1, K) (else a ``ValidationError``),
-    with their lengths in ``depth``; row i of ``probs`` is context i's
-    distribution, and of ``freqs`` the relative frequencies an interpolated
-    row was mixed from.  A query keeps its last order-1 tags and resolves to
+    each of fewer than ``order`` tags in [-1, K), with their lengths in
+    ``depth``; row i of ``probs`` is context i's distribution, and of
+    ``freqs`` the relative frequencies an interpolated row was mixed from,
+    each a (contexts, K) matrix of rows that ``_check_rows`` accepts.  The
+    contexts are checked first, then the rows, each fault a
+    ``ValidationError``.  A query keeps its last order-1 tags and resolves to
     their longest stored suffix (``index``), which is exactly what a
     zero-count smoothing step, or an interpolation over unseen orders, would
     return anyway.  Half-count tables store full-length contexts only and
@@ -415,6 +417,12 @@ class SmoothedNGramModel:
                 f"index outside [-1, {k})" if not unordered[i] else
                 f"duplicate context {text!r}" if contexts[i] == contexts[i - 1] else
                 f"context {text!r} is out of order; rows are sorted by length, then by tag indices")
+        for name, rows in (("probs", self.probs), ("freqs", self.freqs)):
+            if rows is not None:
+                if np.shape(rows) != (len(contexts), k):
+                    raise ValidationError(f"{name} must be a ({len(contexts)}, {k}) matrix, one "
+                                          f"row per context, not {np.shape(rows)}")
+                _check_rows(rows)
         object.__setattr__(self, "depth", depth)
         for array in (depth, self.probs, self.freqs):
             if array is not None:

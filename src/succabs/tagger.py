@@ -30,6 +30,7 @@ from .counts import (
     count_ngrams,
 )
 from .errors import ValidationError
+from .evaluation import evaluate
 from .lexicon import (
     UnknownWordModel,
     build_unknown_word_model,
@@ -468,18 +469,13 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     base = train_model(train, order=order, policy=policy, root_mode=root_mode,
                        smoothing=SMOOTHING_INTERP, lambdas=placeholder)
     words = heldout.sentence_words()
-    total = heldout.num_tokens
-    # Each model tag's id in the held-out tag set, -1 where it has none.
-    gold_id = {t: heldout.tag_set.index.get(t, -1) for t in base.tag_set.tags}
-    table = base.transition
-    rf = SmoothedNGramModel(table.order, table.num_tags, table.contexts, table.freqs)
+    rf = replace(base.transition, probs=base.transition.freqs, freqs=None)  # relative frequencies
 
     def objective(lam: tuple[float, ...]) -> float:
         transition = interpolated_ngram_model(rf, InterpolationWeights(tuple(lam)))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
-        predicted = np.fromiter(map(gold_id.__getitem__, chain.from_iterable(
-            tag_corpus(model, words))), np.int64, count=total)
-        return np.count_nonzero(predicted == heldout.tag_ids) / total
+        report = evaluate(heldout, tag_corpus(model, words), ())
+        return (report.total_tokens - report.errors) / report.total_tokens
 
     return objective

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -422,6 +423,16 @@ class TestSynth:
         t1, _ = self.run_synth(tmp_path, 5, "a")
         t2, _ = self.run_synth(tmp_path, 6, "b")
         assert Path(t1).read_bytes() != Path(t2).read_bytes()
+
+    def test_criterion_6_spec_file_pinned(self, tmp_path):
+        # The generator spec of the criterion-6 corpus pair, byte for byte.
+        spec = tmp_path / "spec.json"
+        assert main(["synth", "--tags", "8", "--vocab", "500", "--train-tokens", "50000",
+                     "--test-tokens", "5000", "--seed", "42",
+                     "--train-out", str(tmp_path / "train.tsv"),
+                     "--test-out", str(tmp_path / "test.tsv"), "--spec-out", str(spec)]) == 0
+        assert hashlib.sha256(spec.read_bytes()).hexdigest() == (
+            "411d85bcd704a175b4b182154ce7a531c30483f920f75df75f4d40440fdc2df9")
 
     def test_outputs_parse_and_spec_json(self, tmp_path):
         train, test = self.run_synth(tmp_path, 11, spec=True)

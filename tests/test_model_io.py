@@ -307,6 +307,29 @@ class TestFormatErrors:
             with pytest.raises(ModelFormatError, match=f"^transitions: {message}$"):
                 model_from_text(bad)
 
+    def test_rows_rejected_with_the_tables_message(self):
+        # SmoothedNGramModel checks each row, after the contexts; SparseRows
+        # the lexicon's counts.  The loader only names the section.
+        lines = valid_text().split("\n")
+        at = section_start(lines, "transitions") + 1
+        assert lines[at].startswith("-1\t") and lines[at + 1].startswith("0\t")
+        lexicon = section_start(lines, "lexicon")
+        assert lines[lexicon] == "bat\t0 1 0"
+
+        def edit(row, new):
+            return "\n".join(lines[:row] + [new] + lines[row + 1:])
+
+        nan_row = "-1\tnan" + lines[at][lines[at].index(" "):]
+        for bad, message in ((edit(at, nan_row), "transitions: probabilities must lie in "
+                                                 "\\[0, 1\\]"),
+                             (edit(at, "-1\t0.25 0.25 0"), "transitions: probabilities sum to "
+                                                          "0.5, not 1"),
+                             (edit(lexicon, "bat\t-1 1 0"), "lexicon: sparse rows' counts must "
+                                                            "be positive"),
+                             (edit(at + 1, nan_row), "transitions: duplicate context '-1'")):
+            with pytest.raises(ModelFormatError, match=f"^{message}"):
+                model_from_text(bad)
+
     def test_table_missing_a_stored_contexts_suffix_rejected(self):
         # Trained back-off tables are suffix-closed.  Without row -1 an
         # interpolated row -1,-1 would mix an unseen order in its place.
@@ -373,6 +396,23 @@ class TestFormatErrors:
         text = insert_row(valid_text(), "lexicon", -1, "\t1 0 0")
         with pytest.raises(ModelFormatError, match="^lexicon: empty word"):
             model_from_text(text)
+
+    def test_lexicon_words_keep_the_corpus_word_rule(self):
+        # Counted often enough to stay out of [trie], each word loaded and
+        # wrote back its own bytes, though no corpus line can hold it: one
+        # is a comment line, the other holds a CR.
+        text = valid_text()
+        lines = text.split("\n")
+        start = section_start(lines, "lexicon")
+        words = [line.split("\t")[0] for line in lines[start:start + 4]]
+        assert words == ["bat", "cat", "sat", "the"] and "rare_threshold\t10" in text
+        for word, fault in (("#x", "starts with '#', which would write a comment line"),
+                            ("a\rb", "contains whitespace control characters")):
+            mutant = insert_row(text, "lexicon", sum(w < word for w in words) - 1,
+                                f"{word}\t20 0 0")
+            message = re.escape(f"lexicon: token word {word!r} {fault}")
+            with pytest.raises(ModelFormatError, match=f"^{message}$"):
+                model_from_text(mutant)
 
     def test_wrong_probability_dimension_rejected(self):
         lines = valid_text().splitlines()

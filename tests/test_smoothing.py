@@ -568,6 +568,27 @@ class TestNGramModels:
         model = SmoothedNGramModel(2, 2, ((), (-1,), (1,)), rows)
         assert model.depth.tolist() == [0, 1, 1] and not model.depth.flags.writeable
 
+    def test_rows_checked(self):
+        # (contexts, K) matrices of distributions, as from_probs requires: a
+        # (5, 3) table used to construct, and its log_probs raised numpy's
+        # raw ValueError.
+        contexts, good = ((), (0,)), np.full((2, 2), 0.5)
+        nan, half = good.copy(), good.copy()
+        nan[1, 0], half[1] = math.nan, 0.25
+        for probs, freqs, message in (
+                (np.full((5, 3), 1 / 3), None, "probs must be a \\(2, 2\\) matrix, one row per "
+                                               "context, not \\(5, 3\\)$"),
+                (good, np.full((2, 3), 1 / 3), "freqs must be a \\(2, 2\\) matrix"),
+                (good, good[:1], "freqs must be a \\(2, 2\\) matrix"),
+                (good[0], None, "probs must be a \\(2, 2\\) matrix"),
+                (nan, None, "probabilities must lie in \\[0, 1\\]$"),
+                (good, half, "probabilities sum to 0.5, not 1$")):
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                SmoothedNGramModel(2, 2, contexts, probs, freqs)
+        # Contexts first, then rows: a table with both faults names its context.
+        with pytest.raises(ValidationError, match="^duplicate context '0'$"):
+            SmoothedNGramModel(2, 2, ((), (0,), (0,)), np.full((3, 3), math.nan))
+
     def test_interpolated_table_must_be_suffix_closed(self):
         # A row missing its suffix would mix an unseen order in its place.
         weights = InterpolationWeights((0.2, 0.3, 0.5))

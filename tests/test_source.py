@@ -89,3 +89,33 @@ def test_the_check_sees_string_annotations_and_unused_names():
     tree = ast.parse("from typing import IO, Iterable\nimport os.path\n"
                      "def f(x: 'IO[str]') -> None:\n    pass\n")
     assert set(imported_names(tree)) - used_names(tree) == {"Iterable", "os"}
+
+
+# The names an except clause catches a ValidationError by; a bare one too.
+VALIDATION_CATCHES = {"ValidationError", "SuccabsError", "Exception", "BaseException"}
+
+
+def validation_handlers(tree: ast.AST) -> list[ast.ExceptHandler]:
+    """The except clauses under ``tree`` that catch a ``ValidationError``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or VALIDATION_CATCHES & {
+                getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)})]
+
+
+def test_model_io_maps_validation_errors_in_one_place():
+    # Each value checks its own rules where it is made; the loader names
+    # the section in one helper, and keeps no copy of the row rule.
+    tree = ast.parse((PACKAGE / "model_io.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_section_errors")
+    lines = [handler.lineno for handler in validation_handlers(helper)]
+    assert len(lines) == 1
+    assert [handler.lineno for handler in validation_handlers(tree)] == lines
+    assert "_check_rows" not in imported_names(tree)
+
+
+def test_the_handler_check_sees_every_way_to_catch():
+    tree = ast.parse("try:\n    f()\nexcept (ValueError, errors.ValidationError):\n    pass\n"
+                     "try:\n    f()\nexcept:\n    pass\n"
+                     "try:\n    f()\nexcept KeyError:\n    pass\n")
+    assert len(validation_handlers(tree)) == 2
