@@ -410,6 +410,8 @@ class SynthesisConfig:
             raise ValidationError("vocab_size must be at least num_tags")
         if self.num_train_tokens < 1 or self.num_test_tokens < 1:
             raise ValidationError("token counts must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if not 0 < self.zipf_exponent < math.inf:  # NaN fails both comparisons
             raise ValidationError("zipf_exponent must be finite and positive")
 

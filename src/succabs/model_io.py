@@ -42,12 +42,12 @@ rendering them would cost a large share of a load.  A ``[trie]`` header
 that differs is found before any row of the derived trie is rendered.
 
 Every number section of many rows is written by one exact block renderer,
-``_render``: a few numpy passes per block of rows and no Python call per
-number (but the ``_fmt`` fallback for floats outside [1e-4, 1)), into
-bytes that are exactly what ``"%d"`` and ``"%.17g"`` write; counts come
-from the nonzero cells of sparse rows, with no dense block.  The one-row
-``[unigram]`` and ``[unknown_root]`` are written by ``_row``, one ``_fmt``
-per number, which is quicker for one row.
+``_render_blocks``, from its table and row heads: a few numpy passes per
+block of rows and no Python call per number (but the ``_fmt`` fallback for
+floats outside [1e-4, 1)), into bytes that are exactly what ``"%d"`` and
+``"%.17g"`` write; counts from sparse rows' nonzero cells, floats by one
+slot rule (``_float_cells``).  The one-row ``[unigram]`` and
+``[unknown_root]`` are written by ``_row``, one ``_fmt`` per number.
 """
 
 from __future__ import annotations
@@ -77,29 +77,17 @@ FORMAT_VERSION = 1
 _META_KEYS = ("order", "smoothing", "root_mode", "sigma_scale", "rare_threshold",
               "max_suffix", "digest", "lambdas")
 _BLOCK = 256  # rows per np.loadtxt call; 96 KiB of counts at 48 tags
-_RENDER = 2048  # rows per _render buffer; 192 KiB of counts at 48 tags
+_RENDER = 2048  # rows per _render_blocks block; 192 KiB of counts at 48 tags
 _POWERS = 10 ** np.arange(19, dtype=np.int64)  # every power of ten in int64
 _QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10 ** 4)).encode("ascii"),
                        dtype=np.uint32)  # each 4-digit ASCII group, in memory order
 _SCALES = np.array([1e20, 1e19, 1e18, 1e17])  # x * _SCALES[decade] has 17 integer digits
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for doubles
 _SLOT = 25  # bytes per _float_cells cell: the longest _fmt text (24) and a separator
-_SHORT = 4 * 18  # _SLOT_MASKS rows of the "0." texts
-
-
-def _slot_masks() -> np.ndarray:
-    """The bytes a ``_float_cells`` slot keeps: row 18 * z + d for "0.", z
-    zeros and d digits; row ``_SHORT`` + n for a text of n bytes at the
-    slot's start; each with the last byte, the separator."""
-    column = np.arange(_SLOT)
-    z, d = np.divmod(np.arange(_SHORT), 18)
-    fixed = (column < 2) | (column >= 5 - z[:, None]) & (column < 5 + d[:, None])
-    short = column < np.arange(_SLOT)[:, None]
-    return np.concatenate([fixed, short]) | (column == _SLOT - 1)
-
-
-_SLOT_MASKS = _slot_masks()
-_SLOT_SIZES = _SLOT_MASKS.sum(axis=1)
+# Row kind * _SLOT + end: the bytes a _float_cells slot keeps (its docstring).
+_KEEP = np.array([[(column < 2 or column >= 5 - kind) and column < end or column == _SLOT - 1
+                   for column in range(_SLOT)] for kind in range(5) for end in range(_SLOT)])
+_KEPT = _KEEP.sum(axis=1)
 
 
 def _fmt(x: float) -> str:
@@ -200,7 +188,7 @@ def _trie_heads(trie: SuffixTrie) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_cells(counts: SparseRows, lo: int, hi: int, heads: np.ndarray,
                  sizes: np.ndarray) -> np.ndarray:
-    """``_render``'s text of rows lo..hi of sparse count rows, from their
+    """``_render_blocks``' text of rows lo..hi of sparse count rows, from their
     ``cells``, with no dense block made.  The text starts as "0 " per
     cell with a newline for each row's last space, a nonzero count's
     leading digit overwrites its "0", and one ``np.insert`` puts in its
@@ -221,16 +209,19 @@ def _count_cells(counts: SparseRows, lo: int, hi: int, heads: np.ndarray,
 
 
 def _float_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``_render``'s text of a block of float64 values.
+    """``_render_blocks``' text of a block of float64 values.
 
     Each cell gets a slot of ``_SLOT`` bytes: "0.", the ``_ascii`` digits of
     its ``_significands`` N (three "0"s, then N's 17), two spare bytes and
-    the separator.  A mask row from ``_SLOT_MASKS`` keeps "0.", the zeros
-    and N's digits less its trailing zeros, and the separator; and the
-    kept bytes, in order, are the cells' text.  0.0 keeps the slot's "0",
-    1.0 a "1" written there, and every other value outside [1e-4, 1)
-    (-0.0, NaN, infinities, negative, tiny and large values) its ``_fmt``
-    text, written over the slot's start.  One ``np.insert`` puts the heads in."""
+    the separator.  One rule picks the bytes a slot keeps, ``_KEEP``'s row
+    ``kind * _SLOT + end``: of the slot's first ``end`` bytes, "0." and
+    those from byte ``5 - kind`` on; and the separator.  Kind z < 4 keeps
+    "0.", z zeros and N's digits less its trailing zeros.  Kind 4 keeps a
+    text written from the slot's start: 0.0 the slot's "0", 1.0 a "1"
+    written there, and every other value outside [1e-4, 1) (-0.0, NaN,
+    infinities, negative, tiny and large values) its ``_fmt`` text.  The
+    kept bytes, in order, are the cells' text; one ``np.insert`` puts the
+    heads in."""
     rows, k = block.shape
     cells = block.reshape(-1)
     fast = (cells >= 1e-4) & (cells < 1)
@@ -242,26 +233,19 @@ def _float_cells(block: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.
     slots[:, 2:22] = chars
     slots[:, -1] = ord(" ")
     slots[k - 1::k, -1] = ord("\n")
-    pattern = np.where(fast, 18 * zeros + digits, _SHORT + 1)
+    pattern = np.where(fast, _SLOT * zeros + 5 + digits, 4 * _SLOT + 1)
     slots[cells == 1, 0] = ord("1")
     other = np.flatnonzero(~(fast | (cells == 1) | (cells == 0) & ~np.signbit(cells)))
     texts = [*map(_fmt, cells[other].tolist())]
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     _put(slots.reshape(-1), _SLOT * other,
          np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8), lengths)
-    pattern[other] = _SHORT + lengths
-    kept = _SLOT_SIZES[pattern].reshape(rows, k).sum(axis=1)
-    return np.insert(slots[_SLOT_MASKS[pattern]], np.repeat(np.cumsum(kept) - kept, sizes),
-                     heads)
+    pattern[other] = 4 * _SLOT + lengths
+    kept = _KEPT[pattern].reshape(rows, k).sum(axis=1)
+    return np.insert(slots[_KEEP[pattern]], np.repeat(np.cumsum(kept) - kept, sizes), heads)
 
 
-def _render(table, heads: np.ndarray | None = None, ends: np.ndarray | None = None) -> str:
-    """``_render_blocks``'s blocks joined: one section's text."""
-    return "".join(_render_blocks(table, heads, ends))
-
-
-def _render_blocks(table, heads: np.ndarray | None = None,
-                   ends: np.ndarray | None = None) -> Iterator[str]:
+def _render_blocks(table, heads: np.ndarray, ends: np.ndarray) -> Iterator[str]:
     """Section text, ``_RENDER`` rows at a time: row r is its head, the
     UTF-8 bytes ``heads[ends[r - 1]:ends[r]]``, then table row r's numbers,
     space-separated, and a newline.  The table is a float64 matrix, each
@@ -270,8 +254,6 @@ def _render_blocks(table, heads: np.ndarray | None = None,
     ``_float_cells`` writes a block with a few numpy passes and no Python
     work per cell or row (but for the ``_fmt`` fallback)."""
     rows, floats = len(table), isinstance(table, np.ndarray)
-    if heads is None:
-        heads, ends = np.zeros(0, dtype=np.uint8), np.zeros(rows, dtype=np.int64)
     for lo in range(0, rows, _RENDER):
         hi = min(lo + _RENDER, rows)
         first, last = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
@@ -315,7 +297,7 @@ def _meta_lines(metadata: ModelMetadata, policy: RareWordPolicy) -> Iterator[str
 
 def _row(probs: np.ndarray) -> str:
     """The text of a one-row section, ``[unigram]`` or ``[unknown_root]``:
-    one ``_fmt`` per number, ~15 times quicker than ``_render``'s numpy
+    one ``_fmt`` per number, ~15 times quicker than ``_render_blocks``' numpy
     passes on one row of 8 to 48 numbers, and the same bytes."""
     return " ".join(map(_fmt, probs.tolist())) + "\n"
 
@@ -528,8 +510,8 @@ def model_from_text(text: str) -> Model:
     keys = _context_keys(contexts)
     if keys != texts:
         row = next(r for r, pair in enumerate(zip(keys, texts)) if pair[0] != pair[1])
-        raise _mismatch(table_section, row + 1, reader.lines_at(start, row + 2)[-1],
-                        _render(table[row:row + 1], *_heads(keys[row:row + 1]))[:-1])
+        written = next(_render_blocks(table[row:row + 1], *_heads(keys[row:row + 1])))
+        raise _mismatch(table_section, row + 1, reader.lines_at(start, row + 2)[-1], written[:-1])
     # Only half-count tables, which have no back-off rows, may lack the root
     # or a suffix of a stored context, and answer uniform where none is stored.
     with _section_errors(table_section):

@@ -357,8 +357,11 @@ def interpolation_loglik_objective(counts: NGramCountTable,
     cell of the relative frequencies' ``index``, and the frequencies of that
     row's suffixes at the token's tag are gathered once, so each weight
     evaluation is one ``mix`` (``_mixer``) over one column per order.  The
-    held-out corpus must share the tag set the counts were gathered over.
+    held-out corpus must hold tokens, or every weight would score 0.0, and
+    share the tag set the counts were gathered over.
     """
+    if heldout.num_tokens == 0:
+        raise ValidationError("held-out corpus has no tokens")
     if heldout.tag_set != counts.tag_set:
         raise ValidationError(f"held-out corpus has tags {heldout.tag_set.tags}, "
                               f"the counts {counts.tag_set.tags}")

@@ -94,7 +94,7 @@ class ModelMetadata:
 
 @dataclass
 class Model:
-    """Everything the decoder needs, immutable once trained."""
+    """Everything the decoder needs, immutable once trained; parts of one order and tag set."""
 
     tag_set: TagSet
     transition: SmoothedNGramModel
@@ -102,6 +102,16 @@ class Model:
     unknown_word_model: UnknownWordModel
     unigram: ConditionalDistribution
     metadata: ModelMetadata
+
+    def __post_init__(self):
+        unknown, k, order = self.unknown_word_model, len(self.tag_set), self.metadata.order
+        sizes = (self.transition.num_tags, self.lexicon.counts.num_tags,
+                 unknown.trie.counts.num_tags, self.unigram.dim, unknown.root.dim)
+        if order != self.transition.order or set(sizes) != {k}:
+            raise ValidationError(
+                f"a model of order {order} over {k} tags needs those of its transition table "
+                f"(order {self.transition.order}) and the tag counts {sizes} of its table, "
+                "lexicon, trie, unigram and unknown-word root to match")
 
 
 @dataclass(frozen=True)
@@ -242,41 +252,42 @@ def viterbi_tag(m: Model, words: Sequence[str]) -> list[str]:
     return _decode(_DecodeRuntime(m), [words])[0]
 
 
-def _decode(runtime: _DecodeRuntime, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
+def _decode(runtime: _DecodeRuntime, sentences: Iterable[Sequence[str]]) -> list[list[str]]:
     """Tags of each sentence, with the runtime's model, lattices and
     lexical factors: the entry point of every decode.
 
     The runtime is primed in token order up to the first empty sentence,
     which raises.  A sentence's cells per token, the mean over its tokens of
     the product of the lattice sizes at that token and the order-1 before
-    it, routes it: below ``_BATCH_CROSSOVER`` to ``_viterbi_batch``, longest
-    sentences first, each batch as many as fit in ``_BATCH_CELLS`` cells and
-    at least one; else to ``_viterbi``.  Both keep only maxima in the
-    forward pass and recompute the chosen path's runs on the walk back, so
-    they find the same tags by one tie rule.  A string where a sentence or
-    the list of them belongs raises.
+    it, routes it: below ``_BATCH_CROSSOVER``, or at order 1 (its lattice
+    width), to ``_viterbi_batch``, longest first, each batch as many as fit
+    in ``_BATCH_CELLS`` cells and at least one; else to ``_viterbi``.  Both
+    keep only maxima in the forward pass and recompute the chosen path's
+    runs on the walk back, so they find the same tags by one tie rule.  A
+    string where a sentence or the list of them belongs raises.
     """
-    if isinstance(sentences, str) or any(isinstance(s, str) for s in sentences):
+    sentences = list(sentences)  # read once: a generator is primed, then decoded
+    if any(isinstance(s, str) for s in sentences):
         raise ValidationError("expected sentences as sequences of words, not strings")
     runtime.prime(chain.from_iterable(takewhile(len, sentences)))
     if not all(len(s) for s in sentences):
         raise ValidationError("cannot decode an empty sentence")
     if not sentences:
         return []
-    ids = runtime.ids
+    ids, order = runtime.ids, runtime.model.metadata.order
     tokens = np.array([ids[w] for s in sentences for w in s], dtype=np.intp)
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     firsts = np.cumsum(lengths) - lengths
     width = runtime.sizes[tokens]
     position = np.arange(len(tokens)) - np.repeat(firsts, lengths)
     cells = width.copy()
-    for back in range(1, min(runtime.model.metadata.order, int(lengths.max()))):
+    for back in range(1, min(order, int(lengths.max()))):
         cells[back:] *= np.where(position[back:] >= back, width[:-back], 1)
     cells = np.add.reduceat(cells, firsts)
 
     names = runtime.model.tag_set.tags
     out: list = [None] * len(sentences)
-    wide = cells >= _BATCH_CROSSOVER * lengths
+    wide = (cells >= _BATCH_CROSSOVER * lengths) & (order > 1)
     for i in np.flatnonzero(wide).tolist():
         out[i] = _viterbi(runtime, sentences[i])
     narrow = np.flatnonzero(~wide)
@@ -307,10 +318,10 @@ def _viterbi_batch(runtime: _DecodeRuntime, lengths: np.ndarray, tokens: np.ndar
     new state's run of cells, one per oldest tag (``stride`` states apart),
     are state scores plus transitions T; the step keeps each run's maximum
     (``reduceat``), then adds the lexical term, exact as in ``_viterbi``
-    (order 1 adds it first), and keeps its incoming scores and rows.  The
-    walk back recomputes each chosen state's run as ``(scores + T) + lex``
-    and takes its first maximum: ties, rounding collisions included, go as
-    in ``_viterbi``.
+    (order 1, whose run is over the new tag, adds it first), and keeps its
+    incoming scores and rows.  The walk back recomputes each chosen state's
+    run as ``(scores + T) + lex`` and takes its first maximum: ties,
+    rounding collisions included, go as in ``_viterbi``.
     """
     m, lex, lat = runtime.model, runtime.lex, runtime.lat
     k_tags = m.transition.num_tags
@@ -389,8 +400,9 @@ def _viterbi_batch(runtime: _DecodeRuntime, lengths: np.ndarray, tokens: np.ndar
 
 
 def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
-    """One sentence's tags, with the runtime's model, lattices and lexical
-    factors: exact search over states of the last order-1 tags.
+    """One sentence's tags, with the runtime's model (of order 2 or more),
+    lattices and lexical factors: exact search over states of the last
+    order-1 tags.
 
     ``cells`` holds the states' scores, one axis per tag position, oldest
     first as in ``index``, each over its ascending lattice (the boundary
@@ -398,12 +410,12 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     transition row T, maximizes out the oldest tag, then takes the lattice's
     columns and adds their lexical factors ``lex``: L^(order-1) additions,
     not L^order.  ``fl(x + lex)`` is monotone in x, so the cells equal bit
-    for bit those of adding ``lex`` first, as order 1 (no state axis) does.
-    No back-pointers are kept: from the first best final state in C order,
-    the walk back recomputes the chosen state's ``(T + cells) + lex`` over
-    its oldest tag and takes the first maximum, so ties, even ``fl(x1 + lex)
-    == fl(x2 + lex)`` with x1 < x2, go to the smallest tag indices, oldest
-    position first.  ``_decode`` sends it the array-bound sentences, primed.
+    for bit those of adding ``lex`` first.  No back-pointers are kept: from
+    the first best final state in C order, the walk back recomputes the
+    chosen state's ``(T + cells) + lex`` over its oldest tag and takes the
+    first maximum, so ties, even ``fl(x1 + lex) == fl(x2 + lex)`` with
+    x1 < x2, go to the smallest tag indices, oldest position first.
+    ``_decode`` sends it the array-bound sentences, primed.
     """
     m = runtime.model
     index, log_rows = m.transition.index, m.transition.log_probs
@@ -419,22 +431,18 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
         steps.append((lattice, log_factors, rows, cells))
         scores = log_rows.take(rows, axis=0)
         scores += cells[..., None]
-        if n_ctx:
-            cells = scores.max(axis=0)[..., lattice]
-            cells += log_factors
-            context = [c[..., None] for c in context[1:]] + [lattice + 1]
-        else:
-            cells = (scores[lattice] + log_factors).max()
+        cells = scores.max(axis=0)[..., lattice]
+        cells += log_factors
+        context = [c[..., None] for c in context[1:]] + [lattice + 1]
     # A chosen state ends with its new tag; the first maximum shifts in its oldest.
     state = list(np.unravel_index(cells.argmax(), cells.shape))
     tags = []
     for lattice, log_factors, rows, cells in reversed(steps):
-        new, at = (state[-1], (slice(None), *state[:-1])) if n_ctx else (slice(None), ())
+        new, at = state[-1], (slice(None), *state[:-1])
         scores = log_rows[rows[at], lattice[new]] + cells[at]
         scores += log_factors[new]
-        first = scores.argmax()
-        tags.append(lattice[new] if n_ctx else lattice[first])
-        state = [first, *state][:n_ctx]
+        tags.append(lattice[new])
+        state = [scores.argmax(), *state][:n_ctx]
     return [m.tag_set.tags[t] for t in reversed(tags)]
 
 
@@ -446,7 +454,7 @@ def viterbi_tag_scored(m: Model, words: Sequence[str]) -> TagSequenceScore:
     return TagSequenceScore(tuple(tags), score)
 
 
-def tag_corpus(m: Model, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
+def tag_corpus(m: Model, sentences: Iterable[Sequence[str]]) -> list[list[str]]:
     """Each sentence's best tags, found independently, with one lexical
     table for the call; narrow sentences are decoded together, position by
     position (``_decode``).  An empty sentence raises, unless a rejected word

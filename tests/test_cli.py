@@ -461,6 +461,39 @@ class TestSynth:
         assert not (tmp_path / "t.tsv").exists()
 
 
+class TestInvalidValues:
+    # Each value is one a config or model rejects: exit 2 with one error
+    # line, never a traceback from numpy or from deeper in the library.
+    SYNTH = {"--tags": "3", "--vocab": "30", "--train-tokens": "300", "--test-tokens": "60",
+             "--seed": "1"}
+    BAD_SYNTH = [{"--tags": "1"}, {"--vocab": "2"}, {"--train-tokens": "0"},
+                 {"--test-tokens": "-5"}, {"--zipf-exponent": "nan"}, {"--seed": "-1"}]
+    BAD_TRAIN = [["--order", "0"], ["--order", "70"], ["--rare-threshold", "0"],
+                 ["--max-suffix", "0"], ["--smoothing", "interp", "--lambdas", "nan,0.5,0.5"],
+                 ["--smoothing", "interp", "--lambdas", "0.5,0.5"],
+                 ["--root-mode", "rf", "--rare-threshold", "1"]]
+
+    def assert_data_error(self, argv, capsys):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+    @pytest.mark.parametrize("bad", BAD_SYNTH, ids=lambda bad: " ".join(*bad.items()))
+    def test_synth(self, tmp_path, capsys, bad):
+        flags = {**self.SYNTH, **bad}
+        self.assert_data_error(["synth", *(x for item in flags.items() for x in item),
+                                "--train-out", str(tmp_path / "t.tsv"),
+                                "--test-out", str(tmp_path / "s.tsv")], capsys)
+        assert not (tmp_path / "t.tsv").exists()
+
+    @pytest.mark.parametrize("bad", BAD_TRAIN, ids=" ".join)
+    def test_train(self, tmp_path, corpus_file, capsys, bad):
+        out = tmp_path / "model.txt"
+        self.assert_data_error(["train", "--corpus", corpus_file, "--out", str(out), *bad],
+                               capsys)
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 1

@@ -683,6 +683,13 @@ class TestSynthesizeCorpus:
         cfg = SynthesisConfig(**{**base, "num_tags": np.int64(3), "seed": True})
         assert (cfg.num_tags, cfg.seed) == (3, 1) and type(cfg.num_tags) is int
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator raises a raw ValueError for it only when drawing.
+        base = dict(num_tags=3, vocab_size=30, num_train_tokens=100, num_test_tokens=10)
+        with pytest.raises(ValidationError, match="^seed must be non-negative$"):
+            SynthesisConfig(**base, seed=-1)
+        assert SynthesisConfig(**base, seed=0).seed == 0
+
 
 class TestCorpusValidation:
     def test_token_tag_outside_tag_set_rejected(self):

@@ -20,7 +20,7 @@ from succabs.model_io import (
     _RENDER,
     _SectionReader,
     _heads,
-    _render,
+    _render_blocks,
     _trie_heads,
     model_from_text,
     model_to_text,
@@ -1238,10 +1238,15 @@ def mutate(text, section, rng):
     return "\n".join(lines)
 
 
+def render(table, heads, ends):
+    """``_render_blocks``' blocks joined: one section's rows."""
+    return "".join(_render_blocks(table, heads, ends))
+
+
 def assert_one_format_per_cell(matrix):
     keys = [f"{i}\tw{i}" for i in range(len(matrix))]
     row = "%s\t" + " ".join(["%d"] * matrix.shape[1]) + "\n"
-    assert _render(sparse_rows(matrix), *_heads(keys)) == "".join(
+    assert render(sparse_rows(matrix), *_heads(keys)) == "".join(
         row % (key, *cells.tolist()) for key, cells in zip(keys, matrix))
 
 
@@ -1293,7 +1298,7 @@ class TestCountLines:
                                  RareWordPolicy(2 ** 62, 40))
         assert len(trie.depths) > 2 * _RENDER
         keys = [f"{depth}\t{letter}" for depth, letter in zip(trie.depths.tolist(), letters(trie))]
-        assert_same_lines(_render(trie.counts, *_trie_heads(trie)),
+        assert_same_lines(render(trie.counts, *_trie_heads(trie)),
                           python_rows(trie.counts.rows(np.arange(len(keys))), "%d".__mod__, keys))
 
 
@@ -1313,7 +1318,7 @@ def assert_same_lines(got, expect):
 
 
 def assert_rendered_as_python(values, spell, width):
-    """``_render`` of the values as one row, and as a matrix of ``width``
+    """``_render_blocks`` of the values as one row, and as a matrix of ``width``
     columns long enough to cross a block edge, with non-ASCII row keys;
     counts as their ``SparseRows``."""
     table = (lambda m: m) if values.dtype.kind == "f" else sparse_rows
@@ -1321,9 +1326,9 @@ def assert_rendered_as_python(values, spell, width):
     matrix = padded.reshape(-1, width)
     assert len(matrix) > _RENDER
     keys = [f"{i}" + "é\U0001f600"[i % 3:] for i in range(len(matrix))]
-    assert_same_lines(_render(table(matrix), *_heads(keys)), python_rows(matrix, spell, keys))
+    assert_same_lines(render(table(matrix), *_heads(keys)), python_rows(matrix, spell, keys))
     row = values[:100_000][None, :]
-    assert_same_lines(_render(table(row)), " ".join(map(spell, row[0].tolist())) + "\n")
+    assert_same_lines(render(table(row), *_heads(["é"])), python_rows(row, spell, ["é"]))
 
 
 def float_cases(rng):
@@ -1369,7 +1374,7 @@ def count_cases(rng):
 
 
 class TestRender:
-    """``_render`` against one Python format per cell, on about 10**6 seeded
+    """``_render_blocks`` against one Python format per cell, on about 10**6 seeded
     values in all."""
 
     def test_floats_equal_format_17g(self):

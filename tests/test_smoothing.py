@@ -773,6 +773,13 @@ class TestLoglikObjectiveAgainstReference:
         with pytest.raises(ValidationError, match="held-out corpus has tags"):
             interpolation_loglik_objective(counts, parse_corpus("a\tA\nb\tB\nd\tD\n"))
 
+    def test_heldout_without_tokens_rejected(self):
+        # Every weight vector would score 0.0, and the grid search would
+        # return its lexicographically largest point as if it had won.
+        counts = count_ngrams(parse_corpus("a\tX\nb\tY\n\n"), 3)
+        with pytest.raises(ValidationError, match="^held-out corpus has no tokens$"):
+            interpolation_loglik_objective(counts, parse_corpus("", ("X", "Y")))
+
 
 class TestLogProbs:
     def test_equals_math_log_per_cell(self):

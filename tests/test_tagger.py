@@ -50,8 +50,9 @@ from test_lexicon import word_ending_at
 from transition_oracle import distribution, query, tables_of
 
 # The ways ``_decode`` can be made to run a call: every sentence through
-# ``_viterbi``; every sentence through ``_viterbi_batch``, in batches as
-# large as allowed, of one sentence each, or of a few; and the default
+# ``_viterbi`` (at order 2 or more; an order-1 call always goes through
+# ``_viterbi_batch``); every sentence through ``_viterbi_batch``, in batches
+# as large as allowed, of one sentence each, or of a few; and the default
 # routing by cells per token.
 ROUTES = (
     {"_BATCH_CROSSOVER": 0},
@@ -859,6 +860,17 @@ class TestTagCorpus:
         batch = tag_corpus(m, sentences)
         assert batch == [viterbi_tag(m, s) for s in sentences]
 
+    def test_sentences_from_a_generator(self):
+        # The sentences are read once: priming must not use them up.
+        corpus = parse_corpus("the\tAT\ncat\tNN\n\nthe\tAT\ndog\tNN\nsat\tVB\n\n")
+        sentences = [["the", "cat"], ["sat"], ["the", "dog", "sat", "zzz"]]
+        for order in (1, 3):
+            m = train_model(corpus, order=order)
+            assert tag_corpus(m, (s for s in sentences)) == tag_corpus(m, sentences)
+            assert tag_corpus(m, iter([])) == []
+            with pytest.raises(ValidationError, match="not strings"):
+                tag_corpus(m, (s for s in ["the cat"]))
+
     def test_sentence_order_does_not_matter(self):
         corpus = parse_corpus(
             "the\tAT\ncat\tNN\n\nthe\tAT\ndog\tNN\nsat\tVB\n\nsat\tVB\n\n")
@@ -929,6 +941,23 @@ class TestTagCorpus:
         assert calls == [wide, [30], [12, 12], [12, 12], [3]]
         with routed(monkeypatch, ROUTES[0]):
             assert got == tag_corpus(m, sentences)
+
+    def test_order_one_never_reaches_viterbi(self, monkeypatch):
+        # At order 1 a sentence's cells per token are its lattice widths, so
+        # every sentence goes to ``_viterbi_batch``, even with a crossover of 0.
+        corpus = parse_corpus("".join(f"k{i}\tT{i % 5}\n" for i in range(20)) + "\n")
+        m = train_model(corpus, order=1)
+        sentences = [["k1", "u1", "k2"], [f"u{i}" for i in range(12)], ["k3"]]
+        expect = [reference_viterbi_tag(m, s) for s in sentences]
+
+        def no_viterbi(*args):
+            raise AssertionError("an order-1 sentence reached _viterbi")
+
+        monkeypatch.setattr(succabs.tagger, "_viterbi", no_viterbi)
+        for route in ROUTES:
+            with routed(monkeypatch, route):
+                assert tag_corpus(m, sentences) == expect, route
+                assert viterbi_tag_scored(m, sentences[1]).tags == tuple(expect[1])
 
     def test_memory_of_a_call_of_two_batches(self):
         # ``_BATCH_CELLS`` bounds what a batch holds (its comment): 16 bytes
@@ -1056,6 +1085,37 @@ class TestTrainModel:
         for order, plain in ((np.int64(2), 2), (np.uint8(3), 3), (True, 1)):
             meta = train_model(corpus, order=order).metadata
             assert type(meta.order) is int and meta.order == plain
+
+
+class TestModelParts:
+    """A ``Model``'s parts share its metadata's order and its tag set's size."""
+
+    def test_order_other_than_the_transition_tables_rejected(self):
+        # Order 2 over an order-3 table decoded, and wrote a file its loader
+        # rejected; order 3 over an order-2 table raised a raw IndexError.
+        corpus = parse_corpus("a\tX\nb\tY\nc\tZ\n\nb\tY\na\tX\n\n")
+        m2, m3 = train_model(corpus, order=2), train_model(corpus, order=3)
+        for m, other in ((m2, m3), (m3, m2)):
+            mismatch = r"order {} over 3 tags .* transition table \(order {}\)"
+            with pytest.raises(ValidationError, match=mismatch.format(other.metadata.order,
+                                                                      m.metadata.order)):
+                dataclasses.replace(m, metadata=other.metadata)
+            with pytest.raises(ValidationError, match=mismatch.format(m.metadata.order,
+                                                                      other.metadata.order)):
+                dataclasses.replace(m, transition=other.transition)
+
+    def test_part_over_another_tag_count_rejected(self):
+        three = train_model(parse_corpus("a\tX\nb\tY\nc\tZ\n\n"), order=2)
+        two = train_model(parse_corpus("a\tX\nb\tY\n\n"), order=2)
+        unknown, other = three.unknown_word_model, two.unknown_word_model
+        parts = [("tag_set", two.tag_set), ("transition", two.transition),
+                 ("lexicon", two.lexicon), ("unigram", two.unigram),
+                 ("unknown_word_model", dataclasses.replace(unknown, trie=other.trie)),
+                 ("unknown_word_model", dataclasses.replace(unknown, root=other.root))]
+        for name, part in parts:
+            with pytest.raises(ValidationError, match="over [23] tags"):
+                dataclasses.replace(three, **{name: part})
+        dataclasses.replace(three, unknown_word_model=dataclasses.replace(unknown))
 
 
 class TestTaggingAccuracyObjective:
