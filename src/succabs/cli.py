@@ -1,4 +1,5 @@
-"""Command-line entry points: train, tag, eval, compare, synth.
+"""Command-line entry points: train, tag, eval, compare, synth.  Each reads
+its input as UTF-8 bytes, from a file or standard input, and writes UTF-8.
 
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or validation
 error (unreadable files, malformed corpora, inconsistent parameters).
@@ -9,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, SynthesisConfig, parse_corpus, synthesize_corpus, write_corpus
 from .counts import RareWordPolicy
 from .errors import CorpusParseError, SuccabsError
-from .evaluation import compare, evaluate, render_comparison, render_report_kv, \
-    render_report_table
+from .evaluation import compare, evaluate, render_comparison, render_report_kv, render_report_table
 from .model_io import read_model, write_model
 from .smoothing import ROOT_MODES
 from .tagger import SMOOTHING_INTERP, SMOOTHING_MODES, tag_corpus, train_model
@@ -30,29 +30,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_text(stream: IO[str]) -> str:
-    """The text of a stream; a byte it cannot decode is a CorpusParseError."""
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of a file, or of standard input when ``path`` is None,
+    untranslated; a byte it cannot decode is a CorpusParseError."""
+    if path is None:
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        return stream.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as bad:
-        line = bad.object.count(b"\n", 0, bad.start) + 1
-        raise CorpusParseError(f"not {bad.encoding} text", line) from None
-
-
-def _read_corpus(path: str) -> Corpus:
-    # No newline translation: the parser splits at LF and drops one CR
-    # before it, so a CR anywhere else is the parse error it is in a string.
-    # The parser splits the text a block at a time.
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_corpus(_read_text(fh))
+        raise CorpusParseError("not UTF-8 text", data.count(b"\n", 0, bad.start) + 1) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` as UTF-8 to a file, or to standard output when ``path`` is
+    None; a command-line file name's undecodable bytes go back as they came."""
+    data = text.encode("utf-8", "surrogateescape")
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -65,7 +66,7 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 def cmd_train(args) -> int:
     if args.lambdas is not None and args.smoothing != SMOOTHING_INTERP:
         args._parser.error("--lambdas only applies with --smoothing interp")
-    corpus = _read_corpus(args.corpus)
+    corpus = parse_corpus(_read_text(args.corpus))
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas is not None else None
     policy = RareWordPolicy(args.rare_threshold, args.max_suffix)
     model = train_model(corpus, order=args.order, policy=policy,
@@ -74,12 +75,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_sentences(stream: IO[str]) -> list[list[str]]:
-    """Each nonblank line's words.  ASCII space and tab alone separate them,
-    so a word may hold any other character a corpus word may, such as NBSP,
-    U+2028 or U+001F, at which ``str.split`` would cut it."""
+def _read_sentences(text: str) -> list[list[str]]:
+    """Each nonblank line's words; LF, CRLF and a lone CR each end a line.
+    ASCII space and tab alone separate words, so a word may hold any other
+    character a corpus word may, such as NBSP or U+2028, unlike ``str.split``."""
     sentences = []
-    for line in _read_text(stream).split("\n"):
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         words = [word for word in line.replace("\t", " ").split(" ") if word]
         if words:
             sentences.append(words)
@@ -95,27 +96,25 @@ def _render_tagged(sentences: Sequence[Sequence[str]],
 
 def cmd_tag(args) -> int:
     model = read_model(args.model)
-    if args.input is None:
-        sentences = _read_sentences(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            sentences = _read_sentences(fh)
+    sentences = _read_sentences(_read_text(args.input))
     tagged = tag_corpus(model, sentences)
     _write_text(args.output, _render_tagged(sentences, tagged))
     return 0
 
 
 def _evaluate_model(model_path: str, gold: Corpus):
+    if gold.num_tokens == 0:
+        raise SuccabsError("the gold corpus has no tokens")
     model = read_model(model_path)
     predicted = tag_corpus(model, gold.sentence_words())
     return evaluate(gold, predicted, model.lexicon.words)
 
 
 def cmd_eval(args) -> int:
-    gold = _read_corpus(args.gold)
+    gold = parse_corpus(_read_text(args.gold))
     report = _evaluate_model(args.model, gold)
     render = render_report_kv if args.format == "kv" else render_report_table
-    sys.stdout.write(render(report))
+    _write_text(None, render(report))
     return 0
 
 
@@ -124,9 +123,9 @@ def cmd_compare(args) -> int:
         args._parser.error("at least two --model flags are required")
     if len(set(args.model)) < len(args.model):
         args._parser.error("each --model may be given once")
-    gold = _read_corpus(args.gold)
+    gold = parse_corpus(_read_text(args.gold))
     reports = [(path, _evaluate_model(path, gold)) for path in args.model]
-    sys.stdout.write(render_comparison(compare(reports)))
+    _write_text(None, render_comparison(compare(reports)))
     return 0
 
 
@@ -210,10 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return 0 if exc.code is None else 1
-    except SuccabsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SuccabsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +96,7 @@ class TestTrain:
         bad.write_bytes("a\tT0\n\ncaf\xe9\tT1\n\n".encode("latin-1"))
         rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.txt")])
         assert rc == 2
-        assert "line 3: not utf-8 text" in capsys.readouterr().err
+        assert "line 3: not UTF-8 text" in capsys.readouterr().err
 
     def test_cr_inside_corpus_line_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "cr.tsv"
@@ -187,7 +190,8 @@ class TestTag:
     def test_reads_stdin_when_no_input_flag(self, tmp_path, corpus_file,
                                             capsys, monkeypatch):
         model = train_default(tmp_path, corpus_file)
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b\n\nb c a\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b\n\nb c a\n"),
+                                                          encoding="utf-8"))
         rc = main(["tag", "--model", model])
         assert rc == 0
         out = capsys.readouterr().out
@@ -204,7 +208,8 @@ class TestTag:
         corpus = tmp_path / "train.tsv"
         corpus.write_text("".join(f"{w}\tX\n" for w in odd) + "c\tY\n\n", encoding="utf-8")
         model = train_default(tmp_path, str(corpus))
-        monkeypatch.setattr("sys.stdin", io.StringIO(" \t".join(odd) + "  c\t\n"))
+        data = (" \t".join(odd) + "  c\t\n").encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert main(["tag", "--model", model]) == 0
         assert capsys.readouterr().out == "".join(f"{w}\tX\n" for w in odd) + "c\tY\n"
 
@@ -310,7 +315,7 @@ class TestTag:
         inp.write_bytes(b"a b\n\xff c\n")
         rc = main(["tag", "--model", model, "--input", str(inp)])
         assert rc == 2
-        assert "line 2: not utf-8 text" in capsys.readouterr().err
+        assert "line 2: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestEval:
@@ -361,6 +366,17 @@ class TestEval:
         rc = main(["eval", "--model", model, "--gold", str(gold)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_gold_without_tokens_is_data_error(self, tmp_path, corpus_file, capsys, command):
+        # Found before any model is read: the second model does not exist.
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("# nothing\n\n", encoding="utf-8")
+        flags = ["--model", train_default(tmp_path, corpus_file)]
+        if command == "compare":
+            flags += ["--model", str(tmp_path / "missing.txt")]
+        assert main([command, *flags, "--gold", str(gold)]) == 2
+        assert capsys.readouterr() == ("", "error: the gold corpus has no tokens\n")
+
     def test_crlf_model_is_data_error_naming_the_version(self, tmp_path, corpus_file,
                                                          capsys):
         model = train_default(tmp_path, corpus_file)
@@ -399,6 +415,66 @@ class TestCompare:
         rc = main(["compare", "--model", m1, "--model", m1, "--gold", missing])
         assert rc == 1
         assert "each --model may be given once" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Each way the environment can set up the standard streams: the C locale
+# (where Python reads stdin with surrogateescape), a UTF-8 locale, and an
+# ASCII stream encoding.
+STREAM_ENVS = {"C": {"LC_ALL": "C"}, "UTF-8": {"LC_ALL": "C.UTF-8"},
+               "ascii": {"PYTHONIOENCODING": "ascii"}}
+
+
+def run_succabs(argv, env, stdin=b""):
+    """``succabs`` in a fresh interpreter whose locale and stream encoding
+    are ``env``'s alone."""
+    base = {key: value for key, value in os.environ.items() if not key.startswith("LC_")
+            and key not in ("LANG", "PYTHONIOENCODING", "PYTHONUTF8")}
+    return subprocess.run([sys.executable, "-m", "succabs", *argv], input=stdin,
+                          env={**base, **env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, timeout=60)
+
+
+class TestStreams:
+    # CRLF, a lone CR, a last line without LF, and NBSP and U+2028 in words.
+    TEXT = "a\xa0b c\r\nd\u2028e\rc a\r\n\r\nb"
+
+    @pytest.mark.parametrize("env", STREAM_ENVS.values(), ids=STREAM_ENVS)
+    def test_stdin_and_input_file_agree(self, tmp_path, corpus_file, env):
+        model = train_default(tmp_path, corpus_file)
+        inp = tmp_path / "input.txt"
+        runs = []
+        for data in (self.TEXT.encode("utf-8"), b"a b\r\ncaf\xe9\n"):
+            inp.write_bytes(data)
+            piped = run_succabs(["tag", "--model", model], env, data)
+            given = run_succabs(["tag", "--model", model, "--input", str(inp)], env)
+            assert (piped.returncode, piped.stdout, piped.stderr) == \
+                (given.returncode, given.stdout, given.stderr)
+            runs.append(piped)
+        good, bad = runs
+        assert (good.returncode, good.stderr) == (0, b"")
+        assert parse_corpus(good.stdout.decode("utf-8")).sentence_words() == \
+            [["a\xa0b", "c"], ["d\u2028e"], ["c", "a"], ["b"]]
+        assert (bad.returncode, bad.stdout, bad.stderr) == \
+            (2, b"", b"error: line 2: not UTF-8 text\n")
+
+    def test_ascii_stdout_gets_utf8(self, tmp_path, corpus_file):
+        model = train_default(tmp_path, corpus_file)
+        proc = run_succabs(["tag", "--model", model], STREAM_ENVS["ascii"], "café a\n".encode())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert parse_corpus(proc.stdout.decode("utf-8")).sentence_words() == [["café", "a"]]
+
+    @pytest.mark.parametrize("name", [b"m\xc3\xa9.txt", b"m\xe9.txt"], ids=["UTF-8", "latin-1"])
+    def test_compare_writes_a_model_path_as_its_bytes(self, tmp_path, corpus_file, name):
+        # A path that is not UTF-8 comes back as the bytes that name the file.
+        model = os.fsdecode(bytes(tmp_path) + b"/" + name)
+        Path(model).write_bytes(Path(train_default(tmp_path, corpus_file)).read_bytes())
+        other = train_default(tmp_path, corpus_file, "other.txt", "--order", "2")
+        proc = run_succabs(["compare", "--model", model, "--model", other,
+                            "--gold", corpus_file], STREAM_ENVS["ascii"])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert os.fsencode(model) in proc.stdout
 
 
 class TestSynth:

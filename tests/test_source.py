@@ -119,3 +119,42 @@ def test_the_handler_check_sees_every_way_to_catch():
                      "try:\n    f()\nexcept:\n    pass\n"
                      "try:\n    f()\nexcept KeyError:\n    pass\n")
     assert len(validation_handlers(tree)) == 2
+
+
+# The two functions of cli.py through which every byte in and out passes.
+STREAM_FUNCTIONS = {"_read_text", "_write_text"}
+
+
+def stream_uses(tree: ast.Module) -> set[str]:
+    """``line name`` of each use of standard input or output, or of ``open``,
+    outside the functions named in STREAM_FUNCTIONS; ``sys.stderr`` is free."""
+    inside = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
+              and function.name in STREAM_FUNCTIONS for node in ast.walk(function)}
+    uses = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sys" and node.attr in ("stdin", "stdout")):
+            uses.add(f"{node.lineno} sys.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in ("open", "input"):
+            uses.add(f"{node.lineno} {node.id}")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+              and not any(keyword.arg == "file" for keyword in node.keywords)):
+            uses.add(f"{node.lineno} print")
+    return uses
+
+
+def test_cli_reads_and_writes_in_one_place_each():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert STREAM_FUNCTIONS <= set(defined_names(tree))
+    assert not stream_uses(tree), sorted(stream_uses(tree))
+
+
+def test_the_stream_check_sees_each_way_in_and_out():
+    tree = ast.parse("import sys\n"
+                     "def _read_text(path):\n    return open(path).read() + sys.stdin.read()\n"
+                     "def f(path):\n    sys.stdout.write(input())\n    print('a')\n"
+                     "    print('b', file=sys.stderr)\n    with open(path) as fh:\n"
+                     "        return sys.stdin.buffer.read()\n")
+    assert stream_uses(tree) == {"5 sys.stdout", "5 input", "6 print", "8 open", "9 sys.stdin"}
