@@ -62,8 +62,11 @@ def evaluate(gold: Corpus, predicted: Sequence[Sequence[str]],
 
     Gold words and tags are read from the corpus's id columns.  Predicted
     tags get ids in a copy of the tag set's index, any other tag the next
-    free id, so a prediction is right iff its id is the gold tag's.
+    free id, so a prediction is right iff its id is the gold tag's.  A
+    string where a sequence of sentences, tags or words belongs raises.
     """
+    if any(isinstance(x, str) for x in (predicted, known_words, *predicted)):
+        raise ValidationError("expected sequences of predicted tags and known words, not strings")
     if len(predicted) != gold.num_sentences:
         raise ValidationError(
             f"{len(predicted)} predictions for {gold.num_sentences} gold sentences")

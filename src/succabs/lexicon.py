@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counts import _LETTER_CODES, RareWordPolicy, SuffixTrie, _suffix_paths
+from .counts import _LETTER_CODES, Lexicon, RareWordPolicy, SuffixTrie, _suffix_paths
 from .errors import ValidationError
 from .smoothing import (
     ROOT_MODE_ELE,
@@ -45,6 +45,16 @@ def build_unknown_word_model(trie: SuffixTrie, policy: RareWordPolicy,
             "unknown-word model has no counts for a relative-frequency root; raise "
             "--rare-threshold or use --root-mode ele")
     return UnknownWordModel(trie, root_estimate(root_counts, root_mode), policy)
+
+
+def lexicon_unigram(lexicon: Lexicon, root_mode: str) -> ConditionalDistribution:
+    """The root_mode estimate from the lexicon's tag totals, the count
+    table's root row; one that wraps int64 (off its float sum) is rejected."""
+    counts, totals = lexicon.counts, np.zeros(lexicon.counts.num_tags, dtype=np.int64)
+    np.add.at(totals, counts.tags, counts.values)
+    if (abs(totals - np.bincount(counts.tags, counts.values, len(totals))) >= 2.0 ** 62).any():
+        raise ValidationError("the counts of a tag sum past 2**63 - 1")
+    return root_estimate(totals, root_mode)
 
 
 def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.ndarray:

@@ -6,7 +6,7 @@ Layout: a magic/version line, then sections, each introduced by a
     SUCCABS 1
     [meta] 7             key TAB value
     [tags] K             one tag symbol per line, index order
-    [unigram] 1          K probabilities, space-separated
+    [unigram] 1          K probabilities: ``lexicon_unigram`` of the lexicon
     [transitions] n      context TAB probabilities (or [freqs] for the
                          interpolated variant, holding relative frequencies);
                          contexts hold at most order-1 tags, and every
@@ -20,19 +20,19 @@ Layout: a magic/version line, then sections, each introduced by a
     [unknown_root] 1     K probabilities: the root_mode estimate from the
                          trie root's counts (``build_unknown_word_model``)
 
-Counts are non-negative ASCII decimal integers, each row's summing to at
-most 2^63 - 1; probabilities are decimal floats as ``%.17g`` writes them,
-which round-trips doubles exactly.  Contexts are comma-joined tag indices
-(-1 is the sentence boundary, the empty string the root context).
+Counts are non-negative ASCII decimal integers, each row's and each
+lexicon tag's summing to at most 2^63 - 1; probabilities are decimal
+floats as ``%.17g`` writes them, which round-trip doubles.  Contexts are
+comma-joined tag indices (-1 the sentence boundary, "" the root context).
 Sections are sorted, and the loader requires strictly ascending keys (a
 context's length, then its tag indices; the word), so identical models
 serialize byte-identically.
 
 One rule makes a file that loads write back its own bytes.  The loader
-builds what each section holds, parsed (the ``[meta]`` values,
-``[unigram]``, the context keys, ``[lexicon]``, whose rows are cut to
-sparse rows a parsed block at a time) or derived with the training
-builders from ``[lexicon]`` and ``[meta]`` (``[trie]``, ``[unknown_root]``),
+builds what each section holds, parsed (the ``[meta]`` values, the
+context keys, ``[lexicon]``, whose rows are cut to sparse rows a parsed
+block at a time) or derived with the training builders from ``[lexicon]``
+and ``[meta]`` (``[trie]``, ``[unknown_root]``, then ``[unigram]``),
 renders it with the writer's own code and compares that text, header
 included, with the file's in place, a rendered block at a time; lines are
 split only to name the first row that differs.  ``[tags]`` rows are their
@@ -61,9 +61,8 @@ import numpy as np
 from .corpus import _SURROGATE, TagSet, _check_words
 from .counts import BOW_CODE, Lexicon, RareWordPolicy, SparseRows, SuffixTrie, build_suffix_trie
 from .errors import ModelFormatError, ValidationError
-from .lexicon import build_unknown_word_model
+from .lexicon import build_unknown_word_model, lexicon_unigram
 from .smoothing import (
-    ConditionalDistribution,
     InterpolationWeights,
     SmoothedNGramModel,
     _suffix_rows,
@@ -494,13 +493,9 @@ def model_from_text(text: str) -> Model:
         tag_set = TagSet(tuple(reader.section("tags")))
     k = len(tag_set)
 
-    start = reader.at
-    reader.header("unigram")  # compared with the writer's header below
-    with _section_errors("unigram", ValueError):
-        unigram = ConditionalDistribution.from_probs([float(x) for x in reader.take().split(" ")])
-    if unigram.dim != k:
-        raise ModelFormatError(f"unigram: expected {k} probabilities")
-    reader.expect(start, _section("unigram", 1, [_row(unigram.probs)]), "unigram")
+    unigram_at = reader.at
+    reader.header("unigram")  # derived from [lexicon], and compared with its text below
+    reader.take()
 
     table_section = "freqs" if smoothing == SMOOTHING_INTERP else "transitions"
     start = reader.at
@@ -540,6 +535,10 @@ def model_from_text(text: str) -> Model:
 
     if reader.at < len(text):
         raise ModelFormatError(f"line {reader.line(reader.at)}: trailing content")
+    with _section_errors("lexicon"):
+        unigram = lexicon_unigram(lexicon, metadata.root_mode)
+    reader.expect(unigram_at, _section("unigram", 1, [_row(unigram.probs)]),
+                  "unigram: not the root_mode estimate from the lexicon's tag totals")
 
     return Model(tag_set, transition, lexicon, unknown, unigram, metadata)
 

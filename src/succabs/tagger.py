@@ -35,6 +35,7 @@ from .lexicon import (
     UnknownWordModel,
     build_unknown_word_model,
     lexical_factors,
+    lexicon_unigram,
     unknown_word_distribution,
 )
 from .smoothing import (
@@ -48,11 +49,10 @@ from .smoothing import (
     build_sa_ngram_model,
     interpolated_ngram_model,
     log_probs,
-    unigram_distribution,
 )
 
 NEG_INF = float("-inf")
-# Words per block when priming: ``log_probs`` holds two Python floats
+# Words per block of a call's table: ``log_probs`` holds two Python floats
 # per lattice cell at once, 6 MB for a block of 2048 unknown words of 48 tags.
 _PRIME_BLOCK = 2048
 # A sentence with fewer (state, tag) cells per token than this is decoded
@@ -150,51 +150,43 @@ def train_model(corpus: Corpus, order: int = 3,
     lexicon = build_lexicon(corpus)
     trie = build_suffix_trie(lexicon, policy)
     unknown = build_unknown_word_model(trie, policy, root_mode)
-    unigram = unigram_distribution(counts, root_mode)
+    unigram = lexicon_unigram(lexicon, root_mode)
     return Model(corpus.tag_set, transition, lexicon, unknown, unigram,
                  replace(meta, corpus_digest=corpus_digest(corpus)))
 
 
 class _DecodeRuntime:
-    """Each word's log lexical factors and lattice, for one decoding call.
+    """One decoding call's sentences, read once, and a table of their words
+    in token order up to the first empty sentence, built once.
 
-    ``ids`` numbers the words primed so far.  Word i's lattice, the tag
-    indices the decoder tries for it, ascending, is ``lat`` at ``offsets[i]``
-    for ``sizes[i]`` entries: a known word's lexicon tags, or every tag for
-    an unknown word.  ``lex`` holds ln(P(t|w)/P(t)) at the same places.
+    ``ids`` numbers the words.  Word i's lattice, the tag indices the
+    decoder tries for it, ascending, is ``lat`` at ``offsets[i]`` for
+    ``sizes[i]`` entries: a known word's sparse lexicon row's ``tags``, or
+    every tag for an unknown word.  ``lex`` holds ln(P(t|w)/P(t)) at the
+    same places, P(t|w) a known word's row ``values`` over their total.
+    The table is built in blocks of ``_PRIME_BLOCK`` words, one
+    ``unknown_word_distribution``, ``lexical_factors`` and ``log_probs``
+    each, and each array is joined once.  If words are rejected, the error
+    is the one the first of them would raise alone.  A string where a
+    sentence or the list of them belongs raises.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, sentences: Iterable[Sequence[str]]):
         self.model = model
-        self.ids: dict[str, int] = {}
-        self.lex = np.empty(0)
-        self.lat = self.offsets = self.sizes = np.empty(0, np.intp)
-
-    def entry(self, word: str) -> tuple[np.ndarray, np.ndarray]:
-        """A primed word's log factors and lattice, as views."""
-        i = self.ids[word]
-        span = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
-        return self.lex[span], self.lat[span]
-
-    def prime(self, words: Iterable[str]) -> None:
-        """Add the words not in ``ids`` yet, in blocks of ``_PRIME_BLOCK``:
-        one ``unknown_word_distribution``, ``lexical_factors`` and
-        ``log_probs`` per block, over its lattice cells in word order.  A
-        known word's lattice and P(t | w) are its sparse lexicon row's
-        ``tags`` and ``values`` over their total; an unknown word's lattice
-        is every tag.  If words are rejected, the error is the one the first
-        of them in ``words`` would raise alone."""
-        new = [w for w in dict.fromkeys(words) if w not in self.ids]
-        m = self.model
-        index, counts, k = m.lexicon.index, m.lexicon.counts, len(m.tag_set)
+        self.sentences = list(sentences)
+        if any(isinstance(s, str) for s in self.sentences):
+            raise ValidationError("expected sentences as sequences of words, not strings")
+        words = list(dict.fromkeys(chain.from_iterable(takewhile(len, self.sentences))))
+        index, counts, k = model.lexicon.index, model.lexicon.counts, len(model.tag_set)
         # The empty word, always unknown, is rejected after the words before it.
-        empty = new.index("") if "" in new else len(new)
+        empty = words.index("") if "" in words else len(words)
+        blocks = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
         for start in range(0, empty, _PRIME_BLOCK):
-            block = new[start:min(start + _PRIME_BLOCK, empty)]
+            block = words[start:min(start + _PRIME_BLOCK, empty)]
             at = np.array([index.get(w, -1) for w in block], dtype=np.intp)
             known, unknown = np.flatnonzero(at >= 0), np.flatnonzero(at < 0)
             sizes, tags, values = counts.cells(at[known])
-            probs = unknown_word_distribution(m.unknown_word_model,
+            probs = unknown_word_distribution(model.unknown_word_model,
                                               [block[i] for i in unknown.tolist()])
             # Each cell's word, known words' cells first; a stable sort puts
             # them in word order, each word's tags still ascending.
@@ -203,26 +195,29 @@ class _DecodeRuntime:
             lattices = np.concatenate((tags, np.tile(np.arange(k), len(unknown))))[order]
             p_lex = np.concatenate((values / np.repeat(counts.totals()[at[known]], sizes),
                                     probs.reshape(-1)))[order]
-            factors = lexical_factors(p_lex, lattices, m.unigram)
-            self.lex = np.concatenate((self.lex, log_probs(factors)))
-            self.lat = np.concatenate((self.lat, lattices))
-            self.sizes = np.concatenate((self.sizes, np.bincount(word, minlength=len(block))))
-            self.ids.update(zip(block, range(len(self.ids), len(self.ids) + len(block))))
-            self.offsets = np.cumsum(self.sizes) - self.sizes
-        if empty < len(new):
-            unknown_word_distribution(m.unknown_word_model, [""])  # raises
+            factors = lexical_factors(p_lex, lattices, model.unigram)
+            blocks.append((log_probs(factors), lattices, np.bincount(word, minlength=len(block))))
+        if empty < len(words):
+            unknown_word_distribution(model.unknown_word_model, [""])  # raises
+        self.ids = dict(zip(words, range(len(words))))
+        self.lex, self.lat, self.sizes = map(np.concatenate, zip(*blocks))
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+
+    def entry(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """A word's log factors and lattice, as views."""
+        i = self.ids[word]
+        span = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
+        return self.lex[span], self.lat[span]
 
 
-def _score_indices(model: Model, words: Sequence[str], tag_indices: Sequence[int],
-                   runtime: _DecodeRuntime | None = None) -> float:
-    rt = runtime if runtime is not None else _DecodeRuntime(model)
-    rt.prime(words)
-    index, log_rows = model.transition.index, model.transition.log_probs
-    n_ctx = model.metadata.order - 1
+def _score_indices(runtime: _DecodeRuntime, words: Sequence[str],
+                   tag_indices: Sequence[int]) -> float:
+    index, log_rows = runtime.model.transition.index, runtime.model.transition.log_probs
+    n_ctx = runtime.model.metadata.order - 1
     context = (BOUNDARY + 1,) * n_ctx
     total = 0.0
     for word, t in zip(words, tag_indices):
-        log_factors, lattice = rt.entry(word)
+        log_factors, lattice = runtime.entry(word)
         at = int(np.searchsorted(lattice, t))
         lex = float(log_factors[at]) if at < len(lattice) and lattice[at] == t else NEG_INF
         trans = float(log_rows[index[context], t])
@@ -244,32 +239,28 @@ def score_sequence(m: Model, words: Sequence[str], tags: Sequence[str]) -> float
     for t in tags:
         if t not in index:
             raise ValidationError(f"tag {t!r} not in the model's tag set")
-    return _score_indices(m, words, [index[t] for t in tags])
+    return _score_indices(_DecodeRuntime(m, [words]), words, [index[t] for t in tags])
 
 
 def viterbi_tag(m: Model, words: Sequence[str]) -> list[str]:
     """Highest-scoring tag sequence for one sentence."""
-    return _decode(_DecodeRuntime(m), [words])[0]
+    return _decode(_DecodeRuntime(m, [words]))[0]
 
 
-def _decode(runtime: _DecodeRuntime, sentences: Iterable[Sequence[str]]) -> list[list[str]]:
-    """Tags of each sentence, with the runtime's model, lattices and
+def _decode(runtime: _DecodeRuntime) -> list[list[str]]:
+    """Tags of each of the runtime's sentences, with its model, lattices and
     lexical factors: the entry point of every decode.
 
-    The runtime is primed in token order up to the first empty sentence,
-    which raises.  A sentence's cells per token, the mean over its tokens of
-    the product of the lattice sizes at that token and the order-1 before
-    it, routes it: below ``_BATCH_CROSSOVER``, or at order 1 (its lattice
-    width), to ``_viterbi_batch``, longest first, each batch as many as fit
-    in ``_BATCH_CELLS`` cells and at least one; else to ``_viterbi``.  Both
-    keep only maxima in the forward pass and recompute the chosen path's
-    runs on the walk back, so they find the same tags by one tie rule.  A
-    string where a sentence or the list of them belongs raises.
+    An empty sentence raises.  A sentence's cells per token, the mean over
+    its tokens of the product of the lattice sizes at that token and the
+    order-1 before it, routes it: below ``_BATCH_CROSSOVER``, or at order 1
+    (its lattice width), to ``_viterbi_batch``, longest first, each batch
+    as many as fit in ``_BATCH_CELLS`` cells and at least one; else to
+    ``_viterbi``.  Both keep only maxima in the forward pass and recompute
+    the chosen path's runs on the walk back, so they find the same tags by
+    one tie rule.
     """
-    sentences = list(sentences)  # read once: a generator is primed, then decoded
-    if any(isinstance(s, str) for s in sentences):
-        raise ValidationError("expected sentences as sequences of words, not strings")
-    runtime.prime(chain.from_iterable(takewhile(len, sentences)))
+    sentences = runtime.sentences
     if not all(len(s) for s in sentences):
         raise ValidationError("cannot decode an empty sentence")
     if not sentences:
@@ -415,7 +406,8 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
     chosen state's ``(T + cells) + lex`` over its oldest tag and takes the
     first maximum, so ties, even ``fl(x1 + lex) == fl(x2 + lex)`` with
     x1 < x2, go to the smallest tag indices, oldest position first.
-    ``_decode`` sends it the array-bound sentences, primed.
+    ``_decode`` sends it the array-bound sentences, whose words the runtime
+    holds.
     """
     m = runtime.model
     index, log_rows = m.transition.index, m.transition.log_probs
@@ -448,18 +440,18 @@ def _viterbi(runtime: _DecodeRuntime, words: Sequence[str]) -> list[str]:
 
 def viterbi_tag_scored(m: Model, words: Sequence[str]) -> TagSequenceScore:
     """``viterbi_tag``'s tags with their log score, -inf when every tagging has a zero factor."""
-    rt = _DecodeRuntime(m)
-    tags = _decode(rt, [words])[0]
-    score = _score_indices(m, words, [m.tag_set.index[t] for t in tags], rt)
+    rt = _DecodeRuntime(m, [words])
+    tags = _decode(rt)[0]
+    score = _score_indices(rt, words, [m.tag_set.index[t] for t in tags])
     return TagSequenceScore(tuple(tags), score)
 
 
 def tag_corpus(m: Model, sentences: Iterable[Sequence[str]]) -> list[list[str]]:
     """Each sentence's best tags, found independently, with one lexical
-    table for the call; narrow sentences are decoded together, position by
-    position (``_decode``).  An empty sentence raises, unless a rejected word
-    comes before it."""
-    return _decode(_DecodeRuntime(m), sentences)
+    table for the call, built once; narrow sentences are decoded together,
+    position by position (``_decode``).  An empty sentence raises, unless a
+    rejected word comes before it."""
+    return _decode(_DecodeRuntime(m, sentences))
 
 
 def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,

@@ -146,13 +146,12 @@ def _enumerate_best(m, words):
             lattices.append(tuple(range(len(m.tag_set))))
         else:
             lattices.append(tuple(sorted(dist.support)))
-    # Every combination is scored through one primed runtime; the best is
-    # then checked once through the public scorer.
-    runtime = _DecodeRuntime(m)
-    runtime.prime(words)
+    # Every combination is scored through one runtime, its table built
+    # once; the best is then checked once through the public scorer.
+    runtime = _DecodeRuntime(m, [words])
     best, best_combo = NEG_INF, None
     for combo in itertools.product(*lattices):
-        score = _score_indices(m, words, combo, runtime)
+        score = _score_indices(runtime, words, combo)
         if score > best:
             best, best_combo = score, combo
     if best_combo is not None:

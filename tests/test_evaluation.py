@@ -62,6 +62,18 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(gold, [["AT"], ["VB", "VB"]], known_words=set())
 
+    def test_strings_for_sequences_rejected(self):
+        # A str is a sequence of its letters: as the known words, "the cat"
+        # would make every token unknown, and "XXY" or "XY" would be read
+        # one letter per tag.
+        three = parse_corpus("the\tX\n\ncat\tX\n\nsat\tY\n\n")
+        assert evaluate(three, [["X"], ["X"], ["Y"]], {"the", "cat"}).unknown_tokens == 1
+        for predicted, known in (("XXY", {"the"}), ([["X"], ["X"], ["Y"]], "the cat")):
+            with pytest.raises(ValidationError, match="not strings$"):
+                evaluate(three, predicted, known)
+        with pytest.raises(ValidationError, match="not strings$"):
+            evaluate(parse_corpus("the\tX\ncat\tY\n\n"), ["XY"], {"the"})
+
 
 def reference_evaluate(gold, predicted, known):
     """The token-by-token tally the columnar one replaced, over the

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from succabs.corpus import parse_corpus
-from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie
+from succabs.counts import RareWordPolicy, build_lexicon, build_suffix_trie, count_ngrams
 from succabs.errors import ValidationError
-from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
-from succabs.smoothing import SQRT12, ConditionalDistribution, smooth_step, uniform_distribution
+from succabs.lexicon import build_unknown_word_model, lexicon_unigram, unknown_word_distribution
+from succabs.smoothing import (
+    SQRT12,
+    ConditionalDistribution,
+    smooth_step,
+    uniform_distribution,
+    unigram_distribution,
+)
 from lexical_oracle import (
     LexicalDistribution,
     known_word_distribution,
@@ -230,3 +236,19 @@ class TestWalkAgainstObjectTrie:
                 assert one(model, word).tolist() == row
             rf_rows_with_zeros += root_mode == "rf" and not got.all()
         assert rf_rows_with_zeros > 0
+
+
+class TestLexiconUnigram:
+    def test_equals_the_count_tables_root_bit_for_bit(self):
+        # The lexicon's tag totals are the count table's root row, so the
+        # unigram a model file derives from [lexicon] is the trained one.
+        rng = np.random.default_rng(3535)
+        for i in range(60):
+            corpus = random_corpus(rng, via_text=bool(i % 2))
+            lexicon = build_lexicon(corpus)
+            for order in (1, 3):
+                for root_mode in ("ele", "rf"):
+                    got = lexicon_unigram(lexicon, root_mode)
+                    expect = unigram_distribution(count_ngrams(corpus, order), root_mode)
+                    assert got.probs.tobytes() == expect.probs.tobytes(), (i, order, root_mode)
+                    assert got.entropy_nats == expect.entropy_nats

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import fractions
 import hashlib
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import pytest
 from succabs.corpus import SynthesisConfig, parse_corpus, synthesize_corpus
 from succabs.counts import Lexicon, RareWordPolicy, build_lexicon, build_suffix_trie
 from succabs.errors import ModelFormatError, ValidationError
-from succabs.lexicon import build_unknown_word_model, unknown_word_distribution
+from succabs.lexicon import build_unknown_word_model, lexicon_unigram, unknown_word_distribution
 from succabs.model_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -27,7 +28,7 @@ from succabs.model_io import (
     read_model,
     write_model,
 )
-from succabs.smoothing import ConditionalDistribution
+from succabs.smoothing import root_estimate
 from succabs.tagger import tag_corpus, train_model, viterbi_tag_scored
 from lexical_oracle import letters, sparse_rows
 from test_counts import random_corpus
@@ -466,10 +467,21 @@ class TestFormatErrors:
                 ("\n0\t\t0 2 1\n", f"\n0\t\t0 {half} {half}\n", NOT_DERIVED + ".*: row 1 reads")):
             with pytest.raises(ModelFormatError, match=message):
                 model_from_text(text.replace(old, new, 1))
-        # A total of exactly 2**63 - 1 still loads.
-        model = model_from_text(text.replace("the\t12 0 0\n", f"the\t{half} {half - 1} 0\n", 1))
+        # A total of exactly 2**63 - 1 still loads, with the [unigram] of its tag totals.
+        model = model_from_text(with_lexicon_unigram(
+            text.replace("the\t12 0 0\n", f"the\t{half} {half - 1} 0\n", 1)))
         assert model.lexicon.counts.totals().max() == 2 ** 63 - 1
         assert model.lexicon["the"].sum() == 2 ** 63 - 1
+        # Rows that fit, but whose tag total does not: two such rows' wraps
+        # to a negative number, three rows' to 2**63 - 3, and a [unigram]
+        # made from that wrapped total is no less rejected.
+        top = f"{2 ** 63 - 1} 0 0"
+        two = insert_row(text.replace("the\t12 0 0\n", f"the\t{top}\n", 1), "lexicon", 3,
+                         f"zy\t{top}")
+        three = insert_row(two, "lexicon", 4, f"zz\t{top}")
+        for wrapped in (two, with_lexicon_unigram(three)):
+            with pytest.raises(ModelFormatError, match="^lexicon: the counts of a tag sum past"):
+                model_from_text(wrapped)
 
     def test_bad_trie_depth_rejected(self):
         lines = valid_text().splitlines()
@@ -682,8 +694,8 @@ class TestBlockedParse:
         empty = Lexicon((), sparse_rows(np.zeros((0, 3), dtype=np.int64)))
         policy = model.unknown_word_model.policy
         unknown = build_unknown_word_model(build_suffix_trie(empty, policy), policy)
-        text = model_to_text(dataclasses.replace(model, lexicon=empty,
-                                                 unknown_word_model=unknown))
+        text = model_to_text(dataclasses.replace(model, lexicon=empty, unknown_word_model=unknown,
+                                                 unigram=lexicon_unigram(empty, "ele")))
         assert "[lexicon] 0\n[trie] 1\n0\t\t0 0 0\n[unknown_root]" in text
         assert model_to_text(model_from_text(text)) == text
 
@@ -705,8 +717,10 @@ class TestNumberSpellings:
         assert text.count("the\t12 0 0\n") == 1
         for bad, plain in (("1_000", "1000"), ("\u0661\u0662", "12"), ("\uff11\uff12", "12"),
                            ("0xc", "12"), ("1e3", "1000"), ("12.0", "12")):
-            model_from_text(text.replace("the\t12 0 0", f"the\t{plain} 0 0"))
-            assert_rejected_without_warnings(text.replace("the\t12 0 0", f"the\t{bad} 0 0"))
+            # The file of the plain spelling, its [unigram] that of its tag totals.
+            good = with_lexicon_unigram(text.replace("the\t12 0 0", f"the\t{plain} 0 0"))
+            model_from_text(good)
+            assert_rejected_without_warnings(good.replace(f"the\t{plain} 0 0", f"the\t{bad} 0 0"))
 
     def test_count_row_spellings_rejected(self):
         # Counts inside [lexicon] and [trie] rows: np.loadtxt takes a
@@ -746,10 +760,10 @@ class TestNumberSpellings:
                     model_from_text(text.replace("\n0,1\t", f"\n{bad}\t"))
 
     def test_probability_spellings_rejected(self):
-        model = train_model(small_corpus())
-        quarter = ConditionalDistribution.from_probs([0.25, 0.25, 0.5])
-        text = model_to_text(dataclasses.replace(model, unigram=quarter))
-        assert text.count("[unigram] 1\n0.25 ") == 1
+        # Tag totals 1:1:2 under a relative-frequency root: a [unigram] of 0.25, 0.25, 0.5.
+        text = model_to_text(train_model(parse_corpus("a\tX\nb\tY\nc\tZ\nd\tZ\n\n"),
+                                         root_mode="rf"))
+        assert text.count("[unigram] 1\n0.25 0.25 0.5\n") == 1
         model_from_text(text)
         for bad in ("0x1p-2", "0.2_5", "\u0660.\u0662\u0665"):
             assert_rejected_without_warnings(
@@ -816,6 +830,20 @@ NOT_DERIVED = "^trie: not the suffix trie of the lexicon's words"
 def section_start(lines, section):
     """Index of the first row of a section in the file's lines."""
     return lines.index(next(l for l in lines if l.startswith(f"[{section}] "))) + 1
+
+
+def with_lexicon_unigram(text):
+    """The text with the [unigram] row of the root_mode estimate from its
+    [lexicon]'s int64 tag totals, wrapped as int64 sums wrap."""
+    lines = text.split("\n")
+    start, k = section_start(lines, "lexicon"), int(lines[section_start(lines, "tags") - 1][7:])
+    rows = lines[start:start + int(lines[start - 1].split(" ")[1])]
+    counts = np.array([[int(x) for x in row.split("\t")[1].split(" ")] for row in rows],
+                      dtype=np.int64).reshape(-1, k)
+    root_mode = re.search("\nroot_mode\t(.*)\n", text).group(1)
+    probs = root_estimate(counts.sum(axis=0), root_mode).probs
+    lines[section_start(lines, "unigram")] = " ".join(format(p, ".17g") for p in probs)
+    return "\n".join(lines)
 
 
 def swap_rows(text, section, i, j):
@@ -1007,8 +1035,39 @@ class TestLoneSurrogates:
 
 
 class TestDerivedSections:
-    """``[trie]`` and ``[unknown_root]`` must be what ``build_suffix_trie``
-    and ``build_unknown_word_model`` make of ``[lexicon]`` and ``[meta]``."""
+    """``[trie]``, ``[unknown_root]`` and ``[unigram]`` must be what
+    ``build_suffix_trie``, ``build_unknown_word_model`` and
+    ``lexicon_unigram`` make of ``[lexicon]`` and ``[meta]``."""
+
+    def test_swapped_numbers_rejected(self):
+        # Swapping two unequal numbers of a row of a derived section, or of
+        # any [lexicon] row, a frequent word's too, since each moves the tag
+        # totals [unigram] is estimated from, makes a file no training run
+        # writes.
+        corpora = (small_corpus(), synthesize_corpus(SynthesisConfig(8, 60, 600, 10, 35))[0])
+        swapped = collections.Counter()
+        for corpus in corpora:
+            for smoothing, root_mode in itertools.product(("sa", "interp", "ele"), ("ele", "rf")):
+                text = model_to_text(train_model(
+                    corpus, order=3, smoothing=smoothing, root_mode=root_mode,
+                    lambdas=(0.2, 0.3, 0.5) if smoothing == "interp" else None))
+                lines = text.split("\n")
+                for section in ("unigram", "lexicon", "trie", "unknown_root"):
+                    start = section_start(lines, section)
+                    rows = int(lines[start - 1].split(" ")[1])
+                    for row in sorted({*range(min(rows, 5)), rows - 1}):
+                        head, tab, cells = lines[start + row].rpartition("\t")
+                        numbers = cells.split(" ")
+                        j = next((j for j, x in enumerate(numbers) if x != numbers[0]), None)
+                        if j is None:
+                            continue
+                        numbers[0], numbers[j] = numbers[j], numbers[0]
+                        mutant = lines[:start + row] + [head + tab + " ".join(numbers)]
+                        with pytest.raises(ModelFormatError) as raised:
+                            model_from_text("\n".join(mutant + lines[start + row + 1:]))
+                        swapped[section, str(raised.value).partition(":")[0]] += 1
+        # A frequent word's swap leaves the trie as it was; only [unigram] differs.
+        assert swapped["lexicon", "unigram"] >= 12 and len(swapped) == 5, swapped
 
     def test_edits_no_training_run_makes_rejected(self):
         # A rare word's count raised, the trie root's count raised and two

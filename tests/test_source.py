@@ -121,6 +121,37 @@ def test_the_handler_check_sees_every_way_to_catch():
     assert len(validation_handlers(tree)) == 2
 
 
+def state_writes(tree: ast.Module, name: str) -> set[str]:
+    """``line method`` of each assignment to an attribute of ``self`` (a
+    method's first argument) in a method of class ``name`` but ``__init__``."""
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+    writes = set()
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        me = method.args.args[0].arg if method.args.args else None
+        writes |= {f"{node.lineno} {method.name}" for node in ast.walk(method)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == me}
+    return writes
+
+
+def test_decode_runtime_is_built_once():
+    # A decoding call's table is built in its constructor, whole; a
+    # method that grows it would copy it again each time.
+    tree = ast.parse((PACKAGE / "tagger.py").read_text(encoding="utf-8"))
+    assert not state_writes(tree, "_DecodeRuntime"), sorted(state_writes(tree, "_DecodeRuntime"))
+
+
+def test_the_state_check_sees_each_way_to_assign():
+    tree = ast.parse("class R:\n    def __init__(self):\n        self.a = 1\n"
+                     "    def f(self):\n        self.a += 1\n        self.b, x = 1, 2\n"
+                     "        self.a[0] = other.c = 1\n"
+                     "    def g(me):\n        for me.d in ():\n            pass\n"
+                     "class S:\n    def f(self):\n        self.e = 1\n")
+    assert state_writes(tree, "R") == {"5 f", "6 f", "9 g"}
+
+
 # The two functions of cli.py through which every byte in and out passes.
 STREAM_FUNCTIONS = {"_read_text", "_write_text"}
 

@@ -207,11 +207,10 @@ class TestViterbi:
         plain = viterbi_tag(m, words)
         for route in ROUTES:
             with routed(monkeypatch, route):
-                scaled = _DecodeRuntime(m)
-                scaled.prime(["w1"])
+                scaled = _DecodeRuntime(m, [words])
                 log_factors, _ = scaled.entry("w1")
                 log_factors += math.log(7.3)  # a view into the runtime's ``lex``
-                assert _decode(scaled, [words]) == [plain], route
+                assert _decode(scaled) == [plain], route
 
     def test_scored_variant_is_consistent(self):
         m = hand_built_bigram_model()
@@ -580,16 +579,15 @@ class TestRoundingCollision:
             words = ["w1"] * n_ctx + ["w2"]
             for route in ROUTES:
                 with routed(monkeypatch, route):
-                    rt = _DecodeRuntime(m)
-                    rt.prime(words)
+                    rt = _DecodeRuntime(m, [words])
                     for word, lex in (("w1", 0.0), ("w2", 3.0)):
                         rt.entry(word)[0][:] = lex  # views into the runtime's ``lex``
-                    assert _decode(rt, [words]) == [["X"] * order], (order, route)
+                    assert _decode(rt) == [["X"] * order], (order, route)
                     first = [0] * order
-                    assert _score_indices(m, words[:-1], first[:-1], rt) == 1.0
-                    assert _score_indices(m, words[:-1], [1] + first[2:], rt) == 1.0 + 2.0 ** -52
-                    assert _score_indices(m, words, first, rt) == 4.0
-                    assert _score_indices(m, words, [1] + first[1:], rt) == 4.0
+                    assert _score_indices(rt, words[:-1], first[:-1]) == 1.0
+                    assert _score_indices(rt, words[:-1], [1] + first[2:]) == 1.0 + 2.0 ** -52
+                    assert _score_indices(rt, words, first) == 4.0
+                    assert _score_indices(rt, words, [1] + first[1:]) == 4.0
 
     def test_collision_among_sentences_of_other_widths(self, monkeypatch):
         # The colliding sentence, its first word opening X below Y and its
@@ -620,15 +618,15 @@ class TestRoundingCollision:
                           [best[shorter]] * (n_ctx + 1)]
                 for route in ROUTES:
                     with routed(monkeypatch, route):
-                        rt = _DecodeRuntime(m)
-                        rt.prime(["w1", *itertools.chain(*sentences)])
+                        rt = _DecodeRuntime(m, sentences)
                         for word, lex in (("w1", 0.0), ("w2", 3.0), ("u", [0.0, 0.25]),
                                           ("z", 0.5)):
-                            rt.entry(word)[0][:] = lex
-                        assert _decode(rt, sentences) == expect, (order, longer, route)
+                            if word in rt.ids:  # at order 1, "w1" is in no sentence
+                                rt.entry(word)[0][:] = lex
+                        assert _decode(rt) == expect, (order, longer, route)
                         tied = [1] + [0] * (n_ctx + 1)
-                        assert (_score_indices(m, collide, tied, rt)
-                                == _score_indices(m, collide, [0] * (n_ctx + 2), rt))
+                        assert (_score_indices(rt, collide, tied)
+                                == _score_indices(rt, collide, [0] * (n_ctx + 2)))
 
 
 def lettered_corpus(rng, num_tags, unseen_tags=()):
@@ -774,8 +772,7 @@ class TestLexicalTable:
             firsts = [edges.get((0, w[-1])) for w in set(words) if w not in m.lexicon]
             firsts = [node for node in firsts if node is not None]
             shared += len(firsts) - len(set(firsts))
-            rt = _DecodeRuntime(m)
-            rt.prime(words)
+            rt = _DecodeRuntime(m, sentences)
             assert set(rt.ids) == set(words)
             for word in words:
                 factors, lattice = reference_lexical(m, word)
@@ -849,6 +846,30 @@ class TestLexicalTable:
         assert calls == [["zat", "qat"]]
         assert tag_corpus(m, sentences) == first
         assert calls == [["zat", "qat"]] * 2
+
+    def test_table_built_in_linear_writes(self, monkeypatch):
+        # One word per block: the cells that the runtime's np.concatenate
+        # calls write stay a small multiple of the table's, where joining a
+        # growing table at each block writes the square of its words'.
+        corpus, _ = lettered_corpus(np.random.default_rng(35), 4)
+        m = train_model(corpus, order=2)
+        words = [*m.lexicon.words, *(f"novel{i}" for i in range(300))]
+        written = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, arrays, *args, **kwargs):
+                out = np.concatenate(arrays, *args, **kwargs)
+                written.append(out.size)
+                return out
+
+        monkeypatch.setattr(succabs.tagger, "_PRIME_BLOCK", 1)
+        monkeypatch.setattr(succabs.tagger, "np", CountingNumpy())
+        rt = _DecodeRuntime(m, [words])
+        assert len(rt.ids) == len(words) and len(rt.lex) >= len(words)
+        assert sum(written) <= 6 * (len(rt.lex) + len(rt.sizes))
 
 
 class TestTagCorpus:
