@@ -12,7 +12,8 @@ import json
 import sys
 from typing import Sequence
 
-from .corpus import Corpus, SynthesisConfig, parse_corpus, synthesize_corpus, write_corpus
+from .corpus import (Corpus, SynthesisConfig, _check_words, parse_corpus, synthesize_corpus,
+                     write_corpus)
 from .counts import RareWordPolicy
 from .errors import CorpusParseError, SuccabsError
 from .evaluation import compare, evaluate, render_comparison, render_report_kv, render_report_table
@@ -77,12 +78,17 @@ def cmd_train(args) -> int:
 
 def _read_sentences(text: str) -> list[list[str]]:
     """Each nonblank line's words; LF, CRLF and a lone CR each end a line.
-    ASCII space and tab alone separate words, so a word may hold any other
-    character a corpus word may, such as NBSP or U+2028, unlike ``str.split``."""
+    ASCII space and tab alone separate words, unlike ``str.split``, and a
+    word that breaks the corpus word rule (one starting with "#" would
+    write a comment line) is a CorpusParseError naming its line."""
     sentences = []
-    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    for number, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         words = [word for word in line.replace("\t", " ").split(" ") if word]
         if words:
+            try:
+                _check_words(words)
+            except SuccabsError as bad:
+                raise CorpusParseError(str(bad), number) from None
             sentences.append(words)
     return sentences
 

@@ -33,12 +33,15 @@ _PARSE_CHARS = 1 << 18
 _WRITE_TOKENS = 1 << 15
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, numpy integers and bools included."""
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int (numpy integers and bools too), at least ``minimum`` if given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, not {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,6 @@ class TagSet:
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.index
-
-    def index_of(self, symbol: str) -> int:
-        try:
-            return self.index[symbol]
-        except KeyError:
-            raise ValidationError(f"tag {symbol!r} not in tag set") from None
-
-    def symbol(self, i: int) -> str:
-        return self.tags[i]
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,7 +293,7 @@ def parse_corpus(text: str, declared_tags: Sequence[str] | None = None) -> Corpu
     """
     if not isinstance(text, str):
         raise ValidationError(f"parse_corpus takes the text as a str, not {type(text).__name__}")
-    declared = TagSet(tuple(declared_tags)) if declared_tags is not None else None
+    declared = TagSet(declared_tags) if declared_tags is not None else None
     vocab: dict[str, int] = {}
     tags: dict[str, int] = dict(declared.index) if declared is not None else {}
     line_ids, word_of, tag_of = _classify_lines(text, declared, vocab, tags)

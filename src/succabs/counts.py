@@ -129,9 +129,7 @@ def count_ngrams(corpus: Corpus, order: int) -> NGramCountTable:
     place, reused from order to order, and counts its runs; keys sort as
     their contexts do, so the rows come in file order.
     """
-    order = _integer(order, "order")
-    if order < 1:
-        raise ValidationError("n-gram order must be at least 1")
+    order = _integer(order, "order", 1)
     if corpus.num_sentences == 0:
         raise ValidationError("cannot count n-grams of an empty corpus")
     m = len(corpus.tag_set)

@@ -73,6 +73,8 @@ def evaluate(gold: Corpus, predicted: Sequence[Sequence[str]],
     for pred, length in zip(predicted, np.diff(gold.offsets).tolist()):
         if len(pred) != length:
             raise ValidationError(f"{len(pred)} predicted tags for a {length}-token sentence")
+    if not isinstance(known_words, Iterable):
+        raise ValidationError(f"expected known words, not {type(known_words).__name__}")
     known = known_words if isinstance(known_words, (set, frozenset)) else set(known_words)
     names = dict(gold.tag_set.index)
     guessed = np.fromiter((names.setdefault(tag, len(names))
@@ -104,9 +106,7 @@ class SignificanceQuery:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValidationError("error rate must lie strictly between 0 and 1")
-        object.__setattr__(self, "n", _integer(self.n, "sample size"))
-        if self.n < 1:
-            raise ValidationError("sample size must be positive")
+        object.__setattr__(self, "n", _integer(self.n, "sample size", 1))
         if not 0.0 < self.z < math.inf:
             raise ValidationError("critical value must be positive and finite")
 

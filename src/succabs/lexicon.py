@@ -71,6 +71,9 @@ def unknown_word_distribution(m: UnknownWordModel, words: Sequence[str]) -> np.n
         raise ValidationError("expected a sequence of words, not one string")
     if "" in words:
         raise ValidationError("cannot estimate a distribution for an empty word")
+    if not all(isinstance(w, str) for w in words):
+        raise ValidationError("expected words as str, not "
+                              f"{next(w for w in words if not isinstance(w, str))!r}")
     trie = m.trie
     codes, offsets, lengths = _suffix_paths(words, m.policy.max_suffix_length)
     out = np.tile(m.root.probs, (len(words), 1))

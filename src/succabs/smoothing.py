@@ -19,6 +19,8 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -28,7 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .counts import NGramCountTable, context_keys, transition_index_shape
-from .corpus import Corpus
+from .corpus import Corpus, _integer
 from .errors import ValidationError
 
 SQRT12 = math.sqrt(12.0)
@@ -72,10 +74,10 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
 def entropy(probs) -> float:
     """Shannon entropy -sum(p*ln(p)) in nats, with 0*ln(0) = 0."""
     p = _as_prob_array(probs)
-    if np.any(p < 0):
-        raise ValidationError("probability vector has a negative entry")
+    if not (p >= 0).all():  # NaN fails it too
+        raise ValidationError("probability vector has a negative or NaN entry")
     total = float(p.sum())
-    if abs(total - 1.0) > _SUM_TOL_INPUT:
+    if not abs(total - 1.0) <= _SUM_TOL_INPUT:
         raise ValidationError(f"probability vector sums to {total}, not 1")
     return _entropy(p)
 
@@ -127,6 +129,7 @@ def log_probs(probs) -> np.ndarray:
 
 
 def uniform_distribution(dim: int) -> ConditionalDistribution:
+    dim = _integer(dim, "dim", 1)
     return ConditionalDistribution.from_probs(np.full(dim, 1.0 / dim))
 
 
@@ -137,10 +140,10 @@ def sigma_inverse(context_count: int, parent_entropy: float) -> float:
     exponentially with the parent estimate's entropy.  Zero when the context
     was never observed, which collapses the smoothing step onto the parent.
     """
-    if context_count < 0:
-        raise ValidationError("context count must be nonnegative")
-    if parent_entropy < 0:
-        raise ValidationError("entropy must be nonnegative")
+    if not 0 <= context_count < math.inf:  # NaN fails both comparisons
+        raise ValidationError("context count must be finite and nonnegative")
+    if not 0 <= parent_entropy < math.inf:
+        raise ValidationError("entropy must be finite and nonnegative")
     if context_count == 0:
         return 0.0
     return SQRT12 * math.sqrt(context_count) * math.exp(-parent_entropy)
@@ -270,11 +273,15 @@ def root_estimate(counts, root_mode: str) -> ConditionalDistribution:
 
 @dataclass(frozen=True)
 class InterpolationWeights:
-    """Per-order mixture weights: nonnegative, summing to one."""
+    """Per-order mixture weights, a tuple of floats: nonnegative, summing to one."""
 
     lam: tuple[float, ...]
 
     def __post_init__(self):
+        lam = tuple(self.lam)
+        if isinstance(self.lam, str) or not all(isinstance(w, numbers.Real) for w in lam):
+            raise ValidationError(f"interpolation weights must be real numbers, not {self.lam!r}")
+        object.__setattr__(self, "lam", tuple(map(float, lam)))
         if not self.lam:
             raise ValidationError("at least one weight is required")
         if not all(math.isfinite(w) and w >= 0 for w in self.lam):
@@ -319,11 +326,11 @@ def simplex_grid(num_orders: int, step: float) -> Iterator[tuple[float, ...]]:
 
     Enumerated in lexicographically descending order.
     """
-    if num_orders < 1:
-        raise ValidationError("need at least one order")
-    n = round(1.0 / step) if 0 < step < math.inf else 0  # 1 / 0 and round(NaN) raise untyped
+    num_orders = _integer(num_orders, "num_orders", 1)
+    # Checked first, as "0.5" < 0, 1 / 0 and round(NaN) raise untyped errors.
+    n = round(1.0 / step) if isinstance(step, numbers.Real) and 0 < step < math.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ValidationError(f"step {step} does not divide 1")
+        raise ValidationError(f"step {step!r} does not divide 1")
 
     def parts(remaining: int, slots: int):
         if slots == 1:
@@ -345,8 +352,12 @@ def grid_search_lambdas(objective: Callable[[tuple[float, ...]], float],
     The higher score wins; ties go to the lexicographically largest weight
     vector.
     """
-    return InterpolationWeights(max(simplex_grid(num_orders, step),
-                                    key=lambda lam: (objective(lam), lam)))
+    def key(lam: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
+        if math.isnan(score := objective(lam)):
+            raise ValidationError(f"the objective is NaN at {lam}")
+        return score, lam
+
+    return InterpolationWeights(max(simplex_grid(num_orders, step), key=key))
 
 
 def interpolation_loglik_objective(counts: NGramCountTable,
@@ -405,12 +416,17 @@ class SmoothedNGramModel:
     depth: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _integer(self.order, "model order", 1))
+        object.__setattr__(self, "num_tags", _integer(self.num_tags, "num_tags", 1))
         contexts, k, depth = self.contexts, self.num_tags, _depths(self.contexts)
         step = np.diff(depth, prepend=0)
         unordered = (step < 0) | (step == 0) & np.array(  # as (length, tags) keys
             [False] + [a >= b for a, b in zip(contexts, contexts[1:])], dtype=bool)
         bad = unordered | (depth >= self.order)
-        tags = np.fromiter(chain.from_iterable(contexts), np.int64, int(depth.sum()))
+        try:  # np.fromiter would read 0.5 as 0
+            tags = np.fromiter(map(operator.index, chain.from_iterable(contexts)), np.int64)
+        except TypeError:
+            raise ValidationError("context tags must be integers") from None
         bad[np.repeat(np.arange(len(depth)), depth)[(tags < -1) | (tags >= k)]] = True
         if bad.any():
             i = int(np.argmax(bad))
@@ -462,11 +478,6 @@ class SmoothedNGramModel:
         table = np.vstack([self.probs, np.full(k, 1.0 / k)])
         values, inverse = np.unique(table, return_inverse=True)
         return log_probs(values)[inverse].reshape(table.shape)
-
-    @cached_property
-    def entropies(self) -> np.ndarray:
-        """Each row's entropy, as ``ConditionalDistribution`` takes it."""
-        return _row_entropies(self.probs)
 
 
 def unigram_distribution(counts: NGramCountTable, root_mode: str) -> ConditionalDistribution:

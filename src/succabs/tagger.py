@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from itertools import chain, islice, takewhile
+from itertools import chain, islice, repeat, takewhile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -136,8 +136,8 @@ def train_model(corpus: Corpus, order: int = 3,
     """Count, smooth, and bundle a tagging model from a tagged corpus."""
     # Checked before any work.  The digest is taken last: taken first, it
     # raised the benchmark's peak RSS by ~4 MB on wide40 and poslike48.
-    meta = ModelMetadata(order, smoothing, root_mode, "",
-                         None if lambdas is None else tuple(float(x) for x in lambdas))
+    weights = None if lambdas is None else InterpolationWeights(lambdas)
+    meta = ModelMetadata(order, smoothing, root_mode, "", None if weights is None else weights.lam)
     if policy is None:
         policy = RareWordPolicy()
     counts = count_ngrams(corpus, order)
@@ -146,7 +146,7 @@ def train_model(corpus: Corpus, order: int = 3,
     elif smoothing == SMOOTHING_ELE:
         transition = build_ele_ngram_model(counts)
     else:
-        transition = build_interpolated_ngram_model(counts, InterpolationWeights(meta.lambdas))
+        transition = build_interpolated_ngram_model(counts, weights)
     lexicon = build_lexicon(corpus)
     trie = build_suffix_trie(lexicon, policy)
     unknown = build_unknown_word_model(trie, policy, root_mode)
@@ -167,8 +167,9 @@ class _DecodeRuntime:
     The table is built in blocks of ``_PRIME_BLOCK`` words, one
     ``unknown_word_distribution``, ``lexical_factors`` and ``log_probs``
     each, and each array is joined once.  If words are rejected, the error
-    is the one the first of them would raise alone.  A string where a
-    sentence or the list of them belongs raises.
+    is the one the first of them would raise alone, save that a string
+    where a sentence or the list of them belongs, or an unhashable word,
+    raises first.
     """
 
     def __init__(self, model: Model, sentences: Iterable[Sequence[str]]):
@@ -176,13 +177,19 @@ class _DecodeRuntime:
         self.sentences = list(sentences)
         if any(isinstance(s, str) for s in self.sentences):
             raise ValidationError("expected sentences as sequences of words, not strings")
-        words = list(dict.fromkeys(chain.from_iterable(takewhile(len, self.sentences))))
+        try:
+            words = list(dict.fromkeys(chain.from_iterable(takewhile(len, self.sentences))))
+        except TypeError:  # a word no dict can hold, or a sentence of no length
+            raise ValidationError("expected sentences as sequences of words, each a str") from None
         index, counts, k = model.lexicon.index, model.lexicon.counts, len(model.tag_set)
-        # The empty word, always unknown, is rejected after the words before it.
-        empty = words.index("") if "" in words else len(words)
+        # The first word the suffix walk rejects, one that is empty or not a
+        # str, is rejected after the words before it.
+        end = len(words)
+        if "" in words or not all(map(isinstance, words, repeat(str))):
+            end = next(i for i, w in enumerate(words) if not (isinstance(w, str) and w))
         blocks = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
-        for start in range(0, empty, _PRIME_BLOCK):
-            block = words[start:min(start + _PRIME_BLOCK, empty)]
+        for start in range(0, end, _PRIME_BLOCK):
+            block = words[start:min(start + _PRIME_BLOCK, end)]
             at = np.array([index.get(w, -1) for w in block], dtype=np.intp)
             known, unknown = np.flatnonzero(at >= 0), np.flatnonzero(at < 0)
             sizes, tags, values = counts.cells(at[known])
@@ -197,8 +204,8 @@ class _DecodeRuntime:
                                     probs.reshape(-1)))[order]
             factors = lexical_factors(p_lex, lattices, model.unigram)
             blocks.append((log_probs(factors), lattices, np.bincount(word, minlength=len(block))))
-        if empty < len(words):
-            unknown_word_distribution(model.unknown_word_model, [""])  # raises
+        if end < len(words):
+            unknown_word_distribution(model.unknown_word_model, [words[end]])  # raises
         self.ids = dict(zip(words, range(len(words))))
         self.lex, self.lat, self.sizes = map(np.concatenate, zip(*blocks))
         self.offsets = np.cumsum(self.sizes) - self.sizes
@@ -472,7 +479,7 @@ def tagging_accuracy_objective(train: Corpus, heldout: Corpus, order: int = 3,
     rf = replace(base.transition, probs=base.transition.freqs, freqs=None)  # relative frequencies
 
     def objective(lam: tuple[float, ...]) -> float:
-        transition = interpolated_ngram_model(rf, InterpolationWeights(tuple(lam)))
+        transition = interpolated_ngram_model(rf, InterpolationWeights(lam))
         model = Model(base.tag_set, transition, base.lexicon,
                       base.unknown_word_model, base.unigram, base.metadata)
         report = evaluate(heldout, tag_corpus(model, words), ())

@@ -213,6 +213,23 @@ class TestTag:
         assert main(["tag", "--model", model]) == 0
         assert capsys.readouterr().out == "".join(f"{w}\tX\n" for w in odd) + "c\tY\n"
 
+    def test_word_starting_with_hash_is_data_error(self, tmp_path, corpus_file, capsys,
+                                                   monkeypatch):
+        # Written first on its line, "#a" would make the tagged output's
+        # line a comment, which a corpus reader skips; the corpus word rule
+        # rejects it, naming the input line, before anything is written.
+        model = train_default(tmp_path, corpus_file)
+        message = ("error: line {}: token word '{}' starts with '#', which would write a "
+                   "comment line\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"#a b\n"), encoding="utf-8"))
+        assert main(["tag", "--model", model]) == 2
+        assert capsys.readouterr() == ("", message.format(1, "#a"))
+        inp, outp = tmp_path / "input.txt", tmp_path / "tagged.tsv"
+        inp.write_bytes(b"a b\r\n\rc\t#d a#\n")
+        assert main(["tag", "--model", model, "--input", str(inp), "--output", str(outp)]) == 2
+        assert capsys.readouterr() == ("", message.format(3, "#d"))
+        assert not outp.exists()
+
     def test_output_file_and_reparseability(self, tmp_path, corpus_file):
         model = train_default(tmp_path, corpus_file)
         inp = tmp_path / "input.txt"

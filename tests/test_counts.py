@@ -231,7 +231,7 @@ class TestBuildSuffixTrie:
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
-        nn = corpus.tag_set.index_of("NN")
+        nn = corpus.tag_set.index["NN"]
         # Root pools every rare token.
         assert trie.counts.rows([0])[0, nn] == 2
         # "t" and "ta" prefixes of both reversed words share counts.
@@ -245,7 +245,7 @@ class TestBuildSuffixTrie:
         corpus = self.corpus_with_rare_words()
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
-        at = corpus.tag_set.index_of("AT")
+        at = corpus.tag_set.index["AT"]
         assert trie.counts.rows([0])[0, at] == 0
         assert (0, "e") not in children(trie)
 
@@ -254,7 +254,7 @@ class TestBuildSuffixTrie:
         lex = build_lexicon(corpus)
         trie = build_suffix_trie(lex, RareWordPolicy())
         node = walk(trie, ["t", "a", "c", BOW_LETTER])
-        assert trie.counts.rows([node])[0, corpus.tag_set.index_of("NN")] == 1
+        assert trie.counts.rows([node])[0, corpus.tag_set.index["NN"]] == 1
         assert not child_ids(trie, node)
 
     def test_child_counts_never_exceed_parent(self):
@@ -282,7 +282,7 @@ class TestBuildSuffixTrie:
     def test_raising_threshold_adds_words(self):
         corpus = parse_corpus("\n".join(["the\tAT"] * 12 + ["cat\tNN"]) + "\n\n")
         lex = build_lexicon(corpus)
-        at = corpus.tag_set.index_of("AT")
+        at = corpus.tag_set.index["AT"]
         # "the" occurs 12 times: rare only under a threshold above 12.
         for threshold, count in ((10, 0), (12, 0), (13, 12), (20, 12)):
             trie = build_suffix_trie(lex, RareWordPolicy(frequency_threshold=threshold))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -447,6 +448,12 @@ class TestInterpolate:
             with pytest.raises(ValidationError):
                 InterpolationWeights(bad)
 
+    def test_weights_held_as_a_tuple_of_floats(self):
+        # A list was kept as given, so frozen weights could change and not hash.
+        listed = InterpolationWeights([0.5, np.float32(0.5)])
+        assert listed.lam == (0.5, 0.5) and all(type(w) is float for w in listed.lam)
+        assert hash(listed) == hash(InterpolationWeights((0.5, 0.5)))
+
 
 class TestSimplexGrid:
     def test_half_step_three_orders_has_six_points(self):
@@ -497,12 +504,13 @@ class TestGridSearch:
         assert calls == list(simplex_grid(3, 0.25))  # once per grid point
 
     def test_nan_and_minus_inf_scores(self):
-        # NaN never beats the point it is compared with, nor is beaten, so
-        # a NaN first point stands and a later one never wins.
+        # NaN compares with no score, so it could neither win nor lose; it
+        # is rejected at the first point that gives it.  -inf is a score.
         first = next(simplex_grid(3, 0.5))
-        assert grid_search_lambdas(lambda lam: math.nan, 3, 0.5).lam == first
-        assert grid_search_lambdas(lambda lam: math.nan if lam != first else -1.0,
-                                   3, 0.5).lam == first
+        for objective, at in ((lambda lam: math.nan, first),
+                              (lambda lam: math.nan if lam != first else -1.0, (0.5, 0.5, 0.0))):
+            with pytest.raises(ValidationError, match=re.escape(f"the objective is NaN at {at}")):
+                grid_search_lambdas(objective, 3, 0.5)
         assert grid_search_lambdas(lambda lam: -math.inf, 3, 0.5).lam == first
         assert grid_search_lambdas(lambda lam: -math.inf if lam[2] < 1 else -5.0,
                                    3, 0.5).lam == (0.0, 0.0, 1.0)
@@ -567,6 +575,15 @@ class TestNGramModels:
                 SmoothedNGramModel(2, 2, contexts, rows[:len(contexts)])
         model = SmoothedNGramModel(2, 2, ((), (-1,), (1,)), rows)
         assert model.depth.tolist() == [0, 1, 1] and not model.depth.flags.writeable
+
+    def test_numpy_integers_are_integers(self):
+        # Sizes and context tags of numpy integer types are read as ints.
+        rows = np.full((3, 2), 0.5)
+        model = SmoothedNGramModel(np.int64(2), np.uint8(2), ((), (np.int64(-1),), (np.int8(1),)),
+                                   rows)
+        assert type(model.order) is int and type(model.num_tags) is int
+        assert model.index.tolist() == SmoothedNGramModel(2, 2, ((), (-1,), (1,)),
+                                                          rows).index.tolist() == [1, 0, 2]
 
     def test_rows_checked(self):
         # (contexts, K) matrices of distributions, as from_probs requires: a
@@ -810,7 +827,7 @@ class TestArrayTablesAgainstOracle:
     def assert_equal_tables(self, model, tables):
         order, k = model.order, model.num_tags
         assert model.contexts == file_order(tables)
-        for ctx, row, h in zip(model.contexts, model.probs, model.entropies):
+        for ctx, row, h in zip(model.contexts, model.probs, _row_entropies(model.probs)):
             assert row.tolist() == tables[ctx].probs.tolist(), ctx
             assert h == tables[ctx].entropy_nats, ctx
         # Every query the decoder can make: order-1 tags, boundary included.
@@ -872,12 +889,13 @@ class TestIdentitiesOnTrainedModel:
         model = train_model(train, order=3, root_mode="ele").transition
         rows = rows_of(counts)
         row_of = {ctx: i for i, ctx in enumerate(model.contexts)}
+        entropies = _row_entropies(model.probs)
         worst = 0.0
         for ctx, smoothed in zip(model.contexts[1:], model.probs[1:]):
             total = int(rows[ctx].sum())
             f = rows[ctx] / total
             parent = model.probs[row_of[ctx[1:]]]
-            h = model.entropies[row_of[ctx[1:]]]
+            h = entropies[row_of[ctx[1:]]]
             assert h == entropy(parent)
             s = sigma_inverse(total, h)
             worst = max(worst, float(np.abs((smoothed - f) - (parent - f) / (s + 1.0)).max()))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "succabs"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -73,6 +74,56 @@ def test_the_read_check_counts_calls_and_re_exports():
                                "def h():\n    pass\n"),
              "__init__.py": ast.parse("from .a import h\n")}
     assert unread_names(trees) == {"a.py:3 g", "a.py:5 C"}
+
+
+def defined_members(tree: ast.Module) -> dict[str, int]:
+    """``Class.member`` of each method, property and class-level name that a
+    class of the module defines, and its line; dunders are not members, nor
+    are annotated names, the fields a dataclass reads through ``fields()``."""
+    members = {}
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            members |= {f"{cls.name}.{name}": node.lineno for name in names
+                        if not (name.startswith("__") and name.endswith("__"))}
+    return members
+
+
+def unread_members(trees: dict[str, ast.Module], readers: dict[str, ast.Module]) -> set[str]:
+    """``path:line Class.member`` of each member of a class in ``trees``
+    whose name no attribute read in ``trees`` or ``readers`` has."""
+    read = {node.attr for tree in (*trees.values(), *readers.values()) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{path}:{line} {member}" for path, tree in trees.items()
+            for member, line in defined_members(tree).items()
+            if member.partition(".")[2] not in read}
+
+
+def test_every_class_member_is_read():
+    # The benchmark harness is the one reader outside the package.
+    trees, readers = ({p.name: ast.parse(p.read_text(encoding="utf-8"), p.name)
+                       for p in sorted(directory.glob("*.py"))}
+                      for directory in (PACKAGE, PERFBENCH))
+    unread = unread_members(trees, readers)
+    assert not unread, f"defined under src/succabs but never read: {sorted(unread)}"
+
+
+def test_the_member_check_sees_methods_properties_and_aliases():
+    trees = {"a.py": ast.parse("class C:\n    x: int\n    y: int = 0\n    z = 1\n"
+                               "    def __len__(self):\n        return self.f()\n"
+                               "    def f(self):\n        return self.g\n"
+                               "    def g(self):\n        pass\n"
+                               "    @property\n    def p(self):\n        pass\n"
+                               "    entries = property(lambda self: self)\n"
+                               "    def r(self):\n        self.q = 1\n"
+                               "    def q(self):\n        pass\n")}
+    readers = {"run.py": ast.parse("C().r()\nC.z\n")}
+    assert unread_members(trees, readers) == {"a.py:12 C.p", "a.py:14 C.entries", "a.py:17 C.q"}
 
 
 # The package's __init__ imports only to re-export.

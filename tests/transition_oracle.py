@@ -11,6 +11,7 @@ import numpy as np
 
 from succabs.smoothing import (
     ConditionalDistribution,
+    _row_entropies,
     ele_estimate,
     interpolate,
     smooth_step,
@@ -72,7 +73,7 @@ def distribution(tables, order, num_tags, context):
 def tables_of(model):
     """An array model's rows as a ``tables`` map, with its entropies."""
     return {ctx: ConditionalDistribution(row, float(h))
-            for ctx, row, h in zip(model.contexts, model.probs, model.entropies)}
+            for ctx, row, h in zip(model.contexts, model.probs, _row_entropies(model.probs))}
 
 
 def query(model, context):
